@@ -20,7 +20,7 @@ fn bench_store(c: &mut Criterion) {
     let pipeline = Pipeline::new(PipelineConfig::sized(17, 3, 10));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    let (corpus, _) = pipeline.run_parallel(&host);
+    let (corpus, _) = pipeline.run(&host);
 
     let dir = bench_dir("rw");
     let json_path = dir.join("corpus.json");

@@ -12,8 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod report;
-
 use gittables_core::{Pipeline, PipelineConfig, PipelineReport};
 use gittables_corpus::Corpus;
 use gittables_githost::GitHost;

@@ -95,42 +95,6 @@ impl NearestCompletion {
         }
     }
 
-    /// Builds the engine over an explicit schema list — one schema per
-    /// table, in stable-id order — exactly as [`Self::build_with_ids`]
-    /// would over the tables behind them: empty schemas are skipped,
-    /// duplicates are dropped in first-seen order, and every surviving
-    /// attribute is embedded with the default encoder. Used by the
-    /// scale-out server to assemble shard-local completion engines from
-    /// the schemas already carried by the search sidecar, bit-identical
-    /// to a from-corpus build over the same id range.
-    #[must_use]
-    pub fn build_from_schemas<'a>(schemas: impl IntoIterator<Item = &'a Schema>) -> Self {
-        let encoder = SentenceEncoder::default();
-        let dim = encoder.embedder().dim;
-        let mut seen = std::collections::HashSet::new();
-        let mut kept = Vec::new();
-        let mut starts = vec![0usize];
-        let mut flat = Vec::new();
-        for schema in schemas {
-            if schema.is_empty() || !seen.insert(schema.attributes().to_vec()) {
-                continue;
-            }
-            for a in schema.iter() {
-                flat.extend_from_slice(&encoder.embed(a));
-            }
-            starts.push(starts.last().expect("seeded") + schema.len());
-            kept.push(schema.clone());
-        }
-        let total = *starts.last().expect("seeded");
-        let rows = F32Matrix::from_vec(flat, total, dim);
-        NearestCompletion {
-            encoder,
-            schemas: kept,
-            starts,
-            rows,
-        }
-    }
-
     /// Reassembles the engine from persisted parts (the sidecar boot
     /// path): the exact schemas, row offsets, and per-attribute embedding
     /// rows a [`Self::build_with_ids`] call produced, in the same order.
@@ -329,21 +293,6 @@ mod tests {
         let species = Schema::new(["species", "genus", "family"]);
         let target = ["order number", "order date", "order status"];
         assert!(nc.relevance(&target, &order) > nc.relevance(&target, &species));
-    }
-
-    #[test]
-    fn build_from_schemas_matches_build_with_ids() {
-        let c = corpus();
-        let reference = NearestCompletion::build(&c);
-        let schemas: Vec<Schema> = c.tables.iter().map(|t| t.table.schema()).collect();
-        let rebuilt = NearestCompletion::build_from_schemas(&schemas);
-        assert_eq!(rebuilt.entry_schemas(), reference.entry_schemas());
-        assert_eq!(rebuilt.row_starts(), reference.row_starts());
-        assert_eq!(rebuilt.matrix().as_slice(), reference.matrix().as_slice());
-        assert_eq!(
-            rebuilt.complete(&["order id"], 3),
-            reference.complete(&["order id"], 3)
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! previously failed ones. [`crawl`] loops store-backed pipeline passes
 //! over the existing resume machinery:
 //!
-//! * every pass is an incremental [`Pipeline::run_to_store_crawl`] —
+//! * every pass is an incremental [`Pipeline::run_to_store_with`] —
 //!   shards already in the store are skipped, new ones commit
 //!   atomically;
 //! * every [`CrawlOptions::drain_every`]-th pass re-attempts quarantined
@@ -31,7 +31,7 @@ use gittables_corpus::store::{CorpusStore, StoreError};
 use gittables_githost::{sleep_until_stop, CodeHost, PoolStats};
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{Pipeline, StoreRun};
+use crate::pipeline::{Pipeline, RetrySelection, StoreRun, StoreRunOptions};
 use crate::quarantine::QuarantineLog;
 
 /// Sidecar file holding the crawl pass counter and drain cooldowns,
@@ -219,12 +219,14 @@ pub fn crawl(
         } else {
             HashSet::new()
         };
-        let run = pipeline.run_to_store_crawl(
+        let run = pipeline.run_to_store_with(
             host,
             store,
-            options.max_shards_per_pass,
-            &retry,
-            Some(stop),
+            &StoreRunOptions {
+                max_new_shards: options.max_shards_per_pass,
+                retry: RetrySelection::Repos(&retry),
+                stop: Some(stop),
+            },
         )?;
         let still: HashSet<&str> = run
             .report

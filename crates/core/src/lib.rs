@@ -55,5 +55,7 @@ pub use config::{FaultPolicy, PipelineConfig};
 pub use crawl::{crawl, CrawlOptions, CrawlState, CrawlSummary, PassOutcome, RepoCooldown};
 pub use extract::{extract_topic, RawCsvFile};
 pub use parse::{parse_file, parse_file_tables, ParseFailure};
-pub use pipeline::{Pipeline, PipelineReport, Quarantined, StoreRun};
+pub use pipeline::{
+    Pipeline, PipelineReport, Quarantined, RetrySelection, StoreRun, StoreRunOptions,
+};
 pub use quarantine::QuarantineLog;

@@ -168,7 +168,8 @@ pub struct StoreRun {
 }
 
 /// The end-to-end pipeline. Construction builds both ontologies and all four
-/// annotators once; `run` is then read-only and parallel.
+/// annotators once; every run is then read-only and parallel over
+/// `config.workers` threads.
 pub struct Pipeline {
     /// Configuration.
     pub config: PipelineConfig,
@@ -181,7 +182,7 @@ pub struct Pipeline {
     /// Memoized combined annotation results per distinct normalized column
     /// name (headers like `id`/`name`/`date` dominate the corpus, so hit
     /// rates are huge). Shared across all repository shards of a run;
-    /// sharded locks keep it rayon-safe.
+    /// sharded locks keep it thread-safe.
     annotation_cache: AnnotationCache,
 }
 
@@ -456,7 +457,8 @@ impl Pipeline {
     /// (e.g. pathological input crashing a parser) discards the shard's
     /// tables *and* its partial report — the repository is quarantined as a
     /// unit, exactly like a permanent host fault — so the same host with
-    /// the same faults yields the same corpus from every run mode.
+    /// the same faults yields the same corpus from every sink and worker
+    /// count.
     fn process_shard(&self, repo: &str, shard: &[(usize, &RawCsvFile)]) -> ShardOutcome {
         let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut local_report = PipelineReport::default();
@@ -482,24 +484,65 @@ impl Pipeline {
         }
     }
 
-    /// Folds shard outcomes into the extraction-stage report and assembles
-    /// the corpus in extraction order. Panicked shards quarantine their
-    /// repository: the tables are dropped, the shard's files leave
-    /// `fetched` (preserving `parsed + parse_failed == fetched`), and the
-    /// repository is recorded in `quarantined_repos`.
-    fn assemble(
+    /// The one executor behind every run: fans `shards` out contiguously
+    /// over `config.effective_workers()` scoped threads, hands each
+    /// finished shard's tables and report to `sink`, and folds the outcomes
+    /// into `report`. Returns the tables the sink handed back plus how
+    /// many shards did not finish.
+    ///
+    /// Processing is panic-isolated ([`Pipeline::process_shard`]) and
+    /// buffered *before* the sink sees anything: a panicking worker
+    /// quarantines its repository — tables dropped, the shard's files
+    /// leave `fetched` (preserving `parsed + parse_failed == fetched`) —
+    /// without ever creating a partial shard. A set `stop` flag defers
+    /// shards that have not started; whatever is already processing runs
+    /// on through its sink, so shutdown is graceful and atomic. Deferred
+    /// shards' files leave `fetched` too: partial reports stay
+    /// self-consistent.
+    fn execute(
         &self,
-        outcomes: Vec<ShardOutcome>,
-        mut report: PipelineReport,
-    ) -> (Corpus, PipelineReport) {
-        let mut results: Vec<(usize, AnnotatedTable)> = Vec::new();
+        shards: &[RepoShard<'_>],
+        stop: Option<&AtomicBool>,
+        report: &mut PipelineReport,
+        sink: impl Fn(&str, IndexedTables, &PipelineReport) -> Result<IndexedTables, StoreError> + Sync,
+    ) -> Result<Executed, StoreError> {
+        let one = |(repo, files): &RepoShard<'_>| -> Result<ShardOutcome, StoreError> {
+            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                return Ok(ShardOutcome::Deferred { files: files.len() });
+            }
+            Ok(match self.process_shard(repo, files) {
+                ShardOutcome::Done(tables, local_report) => {
+                    ShardOutcome::Done(sink(repo, tables, &local_report)?, local_report)
+                }
+                unfinished => unfinished,
+            })
+        };
+        let one = &one;
+        let per = shards
+            .len()
+            .div_ceil(self.config.effective_workers())
+            .max(1);
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = shards
+                .chunks(per)
+                .map(|group| s.spawn(move || group.iter().map(one).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                // Shard panics are caught inside; only a sink can unwind.
+                .flat_map(|h| h.join().expect("pipeline worker panicked in its sink"))
+                .collect()
+        });
+
+        let mut done = Executed::default();
         for outcome in outcomes {
-            match outcome {
-                ShardOutcome::Done(local, local_report) => {
-                    results.extend(local);
+            match outcome? {
+                ShardOutcome::Done(tables, local_report) => {
+                    done.tables.extend(tables);
                     report.merge(local_report);
                 }
                 ShardOutcome::Panicked { repo, files } => {
+                    done.panicked += 1;
                     report.fetched -= files;
                     merge_quarantined(
                         &mut report.quarantined_repos,
@@ -509,72 +552,33 @@ impl Pipeline {
                         }],
                     );
                 }
-                // In-memory runs never defer (no stop flag is threaded).
-                ShardOutcome::Deferred { files } => report.fetched -= files,
+                ShardOutcome::Deferred { files } => {
+                    done.deferred += 1;
+                    report.fetched -= files;
+                }
             }
         }
-        results.sort_by_key(|(i, _)| *i);
+        Ok(done)
+    }
+
+    /// Runs the full pipeline against a populated host and assembles the
+    /// corpus in memory, in extraction order. `config.workers` is the only
+    /// parallelism setting, and scheduling can never change the output:
+    /// every worker count yields the same corpus and report.
+    #[must_use]
+    pub fn run(&self, host: &dyn CodeHost) -> (Corpus, PipelineReport) {
+        let (raw_files, mut report) = self.extract_stage(host, HashMap::new());
+        let shards = shard_by_repository(&raw_files);
+        let mut tables = self
+            .execute(&shards, None, &mut report, |_, tables, _| Ok(tables))
+            .expect("the in-memory sink cannot fail")
+            .tables;
+        tables.sort_by_key(|(i, _)| *i);
         let mut corpus = Corpus::new(self.corpus_name());
-        for (_, at) in results {
+        for (_, at) in tables {
             corpus.push(at);
         }
         (corpus, report)
-    }
-
-    /// Runs the full pipeline against a populated host.
-    ///
-    /// Repository shards are distributed contiguously across
-    /// `config.workers` scoped threads; each shard's processing is
-    /// panic-isolated ([`Pipeline::process_shard`]), so a crashing worker
-    /// quarantines one repository instead of aborting the run.
-    #[must_use]
-    pub fn run(&self, host: &dyn CodeHost) -> (Corpus, PipelineReport) {
-        let (raw_files, report) = self.extract_stage(host, HashMap::new());
-        let shards = shard_by_repository(&raw_files);
-        let workers = self.config.effective_workers().max(1);
-        let per = shards.len().div_ceil(workers).max(1);
-
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards.len());
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for group in shards.chunks(per) {
-                handles.push(s.spawn(move || {
-                    group
-                        .iter()
-                        .map(|(repo, shard)| self.process_shard(repo, shard))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                // Cannot panic: every shard inside is panic-isolated.
-                outcomes.extend(h.join().expect("worker catches shard panics"));
-            }
-        });
-        self.assemble(outcomes, report)
-    }
-
-    /// Runs the full pipeline with a rayon-style per-repository fan-out.
-    ///
-    /// Where [`Pipeline::run`] splits the repository shards into fixed
-    /// contiguous groups, this hands every shard to rayon — the unit the
-    /// extraction API hands back and the natural grain for scaling out,
-    /// since per-repository work (parse → curate → annotate → anonymize)
-    /// is independent across repositories. Shard partial reports are
-    /// merged associatively via [`PipelineReport::merge`] and tables are
-    /// re-emitted in extraction order, so the resulting corpus and
-    /// report are identical to a serial [`Pipeline::run`] on the same
-    /// host — scheduling can never change the output.
-    #[must_use]
-    pub fn run_parallel(&self, host: &dyn CodeHost) -> (Corpus, PipelineReport) {
-        use rayon::prelude::*;
-
-        let (raw_files, report) = self.extract_stage(host, HashMap::new());
-        let shards = shard_by_repository(&raw_files);
-        let outcomes: Vec<ShardOutcome> = shards
-            .par_iter()
-            .map(|(repo, shard)| self.process_shard(repo, shard))
-            .collect();
-        self.assemble(outcomes, report)
     }
 
     /// The name every run of this pipeline gives its corpus (seed-derived,
@@ -584,35 +588,32 @@ impl Pipeline {
         format!("gittables-synth-{}", self.config.seed)
     }
 
-    /// Runs the pipeline with the per-repository fan-out of
-    /// [`Pipeline::run_parallel`], but streams each repository shard straight
-    /// into `store` as it completes. See [`Pipeline::run_to_store_bounded`].
+    /// [`Pipeline::run_to_store_with`] under the default
+    /// [`StoreRunOptions`]: every pending shard, sticky quarantine, no
+    /// stop flag.
     ///
     /// # Errors
-    /// Propagates [`StoreError`] from shard writes and the final load.
+    /// As [`Pipeline::run_to_store_with`].
     pub fn run_to_store(
         &self,
         host: &dyn CodeHost,
         store: &CorpusStore,
     ) -> Result<StoreRun, StoreError> {
-        self.run_to_store_opts(host, store, None, false)
+        self.run_to_store_with(host, store, &StoreRunOptions::default())
     }
 
-    /// Store-backed run with **incremental resume**: repositories whose
-    /// shards are already committed to `store` are skipped (their persisted
-    /// stage reports are merged instead of reprocessing), so an interrupted
-    /// run restarts where it stopped and fresh repositories can be appended
-    /// to an existing corpus.
-    ///
-    /// `max_new_shards` bounds how many *new* repository shards this
-    /// invocation processes (`None` ⇒ all), enabling batched/incremental
-    /// builds; a bounded invocation returns the partial snapshot currently
-    /// in the store.
+    /// Runs the pipeline streaming each repository shard straight into
+    /// `store` as it completes, with **incremental resume**: repositories
+    /// whose shards are already committed are skipped (their persisted
+    /// stage reports are merged instead of reprocessing), so an
+    /// interrupted run restarts where it stopped and fresh repositories
+    /// can be appended to an existing corpus. A bounded or stopped
+    /// invocation returns the partial snapshot currently in the store.
     ///
     /// Once every repository shard is committed, the returned corpus and
-    /// merged report are identical to an uninterrupted
-    /// [`Pipeline::run_parallel`] over the same host, regardless of how many
-    /// invocations it took to get there.
+    /// merged report are identical to an uninterrupted [`Pipeline::run`]
+    /// over the same host, regardless of how many invocations it took to
+    /// get there.
     ///
     /// # Errors
     /// Propagates [`StoreError`] from shard writes, integrity checks on
@@ -620,82 +621,12 @@ impl Pipeline {
     /// was not produced by a store-backed run (no report to merge), and
     /// [`StoreError::CorpusNameMismatch`] when the store was created for a
     /// different corpus (e.g. another seed).
-    pub fn run_to_store_bounded(
+    pub fn run_to_store_with(
         &self,
         host: &dyn CodeHost,
         store: &CorpusStore,
-        max_new_shards: Option<usize>,
+        options: &StoreRunOptions<'_>,
     ) -> Result<StoreRun, StoreError> {
-        self.run_to_store_opts(host, store, max_new_shards, false)
-    }
-
-    /// [`Pipeline::run_to_store_bounded`] plus control over the persisted
-    /// quarantine: the store carries a `quarantine.json` sidecar listing
-    /// repositories quarantined by previous invocations. By default those
-    /// are *sticky* — skipped without any host traffic and re-recorded in
-    /// the report — so a flaky repository cannot flap in and out of the
-    /// corpus between resumes. With `retry_quarantined` they are
-    /// re-attempted from scratch (the self-healing resume path): a
-    /// repository that now extracts and processes cleanly joins the corpus
-    /// and leaves the log. The sidecar is rewritten after every run with
-    /// the repositories quarantined *by that run*.
-    ///
-    /// # Errors
-    /// As [`Pipeline::run_to_store_bounded`].
-    pub fn run_to_store_opts(
-        &self,
-        host: &dyn CodeHost,
-        store: &CorpusStore,
-        max_new_shards: Option<usize>,
-        retry_quarantined: bool,
-    ) -> Result<StoreRun, StoreError> {
-        let retry = if retry_quarantined {
-            RetrySelection::All
-        } else {
-            RetrySelection::None
-        };
-        self.run_to_store_inner(host, store, max_new_shards, &retry, None)
-    }
-
-    /// The crawl daemon's store run: like [`Pipeline::run_to_store_opts`]
-    /// but with *selective* quarantine retry — only the repositories in
-    /// `retry_repos` are re-attempted (the daemon's cooldown scheduler
-    /// decides which are eligible); the rest stay sticky — and an
-    /// optional cooperative `stop` flag. When `stop` becomes true,
-    /// in-flight shards finish and commit atomically but no new shard is
-    /// begun; the remaining shards are reported in
-    /// [`StoreRun::shards_deferred`] and the run is marked
-    /// [`StoreRun::interrupted`].
-    ///
-    /// # Errors
-    /// As [`Pipeline::run_to_store_bounded`].
-    pub fn run_to_store_crawl(
-        &self,
-        host: &dyn CodeHost,
-        store: &CorpusStore,
-        max_new_shards: Option<usize>,
-        retry_repos: &HashSet<String>,
-        stop: Option<&AtomicBool>,
-    ) -> Result<StoreRun, StoreError> {
-        self.run_to_store_inner(
-            host,
-            store,
-            max_new_shards,
-            &RetrySelection::Repos(retry_repos),
-            stop,
-        )
-    }
-
-    fn run_to_store_inner(
-        &self,
-        host: &dyn CodeHost,
-        store: &CorpusStore,
-        max_new_shards: Option<usize>,
-        retry: &RetrySelection<'_>,
-        stop: Option<&AtomicBool>,
-    ) -> Result<StoreRun, StoreError> {
-        use rayon::prelude::*;
-
         // Refuse to interleave two corpora: a store created for a different
         // seed/config records a different corpus name.
         let store_name = store.name();
@@ -707,7 +638,7 @@ impl Pipeline {
         }
 
         let log = QuarantineLog::load(store.path()).map_err(StoreError::Io)?;
-        let skip = match retry {
+        let skip = match options.retry {
             RetrySelection::All => HashMap::new(),
             RetrySelection::None => log.skip_map(),
             RetrySelection::Repos(repos) => {
@@ -717,98 +648,48 @@ impl Pipeline {
             }
         };
         let (raw_files, mut report) = self.extract_stage(host, skip);
-        let shards = shard_by_repository(&raw_files);
-
-        let mut skipped: Vec<String> = Vec::new();
-        let mut pending: Vec<(&str, String, &ShardFiles<'_>)> = Vec::new();
-        let mut deferred_files = 0usize;
-        for (repo, files) in &shards {
-            let id = shard_id_for(repo);
-            if store.has_shard(&id) {
-                skipped.push(id);
-            } else {
-                pending.push((repo, id, files));
-            }
+        let (skipped, mut pending): (Vec<_>, Vec<_>) = shard_by_repository(&raw_files)
+            .into_iter()
+            .partition(|(repo, _)| store.has_shard(&shard_id_for(repo)));
+        // `fetched` counts only the files whose shards this report covers
+        // (processed + previously stored); files of shards beyond
+        // `max_new_shards` are excluded so `parsed + parse_failed ==
+        // fetched` holds for partial reports too. Once nothing is left
+        // out, this equals the `run` value.
+        let limit = options.max_new_shards.unwrap_or(pending.len());
+        for (_, files) in pending.drain(limit.min(pending.len())..) {
+            report.fetched -= files.len();
         }
-        let limit = max_new_shards.unwrap_or(pending.len()).min(pending.len());
-        for (_, _, files) in &pending[limit..] {
-            deferred_files += files.len();
-        }
-        pending.truncate(limit);
 
         // Process → write → commit each pending shard independently; the
         // manifest commit is the durability point, so a crash loses at most
-        // the shards still in flight. Processing is panic-isolated and
-        // buffered *before* the shard file is begun: a panicking worker
-        // quarantines its repository without ever creating a partial shard.
-        let written: Vec<Result<ShardOutcome, StoreError>> = pending
-            .par_iter()
-            .map(|(repo, id, files)| {
-                // A stop request defers shards that have not started:
-                // whatever is already processing runs to its commit (the
-                // durability point), so shutdown is graceful and atomic.
-                if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                    return Ok(ShardOutcome::Deferred { files: files.len() });
+        // the shards still in flight.
+        let done = self.execute(
+            &pending,
+            options.stop,
+            &mut report,
+            |repo, tables, local_report| {
+                let mut writer = store.begin_shard(&shard_id_for(repo))?;
+                for (i, at) in &tables {
+                    writer.push(*i, at)?;
                 }
-                match self.process_shard(repo, files) {
-                    outcome @ (ShardOutcome::Panicked { .. } | ShardOutcome::Deferred { .. }) => {
-                        Ok(outcome)
-                    }
-                    ShardOutcome::Done(local, local_report) => {
-                        let mut writer = store.begin_shard(id)?;
-                        for (i, at) in &local {
-                            writer.push(*i, at)?;
-                        }
-                        let mut entry = writer.finish()?;
-                        entry.meta = Some(serde_json::to_string(&local_report)?);
-                        store.commit_shard(entry)?;
-                        // Tables are not needed again — the corpus reloads
-                        // (and integrity-checks) through the store below.
-                        Ok(ShardOutcome::Done(Vec::new(), local_report))
-                    }
-                }
-            })
-            .collect();
-
-        // `fetched` counts only the files whose shards this report covers
-        // (processed + previously stored); files of shards deferred by
-        // `max_new_shards` are excluded so `parsed + parse_failed ==
-        // fetched` holds for partial reports too. Once nothing is deferred,
-        // this equals the `run_parallel` value.
-        report.fetched -= deferred_files;
-        let mut panicked = 0usize;
-        let mut stop_deferred = 0usize;
-        for local in written {
-            match local? {
-                ShardOutcome::Done(_, local_report) => report.merge(local_report),
-                ShardOutcome::Panicked { repo, files } => {
-                    panicked += 1;
-                    report.fetched -= files;
-                    merge_quarantined(
-                        &mut report.quarantined_repos,
-                        vec![Quarantined {
-                            name: repo,
-                            reason: "worker panic".to_string(),
-                        }],
-                    );
-                }
-                // Stop-deferred shards leave the report like
-                // `max_new_shards`-deferred ones: their files exit
-                // `fetched` so partial reports stay self-consistent.
-                ShardOutcome::Deferred { files } => {
-                    stop_deferred += 1;
-                    report.fetched -= files;
-                }
-            }
-        }
-        for id in &skipped {
+                let mut entry = writer.finish()?;
+                entry.meta = Some(serde_json::to_string(local_report)?);
+                store.commit_shard(entry)?;
+                // Tables are not needed again — the corpus reloads (and
+                // integrity-checks) through the store below.
+                Ok(Vec::new())
+            },
+        )?;
+        for (repo, _) in &skipped {
+            let id = shard_id_for(repo);
             let entry = store
-                .shard_entry(id)
+                .shard_entry(&id)
                 .expect("skipped shard is in the manifest");
             let meta = entry
                 .meta
                 .as_deref()
-                .ok_or_else(|| StoreError::MissingShardMeta { id: id.clone() })?;
+                .ok_or(StoreError::MissingShardMeta { id })?;
             report.merge(serde_json::from_str(meta)?);
         }
 
@@ -845,30 +726,59 @@ impl Pipeline {
         Ok(StoreRun {
             corpus,
             report,
-            shards_written: pending.len() - panicked - stop_deferred,
+            shards_written: pending.len() - done.panicked - done.deferred,
             shards_skipped: skipped.len(),
-            shards_deferred: stop_deferred,
-            interrupted: stop.is_some_and(|s| s.load(Ordering::Relaxed)),
+            shards_deferred: done.deferred,
+            interrupted: options.stop.is_some_and(|s| s.load(Ordering::Relaxed)),
         })
     }
 }
 
+/// How a store-backed run ([`Pipeline::run_to_store_with`]) is bounded,
+/// which quarantined repositories it re-attempts, and how it is stopped.
+/// The default is a full run: no bound, sticky quarantine, no stop flag.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StoreRunOptions<'a> {
+    /// Bounds how many *new* repository shards this invocation processes
+    /// (`None` ⇒ all), enabling batched/incremental builds.
+    pub max_new_shards: Option<usize>,
+    /// Which repositories of the store's `quarantine.json` sidecar are
+    /// re-attempted. The sidecar is rewritten after every run with the
+    /// repositories quarantined *by that run*.
+    pub retry: RetrySelection<'a>,
+    /// Cooperative stop flag (the crawl daemon's SIGTERM/SIGINT). When it
+    /// becomes true, in-flight shards finish and commit atomically but no
+    /// new shard is begun; the rest are reported in
+    /// [`StoreRun::shards_deferred`] and the run is marked
+    /// [`StoreRun::interrupted`].
+    pub stop: Option<&'a AtomicBool>,
+}
+
 /// Which quarantined repositories a store run re-attempts.
-enum RetrySelection<'a> {
-    /// None: the full sticky-quarantine skip.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum RetrySelection<'a> {
+    /// None: quarantined repositories are *sticky* — skipped without any
+    /// host traffic and re-recorded in the report — so a flaky repository
+    /// cannot flap in and out of the corpus between resumes.
+    #[default]
     None,
-    /// Every quarantined repository (`--retry-quarantined`).
+    /// Every quarantined repository is re-attempted from scratch
+    /// (`--retry-quarantined`, the self-healing resume path): one that
+    /// now extracts and processes cleanly joins the corpus and leaves the
+    /// log.
     All,
     /// Only the named repositories (the crawl daemon's cooldown-eligible
-    /// drain set).
+    /// drain set); the rest stay sticky.
     Repos(&'a HashSet<String>),
 }
 
-/// The result of processing one repository shard: its tables and partial
-/// report, or the fact that a worker panic quarantined the repository.
+/// Tables tagged with their extraction-order indices.
+type IndexedTables = Vec<(usize, AnnotatedTable)>;
+
+/// The result of processing one repository shard.
 enum ShardOutcome {
-    /// Tables (tagged with extraction indices) and the shard-local report.
-    Done(Vec<(usize, AnnotatedTable)>, PipelineReport),
+    /// Tables and the shard-local report.
+    Done(IndexedTables, PipelineReport),
     /// A worker panicked inside this shard; `files` is the shard size, to
     /// be subtracted from `fetched`.
     Panicked {
@@ -877,12 +787,22 @@ enum ShardOutcome {
         /// Files the shard held.
         files: usize,
     },
-    /// A stop request arrived before this shard started; its files leave
-    /// `fetched` like `max_new_shards`-deferred ones.
+    /// A stop request arrived before this shard started.
     Deferred {
         /// Files the shard held.
         files: usize,
     },
+}
+
+/// What [`Pipeline::execute`] folded out of one fan-out.
+#[derive(Default)]
+struct Executed {
+    /// The tables the sink handed back, in no particular order.
+    tables: IndexedTables,
+    /// Shards quarantined by a worker panic.
+    panicked: usize,
+    /// Shards deferred by the stop flag.
+    deferred: usize,
 }
 
 /// One repository's raw files, each carrying its global extraction index
@@ -949,59 +869,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_worker_matches_parallel() {
-        let p1 = Pipeline::new(PipelineConfig {
-            workers: 1,
-            ..PipelineConfig::small(3)
-        });
-        let p4 = Pipeline::new(PipelineConfig {
-            workers: 4,
-            ..PipelineConfig::small(3)
-        });
-        let h1 = GitHost::new();
-        p1.populate_host(&h1);
-        let h4 = GitHost::new();
-        p4.populate_host(&h4);
-        let (c1, r1) = p1.run(&h1);
-        let (c4, r4) = p4.run(&h4);
-        assert_eq!(c1, c4);
-        assert_eq!(r1, r4);
-    }
-
-    #[test]
-    fn parallel_run_equals_serial_run() {
-        // Same seeded RepoGenerator content on both hosts; the rayon
-        // fan-out must reproduce the serial corpus and report exactly.
-        let serial = Pipeline::new(PipelineConfig {
-            workers: 1,
-            ..PipelineConfig::small(13)
-        });
-        let sharded = Pipeline::new(PipelineConfig::small(13));
-        let hs = GitHost::new();
-        serial.populate_host(&hs);
-        let hp = GitHost::new();
-        sharded.populate_host(&hp);
-        let (cs, rs) = serial.run(&hs);
-        let (cp, rp) = sharded.run_parallel(&hp);
-        assert_eq!(rs, rp);
-        assert_eq!(cs, cp);
-        assert_eq!(rp.parsed + rp.parse_failed, rp.fetched);
-    }
-
-    #[test]
-    fn store_run_matches_run_parallel() {
-        let pipeline = Pipeline::new(PipelineConfig::small(21));
-        let host = GitHost::new();
-        pipeline.populate_host(&host);
-        let (corpus, report) = pipeline.run_parallel(&host);
+    fn temp_store(tag: &str, pipeline: &Pipeline) -> (std::path::PathBuf, CorpusStore) {
         let dir = std::env::temp_dir().join(format!(
-            "gt_pipe_store_{}_{:?}",
+            "gt_pipe_{tag}_{}_{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
         let store = CorpusStore::create(&dir, pipeline.corpus_name()).unwrap();
+        (dir, store)
+    }
+
+    #[test]
+    fn worker_count_never_changes_either_sink() {
+        // Same seeded RepoGenerator content for both pipelines; the
+        // 4-worker fan-out must reproduce the 1-worker corpus and report
+        // exactly, in memory and through the store.
+        let run = |workers: usize| {
+            let pipeline = Pipeline::new(PipelineConfig {
+                workers,
+                ..PipelineConfig::small(13)
+            });
+            let host = GitHost::new();
+            pipeline.populate_host(&host);
+            let memory = pipeline.run(&host);
+            let (dir, store) = temp_store(&format!("workers{workers}"), &pipeline);
+            let stored = pipeline.run_to_store(&host, &store).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            (memory, (stored.corpus, stored.report))
+        };
+        let (memory1, stored1) = run(1);
+        let (memory4, stored4) = run(4);
+        assert_eq!(memory1, memory4);
+        assert_eq!(stored1, stored4);
+        assert_eq!(memory1, stored1);
+        let report = &memory1.1;
+        assert_eq!(report.parsed + report.parse_failed, report.fetched);
+    }
+
+    #[test]
+    fn store_run_matches_run() {
+        let pipeline = Pipeline::new(PipelineConfig::small(21));
+        let host = GitHost::new();
+        pipeline.populate_host(&host);
+        let (corpus, report) = pipeline.run(&host);
+        let (dir, store) = temp_store("store", &pipeline);
         let run = pipeline.run_to_store(&host, &store).unwrap();
         assert_eq!(run.corpus, corpus);
         assert_eq!(run.report, report);
@@ -1016,6 +928,28 @@ mod tests {
         assert_eq!(resumed.shards_written, 0);
         assert_eq!(resumed.shards_skipped, run.shards_written);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_to_store_is_run_to_store_with_default_options() {
+        let pipeline = Pipeline::new(PipelineConfig::small(21));
+        let host = GitHost::new();
+        pipeline.populate_host(&host);
+        let (dir_a, store_a) = temp_store("plain", &pipeline);
+        let (dir_b, store_b) = temp_store("with", &pipeline);
+        let a = pipeline.run_to_store(&host, &store_a).unwrap();
+        let b = pipeline
+            .run_to_store_with(&host, &store_b, &StoreRunOptions::default())
+            .unwrap();
+        assert_eq!(a.corpus, b.corpus);
+        assert_eq!(a.report, b.report);
+        assert_eq!(
+            (a.shards_written, a.shards_skipped, a.shards_deferred),
+            (b.shards_written, b.shards_skipped, b.shards_deferred)
+        );
+        assert_eq!(a.interrupted, b.interrupted);
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]

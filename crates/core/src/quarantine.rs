@@ -1,7 +1,7 @@
 //! Persisted quarantine: the `quarantine.json` sidecar a store-backed run
 //! leaves next to the corpus manifest.
 //!
-//! Each [`Pipeline::run_to_store_opts`](crate::Pipeline::run_to_store_opts)
+//! Each [`Pipeline::run_to_store_with`](crate::Pipeline::run_to_store_with)
 //! invocation rewrites the sidecar with the repositories *that run*
 //! quarantined (host faults, exhausted retry budgets, worker panics). On
 //! the next invocation the log makes quarantine *sticky* — listed

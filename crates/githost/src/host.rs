@@ -154,14 +154,14 @@ impl GitHost {
                 extension: file.extension(),
                 fork: repo.fork,
             });
-            let mut seen: Vec<String> = Vec::new();
             // Index path tokens too (GitHub matches paths).
             for tok in tokenize(&file.path).chain(tokenize(&file.content)) {
-                if seen.contains(&tok) {
-                    continue;
+                // File ids ascend, so a posting list already ending in
+                // `id` means this file repeated the token.
+                let posting = inner.token_index.entry(tok).or_default();
+                if posting.last() != Some(&id) {
+                    posting.push(id);
                 }
-                seen.push(tok.clone());
-                inner.token_index.entry(tok).or_default().push(id);
             }
         }
         inner.repos.push(repo);
@@ -278,6 +278,28 @@ mod tests {
         let r = h.repository("b/two").unwrap();
         assert!(r.fork);
         assert!(h.repository("zz/zz").is_none());
+    }
+
+    #[test]
+    fn repeated_tokens_index_a_file_once() {
+        let host = sample_host();
+        host.add_repository(Repository {
+            full_name: "c/three".into(),
+            license: None,
+            fork: false,
+            files: vec![
+                RepoFile::new("orders/orders.csv", "orders,id\nid,orders\norders,1\n"),
+                RepoFile::new("more.csv", "orders,orders\n"),
+            ],
+        });
+        let inner = host.inner.read();
+        // Files 0 and 1 are a/one's, 2 is b/two's, 3 and 4 are c/three's.
+        assert_eq!(inner.token_index["orders"], vec![0, 1, 3, 4]);
+        assert_eq!(inner.token_index["id"], vec![0, 2, 3]);
+        assert_eq!(inner.token_index["csv"], vec![0, 2, 3, 4]);
+        for posting in inner.token_index.values() {
+            assert!(posting.windows(2).all(|w| w[0] < w[1]), "{posting:?}");
+        }
     }
 
     #[test]

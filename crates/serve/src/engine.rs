@@ -15,15 +15,19 @@
 //! [`QueryEngine::load`] prefers the sidecar path and falls back to a
 //! materialized rebuild when the sidecars are missing, stale, or
 //! corrupt — recording which path ran (and why a fallback happened) in
-//! [`EngineBuildStats`], served under `/metrics`.
+//! [`EngineBuildStats`], served under `/metrics`. That decision lives in
+//! one place ([`QueryEngine::boot`]); a sharded deployment boots the same
+//! whole-corpus engine and then [splits](QueryEngine::split) it into
+//! shard-local views.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use gittables_annotate::{Annotation, Method};
 use gittables_core::apps::{DataSearch, NearestCompletion, SchemaCompletion, SearchHit};
 use gittables_corpus::{
-    load_indexes, AnnotatedTable, Corpus, CorpusStore, LazyCorpus, SidecarIssue, StoreError,
-    TableId, TypeCount, TypeIndex,
+    load_indexes, AnnotatedTable, Corpus, CorpusStore, GroupDirectory, LazyCorpus, SidecarIssue,
+    StoreError, TableId, TypeCount, TypeIndex,
 };
 use gittables_ontology::OntologyKind;
 use serde::{Deserialize, Serialize};
@@ -122,9 +126,12 @@ pub struct EngineBuildStats {
 }
 
 /// Where the engine's tables live: fully materialized in memory, or
-/// decoded on demand from mapped shard segments.
+/// decoded on demand from mapped shard segments. Either way the source
+/// is the *whole* corpus, shared by every shard-local engine split from
+/// it and addressed by global table id.
+#[derive(Clone)]
 enum TableSource {
-    Materialized(Corpus),
+    Materialized(Arc<Corpus>),
     Lazy(LazyCorpus),
 }
 
@@ -144,11 +151,14 @@ impl TableSource {
 /// classic single-engine deployment) or one contiguous slice of global
 /// table ids — a *shard-local* engine, N of which sit behind a
 /// [`crate::router::Router`] that scatter-gathers queries and merges
-/// answers bit-identically to the whole-corpus engine.
+/// answers bit-identically to the whole-corpus engine. The search and
+/// type indexes are shard-local; the completion index is corpus-global
+/// (it dedups schemas across the whole corpus and carries no table ids)
+/// and shared by every engine of a snapshot.
 pub struct QueryEngine {
     tables: TableSource,
     search: DataSearch,
-    completion: NearestCompletion,
+    completion: Arc<NearestCompletion>,
     types: TypeIndex,
     build: EngineBuildStats,
     /// The half-open global table-id range this engine owns. Queries for
@@ -156,33 +166,39 @@ pub struct QueryEngine {
     id_range: std::ops::Range<usize>,
 }
 
+/// Builds the three query indexes over every table of `corpus`, ids =
+/// corpus positions — the one builder behind the in-memory engine, the
+/// rebuild boot path and the sidecar writer, so all three hold
+/// bit-identical indexes. The builds are independent reads of the same
+/// corpus, so they run on separate threads: the cost is the slowest
+/// build, not the sum.
+pub(crate) fn build_indexes(corpus: &Corpus) -> (DataSearch, NearestCompletion, TypeIndex) {
+    let ids: Vec<TableId> = (0..corpus.len()).collect();
+    std::thread::scope(|s| {
+        let ids = &ids;
+        let search = s.spawn(move || DataSearch::build_with_ids(corpus, ids));
+        let completion = s.spawn(move || NearestCompletion::build_with_ids(corpus, ids));
+        let types = TypeIndex::build_with_ids(corpus, ids);
+        (
+            search.join().expect("search index build"),
+            completion.join().expect("completion index build"),
+            types,
+        )
+    })
+}
+
 impl QueryEngine {
     /// Builds the engine over an already-materialized corpus. Table ids
     /// are the corpus positions (stable across store round trips).
-    ///
-    /// The three indexes are independent reads of the same corpus, so
-    /// they build on separate threads — cold start is the slowest build,
-    /// not the sum of all three.
     #[must_use]
     pub fn from_corpus(corpus: Corpus) -> Self {
         let started = std::time::Instant::now();
-        let ids: Vec<TableId> = (0..corpus.len()).collect();
-        let (search, completion, types) = std::thread::scope(|s| {
-            let (c, ids) = (&corpus, &ids);
-            let search = s.spawn(move || DataSearch::build_with_ids(c, ids));
-            let completion = s.spawn(move || NearestCompletion::build_with_ids(c, ids));
-            let types = TypeIndex::build_with_ids(c, ids);
-            (
-                search.join().expect("search index build"),
-                completion.join().expect("completion index build"),
-                types,
-            )
-        });
+        let (search, completion, types) = build_indexes(&corpus);
         let id_range = 0..corpus.len();
         QueryEngine {
-            tables: TableSource::Materialized(corpus),
+            tables: TableSource::Materialized(Arc::new(corpus)),
             search,
-            completion,
+            completion: Arc::new(completion),
             types,
             build: EngineBuildStats {
                 index_build_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -193,71 +209,43 @@ impl QueryEngine {
         }
     }
 
-    /// Builds a shard-local engine over the contiguous global id range
-    /// `range` of `corpus` — the materialized sharded boot path. The
-    /// indexes hold exactly the range's tables, keyed by their *global*
-    /// ids, so a scatter-gather merge across all shard engines
-    /// reproduces the whole-corpus engine's answers bit for bit.
-    ///
-    /// # Panics
-    /// When `range` reaches past the corpus.
-    #[must_use]
-    pub fn from_corpus_slice(corpus: &Corpus, range: std::ops::Range<usize>) -> Self {
-        assert!(range.end <= corpus.len(), "slice within corpus");
-        let started = std::time::Instant::now();
-        let ids: Vec<TableId> = range.clone().collect();
-        let (search, completion, types) = std::thread::scope(|s| {
-            let (c, ids) = (corpus, &ids);
-            let search = s.spawn(move || DataSearch::build_with_ids(c, ids));
-            let completion = s.spawn(move || NearestCompletion::build_with_ids(c, ids));
-            let types = TypeIndex::build_with_ids(c, ids);
-            (
-                search.join().expect("search index build"),
-                completion.join().expect("completion index build"),
-                types,
-            )
-        });
-        // Only the slice's tables are kept resident; `try_table_summary`
-        // re-bases global ids onto the slice positions.
-        let mut slice = Corpus::new(corpus.name.clone());
-        for id in range.clone() {
-            slice.push(corpus.table_by_id(id).expect("id in range").clone());
+    /// Splits a whole-corpus engine into one shard-local engine per group
+    /// of `directory` (which must cover `0..num_tables`). A single group
+    /// is the engine itself, moved. Otherwise each engine gets its slice
+    /// of the search index — a zero-copy row view when the matrix is a
+    /// mapped sidecar — and its restriction of the type index, while the
+    /// table source and the completion index are shared: nothing is
+    /// re-embedded, so a scatter-gather merge across the engines
+    /// reproduces this engine's answers bit for bit.
+    pub(crate) fn split(self, directory: &GroupDirectory) -> Vec<QueryEngine> {
+        if let [whole] = directory.groups() {
+            assert_eq!(whole.range, self.id_range, "one group covers the engine");
+            return vec![self];
         }
-        QueryEngine {
-            tables: TableSource::Materialized(slice),
-            search,
-            completion,
-            types,
-            build: EngineBuildStats {
-                index_build_ms: started.elapsed().as_secs_f64() * 1e3,
-                boot_path: "memory".to_string(),
-                ..EngineBuildStats::default()
-            },
-            id_range: range,
-        }
-    }
-
-    /// Assembles a shard-local engine from pre-partitioned sidecar parts
-    /// (the sharded sidecar boot path — see `crate::shardset`). The
-    /// indexes must contain exactly the tables of `range`, keyed by
-    /// global ids; `tables` stays the whole mapped store (arenas are
-    /// shared across shard engines), with lookups gated on `range`.
-    pub(crate) fn from_lazy_parts(
-        tables: LazyCorpus,
-        search: DataSearch,
-        completion: NearestCompletion,
-        types: TypeIndex,
-        range: std::ops::Range<usize>,
-        build: EngineBuildStats,
-    ) -> Self {
-        QueryEngine {
-            tables: TableSource::Lazy(tables),
-            search,
-            completion,
-            types,
-            build,
-            id_range: range,
-        }
+        let (ids, schemas) = (self.search.entry_ids(), self.search.entry_schemas());
+        directory
+            .groups()
+            .iter()
+            .map(|group| {
+                let range = &group.range;
+                // One search entry per table, ids ascending, so a range's
+                // entries are one contiguous run.
+                let lo = ids.partition_point(|&id| id < range.start);
+                let hi = ids.partition_point(|&id| id < range.end);
+                QueryEngine {
+                    tables: self.tables.clone(),
+                    search: DataSearch::from_raw_parts(
+                        ids[lo..hi].to_vec(),
+                        schemas[lo..hi].to_vec(),
+                        self.search.matrix().slice_rows(lo, hi),
+                    ),
+                    completion: Arc::clone(&self.completion),
+                    types: restrict_types(&self.types, range),
+                    build: self.build.clone(),
+                    id_range: range.clone(),
+                }
+            })
+            .collect()
     }
 
     /// Boots the engine for the store at `dir`, preferring the sidecar
@@ -274,16 +262,25 @@ impl QueryEngine {
     /// never an error — it downgrades to the rebuild path.
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let started = std::time::Instant::now();
-        let store = CorpusStore::open(dir.as_ref())?;
-        match Self::try_from_sidecars(&store, started) {
+        Self::boot(&CorpusStore::open(dir.as_ref())?, started)
+    }
+
+    /// The sidecar-or-rebuild decision over an already-open store —
+    /// shared by [`Self::load`] and every shard count of
+    /// [`crate::ShardSet::load`].
+    pub(crate) fn boot(
+        store: &CorpusStore,
+        started: std::time::Instant,
+    ) -> Result<Self, StoreError> {
+        match Self::try_from_sidecars(store, started) {
             Ok(engine) => Ok(engine),
             Err(issue) => {
                 eprintln!(
                     "sidecar boot unavailable for {}: {issue}; rebuilding indexes from the corpus",
-                    dir.as_ref().display()
+                    store.path().display()
                 );
                 let reason = issue.reason().to_string();
-                let mut engine = Self::rebuild_from_store(&store, started)?;
+                let mut engine = Self::rebuild_from_store(store, started)?;
                 engine.build.fallback_reason = Some(reason);
                 Ok(engine)
             }
@@ -356,7 +353,7 @@ impl QueryEngine {
         Ok(QueryEngine {
             tables: TableSource::Lazy(indexes.corpus),
             search,
-            completion,
+            completion: Arc::new(completion),
             types: indexes.types,
             build: EngineBuildStats {
                 store_load_ms,
@@ -375,13 +372,13 @@ impl QueryEngine {
         &self.build
     }
 
-    /// The materialized corpus being served, or `None` for a
-    /// sidecar-booted engine (tables are decoded on demand and never all
-    /// held in memory).
+    /// The materialized corpus being served — the whole corpus, also for
+    /// a shard-local engine — or `None` for a sidecar-booted engine
+    /// (tables are decoded on demand and never all held in memory).
     #[must_use]
     pub fn corpus(&self) -> Option<&Corpus> {
         match &self.tables {
-            TableSource::Materialized(c) => Some(c),
+            TableSource::Materialized(c) => Some(c.as_ref()),
             TableSource::Lazy(_) => None,
         }
     }
@@ -392,9 +389,10 @@ impl QueryEngine {
         &self.search
     }
 
-    /// The schema-completion engine.
+    /// The schema-completion engine — corpus-global, the same `Arc` in
+    /// every engine of a snapshot.
     #[must_use]
-    pub fn completion(&self) -> &NearestCompletion {
+    pub fn completion(&self) -> &Arc<NearestCompletion> {
         &self.completion
     }
 
@@ -461,14 +459,9 @@ impl QueryEngine {
         if !self.id_range.contains(&id) {
             return Ok(None);
         }
+        // Both sources hold the whole corpus; `id` is its global position.
         match &self.tables {
-            // A materialized slice holds only its range's tables, so the
-            // global id re-bases onto the slice position.
-            TableSource::Materialized(c) => Ok(c
-                .table_by_id(id - self.id_range.start)
-                .map(|at| summarize(id, at))),
-            // The lazy source is the whole mapped store; `id` is already
-            // its global position.
+            TableSource::Materialized(c) => Ok(c.table_by_id(id).map(|at| summarize(id, at))),
             TableSource::Lazy(l) => Ok(l.get(id)?.map(|at| summarize(id, &at))),
         }
     }
@@ -492,6 +485,23 @@ impl QueryEngine {
             types: self.types.len(),
         }
     }
+}
+
+/// Restricts a type index to the postings of one id range, dropping
+/// labels left empty. Postings within a label ascend by table id, so
+/// each restriction is a contiguous run.
+fn restrict_types(types: &TypeIndex, range: &std::ops::Range<usize>) -> TypeIndex {
+    let mut labels = Vec::new();
+    let mut postings = Vec::new();
+    for (label, list) in types.labels().iter().zip(types.posting_lists()) {
+        let lo = list.partition_point(|p| p.table < range.start);
+        let hi = list.partition_point(|p| p.table < range.end);
+        if lo < hi {
+            labels.push(label.clone());
+            postings.push(list[lo..hi].to_vec());
+        }
+    }
+    TypeIndex::from_raw_parts(labels, postings)
 }
 
 /// Flattens one table into the `/tables/{id}` response shape.

@@ -3,8 +3,8 @@
 //!
 //! [`build_sidecars`] materializes the corpus **once** (exactly what the
 //! rebuild boot path does on every start), builds the three query
-//! indexes with the same constructors [`QueryEngine::from_corpus`] uses,
-//! and persists them plus the table-block directory next to the shards
+//! indexes with the same builder [`QueryEngine::from_corpus`] uses, and
+//! persists them plus the table-block directory next to the shards
 //! ([`gittables_corpus::sidecar`]). From then on
 //! [`QueryEngine::load`] boots in O(index mmap) until the store's
 //! contents change — at which point the binding fingerprints mark the
@@ -15,12 +15,12 @@
 
 use std::path::Path;
 
-use gittables_core::apps::{DataSearch, NearestCompletion};
 use gittables_corpus::{
     binding_of, table_fingerprints, write_complete, write_directory_for_store, write_search,
-    write_types, Corpus, CorpusStore, StoreError, TableId, TypeIndex, SIDECAR_FILES,
+    write_types, Corpus, CorpusStore, StoreError, SIDECAR_FILES,
 };
 
+use crate::engine::build_indexes;
 #[cfg(test)]
 use crate::engine::QueryEngine;
 
@@ -61,21 +61,9 @@ pub fn build_sidecars(dir: impl AsRef<Path>) -> Result<IndexReport, StoreError> 
 /// # Errors
 /// Propagates sidecar write failures.
 pub fn write_sidecars(store: &CorpusStore, corpus: &Corpus) -> Result<IndexReport, StoreError> {
-    // The same three builds (and the same parallelism) as
-    // `QueryEngine::from_corpus`, so a sidecar-booted engine reassembles
-    // bit-identical indexes.
-    let ids: Vec<TableId> = (0..corpus.len()).collect();
-    let (search, completion, types) = std::thread::scope(|s| {
-        let (c, ids) = (corpus, &ids);
-        let search = s.spawn(move || DataSearch::build_with_ids(c, ids));
-        let completion = s.spawn(move || NearestCompletion::build_with_ids(c, ids));
-        let types = TypeIndex::build_with_ids(c, ids);
-        (
-            search.join().expect("search index build"),
-            completion.join().expect("completion index build"),
-            types,
-        )
-    });
+    // The builder `QueryEngine::from_corpus` uses, so a sidecar-booted
+    // engine reassembles bit-identical indexes.
+    let (search, completion, types) = build_indexes(corpus);
     let binding = binding_of(store);
     let fingerprints = table_fingerprints(corpus);
     write_directory_for_store(store, &binding, &fingerprints)?;

@@ -34,12 +34,15 @@
 //! ## Scale-out
 //!
 //! The corpus can be served by N *shard-local* engines instead of one:
-//! [`ShardSet`] splits the store's committed shards into contiguous
-//! groups (one engine per group, each booting sidecar-first) and
-//! [`Router`] scatter-gathers `/search`, `/complete`, and `/types`
-//! across them — merging bounded top-k answers bit-identically to the
-//! single-engine stable sort — while `/tables/{id}` and
-//! `/types/{label}/tables` route by the stable-id directory.
+//! [`ShardSet`] boots one whole-corpus engine (sidecar-first, exactly as
+//! [`QueryEngine::load`] does) and splits it along the store's committed
+//! shards into contiguous groups — per-group views of the search and
+//! type indexes, one shared table source, one shared corpus-global
+//! completion index. [`Router`] scatter-gathers `/search` and `/types`
+//! across the engines — merging bounded top-k answers bit-identically to
+//! the single-engine stable sort — answers `/complete` from the shared
+//! index, and routes `/tables/{id}` and `/types/{label}/tables` by the
+//! stable-id directory.
 //!
 //! On Linux idle keep-alive connections park in an epoll event loop
 //! ([`event`]) instead of pinning worker threads, and a `/reload` POST

@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn sub_millisecond_tails_distinguishable() {
         // The regression the sub-log2 buckets fix: 100µs vs 200µs landed
-        // in the same [128, 256) log2 bucket, so BENCH_query.json showed
+        // in the same [128, 256) log2 bucket, so `/metrics` reported
         // p50 == p99 == 255. Quarters keep them apart.
         assert_ne!(bucket(100), bucket(200));
         let m = Metrics::new();

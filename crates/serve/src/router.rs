@@ -2,11 +2,13 @@
 //! [`ShardSet`], answer-for-answer identical to a whole-corpus
 //! [`QueryEngine`].
 //!
-//! Fan-out queries (`/search`, `/complete`, `/types`) run on every
-//! shard engine — shard 0 on the calling thread, the rest on scoped
-//! threads — and the per-shard answers are k-way-merged. Point queries
-//! (`/tables/{id}`, `/types/{label}/tables` postings) route by the
-//! stable-id directory. The merges reproduce the single-engine stable
+//! Fan-out queries (`/search`, `/types`) run on every shard engine —
+//! shard 0 on the calling thread, the rest on scoped threads — and the
+//! per-shard answers are merged. Point queries (`/tables/{id}`,
+//! `/types/{label}/tables` postings) route by the stable-id directory.
+//! `/complete` does not fan out: the completion index is corpus-global
+//! and shared by every engine, so one engine's answer *is* the
+//! whole-corpus answer. The merges reproduce the single-engine stable
 //! sorts exactly:
 //!
 //! * **search** — per-shard lists are sorted by (score desc, entry
@@ -16,11 +18,6 @@
 //!   replays the stable whole-corpus sort. A shard-local top-k suffices
 //!   globally: any entry ahead of a survivor locally is ahead of it
 //!   globally too.
-//! * **complete** — same merge on (distance asc, lowest shard), plus a
-//!   keep-first schema dedup: the completion index dedups schemas
-//!   globally, shard-local indexes dedup only locally, and duplicate
-//!   schemas embed identically (deterministic encoder), so the
-//!   first-taken copy at equal distance is exactly the global survivor.
 //! * **types** — counts sum per label (shard ranges are disjoint, so
 //!   distinct-table counts add); posting lists concatenate in shard
 //!   order, which is global scan order.
@@ -97,27 +94,15 @@ impl Router {
     /// Runs `f` on every shard engine: shard 0 on the calling thread,
     /// the rest on scoped threads. Results come back in shard order.
     ///
-    /// Every per-shard call is panic-isolated *inside* its thread, so a
-    /// crashing shard can never unwind across the scope join and take the
-    /// whole server down: the first panicking shard (lowest index) is
-    /// reported as a typed [`ShardPanic`] after all threads have joined.
-    /// The env hook `GITTABLES_PANIC_SHARD=<idx>` injects a panic into
-    /// that shard's call, for exercising the failure path end to end.
+    /// Every per-shard call is panic-isolated *inside* its thread
+    /// ([`isolated`]), so a crashing shard can never unwind across the
+    /// scope join and take the whole server down: the first panicking
+    /// shard (lowest index) is reported as a typed [`ShardPanic`] after
+    /// all threads have joined.
     fn fan_out<T: Send>(&self, f: impl Fn(&QueryEngine) -> T + Sync) -> Result<Vec<T>, ShardPanic> {
         let engines = self.set.engines();
-        let injected: Option<usize> = std::env::var("GITTABLES_PANIC_SHARD")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let call = |idx: usize, e: &QueryEngine| -> Result<T, ShardPanic> {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                assert!(
-                    Some(idx) != injected,
-                    "injected shard panic (GITTABLES_PANIC_SHARD={idx})"
-                );
-                f(e)
-            }))
-            .map_err(|_| ShardPanic { shard: idx })
-        };
+        let injected = injected_panic_shard();
+        let call = |idx: usize, e: &QueryEngine| isolated(idx, injected, || f(e));
         if engines.len() == 1 {
             return Ok(vec![call(0, &engines[0])?]);
         }
@@ -164,23 +149,15 @@ impl Router {
         }))
     }
 
-    /// `/complete`: scatter, merge by (distance asc, lowest shard),
-    /// dedup schemas keeping the first-taken (= globally surviving)
-    /// copy.
+    /// `/complete`: one panic-isolated call on shard 0 — every engine
+    /// shares the corpus-global completion index, so there is nothing to
+    /// scatter or merge.
     ///
     /// # Errors
-    /// [`ShardPanic`] when a shard query thread panicked.
+    /// [`ShardPanic`] when the call panicked.
     pub fn complete(&self, prefix: &[&str], k: usize) -> Result<Vec<SchemaCompletion>, ShardPanic> {
-        let per = self.fan_out(|e| e.complete(prefix, k))?;
-        let mut seen = HashSet::new();
-        Ok(merge_filtered(
-            per,
-            k,
-            |a, b| {
-                a.prefix_distance.partial_cmp(&b.prefix_distance) == Some(std::cmp::Ordering::Less)
-            },
-            |c| seen.insert(c.schema.attributes().to_vec()),
-        ))
+        let engine = &self.set.engines()[0];
+        isolated(0, injected_panic_shard(), || engine.complete(prefix, k))
     }
 
     /// `/types`: per-label counts summed across shards, in label order.
@@ -274,23 +251,35 @@ impl std::fmt::Display for ShardPanic {
 
 impl std::error::Error for ShardPanic {}
 
+/// The env hook `GITTABLES_PANIC_SHARD=<idx>`: injects a panic into
+/// that shard's calls, for exercising the failure path end to end.
+fn injected_panic_shard() -> Option<usize> {
+    std::env::var("GITTABLES_PANIC_SHARD")
+        .ok()
+        .and_then(|v| v.parse().ok())
+}
+
+/// Runs one shard's call, turning a panic into a typed [`ShardPanic`].
+fn isolated<T>(
+    shard: usize,
+    injected: Option<usize>,
+    f: impl FnOnce() -> T,
+) -> Result<T, ShardPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        assert!(
+            Some(shard) != injected,
+            "injected shard panic (GITTABLES_PANIC_SHARD={shard})"
+        );
+        f()
+    }))
+    .map_err(|_| ShardPanic { shard })
+}
+
 /// K-way merge of per-shard lists, each already sorted by the same
 /// order `better` induces: repeatedly take the head that is strictly
 /// `better` than every lower-shard head (ties fall to the lowest
 /// shard, replaying the whole-corpus stable sort's entry order).
 fn merge_by<T>(per: Vec<Vec<T>>, k: usize, better: impl Fn(&T, &T) -> bool) -> Vec<T> {
-    merge_filtered(per, k, better, |_| true)
-}
-
-/// [`merge_by`] with a post-take filter: `keep` sees items in merged
-/// order and decides whether each one counts toward `k` (the completion
-/// dedup) — rejected items are consumed but not emitted.
-fn merge_filtered<T>(
-    per: Vec<Vec<T>>,
-    k: usize,
-    better: impl Fn(&T, &T) -> bool,
-    mut keep: impl FnMut(&T) -> bool,
-) -> Vec<T> {
     let mut queues: Vec<VecDeque<T>> = per.into_iter().map(Into::into).collect();
     let mut out = Vec::with_capacity(k.min(64));
     while out.len() < k {
@@ -312,10 +301,7 @@ fn merge_filtered<T>(
             });
         }
         let Some(g) = best else { break };
-        let item = queues[g].pop_front().expect("picked head exists");
-        if keep(&item) {
-            out.push(item);
-        }
+        out.push(queues[g].pop_front().expect("picked head exists"));
     }
     out
 }
@@ -327,7 +313,7 @@ mod tests {
     use gittables_table::Table;
 
     /// A corpus with duplicate schemas placed so shard splits separate
-    /// them — the completion-dedup edge the merge must get right.
+    /// them — only a corpus-global completion index dedups them right.
     fn corpus() -> Corpus {
         let mut c = Corpus::new("router-test");
         let schemas: Vec<Vec<&str>> = vec![

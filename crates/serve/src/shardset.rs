@@ -1,26 +1,26 @@
 //! [`ShardSet`]: one corpus snapshot split across N shard-local
 //! [`QueryEngine`]s, each owning a contiguous global table-id range.
 //!
-//! The split follows the store's own shard boundaries
-//! ([`CorpusStore::shard_groups`]): each engine gets a contiguous group
-//! of committed store shards, so the sidecar boot path can hand every
-//! engine a zero-copy view of the persisted index matrices
-//! ([`gittables_corpus::F32Matrix::slice_rows`]) and all engines share
-//! the same mapped shard arenas ([`LazyCorpus`] clones are `Arc`-backed).
-//! A [`crate::router::Router`] scatter-gathers queries across the set
-//! and merges answers bit-identically to a whole-corpus engine.
+//! Every set starts as one whole-corpus engine — booted from the store
+//! ([`QueryEngine::boot`]: sidecar-first, rebuild fallback) or built
+//! over an in-memory corpus — which is then split along the store's own
+//! shard boundaries ([`CorpusStore::shard_groups`]): each engine gets a
+//! slice of the search index (a zero-copy row view of the mapped sidecar
+//! matrix, [`gittables_corpus::F32Matrix::slice_rows`]) and its
+//! restriction of the type index, while all engines share the table
+//! source (mapped shard arenas or the materialized corpus) and the one
+//! corpus-global completion index. N-shard boot therefore costs what
+//! 1-shard boot costs plus the slicing; nothing is re-embedded. A
+//! [`crate::router::Router`] scatter-gathers queries across the set and
+//! merges answers bit-identically to a whole-corpus engine.
 //!
-//! `shards == 1` delegates to [`QueryEngine::load`] wholesale — the
-//! single-shard deployment is exactly yesterday's server.
+//! One shard is one group covering everything: the booted engine itself,
+//! moved.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use gittables_core::apps::{DataSearch, NearestCompletion};
-use gittables_corpus::{
-    load_indexes, Corpus, CorpusStore, GroupDirectory, LazyCorpus, SearchParts, SidecarIssue,
-    StoreError, TypeIndex,
-};
+use gittables_corpus::{Corpus, CorpusStore, GroupDirectory, StoreError};
 
 use crate::engine::{EngineBuildStats, QueryEngine};
 
@@ -47,141 +47,48 @@ impl ShardSet {
     }
 
     /// Splits an in-memory corpus into `n` near-even contiguous shards
-    /// (clamped to the corpus size) — the store-less path used by tests
-    /// and benches.
+    /// (clamped to the corpus size) — the store-less path used by tests.
     #[must_use]
     pub fn from_corpus(corpus: &Corpus, n: usize) -> Self {
-        let started = std::time::Instant::now();
         let directory = GroupDirectory::split_even(corpus.len(), n);
-        let engines = directory
-            .groups()
-            .iter()
-            .map(|g| Arc::new(QueryEngine::from_corpus_slice(corpus, g.range.clone())))
-            .collect();
+        Self::split(QueryEngine::from_corpus(corpus.clone()), directory)
+    }
+
+    /// Boots a sharded set for the store at `dir`: one whole-corpus
+    /// engine boots exactly as [`QueryEngine::load`] does — sidecar path
+    /// preferred, a missing/stale/corrupt sidecar set downgrading to a
+    /// materialized rebuild recorded in
+    /// [`EngineBuildStats::fallback_reason`] — and is split along the
+    /// store's committed shards into at most `shards` contiguous groups.
+    ///
+    /// # Errors
+    /// Propagates store open/load failures and, for `shards > 1`, a
+    /// non-contiguous shard index ([`CorpusStore::shard_groups`]).
+    pub fn load(dir: impl AsRef<Path>, shards: usize) -> Result<Self, StoreError> {
+        let started = std::time::Instant::now();
+        let store = CorpusStore::open(dir.as_ref())?;
+        // One shard routes nothing by id range, so it serves any loadable
+        // store, including one whose manifest indices are sparse.
+        let groups = (shards > 1)
+            .then(|| store.shard_groups(shards))
+            .transpose()?;
+        let engine = QueryEngine::boot(&store, started)?;
+        let directory = groups.unwrap_or_else(|| GroupDirectory::from_ranges([engine.id_range()]));
+        Ok(Self::split(engine, directory))
+    }
+
+    /// Splits a whole-corpus engine along `directory`; the slicing time
+    /// joins the set-level `index_build_ms`.
+    fn split(engine: QueryEngine, directory: GroupDirectory) -> Self {
+        let mut build = engine.build_stats().clone();
+        let started = std::time::Instant::now();
+        let engines = engine.split(&directory).into_iter().map(Arc::new).collect();
+        build.index_build_ms += started.elapsed().as_secs_f64() * 1e3;
         ShardSet {
             engines,
             directory,
-            build: EngineBuildStats {
-                index_build_ms: started.elapsed().as_secs_f64() * 1e3,
-                boot_path: "memory".to_string(),
-                ..EngineBuildStats::default()
-            },
-        }
-    }
-
-    /// Boots a sharded set for the store at `dir`: the store's committed
-    /// shards are split into `shards` contiguous groups and each group
-    /// gets its own engine. Prefers the sidecar path (per-group zero-copy
-    /// views of the mapped index matrices); a missing/stale/corrupt
-    /// sidecar set downgrades every group to a materialized rebuild,
-    /// recorded in [`EngineBuildStats::fallback_reason`] — same contract
-    /// as [`QueryEngine::load`], which `shards <= 1` delegates to.
-    ///
-    /// # Errors
-    /// Propagates store open/load failures and a non-contiguous shard
-    /// index ([`CorpusStore::shard_groups`]).
-    pub fn load(dir: impl AsRef<Path>, shards: usize) -> Result<Self, StoreError> {
-        if shards <= 1 {
-            return Ok(Self::from_engine(Arc::new(QueryEngine::load(dir)?)));
-        }
-        let started = std::time::Instant::now();
-        let store = CorpusStore::open(dir.as_ref())?;
-        let directory = store.shard_groups(shards)?;
-        match Self::try_from_sidecars(&store, &directory, started) {
-            Ok(set) => Ok(set),
-            Err(issue) => {
-                eprintln!(
-                    "sidecar boot unavailable for {}: {issue}; rebuilding shard indexes from the corpus",
-                    dir.as_ref().display()
-                );
-                let reason = issue.reason().to_string();
-                let mut set = Self::rebuild_from_store(&store, directory, started)?;
-                set.build.fallback_reason = Some(reason);
-                Ok(set)
-            }
-        }
-    }
-
-    /// The materialized fallback: load the whole corpus once, then build
-    /// each group's indexes over its slice.
-    fn rebuild_from_store(
-        store: &CorpusStore,
-        directory: GroupDirectory,
-        started: std::time::Instant,
-    ) -> Result<Self, StoreError> {
-        let corpus = store.load_corpus()?;
-        let store_load_ms = started.elapsed().as_secs_f64() * 1e3;
-        let build_started = std::time::Instant::now();
-        let engines = directory
-            .groups()
-            .iter()
-            .map(|g| Arc::new(QueryEngine::from_corpus_slice(&corpus, g.range.clone())))
-            .collect();
-        Ok(ShardSet {
-            engines,
-            directory,
-            build: EngineBuildStats {
-                store_load_ms,
-                index_build_ms: build_started.elapsed().as_secs_f64() * 1e3,
-                store_format: Some(store.format().name().to_string()),
-                boot_path: "rebuild".to_string(),
-                fallback_reason: None,
-            },
-        })
-    }
-
-    /// The sharded sidecar boot path: map the persisted indexes once,
-    /// then hand each group a zero-copy slice of the search matrix, its
-    /// restriction of the type index, and a per-group completion index
-    /// rebuilt from the group's schemas (the deterministic encoder makes
-    /// its rows bit-identical to the persisted global ones).
-    fn try_from_sidecars(
-        store: &CorpusStore,
-        directory: &GroupDirectory,
-        started: std::time::Instant,
-    ) -> Result<Self, SidecarIssue> {
-        let indexes = load_indexes(store)?;
-        let dim = DataSearch::encoder_dim();
-        if indexes.search.rows.dim() != dim {
-            return Err(SidecarIssue::Stale {
-                file: gittables_corpus::SidecarKind::Search
-                    .file_name()
-                    .to_string(),
-                detail: format!(
-                    "embedding dim {} != this build's {dim}",
-                    indexes.search.rows.dim()
-                ),
-            });
-        }
-        let store_load_ms = started.elapsed().as_secs_f64() * 1e3;
-        let assemble = std::time::Instant::now();
-        let build = EngineBuildStats {
-            store_load_ms,
-            index_build_ms: 0.0,
-            store_format: Some(store.format().name().to_string()),
-            boot_path: "sidecar".to_string(),
-            fallback_reason: None,
-        };
-        let engines = directory
-            .groups()
-            .iter()
-            .map(|g| {
-                Arc::new(group_engine(
-                    &indexes.corpus,
-                    &indexes.search,
-                    &indexes.types,
-                    g.range.clone(),
-                    build.clone(),
-                ))
-            })
-            .collect();
-        let mut build = build;
-        build.index_build_ms = assemble.elapsed().as_secs_f64() * 1e3;
-        Ok(ShardSet {
-            engines,
-            directory: directory.clone(),
             build,
-        })
+        }
     }
 
     /// The shard-local engines, in ascending id-range order.
@@ -213,57 +120,6 @@ impl ShardSet {
     pub fn build_stats(&self) -> &EngineBuildStats {
         &self.build
     }
-}
-
-/// Builds one group's engine from zero-copy views of the global sidecar
-/// parts.
-fn group_engine(
-    corpus: &LazyCorpus,
-    search: &SearchParts,
-    types: &TypeIndex,
-    range: std::ops::Range<usize>,
-    build: EngineBuildStats,
-) -> QueryEngine {
-    // The search sidecar has one entry per table, ids ascending, so the
-    // group's entries are one contiguous run.
-    let lo = search.ids.partition_point(|&id| id < range.start);
-    let hi = search.ids.partition_point(|&id| id < range.end);
-    let group_search = DataSearch::from_raw_parts(
-        search.ids[lo..hi].to_vec(),
-        search.schemas[lo..hi].to_vec(),
-        search.rows.slice_rows(lo, hi),
-    );
-    // The persisted completion sidecar dedups schemas *globally* and
-    // keeps no table ids, so it cannot be partitioned; rebuild the
-    // group's completion index from the group's schemas instead. The
-    // encoder is deterministic, so the rows match the persisted ones bit
-    // for bit and the router's merge stays exact.
-    let completion = NearestCompletion::build_from_schemas(&search.schemas[lo..hi]);
-    QueryEngine::from_lazy_parts(
-        corpus.clone(),
-        group_search,
-        completion,
-        restrict_types(types, &range),
-        range,
-        build,
-    )
-}
-
-/// Restricts a type index to the postings of one id range, dropping
-/// labels left empty. Postings within a label ascend by table id, so
-/// each restriction is a contiguous run.
-fn restrict_types(types: &TypeIndex, range: &std::ops::Range<usize>) -> TypeIndex {
-    let mut labels = Vec::new();
-    let mut postings = Vec::new();
-    for (label, list) in types.labels().iter().zip(types.posting_lists()) {
-        let lo = list.partition_point(|p| p.table < range.start);
-        let hi = list.partition_point(|p| p.table < range.end);
-        if lo < hi {
-            labels.push(label.clone());
-            postings.push(list[lo..hi].to_vec());
-        }
-    }
-    TypeIndex::from_raw_parts(labels, postings)
 }
 
 #[cfg(test)]

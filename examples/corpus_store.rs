@@ -6,7 +6,7 @@
 //! cargo run --release --example corpus_store
 //! ```
 
-use gittables::{load_store, save_store, CorpusStore, Pipeline, PipelineConfig};
+use gittables::{load_store, save_store, CorpusStore, Pipeline, PipelineConfig, StoreRunOptions};
 use gittables_githost::GitHost;
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
     let host = GitHost::new();
     pipeline.populate_host(&host);
 
-    // Reference: the in-memory parallel run.
-    let (reference, reference_report) = pipeline.run_parallel(&host);
+    // Reference: the in-memory run.
+    let (reference, reference_report) = pipeline.run(&host);
     println!(
         "in-memory run : {} tables, {} columns",
         reference.len(),
@@ -26,10 +26,15 @@ fn main() {
     );
 
     // A bounded store run simulates an interrupted build: only 4 repository
-    // shards are committed before "the crash".
+    // shards are committed before "the crash". `StoreRunOptions` also
+    // carries the quarantine-retry selection and the stop flag.
     let store = CorpusStore::create(dir.join("pipeline"), pipeline.corpus_name()).expect("create");
+    let first_four = StoreRunOptions {
+        max_new_shards: Some(4),
+        ..StoreRunOptions::default()
+    };
     let partial = pipeline
-        .run_to_store_bounded(&host, &store, Some(4))
+        .run_to_store_with(&host, &store, &first_four)
         .expect("bounded run");
     println!(
         "interrupted   : {} shards committed, {} tables durable",

@@ -1,5 +1,6 @@
-//! Demonstrates the rayon-backed `Pipeline::run_parallel`: same corpus
-//! and report as the serial `run`, with per-repository fan-out.
+//! Demonstrates the pipeline's one parallelism setting,
+//! `PipelineConfig::workers`: the per-repository fan-out yields the same
+//! corpus and report on four workers as on one.
 //!
 //! ```sh
 //! cargo run --release --example parallel_pipeline
@@ -11,12 +12,15 @@ use gittables_core::{Pipeline, PipelineConfig};
 use gittables_githost::GitHost;
 
 fn main() {
-    // Single-worker serial baseline vs the sharded rayon fan-out.
-    let serial = Pipeline::new(PipelineConfig {
-        workers: 1,
-        ..PipelineConfig::sized(42, 3, 12)
-    });
-    let parallel = Pipeline::new(PipelineConfig::sized(42, 3, 12));
+    // Single-worker serial baseline vs a four-worker fan-out (`workers: 0`,
+    // the default, means the machine's available parallelism).
+    let on_workers = |workers: usize| {
+        Pipeline::new(PipelineConfig {
+            workers,
+            ..PipelineConfig::sized(42, 3, 12)
+        })
+    };
+    let (serial, parallel) = (on_workers(1), on_workers(4));
     let host = GitHost::new();
     serial.populate_host(&host);
 
@@ -25,7 +29,7 @@ fn main() {
     let serial_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let (parallel_corpus, parallel_report) = parallel.run_parallel(&host);
+    let (parallel_corpus, parallel_report) = parallel.run(&host);
     let parallel_time = t1.elapsed();
 
     println!(

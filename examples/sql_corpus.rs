@@ -48,7 +48,7 @@ fn main() {
     }
 
     // 3. Run the full pipeline over the mixed host.
-    let (corpus, report) = pipeline.run_parallel(&host);
+    let (corpus, report) = pipeline.run(&host);
     let sql_tables = corpus
         .tables
         .iter()

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gittables_core::apps::{DataSearch, NearestCompletion};
-use gittables_core::{Pipeline, PipelineConfig};
+use gittables_core::{Pipeline, PipelineConfig, RetrySelection, StoreRunOptions};
 use gittables_corpus::{persist, AnnotationStats, Corpus, CorpusStats};
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{Server, ServerConfig};
@@ -318,7 +318,19 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let host = GitHost::new();
     pipeline.populate_host(&host);
     let run = pipeline
-        .run_to_store_opts(&host, &store, max_shards, retry_quarantined)
+        .run_to_store_with(
+            &host,
+            &store,
+            &StoreRunOptions {
+                max_new_shards: max_shards,
+                retry: if retry_quarantined {
+                    RetrySelection::All
+                } else {
+                    RetrySelection::None
+                },
+                stop: None,
+            },
+        )
         .map_err(|e| e.to_string())?;
     eprintln!(
         "wrote {} new shards, skipped {} existing; corpus now {} tables ({} parsed, {} kept this config)",

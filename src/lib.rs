@@ -6,6 +6,8 @@ pub use gittables_serve as serve;
 pub use gittables_table as table;
 pub use gittables_tablecsv as tablecsv;
 
-pub use gittables_core::{Pipeline, PipelineConfig, PipelineReport, StoreRun};
+pub use gittables_core::{
+    Pipeline, PipelineConfig, PipelineReport, RetrySelection, StoreRun, StoreRunOptions,
+};
 pub use gittables_corpus::{load_store, save_store, CorpusStore, StoreError, TypeIndex};
 pub use gittables_serve::{QueryEngine, Server, ServerConfig};

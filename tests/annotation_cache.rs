@@ -12,7 +12,7 @@ fn cached_pipeline_annotations_match_direct_annotators() {
     let pipeline = Pipeline::new(PipelineConfig::small(33));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    let (corpus, _) = pipeline.run_parallel(&host);
+    let (corpus, _) = pipeline.run(&host);
     assert!(!corpus.is_empty());
 
     let syn_dbp = SyntacticAnnotator::new(pipeline.dbpedia().clone());
@@ -37,7 +37,7 @@ fn cache_hits_dominate_and_misses_count_distinct_names() {
     let pipeline = Pipeline::new(PipelineConfig::small(17));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    let (corpus, _) = pipeline.run_parallel(&host);
+    let (corpus, _) = pipeline.run(&host);
 
     let stats = pipeline.annotation_cache_stats();
     // Distinct annotatable normalized names across kept tables is an upper
@@ -75,6 +75,6 @@ fn cache_hits_dominate_and_misses_count_distinct_names() {
 
     // A second run over the same host is pure hits: no new distinct names.
     let misses_before = stats.misses;
-    let _ = pipeline.run_parallel(&host);
+    let _ = pipeline.run(&host);
     assert_eq!(pipeline.annotation_cache_stats().misses, misses_before);
 }

@@ -99,7 +99,7 @@ fn spawn_interrupted(dir: &std::path::Path, site: &str, nth: u32) -> bool {
 #[test]
 fn sigkill_mid_commit_then_resume_is_bit_identical() {
     let pipeline = pipeline();
-    let (reference_corpus, reference_report) = pipeline.run_parallel(&populated(&pipeline));
+    let (reference_corpus, reference_report) = pipeline.run(&populated(&pipeline));
 
     let rounds: u32 = std::env::var("GT_TORTURE_ROUNDS")
         .ok()

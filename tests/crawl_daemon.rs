@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use gittables_core::crawl::{CrawlState, CRAWL_STATE_FILE};
-use gittables_core::{crawl, CrawlOptions, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog};
+use gittables_core::{
+    crawl, CrawlOptions, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog, StoreRunOptions,
+};
 use gittables_corpus::store::CorpusStore;
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 
@@ -58,7 +60,7 @@ fn fast_options(passes: u64) -> CrawlOptions {
 #[test]
 fn crawl_passes_converge_to_reference_corpus() {
     let pipeline = Pipeline::new(cfg(21));
-    let (reference, _) = pipeline.run_parallel(&populated(&pipeline));
+    let (reference, _) = pipeline.run(&populated(&pipeline));
     let (dir, store) = temp_store(&pipeline, "converge");
 
     let backends = vec![
@@ -132,7 +134,7 @@ fn crawl_passes_converge_to_reference_corpus() {
 #[test]
 fn scheduled_drains_heal_quarantine_with_exponential_cooldowns() {
     let pipeline = Pipeline::new(cfg(58));
-    let (reference, _) = pipeline.run_parallel(&populated(&pipeline));
+    let (reference, _) = pipeline.run(&populated(&pipeline));
     let (dir, store) = temp_store(&pipeline, "drain");
 
     let corrupt = || {
@@ -253,13 +255,16 @@ fn scheduled_drains_heal_quarantine_with_exponential_cooldowns() {
 #[test]
 fn stop_flag_defers_shards_and_resume_completes() {
     let pipeline = Pipeline::new(cfg(35));
-    let (reference, _) = pipeline.run_parallel(&populated(&pipeline));
+    let (reference, _) = pipeline.run(&populated(&pipeline));
     let (dir, store) = temp_store(&pipeline, "stop");
 
     let stop = AtomicBool::new(true);
-    let retry = HashSet::new();
+    let options = StoreRunOptions {
+        stop: Some(&stop),
+        ..StoreRunOptions::default()
+    };
     let run = pipeline
-        .run_to_store_crawl(&populated(&pipeline), &store, None, &retry, Some(&stop))
+        .run_to_store_with(&populated(&pipeline), &store, &options)
         .unwrap();
     assert!(run.interrupted);
     assert_eq!(run.shards_written, 0);
@@ -274,7 +279,7 @@ fn stop_flag_defers_shards_and_resume_completes() {
 
     stop.store(false, Ordering::Relaxed);
     let resumed = pipeline
-        .run_to_store_crawl(&populated(&pipeline), &store, None, &retry, Some(&stop))
+        .run_to_store_with(&populated(&pipeline), &store, &options)
         .unwrap();
     assert!(!resumed.interrupted);
     assert_eq!(resumed.shards_deferred, 0);
@@ -369,7 +374,7 @@ fn crawl_binary_survives_sigterm_and_resumes() {
         ..PipelineConfig::sized(7, 3, 6)
     };
     let pipeline = Pipeline::new(config);
-    let (reference, _) = pipeline.run_parallel(&populated(&pipeline));
+    let (reference, _) = pipeline.run(&populated(&pipeline));
     assert_eq!(corpus, reference);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,9 @@
 
 use std::collections::HashSet;
 
-use gittables_core::{FaultPolicy, Pipeline, PipelineConfig, QuarantineLog};
+use gittables_core::{
+    FaultPolicy, Pipeline, PipelineConfig, QuarantineLog, RetrySelection, StoreRunOptions,
+};
 use gittables_corpus::store::CorpusStore;
 use gittables_corpus::Corpus;
 use gittables_githost::{
@@ -35,6 +37,14 @@ fn populated(pipeline: &Pipeline) -> GitHost {
     host
 }
 
+/// `pipeline`'s configuration on exactly `workers` threads.
+fn on_workers(pipeline: &Pipeline, workers: usize) -> Pipeline {
+    Pipeline::new(PipelineConfig {
+        workers,
+        ..pipeline.config.clone()
+    })
+}
+
 /// Repository names a corpus's tables come from.
 fn corpus_repos(corpus: &Corpus) -> HashSet<String> {
     corpus
@@ -46,8 +56,8 @@ fn corpus_repos(corpus: &Corpus) -> HashSet<String> {
 
 /// The headline oracle: with only transient faults (errors + truncated
 /// downloads, both below the retry limits) the retrying pipeline's corpus
-/// and counters are bit-identical to the fault-free run, in both run
-/// modes — the faults leave no trace beyond the retry accounting.
+/// and counters are bit-identical to the fault-free run, on one worker
+/// and on four — the faults leave no trace beyond the retry accounting.
 #[test]
 fn transient_faults_converge_to_fault_free_corpus() {
     // Convergence needs bounds the fault schedule cannot exhaust: streaks
@@ -56,12 +66,12 @@ fn transient_faults_converge_to_fault_free_corpus() {
     let mut config = cfg(77);
     config.fault.repo_retry_budget = u32::MAX;
     let pipeline = Pipeline::new(config);
-    let (clean_corpus, clean_report) = pipeline.run_parallel(&populated(&pipeline));
+    let (clean_corpus, clean_report) = pipeline.run(&populated(&pipeline));
 
     let flaky_serial = FlakyHost::new(populated(&pipeline), FaultSpec::transient(9, 0.2));
-    let (serial_corpus, serial_report) = pipeline.run(&flaky_serial);
+    let (serial_corpus, serial_report) = on_workers(&pipeline, 1).run(&flaky_serial);
     let flaky_parallel = FlakyHost::new(populated(&pipeline), FaultSpec::transient(9, 0.2));
-    let (parallel_corpus, parallel_report) = pipeline.run_parallel(&flaky_parallel);
+    let (parallel_corpus, parallel_report) = on_workers(&pipeline, 4).run(&flaky_parallel);
 
     let counts = flaky_serial.counts();
     assert!(
@@ -79,8 +89,8 @@ fn transient_faults_converge_to_fault_free_corpus() {
         serial_report.quarantined_repos
     );
 
-    // Same deterministic fault schedule in both run modes (extraction is
-    // serial in both) ⇒ identical reports; and the corpus is exactly the
+    // Same deterministic fault schedule on every worker count (extraction
+    // is serial) ⇒ identical reports; and the corpus is exactly the
     // fault-free one.
     assert_eq!(serial_report, parallel_report);
     assert_eq!(serial_corpus, parallel_corpus);
@@ -104,7 +114,7 @@ fn corrupt_content_quarantines_repository_deterministically() {
                 ..FaultSpec::default()
             },
         );
-        let out = pipeline.run_parallel(&flaky);
+        let out = pipeline.run(&flaky);
         (out, flaky.counts())
     };
     let ((corpus_a, report_a), counts_a) = run();
@@ -149,7 +159,7 @@ fn exhausted_retry_bounds_quarantine() {
     budget_cfg.fault.repo_retry_budget = 0;
     let pipeline = Pipeline::new(budget_cfg);
     let flaky = FlakyHost::new(populated(&pipeline), FaultSpec::transient(3, 0.3));
-    let (corpus, report) = pipeline.run_parallel(&flaky);
+    let (corpus, report) = pipeline.run(&flaky);
     assert!(flaky.counts().transient > 0);
     assert!(
         report
@@ -178,7 +188,7 @@ fn exhausted_retry_bounds_quarantine() {
             ..FaultSpec::default()
         },
     );
-    let (_, report) = pipeline.run_parallel(&flaky);
+    let (_, report) = pipeline.run(&flaky);
     assert!(
         report
             .quarantined_repos
@@ -197,7 +207,7 @@ fn exhausted_retry_bounds_quarantine() {
 #[test]
 fn store_resume_heals_quarantined_repositories() {
     let pipeline = Pipeline::new(cfg(58));
-    let (clean_corpus, clean_report) = pipeline.run_parallel(&populated(&pipeline));
+    let (clean_corpus, clean_report) = pipeline.run(&populated(&pipeline));
 
     let dir = std::env::temp_dir().join(format!(
         "gt_fault_heal_{}_{:?}",
@@ -243,7 +253,14 @@ fn store_resume_heals_quarantined_repositories() {
     // repositories heal, the corpus converges to the fault-free run, and
     // the quarantine log empties.
     let healed = pipeline
-        .run_to_store_opts(&populated(&pipeline), &store, None, true)
+        .run_to_store_with(
+            &populated(&pipeline),
+            &store,
+            &StoreRunOptions {
+                retry: RetrySelection::All,
+                ..StoreRunOptions::default()
+            },
+        )
         .unwrap();
     assert_eq!(healed.corpus, clean_corpus);
     assert_eq!(healed.report, clean_report);
@@ -264,7 +281,7 @@ fn store_resume_heals_quarantined_repositories() {
 fn poisoned_table_quarantines_repository_not_the_run() {
     let marker = "poisonmarkerx";
     let clean_pipeline = Pipeline::new(cfg(64));
-    let (clean_corpus, _) = clean_pipeline.run_parallel(&populated(&clean_pipeline));
+    let (clean_corpus, _) = clean_pipeline.run(&populated(&clean_pipeline));
 
     let mut poisoned_cfg = cfg(64);
     poisoned_cfg.fault.poison_marker = Some(marker.to_string());
@@ -283,7 +300,8 @@ fn poisoned_table_quarantines_repository_not_the_run() {
         )],
     });
 
-    for (corpus, report) in [pipeline.run(&host), pipeline.run_parallel(&host)] {
+    for workers in [1, 4] {
+        let (corpus, report) = on_workers(&pipeline, workers).run(&host);
         assert!(
             report
                 .quarantined_repos
@@ -349,12 +367,12 @@ fn transient_pool(
 #[test]
 fn transient_faults_over_host_pool_are_invisible() {
     let pipeline = Pipeline::new(cfg(83));
-    let (clean_corpus, clean_report) = pipeline.run_parallel(&populated(&pipeline));
+    let (clean_corpus, clean_report) = pipeline.run(&populated(&pipeline));
 
     let pool_serial = transient_pool(&pipeline, 2, 0.25, 17);
-    let (serial_corpus, serial_report) = pipeline.run(&pool_serial);
+    let (serial_corpus, serial_report) = on_workers(&pipeline, 1).run(&pool_serial);
     let pool_parallel = transient_pool(&pipeline, 2, 0.25, 17);
-    let (parallel_corpus, parallel_report) = pipeline.run_parallel(&pool_parallel);
+    let (parallel_corpus, parallel_report) = on_workers(&pipeline, 4).run(&pool_parallel);
 
     // The scenario must genuinely exercise the pool: faults injected on
     // BOTH replicas, failovers taken, hedges issued.
@@ -394,16 +412,18 @@ fn transient_faults_over_host_pool_are_invisible() {
     std::fs::remove_dir_all(&dir).ok();
     let store = CorpusStore::create(&dir, pipeline.corpus_name()).unwrap();
     let first = pipeline
-        .run_to_store_opts(
+        .run_to_store_with(
             &transient_pool(&pipeline, 2, 0.25, 17),
             &store,
-            Some(2),
-            false,
+            &StoreRunOptions {
+                max_new_shards: Some(2),
+                ..StoreRunOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(first.shards_written, 2);
     let resumed = pipeline
-        .run_to_store_opts(&transient_pool(&pipeline, 2, 0.25, 17), &store, None, false)
+        .run_to_store(&transient_pool(&pipeline, 2, 0.25, 17), &store)
         .unwrap();
     assert_eq!(resumed.corpus, clean_corpus);
     assert!(resumed.report.quarantined_repos.is_empty());
@@ -418,7 +438,7 @@ fn transient_faults_over_host_pool_are_invisible() {
 #[test]
 fn replica_blackout_trips_breaker_and_leaves_no_trace() {
     let pipeline = Pipeline::new(cfg(91));
-    let (clean_corpus, clean_report) = pipeline.run_parallel(&populated(&pipeline));
+    let (clean_corpus, clean_report) = pipeline.run(&populated(&pipeline));
 
     let dead = FlakyHost::new(
         populated(&pipeline),
@@ -438,7 +458,7 @@ fn replica_blackout_trips_breaker_and_leaves_no_trace() {
             ..PoolPolicy::default()
         },
     );
-    let (corpus, report) = pipeline.run_parallel(&pool);
+    let (corpus, report) = pipeline.run(&pool);
 
     assert_eq!(corpus, clean_corpus);
     assert_eq!(report, clean_report);

@@ -7,17 +7,30 @@
 //! Peak RSS (`VmHWM`) is a per-process high-water mark, so each boot is
 //! measured in a **child process**: the test re-execs its own binary
 //! filtered to [`child_probe`], which boots, answers one query per
-//! endpoint family, and prints one `COLDSTART {json}` line.
+//! endpoint family, and prints one `COLDSTART` line of four numbers.
 
 use std::path::PathBuf;
 
-use gittables_bench::report::{number_field, peak_rss_kb};
 use gittables_corpus::{save_store_as, AnnotatedTable, Corpus, StoreFormat};
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
 
 const DIR_VAR: &str = "GT_COLD_START_DIR";
 const MODE_VAR: &str = "GT_COLD_START_MODE";
+
+/// Peak resident set size in kB from `/proc/self/status` (`VmHWM`).
+fn peak_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let hwm = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .expect("VmHWM line");
+    hwm.trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .expect("kB")
+}
 
 /// Child half: boots the engine over `$GT_COLD_START_DIR` (sidecar-first
 /// via [`QueryEngine::load`], or the rebuild path when
@@ -44,7 +57,7 @@ fn child_probe() {
     assert!(hits > 0 && completions > 0 && summary);
     let stats = engine.build_stats();
     println!(
-        "COLDSTART {{\"boot_sidecar\":{},\"index_build_ms\":{:.4},\"tables\":{},\"peak_rss_kb\":{}}}",
+        "COLDSTART {} {:.4} {} {}",
         u8::from(stats.boot_path == "sidecar"),
         stats.index_build_ms,
         engine.num_tables(),
@@ -105,12 +118,14 @@ fn spawn_probe(dir: &PathBuf, mode: &str) -> Probe {
         .1
         .lines()
         .next()
-        .expect("marker is followed by the JSON line");
+        .expect("marker is followed by the four numbers");
+    let mut fields = line.split_whitespace();
+    let mut next = || fields.next().expect("four COLDSTART fields");
     Probe {
-        boot_sidecar: number_field(line, "boot_sidecar") == Some(1.0),
-        index_build_ms: number_field(line, "index_build_ms").expect("index_build_ms"),
-        tables: number_field(line, "tables").expect("tables") as usize,
-        peak_rss_kb: number_field(line, "peak_rss_kb").expect("peak_rss_kb") as u64,
+        boot_sidecar: next() == "1",
+        index_build_ms: next().parse().expect("index_build_ms"),
+        tables: next().parse().expect("tables"),
+        peak_rss_kb: next().parse().expect("peak_rss_kb"),
     }
 }
 

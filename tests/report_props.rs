@@ -124,17 +124,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// For any seed and (small) corpus size, the report of both the
-    /// serial and the sharded pipeline satisfies the stage invariants.
+    /// one-worker and the four-worker pipeline satisfies the stage
+    /// invariants.
     #[test]
     fn report_invariants_hold_end_to_end(
         seed in any::<u64>(),
         topics in 1usize..3,
         repos in 2usize..5,
     ) {
-        let pipeline = Pipeline::new(PipelineConfig::sized(seed, topics, repos));
-        let host = GitHost::new();
-        pipeline.populate_host(&host);
-        for report in [pipeline.run(&host).1, pipeline.run_parallel(&host).1] {
+        for workers in [1, 4] {
+            let pipeline = Pipeline::new(PipelineConfig {
+                workers,
+                ..PipelineConfig::sized(seed, topics, repos)
+            });
+            let host = GitHost::new();
+            pipeline.populate_host(&host);
+            let report = pipeline.run(&host).1;
             prop_assert_eq!(
                 report.parsed + report.parse_failed,
                 report.fetched,

@@ -6,7 +6,7 @@
 //! other tests' router calls.
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
-use gittables_serve::{client, MetricsSnapshot, Server, ServerConfig, ShardSet};
+use gittables_serve::{client, MetricsSnapshot, Router, Server, ServerConfig, ShardSet};
 use gittables_table::{Provenance, Table};
 
 fn corpus() -> Corpus {
@@ -46,10 +46,14 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
 
     let (status, _) = client::get(addr, "/search?q=status&k=3").unwrap();
     assert_eq!(status, 200, "baseline query must succeed");
+    let complete = "/complete?prefix=col&k=3";
+    let one_shard = Router::new(ShardSet::load(&dir, 1).unwrap());
+    let complete_body = serde_json::to_string(&one_shard.complete(&["col"], 3).unwrap()).unwrap();
+    assert!(complete_body.contains("col0"), "{complete_body}");
 
     // Arm the hook: shard 1's query thread panics on every fan-out.
     std::env::set_var("GITTABLES_PANIC_SHARD", "1");
-    for target in ["/search?q=status&k=3", "/complete?prefix=col&k=3", "/types"] {
+    for target in ["/search?q=status&k=3", "/types"] {
         let (status, body) = client::get(addr, target).unwrap();
         assert_eq!(status, 500, "{target}: {body}");
         assert!(
@@ -57,13 +61,19 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
             "{target}: 500 body must name the panic, got: {body}"
         );
     }
+    // `/complete` does not fan out — the completion index is
+    // corpus-global — so a poisoned shard 1 cannot touch it: the answer
+    // is the 1-shard engine's, byte for byte.
+    let (status, body) = client::get(addr, complete).unwrap();
+    assert_eq!(status, 200, "{complete}: {body}");
+    assert_eq!(body, complete_body);
     std::env::remove_var("GITTABLES_PANIC_SHARD");
 
     // The panics were counted, and the server keeps serving normally.
     let (status, body) = client::get(addr, "/metrics").unwrap();
     assert_eq!(status, 200);
     let snap: MetricsSnapshot = serde_json::from_str(&body).unwrap();
-    assert_eq!(snap.shard_errors, 3, "{body}");
+    assert_eq!(snap.shard_errors, 2, "{body}");
     let (status, _) = client::get(addr, "/search?q=status&k=3").unwrap();
     assert_eq!(status, 200, "server must recover once the hook is unset");
 

@@ -60,8 +60,8 @@ fn build_corpus(spec: &Spec) -> Corpus {
     let mut corpus = Corpus::new(format!("shard-{}", spec.salt % 997));
     for (ti, &(cols, rows)) in spec.tables.iter().enumerate() {
         // Every third table repeats the schema of table 0: duplicate
-        // schemas land in different shards, exercising the router's
-        // cross-shard completion dedup.
+        // schemas land in different shards, which only a corpus-global
+        // completion index dedups like the single engine does.
         let schema_tag = if ti % 3 == 0 { 0 } else { ti };
         let header: Vec<String> = (0..cols).map(|c| format!("col{c}_{schema_tag}")).collect();
         let row_data: Vec<Vec<String>> = (0..rows)
@@ -223,6 +223,46 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
 
     one.shutdown();
     three.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Structural (not timed) guard on the N-shard boot: every shard count
+/// takes the sidecar path, and the completion index is one corpus-global
+/// `Arc` shared by all engines — nothing is rebuilt or re-embedded per
+/// shard.
+#[test]
+fn every_shard_count_boots_from_sidecars_sharing_one_completion_index() {
+    let corpus = build_corpus(&Spec {
+        tables: vec![
+            (3, 4),
+            (2, 2),
+            (4, 1),
+            (1, 3),
+            (2, 3),
+            (3, 0),
+            (1, 1),
+            (2, 1),
+        ],
+        salt: 7,
+    });
+    let dir = tmp("structure");
+    save_store(&corpus, &dir, 2).unwrap();
+    build_sidecars(&dir).unwrap();
+    for shards in [1, 2, 4] {
+        let set = ShardSet::load(&dir, shards).unwrap();
+        assert_eq!(set.num_shards(), shards);
+        assert_eq!(set.build_stats().boot_path, "sidecar", "{shards} shards");
+        assert_eq!(set.build_stats().fallback_reason, None);
+        let shared = set.engines()[0].completion();
+        for engine in set.engines() {
+            assert_eq!(engine.build_stats().boot_path, "sidecar");
+            assert!(
+                Arc::ptr_eq(engine.completion(), shared),
+                "{shards} shards: an engine holds its own completion index"
+            );
+            assert!(engine.corpus().is_none(), "tables stay lazy");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

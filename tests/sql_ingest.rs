@@ -4,7 +4,7 @@
 //! malformed dumps are *content* failures — counted in
 //! `PipelineReport::parse_failed`, never a panic or a quarantine.
 
-use gittables_core::{FaultPolicy, Pipeline, PipelineConfig};
+use gittables_core::{FaultPolicy, Pipeline, PipelineConfig, StoreRunOptions};
 use gittables_corpus::store::CorpusStore;
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, RepoFile, Repository};
 use gittables_synth::wordnet::Topic;
@@ -43,7 +43,7 @@ fn temp_store_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn mixed_corpus_ingests_both_kinds() {
     let pipeline = Pipeline::new(mixed_cfg(91));
-    let (corpus, report) = pipeline.run_parallel(&populated(&pipeline));
+    let (corpus, report) = pipeline.run(&populated(&pipeline));
     let sql_tables = corpus
         .tables
         .iter()
@@ -69,9 +69,15 @@ fn mixed_corpus_ingests_both_kinds() {
 /// serial, parallel, and store-backed-resumed runs.
 #[test]
 fn mixed_corpus_serial_parallel_resumed_identical() {
-    let pipeline = Pipeline::new(mixed_cfg(93));
-    let (serial, serial_report) = pipeline.run(&populated(&pipeline));
-    let (parallel, parallel_report) = pipeline.run_parallel(&populated(&pipeline));
+    let on_workers = |workers: usize| {
+        Pipeline::new(PipelineConfig {
+            workers,
+            ..mixed_cfg(93)
+        })
+    };
+    let pipeline = on_workers(4);
+    let (serial, serial_report) = on_workers(1).run(&populated(&pipeline));
+    let (parallel, parallel_report) = pipeline.run(&populated(&pipeline));
     assert_eq!(serial, parallel);
     assert_eq!(serial_report, parallel_report);
 
@@ -81,7 +87,14 @@ fn mixed_corpus_serial_parallel_resumed_identical() {
     let store = CorpusStore::create(&dir, pipeline.corpus_name()).unwrap();
     let host = populated(&pipeline);
     let partial = pipeline
-        .run_to_store_bounded(&host, &store, Some(3))
+        .run_to_store_with(
+            &host,
+            &store,
+            &StoreRunOptions {
+                max_new_shards: Some(3),
+                ..StoreRunOptions::default()
+            },
+        )
         .unwrap();
     assert_eq!(partial.shards_written, 3);
     let resumed = pipeline.run_to_store(&host, &store).unwrap();
@@ -102,10 +115,10 @@ fn mixed_corpus_transient_faults_heal() {
     // one fetch can burn 2 + 2 = 4 failed attempts — give it one more.
     config.fault.max_attempts = 5;
     let pipeline = Pipeline::new(config);
-    let (clean, _) = pipeline.run_parallel(&populated(&pipeline));
+    let (clean, _) = pipeline.run(&populated(&pipeline));
 
     let flaky = FlakyHost::new(populated(&pipeline), FaultSpec::transient(9, 0.2));
-    let (healed, report) = pipeline.run_parallel(&flaky);
+    let (healed, report) = pipeline.run(&flaky);
     let counts = flaky.counts();
     assert!(counts.transient > 0, "no faults injected: {counts:?}");
     assert!(report.retries > 0);
@@ -156,7 +169,7 @@ fn malformed_dumps_fail_parse_without_quarantine() {
         domain: Domain::Business,
     }];
     let pipeline = Pipeline::new(config);
-    let (corpus, report) = pipeline.run_parallel(&host);
+    let (corpus, report) = pipeline.run(&host);
 
     assert_eq!(report.fetched, 5);
     assert_eq!(report.parsed, 2, "good.sql and good.csv parse");

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use gittables_core::{Pipeline, PipelineConfig};
+use gittables_core::{Pipeline, PipelineConfig, StoreRunOptions};
 use gittables_corpus::store::{
     load_store, save_store, CorpusStore, StoreError, StoreManifest, MANIFEST_FILE,
 };
@@ -17,11 +17,20 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
+/// A store run bounded to its first `n` new shards — the "crash after
+/// n shards" of the resume tests.
+fn first_shards(n: usize) -> StoreRunOptions<'static> {
+    StoreRunOptions {
+        max_new_shards: Some(n),
+        ..StoreRunOptions::default()
+    }
+}
+
 fn pipeline_corpus(seed: u64) -> Corpus {
     let pipeline = Pipeline::new(PipelineConfig::sized(seed, 3, 8));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    pipeline.run_parallel(&host).0
+    pipeline.run(&host).0
 }
 
 /// Reads, mutates, and atomically rewrites a store's manifest.
@@ -198,13 +207,13 @@ fn interrupted_then_resumed_equals_uninterrupted() {
     let pipeline = Pipeline::new(PipelineConfig::sized(43, 3, 7));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    let (full_corpus, full_report) = pipeline.run_parallel(&host);
+    let (full_corpus, full_report) = pipeline.run(&host);
 
     let dir = tmp("resume");
     let store = CorpusStore::create(&dir, pipeline.corpus_name()).expect("create");
     // "Crash" after k = 3 repository shards.
     let partial = pipeline
-        .run_to_store_bounded(&host, &store, Some(3))
+        .run_to_store_with(&host, &store, &first_shards(3))
         .expect("bounded run");
     assert_eq!(partial.shards_written, 3);
     assert!(partial.corpus.len() < full_corpus.len());
@@ -239,7 +248,7 @@ fn fresh_repositories_append_to_existing_store() {
     assert_eq!(appended.shards_skipped, first.shards_written);
     assert!(appended.shards_written > 0, "new repositories must appear");
 
-    let (reference, reference_report) = grown.run_parallel(&host_grown);
+    let (reference, reference_report) = grown.run(&host_grown);
     assert_eq!(appended.corpus, reference);
     assert_eq!(appended.report, reference_report);
     std::fs::remove_dir_all(&dir).ok();
@@ -277,7 +286,7 @@ fn bounded_run_report_partitions_fetched() {
     let dir = tmp("bounded_report");
     let store = CorpusStore::create(&dir, pipeline.corpus_name()).expect("create");
     let partial = pipeline
-        .run_to_store_bounded(&host, &store, Some(2))
+        .run_to_store_with(&host, &store, &first_shards(2))
         .expect("bounded");
     assert_eq!(
         partial.report.parsed + partial.report.parse_failed,
