@@ -6,7 +6,7 @@
 //! completions.
 
 use gittables_corpus::{Corpus, F32Matrix, TableId};
-use gittables_embed::{cosine, SentenceEncoder};
+use gittables_embed::{asc_nan_last, cosine, cosine_with_norm, norm, top_k_by, SentenceEncoder};
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
 
@@ -157,17 +157,31 @@ impl NearestCompletion {
     ///
     /// Corpus schemas shorter than the prefix are skipped (they cannot
     /// complete it). Distance is `mean_i (1 - cos(prefix[i], schema[i]))`.
+    /// A NaN distance would rank after every number ([`asc_nan_last`]);
+    /// none can arise from finite embeddings, since the cosine guards zero
+    /// norms and clamps.
     #[must_use]
     pub fn complete(&self, prefix: &[&str], k: usize) -> Vec<SchemaCompletion> {
         let n = prefix.len();
         if n == 0 {
             return Vec::new();
         }
-        let prefix_emb: Vec<Vec<f32>> = prefix.iter().map(|a| self.encoder.embed(a)).collect();
-        // Score everything, materialize (clone schemas for) only the `k`
-        // survivors — the hot path of the `/complete` endpoint. The stable
-        // sort keeps ties in schema order, bit-identical to the original
-        // build-everything-then-truncate implementation.
+        // Each prefix attribute with its norm, computed once rather than
+        // per corpus row.
+        let prefix_emb: Vec<(Vec<f32>, f32)> = prefix
+            .iter()
+            .map(|a| {
+                let e = self.encoder.embed(a);
+                let en = norm(&e);
+                (e, en)
+            })
+            .collect();
+        // Score everything, then keep the nearest `k` under the total
+        // order *distance ascending, schema index ascending* by bounded
+        // selection and materialize (clone schemas for) only those — the
+        // hot path of the `/complete` endpoint. Bit-identical to the
+        // original sort-everything-stably-then-truncate implementation,
+        // ties resolving in schema order.
         let mut scored: Vec<(usize, f64)> = self
             .schemas
             .iter()
@@ -175,15 +189,20 @@ impl NearestCompletion {
             .filter(|(_, s)| s.len() > n)
             .map(|(idx, _)| {
                 let base = self.starts[idx];
-                let d: f64 = (0..n)
-                    .map(|i| 1.0 - f64::from(cosine(&prefix_emb[i], self.rows.row(base + i))))
+                let d: f64 = prefix_emb
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (e, en))| {
+                        1.0 - f64::from(cosine_with_norm(e, *en, self.rows.row(base + i)))
+                    })
                     .sum::<f64>()
                     / n as f64;
                 (idx, d)
             })
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(k);
+        top_k_by(&mut scored, k, |a, b| {
+            asc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
+        });
         scored
             .into_iter()
             .map(|(idx, d)| {
@@ -212,8 +231,10 @@ impl NearestCompletion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::ranking_cases;
     use gittables_corpus::AnnotatedTable;
     use gittables_table::Table;
+    use proptest::prelude::*;
 
     fn corpus() -> Corpus {
         let mut c = Corpus::new("t");
@@ -293,6 +314,70 @@ mod tests {
         let species = Schema::new(["species", "genus", "family"]);
         let target = ["order number", "order date", "order status"];
         assert!(nc.relevance(&target, &order) > nc.relevance(&target, &species));
+    }
+
+    /// The implementation `complete` replaced, kept as the oracle: plain
+    /// `cosine` per row, sort everything stably by distance, truncate.
+    fn complete_reference(
+        nc: &NearestCompletion,
+        prefix: &[&str],
+        k: usize,
+    ) -> Vec<SchemaCompletion> {
+        let n = prefix.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let prefix_emb: Vec<Vec<f32>> = prefix.iter().map(|a| nc.encoder.embed(a)).collect();
+        let mut scored: Vec<(usize, f64)> = nc
+            .schemas
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.len() > n)
+            .map(|(idx, _)| {
+                let base = nc.starts[idx];
+                let d: f64 = (0..n)
+                    .map(|i| 1.0 - f64::from(cosine(&prefix_emb[i], nc.rows.row(base + i))))
+                    .sum::<f64>()
+                    / n as f64;
+                (idx, d)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.truncate(k);
+        scored
+            .into_iter()
+            .map(|(idx, d)| {
+                let s = &nc.schemas[idx];
+                SchemaCompletion {
+                    schema: s.clone(),
+                    prefix_distance: d,
+                    completion: s.suffix(n).to_vec(),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bounded_selection_is_bit_identical_to_the_stable_sort(
+            schemas in ranking_cases::schemas(),
+            prefix in ranking_cases::phrase(),
+        ) {
+            let nc = NearestCompletion::build(&ranking_cases::corpus(&schemas));
+            let prefix = ranking_cases::words(&prefix);
+            for k in ranking_cases::ks(nc.len()) {
+                let want = complete_reference(&nc, &prefix, k);
+                let got = nc.complete(&prefix, k);
+                prop_assert_eq!(&got, &want, "k={} prefix={:?}", k, prefix);
+                // `==` lets `-0.0` pass for `0.0`; the claim is bits.
+                let bits = |out: &[SchemaCompletion]| -> Vec<u64> {
+                    out.iter().map(|c| c.prefix_distance.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "k={} prefix={:?}", k, prefix);
+            }
+        }
     }
 
     #[test]

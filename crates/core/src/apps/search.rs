@@ -2,7 +2,7 @@
 //! schemas and rank them against a natural-language query.
 
 use gittables_corpus::{Corpus, F32Matrix, TableId};
-use gittables_embed::{cosine, SentenceEncoder};
+use gittables_embed::{cosine_with_norm, desc_nan_last, norm, top_k_by, SentenceEncoder};
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
 
@@ -130,21 +130,43 @@ impl DataSearch {
         self.ids.is_empty()
     }
 
-    /// Top-`k` tables for a natural-language `query`.
-    ///
-    /// Scores every entry but materializes (clones schemas for) only the
-    /// `k` survivors — the hot path of the `/search` endpoint. The stable
-    /// sort over the same comparator keeps results bit-identical to the
-    /// original sort-everything-then-truncate implementation, ties
-    /// resolving in entry order.
+    /// Top-`k` tables for a natural-language `query`:
+    /// [`Self::search_embedded`] over [`Self::embed_query`].
     #[must_use]
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        let qe = self.encoder.embed(query);
+        self.search_embedded(&self.embed_query(query), k)
+    }
+
+    /// The query half of [`Self::search`]: the embedding every entry is
+    /// scored against. It depends on the encoder only, never on the
+    /// entries, so one embedding serves every shard-local index of a
+    /// snapshot.
+    #[must_use]
+    pub fn embed_query(&self, query: &str) -> Vec<f32> {
+        self.encoder.embed(query)
+    }
+
+    /// The ranking half of [`Self::search`] — the hot path of the
+    /// `/search` endpoint. Scores every entry against `query` (its norm
+    /// computed once, not per row) and keeps the best `k` under the total
+    /// order *score descending, entry index ascending* by bounded
+    /// selection ([`top_k_by`]); only those `k` are materialized (schemas
+    /// cloned). The result is bit-identical to the original
+    /// sort-everything-stably-then-truncate implementation, ties
+    /// resolving in entry order.
+    ///
+    /// A NaN score would rank after every number ([`desc_nan_last`]); none
+    /// can arise from finite embeddings, since [`cosine_with_norm`] guards
+    /// zero norms and clamps.
+    #[must_use]
+    pub fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
+        let qn = norm(query);
         let mut scored: Vec<(usize, f64)> = (0..self.ids.len())
-            .map(|n| (n, f64::from(cosine(&qe, self.rows.row(n)))))
+            .map(|n| (n, f64::from(cosine_with_norm(query, qn, self.rows.row(n)))))
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(k);
+        top_k_by(&mut scored, k, |a, b| {
+            desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
+        });
         scored
             .into_iter()
             .map(|(n, score)| SearchHit {
@@ -159,8 +181,10 @@ impl DataSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::ranking_cases;
     use gittables_corpus::AnnotatedTable;
     use gittables_table::Table;
+    use proptest::prelude::*;
 
     fn corpus() -> Corpus {
         let mut c = Corpus::new("t");
@@ -216,5 +240,53 @@ mod tests {
         let ds = DataSearch::build(&Corpus::new("e"));
         assert!(ds.is_empty());
         assert!(ds.search("anything", 3).is_empty());
+    }
+
+    /// The implementation `search` replaced, kept as the oracle: embed,
+    /// score every entry with the plain `cosine`, sort everything stably
+    /// by score, truncate.
+    fn search_reference(ds: &DataSearch, query: &str, k: usize) -> Vec<SearchHit> {
+        let qe = ds.encoder.embed(query);
+        let mut scored: Vec<(usize, f64)> = (0..ds.ids.len())
+            .map(|n| (n, f64::from(gittables_embed::cosine(&qe, ds.rows.row(n)))))
+            .collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.truncate(k);
+        scored
+            .into_iter()
+            .map(|(n, score)| SearchHit {
+                table_index: ds.ids[n],
+                schema: ds.schemas[n].clone(),
+                score,
+            })
+            .collect()
+    }
+
+    /// `==` on hits lets `-0.0` pass for `0.0`; the claim is bits.
+    fn bits(hits: &[SearchHit]) -> Vec<(usize, u64)> {
+        hits.iter()
+            .map(|h| (h.table_index, h.score.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bounded_selection_is_bit_identical_to_the_stable_sort(
+            schemas in ranking_cases::schemas(),
+            query in ranking_cases::phrase(),
+        ) {
+            let ds = DataSearch::build(&ranking_cases::corpus(&schemas));
+            let query = ranking_cases::words(&query).join(" ");
+            let embedded = ds.embed_query(&query);
+            for k in ranking_cases::ks(ds.len()) {
+                let want = search_reference(&ds, &query, k);
+                let got = ds.search_embedded(&embedded, k);
+                prop_assert_eq!(&got, &want, "k={} query={:?}", k, query);
+                prop_assert_eq!(bits(&got), bits(&want), "k={} query={:?}", k, query);
+                prop_assert_eq!(ds.search(&query, k), got, "search != embed ∘ rank, k={}", k);
+            }
+        }
     }
 }

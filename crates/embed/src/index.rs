@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::lexicon;
 use crate::ngram::{GramBuf, NgramEmbedder};
+use crate::rank::{desc_nan_last, top_k_by};
 use crate::vector::{dot, normalize};
 
 /// A search hit: label index and cosine similarity.
@@ -203,26 +204,13 @@ impl EmbeddingIndex {
 }
 
 /// Truncates `hits` to the top `k` by similarity (descending, index asc
-/// ties) using a bounded selection: `select_nth_unstable_by` partitions the
-/// top `k` in O(n), then only those `k` are sorted. The comparator is a
-/// total order (similarities are never NaN, and the index tiebreak makes
-/// keys distinct), so the result is identical to a full sort + truncate.
+/// ties) with the bounded selection of [`top_k_by`]. Similarities are
+/// never NaN and the index tiebreak makes keys distinct, so the result is
+/// identical to a full sort + truncate.
 fn top_k(hits: &mut Vec<Neighbor>, k: usize) {
-    let cmp = |a: &Neighbor, b: &Neighbor| {
-        b.similarity
-            .partial_cmp(&a.similarity)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.index.cmp(&b.index))
-    };
-    if k == 0 {
-        hits.clear();
-        return;
-    }
-    if hits.len() > k {
-        hits.select_nth_unstable_by(k - 1, cmp);
-        hits.truncate(k);
-    }
-    hits.sort_by(cmp);
+    top_k_by(hits, k, |a, b| {
+        desc_nan_last(f64::from(a.similarity), f64::from(b.similarity)).then(a.index.cmp(&b.index))
+    });
 }
 
 #[cfg(test)]

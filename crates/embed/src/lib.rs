@@ -22,6 +22,8 @@
 //!   substitute used for schemas and search queries.
 //! * [`EmbeddingIndex`] — cosine nearest-neighbour search with an optional
 //!   inverted n-gram candidate filter (the ablation of DESIGN.md §4.2).
+//! * [`rank`] — the bounded top-`k` selection shared by the index and the
+//!   §5 applications.
 //!
 //! # Example
 //!
@@ -42,10 +44,12 @@
 pub mod index;
 pub mod lexicon;
 pub mod ngram;
+pub mod rank;
 pub mod sentence;
 pub mod vector;
 
 pub use index::{EmbeddingIndex, Neighbor};
 pub use ngram::{ngrams, GramBuf, NgramEmbedder};
+pub use rank::{asc_nan_last, desc_nan_last, top_k_by};
 pub use sentence::SentenceEncoder;
-pub use vector::{cosine, dot, norm, normalize};
+pub use vector::{cosine, cosine_with_norm, dot, norm, normalize};

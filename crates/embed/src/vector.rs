@@ -19,7 +19,15 @@ pub fn norm(a: &[f32]) -> f32 {
 /// Cosine similarity in `[-1, 1]`; `0.0` when either vector is all-zero.
 #[must_use]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
+    cosine_with_norm(a, norm(a), b)
+}
+
+/// [`cosine`] with `na = norm(a)` supplied by the caller, for scoring one
+/// query against many rows without recomputing its norm per row. The
+/// float operations are `cosine`'s own (it is this function applied to
+/// `norm(a)`), so the result is bit-identical.
+#[must_use]
+pub fn cosine_with_norm(a: &[f32], na: f32, b: &[f32]) -> f32 {
     let nb = norm(b);
     if na == 0.0 || nb == 0.0 {
         return 0.0;
@@ -83,6 +91,16 @@ mod tests {
     #[test]
     fn cosine_zero_vector() {
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
+    }
+
+    #[test]
+    fn cosine_with_hoisted_norm_is_bit_identical() {
+        let a = [0.3f32, -0.7, 1.2, 1e-3];
+        for b in [[0.1f32, 0.9, -0.4, 2.0], [0.0; 4], [0.3, -0.7, 1.2, 1e-3]] {
+            let hoisted = cosine_with_norm(&a, norm(&a), &b);
+            assert_eq!(hoisted.to_bits(), cosine(&a, &b).to_bits());
+        }
+        assert_eq!(cosine_with_norm(&[0.0; 4], 0.0, &a), 0.0);
     }
 
     #[test]

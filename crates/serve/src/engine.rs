@@ -422,6 +422,19 @@ impl QueryEngine {
         self.search.search(query, k)
     }
 
+    /// The query half of [`Self::search`]. Every engine of a snapshot
+    /// embeds alike, so the [`crate::router::Router`] calls this once per
+    /// request and hands the vector to every shard.
+    pub(crate) fn embed_query(&self, query: &str) -> Vec<f32> {
+        self.search.embed_query(query)
+    }
+
+    /// The ranking half of [`Self::search`]: top-`k` of this engine's
+    /// tables for an already-embedded query.
+    pub(crate) fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
+        self.search.search_embedded(query, k)
+    }
+
     /// `/complete`: the `k` nearest completions for a schema prefix.
     #[must_use]
     pub fn complete(&self, prefix: &[&str], k: usize) -> Vec<SchemaCompletion> {

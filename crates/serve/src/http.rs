@@ -498,10 +498,7 @@ impl ServerHandle {
     /// Live metrics snapshot (same data `/metrics` serves).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let router = self.shared.snapshot();
-        self.shared
-            .metrics
-            .snapshot(self.shared.cache.stats(), router.build_stats().clone())
+        metrics_snapshot(&self.shared, &self.shared.snapshot())
     }
 
     /// Snapshot generation now serving (0 at boot, +1 per reload).
@@ -711,6 +708,16 @@ fn parse_request(head: &[u8]) -> Result<Request, String> {
     })
 }
 
+/// The `/metrics` body: server-lifetime counters plus the facts of the
+/// snapshot now serving (`engine`, `fanouts`, `fanout_wait_us`).
+fn metrics_snapshot(shared: &Shared, router: &Router) -> MetricsSnapshot {
+    shared.metrics.snapshot(
+        shared.cache.stats(),
+        router.build_stats().clone(),
+        router.fanout_stats(),
+    )
+}
+
 /// What the router produced for one request.
 struct Routed {
     status: u16,
@@ -793,12 +800,7 @@ fn route(shared: &Shared, router: &Router, req: &Request, endpoint: Endpoint) ->
     }
     match endpoint {
         Endpoint::Health => ok_body(endpoint, &router.health()),
-        Endpoint::Metrics => ok_body(
-            endpoint,
-            &shared
-                .metrics
-                .snapshot(shared.cache.stats(), router.build_stats().clone()),
-        ),
+        Endpoint::Metrics => ok_body(endpoint, &metrics_snapshot(shared, router)),
         Endpoint::Search => {
             let Some(q) = req.param("q") else {
                 return error_body(400, endpoint, "missing query parameter `q`");

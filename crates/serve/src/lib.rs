@@ -38,11 +38,13 @@
 //! [`QueryEngine::load`] does) and splits it along the store's committed
 //! shards into contiguous groups — per-group views of the search and
 //! type indexes, one shared table source, one shared corpus-global
-//! completion index. [`Router`] scatter-gathers `/search` and `/types`
-//! across the engines — merging bounded top-k answers bit-identically to
-//! the single-engine stable sort — answers `/complete` from the shared
-//! index, and routes `/tables/{id}` and `/types/{label}/tables` by the
-//! stable-id directory.
+//! completion index. [`Router`] scatter-gathers `/search`, `/types` and
+//! `/types/{label}/tables` across the engines — shard 0 on the calling
+//! thread, every further shard on a persistent worker thread that lives
+//! as long as the snapshot; a `/search` query is embedded once for all
+//! of them — merging bounded top-k answers bit-identically to the
+//! single-engine ranking, answers `/complete` from the shared index, and
+//! routes `/tables/{id}` by the stable-id directory.
 //!
 //! On Linux idle keep-alive connections park in an epoll event loop
 //! ([`event`]) instead of pinning worker threads, and a `/reload` POST
@@ -76,5 +78,5 @@ pub use http::{
 };
 pub use indexer::{build_sidecars, write_sidecars, IndexReport};
 pub use metrics::{EndpointCount, Metrics, MetricsSnapshot};
-pub use router::Router;
+pub use router::{FanoutStats, Router};
 pub use shardset::ShardSet;

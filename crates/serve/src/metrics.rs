@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
 use crate::engine::EngineBuildStats;
+use crate::router::FanoutStats;
 
 /// The routable endpoints, used to key per-endpoint counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +198,19 @@ impl Metrics {
     }
 
     /// Snapshot for `/metrics`, folding in the response-cache stats and
-    /// the engine's cold-start breakdown.
+    /// the serving snapshot's own facts: the engine's cold-start
+    /// breakdown and what its fan-outs have cost.
     #[must_use]
-    pub fn snapshot(&self, cache: CacheStats, engine: EngineBuildStats) -> MetricsSnapshot {
+    pub fn snapshot(
+        &self,
+        cache: CacheStats,
+        engine: EngineBuildStats,
+        fanout: FanoutStats,
+    ) -> MetricsSnapshot {
         MetricsSnapshot {
             engine,
+            fanouts: fanout.fanouts,
+            fanout_wait_us: fanout.fanout_wait_us,
             total_requests: self.total(),
             ok: self.ok.load(Ordering::Relaxed),
             client_errors: self.client_errors.load(Ordering::Relaxed),
@@ -241,6 +250,14 @@ pub struct MetricsSnapshot {
     /// Fan-outs that failed because a shard query thread panicked (each
     /// one also counts as a non-2xx response).
     pub shard_errors: u64,
+    /// Requests the serving snapshot scattered to every shard (`/search`,
+    /// `/types`, `/types/{label}/tables` on a multi-shard set). Counted
+    /// per snapshot: like `engine`, a reload resets it.
+    pub fanouts: u64,
+    /// Total time (µs) those requests' handlers spent blocked on the
+    /// other shards' replies after finishing shard 0 themselves — what
+    /// scatter-gather costs beyond the work itself. Reset by a reload.
+    pub fanout_wait_us: u64,
     /// Estimated median handler latency (µs, histogram upper bound).
     /// Includes cache replays: this is observed response latency, so it
     /// drops as the cache warms — cold-query cost is the p99 tail.
@@ -329,7 +346,11 @@ mod tests {
         let m = Metrics::new();
         m.record(Endpoint::Search, 200, 5);
         m.record(Endpoint::Other, 404, 5);
-        let s = m.snapshot(CacheStats::default(), EngineBuildStats::default());
+        let s = m.snapshot(
+            CacheStats::default(),
+            EngineBuildStats::default(),
+            FanoutStats::default(),
+        );
         assert_eq!(s.total_requests, 2);
         assert_eq!(s.ok, 1);
         assert_eq!(s.client_errors, 1);

@@ -2,28 +2,35 @@
 //! [`ShardSet`], answer-for-answer identical to a whole-corpus
 //! [`QueryEngine`].
 //!
-//! Fan-out queries (`/search`, `/types`) run on every shard engine —
-//! shard 0 on the calling thread, the rest on scoped threads — and the
-//! per-shard answers are merged. Point queries (`/tables/{id}`,
-//! `/types/{label}/tables` postings) route by the stable-id directory.
-//! `/complete` does not fan out: the completion index is corpus-global
-//! and shared by every engine, so one engine's answer *is* the
-//! whole-corpus answer. The merges reproduce the single-engine stable
-//! sorts exactly:
+//! Fan-out queries (`/search`, `/types`, `/types/{label}/tables`) run on
+//! every shard engine — shard 0 on the calling thread, each further
+//! shard on its own persistent worker thread, started with the router
+//! and joined when it drops — and the per-shard answers are merged. A
+//! request costs one channel round trip per extra shard, never a thread
+//! spawn, and whatever the shards have in common is computed once: a
+//! `/search` query is embedded on the calling thread and the vector
+//! shared by every shard's ranking. `/tables/{id}` routes to the owning
+//! shard by the stable-id directory. `/complete` does not fan out: the
+//! completion index is corpus-global and shared by every engine, so one
+//! engine's answer *is* the whole-corpus answer. The merges reproduce
+//! the single-engine rankings exactly:
 //!
 //! * **search** — per-shard lists are sorted by (score desc, entry
 //!   order); entry order across shards is (shard, local order) because
 //!   ids ascend within and across shards. Taking the head with the
-//!   strictly greatest score (ties and NaN fall to the lowest shard)
-//!   replays the stable whole-corpus sort. A shard-local top-k suffices
-//!   globally: any entry ahead of a survivor locally is ahead of it
-//!   globally too.
+//!   strictly greatest score (ties and non-comparables fall to the
+//!   lowest shard) replays the whole-corpus order. A shard-local top-k
+//!   suffices globally: any entry ahead of a survivor locally is ahead
+//!   of it globally too.
 //! * **types** — counts sum per label (shard ranges are disjoint, so
 //!   distinct-table counts add); posting lists concatenate in shard
 //!   order, which is global scan order.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use gittables_core::apps::{SchemaCompletion, SearchHit};
 use gittables_corpus::{StoreError, TableId, TypeCount};
@@ -34,15 +41,85 @@ use crate::engine::{
 use crate::shardset::ShardSet;
 
 /// A [`ShardSet`] plus the precomputed whole-corpus facts (`/health`)
-/// that would otherwise cost a fan-out per liveness probe. One router is
-/// one immutable corpus snapshot; reload swaps the whole router.
+/// that would otherwise cost a fan-out per liveness probe, and the
+/// worker threads its fan-outs run on. One router is one immutable corpus
+/// snapshot; reload swaps the whole router, and dropping the old one
+/// joins its workers — once the drop returns, nothing references the old
+/// snapshot's engines.
 pub struct Router {
+    /// The query thread of shard `i + 1`; empty for a 1-shard set.
+    workers: Vec<ShardWorker>,
     set: ShardSet,
     health: HealthResponse,
+    fanouts: AtomicU64,
+    fanout_wait_ns: AtomicU64,
+}
+
+/// What scatter-gather has cost on one snapshot, served under `/metrics`.
+/// Counted from the snapshot's construction, so — like `engine` — a
+/// reload resets it. Both stay 0 on a 1-shard set, which never scatters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FanoutStats {
+    /// Requests scattered to every shard.
+    pub fanouts: u64,
+    /// Total time (µs) callers spent blocked on the other shards'
+    /// replies after finishing shard 0 themselves.
+    pub fanout_wait_us: u64,
+}
+
+/// Shard worker threads are named this plus their shard index.
+pub const WORKER_THREAD_PREFIX: &str = "gt-shard-";
+
+/// A unit of work posted to a shard worker: runs against the worker's
+/// engine and sends its own reply.
+type Job = Box<dyn FnOnce(&QueryEngine) + Send>;
+
+/// The persistent query thread of one shard beyond the first. It owns
+/// its engine and runs posted jobs in order until the channel closes.
+struct ShardWorker {
+    /// `None` only while dropping: closing the channel stops the thread.
+    jobs: Option<mpsc::Sender<Job>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ShardWorker {
+    fn start(shard: usize, engine: Arc<QueryEngine>) -> Self {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let thread = std::thread::Builder::new()
+            .name(format!("{WORKER_THREAD_PREFIX}{shard}"))
+            .spawn(move || {
+                for job in inbox {
+                    job(&engine);
+                }
+            })
+            .expect("spawn shard worker thread");
+        ShardWorker {
+            jobs: Some(jobs),
+            thread: Some(thread),
+        }
+    }
+
+    /// Queues `job`. A worker that is gone drops it unrun, which the
+    /// caller sees as that shard's reply never arriving.
+    fn post(&self, job: Job) {
+        if let Some(jobs) = &self.jobs {
+            let _ = jobs.send(job);
+        }
+    }
+}
+
+impl Drop for ShardWorker {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Router {
-    /// Wraps a shard set, precomputing the merged `/health` answer.
+    /// Wraps a shard set, precomputing the merged `/health` answer and
+    /// starting one worker thread per shard beyond the first.
     #[must_use]
     pub fn new(set: ShardSet) -> Self {
         let corpus = set
@@ -64,7 +141,20 @@ impl Router {
             tables: set.num_tables(),
             types,
         };
-        Router { set, health }
+        let workers = set
+            .engines()
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(shard, e)| ShardWorker::start(shard, Arc::clone(e)))
+            .collect();
+        Router {
+            workers,
+            set,
+            health,
+            fanouts: AtomicU64::new(0),
+            fanout_wait_ns: AtomicU64::new(0),
+        }
     }
 
     /// The underlying shard set.
@@ -91,59 +181,78 @@ impl Router {
         self.set.build_stats()
     }
 
-    /// Runs `f` on every shard engine: shard 0 on the calling thread,
-    /// the rest on scoped threads. Results come back in shard order.
-    ///
-    /// Every per-shard call is panic-isolated *inside* its thread
-    /// ([`isolated`]), so a crashing shard can never unwind across the
-    /// scope join and take the whole server down: the first panicking
-    /// shard (lowest index) is reported as a typed [`ShardPanic`] after
-    /// all threads have joined.
-    fn fan_out<T: Send>(&self, f: impl Fn(&QueryEngine) -> T + Sync) -> Result<Vec<T>, ShardPanic> {
-        let engines = self.set.engines();
-        let injected = injected_panic_shard();
-        let call = |idx: usize, e: &QueryEngine| isolated(idx, injected, || f(e));
-        if engines.len() == 1 {
-            return Ok(vec![call(0, &engines[0])?]);
+    /// What scatter-gather has cost on this snapshot so far.
+    #[must_use]
+    pub fn fanout_stats(&self) -> FanoutStats {
+        FanoutStats {
+            fanouts: self.fanouts.load(Ordering::Relaxed),
+            fanout_wait_us: self.fanout_wait_ns.load(Ordering::Relaxed) / 1_000,
         }
-        let call = &call;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = engines[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    let e: &QueryEngine = e;
-                    s.spawn(move || call(i + 1, e))
-                })
-                .collect();
-            let mut out = Vec::with_capacity(engines.len());
-            let mut failed: Option<ShardPanic> = None;
-            match call(0, &engines[0]) {
-                Ok(v) => out.push(v),
-                Err(e) => failed = Some(e),
-            }
-            // Always join every thread (required by the scope anyway);
-            // report the lowest panicking shard deterministically.
-            for h in handles {
-                match h.join().expect("shard thread catches its own panics") {
-                    Ok(v) => out.push(v),
-                    Err(e) => failed = Some(failed.take().unwrap_or(e)),
-                }
-            }
-            match failed {
-                None => Ok(out),
-                Some(e) => Err(e),
-            }
-        })
     }
 
-    /// `/search`: scatter to all shards, merge by (score desc, lowest
-    /// shard) — bit-identical to the whole-corpus stable sort.
+    /// Runs `f` on every shard engine: posts one job to each worker,
+    /// runs shard 0 on the calling thread, then collects the replies.
+    /// Results come back in shard order. Each fan-out has its own reply
+    /// channel, so concurrent callers never see each other's answers.
+    ///
+    /// Every per-shard call is panic-isolated *inside* its job
+    /// ([`isolated`]), so a crashing shard neither unwinds into the
+    /// server nor costs the worker its thread: the first panicking shard
+    /// (lowest index) is reported as a typed [`ShardPanic`] once every
+    /// shard has answered. A worker that is gone all the same reads as
+    /// its shard having panicked — never as a hung request.
+    fn fan_out<T, F>(&self, injected: Option<usize>, f: F) -> Result<Vec<T>, ShardPanic>
+    where
+        T: Send + 'static,
+        F: Fn(&QueryEngine) -> T + Send + Sync + 'static,
+    {
+        let first = &self.set.engines()[0];
+        if self.workers.is_empty() {
+            return Ok(vec![isolated(0, injected, || f(first))?]);
+        }
+        let f = Arc::new(f);
+        let (reply, replies) = mpsc::channel();
+        for (i, worker) in self.workers.iter().enumerate() {
+            let (shard, f, reply) = (i + 1, Arc::clone(&f), reply.clone());
+            worker.post(Box::new(move |e| {
+                let _ = reply.send((shard, isolated(shard, injected, || f(e))));
+            }));
+        }
+        drop(reply);
+        let mut answers: Vec<Option<Result<T, ShardPanic>>> = Vec::new();
+        answers.resize_with(self.workers.len() + 1, || None);
+        answers[0] = Some(isolated(0, injected, || f(first)));
+        let waiting = Instant::now();
+        // One reply per worker; `recv` fails early only when every job
+        // still outstanding was dropped unrun.
+        for _ in &self.workers {
+            let Ok((shard, answer)) = replies.recv() else {
+                break;
+            };
+            answers[shard] = Some(answer);
+        }
+        self.fanouts.fetch_add(1, Ordering::Relaxed);
+        self.fanout_wait_ns
+            .fetch_add(waiting.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        answers
+            .into_iter()
+            .enumerate()
+            .map(|(shard, answer)| answer.unwrap_or(Err(ShardPanic { shard })))
+            .collect()
+    }
+
+    /// `/search`: embed the query once, rank it on all shards, merge by
+    /// (score desc, lowest shard) — bit-identical to the whole-corpus
+    /// ranking.
     ///
     /// # Errors
-    /// [`ShardPanic`] when a shard query thread panicked.
+    /// [`ShardPanic`] when a shard's query panicked.
     pub fn search(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ShardPanic> {
-        let per = self.fan_out(|e| e.search(query, k))?;
+        let injected = injected_panic_shard();
+        let first = &self.set.engines()[0];
+        // Every engine of a snapshot embeds alike; shard 0 does it for all.
+        let embedded = isolated(0, injected, || first.embed_query(query))?;
+        let per = self.fan_out(injected, move |e| e.search_embedded(&embedded, k))?;
         Ok(merge_by(per, k, |a, b| {
             a.score.partial_cmp(&b.score) == Some(std::cmp::Ordering::Greater)
         }))
@@ -163,10 +272,10 @@ impl Router {
     /// `/types`: per-label counts summed across shards, in label order.
     ///
     /// # Errors
-    /// [`ShardPanic`] when a shard query thread panicked.
+    /// [`ShardPanic`] when a shard's query panicked.
     pub fn type_counts(&self) -> Result<Vec<TypeCount>, ShardPanic> {
         let mut acc: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for counts in self.fan_out(QueryEngine::type_counts)? {
+        for counts in self.fan_out(injected_panic_shard(), QueryEngine::type_counts)? {
             for c in counts {
                 let e = acc.entry(c.label).or_insert((0, 0));
                 e.0 += c.postings;
@@ -188,9 +297,10 @@ impl Router {
     /// when no shard indexes the label.
     ///
     /// # Errors
-    /// [`ShardPanic`] when a shard query thread panicked.
+    /// [`ShardPanic`] when a shard's query panicked.
     pub fn type_tables(&self, label: &str) -> Result<Option<TypeTablesResponse>, ShardPanic> {
-        let per = self.fan_out(|e| e.type_tables(label))?;
+        let wanted = label.to_string();
+        let per = self.fan_out(injected_panic_shard(), move |e| e.type_tables(&wanted))?;
         let mut found = false;
         let mut tables = Vec::new();
         let mut postings = Vec::new();
@@ -233,7 +343,7 @@ impl Router {
     }
 }
 
-/// A shard query thread panicked during a scatter-gather fan-out. The
+/// A shard's query panicked during a scatter-gather fan-out. The
 /// router reports this as a typed error — surfaced by the HTTP layer as
 /// a 500 and counted in `/metrics` (`shard_errors`) — instead of letting
 /// the panic unwind through the server.
@@ -390,6 +500,69 @@ mod tests {
                 );
             }
             assert_eq!(router.health(), reference.health(), "health n={n}");
+        }
+    }
+
+    /// Concurrent fan-outs share the workers but never each other's
+    /// replies: 8 threads × 200 mixed calls on one 4-shard router, every
+    /// answer the single engine's.
+    #[test]
+    fn concurrent_fan_outs_never_cross_replies() {
+        let c = corpus();
+        let reference = QueryEngine::from_corpus(c.clone());
+        let router = Router::new(ShardSet::from_corpus(&c, 4));
+        assert_eq!(router.num_shards(), 4);
+        let queries = ["order status", "species", "population of cities", "player"];
+        let labels = ["identifier", "name", "nope"];
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (router, reference) = (&router, &reference);
+                s.spawn(move || {
+                    for i in 0..200 {
+                        // Distinct (query, k) per thread and step, so a
+                        // reply delivered to the wrong caller cannot pass.
+                        match (t + i) % 3 {
+                            0 => {
+                                let (q, k) = (queries[(t + i / 3) % 4], 1 + (t + i) % 7);
+                                assert_eq!(router.search(q, k).unwrap(), reference.search(q, k));
+                            }
+                            1 => assert_eq!(router.type_counts().unwrap(), reference.type_counts()),
+                            _ => {
+                                let label = labels[(t + i / 3) % 3];
+                                assert_eq!(
+                                    router.type_tables(label).unwrap(),
+                                    reference.type_tables(label)
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let stats = router.fanout_stats();
+        assert_eq!(stats.fanouts, 8 * 200, "every call scattered once");
+    }
+
+    #[test]
+    fn one_shard_router_has_no_workers_and_counts_no_fan_outs() {
+        let router = Router::new(ShardSet::from_corpus(&corpus(), 1));
+        assert!(router.workers.is_empty());
+        router.search("order status", 3).unwrap();
+        router.type_counts().unwrap();
+        assert_eq!(router.fanout_stats(), FanoutStats::default());
+    }
+
+    #[test]
+    fn dropping_the_router_joins_its_workers() {
+        let router = Router::new(ShardSet::from_corpus(&corpus(), 3));
+        // Each worker holds the only other reference to its engine.
+        let engines: Vec<Arc<QueryEngine>> = router.engines().to_vec();
+        assert_eq!(router.workers.len(), 2);
+        assert_eq!(Arc::strong_count(&engines[1]), 3, "set + worker + ours");
+        router.search("species", 2).unwrap();
+        drop(router);
+        for e in &engines {
+            assert_eq!(Arc::strong_count(e), 1, "a worker outlived its router");
         }
     }
 

@@ -492,10 +492,11 @@ fn engine_reports_cold_start_breakdown_per_format() {
         assert!(stats.store_load_ms >= 0.0);
         assert!(stats.index_build_ms > 0.0);
         // The breakdown is served via /metrics (snapshot carries it).
-        let snap = serde_json::to_string(
-            &gittables_serve::Metrics::new()
-                .snapshot(gittables_serve::CacheStats::default(), stats.clone()),
-        )
+        let snap = serde_json::to_string(&gittables_serve::Metrics::new().snapshot(
+            gittables_serve::CacheStats::default(),
+            stats.clone(),
+            gittables_serve::FanoutStats::default(),
+        ))
         .unwrap();
         assert!(snap.contains("store_load_ms"), "{snap}");
         assert!(snap.contains(format.name()), "{snap}");

@@ -3,9 +3,16 @@
 //! in `/metrics` as `shard_errors`) — never a hung request or a dead
 //! server. Runs in its own test binary because the panic is injected via
 //! the process-wide `GITTABLES_PANIC_SHARD` hook, which must not race
-//! other tests' router calls.
+//! other tests' router calls. The shards beyond the first run on
+//! persistent worker threads, so the test also pins that a worker
+//! survives its own panics: the thread that answers after the hook is
+//! unset is the one that was there before it was set.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
+use gittables_serve::router::WORKER_THREAD_PREFIX;
 use gittables_serve::{client, MetricsSnapshot, Router, Server, ServerConfig, ShardSet};
 use gittables_table::{Provenance, Table};
 
@@ -21,6 +28,24 @@ fn corpus() -> Corpus {
         c.push(AnnotatedTable::new(t));
     }
     c
+}
+
+/// Kernel thread ids of this process's shard worker threads (by thread
+/// name), ascending. Empty where there is no `/proc`.
+fn worker_tids() -> Vec<u64> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    let mut tids: Vec<u64> = tasks
+        .flatten()
+        .filter(|t| {
+            std::fs::read_to_string(t.path().join("comm"))
+                .is_ok_and(|comm| comm.starts_with(WORKER_THREAD_PREFIX))
+        })
+        .filter_map(|t| t.file_name().to_str()?.parse().ok())
+        .collect();
+    tids.sort_unstable();
+    tids
 }
 
 #[test]
@@ -51,8 +76,32 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     let complete_body = serde_json::to_string(&one_shard.complete(&["col"], 3).unwrap()).unwrap();
     assert!(complete_body.contains("col0"), "{complete_body}");
 
+    // One worker thread: shard 1's (the 1-shard router above has none).
+    let workers_before = worker_tids();
+    if cfg!(target_os = "linux") {
+        assert_eq!(workers_before.len(), 1, "{workers_before:?}");
+    }
+
     // Arm the hook: shard 1's query thread panics on every fan-out.
     std::env::set_var("GITTABLES_PANIC_SHARD", "1");
+    // Meanwhile a second client keeps asking for what a poisoned shard 1
+    // cannot touch; none of it may fail or stall behind the panics.
+    let poisoned = Arc::new(AtomicBool::new(true));
+    let bystander = {
+        let (poisoned, complete_body) = (Arc::clone(&poisoned), complete_body.clone());
+        std::thread::spawn(move || {
+            let mut client = client::HttpClient::connect(addr).expect("bystander connect");
+            let mut served = 0;
+            while poisoned.load(Ordering::SeqCst) || served == 0 {
+                let (status, body) = client.get(complete).expect("bystander /complete");
+                assert_eq!((status, body.as_str()), (200, complete_body.as_str()));
+                let (status, body) = client.get("/tables/0").expect("bystander /tables/0");
+                assert_eq!(status, 200, "{body}");
+                served += 2;
+            }
+            served
+        })
+    };
     for target in ["/search?q=status&k=3", "/types"] {
         let (status, body) = client::get(addr, target).unwrap();
         assert_eq!(status, 500, "{target}: {body}");
@@ -68,6 +117,8 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     assert_eq!(status, 200, "{complete}: {body}");
     assert_eq!(body, complete_body);
     std::env::remove_var("GITTABLES_PANIC_SHARD");
+    poisoned.store(false, Ordering::SeqCst);
+    assert!(bystander.join().expect("bystander thread") > 0);
 
     // The panics were counted, and the server keeps serving normally.
     let (status, body) = client::get(addr, "/metrics").unwrap();
@@ -76,6 +127,9 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     assert_eq!(snap.shard_errors, 2, "{body}");
     let (status, _) = client::get(addr, "/search?q=status&k=3").unwrap();
     assert_eq!(status, 200, "server must recover once the hook is unset");
+    // ...on the same worker thread: its panics were caught inside the
+    // job, so it was neither lost nor replaced.
+    assert_eq!(worker_tids(), workers_before);
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

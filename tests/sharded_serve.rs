@@ -220,6 +220,20 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
         assert_eq!(s1, s3, "{target}");
         assert_eq!(b1, b3, "HTTP bytes diverged for {target}");
     }
+    // The edges of the bounded top-k selection: keep nothing, keep
+    // everything (`usize::MAX` must not overflow a `k - 1` or a capacity).
+    for target in [
+        "/search?q=col0&k=0",
+        "/search?q=col0&k=18446744073709551615",
+        "/complete?prefix=col0_0&k=0",
+        "/complete?prefix=col0_0&k=18446744073709551615",
+    ] {
+        let (s1, b1) = client::get(one.addr(), target).expect("single-shard request");
+        let (s3, b3) = client::get(three.addr(), target).expect("sharded request");
+        assert_eq!((s1, s3), (200, 200), "{target}: {b1} / {b3}");
+        assert_eq!(b1, b3, "HTTP bytes diverged for {target}");
+        assert_eq!(b1 == "[]", target.ends_with("k=0"), "{target}: {b1}");
+    }
 
     one.shutdown();
     three.shutdown();
