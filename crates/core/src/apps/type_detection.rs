@@ -50,12 +50,13 @@ impl Default for TypeDetectionConfig {
     }
 }
 
-fn values_fingerprint(values: &[String]) -> u64 {
+fn values_fingerprint<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> u64 {
     let mut h = DefaultHasher::new();
-    for v in values.iter().take(32) {
+    let len = values.len();
+    for v in values.take(32) {
         v.hash(&mut h);
     }
-    values.len().hash(&mut h);
+    len.hash(&mut h);
     h.finish()
 }
 
@@ -125,7 +126,7 @@ pub fn build_webtable_type_dataset(
             if values.is_empty() {
                 continue;
             }
-            let fp = values_fingerprint(&values);
+            let fp = values_fingerprint(values.iter().map(String::as_str));
             if !seen.insert(fp) {
                 continue;
             }

@@ -36,8 +36,8 @@ pub enum ParseFailure {
 /// Returns [`ParseFailure`] when the file cannot be parsed — the paper's
 /// 0.7 % unparseable files.
 pub fn parse_file(raw: &RawCsvFile, options: &ReadOptions) -> Result<Table, ParseFailure> {
-    // Column-major read: cells are materialized by the reader straight into
-    // their final column positions — no intermediate row-of-`String`s.
+    // Column-major read: the reader hands over one cell arena per column,
+    // which becomes the table column's storage as is.
     let parsed = read_csv_columns(&raw.content, options)
         .map_err(|e: CsvError| ParseFailure::Csv(e.to_string()))?;
     let name = raw
@@ -51,7 +51,7 @@ pub fn parse_file(raw: &RawCsvFile, options: &ReadOptions) -> Result<Table, Pars
         .header
         .iter()
         .zip(parsed.columns)
-        .map(|(h, values)| Column::new(h, values))
+        .map(|(h, cells)| Column::from_cells(h, cells))
         .collect();
     let table = Table::new(name, columns).map_err(|e| ParseFailure::Table(e.to_string()))?;
     Ok(table.with_provenance(provenance(raw)))
@@ -82,7 +82,7 @@ pub fn parse_file_tables(
                     .header
                     .iter()
                     .zip(st.columns)
-                    .map(|(h, values)| Column::new(h, values))
+                    .map(|(h, cells)| Column::from_cells(h, cells))
                     .collect();
                 let table =
                     Table::new(st.name, columns).map_err(|e| ParseFailure::Table(e.to_string()))?;

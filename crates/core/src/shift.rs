@@ -33,7 +33,7 @@ pub fn sample_corpus_columns(
                 continue;
             }
             let mut h = DefaultHasher::new();
-            for v in col.values().iter().take(16) {
+            for v in col.values().take(16) {
                 v.hash(&mut h);
             }
             col.len().hash(&mut h);

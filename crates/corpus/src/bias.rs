@@ -53,12 +53,8 @@ pub fn bias_audit(corpus: &Corpus, method: Method, top_k: usize) -> Vec<BiasRow>
                         continue;
                     }
                     // Paper footnote: merge "USA" into "United States".
-                    let key = if v == "USA" {
-                        "United States".to_string()
-                    } else {
-                        v.clone()
-                    };
-                    *values.entry(key).or_default() += 1;
+                    let key = if v == "USA" { "United States" } else { v };
+                    *values.entry(key.to_string()).or_default() += 1;
                 }
             }
         }

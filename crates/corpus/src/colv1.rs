@@ -6,9 +6,10 @@
 //! *textual* corpus size. A `colv1` segment instead lays every table out
 //! as flat, length-prefixed binary columns and is decoded by **slicing**:
 //! the file is `mmap`ed (or read once into an arena), fixed-width fields
-//! are read in place, and the only per-cell work is materializing the
-//! final `String` straight out of the mapped cell arena. No intermediate
-//! tree, no text parsing, no escape handling.
+//! are read in place, and a column's cells are two copies — its offsets
+//! and its text blob, the in-memory [`CellArena`] layout — checked once
+//! and never split into per-cell `String`s. No intermediate tree, no text
+//! parsing, no escape handling.
 //!
 //! ## Segment layout (all integers little-endian)
 //!
@@ -67,7 +68,7 @@ use std::path::Path;
 
 use gittables_annotate::{Annotation, Method, TableAnnotations};
 use gittables_ontology::OntologyKind;
-use gittables_table::{AtomicType, Column, Provenance, Table};
+use gittables_table::{AtomicType, CellArena, Column, Provenance, Table};
 
 use crate::corpus::AnnotatedTable;
 use crate::store::StoreError;
@@ -345,7 +346,13 @@ pub(crate) fn encode_table(
     for c in t.columns() {
         put_str(out, c.name(), file)?;
         put_u8(out, atomic_tag(c.atomic_type()));
-        put_arena(out, c.values().iter().map(String::as_str), file)?;
+        // The column's arena is already the on-disk layout.
+        let cells = c.cells();
+        out.reserve(cells.ends().len() * 4 + cells.blob().len());
+        for end in cells.ends() {
+            out.extend_from_slice(&end.to_le_bytes());
+        }
+        out.extend_from_slice(cells.blob().as_bytes());
     }
     for (method, ontology) in crate::corpus::Corpus::annotation_configs() {
         encode_annotations(out, at.annotations(method, ontology), file)?;
@@ -411,35 +418,25 @@ impl<'a> Cursor<'a> {
     }
 
     /// Decodes a shared arena of `count` strings (cumulative end offsets
-    /// then the blob), slicing each item straight out of the mapping.
-    /// The blob is UTF-8-validated **once** as a whole; each cell is then
-    /// an O(1) char-boundary-checked `str` slice plus one copy — the only
-    /// per-cell work on the load path.
-    fn arena(&mut self, count: usize) -> Result<Vec<String>, StoreError> {
+    /// then the blob) with two copies out of the mapping. The blob is
+    /// UTF-8-validated **once** as a whole and [`CellArena::from_raw_parts`]
+    /// checks every offset (non-decreasing, on a char boundary, the last
+    /// one the blob length) — there is no per-cell allocation on the load
+    /// path.
+    fn arena(&mut self, count: usize) -> Result<CellArena, StoreError> {
         let index_bytes = count
             .checked_mul(4)
             .ok_or_else(|| corrupt(self.file, "arena count overflows"))?;
-        let ends = self.take(index_bytes)?;
-        let total = if count == 0 {
-            0
-        } else {
-            u32::from_le_bytes(ends[(count - 1) * 4..].try_into().expect("4")) as usize
-        };
+        let ends: Vec<u32> = self
+            .take(index_bytes)?
+            .chunks_exact(4)
+            .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4")))
+            .collect();
+        let total = ends.last().map_or(0, |&end| end as usize);
         let blob = std::str::from_utf8(self.take(total)?)
             .map_err(|_| corrupt(self.file, "arena bytes are not valid UTF-8"))?;
-        let mut out = Vec::with_capacity(count.min(index_bytes));
-        let mut start = 0usize;
-        for chunk in ends.chunks_exact(4) {
-            let end = u32::from_le_bytes(chunk.try_into().expect("4")) as usize;
-            // `get` rejects both non-monotonic offsets and offsets that
-            // split a multi-byte character.
-            let s = blob
-                .get(start..end)
-                .ok_or_else(|| corrupt(self.file, "arena offsets are not monotonic"))?;
-            out.push(s.to_string());
-            start = end;
-        }
-        Ok(out)
+        CellArena::from_raw_parts(blob.to_string(), ends)
+            .map_err(|e| corrupt(self.file, format!("bad arena offsets: {e}")))
     }
 }
 
@@ -462,12 +459,12 @@ fn decode_annotations(cur: &mut Cursor<'_>) -> Result<TableAnnotations, StoreErr
     let labels = cur.arena(count)?;
     let annotations = fixed
         .into_iter()
-        .zip(labels)
+        .zip(&labels)
         .map(
             |((column, type_id, ontology, method, similarity), label)| Annotation {
                 column,
                 type_id,
-                label,
+                label: label.to_string(),
                 ontology,
                 method,
                 similarity,
@@ -865,6 +862,82 @@ mod tests {
             ));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An encoded block of one table whose first column holds
+    /// `["ab", "é", "c"]`, plus the position of that column's end offsets
+    /// (`3 × u32`, the blob right after).
+    fn block_and_first_arena() -> (Vec<u8>, usize) {
+        let t =
+            Table::from_rows("t", &["k", "v"], &[&["ab", "1"], &["é", "2"], &["c", "3"]]).unwrap();
+        let mut block = Vec::new();
+        encode_table(&mut block, &AnnotatedTable::new(t), "test").unwrap();
+        let mut cur = Cursor {
+            bytes: &block,
+            pos: 0,
+            file: "test",
+        };
+        for _ in 0..3 {
+            cur.str().unwrap(); // name, repository, path
+        }
+        assert_eq!(cur.u8().unwrap(), 0); // no license
+        cur.str().unwrap(); // topic
+        cur.u64().unwrap(); // file_size
+        assert_eq!(cur.u32().unwrap(), 2); // columns
+        assert_eq!(cur.u64().unwrap(), 3); // rows
+        assert_eq!(cur.str().unwrap(), "k");
+        cur.u8().unwrap(); // atomic tag
+        let ends = cur.pos;
+        assert_eq!(block[ends..ends + 12], [2, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0]);
+        assert_eq!(&block[ends + 12..ends + 17], "abéc".as_bytes());
+        (block, ends)
+    }
+
+    #[test]
+    fn corrupt_arena_offsets_and_bytes_are_typed_never_partial() {
+        let (block, ends) = block_and_first_arena();
+        assert!(decode_block(&block, "test").is_ok());
+        let put = |at: usize, v: u32| {
+            let mut b = block.clone();
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let row_count = ends - 1 - (4 + 1) - 8; // back over tag, name, nrows
+        let mut more_rows = block.clone();
+        more_rows[row_count..row_count + 8].copy_from_slice(&(u64::MAX / 8).to_le_bytes());
+        let mut not_utf8 = block.clone();
+        not_utf8[ends + 12] = 0xFF;
+        let cases = [
+            ("an end offset decreases", put(ends + 4, 1)),
+            (
+                "an offset lands inside a multi-byte character",
+                put(ends + 4, 3),
+            ),
+            ("the first offset is past the last", put(ends, 9)),
+            ("the last offset is short of the blob", put(ends + 8, 4)),
+            (
+                "the last offset runs past the block",
+                put(ends + 8, 1 << 20),
+            ),
+            ("the offsets array is shorter than the row count", more_rows),
+            ("the blob is not UTF-8", not_utf8),
+        ];
+        for (what, bytes) in cases {
+            for result in [
+                decode_block(&bytes, "test").map(|_| ()),
+                decode_table(&mut Cursor {
+                    bytes: &bytes,
+                    pos: 0,
+                    file: "test",
+                })
+                .map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(StoreError::Corrupt { .. })),
+                    "{what}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -67,8 +67,13 @@ pub fn table_fingerprint(table: &gittables_table::Table) -> u64 {
         fnv_terminated(&mut h, col.name().as_bytes(), 0x1f);
     }
     for col in table.columns() {
-        for v in col.values() {
-            fnv_terminated(&mut h, v.as_bytes(), 0x1e);
+        let cells = col.cells();
+        let blob = cells.blob().as_bytes();
+        let mut start = 0usize;
+        for &end in cells.ends() {
+            let end = end as usize;
+            fnv_terminated(&mut h, &blob[start..end], 0x1e);
+            start = end;
         }
     }
     h

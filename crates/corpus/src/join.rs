@@ -59,17 +59,12 @@ pub fn join_candidates(corpus: &Corpus, min_containment: f64) -> Vec<JoinCandida
                         if !is_key_name(rc.name()) {
                             continue;
                         }
-                        let right_vals: std::collections::HashSet<&str> =
-                            rc.values().iter().map(String::as_str).collect();
+                        let right_vals: std::collections::HashSet<&str> = rc.values().collect();
                         let total = lc.len();
                         if total == 0 {
                             continue;
                         }
-                        let contained = lc
-                            .values()
-                            .iter()
-                            .filter(|v| right_vals.contains(v.as_str()))
-                            .count();
+                        let contained = lc.values().filter(|v| right_vals.contains(v)).count();
                         let containment = contained as f64 / total as f64;
                         if containment >= min_containment {
                             out.push(JoinCandidate {
@@ -110,8 +105,8 @@ pub fn join_tables(corpus: &Corpus, candidate: &JoinCandidate) -> Result<Table, 
         .column(candidate.right_key)
         .ok_or(TableError::NoColumns)?;
     let mut right_index: HashMap<&str, usize> = HashMap::new();
-    for (r, v) in right_key_col.values().iter().enumerate() {
-        right_index.entry(v.as_str()).or_insert(r);
+    for (r, v) in right_key_col.values().enumerate() {
+        right_index.entry(v).or_insert(r);
     }
     let mut header: Vec<String> = left.schema().attributes().to_vec();
     for (ci, c) in right.columns().iter().enumerate() {
@@ -124,9 +119,8 @@ pub fn join_tables(corpus: &Corpus, candidate: &JoinCandidate) -> Result<Table, 
         .column(candidate.left_key)
         .ok_or(TableError::NoColumns)?;
     let mut rows = Vec::new();
-    for lr in 0..left.num_rows() {
-        let key = &left_key_col.values()[lr];
-        let Some(&rr) = right_index.get(key.as_str()) else {
+    for (lr, key) in left_key_col.values().enumerate() {
+        let Some(&rr) = right_index.get(key) else {
             continue;
         };
         let mut row: Vec<String> = left
@@ -139,7 +133,7 @@ pub fn join_tables(corpus: &Corpus, candidate: &JoinCandidate) -> Result<Table, 
             if ci == candidate.right_key {
                 continue;
             }
-            row.push(c.values()[rr].clone());
+            row.push(c.cells()[rr].to_string());
         }
         rows.push(row);
     }
@@ -229,7 +223,7 @@ mod tests {
             .iter()
             .find(|col| col.name().ends_with("price"))
             .unwrap();
-        assert_eq!(price_col.values(), &["9.5".to_string(), "3.0".to_string()]);
+        assert_eq!(price_col.values().collect::<Vec<_>>(), ["9.5", "3.0"]);
     }
 
     #[test]

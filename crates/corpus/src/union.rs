@@ -133,8 +133,8 @@ mod tests {
         let u = union_tables(&c, &groups[0]).unwrap();
         assert_eq!(u.num_rows(), 5);
         assert_eq!(u.num_columns(), 2);
-        assert_eq!(u.column(0).unwrap().values()[0], "0");
-        assert_eq!(u.column(0).unwrap().values()[2], "10");
+        assert_eq!(u.column(0).unwrap().get(0), Some("0"));
+        assert_eq!(u.column(0).unwrap().get(2), Some("10"));
         assert!(u.provenance().repository.contains("a/x"));
     }
 }

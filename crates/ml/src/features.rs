@@ -118,11 +118,14 @@ impl FeatureExtractor {
 
     /// Extracts the 1 188-dimensional feature vector of a column's values.
     #[must_use]
-    pub fn extract(&self, values: &[String]) -> Vec<f32> {
+    pub fn extract<'a, S>(&self, values: impl IntoIterator<Item = &'a S>) -> Vec<f32>
+    where
+        S: AsRef<str> + ?Sized + 'a,
+    {
         let cells: Vec<&str> = values
-            .iter()
+            .into_iter()
             .take(self.max_cells)
-            .map(String::as_str)
+            .map(AsRef::as_ref)
             .collect();
         let mut out = Vec::with_capacity(FEATURE_COUNT);
         self.char_features(&cells, &mut out);

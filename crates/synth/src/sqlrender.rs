@@ -480,7 +480,7 @@ mod tests {
             };
             let parsed = read_sql_tables(&sql, &opts).unwrap();
             assert_eq!(parsed.tables[0].header, t.header, "{dialect:?}");
-            assert_eq!(parsed.tables[0].columns[1][0], "it's", "{dialect:?}");
+            assert_eq!(&parsed.tables[0].columns[1][0], "it's", "{dialect:?}");
         }
     }
 }

@@ -71,15 +71,37 @@ const MISSING_MARKERS: &[&str] = &[
     "", "nan", "null", "none", "na", "n/a", "-", "--", "?", "missing", "nil",
 ];
 
+/// Boolean-like tokens, lowercase.
+const BOOLEAN_TOKENS: &[&str] = &["true", "false", "yes", "no", "t", "f"];
+
+/// Byte length of the longest of `tokens`.
+const fn longest(tokens: &[&str]) -> usize {
+    let mut max = 0;
+    let mut i = 0;
+    while i < tokens.len() {
+        if tokens[i].len() > max {
+            max = tokens[i].len();
+        }
+        i += 1;
+    }
+    max
+}
+
+/// Whether `v` is one of `tokens` up to ASCII case. The length gate turns
+/// away almost every real cell before any comparison runs.
+fn is_token(v: &str, tokens: &[&str], longest: usize) -> bool {
+    v.len() <= longest && tokens.iter().any(|t| v.eq_ignore_ascii_case(t))
+}
+
+fn is_missing_trimmed(v: &str) -> bool {
+    const LONGEST: usize = longest(MISSING_MARKERS);
+    is_token(v, MISSING_MARKERS, LONGEST)
+}
+
 /// Returns `true` if `value` is empty or a conventional missing-data marker.
 #[must_use]
 pub fn is_missing(value: &str) -> bool {
-    let v = value.trim();
-    if v.is_empty() {
-        return true;
-    }
-    let lower = v.to_ascii_lowercase();
-    MISSING_MARKERS.contains(&lower.as_str())
+    is_missing_trimmed(value.trim())
 }
 
 fn is_integer(v: &str) -> bool {
@@ -101,10 +123,8 @@ fn is_float(v: &str) -> bool {
 }
 
 fn is_boolean(v: &str) -> bool {
-    matches!(
-        v.to_ascii_lowercase().as_str(),
-        "true" | "false" | "yes" | "no" | "t" | "f"
-    )
+    const LONGEST: usize = longest(BOOLEAN_TOKENS);
+    is_token(v, BOOLEAN_TOKENS, LONGEST)
 }
 
 /// Checks whether the byte is an accepted date separator.
@@ -138,7 +158,9 @@ pub fn is_date(v: &str) -> bool {
     let mut parts = [0u32; 3];
     let mut count = 0;
     let mut sep = 0u8;
-    for chunk in date_part.split(|c: char| is_date_sep(c as u8)) {
+    // `char` patterns, not `c as u8`: the cast truncates, and the low byte
+    // of U+012D is `-`.
+    for chunk in date_part.split(['-', '/', '.']) {
         if count >= 3 || chunk.is_empty() || !chunk.bytes().all(|b| b.is_ascii_digit()) {
             return false;
         }
@@ -191,7 +213,7 @@ fn is_time(t: &str) -> bool {
 #[must_use]
 pub fn infer_value_type(value: &str) -> AtomicType {
     let v = value.trim();
-    if is_missing(v) {
+    if is_missing_trimmed(v) {
         AtomicType::Empty
     } else if is_integer(v) {
         AtomicType::Integer
@@ -213,7 +235,11 @@ pub fn infer_value_type(value: &str) -> AtomicType {
 /// [`AtomicType::Empty`]. Ties are broken in favour of [`AtomicType::String`]
 /// since any value can be read as a string.
 #[must_use]
-pub fn infer_column_type<S: AsRef<str>>(values: &[S]) -> AtomicType {
+pub fn infer_column_type<I>(values: I) -> AtomicType
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
     let mut counts = [0usize; 6];
     for v in values {
         let t = infer_value_type(v.as_ref());
@@ -313,6 +339,153 @@ mod tests {
             "2021-06/14",
         ] {
             assert_ne!(infer_value_type(v), AtomicType::Date, "{v}");
+        }
+    }
+
+    #[test]
+    fn only_ascii_separators_split_a_date() {
+        // U+012D, U+012F and U+022E have the low bytes of `-`, `/` and `.`.
+        for v in [
+            "1\u{12d}2\u{12d}2020",
+            "1\u{12f}2\u{12f}2020",
+            "1\u{22e}2\u{22e}2020",
+        ] {
+            assert_eq!(infer_value_type(v), AtomicType::String, "{v}");
+        }
+        for v in ["1-2-2020", "2020/01/02", "01.02.2020 10:30"] {
+            assert_eq!(infer_value_type(v), AtomicType::Date, "{v}");
+        }
+    }
+
+    /// `infer_value_type` as it was when `is_missing` and `is_boolean`
+    /// each built a lowercase copy of the cell.
+    fn lowercasing_infer_value_type(value: &str) -> AtomicType {
+        let v = value.trim();
+        let lower = v.to_ascii_lowercase();
+        if MISSING_MARKERS.contains(&lower.as_str()) {
+            AtomicType::Empty
+        } else if is_integer(v) {
+            AtomicType::Integer
+        } else if is_float(v) {
+            AtomicType::Float
+        } else if matches!(lower.as_str(), "true" | "false" | "yes" | "no" | "t" | "f") {
+            AtomicType::Boolean
+        } else if is_date(v) {
+            AtomicType::Date
+        } else {
+            AtomicType::String
+        }
+    }
+
+    #[test]
+    fn case_insensitive_tokens_match_the_lowercasing_reference() {
+        let edge_values = [
+            // every marker and token, in three casings
+            "",
+            "nan",
+            "NaN",
+            "NAN",
+            "null",
+            "Null",
+            "NULL",
+            "none",
+            "None",
+            "na",
+            "Na",
+            "NA",
+            "n/a",
+            "N/A",
+            "n/A",
+            "-",
+            "--",
+            "?",
+            "missing",
+            "Missing",
+            "MISSING",
+            "nil",
+            "NIL",
+            "true",
+            "True",
+            "TRUE",
+            "tRuE",
+            "false",
+            "False",
+            "FALSE",
+            "yes",
+            "YES",
+            "Yes",
+            "no",
+            "No",
+            "NO",
+            "t",
+            "T",
+            "f",
+            "F",
+            // padded
+            " nan ",
+            "\tNULL\n",
+            "  --  ",
+            " true",
+            "False ",
+            "  ",
+            "\u{a0}nan\u{a0}",
+            // near misses, some exactly at or one past the length gates
+            "---",
+            "n/a/",
+            "nan.",
+            "nulls",
+            "missing.",
+            "missings",
+            "mıssing",
+            "missin",
+            "truee",
+            "falsee",
+            "fals",
+            "ye",
+            "yess",
+            "tf",
+            "n a",
+            "n\\a",
+            "??",
+            "-?",
+            // 8-byte cells
+            "missing1",
+            "MISSING!",
+            "nullnull",
+            "truetrue",
+            "12345678",
+            "1.345678",
+            // non-ASCII: folds only under Unicode rules, never ASCII ones
+            "NÀN",
+            "ｎａｎ",
+            "ΝΑ",
+            "TRÜE",
+            "ÿes",
+            "ｔ",
+            "é",
+            "—",
+            "nul\u{212a}",
+            // other types ride through unchanged
+            "42",
+            "-7",
+            "3.14",
+            "1e-3",
+            "2021-06-14",
+            "14/06/2021 13:45",
+            "hello",
+            "1\u{12d}2",
+        ];
+        for v in edge_values {
+            assert_eq!(
+                infer_value_type(v),
+                lowercasing_infer_value_type(v),
+                "{v:?}"
+            );
+            assert_eq!(
+                is_missing(v),
+                MISSING_MARKERS.contains(&v.trim().to_ascii_lowercase().as_str()),
+                "{v:?}"
+            );
         }
     }
 

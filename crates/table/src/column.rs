@@ -2,22 +2,40 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::arena::{CellArena, Cells};
 use crate::atomic::{infer_column_type, is_missing, AtomicType};
 
 /// A single table column: a name plus cell values (all represented as text,
-/// as parsed from CSV).
+/// as parsed from CSV), held in one [`CellArena`].
+///
+/// The `values` field serializes as the JSON array of cell strings, so a
+/// persisted column reads `{"name", "values": [...], "atomic"}` whatever the
+/// in-memory layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Column {
     name: String,
-    values: Vec<String>,
+    values: CellArena,
     /// Cached column type; recomputed on mutation.
     atomic: AtomicType,
 }
 
 impl Column {
-    /// Creates a column from a name and values, inferring its atomic type.
+    /// Creates a column from a name and values, copying them into the
+    /// column's arena and inferring its atomic type.
+    ///
+    /// # Panics
+    /// When the values total more than `u32::MAX` bytes; readers that can
+    /// meet such input push into a [`CellArena`] (a typed error) and use
+    /// [`Self::from_cells`].
     #[must_use]
     pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
+        Column::from_slice(name, &values)
+    }
+
+    /// Creates a column from a name and an already built arena, inferring
+    /// its atomic type.
+    #[must_use]
+    pub fn from_cells(name: impl Into<String>, values: CellArena) -> Self {
         let atomic = infer_column_type(&values);
         Column {
             name: name.into(),
@@ -35,7 +53,7 @@ impl Column {
     /// same trust serde deserialization of the `atomic` field already
     /// extends, so decoders stay panic-free on untrusted bytes.
     #[must_use]
-    pub fn from_raw_parts(name: String, values: Vec<String>, atomic: AtomicType) -> Self {
+    pub fn from_raw_parts(name: String, values: CellArena, atomic: AtomicType) -> Self {
         Column {
             name,
             values,
@@ -44,12 +62,13 @@ impl Column {
     }
 
     /// Creates a column from string slices.
+    ///
+    /// # Panics
+    /// As [`Self::new`].
     #[must_use]
     pub fn from_slice<S: AsRef<str>>(name: impl Into<String>, values: &[S]) -> Self {
-        Column::new(
-            name,
-            values.iter().map(|v| v.as_ref().to_string()).collect(),
-        )
+        let cells = CellArena::from_values(values).expect("column cells fit u32 offsets");
+        Column::from_cells(name, cells)
     }
 
     /// The column (header) name.
@@ -64,9 +83,21 @@ impl Column {
         self.atomic
     }
 
-    /// The cell values.
+    /// The cell values, in row order.
     #[must_use]
-    pub fn values(&self) -> &[String] {
+    pub fn values(&self) -> Cells<'_> {
+        self.values.iter()
+    }
+
+    /// Cell `i`, or `None` past the end.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<&str> {
+        self.values.get(i)
+    }
+
+    /// The arena holding the cells.
+    #[must_use]
+    pub fn cells(&self) -> &CellArena {
         &self.values
     }
 
@@ -88,25 +119,28 @@ impl Column {
         if self.values.is_empty() {
             return 0.0;
         }
-        let missing = self.values.iter().filter(|v| is_missing(v)).count();
+        let missing = self.values().filter(|v| is_missing(v)).count();
         missing as f64 / self.values.len() as f64
     }
 
-    /// Number of distinct values (exact, by sorting clones; intended for
-    /// statistics over modest columns, not hot paths).
+    /// Number of distinct values (exact, by sorting borrowed cells; intended
+    /// for statistics over modest columns, not hot paths).
     #[must_use]
     pub fn distinct_count(&self) -> usize {
-        let mut sorted: Vec<&str> = self.values.iter().map(String::as_str).collect();
+        let mut sorted: Vec<&str> = self.values().collect();
         sorted.sort_unstable();
         sorted.dedup();
         sorted.len()
     }
 
-    /// Replaces all values, re-inferring the atomic type. Used by the
-    /// anonymization pass.
+    /// Replaces all values (copied into a fresh arena), re-inferring the
+    /// atomic type. Used by the anonymization pass.
+    ///
+    /// # Panics
+    /// As [`Self::new`].
     pub fn replace_values(&mut self, values: Vec<String>) {
-        self.atomic = infer_column_type(&values);
-        self.values = values;
+        self.values = CellArena::from_values(&values).expect("column cells fit u32 offsets");
+        self.atomic = infer_column_type(&self.values);
     }
 
     /// Renames the column.
@@ -159,6 +193,34 @@ mod tests {
         assert_eq!(c.atomic_type(), AtomicType::Integer);
         c.replace_values(vec!["x".into(), "y".into()]);
         assert_eq!(c.atomic_type(), AtomicType::String);
+    }
+
+    #[test]
+    fn values_borrow_from_the_arena() {
+        let c = Column::from_slice("v", &["a", "", "é"]);
+        assert_eq!(c.values().len(), 3);
+        assert_eq!(c.values().collect::<Vec<_>>(), ["a", "", "é"]);
+        assert_eq!(c.get(2), Some("é"));
+        assert_eq!(c.get(3), None);
+        assert_eq!(c.cells().blob(), "aé");
+    }
+
+    #[test]
+    fn every_construction_route_is_equal() {
+        let mut pushed = CellArena::new();
+        for v in ["1", "", "x"] {
+            pushed.push(v).unwrap();
+        }
+        let built = Column::from_cells("c", pushed.clone());
+        assert_eq!(built, Column::from_slice("c", &["1", "", "x"]));
+        assert_eq!(
+            built,
+            Column::new("c", vec!["1".into(), String::new(), "x".into()])
+        );
+        assert_eq!(
+            built,
+            Column::from_raw_parts("c".into(), pushed, built.atomic_type())
+        );
     }
 
     #[test]

@@ -27,6 +27,18 @@ pub enum TableError {
         /// Length of the first column.
         expected: usize,
     },
+    /// A column's cells no longer fit the arena's `u32` offsets.
+    ColumnTooLarge {
+        /// Total cell bytes the column would have held.
+        bytes: usize,
+    },
+    /// A `(blob, ends)` pair handed to
+    /// [`crate::CellArena::from_raw_parts`] breaks the arena invariant.
+    InvalidArena {
+        /// Index of the first offending end offset (`ends.len()` when the
+        /// last offset is not the blob length).
+        index: usize,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -50,6 +62,14 @@ impl fmt::Display for TableError {
                 f,
                 "column {column:?} has {found} values, expected {expected}"
             ),
+            TableError::ColumnTooLarge { bytes } => write!(
+                f,
+                "column of {bytes} cell bytes overflows the arena's u32 offsets"
+            ),
+            TableError::InvalidArena { index } => write!(
+                f,
+                "arena offset {index} is decreasing, off a char boundary or not the blob length"
+            ),
         }
     }
 }
@@ -72,5 +92,13 @@ mod tests {
         assert!(TableError::DuplicateColumn("id".into())
             .to_string()
             .contains("id"));
+        assert!(TableError::ColumnTooLarge {
+            bytes: 5_000_000_000
+        }
+        .to_string()
+        .contains("5000000000"));
+        assert!(TableError::InvalidArena { index: 7 }
+            .to_string()
+            .contains("offset 7"));
     }
 }

@@ -9,6 +9,22 @@
 //! other) are *inferred* from the values, reproducing the atomic-type
 //! distribution analysis of Table 4 in the paper.
 //!
+//! # Cell storage
+//!
+//! A [`Column`] keeps its cells in one [`CellArena`]: a single UTF-8 blob
+//! plus one cumulative `u32` end offset per cell — two allocations per
+//! column however many rows it has, and the layout the `colv1` store format
+//! writes to disk. The arena's invariant (`ends.len() == len()`, offsets
+//! non-decreasing, each on a `char` boundary, the last equal to
+//! `blob.len()`) is kept by its private fields and checked constructors, and
+//! it gives every sequence of cells exactly one representation, so `==` on
+//! columns and tables is still cell-by-cell equality whichever route built
+//! them — see [`arena`]. It is the only cell storage: the CSV and SQL
+//! readers push surviving cells onto arenas as `&str`, [`Column::from_cells`]
+//! adopts them, and [`Column::new`] / [`Column::replace_values`] remain as
+//! conveniences that copy a `Vec<String>` in. Type inference
+//! ([`infer_column_type`]) walks the arena without allocating.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod atomic;
 pub mod column;
 pub mod error;
@@ -41,6 +58,7 @@ pub mod stats;
 #[allow(clippy::module_inception)]
 pub mod table;
 
+pub use arena::{CellArena, Cells};
 pub use atomic::{infer_column_type, infer_value_type, AtomicType};
 pub use column::Column;
 pub use error::TableError;

@@ -29,16 +29,15 @@ impl ColumnStats {
     /// Computes statistics for a column.
     #[must_use]
     pub fn of(column: &Column) -> Self {
-        let non_missing: Vec<&String> = column
-            .values()
-            .iter()
-            .filter(|v| !crate::atomic::is_missing(v))
-            .collect();
-        let mean_cell_len = if non_missing.is_empty() {
+        let (mut non_missing, mut chars) = (0usize, 0usize);
+        for v in column.values().filter(|v| !crate::atomic::is_missing(v)) {
+            non_missing += 1;
+            chars += v.chars().count();
+        }
+        let mean_cell_len = if non_missing == 0 {
             0.0
         } else {
-            non_missing.iter().map(|v| v.chars().count()).sum::<usize>() as f64
-                / non_missing.len() as f64
+            chars as f64 / non_missing as f64
         };
         ColumnStats {
             name: column.name().to_string(),

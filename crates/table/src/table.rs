@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Column, Provenance, Schema, TableError};
+use crate::{CellArena, Column, Provenance, Schema, TableError};
 
 /// A relational table parsed from a CSV file.
 ///
@@ -68,8 +68,10 @@ impl Table {
     /// Creates a table from a header and owned row-major string values.
     ///
     /// # Errors
-    /// Returns [`TableError::RaggedRow`] on row-length mismatch and
-    /// [`TableError::NoColumns`] for an empty header.
+    /// Returns [`TableError::RaggedRow`] on row-length mismatch,
+    /// [`TableError::NoColumns`] for an empty header and
+    /// [`TableError::ColumnTooLarge`] when a column's cells overflow its
+    /// arena.
     pub fn from_string_rows<H: AsRef<str>>(
         name: impl Into<String>,
         header: &[H],
@@ -89,18 +91,17 @@ impl Table {
             }
         }
         // Transpose row-major input into column-major storage.
-        let mut cols: Vec<Vec<String>> =
-            (0..ncols).map(|_| Vec::with_capacity(rows.len())).collect();
-        for row in rows {
-            for (j, v) in row.into_iter().enumerate() {
-                cols[j].push(v);
-            }
-        }
         let columns = header
             .iter()
-            .zip(cols)
-            .map(|(h, vals)| Column::new(h.as_ref(), vals))
-            .collect();
+            .enumerate()
+            .map(|(j, h)| {
+                let mut cells = CellArena::with_capacity(rows.len(), 0);
+                for row in &rows {
+                    cells.push(&row[j])?;
+                }
+                Ok(Column::from_cells(h.as_ref(), cells))
+            })
+            .collect::<Result<Vec<_>, TableError>>()?;
         Table::new(name, columns)
     }
 
@@ -182,12 +183,7 @@ impl Table {
         if idx >= self.num_rows() {
             return None;
         }
-        Some(
-            self.columns
-                .iter()
-                .map(|c| c.values()[idx].as_str())
-                .collect(),
-        )
+        self.columns.iter().map(|c| c.get(idx)).collect()
     }
 }
 
@@ -217,7 +213,7 @@ mod tests {
     fn schema_and_lookup() {
         let t = sample();
         assert_eq!(t.schema().attributes(), &["id", "name", "price"]);
-        assert_eq!(t.column_by_name("name").unwrap().values()[1], "bee");
+        assert_eq!(t.column_by_name("name").unwrap().get(1), Some("bee"));
         assert!(t.column_by_name("missing").is_none());
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use gittables_table::TableError;
+
 /// Errors produced while sniffing or parsing a CSV file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsvError {
@@ -25,6 +27,15 @@ pub enum CsvError {
         /// Total rows seen.
         total: usize,
     },
+    /// The surviving cells of one column do not fit a cell arena (more than
+    /// `u32::MAX` bytes in a single column).
+    Cells(TableError),
+}
+
+impl From<TableError> for CsvError {
+    fn from(e: TableError) -> Self {
+        CsvError::Cells(e)
+    }
 }
 
 impl fmt::Display for CsvError {
@@ -39,6 +50,7 @@ impl fmt::Display for CsvError {
             CsvError::TooManyBadLines { bad, total } => {
                 write!(f, "{bad} of {total} rows were bad lines; file rejected")
             }
+            CsvError::Cells(e) => write!(f, "cells cannot be stored: {e}"),
         }
     }
 }

@@ -16,11 +16,13 @@
 //!    reproducing the 0.7 % of files the paper could not parse into tables.
 //!
 //! The reader rides the parser's zero-copy path: every record is kept as
-//! borrowed field spans (escaped fields land in one shared arena), the
-//! keep/drop/realign decisions run over those spans, and only the cells that
-//! survive are materialized as `String`s — written straight into column-major
-//! storage, so no intermediate row-of-`String`s ever exists.
+//! borrowed field spans (escaped fields land in one shared scratch buffer),
+//! the keep/drop/realign decisions run over those spans, and only the cells
+//! that survive are copied — once, as `&str`, onto the end of their column's
+//! [`CellArena`]. No cell is ever an owned `String`: a parsed file costs two
+//! buffers per column, not one allocation per cell.
 
+use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
 
 use crate::parser::bytes_blank;
@@ -80,8 +82,8 @@ pub struct ParsedCsv {
 
 /// The result of reading a CSV file, column-major: `columns[j][i]` is cell
 /// `(row i, column j)`. This is the zero-copy fast path — downstream table
-/// construction is column-oriented, so cells are materialized directly into
-/// their final position.
+/// construction is column-oriented, so each column's arena becomes the
+/// table column's storage as is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParsedColumns {
     /// Detected (or forced) dialect.
@@ -89,7 +91,7 @@ pub struct ParsedColumns {
     /// Header names (first row).
     pub header: Vec<String>,
     /// Cell values, column-major; every column has the same length.
-    pub columns: Vec<Vec<String>>,
+    pub columns: Vec<CellArena>,
     /// Number of rows dropped as bad lines.
     pub bad_lines: usize,
     /// Number of leading empty records skipped before the header.
@@ -102,7 +104,7 @@ impl ParsedColumns {
     /// Number of data rows.
     #[must_use]
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, CellArena::len)
     }
 }
 
@@ -172,7 +174,8 @@ impl RowSpans {
 /// * [`CsvError::UndetectableDialect`] when sniffing fails,
 /// * [`CsvError::UnterminatedQuote`] on an unclosed quoted field,
 /// * [`CsvError::NoRows`] when nothing but the header survives,
-/// * [`CsvError::TooManyBadLines`] when bad rows exceed the threshold.
+/// * [`CsvError::TooManyBadLines`] when bad rows exceed the threshold,
+/// * [`CsvError::Cells`] when one column's cells exceed `u32::MAX` bytes.
 pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColumns, CsvError> {
     // Strip a UTF-8 byte-order mark; exported CSVs from Windows tooling
     // commonly carry one and it must not become part of the first header.
@@ -235,16 +238,16 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
     }
     let width = header.len();
 
-    // Bad-line removal + materialization: only cells of kept rows become
-    // `String`s, written directly into column-major storage.
+    // Bad-line removal + materialization: only cells of kept rows are
+    // copied, each onto the end of its column's arena.
     let mut bad_lines = 0usize;
-    let mut columns: Vec<Vec<String>> = (0..width).map(|_| Vec::new()).collect();
+    let mut columns: Vec<CellArena> = (0..width).map(|_| CellArena::with_capacity(n, 0)).collect();
     for i in 0..n {
         let r = rows.row_range(i);
         let effective_len = r.len() - usize::from(drop_last_cell);
         if effective_len == width {
             for (j, &cell) in rows.cells[r].iter().take(width).enumerate() {
-                columns[j].push(String::from_utf8_lossy(rows.cell_bytes(bytes, cell)).into_owned());
+                columns[j].push(&String::from_utf8_lossy(rows.cell_bytes(bytes, cell)))?;
             }
         } else {
             bad_lines += 1;
@@ -252,7 +255,7 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
     }
     bad_lines += empty_lines;
 
-    let kept = columns.first().map_or(0, Vec::len);
+    let kept = columns.first().map_or(0, CellArena::len);
     let total = kept + bad_lines;
     if total > 0 && bad_lines as f64 / total as f64 > options.max_bad_line_fraction {
         return Err(CsvError::TooManyBadLines {
@@ -275,7 +278,7 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
 
 /// Reads a CSV document applying the GitTables parsing rules, producing the
 /// historical row-major records. Thin transposing wrapper over
-/// [`read_csv_columns`]; each cell is still materialized exactly once.
+/// [`read_csv_columns`]; this is where cells become owned `String`s.
 ///
 /// # Errors
 /// Same as [`read_csv_columns`].
@@ -285,9 +288,9 @@ pub fn read_csv(input: &str, options: &ReadOptions) -> Result<ParsedCsv, CsvErro
     let mut records: Vec<Vec<String>> = (0..nrows)
         .map(|_| Vec::with_capacity(parsed.header.len()))
         .collect();
-    for col in parsed.columns {
-        for (i, v) in col.into_iter().enumerate() {
-            records[i].push(v);
+    for col in &parsed.columns {
+        for (record, v) in records.iter_mut().zip(col) {
+            record.push(v.to_string());
         }
     }
     Ok(ParsedCsv {
@@ -468,6 +471,7 @@ mod tests {
     fn columns_realignment_drops_trailing_cell() {
         let p = read_csv_columns("a,b\n1,2,\n3,4,\n", &ReadOptions::default()).unwrap();
         assert!(p.realigned);
-        assert_eq!(p.columns, vec![vec!["1", "3"], vec!["2", "4"]]);
+        let columns: Vec<Vec<&str>> = p.columns.iter().map(|c| c.iter().collect()).collect();
+        assert_eq!(columns, vec![vec!["1", "3"], vec!["2", "4"]]);
     }
 }

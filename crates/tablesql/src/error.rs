@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use gittables_table::TableError;
+
 /// Errors produced while sniffing, splitting, or decoding a SQL dump.
 ///
 /// Every variant is a *content* failure: the pipeline counts these in
@@ -55,6 +57,15 @@ pub enum SqlError {
     },
     /// The dump parsed but yielded no table with at least one data row.
     NoTables,
+    /// The decoded cells of one column do not fit a cell arena (more than
+    /// `u32::MAX` bytes in a single column).
+    Cells(TableError),
+}
+
+impl From<TableError> for SqlError {
+    fn from(e: TableError) -> Self {
+        SqlError::Cells(e)
+    }
 }
 
 impl fmt::Display for SqlError {
@@ -91,6 +102,7 @@ impl fmt::Display for SqlError {
                 )
             }
             SqlError::NoTables => write!(f, "no tables with data rows"),
+            SqlError::Cells(e) => write!(f, "cells cannot be stored: {e}"),
         }
     }
 }

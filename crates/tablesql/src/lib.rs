@@ -24,7 +24,8 @@
 //!             INSERT INTO orders VALUES (1, 'ant; colony'), (2, NULL);\n";
 //! let parsed = gittables_tablesql::read_sql_tables(dump, &Default::default()).unwrap();
 //! assert_eq!(parsed.tables[0].header, vec!["id", "item"]);
-//! assert_eq!(parsed.tables[0].columns[1], vec!["ant; colony", ""]);
+//! let names: Vec<&str> = parsed.tables[0].columns[1].iter().collect();
+//! assert_eq!(names, ["ant; colony", ""]);
 //! ```
 
 #![warn(missing_docs)]

@@ -5,12 +5,15 @@
 //! `COPY ... FROM stdin` blocks. Everything else a dump contains (`SET`,
 //! `DROP`, `PRAGMA`, `LOCK TABLES`, transaction control, …) is skipped.
 //!
-//! Cells are materialized straight into their final column positions,
-//! like `read_csv_columns` does for CSV — no intermediate row-of-rows
-//! corpus is built.
+//! Cells are copied straight onto the end of their column's
+//! [`CellArena`], like `read_csv_columns` does for CSV: a decoded value is a
+//! `&str` — a slice of the statement text, or of one reused scratch buffer
+//! when the literal needed unescaping — and a row is one reused arena, so no
+//! cell is ever an owned `String` and no row-of-rows corpus is built.
 
 use std::collections::HashMap;
 
+use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
 
 use crate::dialect::SqlDialect;
@@ -57,14 +60,14 @@ pub struct SqlTable {
     /// the columns).
     pub header: Vec<String>,
     /// Cell values, column-major; every column has the same length.
-    pub columns: Vec<Vec<String>>,
+    pub columns: Vec<CellArena>,
 }
 
 impl SqlTable {
     /// Number of data rows.
     #[must_use]
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, CellArena::len)
     }
 }
 
@@ -85,7 +88,8 @@ pub struct ParsedSql {
 ///
 /// # Errors
 /// [`SqlError`] when the content is empty, not SQL, lexically unterminated,
-/// truncated mid-statement, or yields no table with data rows.
+/// truncated mid-statement, yields no table with data rows, or decodes more
+/// than `u32::MAX` bytes into one column.
 pub fn read_sql_tables(input: &str, options: &SqlReadOptions) -> Result<ParsedSql, SqlError> {
     if input.trim().is_empty() {
         return Err(SqlError::Empty);
@@ -135,6 +139,11 @@ struct Builders {
     max_tables: usize,
     max_rows: usize,
     bad_rows: usize,
+    /// The row being decoded, reused from row to row.
+    row: CellArena,
+    /// Where a literal that needs unescaping is rewritten, reused from cell
+    /// to cell.
+    scratch: String,
 }
 
 impl Builders {
@@ -145,6 +154,8 @@ impl Builders {
             max_tables,
             max_rows,
             bad_rows: 0,
+            row: CellArena::new(),
+            scratch: String::new(),
         }
     }
 
@@ -159,7 +170,7 @@ impl Builders {
             return None;
         }
         let header = header.unwrap_or_default();
-        let columns = vec![Vec::new(); header.len()];
+        let columns = vec![CellArena::new(); header.len()];
         self.list.push(SqlTable {
             name: name.to_string(),
             header,
@@ -169,10 +180,11 @@ impl Builders {
         Some(self.list.len() - 1)
     }
 
-    /// Appends one decoded row to builder `i`. `insert_cols` is the
-    /// explicit column list of the `INSERT`/`COPY`, used to map values by
-    /// name when it differs from the table header.
-    fn push_row(&mut self, i: usize, insert_cols: Option<&[String]>, row: Vec<String>) {
+    /// Appends the decoded row in `self.row` to builder `i`. `insert_cols`
+    /// is the explicit column list of the `INSERT`/`COPY`, used to map
+    /// values by name when it differs from the table header.
+    fn push_row(&mut self, i: usize, insert_cols: Option<&[String]>) -> Result<(), SqlError> {
+        let row = &self.row;
         let table = &mut self.list[i];
         // A table first seen through its data statement adopts the
         // statement's column list (or anonymous columns) as its header.
@@ -181,10 +193,10 @@ impl Builders {
                 Some(cols) => cols.to_vec(),
                 None => vec![String::new(); row.len()],
             };
-            table.columns = vec![Vec::new(); table.header.len()];
+            table.columns = vec![CellArena::new(); table.header.len()];
         }
         if table.num_rows() >= self.max_rows {
-            return;
+            return Ok(());
         }
         let width = table.header.len();
         match insert_cols {
@@ -193,7 +205,7 @@ impl Builders {
             Some(cols) if cols != table.header.as_slice() => {
                 if row.len() != cols.len() {
                     self.bad_rows += 1;
-                    return;
+                    return Ok(());
                 }
                 let index_of: HashMap<&str, usize> = table
                     .header
@@ -205,31 +217,34 @@ impl Builders {
                     // Unknown column names: fall back to positional.
                     if row.len() != width {
                         self.bad_rows += 1;
-                        return;
+                        return Ok(());
                     }
                     for (col, cell) in table.columns.iter_mut().zip(row) {
-                        col.push(cell);
+                        col.push(cell)?;
                     }
-                    return;
+                    return Ok(());
                 }
-                let mut full = vec![String::new(); width];
-                for (c, cell) in cols.iter().zip(row) {
-                    full[index_of[c.as_str()]] = cell;
+                // Which row cell each header column takes (the last one
+                // when the list names a column twice).
+                let mut source = vec![None; width];
+                for (r, c) in cols.iter().enumerate() {
+                    source[index_of[c.as_str()]] = Some(r);
                 }
-                for (col, cell) in table.columns.iter_mut().zip(full) {
-                    col.push(cell);
+                for (col, r) in table.columns.iter_mut().zip(source) {
+                    col.push(r.map_or("", |r| &row[r]))?;
                 }
             }
             _ => {
                 if row.len() != width {
                     self.bad_rows += 1;
-                    return;
+                    return Ok(());
                 }
                 for (col, cell) in table.columns.iter_mut().zip(row) {
-                    col.push(cell);
+                    col.push(cell)?;
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -317,9 +332,9 @@ fn decode_insert(cur: &mut Cursor<'_>, builders: &mut Builders) -> Result<(), Sq
         if !cur.eat_byte(b'(') {
             return Err(cur.truncated());
         }
-        let mut row = Vec::new();
+        builders.row.clear();
         loop {
-            row.push(cur.value()?);
+            cur.value(&mut builders.row, &mut builders.scratch)?;
             match cur.scan_to_top_level()? {
                 b',' => {
                     cur.bump();
@@ -331,7 +346,7 @@ fn decode_insert(cur: &mut Cursor<'_>, builders: &mut Builders) -> Result<(), Sq
             }
         }
         if let Some(i) = target {
-            builders.push_row(i, insert_cols.as_deref(), row);
+            builders.push_row(i, insert_cols.as_deref())?;
         }
         if !cur.eat_byte(b',') {
             break; // trailing clauses (ON DUPLICATE KEY ...) are ignored
@@ -356,46 +371,60 @@ fn decode_copy(cur: &mut Cursor<'_>, data: &str, builders: &mut Builders) -> Res
         if line.is_empty() {
             continue;
         }
-        let row: Vec<String> = line.split('\t').map(unescape_copy_field).collect();
-        if let Some(i) = target {
-            builders.push_row(i, copy_cols.as_deref(), row);
+        let Some(i) = target else { continue };
+        builders.row.clear();
+        for field in line.split('\t') {
+            push_copy_field(&mut builders.row, &mut builders.scratch, field)?;
         }
+        builders.push_row(i, copy_cols.as_deref())?;
     }
     Ok(())
 }
 
-/// Unescapes one COPY text-format field: `\N` is NULL (empty cell), and
-/// `\t` / `\n` / `\r` / `\\` encode the literal characters.
-fn unescape_copy_field(field: &str) -> String {
+/// Appends one COPY text-format field to `row`, unescaped: `\\N` is NULL
+/// (empty cell), and `\\t` / `\\n` / `\\r` / `\\\\` encode the literal
+/// characters.
+fn push_copy_field(row: &mut CellArena, scratch: &mut String, field: &str) -> Result<(), SqlError> {
     if field == "\\N" {
-        return String::new();
+        return Ok(row.push("")?);
     }
     if !field.contains('\\') {
-        return field.to_string();
+        return Ok(row.push(field)?);
     }
-    let mut out = String::with_capacity(field.len());
+    scratch.clear();
     let mut chars = field.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
-            out.push(c);
+            scratch.push(c);
             continue;
         }
         match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other), // includes \\ → \
-            None => out.push('\\'),
+            Some('t') => scratch.push('\t'),
+            Some('n') => scratch.push('\n'),
+            Some('r') => scratch.push('\r'),
+            Some(other) => scratch.push(other), // includes \\ → \
+            None => scratch.push('\\'),
         }
     }
-    out
+    Ok(row.push(scratch)?)
 }
 
-/// Unescapes the body of a `'...'` literal: `''` always collapses, and
-/// backslash escapes apply when `backslash` is set.
-fn unescape_string(body: &str, backslash: bool) -> String {
-    let mut out = String::with_capacity(body.len());
+/// Appends the body of a `'...'` literal to `row`, unescaped: `''` always
+/// collapses, and backslash escapes apply when `backslash` is set. A body
+/// with nothing to unescape is pushed as the slice it is.
+fn push_string_body(
+    row: &mut CellArena,
+    scratch: &mut String,
+    body: &str,
+    backslash: bool,
+) -> Result<(), SqlError> {
     let bytes = body.as_bytes();
+    let escaped = bytes.contains(&b'\'') || (backslash && bytes.contains(&b'\\'));
+    if !escaped {
+        return Ok(row.push(body)?);
+    }
+    scratch.clear();
+    let out = scratch;
     let mut i = 0;
     while i < body.len() {
         let c = bytes[i];
@@ -424,7 +453,7 @@ fn unescape_string(body: &str, backslash: bool) -> String {
             i += ch.len_utf8();
         }
     }
-    out
+    Ok(row.push(out)?)
 }
 
 /// A statement-text cursor with the keyword/identifier/value lexers the
@@ -591,32 +620,39 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses one `VALUES` tuple element into a cell: a string literal
-    /// (unescaped), a bare `NULL` (empty cell), or the raw token text.
-    fn value(&mut self) -> Result<String, SqlError> {
+    /// Parses one `VALUES` tuple element and appends it to `row`: a string
+    /// literal (unescaped), a bare `NULL` (empty cell), or the raw token
+    /// text.
+    fn value(&mut self, row: &mut CellArena, scratch: &mut String) -> Result<(), SqlError> {
         self.skip_ws();
         match self.peek() {
             None => Err(self.truncated()),
-            Some(b'\'') => self.string_literal(self.dialect.backslash_escapes()),
+            Some(b'\'') => {
+                let backslash = self.dialect.backslash_escapes();
+                let body = self.string_literal(backslash)?;
+                push_string_body(row, scratch, body, backslash)
+            }
             Some(b'E' | b'e') if self.bytes().get(self.pos + 1) == Some(&b'\'') => {
                 self.bump();
-                self.string_literal(true)
+                let body = self.string_literal(true)?;
+                push_string_body(row, scratch, body, true)
             }
             _ => {
                 let save = self.pos;
                 if self.eat_keyword("NULL") {
-                    return Ok(String::new());
+                    return Ok(row.push("")?);
                 }
                 self.pos = save;
                 let start = self.pos;
                 self.scan_to_top_level()?;
-                Ok(self.s[start..self.pos].trim().to_string())
+                Ok(row.push(self.s[start..self.pos].trim())?)
             }
         }
     }
 
-    /// Consumes the `'...'` literal at the cursor and unescapes its body.
-    fn string_literal(&mut self, backslash: bool) -> Result<String, SqlError> {
+    /// Consumes the `'...'` literal at the cursor and returns its body, still
+    /// escaped.
+    fn string_literal(&mut self, backslash: bool) -> Result<&'a str, SqlError> {
         let bytes = self.bytes();
         let open = self.pos;
         let mut i = open + 1;
@@ -644,7 +680,7 @@ impl<'a> Cursor<'a> {
                 i = abs + 2;
             } else {
                 self.pos = abs + 1;
-                return Ok(unescape_string(&self.s[open + 1..abs], backslash));
+                return Ok(&self.s[open + 1..abs]);
             }
         }
     }
@@ -693,7 +729,7 @@ mod tests {
 
     fn rows(t: &SqlTable) -> Vec<Vec<&str>> {
         (0..t.num_rows())
-            .map(|r| t.columns.iter().map(|c| c[r].as_str()).collect())
+            .map(|r| t.columns.iter().map(|c| &c[r]).collect())
             .collect()
     }
 
@@ -723,13 +759,13 @@ mod tests {
         let t = &p.tables[0];
         assert_eq!(p.dialect, SqlDialect::MySql);
         assert_eq!(t.name, "order items");
-        assert_eq!(t.columns[1][0], "it's a\nnote");
+        assert_eq!(&t.columns[1][0], "it's a\nnote");
     }
 
     #[test]
     fn doubled_quote_unescapes_everywhere() {
         let p = read("CREATE TABLE t (a text);\nINSERT INTO t VALUES ('it''s');\n");
-        assert_eq!(p.tables[0].columns[0][0], "it's");
+        assert_eq!(&p.tables[0].columns[0][0], "it's");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use gittables_annotate::Annotation;
 use gittables_corpus::SIDECAR_FILES;
 use gittables_corpus::{
-    export_csv_store, load_store, migrate_store, save_store_as, AnnotatedTable, Corpus,
-    CorpusStore, StoreError, StoreFormat,
+    export_csv_store, load_store, migrate_store, save_store_as, table_fingerprint, AnnotatedTable,
+    Corpus, CorpusStore, StoreError, StoreFormat,
 };
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
@@ -160,6 +160,78 @@ proptest! {
         prop_assert_eq!(&load_store(&dir).unwrap(), &corpus);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// One fixed table: an empty cell, multi-byte cells, a quoted-comma cell,
+/// provenance, and one annotation in each of the four sets.
+fn golden_table() -> AnnotatedTable {
+    let table = Table::from_rows(
+        "golden",
+        &["id", "city", "note"],
+        &[
+            &["1", "Zürich", "plain"],
+            &["2", "", "has,comma"],
+            &["3", "東京", "say \"hi\""],
+            &["4", "nan", "two\nlines"],
+        ],
+    )
+    .unwrap()
+    .with_provenance(
+        Provenance::new("owner/golden", "data/golden.csv")
+            .with_license("mit")
+            .with_topic("city"),
+    );
+    let mut at = AnnotatedTable::new(table);
+    for (i, (method, ontology)) in Corpus::annotation_configs().into_iter().enumerate() {
+        let slot = at.annotations_mut(method, ontology);
+        slot.num_columns = 3;
+        slot.annotations.push(Annotation {
+            column: i % 3,
+            type_id: 100 + i as u32,
+            label: format!("label {i} é"),
+            ontology,
+            method,
+            similarity: 0.5 + 0.125 * i as f32,
+        });
+    }
+    at
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Cross-commit oracle. The literals were computed at the commit *before*
+/// `Column` moved from one `String` per cell to one arena per column;
+/// manifests persist the fingerprint and stores persist the bytes, so a
+/// change of in-memory representation must leave all three untouched.
+#[test]
+fn golden_vectors_outlive_the_cell_representation() {
+    const JSONL_LINE: &str = "{\"table\":{\"name\":\"golden\",\"columns\":[{\"name\":\"id\",\"values\":[\"1\",\"2\",\"3\",\"4\"],\"atomic\":\"Integer\"},{\"name\":\"city\",\"values\":[\"Zürich\",\"\",\"東京\",\"nan\"],\"atomic\":\"String\"},{\"name\":\"note\",\"values\":[\"plain\",\"has,comma\",\"say \\\"hi\\\"\",\"two\\nlines\"],\"atomic\":\"String\"}],\"provenance\":{\"repository\":\"owner/golden\",\"path\":\"data/golden.csv\",\"license\":\"mit\",\"topic\":\"city\",\"file_size\":0}},\"syntactic_dbpedia\":{\"annotations\":[{\"column\":0,\"type_id\":100,\"label\":\"label 0 é\",\"ontology\":\"DBpedia\",\"method\":\"Syntactic\",\"similarity\":0.5}],\"num_columns\":3},\"syntactic_schema\":{\"annotations\":[{\"column\":1,\"type_id\":101,\"label\":\"label 1 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Syntactic\",\"similarity\":0.625}],\"num_columns\":3},\"semantic_dbpedia\":{\"annotations\":[{\"column\":2,\"type_id\":102,\"label\":\"label 2 é\",\"ontology\":\"DBpedia\",\"method\":\"Semantic\",\"similarity\":0.75}],\"num_columns\":3},\"semantic_schema\":{\"annotations\":[{\"column\":0,\"type_id\":103,\"label\":\"label 3 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Semantic\",\"similarity\":0.875}],\"num_columns\":3}}\n";
+
+    let at = golden_table();
+    assert_eq!(table_fingerprint(&at.table), 0x9b28_290c_1f30_9e82);
+    let mut corpus = Corpus::new("golden");
+    corpus.push(at);
+    let base = tmp("golden");
+    let shard_bytes = |format: StoreFormat| {
+        let dir = base.join(format.name());
+        save_store_as(&corpus, &dir, 8, format).unwrap();
+        let entry = CorpusStore::open(&dir).unwrap().shard_entries()[0].clone();
+        assert_eq!(entry.fingerprint, 0x516e_cb9b_cac6_bb4e);
+        assert_eq!(load_store(&dir).unwrap(), corpus);
+        std::fs::read(dir.join(entry.file)).unwrap()
+    };
+    let segment = shard_bytes(StoreFormat::ColV1);
+    assert_eq!(segment.len(), 421);
+    assert_eq!(fnv1a(&segment), 0x44b5_8aff_49f7_4079);
+    assert_eq!(
+        String::from_utf8(shard_bytes(StoreFormat::Jsonl)).unwrap(),
+        JSONL_LINE
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
 
 fn sample_corpus() -> Corpus {

@@ -143,8 +143,10 @@ fn store_with_sidecars(tag: &str, tables: usize) -> PathBuf {
 
 #[test]
 fn sidecar_boot_rss_stays_near_flat_as_corpus_doubles() {
-    let small = store_with_sidecars("small", 32);
-    let big = store_with_sidecars("big", 64);
+    // A materialized column is one arena, not a `String` per cell, so it
+    // takes this many tables for the doubling to cost over 2 MB.
+    let small = store_with_sidecars("small", 64);
+    let big = store_with_sidecars("big", 128);
 
     let lazy_small = spawn_probe(&small, "lazy");
     let lazy_big = spawn_probe(&big, "lazy");
@@ -153,8 +155,8 @@ fn sidecar_boot_rss_stays_near_flat_as_corpus_doubles() {
     std::fs::remove_dir_all(&small).ok();
     std::fs::remove_dir_all(&big).ok();
 
-    assert_eq!(lazy_small.tables, 32);
-    assert_eq!(lazy_big.tables, 64);
+    assert_eq!(lazy_small.tables, 64);
+    assert_eq!(lazy_big.tables, 128);
     assert!(lazy_small.boot_sidecar && lazy_big.boot_sidecar);
     assert!(!mat_small.boot_sidecar && !mat_big.boot_sidecar);
 

@@ -2,10 +2,12 @@
 //! query language.
 
 use gittables_corpus::dedup::table_fingerprint;
-use gittables_corpus::{union_tables, AnnotatedTable, Corpus, UnionGroup};
+use gittables_corpus::{
+    load_store, save_store_as, union_tables, AnnotatedTable, Corpus, StoreFormat, UnionGroup,
+};
 use gittables_curate::faker::{Faker, FakerClass};
 use gittables_githost::Query;
-use gittables_table::{Provenance, Table};
+use gittables_table::{CellArena, Column, Provenance, Table};
 use proptest::prelude::*;
 
 fn table_strategy() -> impl Strategy<Value = Table> {
@@ -59,11 +61,62 @@ proptest! {
         prop_assert_eq!(table_fingerprint(&a.table), table_fingerprint(&b.table));
         // Mutate one cell.
         let mut cols = t.columns().to_vec();
-        let mut values = cols[0].values().to_vec();
+        let mut values: Vec<String> = cols[0].values().map(str::to_string).collect();
         values[0] = format!("{}-mutated", values[0]);
         cols[0].replace_values(values);
         let mutated = Table::new("t", cols).expect("valid");
         prop_assert_ne!(table_fingerprint(&a.table), table_fingerprint(&mutated));
+    }
+
+    /// The cell arena is invisible: any cells (empty strings, empty columns,
+    /// multi-byte and astral-plane characters) read back as they went in,
+    /// every construction route builds the same column under `==`, and both
+    /// store formats round-trip the table they form.
+    #[test]
+    fn arena_columns_hold_any_cells(
+        columns in proptest::collection::vec(
+            proptest::collection::vec("[a-z0-9 ,\"é東😀𝄞\n]{0,6}", 0..6),
+            0..5,
+        ),
+    ) {
+        let mut built = Vec::new();
+        for (j, cells) in columns.iter().enumerate() {
+            let column = Column::new(format!("c{j}"), cells.clone());
+            prop_assert_eq!(column.len(), cells.len());
+            prop_assert_eq!(&column.values().collect::<Vec<_>>(), cells);
+            for (i, cell) in cells.iter().enumerate() {
+                prop_assert_eq!(column.get(i), Some(cell.as_str()));
+            }
+            prop_assert_eq!(column.get(cells.len()), None);
+            let mut pushed = CellArena::new();
+            for cell in cells {
+                pushed.push(cell).expect("tiny column");
+            }
+            prop_assert_eq!(&Column::from_cells(format!("c{j}"), pushed), &column);
+            built.push(column);
+        }
+        // Equal-length prefixes of the columns form a table.
+        let rows = columns.iter().map(Vec::len).min().unwrap_or(0);
+        let trimmed: Vec<Column> = built
+            .iter()
+            .map(|c| Column::new(c.name(), c.values().take(rows).map(str::to_string).collect()))
+            .collect();
+        if let Ok(table) = Table::new("t", trimmed) {
+            let mut corpus = Corpus::new("arena");
+            corpus.push(AnnotatedTable::new(table));
+            let base = std::env::temp_dir().join(format!(
+                "gt_arena_prop_{}_{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            for format in [StoreFormat::ColV1, StoreFormat::Jsonl] {
+                let dir = base.join(format.name());
+                std::fs::remove_dir_all(&dir).ok();
+                save_store_as(&corpus, &dir, 4, format).expect("save");
+                prop_assert_eq!(&load_store(&dir).expect("load"), &corpus);
+            }
+            std::fs::remove_dir_all(&base).ok();
+        }
     }
 
     /// Query display → parse round-trips term, extension, and size range.

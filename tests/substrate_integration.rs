@@ -150,7 +150,7 @@ fn pii_anonymization_end_to_end_on_people_topics() {
         t.table
             .columns()
             .iter()
-            .any(|c| c.values().iter().any(|v| v.ends_with("@anon.example")))
+            .any(|c| c.values().any(|v| v.ends_with("@anon.example")))
     });
     assert!(fake_emails, "expected faker-generated emails in the corpus");
 }
