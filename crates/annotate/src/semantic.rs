@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use gittables_embed::{EmbeddingIndex, NgramEmbedder};
+use gittables_embed::{EmbeddingIndex, NgramEmbedder, WordMemo};
 use gittables_ontology::{contains_digit, normalize_label, Ontology, TypeId};
 use gittables_table::Table;
 
@@ -35,12 +35,21 @@ impl SemanticAnnotator {
         Self::with_embedder(ontology, NgramEmbedder::default())
     }
 
-    /// Creates an annotator with a custom embedder.
+    /// Creates an annotator with a custom embedder (and a word-vector memo
+    /// of its own).
     #[must_use]
     pub fn with_embedder(ontology: Arc<Ontology>, embedder: NgramEmbedder) -> Self {
+        Self::with_memo(ontology, Arc::new(WordMemo::new(embedder)))
+    }
+
+    /// Creates an annotator over `memo`'s embedder that shares `memo`:
+    /// annotators of different ontologies embed the same column names, so
+    /// handing them one memo embeds each word once for all of them.
+    #[must_use]
+    pub fn with_memo(ontology: Arc<Ontology>, memo: Arc<WordMemo>) -> Self {
         let labels: Vec<&str> = ontology.types().iter().map(|t| t.label.as_str()).collect();
         let ids: Vec<TypeId> = ontology.types().iter().map(|t| t.id).collect();
-        let index = EmbeddingIndex::build(embedder, &labels);
+        let index = EmbeddingIndex::build_with_memo(memo, &labels);
         SemanticAnnotator {
             ontology,
             index,
@@ -61,6 +70,12 @@ impl SemanticAnnotator {
     #[must_use]
     pub fn ontology(&self) -> &Ontology {
         &self.ontology
+    }
+
+    /// The word-vector memo behind label and column-name embeddings.
+    #[must_use]
+    pub fn word_memo(&self) -> &Arc<WordMemo> {
+        self.index.word_memo()
     }
 
     /// The top-`k` candidate annotations for a column name, best first, all

@@ -14,6 +14,10 @@ pub use search::{DataSearch, SearchHit};
 pub use search_benchmark::{default_queries, evaluate_search, mean_ndcg, BenchmarkQuery};
 pub use type_detection::{build_type_dataset, train_sherlock, TypeDetectionConfig};
 
+/// What [`DataSearch::word_memo_stats`] and
+/// [`NearestCompletion::word_memo_stats`] return.
+pub use gittables_embed::MemoStats;
+
 /// Shared generators for the ranking proptests of [`search`] and
 /// [`schema_completion`]: small random corpora dense in exact ties.
 #[cfg(test)]

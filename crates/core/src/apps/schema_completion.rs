@@ -6,7 +6,9 @@
 //! completions.
 
 use gittables_corpus::{Corpus, F32Matrix, TableId};
-use gittables_embed::{asc_nan_last, cosine, cosine_with_norm, norm, top_k_by, SentenceEncoder};
+use gittables_embed::{
+    asc_nan_last, cosine, cosine_rows, norm, top_k_by, MemoStats, SentenceEncoder,
+};
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
 
@@ -141,6 +143,14 @@ impl NearestCompletion {
         &self.rows
     }
 
+    /// Counters of the word-vector memo behind the prefix embeddings of
+    /// [`Self::complete`] (and behind the attribute embeddings, when this
+    /// engine was built rather than reassembled).
+    #[must_use]
+    pub fn word_memo_stats(&self) -> MemoStats {
+        self.encoder.word_memo().stats()
+    }
+
     /// Number of indexed schemas.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -166,14 +176,21 @@ impl NearestCompletion {
         if n == 0 {
             return Vec::new();
         }
-        // Each prefix attribute with its norm, computed once rather than
-        // per corpus row.
-        let prefix_emb: Vec<(Vec<f32>, f32)> = prefix
+        // Schemas shorter than the prefix cannot complete it.
+        let eligible: Vec<usize> = (0..self.schemas.len())
+            .filter(|&idx| self.schemas[idx].len() > n)
+            .collect();
+        // Position by position: one prefix attribute (embedded and normed
+        // once) against the attribute at that position of every eligible
+        // schema, eight schemas at a time through the order-preserving
+        // [`cosine_rows`] — each cosine has `cosine_with_norm`'s bits.
+        let cos: Vec<Vec<f32>> = prefix
             .iter()
-            .map(|a| {
+            .enumerate()
+            .map(|(i, a)| {
                 let e = self.encoder.embed(a);
-                let en = norm(&e);
-                (e, en)
+                let row = |s: usize| self.rows.row(self.starts[eligible[s]] + i);
+                cosine_rows(&e, norm(&e), eligible.len(), row)
             })
             .collect();
         // Score everything, then keep the nearest `k` under the total
@@ -181,22 +198,14 @@ impl NearestCompletion {
         // selection and materialize (clone schemas for) only those — the
         // hot path of the `/complete` endpoint. Bit-identical to the
         // original sort-everything-stably-then-truncate implementation,
-        // ties resolving in schema order.
-        let mut scored: Vec<(usize, f64)> = self
-            .schemas
+        // ties resolving in schema order; a schema's distances are still
+        // summed in position order.
+        let mut scored: Vec<(usize, f64)> = eligible
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.len() > n)
-            .map(|(idx, _)| {
-                let base = self.starts[idx];
-                let d: f64 = prefix_emb
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (e, en))| {
-                        1.0 - f64::from(cosine_with_norm(e, *en, self.rows.row(base + i)))
-                    })
-                    .sum::<f64>()
-                    / n as f64;
+            .map(|(s, &idx)| {
+                let d: f64 =
+                    cos.iter().map(|at_i| 1.0 - f64::from(at_i[s])).sum::<f64>() / n as f64;
                 (idx, d)
             })
             .collect();

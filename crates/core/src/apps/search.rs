@@ -2,7 +2,7 @@
 //! schemas and rank them against a natural-language query.
 
 use gittables_corpus::{Corpus, F32Matrix, TableId};
-use gittables_embed::{cosine_with_norm, desc_nan_last, norm, top_k_by, SentenceEncoder};
+use gittables_embed::{cosine_rows, desc_nan_last, norm, top_k_by, MemoStats, SentenceEncoder};
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +118,14 @@ impl DataSearch {
         &self.rows
     }
 
+    /// Counters of the word-vector memo behind [`Self::embed_query`] (and
+    /// behind the schema embeddings, when this index was built rather
+    /// than reassembled).
+    #[must_use]
+    pub fn word_memo_stats(&self) -> MemoStats {
+        self.encoder.word_memo().stats()
+    }
+
     /// Number of indexed tables.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -148,7 +156,9 @@ impl DataSearch {
 
     /// The ranking half of [`Self::search`] — the hot path of the
     /// `/search` endpoint. Scores every entry against `query` (its norm
-    /// computed once, not per row) and keeps the best `k` under the total
+    /// computed once, not per row; rows eight at a time through the
+    /// order-preserving [`cosine_rows`], whose every score has
+    /// `cosine_with_norm`'s bits) and keeps the best `k` under the total
     /// order *score descending, entry index ascending* by bounded
     /// selection ([`top_k_by`]); only those `k` are materialized (schemas
     /// cloned). The result is bit-identical to the original
@@ -156,13 +166,15 @@ impl DataSearch {
     /// resolving in entry order.
     ///
     /// A NaN score would rank after every number ([`desc_nan_last`]); none
-    /// can arise from finite embeddings, since [`cosine_with_norm`] guards
-    /// zero norms and clamps.
+    /// can arise from finite embeddings, since the cosine guards zero
+    /// norms and clamps.
     #[must_use]
     pub fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        let qn = norm(query);
-        let mut scored: Vec<(usize, f64)> = (0..self.ids.len())
-            .map(|n| (n, f64::from(cosine_with_norm(query, qn, self.rows.row(n)))))
+        let rows = |n| self.rows.row(n);
+        let mut scored: Vec<(usize, f64)> = cosine_rows(query, norm(query), self.ids.len(), rows)
+            .into_iter()
+            .map(f64::from)
+            .enumerate()
             .collect();
         top_k_by(&mut scored, k, |a, b| {
             desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
@@ -262,6 +274,25 @@ mod tests {
             .collect()
     }
 
+    /// The per-row body `search_embedded` had before the blocked kernel:
+    /// one `cosine_with_norm` per entry, then the same bounded selection.
+    fn search_embedded_per_row(ds: &DataSearch, query: &[f32], k: usize) -> Vec<(usize, u64)> {
+        let qn = norm(query);
+        let mut scored: Vec<(usize, f64)> = (0..ds.ids.len())
+            .map(|n| {
+                let score = gittables_embed::cosine_with_norm(query, qn, ds.rows.row(n));
+                (n, f64::from(score))
+            })
+            .collect();
+        top_k_by(&mut scored, k, |a, b| {
+            desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
+        });
+        scored
+            .into_iter()
+            .map(|(n, score)| (ds.ids[n], score.to_bits()))
+            .collect()
+    }
+
     /// `==` on hits lets `-0.0` pass for `0.0`; the claim is bits.
     fn bits(hits: &[SearchHit]) -> Vec<(usize, u64)> {
         hits.iter()
@@ -285,6 +316,11 @@ mod tests {
                 let got = ds.search_embedded(&embedded, k);
                 prop_assert_eq!(&got, &want, "k={} query={:?}", k, query);
                 prop_assert_eq!(bits(&got), bits(&want), "k={} query={:?}", k, query);
+                prop_assert_eq!(
+                    bits(&got),
+                    search_embedded_per_row(&ds, &embedded, k),
+                    "blocked != per-row, k={} query={:?}", k, query
+                );
                 prop_assert_eq!(ds.search(&query, k), got, "search != embed ∘ rank, k={}", k);
             }
         }

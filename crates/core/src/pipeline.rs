@@ -12,6 +12,7 @@ use gittables_annotate::{
 use gittables_corpus::store::{shard_id_for, CorpusStore, StoreError};
 use gittables_corpus::{AnnotatedTable, Corpus};
 use gittables_curate::{anonymize_table, FilterReason};
+use gittables_embed::{MemoStats, WordMemo};
 use gittables_githost::{CodeHost, FileKind, GitHost, Repository};
 use gittables_ontology::{contains_digit, dbpedia, normalize_label, schema_org, Ontology};
 use gittables_synth::repo::{RepoConfig, RepoGenerator};
@@ -184,6 +185,8 @@ pub struct Pipeline {
     /// rates are huge). Shared across all repository shards of a run;
     /// sharded locks keep it thread-safe.
     annotation_cache: AnnotationCache,
+    /// The word-vector memo both semantic annotators embed through.
+    word_memo: Arc<WordMemo>,
 }
 
 impl Pipeline {
@@ -192,8 +195,13 @@ impl Pipeline {
     pub fn new(config: PipelineConfig) -> Self {
         let dbp = Arc::new(dbpedia());
         let sch = Arc::new(schema_org());
-        let sem_dbp = SemanticAnnotator::new(dbp.clone()).with_threshold(config.semantic_threshold);
-        let sem_sch = SemanticAnnotator::new(sch.clone()).with_threshold(config.semantic_threshold);
+        // Both ontologies are matched against the same column names under
+        // the same embedder: one memo embeds each word once for both.
+        let word_memo = Arc::new(WordMemo::default());
+        let sem_dbp = SemanticAnnotator::with_memo(dbp.clone(), word_memo.clone())
+            .with_threshold(config.semantic_threshold);
+        let sem_sch = SemanticAnnotator::with_memo(sch.clone(), word_memo.clone())
+            .with_threshold(config.semantic_threshold);
         Pipeline {
             syn_dbp: SyntacticAnnotator::new(dbp.clone()),
             syn_sch: SyntacticAnnotator::new(sch.clone()),
@@ -203,6 +211,7 @@ impl Pipeline {
             schema_org: sch,
             config,
             annotation_cache: AnnotationCache::new(),
+            word_memo,
         }
     }
 
@@ -211,6 +220,13 @@ impl Pipeline {
     #[must_use]
     pub fn annotation_cache_stats(&self) -> CacheStats {
         self.annotation_cache.stats()
+    }
+
+    /// Hit/miss/entry counters of the word-vector memo the two semantic
+    /// annotators share (label embedding at construction included).
+    #[must_use]
+    pub fn word_memo_stats(&self) -> MemoStats {
+        self.word_memo.stats()
     }
 
     /// Annotates every column of `table` through the per-name cache: the

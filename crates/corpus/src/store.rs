@@ -46,6 +46,7 @@
 //! stashes its per-shard stage report in [`ShardEntry::meta`]; the store
 //! itself treats `meta` as an opaque string.
 
+use std::collections::HashSet;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -420,8 +421,27 @@ impl ShardWriter {
 #[derive(Debug)]
 pub struct CorpusStore {
     dir: PathBuf,
-    manifest: Mutex<StoreManifest>,
+    manifest: Mutex<Committed>,
     format: StoreFormat,
+}
+
+/// The manifest with the set of its shard ids beside it, under one lock:
+/// "is this shard committed?" is asked once per repository by a resume
+/// and once per commit, and a scan of `manifest.shards` for each made
+/// that quadratic in the number of repositories.
+#[derive(Debug)]
+struct Committed {
+    manifest: StoreManifest,
+    /// `manifest.shards[..].id`, exactly: filled when the manifest is
+    /// read or created, extended by every commit.
+    ids: HashSet<String>,
+}
+
+impl Committed {
+    fn new(manifest: StoreManifest) -> Self {
+        let ids = manifest.shards.iter().map(|s| s.id.clone()).collect();
+        Committed { manifest, ids }
+    }
 }
 
 impl CorpusStore {
@@ -453,15 +473,15 @@ impl CorpusStore {
         }
         let store = CorpusStore {
             dir,
-            manifest: Mutex::new(StoreManifest {
+            manifest: Mutex::new(Committed::new(StoreManifest {
                 version: FORMAT_VERSION,
                 name: name.into(),
                 format: Some(format.name().to_string()),
                 shards: Vec::new(),
-            }),
+            })),
             format,
         };
-        store.persist_manifest(&store.manifest.lock())?;
+        store.persist_manifest(&store.manifest.lock().manifest)?;
         Ok(store)
     }
 
@@ -486,7 +506,7 @@ impl CorpusStore {
         let format = manifest.store_format()?;
         Ok(CorpusStore {
             dir,
-            manifest: Mutex::new(manifest),
+            manifest: Mutex::new(Committed::new(manifest)),
             format,
         })
     }
@@ -544,19 +564,20 @@ impl CorpusStore {
     /// The corpus name recorded in the manifest.
     #[must_use]
     pub fn name(&self) -> String {
-        self.manifest.lock().name.clone()
+        self.manifest.lock().manifest.name.clone()
     }
 
     /// Number of committed shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.manifest.lock().shards.len()
+        self.manifest.lock().manifest.shards.len()
     }
 
     /// Total number of tables across committed shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.manifest.lock().shards.iter().map(|s| s.tables).sum()
+        let committed = self.manifest.lock();
+        committed.manifest.shards.iter().map(|s| s.tables).sum()
     }
 
     /// Whether the store holds no tables.
@@ -568,14 +589,15 @@ impl CorpusStore {
     /// Whether a shard with `id` has been committed.
     #[must_use]
     pub fn has_shard(&self, id: &str) -> bool {
-        self.manifest.lock().shards.iter().any(|s| s.id == id)
+        self.manifest.lock().ids.contains(id)
     }
 
     /// The committed entry for `id`, if any.
     #[must_use]
     pub fn shard_entry(&self, id: &str) -> Option<ShardEntry> {
-        self.manifest
-            .lock()
+        let committed = self.manifest.lock();
+        committed
+            .manifest
             .shards
             .iter()
             .find(|s| s.id == id)
@@ -585,7 +607,7 @@ impl CorpusStore {
     /// Snapshot of all committed entries, in commit order.
     #[must_use]
     pub fn shard_entries(&self) -> Vec<ShardEntry> {
-        self.manifest.lock().shards.clone()
+        self.manifest.lock().manifest.shards.clone()
     }
 
     /// Splits the committed shards into at most `n` contiguous groups of
@@ -691,12 +713,12 @@ impl CorpusStore {
     /// [`StoreError::DuplicateShard`] on id collision; otherwise propagates
     /// I/O and serialization failures.
     pub fn commit_shard(&self, entry: ShardEntry) -> Result<(), StoreError> {
-        let mut manifest = self.manifest.lock();
-        if manifest.shards.iter().any(|s| s.id == entry.id) {
+        let mut committed = self.manifest.lock();
+        if !committed.ids.insert(entry.id.clone()) {
             return Err(StoreError::DuplicateShard { id: entry.id });
         }
-        manifest.shards.push(entry);
-        self.persist_manifest(&manifest)
+        committed.manifest.shards.push(entry);
+        self.persist_manifest(&committed.manifest)
     }
 
     /// Writes the manifest to a temp file, fsyncs it, renames it into place,
@@ -792,8 +814,11 @@ impl CorpusStore {
     /// Propagates the first shard failure (see [`Self::load_shard`]).
     pub fn load_corpus(&self) -> Result<Corpus, StoreError> {
         let (name, entries) = {
-            let manifest = self.manifest.lock();
-            (manifest.name.clone(), manifest.shards.clone())
+            let committed = self.manifest.lock();
+            (
+                committed.manifest.name.clone(),
+                committed.manifest.shards.clone(),
+            )
         };
         let loaded: Vec<Result<Vec<(usize, AnnotatedTable)>, StoreError>> =
             entries.par_iter().map(|e| self.load_shard(e)).collect();
@@ -958,10 +983,11 @@ pub fn migrate_store(
     }
     let tables = new_entries.iter().map(|e| e.tables).sum();
     {
-        let mut manifest = store.manifest.lock();
-        manifest.format = Some(to.name().to_string());
-        manifest.shards = new_entries;
-        store.persist_manifest(&manifest)?;
+        // A migration rewrites every entry's `file`, never its `id`.
+        let mut committed = store.manifest.lock();
+        committed.manifest.format = Some(to.name().to_string());
+        committed.manifest.shards = new_entries;
+        store.persist_manifest(&committed.manifest)?;
     }
     // The manifest rename committed the migration; the old files are now
     // unreferenced. Removal is best-effort — a leftover file is inert.
@@ -1060,6 +1086,53 @@ mod tests {
             store.begin_shard("s").unwrap_err(),
             StoreError::DuplicateShard { .. }
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn id_set_agrees_with_a_manifest_scan_across_commits_and_reopen() {
+        let dir = tmp("idset");
+        let store = CorpusStore::create(&dir, "c").unwrap();
+        let ids: Vec<String> = (0..40).map(|i| format!("owner__repo-{i}")).collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!store.has_shard(id), "{id} before its commit");
+            let mut w = store.begin_shard(id).unwrap();
+            w.push(i, &table("a", "x")).unwrap();
+            store.commit_shard(w.finish().unwrap()).unwrap();
+            assert!(store.has_shard(id), "{id} after its commit");
+        }
+        let reopened = CorpusStore::open(&dir).unwrap();
+        for s in [&store, &reopened] {
+            let scan = |id: &str| s.shard_entries().iter().any(|e| e.id == id);
+            for id in ids
+                .iter()
+                .map(String::as_str)
+                .chain(["owner__repo-40", "owner__repo", ""])
+            {
+                assert_eq!(s.has_shard(id), scan(id), "{id:?}");
+            }
+            // A duplicate is rejected at both doors, and changes nothing.
+            assert!(matches!(
+                s.begin_shard(&ids[7]).unwrap_err(),
+                StoreError::DuplicateShard { .. }
+            ));
+            let dup = s.shard_entry(&ids[7]).unwrap();
+            assert!(matches!(
+                s.commit_shard(dup).unwrap_err(),
+                StoreError::DuplicateShard { id } if id == ids[7]
+            ));
+            assert_eq!(s.num_shards(), ids.len());
+        }
+        // The reopened store keeps extending its set.
+        let mut w = reopened.begin_shard("owner__late").unwrap();
+        w.push(40, &table("a", "x")).unwrap();
+        reopened.commit_shard(w.finish().unwrap()).unwrap();
+        assert!(reopened.has_shard("owner__late"));
+        assert_eq!(
+            std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(),
+            serde_json::to_string(&reopened.manifest.lock().manifest).unwrap(),
+            "the id set never reaches the manifest file"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

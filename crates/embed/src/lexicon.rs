@@ -8,6 +8,9 @@
 //! [`crate::NgramEmbedder::embed_word`]). Groups are drawn from the header
 //! vocabulary that GitTables-style CSVs actually use.
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 /// Synonym groups. Every word in a group is considered related to every other
 /// word in the same group.
 pub const SYNONYM_GROUPS: &[&[&str]] = &[
@@ -105,21 +108,59 @@ pub const SYNONYM_GROUPS: &[&[&str]] = &[
 
 /// Returns the synonyms of `word` (lowercased exact match), excluding the
 /// word itself. Empty when the word is not in the lexicon.
+///
+/// The order is part of the contract — groups in [`SYNONYM_GROUPS`] order,
+/// then in-group order; a word in two groups gets both lists concatenated —
+/// because [`crate::NgramEmbedder::embed_word`] adds synonym vectors in
+/// this order and float addition does not commute across it.
 #[must_use]
-pub fn synonyms(word: &str) -> Vec<&'static str> {
-    let w = word.to_lowercase();
-    let mut out = Vec::new();
-    for group in SYNONYM_GROUPS {
-        if group.iter().any(|g| *g == w) {
-            out.extend(group.iter().copied().filter(|g| *g != w));
+pub fn synonyms(word: &str) -> &'static [&'static str] {
+    synonyms_of_lower(&crate::ngram::lowered(word))
+}
+
+/// [`synonyms`] of a word that is already lower-cased: one hash lookup in
+/// a table built on first use, no allocation.
+pub(crate) fn synonyms_of_lower(lower: &str) -> &'static [&'static str] {
+    static TABLE: OnceLock<HashMap<&'static str, Vec<&'static str>>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table: HashMap<&'static str, Vec<&'static str>> = HashMap::new();
+        for group in SYNONYM_GROUPS {
+            for &word in *group {
+                let others = group.iter().copied().filter(|g| *g != word);
+                table.entry(word).or_default().extend(others);
+            }
         }
-    }
-    out
+        table
+    });
+    table.get(lower).map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-call scan [`synonyms`] replaced, kept as the oracle.
+    fn synonyms_by_scan(word: &str) -> Vec<&'static str> {
+        let w = word.to_lowercase();
+        let mut out = Vec::new();
+        for group in SYNONYM_GROUPS {
+            if group.iter().any(|g| *g == w) {
+                out.extend(group.iter().copied().filter(|g| *g != w));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn table_equals_the_scan_in_content_and_order() {
+        let members = SYNONYM_GROUPS.iter().flat_map(|g| g.iter().copied());
+        // "\u{212a}ey": the Kelvin sign lower-cases to an ASCII `k`.
+        for word in members.chain(["STATE", "State", "\u{212a}ey", "zzzunknown", "", "İd"]) {
+            assert_eq!(synonyms(word), synonyms_by_scan(word), "{word:?}");
+        }
+        assert_eq!(synonyms("\u{212a}ey"), synonyms("key"));
+        assert!(synonyms("state").len() > 4, "both groups of `state`");
+    }
 
     #[test]
     fn lookup_symmetric() {

@@ -24,6 +24,55 @@
 //!   inverted n-gram candidate filter (the ablation of DESIGN.md §4.2).
 //! * [`rank`] — the bounded top-`k` selection shared by the index and the
 //!   §5 applications.
+//! * [`WordMemo`] — a bounded memo of word vectors, below.
+//!
+//! # Word-vector memo
+//!
+//! [`NgramEmbedder::embed_word`] is a pure function of the embedder's
+//! parameters and the lower-cased word, and by far the most expensive step
+//! of embedding anything (256 hash draws per n-gram, ~27 n-grams per
+//! token, up to eight lexicon synonyms embedded per common word). Names,
+//! labels and queries reuse a small vocabulary, so every holder of an
+//! embedder — [`EmbeddingIndex`], [`SentenceEncoder`] — embeds through a
+//! [`WordMemo`]:
+//!
+//! * **key** — the lower-cased word, within one memo per parameter set:
+//!   a memo owns the [`NgramEmbedder`] copy it computes with, and a holder
+//!   built from a shared memo ([`EmbeddingIndex::build_with_memo`]) takes
+//!   *its* embedder from the memo, so no memo can hold a vector computed
+//!   under other parameters;
+//! * **cap** — [`memo::MAX_WORDS`] (65 536) words of at most
+//!   [`memo::MAX_WORD_BYTES`] (64) bytes; past either a lookup computes
+//!   without storing, so results never depend on what is stored;
+//! * **worst-case footprint** — ~400 B per entry at the default `dim` of
+//!   64 (256 B of vector, ≤ 80 B of key, `Arc` and hash-slot overhead):
+//!   ~26 MB for a full memo, under 1 MB for a realistic vocabulary;
+//! * **lifetime** — owned by its holder, shared by the holder's clones,
+//!   never serialized (a deserialized holder starts a fresh one), never a
+//!   process-global.
+//!
+//! `NgramEmbedder`'s own `embed_word`/`embed` stay uncached: they are the
+//! definition the memo is tested against, by bits.
+//!
+//! # Scoring kernel
+//!
+//! Scoring one query against many rows ([`EmbeddingIndex`]'s nearest-type
+//! search, data search, schema completion) goes through
+//! [`vector::dot_rows`] / [`vector::cosine_rows`], which take eight rows
+//! per pass over the query. [`dot`] sums its products in element order
+//! from `f32::sum`'s initial value — one chain of 64 dependent adds, which
+//! the compiler may not reorder and the CPU cannot overlap. The kernel
+//! keeps *that order within every row* and runs eight rows' chains side by
+//! side: row `r`'s accumulator starts from the same initial value and
+//! receives the same products `a[0]·row[0], a[1]·row[1], …` in the same
+//! order, so each of its intermediate sums — and the result — is the
+//! `f32` [`dot`] computes, bit for bit; only adds of *different* rows are
+//! interleaved, and those never meet. No `unsafe`, no target features:
+//! the eight independent chains are what lets the optimizer pack rows
+//! into vector lanes. [`dot`], [`norm`], [`cosine`] and
+//! [`cosine_with_norm`] are unchanged and remain the reference
+//! (`vector`'s proptests compare `to_bits` over every block remainder,
+//! dims 0–130, signed zeros and subnormals).
 //!
 //! # Example
 //!
@@ -43,13 +92,15 @@
 
 pub mod index;
 pub mod lexicon;
+pub mod memo;
 pub mod ngram;
 pub mod rank;
 pub mod sentence;
 pub mod vector;
 
 pub use index::{EmbeddingIndex, Neighbor};
+pub use memo::{MemoStats, WordMemo};
 pub use ngram::{ngrams, GramBuf, NgramEmbedder};
 pub use rank::{asc_nan_last, desc_nan_last, top_k_by};
 pub use sentence::SentenceEncoder;
-pub use vector::{cosine, cosine_with_norm, dot, norm, normalize};
+pub use vector::{cosine, cosine_rows, cosine_with_norm, dot, dot_rows, norm, normalize};

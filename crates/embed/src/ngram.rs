@@ -9,6 +9,8 @@
 //! needs — lexically overlapping strings receive similar vectors — without
 //! external weights.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::lexicon;
@@ -75,6 +77,19 @@ impl GramBuf {
         }
         // The full token (distinguishes the word from its substrings).
         f(&self.buf);
+    }
+}
+
+/// `word.to_lowercase()`, borrowing when that would be a copy: an ASCII
+/// word without upper-case letters is its own lower-casing (the shape of
+/// every normalized column name and lexicon entry). Everything else takes
+/// the full Unicode mapping, so the result always equals `to_lowercase`.
+#[must_use]
+pub(crate) fn lowered(word: &str) -> Cow<'_, str> {
+    if word.is_ascii() && !word.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
     }
 }
 
@@ -153,12 +168,19 @@ impl NgramEmbedder {
     }
 
     /// Embeds a single word: mean of its n-gram vectors, mixed with synonym
-    /// word vectors per the lexicon, renormalized to unit length.
+    /// word vectors per the lexicon, renormalized to unit length. A pure
+    /// function of `self`'s fields and `word.to_lowercase()` — which is
+    /// what lets [`crate::WordMemo`] keep the result.
     #[must_use]
     pub fn embed_word(&self, word: &str) -> Vec<f32> {
-        let mut v = self.embed_word_raw(word);
+        self.embed_word_lower(&lowered(word))
+    }
+
+    /// [`Self::embed_word`] of an already lower-cased word.
+    pub(crate) fn embed_word_lower(&self, lower: &str) -> Vec<f32> {
+        let mut v = self.embed_word_raw(lower);
         if self.synonym_weight > 0.0 {
-            let syns = lexicon::synonyms(word);
+            let syns = lexicon::synonyms_of_lower(lower);
             if !syns.is_empty() {
                 let w = self.synonym_weight / syns.len() as f32;
                 for syn in syns {
@@ -171,16 +193,15 @@ impl NgramEmbedder {
         v
     }
 
-    /// Word embedding without lexicon mixing. Grams are iterated borrowed
-    /// and each gram vector is generated into one reused scratch buffer, so
-    /// embedding a word performs no per-gram allocation.
-    fn embed_word_raw(&self, word: &str) -> Vec<f32> {
-        let word = word.to_lowercase();
+    /// Embedding of a lower-cased word without lexicon mixing. Grams are
+    /// iterated borrowed and each gram vector is generated into one reused
+    /// scratch buffer, so embedding a word performs no per-gram allocation.
+    fn embed_word_raw(&self, lower: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
         let mut gram_vec = vec![0.0f32; self.dim];
         let mut count = 0usize;
         let mut grams = GramBuf::default();
-        grams.for_each_gram(&word, self.n_min, self.n_max, |g| {
+        grams.for_each_gram(lower, self.n_min, self.n_max, |g| {
             self.ngram_vector_into(g, &mut gram_vec);
             add_scaled(&mut v, &gram_vec, 1.0);
             count += 1;
@@ -194,17 +215,10 @@ impl NgramEmbedder {
     /// unit-normalized. Empty/whitespace input yields the zero vector.
     #[must_use]
     pub fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.dim];
-        let mut n = 0usize;
-        for tok in text.split_whitespace() {
-            add_scaled(&mut v, &self.embed_word(tok), 1.0);
-            n += 1;
-        }
-        if n > 0 {
-            scale_inv(&mut v, n as f32);
-            normalize(&mut v);
-        }
-        v
+        mean_of_words(
+            self.dim,
+            text.split_whitespace().map(|tok| self.embed_word(tok)),
+        )
     }
 
     /// Cosine similarity between the embeddings of two strings.
@@ -214,9 +228,48 @@ impl NgramEmbedder {
     }
 }
 
+/// The phrase embedding over its word vectors: their mean, unit-normalized
+/// (the zero vector for no words). Shared by [`NgramEmbedder::embed`] and
+/// the memoized [`crate::WordMemo::embed`] so both add in the same order.
+pub(crate) fn mean_of_words<V: AsRef<[f32]>>(
+    dim: usize,
+    words: impl Iterator<Item = V>,
+) -> Vec<f32> {
+    let mut v = vec![0.0f32; dim];
+    let mut n = 0usize;
+    for word in words {
+        add_scaled(&mut v, word.as_ref(), 1.0);
+        n += 1;
+    }
+    if n > 0 {
+        scale_inv(&mut v, n as f32);
+        normalize(&mut v);
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lowered_equals_to_lowercase() {
+        for w in [
+            "id",
+            "ID",
+            "e-mail",
+            "",
+            "İd",
+            "ẞ",
+            "\u{212a}ey",
+            "ΟΔΟΣ",
+            "ǅ",
+            "日本",
+        ] {
+            assert_eq!(lowered(w), w.to_lowercase(), "{w:?}");
+        }
+        assert!(matches!(lowered("order_id 7"), Cow::Borrowed(_)));
+    }
 
     #[test]
     fn ngram_extraction() {

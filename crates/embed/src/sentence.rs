@@ -7,9 +7,12 @@
 //! [`NgramEmbedder`] and use a small built-in frequency table of common
 //! header/query filler tokens.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
-use crate::ngram::NgramEmbedder;
+use crate::memo::{MemoSlot, WordMemo};
+use crate::ngram::{lowered, NgramEmbedder};
 use crate::vector::{add_scaled, cosine, normalize};
 
 /// Tokens that are near-ubiquitous in headers and natural-language queries,
@@ -44,22 +47,25 @@ pub struct SentenceEncoder {
     embedder: NgramEmbedder,
     /// SIF smoothing constant `a`.
     pub sif_a: f32,
+    /// Word vectors of `embedder`, remembered (never serialized; clones
+    /// of an encoder share one memo).
+    #[serde(skip)]
+    memo: MemoSlot,
 }
 
 impl Default for SentenceEncoder {
     fn default() -> Self {
-        SentenceEncoder {
-            embedder: NgramEmbedder::default(),
-            sif_a: 1e-2,
-        }
+        SentenceEncoder::new(NgramEmbedder::default())
     }
 }
 
 impl SentenceEncoder {
-    /// Creates an encoder over a custom embedder.
+    /// Creates an encoder over a custom embedder, with a word-vector memo
+    /// of its own.
     #[must_use]
     pub fn new(embedder: NgramEmbedder) -> Self {
         SentenceEncoder {
+            memo: MemoSlot::of(Arc::new(WordMemo::new(embedder.clone()))),
             embedder,
             sif_a: 1e-2,
         }
@@ -71,8 +77,14 @@ impl SentenceEncoder {
         &self.embedder
     }
 
-    fn token_weight(&self, token: &str) -> f32 {
-        let lower = token.to_lowercase();
+    /// The word-vector memo behind [`Self::embed`].
+    #[must_use]
+    pub fn word_memo(&self) -> &Arc<WordMemo> {
+        self.memo.get(&self.embedder)
+    }
+
+    /// SIF weight of an already lower-cased token.
+    fn token_weight(&self, lower: &str) -> f32 {
         let freq = COMMON_TOKENS
             .iter()
             .find(|(t, _)| *t == lower)
@@ -84,11 +96,14 @@ impl SentenceEncoder {
     /// Tokenization: split on whitespace and punctuation, keep alphanumerics.
     #[must_use]
     pub fn embed(&self, text: &str) -> Vec<f32> {
+        let memo = self.word_memo();
         let mut v = vec![0.0f32; self.embedder.dim];
         let mut total_w = 0.0f32;
         for tok in tokenize(text) {
-            let w = self.token_weight(tok);
-            add_scaled(&mut v, &self.embedder.embed_word(tok), w);
+            // Lower-cased once: the weight table's and the memo's key.
+            let lower = lowered(tok);
+            let w = self.token_weight(&lower);
+            add_scaled(&mut v, &memo.embed_word_lower(&lower), w);
             total_w += w;
         }
         if total_w > 0.0 {
@@ -126,6 +141,64 @@ fn tokenize(text: &str) -> impl Iterator<Item = &str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `embed` as it was before the memo: per-token `to_lowercase` for the
+    /// weight, uncached `embed_word` for the vector.
+    fn embed_reference(e: &SentenceEncoder, text: &str) -> Vec<f32> {
+        let mut v = vec![0.0f32; e.embedder.dim];
+        let mut total_w = 0.0f32;
+        for tok in tokenize(text) {
+            let lower = tok.to_lowercase();
+            let freq = COMMON_TOKENS
+                .iter()
+                .find(|(t, _)| *t == lower)
+                .map_or(DEFAULT_FREQ, |(_, f)| *f);
+            let w = e.sif_a / (e.sif_a + freq);
+            add_scaled(&mut v, &e.embedder.embed_word(tok), w);
+            total_w += w;
+        }
+        if total_w > 0.0 {
+            normalize(&mut v);
+        }
+        v
+    }
+
+    #[test]
+    fn memoized_embed_equals_the_uncached_reference_by_bits() {
+        let e = SentenceEncoder::default();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for text in [
+            "status and sales amount per product",
+            "The ID of the Order",
+            "order_date, requiredDate!",
+            "İd ẞ \u{212a}ey ΟΔΟΣ",
+            "",
+            "—!!—",
+        ] {
+            for _ in 0..2 {
+                assert_eq!(
+                    bits(&e.embed(text)),
+                    bits(&embed_reference(&e, text)),
+                    "{text:?}"
+                );
+            }
+        }
+        assert!(e.word_memo().stats().hits > 0);
+    }
+
+    #[test]
+    fn serialized_form_has_no_memo_and_clones_share_one() {
+        let e = SentenceEncoder::default();
+        let json = serde_json::to_string(&e).expect("serializes");
+        assert!(
+            json.starts_with("{\"embedder\":{") && !json.contains("memo"),
+            "{json}"
+        );
+        let back: SentenceEncoder = serde_json::from_str(&json).expect("round trip");
+        assert_eq!(back.embed("order date"), e.embed("order date"));
+        assert!(Arc::ptr_eq(e.clone().word_memo(), e.word_memo()));
+        assert!(!Arc::ptr_eq(back.word_memo(), e.word_memo()));
+    }
 
     #[test]
     fn identical_similarity_one() {

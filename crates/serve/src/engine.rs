@@ -24,7 +24,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gittables_annotate::{Annotation, Method};
-use gittables_core::apps::{DataSearch, NearestCompletion, SchemaCompletion, SearchHit};
+use gittables_core::apps::{DataSearch, MemoStats, NearestCompletion, SchemaCompletion, SearchHit};
 use gittables_corpus::{
     load_indexes, AnnotatedTable, Corpus, CorpusStore, GroupDirectory, LazyCorpus, SidecarIssue,
     StoreError, TableId, TypeCount, TypeIndex,
@@ -394,6 +394,13 @@ impl QueryEngine {
     #[must_use]
     pub fn completion(&self) -> &Arc<NearestCompletion> {
         &self.completion
+    }
+
+    /// Word-vector memo counters of this engine's two query embedders
+    /// (search and completion), summed.
+    #[must_use]
+    pub fn word_memo_stats(&self) -> MemoStats {
+        self.search.word_memo_stats() + self.completion.word_memo_stats()
     }
 
     /// The inverted semantic-type index.

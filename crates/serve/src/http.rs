@@ -709,13 +709,17 @@ fn parse_request(head: &[u8]) -> Result<Request, String> {
 }
 
 /// The `/metrics` body: server-lifetime counters plus the facts of the
-/// snapshot now serving (`engine`, `fanouts`, `fanout_wait_us`).
+/// snapshot now serving (`engine`, `fanouts`, `fanout_wait_us`,
+/// `word_memo`).
 fn metrics_snapshot(shared: &Shared, router: &Router) -> MetricsSnapshot {
-    shared.metrics.snapshot(
-        shared.cache.stats(),
-        router.build_stats().clone(),
-        router.fanout_stats(),
-    )
+    MetricsSnapshot {
+        word_memo: router.word_memo_stats(),
+        ..shared.metrics.snapshot(
+            shared.cache.stats(),
+            router.build_stats().clone(),
+            router.fanout_stats(),
+        )
+    }
 }
 
 /// What the router produced for one request.

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gittables_core::apps::MemoStats;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
@@ -225,6 +226,7 @@ impl Metrics {
                 })
                 .collect(),
             cache,
+            word_memo: MemoStats::default(),
         }
     }
 }
@@ -268,6 +270,11 @@ pub struct MetricsSnapshot {
     pub requests: Vec<EndpointCount>,
     /// Response-cache statistics.
     pub cache: CacheStats,
+    /// Word-vector memo statistics of the serving snapshot's query
+    /// embedders (`/search` embeds on shard 0, `/complete` on the shared
+    /// completion index). Like `engine`, a reload resets them; zero in a
+    /// snapshot assembled outside a server ([`Metrics::snapshot`]).
+    pub word_memo: MemoStats,
     /// Cold-start breakdown of the serving engine (store load vs index
     /// build), fixed at engine construction.
     pub engine: EngineBuildStats,

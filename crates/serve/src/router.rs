@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use gittables_core::apps::{SchemaCompletion, SearchHit};
+use gittables_core::apps::{MemoStats, SchemaCompletion, SearchHit};
 use gittables_corpus::{StoreError, TableId, TypeCount};
 
 use crate::engine::{
@@ -179,6 +179,14 @@ impl Router {
     #[must_use]
     pub fn build_stats(&self) -> &EngineBuildStats {
         self.set.build_stats()
+    }
+
+    /// Word-vector memo counters of the snapshot's query embedders: shard
+    /// 0 embeds every `/search` query and every engine shares the one
+    /// completion index, so shard 0's engine holds them all.
+    #[must_use]
+    pub fn word_memo_stats(&self) -> MemoStats {
+        self.set.engines()[0].word_memo_stats()
     }
 
     /// What scatter-gather has cost on this snapshot so far.

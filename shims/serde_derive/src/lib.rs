@@ -4,7 +4,9 @@
 //! syn/quote-based derive cannot be used. This macro hand-parses the
 //! restricted shapes this workspace actually derives on:
 //!
-//! * structs with named fields (no generics),
+//! * structs with named fields (no generics); a field marked
+//!   `#[serde(skip)]` is left out of the serialized map and filled with
+//!   `Default::default()` on deserialization,
 //! * enums with unit variants,
 //! * enums with struct variants (named fields).
 //!
@@ -16,6 +18,8 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[derive(Debug)]
 struct Field {
     name: String,
+    /// Carries `#[serde(skip)]`.
+    skip: bool,
 }
 
 #[derive(Debug)]
@@ -68,12 +72,18 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
+        let attrs_start = i;
         i = skip_attrs_and_vis(tokens, i);
         let Some(TokenTree::Ident(id)) = tokens.get(i) else {
             break;
         };
+        let skip = tokens[attrs_start..i].iter().any(|t| {
+            matches!(t, TokenTree::Group(g) if g.delimiter() == Delimiter::Bracket
+                && g.stream().to_string().replace(' ', "") == "serde(skip)")
+        });
         fields.push(Field {
             name: id.to_string(),
+            skip,
         });
         i += 1;
         // Expect `:`, then consume the type until a top-level `,`.
@@ -111,7 +121,12 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
         match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                variants.push(Variant::Struct(name, parse_named_fields(&inner)));
+                let fields = parse_named_fields(&inner);
+                assert!(
+                    fields.iter().all(|f| !f.skip),
+                    "serde shim derive: `#[serde(skip)]` in variant `{name}` is not supported"
+                );
+                variants.push(Variant::Struct(name, fields));
                 i += 1;
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -192,6 +207,7 @@ fn parse_item(input: TokenStream) -> Item {
 fn gen_struct_serialize(name: &str, fields: &[Field]) -> String {
     let pushes: String = fields
         .iter()
+        .filter(|f| !f.skip)
         .map(|f| {
             format!(
                 "m.push((\"{n}\".to_string(), ::serde::Serialize::serialize(&self.{n})));\n",
@@ -214,6 +230,9 @@ fn gen_struct_deserialize(name: &str, fields: &[Field]) -> String {
     let inits: String = fields
         .iter()
         .map(|f| {
+            if f.skip {
+                return format!("{n}: ::std::default::Default::default(),\n", n = f.name);
+            }
             format!(
                 "{n}: ::serde::de_field(m, \"{n}\", \"{name}\")?,\n",
                 n = f.name
@@ -368,7 +387,7 @@ fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {
     )
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let code = match parse_item(input) {
         Item::Struct { name, fields } => gen_struct_serialize(&name, &fields),
@@ -378,7 +397,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim derive: generated invalid Serialize impl")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let code = match parse_item(input) {
         Item::Struct { name, fields } => gen_struct_deserialize(&name, &fields),

@@ -73,8 +73,62 @@ fn cache_hits_dominate_and_misses_count_distinct_names() {
         stats
     );
 
-    // A second run over the same host is pure hits: no new distinct names.
+    // Beneath it, the word-vector memo: names are made of far fewer
+    // distinct words than there are names, so words mostly hit too.
+    let words = pipeline.word_memo_stats();
+    assert!(
+        words.entries > 0 && words.entries <= words.misses,
+        "{words:?}"
+    );
+    assert!(words.hits > words.misses, "{words:?}");
+
+    // A second run over the same host is pure hits: no new distinct names
+    // — and a cached name embeds nothing.
     let misses_before = stats.misses;
     let _ = pipeline.run(&host);
     assert_eq!(pipeline.annotation_cache_stats().misses, misses_before);
+    assert_eq!(pipeline.word_memo_stats(), words);
+}
+
+/// FNV-1a digest over every annotation the pipeline produces for
+/// `PipelineConfig::sized(42, 3, 6)`: `(column, type_id, method,
+/// similarity bits)` per annotation, tables in corpus order, the four
+/// `(method, ontology)` slots in a fixed order. The constants were
+/// computed on commit ce1d5a7 — before the word-vector memo and the
+/// row-blocked scoring kernel — so this oracle spans that change instead
+/// of comparing the new code with itself.
+#[test]
+fn annotation_bits_equal_the_digest_pinned_at_the_parent_commit() {
+    const ANNOTATIONS_AT_PARENT: usize = 1785;
+    const DIGEST_AT_PARENT: u64 = 0x21b7_e15f_12ea_df6f;
+
+    let pipeline = Pipeline::new(PipelineConfig::sized(42, 3, 6));
+    let host = GitHost::new();
+    pipeline.populate_host(&host);
+    let (corpus, _) = pipeline.run(&host);
+
+    let mut bytes = Vec::new();
+    let mut count = 0usize;
+    for at in &corpus.tables {
+        for slot in [
+            &at.syntactic_dbpedia,
+            &at.syntactic_schema,
+            &at.semantic_dbpedia,
+            &at.semantic_schema,
+        ] {
+            for a in &slot.annotations {
+                bytes.extend_from_slice(&(a.column as u64).to_le_bytes());
+                bytes.extend_from_slice(&u64::from(a.type_id).to_le_bytes());
+                bytes.push(a.method as u8);
+                bytes.extend_from_slice(&a.similarity.to_bits().to_le_bytes());
+                count += 1;
+            }
+        }
+    }
+    let digest = gittables_embed::ngram::fnv1a(&bytes);
+    assert_eq!(
+        (count, digest),
+        (ANNOTATIONS_AT_PARENT, DIGEST_AT_PARENT),
+        "annotation bits moved: {count} annotations, digest {digest:#018x}"
+    );
 }

@@ -149,3 +149,110 @@ fn pruned_matches_reference_pruned_on_header_queries() {
         );
     }
 }
+
+/// The candidate probe as it was before it shared lower-cased tokens and a
+/// per-thread scratch, rebuilt from the public pieces: an inverted index
+/// from 3- and 4-grams (plus the `<word>` token) to label ids, probed with
+/// the whole lower-cased query first and then with every lexicon synonym
+/// of every token, keeping first-seen order — the order the ranking breaks
+/// ties by.
+struct ReferenceProbe {
+    inverted: std::collections::HashMap<String, Vec<usize>>,
+    labels: usize,
+}
+
+impl ReferenceProbe {
+    fn grams(tok: &str) -> Vec<String> {
+        let e = NgramEmbedder::default();
+        gittables_embed::ngrams(tok, e.n_min, e.n_max.min(4))
+    }
+
+    fn build(labels: &[String]) -> Self {
+        let mut inverted: std::collections::HashMap<String, Vec<usize>> = Default::default();
+        for (i, label) in labels.iter().enumerate() {
+            for tok in label.to_lowercase().split_whitespace() {
+                for gram in Self::grams(tok) {
+                    let ids = inverted.entry(gram).or_default();
+                    if ids.last() != Some(&i) {
+                        ids.push(i);
+                    }
+                }
+            }
+        }
+        ReferenceProbe {
+            inverted,
+            labels: labels.len(),
+        }
+    }
+
+    fn probe(&self, text: &str, seen: &mut [bool], out: &mut Vec<usize>) {
+        for tok in text.to_lowercase().split_whitespace() {
+            for gram in Self::grams(tok) {
+                for &i in self.inverted.get(&gram).map_or(&[][..], Vec::as_slice) {
+                    if !std::mem::replace(&mut seen[i], true) {
+                        out.push(i);
+                    }
+                }
+            }
+        }
+    }
+
+    fn candidates(&self, query: &str) -> Vec<usize> {
+        let mut seen = vec![false; self.labels];
+        let mut out = Vec::new();
+        self.probe(query, &mut seen, &mut out);
+        for tok in query.split_whitespace() {
+            let tok = tok.to_lowercase();
+            for group in gittables_embed::lexicon::SYNONYM_GROUPS {
+                if group.contains(&tok.as_str()) {
+                    for syn in group.iter().filter(|g| **g != tok) {
+                        self.probe(syn, &mut seen, &mut out);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+#[test]
+fn candidates_match_the_reference_probe_on_every_ontology_label_and_lexicon_word() {
+    for ontology in [dbpedia(), gittables_ontology::schema_org()] {
+        let labels: Vec<String> = ontology.types().iter().map(|t| t.label.clone()).collect();
+        let index = EmbeddingIndex::build(NgramEmbedder::default(), &labels);
+        let reference = ReferenceProbe::build(&labels);
+        let lexicon = gittables_embed::lexicon::SYNONYM_GROUPS
+            .iter()
+            .flat_map(|g| g.iter().map(|w| (*w).to_string()));
+        let queries = labels
+            .iter()
+            .cloned()
+            .chain(labels.iter().map(|l| normalize_label(l)))
+            .chain(lexicon)
+            .chain(HEADER_QUERIES.iter().map(|q| (*q).to_string()))
+            // Ties, repeats, shared prefixes, mixed case, non-ASCII
+            // lower-casing, and nothing shared at all.
+            .chain(
+                [
+                    "id id ID",
+                    "order",
+                    "order id",
+                    "order ids",
+                    "orders ordering",
+                    "Birth Date",
+                    "date of birth",
+                    "State STATUS state",
+                    "price cost amount fee",
+                    "E-Mail address",
+                    "zzxqwv qqq",
+                    "",
+                    "   ",
+                    "İd ΟΔΟΣ ΑΣ \u{212a}ey",
+                ]
+                .map(String::from),
+            );
+        for q in queries {
+            assert_eq!(index.candidates(&q), reference.candidates(&q), "{q:?}");
+        }
+    }
+}

@@ -197,6 +197,14 @@ fn metrics_report_counts_latency_and_cache() {
     assert_eq!(search.count, 2, "{snap:?}");
     assert!(snap.cache.hits >= 1, "second request must hit: {snap:?}");
     assert!(snap.cache.entries >= 1);
+    // The one query that reached the engine embedded its two words
+    // through the snapshot's word-vector memo.
+    let memo = snap.word_memo;
+    assert!(
+        memo.hits + memo.misses >= 2 && memo.entries >= 1,
+        "{snap:?}"
+    );
+    assert!(memo.entries <= memo.misses, "{snap:?}");
     // Handler latencies are recorded: the histogram produced quantiles.
     assert!(snap.p99_us >= snap.p50_us);
 

@@ -459,3 +459,68 @@ fn single_engine_start_still_serves() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a digest over the ranked answers of three fixed `/search` and
+/// three fixed `/complete` queries against the pipeline corpus of
+/// `PipelineConfig::sized(42, 3, 6)`: `(table_index, score bits)` per
+/// search hit, `(attributes, distance bits)` per completion. The
+/// constants were computed on commit ce1d5a7 — before the word-vector
+/// memo and the row-blocked scoring kernel — so the in-binary oracles
+/// (N-shard == 1-shard, blocked == per-row) are backed by one that spans
+/// that change.
+#[test]
+fn search_and_complete_bits_equal_the_digest_pinned_at_the_parent_commit() {
+    use gittables_core::{Pipeline, PipelineConfig};
+    use gittables_githost::GitHost;
+
+    const ANSWERS_AT_PARENT: usize = 53;
+    const DIGEST_AT_PARENT: u64 = 0xe638_c132_e573_79de;
+
+    let pipeline = Pipeline::new(PipelineConfig::sized(42, 3, 6));
+    let host = GitHost::new();
+    pipeline.populate_host(&host);
+    let (corpus, _) = pipeline.run(&host);
+    let dir = tmp("golden");
+    save_store(&corpus, &dir, 16).unwrap();
+
+    let digest_of = |router: &Router| {
+        let mut bytes = Vec::new();
+        let mut answers = 0usize;
+        for (q, k) in [
+            ("status and sales amount per product", 10),
+            ("order date", 5),
+            ("species habitat", 20),
+        ] {
+            for hit in router.search(q, k).unwrap() {
+                bytes.extend_from_slice(&(hit.table_index as u64).to_le_bytes());
+                bytes.extend_from_slice(&hit.score.to_bits().to_le_bytes());
+                answers += 1;
+            }
+        }
+        for (prefix, k) in [
+            (vec!["order id", "order date"], 5),
+            (vec!["id"], 10),
+            (vec!["name", "price", "status"], 3),
+        ] {
+            for c in router.complete(&prefix, k).unwrap() {
+                for a in c.schema.iter() {
+                    bytes.extend_from_slice(a.as_bytes());
+                    bytes.push(0);
+                }
+                bytes.extend_from_slice(&c.prefix_distance.to_bits().to_le_bytes());
+                answers += 1;
+            }
+        }
+        (answers, gittables_embed::ngram::fnv1a(&bytes))
+    };
+
+    for shards in [1, 2] {
+        let (answers, digest) = digest_of(&Router::new(ShardSet::load(&dir, shards).unwrap()));
+        assert_eq!(
+            (answers, digest),
+            (ANSWERS_AT_PARENT, DIGEST_AT_PARENT),
+            "{shards} shard(s): ranked bits moved: {answers} answers, digest {digest:#018x}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
