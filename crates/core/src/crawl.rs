@@ -22,7 +22,6 @@
 //!   crawl state is saved before returning.
 
 use std::collections::HashSet;
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -78,20 +77,16 @@ impl CrawlState {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Atomically rewrites the sidecar (write-to-temp, fsync, rename),
-    /// the same crash-consistency discipline as `quarantine.json`.
+    /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
+    /// rename, directory fsync), the same crash-consistency discipline as
+    /// `quarantine.json`.
     ///
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let tmp = dir.join(format!("{CRAWL_STATE_FILE}.tmp"));
         let text = serde_json::to_string(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join(CRAWL_STATE_FILE))
+        gittables_corpus::persist::write_durably(dir, CRAWL_STATE_FILE, text.as_bytes())
     }
 
     /// Whether `repo` may be re-attempted at the current pass.

@@ -10,7 +10,6 @@
 //! repositories join the corpus and drop out of the log.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -47,20 +46,16 @@ impl QuarantineLog {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Atomically rewrites the sidecar (write-to-temp, fsync, rename) so a
-    /// crash mid-save can never leave a torn log.
+    /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
+    /// rename, directory fsync) so a crash mid-save can never leave a torn
+    /// log and a crash after it cannot lose the save.
     ///
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let tmp = dir.join(format!("{QUARANTINE_FILE}.tmp"));
         let text = serde_json::to_string(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join(QUARANTINE_FILE))
+        gittables_corpus::persist::write_durably(dir, QUARANTINE_FILE, text.as_bytes())
     }
 
     /// The log as a skip map (`repository → recorded reason`) for the

@@ -2,8 +2,11 @@
 //!
 //! A [`crate::store::CorpusStore`] records its shard format in
 //! `manifest.json` (`"format"`) and resolves it to a codec once at
-//! open/create time; every shard write, load, export, and migration then
-//! streams through the same two-method interface. Two codecs exist:
+//! open/create time; every shard write streams through its encoder, and
+//! every read — whole-shard load, export, migration, lazy single-table
+//! access — goes through the same two methods
+//! ([`ShardCodec::block_spans`] + [`ShardCodec::read_block`]). Two codecs
+//! exist:
 //!
 //! * [`StoreFormat::Jsonl`] — one JSON document per line. Human-greppable
 //!   and append-friendly, but every load re-parses text through a value
@@ -16,7 +19,7 @@
 //! verifies table counts and content fingerprints on every load path, so
 //! both formats share one enforcement point.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 
 use crate::colv1;
@@ -80,7 +83,7 @@ pub trait ShardEncoder: Send {
     fn finish(self: Box<Self>) -> Result<(), StoreError>;
 }
 
-/// One shard format: naming, streaming encode, and whole-shard decode.
+/// One shard format: naming, streaming encode, and block-wise decode.
 pub trait ShardCodec: Send + Sync {
     /// The format this codec implements.
     fn format(&self) -> StoreFormat;
@@ -96,41 +99,11 @@ pub trait ShardCodec: Send + Sync {
     /// Propagates file-creation failures.
     fn begin(&self, path: &Path) -> Result<Box<dyn ShardEncoder>, StoreError>;
 
-    /// Reads every table of the shard at `path`, in write order. `file`
-    /// is the shard's store-relative name, used in error values.
-    ///
-    /// # Errors
-    /// `NotFound` surfaces as [`StoreError::Io`] (the store maps it to
-    /// [`StoreError::MissingShard`]); corrupt content surfaces as typed
-    /// decode errors, never a panic or a partial list.
-    fn read(&self, path: &Path, file: &str) -> Result<Vec<AnnotatedTable>, StoreError>;
-
-    /// [`Self::read`] plus each table's content fingerprint
-    /// ([`crate::dedup::table_fingerprint`]), for the store's integrity
-    /// check. The default recomputes fingerprints in a second pass over
-    /// the decoded tables; codecs that stream the same bytes anyway
-    /// (colv1) fold the hashing into decode, where the cells are still
-    /// cache-hot.
-    ///
-    /// # Errors
-    /// As [`Self::read`].
-    fn read_fingerprinted(
-        &self,
-        path: &Path,
-        file: &str,
-    ) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
-        let tables = self.read(path, file)?;
-        let fingerprints = tables
-            .iter()
-            .map(|at| crate::dedup::table_fingerprint(&at.table))
-            .collect();
-        Ok((tables, fingerprints))
-    }
-
     /// The `(offset, len)` byte span of every table in an already-loaded
     /// shard arena, in write order, **without decoding any table** — the
-    /// cheap structural read behind lazy single-table access
-    /// ([`crate::sidecar::LazyCorpus`]) and sidecar directory builds.
+    /// cheap structural read behind whole-shard loads, lazy single-table
+    /// access ([`crate::sidecar::LazyCorpus`]) and sidecar directory
+    /// builds.
     ///
     /// # Errors
     /// Typed [`StoreError::Corrupt`] on structurally invalid bytes, never
@@ -142,8 +115,27 @@ pub trait ShardCodec: Send + Sync {
     /// trailing garbage is a typed error, never silently ignored.
     ///
     /// # Errors
-    /// Typed decode errors, as [`Self::read`].
+    /// Typed decode errors, never a panic.
     fn read_block(&self, block: &[u8], file: &str) -> Result<AnnotatedTable, StoreError>;
+}
+
+/// The bytes of one block span of a shard arena, bounds-checked: a span
+/// that a corrupt footer or directory points outside the shard is a typed
+/// [`StoreError::Corrupt`].
+pub(crate) fn span_bytes<'a>(
+    bytes: &'a [u8],
+    offset: u64,
+    len: u64,
+    file: &str,
+) -> Result<&'a [u8], StoreError> {
+    usize::try_from(offset)
+        .ok()
+        .zip(usize::try_from(len).ok())
+        .and_then(|(offset, len)| bytes.get(offset..offset.checked_add(len)?))
+        .ok_or_else(|| StoreError::Corrupt {
+            file: file.to_string(),
+            detail: format!("block span {offset}+{len} out of range"),
+        })
 }
 
 /// The codec for `format` (codecs are stateless, so one static each).
@@ -201,23 +193,9 @@ impl ShardCodec for JsonlCodec {
         }))
     }
 
-    fn read(&self, path: &Path, _file: &str) -> Result<Vec<AnnotatedTable>, StoreError> {
-        let file = std::fs::File::open(path)?;
-        let reader = BufReader::new(file);
-        let mut tables = Vec::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            tables.push(serde_json::from_str(&line)?);
-        }
-        Ok(tables)
-    }
-
     fn block_spans(&self, bytes: &[u8], _file: &str) -> Result<Vec<(u64, u64)>, StoreError> {
-        // One table per non-empty line; a span covers the line's content
-        // without its terminator, mirroring `read`'s line iteration.
+        // One table per non-blank line; a span covers the line's content
+        // without its terminator.
         let mut spans = Vec::new();
         let mut start = 0usize;
         for (i, &b) in bytes.iter().enumerate() {
@@ -275,20 +253,6 @@ impl ShardCodec for ColV1Codec {
         Ok(Box::new(ColV1Encoder {
             writer: colv1::SegmentWriter::create(path, file)?,
         }))
-    }
-
-    fn read(&self, path: &Path, file: &str) -> Result<Vec<AnnotatedTable>, StoreError> {
-        let arena = colv1::Arena::load(path)?;
-        colv1::decode_segment(arena.bytes(), file)
-    }
-
-    fn read_fingerprinted(
-        &self,
-        path: &Path,
-        file: &str,
-    ) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
-        let arena = colv1::Arena::load(path)?;
-        colv1::decode_segment_fingerprinted(arena.bytes(), file)
     }
 
     fn block_spans(&self, bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, StoreError> {

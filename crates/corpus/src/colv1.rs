@@ -516,96 +516,13 @@ fn decode_table(cur: &mut Cursor<'_>) -> Result<AnnotatedTable, StoreError> {
     Ok(at)
 }
 
-/// Decodes a whole segment. Every structural violation — missing magic,
-/// truncation, offsets out of range, bad tags — is a typed
-/// [`StoreError::Corrupt`]; the function never panics on untrusted bytes
-/// and never returns a partial table list.
-pub(crate) fn decode_segment(bytes: &[u8], file: &str) -> Result<Vec<AnnotatedTable>, StoreError> {
-    Ok(decode_all(bytes, file, false)?.0)
-}
-
-/// [`decode_segment`] plus each table's content fingerprint, hashed
-/// right after its block is decoded — while the freshly materialized
-/// cells are still cache-hot — instead of in a second pass over the
-/// whole shard.
-pub(crate) fn decode_segment_fingerprinted(
-    bytes: &[u8],
-    file: &str,
-) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
-    decode_all(bytes, file, true)
-}
-
-fn decode_all(
-    bytes: &[u8],
-    file: &str,
-    fingerprint: bool,
-) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
-    // Fixed trailer: offsets array, N, footer_start, footer magic.
-    let min = FILE_MAGIC.len() + 8 + 8 + FOOTER_MAGIC.len();
-    if bytes.len() < min {
-        return Err(corrupt(
-            file,
-            format!("segment of {} bytes is truncated", bytes.len()),
-        ));
-    }
-    if &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
-        return Err(corrupt(file, "bad file magic (not a colv1 segment)"));
-    }
-    if &bytes[bytes.len() - FOOTER_MAGIC.len()..] != FOOTER_MAGIC {
-        return Err(corrupt(
-            file,
-            "bad footer magic (segment not fully written)",
-        ));
-    }
-    let fixed = bytes.len() - FOOTER_MAGIC.len() - 16;
-    let count = u64::from_le_bytes(bytes[fixed..fixed + 8].try_into().expect("8"));
-    let footer_start = u64::from_le_bytes(bytes[fixed + 8..fixed + 16].try_into().expect("8"));
-    let count = usize::try_from(count).map_err(|_| corrupt(file, "table count overflows usize"))?;
-    let footer_start = usize::try_from(footer_start)
-        .map_err(|_| corrupt(file, "footer offset overflows usize"))?;
-    if count
-        .checked_mul(8)
-        .and_then(|n| footer_start.checked_add(n))
-        != Some(fixed)
-    {
-        return Err(corrupt(file, "footer index does not match table count"));
-    }
-    if footer_start < FILE_MAGIC.len() {
-        return Err(corrupt(file, "footer overlaps file magic"));
-    }
-    let mut tables = Vec::with_capacity(count);
-    let mut fingerprints = Vec::with_capacity(if fingerprint { count } else { 0 });
-    let mut prev = 0usize;
-    for i in 0..count {
-        let at = footer_start + i * 8;
-        let offset = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8"));
-        let offset =
-            usize::try_from(offset).map_err(|_| corrupt(file, "block offset overflows usize"))?;
-        if offset < FILE_MAGIC.len() || offset >= footer_start || (i > 0 && offset <= prev) {
-            return Err(corrupt(file, format!("block offset {offset} out of range")));
-        }
-        prev = offset;
-        let mut cur = Cursor {
-            // Blocks may only read up to the footer: a corrupt block
-            // cannot wander into the index and misparse it as cells.
-            bytes: &bytes[..footer_start],
-            pos: offset,
-            file,
-        };
-        let at = decode_table(&mut cur)?;
-        if fingerprint {
-            fingerprints.push(crate::dedup::table_fingerprint(&at.table));
-        }
-        tables.push(at);
-    }
-    Ok((tables, fingerprints))
-}
-
-/// Parses only the segment trailer and returns each table block's
-/// `(offset, len)` span, without decoding any block — the footer-only
-/// read behind lazy single-table access ([`crate::sidecar::LazyCorpus`]).
-/// Applies the same structural checks as [`decode_segment`] up to the
-/// point where blocks would be decoded.
+/// Parses the segment trailer — the only place it is parsed — and returns
+/// each table block's `(offset, len)` span, without decoding any block.
+/// Every structural violation (missing magic, truncation, a footer index
+/// that disagrees with the table count, offsets out of range or out of
+/// order) is a typed [`StoreError::Corrupt`]; the function never panics
+/// on untrusted bytes. The spans tile `[file magic, footer)`, so a block
+/// can never read into the index.
 pub(crate) fn block_spans(bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, StoreError> {
     let min = FILE_MAGIC.len() + 8 + 8 + FOOTER_MAGIC.len();
     if bytes.len() < min {
@@ -664,7 +581,7 @@ pub(crate) fn block_spans(bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, S
 
 /// Decodes exactly one table block (a `(offset, len)` span produced by
 /// [`block_spans`]), requiring the block to consume its bytes exactly.
-/// Same typed-error discipline as [`decode_segment`].
+/// Same typed-error discipline as [`block_spans`].
 pub(crate) fn decode_block(block: &[u8], file: &str) -> Result<AnnotatedTable, StoreError> {
     let mut cur = Cursor {
         bytes: block,
@@ -770,6 +687,12 @@ mod tests {
         at
     }
 
+    /// The whole-shard read every store load goes through.
+    fn decode_whole(bytes: &[u8]) -> Result<Vec<AnnotatedTable>, StoreError> {
+        crate::store::decode_shard(&crate::codec::ColV1Codec, bytes, "seg.colv1")
+            .map(|(tables, _)| tables)
+    }
+
     #[test]
     fn block_roundtrip() {
         let at = sample();
@@ -803,18 +726,18 @@ mod tests {
                 "mmap path must engage on 64-bit unix"
             );
         }
-        let tables = decode_segment(arena.bytes(), "seg.colv1").unwrap();
+        let tables = decode_whole(arena.bytes()).unwrap();
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0], sample());
 
         // The read-once fallback decodes identically.
         let owned = Arena::Owned(std::fs::read(&path).unwrap());
-        assert_eq!(decode_segment(owned.bytes(), "seg.colv1").unwrap(), tables);
+        assert_eq!(decode_whole(owned.bytes()).unwrap(), tables);
 
         // Any truncation point must produce a typed error, never a panic.
         let full = std::fs::read(&path).unwrap();
-        for cut in [0, 1, 8, full.len() / 2, full.len() - 1] {
-            let err = decode_segment(&full[..cut], "seg.colv1").unwrap_err();
+        for cut in 0..full.len() {
+            let err = decode_whole(&full[..cut]).unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt { .. }),
                 "cut={cut}: {err}"
@@ -841,7 +764,7 @@ mod tests {
         for w in spans.windows(2) {
             assert_eq!(w[0].0 + w[0].1, w[1].0);
         }
-        let whole = decode_segment(&bytes, "seg.colv1").unwrap();
+        let whole = decode_whole(&bytes).unwrap();
         for (span, at) in spans.iter().zip(&whole) {
             let block = &bytes[span.0 as usize..(span.0 + span.1) as usize];
             assert_eq!(&decode_block(block, "seg.colv1").unwrap(), at);
@@ -958,8 +881,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_typed() {
-        let err =
-            decode_segment(b"NOTCOLV1 some random bytes that are long enough", "x").unwrap_err();
+        let err = decode_whole(b"NOTCOLV1 some random bytes that are long enough").unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }));
     }
 }

@@ -67,8 +67,8 @@ pub fn export_csv(corpus: &Corpus, root: &Path) -> Result<usize, PersistError> {
 
 /// Streams a sharded store out as CSV files, one shard in memory at a time,
 /// producing the same files as `export_csv(&store.load_corpus()?, root)`.
-/// File ordinals follow the store's global table ordering; `manifest.tsv`
-/// rows are emitted in shard order.
+/// File ordinals are the tables' ids ([`CorpusStore::table_ids`]);
+/// `manifest.tsv` rows are emitted in shard order.
 ///
 /// # Errors
 /// Propagates shard-load ([`StoreError`]) and I/O failures.
@@ -77,19 +77,12 @@ pub fn export_csv_store(store: &CorpusStore, root: &Path) -> Result<usize, Store
     let manifest_path = root.join("manifest.tsv");
     let mut manifest = std::io::BufWriter::new(std::fs::File::create(manifest_path)?);
     writeln!(manifest, "path\tsource_url\tlicense\ttopic")?;
-    // Rank the global indices across all shards so file ordinals match the
-    // assembled corpus position without materializing the whole corpus.
-    let entries = store.shard_entries();
-    let mut all_indices: Vec<usize> = entries
-        .iter()
-        .flat_map(|e| e.indices.iter().copied())
-        .collect();
-    all_indices.sort_unstable();
-    let rank = |index: usize| all_indices.partition_point(|&i| i < index);
+    // A table's id is its position in the assembled corpus, so file
+    // ordinals match without materializing more than one shard.
     let mut written = 0usize;
-    for entry in &entries {
-        for (index, at) in store.load_shard(entry)? {
-            export_table(root, &mut manifest, rank(index), &at)?;
+    for (entry, ids) in store.table_ids() {
+        for (id, at) in ids.into_iter().zip(store.load_shard(&entry)?) {
+            export_table(root, &mut manifest, id, &at)?;
             written += 1;
         }
     }
@@ -159,29 +152,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file under `root`, relative, with its bytes (the manifest's
+    /// absolute paths rewritten relative to `root`).
+    fn tree(root: &Path) -> Vec<(PathBuf, String)> {
+        let mut files = Vec::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    let text = text.replace(root.to_str().unwrap(), "<root>");
+                    files.push((path.strip_prefix(root).unwrap().to_path_buf(), text));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
     #[test]
     fn store_export_matches_corpus_export() {
         let c = corpus();
         let base = std::env::temp_dir().join(format!("gt_export_s_{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
-        let store_dir = base.join("store");
-        let store = crate::store::save_store(&c, &store_dir, 2).unwrap();
-        let direct = base.join("direct");
-        let streamed = base.join("streamed");
-        let n_direct = export_csv(&c, &direct).unwrap();
-        let n_streamed = export_csv_store(&store, &streamed).unwrap();
-        assert_eq!(n_direct, n_streamed);
-        // Same file set with identical contents.
-        for line in std::fs::read_to_string(direct.join("manifest.tsv"))
-            .unwrap()
-            .lines()
-            .skip(1)
-        {
-            let path = line.split('\t').next().unwrap();
-            let rel = Path::new(path).strip_prefix(&direct).unwrap();
-            let a = std::fs::read_to_string(path).unwrap();
-            let b = std::fs::read_to_string(streamed.join(rel)).unwrap();
-            assert_eq!(a, b, "mismatch for {rel:?}");
+        let dense = crate::store::save_store(&c, base.join("dense"), 2).unwrap();
+        // The same tables under gapped keys, one repeated across shards:
+        // `beta` and `alpha` tie at 1024, the earlier commit first.
+        let sparse = CorpusStore::create(base.join("sparse"), &c.name).unwrap();
+        for (id, tables) in [
+            ("b", [(1024, 1), (4096, 2)].as_slice()),
+            ("a", &[(1024, 0)]),
+        ] {
+            let mut w = sparse.begin_shard(id).unwrap();
+            for &(key, t) in tables {
+                w.push(key, &c.tables[t]).unwrap();
+            }
+            sparse.commit_shard(w.finish().unwrap()).unwrap();
+        }
+        for (tag, store) in [("dense", dense), ("sparse", sparse)] {
+            let loaded = store.load_corpus().unwrap();
+            let direct = base.join(format!("{tag}_direct"));
+            let streamed = base.join(format!("{tag}_streamed"));
+            assert_eq!(
+                export_csv(&loaded, &direct).unwrap(),
+                export_csv_store(&store, &streamed).unwrap()
+            );
+            let mut want = tree(&direct);
+            let mut got = tree(&streamed);
+            // `manifest.tsv` rows follow shard order in the streamed
+            // export: compare them as a set.
+            for files in [&mut want, &mut got] {
+                let manifest = files.iter_mut().find(|(p, _)| p.ends_with("manifest.tsv"));
+                let (_, text) = manifest.expect("manifest written");
+                let mut lines: Vec<&str> = text.lines().collect();
+                lines.sort_unstable();
+                *text = lines.join("\n");
+            }
+            assert_eq!(want, got, "{tag}");
         }
         std::fs::remove_dir_all(&base).ok();
     }

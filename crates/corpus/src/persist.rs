@@ -44,6 +44,25 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
+/// Replaces `dir/name` with `bytes` so that the replacement survives a
+/// crash: the bytes go to `name.tmp`, which is fsynced, renamed over
+/// `name`, and then `dir` itself is fsynced — without that last step the
+/// rename can be lost with the directory's dirty page. A crash at any
+/// point leaves the old file or the new one, never a torn one.
+///
+/// # Errors
+/// Propagates I/O failures; `name` is untouched unless the rename ran.
+pub fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, dir.join(name))?;
+    std::fs::File::open(dir)?.sync_all()
+}
+
 /// Saves a corpus as JSON.
 ///
 /// # Errors

@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use gittables_table::Schema;
 
-use crate::codec::{codec_for, StoreFormat};
+use crate::codec::{codec_for, span_bytes, StoreFormat};
 use crate::colv1::{Arena, Cursor};
 use crate::corpus::{AnnotatedTable, TableId};
 use crate::dedup::combine_fingerprints;
@@ -297,7 +297,7 @@ fn ontology_from_tag(tag: u8) -> Option<gittables_ontology::OntologyKind> {
 type PayloadWriter<'a> = &'a dyn Fn(&mut Vec<u8>, &str) -> Result<(), StoreError>;
 
 /// Writes one sidecar file: header, payload, checksum, footer magic —
-/// to a temp file, fsynced, then atomically renamed into place.
+/// replaced atomically and durably ([`crate::persist::write_durably`]).
 fn write_container(
     dir: &Path,
     kind: SidecarKind,
@@ -318,15 +318,7 @@ fn write_container(
     put_u64(&mut out, checksum);
     out.extend_from_slice(SIDECAR_FOOTER_MAGIC);
 
-    let tmp = dir.join(format!("{file}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, &out)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(file))?;
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
+    Ok(crate::persist::write_durably(dir, file, &out)?)
 }
 
 /// Removes every sidecar file under `dir`, best-effort. Used after
@@ -340,7 +332,7 @@ pub fn remove_sidecars(dir: &Path) {
 
 /// One table's location inside the store: which shard, which block
 /// span, and the content fingerprint the decoded table must match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirEntry {
     /// Ordinal of the shard in manifest commit order.
     pub shard: u32,
@@ -383,70 +375,55 @@ pub fn write_directory(
 /// shard segments' block spans — no table block is decoded. The
 /// per-table content fingerprints come from the caller (one
 /// [`crate::dedup::table_fingerprints`] pass over the corpus being
-/// indexed), ordered by global table id.
+/// indexed), ordered by [`TableId`] ([`CorpusStore::table_ids`]).
 ///
 /// # Errors
-/// [`StoreError::Corrupt`] when a segment's block count disagrees with
-/// the manifest, plus I/O and encoding failures.
+/// [`StoreError::Corrupt`] when a segment's block count, or the number of
+/// fingerprints, disagrees with the manifest, plus I/O and encoding
+/// failures.
 pub fn write_directory_for_store(
     store: &CorpusStore,
     binding: &SidecarBinding,
     fingerprints: &[u64],
 ) -> Result<(), StoreError> {
-    let entries = store.shard_entries();
+    let shards = store.table_ids();
+    let total: usize = shards.iter().map(|(_, ids)| ids.len()).sum();
+    if total != fingerprints.len() {
+        return Err(corrupt(
+            "manifest.json",
+            format!(
+                "store holds {total} tables, {} fingerprints were given",
+                fingerprints.len()
+            ),
+        ));
+    }
     let codec = store.codec();
-    let mut dir_entries: Vec<Option<DirEntry>> = vec![None; fingerprints.len()];
-    let mut files = Vec::with_capacity(entries.len());
-    for (s, entry) in entries.iter().enumerate() {
-        let arena = Arena::load(&store.path().join(&entry.file)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StoreError::MissingShard {
-                    id: entry.id.clone(),
-                }
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
+    // Ids are a permutation of `0..total`: every slot is written once.
+    let mut dir_entries = vec![DirEntry::default(); total];
+    let mut files = Vec::with_capacity(shards.len());
+    for (s, (entry, ids)) in shards.iter().enumerate() {
+        let arena = store.map_shard(entry)?;
         let spans = codec.block_spans(arena.bytes(), &entry.file)?;
-        if spans.len() != entry.indices.len() {
+        if spans.len() != ids.len() {
             return Err(corrupt(
                 &entry.file,
                 format!(
                     "segment holds {} tables, manifest records {}",
                     spans.len(),
-                    entry.indices.len()
+                    ids.len()
                 ),
             ));
         }
-        for (i, &(offset, len)) in spans.iter().enumerate() {
-            let gid = entry.indices[i];
-            let slot = dir_entries.get_mut(gid).ok_or_else(|| {
-                corrupt(
-                    &entry.file,
-                    format!("manifest index {gid} outside the corpus"),
-                )
-            })?;
-            *slot = Some(DirEntry {
+        for (&(offset, len), &id) in spans.iter().zip(ids) {
+            dir_entries[id] = DirEntry {
                 shard: s as u32,
                 offset,
                 len,
-                fingerprint: fingerprints[gid],
-            });
+                fingerprint: fingerprints[id],
+            };
         }
         files.push(entry.file.clone());
     }
-    let dir_entries: Vec<DirEntry> = dir_entries
-        .into_iter()
-        .enumerate()
-        .map(|(gid, e)| {
-            e.ok_or_else(|| {
-                corrupt(
-                    "manifest.json",
-                    format!("table {gid} appears in no committed shard"),
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
     write_directory(store.path(), binding, &files, &dir_entries)
 }
 
@@ -774,17 +751,7 @@ impl LazyCorpus {
             .shards
             .get(entry.shard as usize)
             .ok_or_else(|| corrupt("index-directory.gtsc", "shard ordinal out of range"))?;
-        let offset = usize::try_from(entry.offset)
-            .map_err(|_| corrupt(file, "block offset overflows usize"))?;
-        let len = usize::try_from(entry.len)
-            .map_err(|_| corrupt(file, "block length overflows usize"))?;
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| corrupt(file, "block span overflows"))?;
-        let block = arena
-            .bytes()
-            .get(offset..end)
-            .ok_or_else(|| corrupt(file, format!("block span {offset}..{end} out of range")))?;
+        let block = span_bytes(arena.bytes(), entry.offset, entry.len, file)?;
         let at = codec_for(self.format).read_block(block, file)?;
         let actual = crate::dedup::table_fingerprint(&at.table);
         if actual != entry.fingerprint {
@@ -973,7 +940,7 @@ fn skip_pad(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
 /// (missing / stale / corrupt); callers fall back to a rebuild.
 pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue> {
     let binding = binding_of(store);
-    let manifest_entries = store.shard_entries();
+    let shards = store.table_ids();
     let dir = store.path();
 
     // -- directory ---------------------------------------------------
@@ -983,17 +950,16 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
     let cur = &mut h.cur;
     let read = |r: Result<u64, StoreError>| r.map_err(SidecarIssue::Corrupt);
     let nshards = read(cur.u64())? as usize;
-    if nshards != manifest_entries.len() {
+    if nshards != shards.len() {
         return Err(SidecarIssue::Stale {
             file: file.to_string(),
             detail: format!(
                 "sidecar lists {nshards} shards, manifest has {}",
-                manifest_entries.len()
+                shards.len()
             ),
         });
     }
-    let mut shard_files = Vec::with_capacity(nshards);
-    for entry in &manifest_entries {
+    for (entry, _) in &shards {
         let f = cur.str().map_err(SidecarIssue::Corrupt)?;
         if f != entry.file {
             return Err(SidecarIssue::Stale {
@@ -1004,7 +970,6 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
                 ),
             });
         }
-        shard_files.push(f);
     }
     let tables = binding.tables as usize;
     let mut dir_entries = Vec::with_capacity(cur.cap(tables));
@@ -1032,13 +997,13 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
     // entry: fold them in each shard's write order and compare. This is
     // what makes a sidecar from an older (same-name, same-shape) corpus
     // detectable without touching a single corpus page.
-    for (s, entry) in manifest_entries.iter().enumerate() {
-        let mut fps = Vec::with_capacity(entry.indices.len());
-        for &gid in &entry.indices {
+    for (s, (entry, ids)) in shards.iter().enumerate() {
+        let mut fps = Vec::with_capacity(ids.len());
+        for &gid in ids {
             let Some(de) = dir_entries.get(gid) else {
                 return Err(SidecarIssue::Stale {
                     file: file.to_string(),
-                    detail: format!("manifest index {gid} outside the sidecar directory"),
+                    detail: format!("table id {gid} outside the sidecar directory"),
                 });
             };
             if de.shard as usize != s {
@@ -1064,21 +1029,13 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
     // Map the shard segments (no pages are touched yet) and bounds-check
     // every directory span once, so `get` failures can only mean real
     // block corruption.
-    let mut shards = Vec::with_capacity(nshards);
-    for entry in &manifest_entries {
-        let arena = match Arena::load(&dir.join(&entry.file)) {
-            Ok(a) => Arc::new(a),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(SidecarIssue::Corrupt(StoreError::MissingShard {
-                    id: entry.id.clone(),
-                }));
-            }
-            Err(e) => return Err(SidecarIssue::Corrupt(StoreError::Io(e))),
-        };
-        shards.push((entry.file.clone(), arena));
+    let mut arenas = Vec::with_capacity(nshards);
+    for (entry, _) in &shards {
+        let arena = store.map_shard(entry).map_err(SidecarIssue::Corrupt)?;
+        arenas.push((entry.file.clone(), Arc::new(arena)));
     }
     for (gid, de) in dir_entries.iter().enumerate() {
-        let shard_len = shards[de.shard as usize].1.bytes().len() as u64;
+        let shard_len = arenas[de.shard as usize].1.bytes().len() as u64;
         let ok = de
             .offset
             .checked_add(de.len)
@@ -1088,7 +1045,7 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
                 file,
                 format!(
                     "table {gid} span outside shard `{}`",
-                    shards[de.shard as usize].0
+                    arenas[de.shard as usize].0
                 ),
             )));
         }
@@ -1096,7 +1053,7 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
     let lazy = LazyCorpus {
         name: binding.name.clone(),
         format: store.format(),
-        shards,
+        shards: arenas,
         entries: dir_entries,
     };
 
@@ -1275,10 +1232,9 @@ mod tests {
     fn write_minimal_sidecars(dir: &std::path::Path) {
         let store = CorpusStore::open(dir).unwrap();
         let binding = binding_of(&store);
-        let entries = store.shard_entries();
         let mut dir_entries = vec![None; store.len()];
         let mut files = Vec::new();
-        for (s, entry) in entries.iter().enumerate() {
+        for (s, (entry, ids)) in store.table_ids().iter().enumerate() {
             let arena = Arena::load(&dir.join(&entry.file)).unwrap();
             let spans = store
                 .codec()
@@ -1287,7 +1243,7 @@ mod tests {
             for (i, (off, len)) in spans.iter().enumerate() {
                 let block = &arena.bytes()[*off as usize..(*off + *len) as usize];
                 let at = store.codec().read_block(block, &entry.file).unwrap();
-                dir_entries[entry.indices[i]] = Some(DirEntry {
+                dir_entries[ids[i]] = Some(DirEntry {
                     shard: s as u32,
                     offset: *off,
                     len: *len,

@@ -37,10 +37,22 @@
 //!   [`crate::dedup::combine_fingerprints`]); both are verified on load —
 //!   identically for every codec — and mismatches surface as typed
 //!   [`StoreError`]s, never panics.
-//! * **Stable ordering** — each table carries the global corpus position it
-//!   was produced at (`ShardEntry::indices`), so a corpus reassembled from
-//!   shards is identical to the corpus that was written, regardless of shard
-//!   layout, format, or load scheduling.
+//! * **Stable ordering** — each table carries the *ordering key* its producer
+//!   gave it (`ShardEntry::indices`), so a corpus reassembled from shards is
+//!   identical to the corpus that was written, regardless of shard layout,
+//!   format, or load scheduling.
+//!
+//! ## The id rule
+//!
+//! A table's [`TableId`] is its position in [`CorpusStore::load_corpus`]
+//! order: the rank of its ordering key among every committed table's, ties
+//! broken by (manifest commit order, slot inside the shard). Keys need be
+//! neither dense nor distinct — the pipeline spaces them one stride per
+//! source file, and shards committed by different extractions may repeat
+//! them — and the rank of a dense key is the key itself.
+//! [`CorpusStore::table_ids`] is the only place the rule is computed; loads,
+//! exports, the sidecar directory and sharded serving all consume it, so a
+//! store written by any producer is indexed and served as it stands.
 //!
 //! The pipeline's resume mode (`gittables_core`) shards by repository and
 //! stashes its per-shard stage report in [`ShardEntry::meta`]; the store
@@ -54,8 +66,9 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{codec_for, ShardCodec, ShardEncoder, StoreFormat};
-use crate::corpus::{AnnotatedTable, Corpus};
+use crate::codec::{codec_for, span_bytes, ShardCodec, ShardEncoder, StoreFormat};
+use crate::colv1::Arena;
+use crate::corpus::{AnnotatedTable, Corpus, TableId};
 use crate::dedup::{combine_fingerprints, table_fingerprint};
 use crate::persist::PersistError;
 
@@ -221,20 +234,20 @@ pub struct ShardEntry {
     pub tables: usize,
     /// Order-sensitive fold of the per-table content fingerprints.
     pub fingerprint: u64,
-    /// Global corpus position of each table, aligned with the shard's lines.
+    /// Ordering key of each table, aligned with the shard's blocks — *not*
+    /// its [`TableId`]: keys may be sparse and may repeat across shards.
+    /// Only [`CorpusStore::table_ids`] turns them into ids (see the module
+    /// docs, "The id rule").
     pub indices: Vec<usize>,
     /// Opaque producer metadata (the pipeline stores its per-shard stage
     /// report here); `None` for stores built by [`save_store`].
     pub meta: Option<String>,
 }
 
-/// One contiguous group of committed shards plus the stable-id range it
-/// owns — the unit a scale-out server assigns to one shard-local query
-/// engine. Produced by [`CorpusStore::shard_groups`].
+/// One contiguous stable-id range — the unit a scale-out server assigns
+/// to one shard-local query engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardGroup {
-    /// Shard ids of the group, in manifest commit order.
-    pub shard_ids: Vec<String>,
     /// The half-open global table-id range `[start, end)` the group owns.
     pub range: std::ops::Range<usize>,
 }
@@ -248,9 +261,8 @@ pub struct GroupDirectory {
 }
 
 impl GroupDirectory {
-    /// Builds a directory straight from id ranges (no backing store) —
-    /// the in-memory sharding path used by tests and benches. Ranges
-    /// must be contiguous, ascending, and start at 0.
+    /// Builds a directory straight from id ranges. Ranges must be
+    /// contiguous, ascending, and start at 0.
     ///
     /// # Panics
     /// When the ranges leave a gap or overlap.
@@ -263,18 +275,15 @@ impl GroupDirectory {
                 assert_eq!(range.start, next, "ranges contiguous from 0");
                 assert!(range.end >= range.start, "range well-formed");
                 next = range.end;
-                ShardGroup {
-                    shard_ids: Vec::new(),
-                    range,
-                }
+                ShardGroup { range }
             })
             .collect();
         GroupDirectory { groups }
     }
 
     /// Splits `0..total` into `n` near-even contiguous ranges (clamped
-    /// to at most one group per table, at least one group) — the
-    /// store-less counterpart of [`CorpusStore::shard_groups`].
+    /// to at most one group per table, at least one group, so an empty
+    /// corpus is one empty group).
     #[must_use]
     pub fn split_even(total: usize, n: usize) -> Self {
         let n = n.clamp(1, total.max(1));
@@ -347,7 +356,7 @@ impl StoreManifest {
 /// A streaming writer for one shard: tables are appended as they are
 /// produced, so producing a shard needs memory for one table at a time.
 /// Encoding is delegated to the store's [`ShardCodec`]; fingerprints and
-/// global indices are tracked here, identically for every format.
+/// ordering keys are tracked here, identically for every format.
 ///
 /// Created by [`CorpusStore::begin_shard`]; call [`ShardWriter::finish`] and
 /// commit the returned entry with [`CorpusStore::commit_shard`] to make the
@@ -371,7 +380,8 @@ impl std::fmt::Debug for ShardWriter {
 }
 
 impl ShardWriter {
-    /// Appends one table at global corpus position `index`.
+    /// Appends one table with ordering key `index` (see
+    /// [`ShardEntry::indices`]).
     ///
     /// # Errors
     /// Propagates I/O and encoding failures.
@@ -610,81 +620,6 @@ impl CorpusStore {
         self.manifest.lock().manifest.shards.clone()
     }
 
-    /// Splits the committed shards into at most `n` contiguous groups of
-    /// near-equal table count and returns the stable-id → group
-    /// directory. Fewer than `n` groups come back when the store has
-    /// fewer shards (a group owns at least one whole shard); an empty
-    /// store yields one empty group so callers always have a group 0.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when the manifest's global indices are not
-    /// the contiguous ascending sequence `0..len` in commit order — such
-    /// a store cannot be partitioned into id ranges.
-    pub fn shard_groups(&self, n: usize) -> Result<GroupDirectory, StoreError> {
-        let entries = self.shard_entries();
-        // Validate contiguity: shard s must own indices
-        // `[next, next + tables)` in commit order, which every writer in
-        // this workspace produces. Anything else cannot be range-routed.
-        let mut next = 0usize;
-        for e in &entries {
-            let contiguous = e.indices.len() == e.tables
-                && e.indices.iter().enumerate().all(|(i, &g)| g == next + i);
-            if !contiguous {
-                return Err(StoreError::Corrupt {
-                    file: e.file.clone(),
-                    detail: format!(
-                        "shard `{}` does not own a contiguous id range at {next}; \
-                         cannot build a shard-group directory",
-                        e.id
-                    ),
-                });
-            }
-            next += e.tables;
-        }
-        let n = n.clamp(1, entries.len().max(1));
-        if entries.is_empty() {
-            return Ok(GroupDirectory {
-                groups: vec![ShardGroup {
-                    shard_ids: Vec::new(),
-                    range: 0..0,
-                }],
-            });
-        }
-        // Greedy near-equal split by table count: group g takes shards
-        // until it reaches the g-th cumulative target, always at least
-        // one shard, always leaving one shard per remaining group.
-        let total = next;
-        let mut groups = Vec::with_capacity(n);
-        let mut shard = 0usize;
-        let mut start = 0usize;
-        for g in 0..n {
-            let target = (total * (g + 1)).div_ceil(n);
-            let mut end = start;
-            let mut ids = Vec::new();
-            while shard < entries.len() {
-                let remaining_groups = n - g - 1;
-                let remaining_shards = entries.len() - shard;
-                // Leave at least one shard for each later group.
-                if !ids.is_empty() && remaining_shards <= remaining_groups {
-                    break;
-                }
-                if !ids.is_empty() && end >= target {
-                    break;
-                }
-                ids.push(entries[shard].id.clone());
-                end += entries[shard].tables;
-                shard += 1;
-            }
-            groups.push(ShardGroup {
-                shard_ids: ids,
-                range: start..end,
-            });
-            start = end;
-        }
-        debug_assert_eq!(start, total, "groups cover every table");
-        Ok(GroupDirectory { groups })
-    }
-
     /// Starts a new shard. The shard stays invisible until its entry is
     /// passed to [`Self::commit_shard`].
     ///
@@ -765,9 +700,48 @@ impl CorpusStore {
         Ok(())
     }
 
+    /// The id rule (module docs): every committed shard, in commit order,
+    /// paired with the dense [`TableId`] of each of its tables, in slot
+    /// order. The ids are a permutation of `0..total`, taken from one
+    /// snapshot of the manifest.
+    #[must_use]
+    pub fn table_ids(&self) -> Vec<(ShardEntry, Vec<TableId>)> {
+        let shards = self.shard_entries();
+        let mut order: Vec<(usize, usize, usize)> = shards
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, e)| {
+                (e.indices.iter().enumerate()).map(move |(slot, &key)| (key, shard, slot))
+            })
+            .collect();
+        order.sort_unstable();
+        let mut ids: Vec<Vec<TableId>> = shards.iter().map(|e| vec![0; e.indices.len()]).collect();
+        for (id, (_, shard, slot)) in order.into_iter().enumerate() {
+            ids[shard][slot] = id;
+        }
+        shards.into_iter().zip(ids).collect()
+    }
+
+    /// Where a committed shard's bytes are: its file, mapped where
+    /// supported ([`Arena`]).
+    ///
+    /// # Errors
+    /// [`StoreError::MissingShard`] when the file is gone; otherwise
+    /// propagates I/O failures.
+    pub(crate) fn map_shard(&self, entry: &ShardEntry) -> Result<Arena, StoreError> {
+        Arena::load(&self.dir.join(&entry.file)).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::NotFound {
+                StoreError::MissingShard {
+                    id: entry.id.clone(),
+                }
+            } else {
+                StoreError::Io(e)
+            }
+        })
+    }
+
     /// Loads one shard through the store's codec, verifying its table
-    /// count and content fingerprint. Returns `(global index, table)`
-    /// pairs in shard order.
+    /// count and content fingerprint. Returns the tables in shard order.
     ///
     /// # Errors
     /// [`StoreError::MissingShard`] when the file is gone,
@@ -775,20 +749,9 @@ impl CorpusStore {
     /// corrupt content (per format), and
     /// [`StoreError::TableCountMismatch`]/[`StoreError::FingerprintMismatch`]
     /// when the content disagrees with the manifest.
-    pub fn load_shard(
-        &self,
-        entry: &ShardEntry,
-    ) -> Result<Vec<(usize, AnnotatedTable)>, StoreError> {
-        let path = self.dir.join(&entry.file);
-        let (decoded, fingerprints) = match self.codec().read_fingerprinted(&path, &entry.file) {
-            Ok(read) => read,
-            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::MissingShard {
-                    id: entry.id.clone(),
-                });
-            }
-            Err(e) => return Err(e),
-        };
+    pub fn load_shard(&self, entry: &ShardEntry) -> Result<Vec<AnnotatedTable>, StoreError> {
+        let arena = self.map_shard(entry)?;
+        let (decoded, fingerprints) = decode_shard(self.codec(), arena.bytes(), &entry.file)?;
         if decoded.len() != entry.tables || entry.indices.len() != entry.tables {
             return Err(StoreError::TableCountMismatch {
                 id: entry.id.clone(),
@@ -804,35 +767,53 @@ impl CorpusStore {
                 actual,
             });
         }
-        Ok(entry.indices.iter().copied().zip(decoded).collect())
+        Ok(decoded)
     }
 
     /// Loads the whole corpus with a rayon fan-out over shards, verifying
-    /// every shard, and reassembles tables in their recorded global order.
+    /// every shard, and places each table at its [`TableId`]
+    /// ([`Self::table_ids`]).
     ///
     /// # Errors
     /// Propagates the first shard failure (see [`Self::load_shard`]).
     pub fn load_corpus(&self) -> Result<Corpus, StoreError> {
-        let (name, entries) = {
-            let committed = self.manifest.lock();
-            (
-                committed.manifest.name.clone(),
-                committed.manifest.shards.clone(),
-            )
-        };
-        let loaded: Vec<Result<Vec<(usize, AnnotatedTable)>, StoreError>> =
-            entries.par_iter().map(|e| self.load_shard(e)).collect();
-        let mut tables: Vec<(usize, AnnotatedTable)> = Vec::new();
-        for shard in loaded {
-            tables.extend(shard?);
+        let shards = self.table_ids();
+        let loaded: Vec<Result<Vec<AnnotatedTable>, StoreError>> = shards
+            .par_iter()
+            .map(|(entry, _)| self.load_shard(entry))
+            .collect();
+        let mut tables: Vec<(TableId, AnnotatedTable)> = Vec::new();
+        for ((_, ids), shard) in shards.iter().zip(loaded) {
+            tables.extend(ids.iter().copied().zip(shard?));
         }
-        tables.sort_by_key(|(i, _)| *i);
-        let mut corpus = Corpus::new(name);
+        tables.sort_unstable_by_key(|(id, _)| *id);
+        let mut corpus = Corpus::new(self.name());
         for (_, at) in tables {
             corpus.push(at);
         }
         Ok(corpus)
     }
+}
+
+/// The one whole-shard read: walks `codec`'s block spans over `bytes`,
+/// decoding each block — which must consume its span exactly — and
+/// fingerprinting the table while its cells are still cache-hot. Returns
+/// the tables in write order with their [`table_fingerprint`]s, never a
+/// partial list.
+pub(crate) fn decode_shard(
+    codec: &dyn ShardCodec,
+    bytes: &[u8],
+    file: &str,
+) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
+    let spans = codec.block_spans(bytes, file)?;
+    let mut tables = Vec::with_capacity(spans.len());
+    let mut fingerprints = Vec::with_capacity(spans.len());
+    for (offset, len) in spans {
+        let at = codec.read_block(span_bytes(bytes, offset, len, file)?, file)?;
+        fingerprints.push(table_fingerprint(&at.table));
+        tables.push(at);
+    }
+    Ok((tables, fingerprints))
 }
 
 /// A filesystem-safe, collision-resistant shard id for an arbitrary name
@@ -917,7 +898,7 @@ pub struct MigrateReport {
 /// then are the old files removed. A crash before the rename leaves the
 /// original store untouched; a crash after it leaves a fully migrated
 /// store plus some stale files that a re-run cleans up. Shard ids,
-/// table counts, fingerprints, global indices, and resume metadata are
+/// table counts, fingerprints, ordering keys, and resume metadata are
 /// all preserved, so a migrated store loads a bit-identical corpus and
 /// still resumes.
 ///
@@ -959,11 +940,11 @@ pub fn migrate_store(
             let file = codec.file_name(&entry.id);
             let path = dir.join(&file);
             let mut encoder = codec.begin(&path)?;
-            for (_, at) in &tables {
+            for at in &tables {
                 encoder.push(at)?;
             }
             encoder.finish()?;
-            let (reread, reread_fps) = codec.read_fingerprinted(&path, &file)?;
+            let (reread, reread_fps) = decode_shard(codec, Arena::load(&path)?.bytes(), &file)?;
             let fingerprint = combine_fingerprints(reread_fps);
             if reread.len() != entry.tables || fingerprint != entry.fingerprint {
                 return Err(StoreError::Corrupt {
@@ -1259,19 +1240,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_groups_cover_contiguously() {
-        let dir = tmp("groups");
-        // 7 tables, shard size 2 -> shards of 2,2,2,1 tables.
-        save_store(&corpus(7), &dir, 2).unwrap();
-        let store = CorpusStore::open(&dir).unwrap();
-        for n in 1..=6 {
-            let groups = store.shard_groups(n).unwrap();
-            assert!(groups.len() <= 4, "at least one shard per group");
+    fn split_even_covers_contiguously() {
+        for n in 1..=9 {
+            let groups = GroupDirectory::split_even(7, n);
+            assert_eq!(groups.len(), n.min(7), "at most one group per table");
             assert_eq!(groups.groups()[0].range.start, 0);
             assert_eq!(groups.groups().last().unwrap().range.end, 7);
             for w in groups.groups().windows(2) {
                 assert_eq!(w[0].range.end, w[1].range.start, "contiguous");
-                assert!(!w[0].shard_ids.is_empty());
+                assert!(!w[0].range.is_empty());
             }
             for id in 0..7 {
                 let owner = groups.owner_of(id).unwrap();
@@ -1279,37 +1256,42 @@ mod tests {
             }
             assert_eq!(groups.owner_of(7), None);
         }
-        // n beyond the shard count clamps to one group per shard.
-        assert_eq!(store.shard_groups(99).unwrap().len(), 4);
-        std::fs::remove_dir_all(&dir).ok();
+        // No tables: one empty group, so callers always have a group 0.
+        let empty = GroupDirectory::split_even(0, 3);
+        assert_eq!(empty.len(), 1);
+        assert_eq!(empty.groups()[0].range, 0..0);
+        assert_eq!(empty.owner_of(0), None);
     }
 
     #[test]
-    fn shard_groups_empty_store_single_group() {
-        let dir = tmp("groups_empty");
+    fn table_ids_rank_sparse_and_repeated_keys_in_load_order() {
+        let dir = tmp("ids");
         let store = CorpusStore::create(&dir, "c").unwrap();
-        let groups = store.shard_groups(3).unwrap();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups.groups()[0].range, 0..0);
-        assert_eq!(groups.owner_of(0), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_groups_reject_non_contiguous_indices() {
-        let dir = tmp("groups_bad");
-        save_store(&corpus(4), &dir, 2).unwrap();
-        // Swap the two shards' global indices in the manifest: content is
-        // loadable (load_corpus reorders by index) but not range-routable.
-        let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let swapped = manifest
-            .replace("\"indices\":[0,1]", "\"indices\":[9,9]")
-            .replacen("\"indices\":[9,9]", "\"indices\":[2,3]", 0);
-        assert_ne!(manifest, swapped);
-        std::fs::write(dir.join(MANIFEST_FILE), swapped).unwrap();
-        let store = CorpusStore::open(&dir).unwrap();
-        let err = store.shard_groups(2).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        // Keys are gapped, out of commit order, and 1024 repeats across
+        // shards `a` and `c`: the tie goes to the earlier commit.
+        let shards: [(&str, &[usize]); 4] = [
+            ("a", &[2048, 1024, 1025]),
+            ("b", &[]),
+            ("c", &[0, 1024]),
+            ("d", &[7]),
+        ];
+        for (id, keys) in shards {
+            let mut w = store.begin_shard(id).unwrap();
+            for &key in keys {
+                w.push(key, &table(&format!("{id}{key}"), "x")).unwrap();
+            }
+            store.commit_shard(w.finish().unwrap()).unwrap();
+        }
+        let ids: Vec<Vec<TableId>> = store.table_ids().into_iter().map(|(_, i)| i).collect();
+        assert_eq!(ids, [vec![5, 2, 4], vec![], vec![0, 3], vec![1]]);
+        let names: Vec<String> = store
+            .load_corpus()
+            .unwrap()
+            .tables
+            .iter()
+            .map(|at| at.table.name().to_string())
+            .collect();
+        assert_eq!(names, ["c0", "d7", "a1024", "c1024", "a1025", "a2048"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

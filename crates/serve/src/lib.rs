@@ -35,8 +35,8 @@
 //!
 //! The corpus can be served by N *shard-local* engines instead of one:
 //! [`ShardSet`] boots one whole-corpus engine (sidecar-first, exactly as
-//! [`QueryEngine::load`] does) and splits it along the store's committed
-//! shards into contiguous groups — per-group views of the search and
+//! [`QueryEngine::load`] does) and splits it by table count into
+//! contiguous id ranges — per-range views of the search and
 //! type indexes, one shared table source, one shared corpus-global
 //! completion index. [`Router`] scatter-gathers `/search`, `/types` and
 //! `/types/{label}/tables` across the engines — shard 0 on the calling

@@ -3,8 +3,10 @@
 //!
 //! Every set starts as one whole-corpus engine — booted from the store
 //! ([`QueryEngine::boot`]: sidecar-first, rebuild fallback) or built
-//! over an in-memory corpus — which is then split along the store's own
-//! shard boundaries ([`CorpusStore::shard_groups`]): each engine gets a
+//! over an in-memory corpus — which is then split into near-even id
+//! ranges by table count ([`GroupDirectory::split_even`]; every engine
+//! reads tables from the one shared source, so the store's own shard
+//! boundaries do not matter): each engine gets a
 //! slice of the search index (a zero-copy row view of the mapped sidecar
 //! matrix, [`gittables_corpus::F32Matrix::slice_rows`]) and its
 //! restriction of the type index, while all engines share the table
@@ -50,38 +52,30 @@ impl ShardSet {
     /// (clamped to the corpus size) — the store-less path used by tests.
     #[must_use]
     pub fn from_corpus(corpus: &Corpus, n: usize) -> Self {
-        let directory = GroupDirectory::split_even(corpus.len(), n);
-        Self::split(QueryEngine::from_corpus(corpus.clone()), directory)
+        Self::split(QueryEngine::from_corpus(corpus.clone()), n)
     }
 
     /// Boots a sharded set for the store at `dir`: one whole-corpus
     /// engine boots exactly as [`QueryEngine::load`] does — sidecar path
     /// preferred, a missing/stale/corrupt sidecar set downgrading to a
     /// materialized rebuild recorded in
-    /// [`EngineBuildStats::fallback_reason`] — and is split along the
-    /// store's committed shards into at most `shards` contiguous groups.
+    /// [`EngineBuildStats::fallback_reason`] — and is split into `shards`
+    /// near-even id ranges (at most one per table).
     ///
     /// # Errors
-    /// Propagates store open/load failures and, for `shards > 1`, a
-    /// non-contiguous shard index ([`CorpusStore::shard_groups`]).
+    /// Propagates store open/load failures.
     pub fn load(dir: impl AsRef<Path>, shards: usize) -> Result<Self, StoreError> {
         let started = std::time::Instant::now();
         let store = CorpusStore::open(dir.as_ref())?;
-        // One shard routes nothing by id range, so it serves any loadable
-        // store, including one whose manifest indices are sparse.
-        let groups = (shards > 1)
-            .then(|| store.shard_groups(shards))
-            .transpose()?;
-        let engine = QueryEngine::boot(&store, started)?;
-        let directory = groups.unwrap_or_else(|| GroupDirectory::from_ranges([engine.id_range()]));
-        Ok(Self::split(engine, directory))
+        Ok(Self::split(QueryEngine::boot(&store, started)?, shards))
     }
 
-    /// Splits a whole-corpus engine along `directory`; the slicing time
-    /// joins the set-level `index_build_ms`.
-    fn split(engine: QueryEngine, directory: GroupDirectory) -> Self {
+    /// Splits a whole-corpus engine into `n` near-even id ranges; the
+    /// slicing time joins the set-level `index_build_ms`.
+    fn split(engine: QueryEngine, n: usize) -> Self {
         let mut build = engine.build_stats().clone();
         let started = std::time::Instant::now();
+        let directory = GroupDirectory::split_even(engine.num_tables(), n);
         let engines = engine.split(&directory).into_iter().map(Arc::new).collect();
         build.index_build_ms += started.elapsed().as_secs_f64() * 1e3;
         ShardSet {
@@ -186,12 +180,7 @@ mod tests {
     #[test]
     fn single_shard_load_equals_query_engine_load() {
         let c = corpus(5);
-        let dir = std::env::temp_dir().join(format!(
-            "gt_shardset_one_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmp("one");
         gittables_corpus::save_store(&c, &dir, 2).unwrap();
         let set = ShardSet::load(&dir, 1).unwrap();
         let reference = QueryEngine::load(&dir).unwrap();
@@ -204,6 +193,78 @@ mod tests {
             set.engines()[0].search("col", 5),
             reference.search("col", 5)
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn tmp(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "gt_shardset_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// Every routed answer of a set, as JSON.
+    fn answers(set: ShardSet) -> Vec<String> {
+        let router = crate::Router::new(set);
+        let mut out = vec![
+            serde_json::to_string(&router.search("col value", 3).unwrap()).unwrap(),
+            serde_json::to_string(&router.complete(&["col_1"], 3).unwrap()).unwrap(),
+            serde_json::to_string(&router.type_counts().unwrap()).unwrap(),
+        ];
+        for id in 0..=router.num_tables() {
+            out.push(serde_json::to_string(&router.try_table_summary(id).unwrap()).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn swapped_and_sparse_keys_serve_two_shards_identical_to_one() {
+        let c = corpus(5);
+        let dir = tmp("sparse");
+        // Keys are sparse, repeat, and run against commit order: table ids
+        // are their ranks, so store shard `late` owns ids 0..2.
+        let store = CorpusStore::create(&dir, &c.name).unwrap();
+        let layout: [(&str, &[(usize, usize)]); 2] = [
+            ("early", &[(4096, 2), (9000, 4), (4096, 3)]),
+            ("late", &[(7, 0), (1024, 1)]),
+        ];
+        for (id, tables) in layout {
+            let mut w = store.begin_shard(id).unwrap();
+            for &(key, t) in tables {
+                w.push(key, &c.tables[t]).unwrap();
+            }
+            store.commit_shard(w.finish().unwrap()).unwrap();
+        }
+        assert_eq!(store.load_corpus().unwrap(), c);
+        let one = answers(ShardSet::load(&dir, 1).unwrap());
+        assert_eq!(one, answers(ShardSet::from_corpus(&c, 1)));
+        for with_sidecars in [false, true] {
+            if with_sidecars {
+                crate::build_sidecars(&dir).unwrap();
+            }
+            for n in 2..=6 {
+                let set = ShardSet::load(&dir, n).unwrap();
+                assert_eq!(set.num_shards(), n.min(5));
+                let path = if with_sidecars { "sidecar" } else { "rebuild" };
+                assert_eq!(set.build_stats().boot_path, path);
+                assert_eq!(answers(set), one, "{n} shards, {path}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_store_is_one_empty_group() {
+        let dir = tmp("empty");
+        CorpusStore::create(&dir, "none").unwrap();
+        let set = ShardSet::load(&dir, 3).unwrap();
+        assert_eq!(set.num_shards(), 1);
+        assert_eq!(set.num_tables(), 0);
+        assert_eq!(set.directory().groups()[0].range, 0..0);
+        assert_eq!(set.directory().owner_of(0), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

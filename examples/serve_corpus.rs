@@ -1,7 +1,8 @@
-//! End-to-end serving demo: build a corpus, persist it to a sharded
-//! store, load it into a [`QueryEngine`], serve it over HTTP, and query
-//! it with the bundled client — the full `gittables serve` round trip in
-//! one process.
+//! End-to-end serving demo: build a corpus straight into a sharded
+//! store, index that directory, boot a [`QueryEngine`] from it, serve it
+//! over HTTP, and query it with the bundled client — the full
+//! `gittables resume` → `index` → `serve` loop in one process, on one
+//! directory.
 //!
 //! ```sh
 //! cargo run --release --example serve_corpus
@@ -10,19 +11,24 @@
 use std::sync::Arc;
 
 use gittables_core::{Pipeline, PipelineConfig};
+use gittables_corpus::{CorpusStore, StoreFormat};
 use gittables_githost::GitHost;
-use gittables_serve::{client, QueryEngine, Server, ServerConfig};
+use gittables_serve::{build_sidecars, client, QueryEngine, Server, ServerConfig};
 
 fn main() {
-    // Build once, persist, reload — the server never re-runs extraction.
+    // Build once, straight into the store; the server boots from the
+    // directory the pipeline wrote and never re-runs extraction.
     let pipeline = Pipeline::new(PipelineConfig::sized(21, 6, 12));
     let host = GitHost::new();
     pipeline.populate_host(&host);
-    let (corpus, _) = pipeline.run(&host);
     let dir = std::env::temp_dir().join(format!("gt_serve_example_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    gittables_corpus::save_store(&corpus, &dir, 64).expect("save store");
+    let store = CorpusStore::create_with_format(&dir, pipeline.corpus_name(), StoreFormat::ColV1)
+        .expect("create store");
+    pipeline.run_to_store(&host, &store).expect("build store");
+    build_sidecars(&dir).expect("index store");
     let engine = QueryEngine::load(&dir).expect("load store");
+    assert_eq!(engine.build_stats().boot_path, "sidecar");
     println!(
         "serving {} tables, {} semantic types",
         engine.num_tables(),

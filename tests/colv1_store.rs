@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use gittables_annotate::Annotation;
 use gittables_corpus::SIDECAR_FILES;
 use gittables_corpus::{
-    export_csv_store, load_store, migrate_store, save_store_as, table_fingerprint, AnnotatedTable,
-    Corpus, CorpusStore, StoreError, StoreFormat,
+    export_csv_store, load_indexes, load_store, migrate_store, save_store_as, table_fingerprint,
+    AnnotatedTable, Corpus, CorpusStore, StoreError, StoreFormat,
 };
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
@@ -160,6 +160,69 @@ proptest! {
         prop_assert_eq!(&load_store(&dir).unwrap(), &corpus);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The id rule, for any ordering keys a producer may write — gapped,
+    /// repeated across shards, against commit order, shards left empty:
+    /// the ids are a permutation of `0..len`, a table's id is its position
+    /// in `load_corpus` (keys stable-ranked, ties by commit order then
+    /// slot), and the sidecar path serves the same table under that id.
+    #[test]
+    fn table_ids_are_load_corpus_positions_for_any_keys(
+        spec in spec_strategy(),
+        placements in proptest::collection::vec((0usize..4, 0usize..4), 4),
+        commit_seed in 0usize..24,
+    ) {
+        const KEYS: [usize; 4] = [0, 7, 1024, 5 * 1024];
+        let corpus = build_corpus(&spec);
+        // Shards 0..4 commit in the `commit_seed`-th permutation.
+        let mut commit_order = vec![0usize, 1, 2, 3];
+        let mut pick = commit_seed;
+        for i in (1..4).rev() {
+            commit_order.swap(i, pick % (i + 1));
+            pick /= i + 1;
+        }
+        for format in StoreFormat::ALL {
+            let dir = tmp(&format!("prop_ids_{format}"));
+            let store = CorpusStore::create_with_format(&dir, &corpus.name, format).unwrap();
+            // (key, table) in commit order then slot: a stable sort by key
+            // is the order `load_corpus` must produce.
+            let mut expected: Vec<(usize, &AnnotatedTable)> = Vec::new();
+            for &shard in &commit_order {
+                let mut writer = store.begin_shard(&format!("s{shard}")).unwrap();
+                for (at, &(home, k)) in corpus.tables.iter().zip(&placements) {
+                    if home == shard {
+                        writer.push(KEYS[k], at).unwrap();
+                        expected.push((KEYS[k], at));
+                    }
+                }
+                store.commit_shard(writer.finish().unwrap()).unwrap();
+            }
+            expected.sort_by_key(|(key, _)| *key);
+
+            let shards = store.table_ids();
+            let mut ids: Vec<usize> = shards.iter().flat_map(|(_, ids)| ids.clone()).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..corpus.len()).collect::<Vec<_>>());
+            let loaded = store.load_corpus().unwrap();
+            prop_assert_eq!(loaded.len(), expected.len());
+            for (at, (_, want)) in loaded.tables.iter().zip(&expected) {
+                prop_assert_eq!(at, *want);
+            }
+            for (entry, ids) in &shards {
+                let tables = store.load_shard(entry).unwrap();
+                for (at, &id) in tables.iter().zip(ids) {
+                    prop_assert_eq!(at, &loaded.tables[id]);
+                }
+            }
+            build_sidecars(&dir).unwrap();
+            let lazy = load_indexes(&store).unwrap().corpus;
+            prop_assert_eq!(lazy.len(), loaded.len());
+            for (id, at) in loaded.tables.iter().enumerate() {
+                prop_assert_eq!(&lazy.get(id).unwrap().unwrap(), at);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// One fixed table: an empty cell, multi-byte cells, a quoted-comma cell,
@@ -296,6 +359,26 @@ fn corrupted_footer_index_is_typed() {
         let err = CorpusStore::open(&dir).unwrap().load_corpus().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn block_underconsuming_its_span_is_corrupt_on_a_whole_shard_load() {
+    // One stray byte between the last block and the footer index, with
+    // `footer_start` moved to match: the trailer is consistent and every
+    // table still decodes to the right fingerprint, but the last block no
+    // longer consumes its span. Lazy reads reject that; loads must too.
+    let dir = tmp("underconsume");
+    save_store_as(&sample_corpus(), &dir, 8, StoreFormat::ColV1).unwrap();
+    let path = first_segment(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let start_field = bytes.len() - 16;
+    let footer_start = u64::from_le_bytes(bytes[start_field..start_field + 8].try_into().unwrap());
+    bytes[start_field..start_field + 8].copy_from_slice(&(footer_start + 1).to_le_bytes());
+    bytes.insert(footer_start as usize, 0);
+    std::fs::write(&path, &bytes).unwrap();
+    let err = load_store(&dir).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,8 +1,9 @@
 //! The crawl daemon end to end: incremental passes converge on the
 //! reference corpus, scheduled quarantine drains heal repositories with
 //! exponential per-repo cooldown bookkeeping, a pre-set stop flag defers
-//! every shard without corrupting the store, and the real binary
-//! survives a SIGTERM mid-pass with an intact, resumable store.
+//! every shard without corrupting the store, the real binary survives a
+//! SIGTERM mid-pass with an intact, resumable store, and the directory a
+//! crawl wrote is the directory that is indexed and served sharded.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,7 +14,12 @@ use gittables_core::{
     crawl, CrawlOptions, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog, StoreRunOptions,
 };
 use gittables_corpus::store::CorpusStore;
+use gittables_corpus::StoreFormat;
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
+use gittables_serve::{
+    build_sidecars, client, MetricsSnapshot, QueryEngine, ReloadSpec, Router, Server, ServerConfig,
+    ShardSet,
+};
 
 fn cfg(seed: u64) -> PipelineConfig {
     PipelineConfig {
@@ -284,6 +290,159 @@ fn stop_flag_defers_shards_and_resume_completes() {
     assert!(!resumed.interrupted);
     assert_eq!(resumed.shards_deferred, 0);
     assert_eq!(resumed.corpus, reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(HTTP target, in-process JSON)` for every endpoint of `router`.
+fn endpoint_cases(router: &Router) -> Vec<(String, String)> {
+    fn json<T: serde::Serialize>(v: &T) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+    let mut cases = vec![("/health".to_string(), json(&router.health()))];
+    for (q, k) in [("status and sales amount", 5), ("species observed", 20)] {
+        let target = format!("/search?q={}&k={k}", q.replace(' ', "+"));
+        cases.push((target, json(&router.search(q, k).unwrap())));
+    }
+    for prefix in [vec!["id"], vec!["order_id", "order_date"]] {
+        let target = format!("/complete?prefix={}&k=4", prefix.join(","));
+        cases.push((target, json(&router.complete(&prefix, 4).unwrap())));
+    }
+    let types = router.type_counts().unwrap();
+    cases.push(("/types".to_string(), json(&types)));
+    for tc in &types {
+        let target = format!("/types/{}/tables", tc.label.replace(' ', "%20"));
+        cases.push((target, json(&router.type_tables(&tc.label).unwrap())));
+    }
+    for id in 0..router.num_tables() {
+        let summary = router.try_table_summary(id).unwrap().expect("id in range");
+        cases.push((format!("/tables/{id}"), json(&summary)));
+    }
+    cases
+}
+
+/// The loop on one directory: what `crawl` wrote — bounded passes, three
+/// workers, a faulty replica pool, SQL dumps spacing the ordering keys —
+/// is indexed and served at every shard count as it stands, every
+/// endpoint equal to the in-memory engine over the clean single-host
+/// corpus. A further pass over a grown host makes the sidecars stale
+/// (never wrong), and re-index + `/reload` returns to the sidecar path.
+#[test]
+fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
+    let sized = |repos| PipelineConfig {
+        sql_file_prob: 0.5,
+        workers: 3,
+        repos_per_topic: repos,
+        ..cfg(64)
+    };
+    let pool_over = |pipeline: &Pipeline| {
+        let flaky = |seed| FlakyHost::new(populated(pipeline), FaultSpec::transient(seed, 0.1));
+        HostPool::new(
+            vec![flaky(11), flaky(12)],
+            PoolPolicy {
+                seed: 3,
+                deterministic: true,
+                ..PoolPolicy::default()
+            },
+        )
+    };
+    let options = CrawlOptions {
+        max_shards_per_pass: Some(5),
+        ..fast_options(8)
+    };
+    let stop = AtomicBool::new(false);
+
+    let pipeline = Pipeline::new(sized(4));
+    let (reference, _) = pipeline.run(&populated(&pipeline));
+    assert!(
+        reference
+            .tables
+            .iter()
+            .any(|at| at.table.provenance().path.ends_with(".sql")),
+        "the corpus must hold SQL-dump tables"
+    );
+    let dir = std::env::temp_dir().join(format!("gt_crawl_loop_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store =
+        CorpusStore::create_with_format(&dir, pipeline.corpus_name(), StoreFormat::ColV1).unwrap();
+    let mut written = Vec::new();
+    let summary = crawl(
+        &pipeline,
+        &pool_over(&pipeline),
+        &store,
+        &options,
+        &stop,
+        |p| {
+            written.push(p.run.shards_written);
+        },
+    )
+    .unwrap();
+    assert_eq!(summary.quarantined, 0);
+    assert!(
+        written[1] > 0,
+        "the bound must spread the crawl over passes"
+    );
+    assert_eq!(written.last(), Some(&0), "the crawl must have converged");
+
+    // Index and serve the crawled directory itself.
+    let want = endpoint_cases(&Router::new(ShardSet::from_corpus(&reference, 1)));
+    build_sidecars(&dir).unwrap();
+    assert_eq!(
+        QueryEngine::load(&dir).unwrap().build_stats().boot_path,
+        "sidecar"
+    );
+    for n in 1..=3 {
+        let set = ShardSet::load(&dir, n).unwrap();
+        assert_eq!(set.num_shards(), n);
+        assert_eq!(set.build_stats().boot_path, "sidecar", "{n} shards");
+        assert_eq!(endpoint_cases(&Router::new(set)), want, "{n} shards");
+    }
+
+    // A further pass over a grown host commits new shards: the sidecars
+    // are stale, and the rebuild answers for the store as it is now.
+    let grown = Pipeline::new(sized(6));
+    let summary = crawl(&grown, &pool_over(&grown), &store, &options, &stop, |_| {}).unwrap();
+    assert_eq!(summary.quarantined, 0);
+    let now = store.load_corpus().unwrap();
+    assert!(now.len() > reference.len(), "new repositories must appear");
+    let want = endpoint_cases(&Router::new(ShardSet::from_corpus(&now, 1)));
+    let set = ShardSet::load(&dir, 2).unwrap();
+    assert_eq!(set.build_stats().boot_path, "rebuild");
+    assert_eq!(set.build_stats().fallback_reason.as_deref(), Some("stale"));
+    let server = Server::start_set(
+        set,
+        "127.0.0.1:0",
+        ServerConfig {
+            cache_capacity: 0,
+            reload: Some(ReloadSpec {
+                dir: dir.clone(),
+                shards: 2,
+            }),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let served = |what: &str| {
+        for (target, expected) in &want {
+            let (status, body) = client::get(server.addr(), target).expect("request");
+            assert_eq!(status, 200, "{what}: {target}");
+            assert_eq!(&body, expected, "{what}: {target}");
+        }
+        let (_, metrics) = client::get(server.addr(), "/metrics").expect("metrics");
+        let metrics: MetricsSnapshot = serde_json::from_str(&metrics).expect("metrics JSON");
+        metrics.engine
+    };
+    assert_eq!(served("stale sidecars").boot_path, "rebuild");
+
+    // Re-index, reload: the same bytes off the sidecar path.
+    build_sidecars(&dir).unwrap();
+    let mut admin = client::HttpClient::connect(server.addr()).expect("admin connect");
+    let (status, body) = admin.post("/reload").expect("reload");
+    assert_eq!(status, 200, "{body}");
+    let engine = served("re-indexed");
+    assert_eq!(engine.boot_path, "sidecar");
+    assert_eq!(engine.fallback_reason, None);
+
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
