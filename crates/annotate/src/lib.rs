@@ -16,6 +16,7 @@
 //! whose behaviour on database-like tables reproduces the low SemTab scores
 //! of Fig. 6a.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod annotation;

@@ -10,6 +10,7 @@
 //!
 //! and prints the paper's rows/series to stdout.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use gittables_core::{Pipeline, PipelineConfig, PipelineReport};

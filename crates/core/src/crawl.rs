@@ -122,7 +122,7 @@ impl CrawlState {
 pub struct CrawlOptions {
     /// Passes to run before returning; `None` loops until the stop flag.
     pub passes: Option<u64>,
-    /// Idle time between passes (stop-aware, interruption-safe).
+    /// Idle time between passes (stop-aware).
     pub interval: Duration,
     /// Cap on freshly processed shards per pass (`max_new_shards` of the
     /// underlying store run).
@@ -285,40 +285,22 @@ pub fn crawl(
     })
 }
 
-/// Process-wide SIGTERM/SIGINT handling for the crawl daemon: the
-/// handler is one atomic store into a flag the crawl loop polls at shard
-/// boundaries and during interval sleeps — nothing async-signal-unsafe
-/// happens in the handler.
+/// Process-wide SIGTERM/SIGINT handling for the crawl daemon: both
+/// signals raise one flag ([`gittables_sys::raise_flag_on`] — the handler
+/// is a single atomic store) that the crawl loop polls at shard
+/// boundaries and during interval sleeps.
 pub mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
+
+    use gittables_sys::{raise_flag_on, Signal};
 
     static STOP: AtomicBool = AtomicBool::new(false);
 
-    #[cfg(target_os = "linux")]
-    mod sys {
-        extern "C" {
-            pub fn signal(signum: i32, handler: usize) -> usize;
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    const SIGINT: i32 = 2;
-    #[cfg(target_os = "linux")]
-    const SIGTERM: i32 = 15;
-
-    #[cfg(target_os = "linux")]
-    extern "C" fn on_stop(_signum: i32) {
-        STOP.store(true, Ordering::Relaxed);
-    }
-
-    /// Installs the SIGTERM/SIGINT handlers (a no-op off Linux) and
-    /// returns the stop flag they set.
+    /// Installs the SIGTERM/SIGINT handlers and returns the stop flag
+    /// they set.
     pub fn install() -> &'static AtomicBool {
-        #[cfg(target_os = "linux")]
-        unsafe {
-            sys::signal(SIGINT, on_stop as *const () as usize);
-            sys::signal(SIGTERM, on_stop as *const () as usize);
-        }
+        raise_flag_on(Signal::Int, &STOP);
+        raise_flag_on(Signal::Term, &STOP);
         &STOP
     }
 

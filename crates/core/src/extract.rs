@@ -150,10 +150,10 @@ impl<'a> FaultSession<'a> {
         let ms = exp / 2 + h % (exp / 2 + 1);
         self.backoff_ms += ms;
         if self.policy.sleep && ms > 0 {
-            // Interruption-safe: the crawl daemon installs SIGTERM/SIGINT
-            // handlers, and a plain sleep cut short by EINTR would make
-            // backoff delays silently shrink under signal load.
-            gittables_githost::sleep_full(std::time::Duration::from_millis(ms));
+            // `std::thread::sleep` resumes after EINTR: the crawl daemon
+            // installs SIGTERM/SIGINT handlers, and backoff delays must
+            // not shrink under signal load.
+            std::thread::sleep(std::time::Duration::from_millis(ms));
         }
     }
 

@@ -39,6 +39,7 @@
 //! assert!(report.parsed > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

@@ -52,12 +52,11 @@
 //!
 //! ## Memory mapping
 //!
-//! On 64-bit Unix targets segments are mapped read-only with `mmap(2)`
-//! (declared directly against libc, which `std` already links — no new
-//! dependency). Pages stream in on demand and live in the page cache, so
-//! a load's peak RSS is the *decoded* corpus, not decoded + raw + tree.
-//! Set `GITTABLES_NO_MMAP=1` to force the read-once arena fallback (also
-//! used on other targets, for empty files, and when `mmap` fails).
+//! Segments are mapped read-only ([`gittables_sys::Mmap`]). Pages stream
+//! in on demand and live in the page cache, so a load's peak RSS is the
+//! *decoded* corpus, not decoded + raw + tree. An empty file, a refused
+//! mapping or a target without one falls back to reading the file once
+//! into an owned arena.
 //! Caveat shared with every file-mapping reader: truncating a segment
 //! while another process has it mapped is undefined behavior at the OS
 //! level (`SIGBUS`); stores are private directories, and `migrate` swaps
@@ -68,6 +67,7 @@ use std::path::Path;
 
 use gittables_annotate::{Annotation, Method, TableAnnotations};
 use gittables_ontology::OntologyKind;
+use gittables_sys::Mmap;
 use gittables_table::{AtomicType, CellArena, Column, Provenance, Table};
 
 use crate::corpus::AnnotatedTable;
@@ -80,7 +80,7 @@ pub const FILE_MAGIC: &[u8; 8] = b"GTCOLV1\0";
 /// without it was never fully written).
 pub const FOOTER_MAGIC: &[u8; 8] = b"GTCOLF1\0";
 
-fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
+pub(crate) fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
         file: file.to_string(),
         detail: detail.into(),
@@ -89,100 +89,29 @@ fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
 
 // ------------------------------------------------------------------- arena
 
-/// Read-only mapping of a whole segment file.
-#[cfg(all(unix, target_pointer_width = "64"))]
-mod mapped {
-    use std::os::unix::io::AsRawFd;
-
-    // `std` links libc on every Unix target, so declaring the two symbols
-    // we need avoids depending on the `libc` crate (unavailable in the
-    // offline build container).
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// An owned `mmap` region, unmapped on drop.
-    #[derive(Debug)]
-    pub struct Map {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // The mapping is private and read-only for its whole lifetime.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        /// Maps `len` bytes of `file` read-only; `None` when the kernel
-        /// refuses (callers fall back to reading the file).
-        pub fn of(file: &std::fs::File, len: usize) -> Option<Map> {
-            if len == 0 {
-                return None; // zero-length mmap is EINVAL
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as usize == usize::MAX {
-                None // MAP_FAILED
-            } else {
-                Some(Map { ptr, len })
-            }
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
 /// The bytes of a segment: memory-mapped where supported, otherwise read
 /// once into an owned buffer. Either way decoding slices out of one
 /// contiguous region.
 #[derive(Debug)]
 pub enum Arena {
-    /// Read-once fallback (non-Unix targets, empty files, `mmap` refusal,
-    /// or `GITTABLES_NO_MMAP=1`).
+    /// Read-once fallback (empty files, a refused or unsupported mapping).
     Owned(Vec<u8>),
-    /// Live `mmap` of the segment file.
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    Mapped(mapped::Map),
+    /// Live mapping of the segment file.
+    Mapped(Mmap),
 }
 
 impl Arena {
-    /// Loads `path`, preferring `mmap`.
+    /// Loads `path`, preferring a mapping.
     ///
     /// # Errors
     /// Propagates `open`/`read` failures (including `NotFound`, which the
     /// store maps to [`StoreError::MissingShard`]).
     pub fn load(path: &Path) -> std::io::Result<Arena> {
         let mut file = std::fs::File::open(path)?;
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if std::env::var_os("GITTABLES_NO_MMAP").is_none() {
-            if let Ok(meta) = file.metadata() {
-                let len = usize::try_from(meta.len()).unwrap_or(0);
-                if let Some(map) = mapped::Map::of(&file, len) {
-                    return Ok(Arena::Mapped(map));
-                }
+        if let Ok(meta) = file.metadata() {
+            let len = usize::try_from(meta.len()).unwrap_or(0);
+            if let Some(map) = Mmap::map(&file, len) {
+                return Ok(Arena::Mapped(map));
             }
         }
         let mut buf = Vec::new();
@@ -195,7 +124,6 @@ impl Arena {
     pub fn bytes(&self) -> &[u8] {
         match self {
             Arena::Owned(v) => v,
-            #[cfg(all(unix, target_pointer_width = "64"))]
             Arena::Mapped(m) => m.bytes(),
         }
     }
@@ -227,14 +155,17 @@ fn atomic_from_tag(tag: u8) -> Option<AtomicType> {
     })
 }
 
-fn ontology_tag(o: OntologyKind) -> u8 {
+// The ontology and method tags are also what the type-postings sidecar
+// writes ([`crate::sidecar`]): one table for both formats, so a shard and
+// its sidecar cannot disagree on a tag.
+pub(crate) fn ontology_tag(o: OntologyKind) -> u8 {
     match o {
         OntologyKind::DBpedia => 0,
         OntologyKind::SchemaOrg => 1,
     }
 }
 
-fn ontology_from_tag(tag: u8) -> Option<OntologyKind> {
+pub(crate) fn ontology_from_tag(tag: u8) -> Option<OntologyKind> {
     Some(match tag {
         0 => OntologyKind::DBpedia,
         1 => OntologyKind::SchemaOrg,
@@ -242,14 +173,14 @@ fn ontology_from_tag(tag: u8) -> Option<OntologyKind> {
     })
 }
 
-fn method_tag(m: Method) -> u8 {
+pub(crate) fn method_tag(m: Method) -> u8 {
     match m {
         Method::Syntactic => 0,
         Method::Semantic => 1,
     }
 }
 
-fn method_from_tag(tag: u8) -> Option<Method> {
+pub(crate) fn method_from_tag(tag: u8) -> Option<Method> {
     Some(match tag {
         0 => Method::Syntactic,
         1 => Method::Semantic,
@@ -257,21 +188,21 @@ fn method_from_tag(tag: u8) -> Option<Method> {
     })
 }
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Length-prefixed string. Lengths beyond `u32::MAX` (a 4 GiB single
 /// value) are refused at encode time rather than truncated.
-fn put_str(out: &mut Vec<u8>, s: &str, file: &str) -> Result<(), StoreError> {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str, file: &str) -> Result<(), StoreError> {
     let len = u32::try_from(s.len())
         .map_err(|_| corrupt(file, format!("string of {} bytes overflows u32", s.len())))?;
     put_u32(out, len);
@@ -719,13 +650,13 @@ mod tests {
         w.finish().unwrap();
 
         let arena = Arena::load(&path).unwrap();
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if std::env::var_os("GITTABLES_NO_MMAP").is_none() {
-            assert!(
-                matches!(arena, Arena::Mapped(_)),
-                "mmap path must engage on 64-bit unix"
-            );
-        }
+        // Whether this target maps at all is `gittables_sys`'s test.
+        let mappable = Mmap::map(&std::fs::File::open(&path).unwrap(), 1).is_some();
+        assert_eq!(
+            matches!(arena, Arena::Mapped(_)),
+            mappable,
+            "a load must map wherever the platform does"
+        );
         let tables = decode_whole(arena.bytes()).unwrap();
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0], sample());

@@ -20,8 +20,6 @@
 //! they disarm when they fire. When nothing is armed, the hot-path cost
 //! is one relaxed atomic load.
 
-#![allow(unsafe_code)]
-
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -142,14 +140,6 @@ pub fn injected(name: &str) -> std::io::Error {
     std::io::Error::other(format!("injected failpoint `{name}`"))
 }
 
-#[allow(clippy::items_after_statements)]
-mod sys {
-    extern "C" {
-        pub fn kill(pid: i32, sig: i32) -> i32;
-        pub fn getpid() -> i32;
-    }
-}
-
 /// Registers one hit of site `name` on `path`. Returns what the site
 /// must do: `None` (proceed normally — the common case, one atomic load
 /// when nothing was ever armed), or [`Triggered`]. [`FailMode::Kill`]
@@ -181,14 +171,8 @@ pub fn hit(name: &str, path: &str) -> Option<Triggered> {
     match mode {
         FailMode::Err => Some(Triggered::Error),
         FailMode::Short => Some(Triggered::Short),
-        FailMode::Kill => {
-            // Simulated crash: no flush, no unwinding, no destructors.
-            // SAFETY: plain libc calls on the current process.
-            unsafe {
-                sys::kill(sys::getpid(), 9);
-            }
-            unreachable!("SIGKILL delivered to self")
-        }
+        // Simulated crash: no flush, no unwinding, no destructors.
+        FailMode::Kill => gittables_sys::kill_self(),
     }
 }
 

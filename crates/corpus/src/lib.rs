@@ -22,6 +22,7 @@
 //!   list of `(table, column)` occurrences) behind the query-serving
 //!   subsystem's `/types` endpoints.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod annstats;

@@ -64,7 +64,10 @@ use std::sync::Arc;
 use gittables_table::Schema;
 
 use crate::codec::{codec_for, span_bytes, StoreFormat};
-use crate::colv1::{Arena, Cursor};
+use crate::colv1::{
+    corrupt, method_from_tag, method_tag, ontology_from_tag, ontology_tag, put_str, put_u32,
+    put_u64, put_u8, Arena, Cursor,
+};
 use crate::corpus::{AnnotatedTable, TableId};
 use crate::dedup::combine_fingerprints;
 use crate::store::{CorpusStore, StoreError};
@@ -204,13 +207,6 @@ impl std::fmt::Display for SidecarIssue {
 
 impl std::error::Error for SidecarIssue {}
 
-fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        file: file.to_string(),
-        detail: detail.into(),
-    }
-}
-
 /// FNV-1a 64 over `bytes` — the whole-file checksum that turns every
 /// flipped bit into a typed error.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -223,26 +219,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------- encoding
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str, file: &str) -> Result<(), StoreError> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| corrupt(file, format!("string of {} bytes overflows u32", s.len())))?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
 
 fn put_schema(out: &mut Vec<u8>, schema: &Schema, file: &str) -> Result<(), StoreError> {
     let n = u32::try_from(schema.len())
@@ -260,36 +236,6 @@ fn pad8(out: &mut Vec<u8>) {
     while !out.len().is_multiple_of(8) {
         out.push(0);
     }
-}
-
-fn method_tag(m: gittables_annotate::Method) -> u8 {
-    match m {
-        gittables_annotate::Method::Syntactic => 0,
-        gittables_annotate::Method::Semantic => 1,
-    }
-}
-
-fn method_from_tag(tag: u8) -> Option<gittables_annotate::Method> {
-    Some(match tag {
-        0 => gittables_annotate::Method::Syntactic,
-        1 => gittables_annotate::Method::Semantic,
-        _ => return None,
-    })
-}
-
-fn ontology_tag(o: gittables_ontology::OntologyKind) -> u8 {
-    match o {
-        gittables_ontology::OntologyKind::DBpedia => 0,
-        gittables_ontology::OntologyKind::SchemaOrg => 1,
-    }
-}
-
-fn ontology_from_tag(tag: u8) -> Option<gittables_ontology::OntologyKind> {
-    Some(match tag {
-        0 => gittables_ontology::OntologyKind::DBpedia,
-        1 => gittables_ontology::OntologyKind::SchemaOrg,
-        _ => return None,
-    })
 }
 
 /// Appends a kind-specific payload to the container buffer being built
@@ -586,8 +532,7 @@ impl F32Matrix {
         let Some(bytes) = all.get(offset..end) else {
             return Err(corrupt(file, "matrix extends past the sidecar"));
         };
-        let aligned = (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f32>());
-        if cfg!(target_endian = "little") && aligned {
+        if cfg!(target_endian = "little") && gittables_sys::as_f32s(bytes).is_some() {
             Ok(F32Matrix {
                 data: MatrixData::Mapped {
                     arena: Arc::clone(arena),
@@ -624,13 +569,7 @@ impl F32Matrix {
             MatrixData::Owned(v) => v,
             MatrixData::Mapped { arena, offset } => {
                 let bytes = &arena.bytes()[*offset..*offset + self.rows * self.dim * 4];
-                // SAFETY: the range was bounds-checked and the base
-                // 4-byte-aligned at construction; the arena is immutable
-                // and owned (via Arc) for `self`'s whole lifetime; f32
-                // has no invalid bit patterns.
-                unsafe {
-                    std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.rows * self.dim)
-                }
+                gittables_sys::as_f32s(bytes).expect("alignment was checked at construction")
             }
         }
     }

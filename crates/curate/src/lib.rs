@@ -13,6 +13,7 @@
 //! * [`faker`] — from-scratch fake value generators replacing PII values
 //!   (the paper uses the Python Faker library).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod faker;

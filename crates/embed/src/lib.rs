@@ -88,6 +88,7 @@
 //! assert!(sim_unrelated < sim_related);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod index;

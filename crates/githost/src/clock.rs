@@ -1,13 +1,14 @@
-//! Time sources and interruption-safe sleeping for pool scheduling.
+//! Time sources and stop-aware sleeping for pool scheduling.
 //!
 //! Two concerns live here:
 //!
-//! * [`sleep_full`] / [`sleep_until_stop`] — `nanosleep(2)`-based sleeps
-//!   that resume after `EINTR` instead of silently returning early. The
-//!   crawl daemon installs `SIGTERM`/`SIGINT` handlers, and once a
-//!   process has *any* signal handler, every naive sleep in the address
-//!   space can be cut short; backoff delays that quietly shrink under
-//!   signal load would make retry schedules load-dependent.
+//! * [`sleep_until_stop`] — a sleep the daemon's stop flag can cut short.
+//!   Every sleep in this crate is `std::thread::sleep`, which on unix
+//!   resumes after `EINTR` until the whole duration has elapsed. That
+//!   guarantee is relied on, not re-implemented: the crawl daemon
+//!   installs `SIGTERM`/`SIGINT` handlers, and backoff delays that
+//!   quietly shrank under signal load would make retry schedules
+//!   load-dependent (`tests/eintr_sleep.rs` pins it under a signal storm).
 //! * [`PoolClock`] — the time source [`crate::HostPool`] schedules
 //!   against. In `Wall` mode it is monotonic real time; in `Virtual`
 //!   mode it is a logical millisecond counter advanced explicitly, so
@@ -18,56 +19,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-#[cfg(target_os = "linux")]
-mod sys {
-    /// Matches the kernel's `struct timespec` on 64-bit Linux.
-    #[repr(C)]
-    pub struct Timespec {
-        pub tv_sec: i64,
-        pub tv_nsec: i64,
-    }
-
-    extern "C" {
-        /// On `EINTR` returns non-zero and writes the *unslept remainder*
-        /// into `rem` — exactly the loop variable an interruption-safe
-        /// sleep needs.
-        pub fn nanosleep(req: *const Timespec, rem: *mut Timespec) -> i32;
-    }
-}
-
-/// Sleeps for the whole of `duration`, resuming after signal
-/// interruptions (`EINTR`) with the remainder reported by `nanosleep`.
-/// A zero duration returns immediately.
-pub fn sleep_full(duration: Duration) {
-    #[cfg(target_os = "linux")]
-    {
-        let mut req = sys::Timespec {
-            tv_sec: i64::try_from(duration.as_secs()).unwrap_or(i64::MAX),
-            tv_nsec: i64::from(duration.subsec_nanos()),
-        };
-        while req.tv_sec > 0 || req.tv_nsec > 0 {
-            let mut rem = sys::Timespec {
-                tv_sec: 0,
-                tv_nsec: 0,
-            };
-            let rc = unsafe { sys::nanosleep(&req, &mut rem) };
-            if rc == 0 {
-                return;
-            }
-            // Interrupted: continue with the remainder. Any other error
-            // (EINVAL cannot happen for an in-range request) also leaves
-            // rem zeroed and exits the loop rather than spinning.
-            req = rem;
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    std::thread::sleep(duration);
-}
-
 /// Sleeps up to `duration` in short slices, waking early when `stop`
 /// becomes true. Returns `true` when the full duration elapsed, `false`
-/// when the stop flag cut it short. Each slice sleeps interruption-safe
-/// via [`sleep_full`], so signal storms delay neither the wakeup check
+/// when the stop flag cut it short. Each slice is a whole
+/// `std::thread::sleep`, so signal storms delay neither the wakeup check
 /// nor the total duration.
 pub fn sleep_until_stop(duration: Duration, stop: &AtomicBool) -> bool {
     const SLICE: Duration = Duration::from_millis(20);
@@ -77,7 +32,7 @@ pub fn sleep_until_stop(duration: Duration, stop: &AtomicBool) -> bool {
             return false;
         }
         let slice = remaining.min(SLICE);
-        sleep_full(slice);
+        std::thread::sleep(slice);
         remaining -= slice;
     }
     !stop.load(Ordering::Relaxed)
@@ -87,8 +42,7 @@ pub fn sleep_until_stop(duration: Duration, stop: &AtomicBool) -> bool {
 /// milliseconds since an arbitrary epoch.
 #[derive(Debug)]
 pub enum PoolClock {
-    /// Monotonic real time; waiting sleeps the calling thread
-    /// (interruption-safe).
+    /// Monotonic real time; waiting sleeps the calling thread.
     Wall {
         /// Epoch the millisecond readings count from.
         start: Instant,
@@ -136,7 +90,7 @@ impl PoolClock {
             PoolClock::Wall { .. } => {
                 let now = self.now_ms();
                 if target_ms > now {
-                    sleep_full(Duration::from_millis(target_ms - now));
+                    std::thread::sleep(Duration::from_millis(target_ms - now));
                 }
             }
             PoolClock::Virtual { now_ms } => {
@@ -148,7 +102,7 @@ impl PoolClock {
     /// Advances the clock by `delta_ms` from its current reading.
     pub fn advance_by(&self, delta_ms: u64) {
         match self {
-            PoolClock::Wall { .. } => sleep_full(Duration::from_millis(delta_ms)),
+            PoolClock::Wall { .. } => std::thread::sleep(Duration::from_millis(delta_ms)),
             PoolClock::Virtual { now_ms } => {
                 now_ms.fetch_add(delta_ms, Ordering::Relaxed);
             }
@@ -161,9 +115,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sleep_full_elapses_whole_duration() {
+    fn wall_advance_elapses_whole_duration() {
         let start = Instant::now();
-        sleep_full(Duration::from_millis(30));
+        PoolClock::wall().advance_by(30);
         assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
@@ -193,7 +147,7 @@ mod tests {
     fn wall_clock_moves_forward() {
         let clock = PoolClock::wall();
         let a = clock.now_ms();
-        sleep_full(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
         assert!(clock.now_ms() >= a);
     }
 }

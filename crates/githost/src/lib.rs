@@ -32,6 +32,7 @@
 //! assert_eq!(resp.total_count, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -41,7 +42,7 @@ pub mod model;
 pub mod pool;
 pub mod search;
 
-pub use clock::{sleep_full, sleep_until_stop, PoolClock};
+pub use clock::{sleep_until_stop, PoolClock};
 pub use fault::{FaultCounts, FaultSpec, FlakyHost};
 pub use host::{CodeHost, GitHost, HostError};
 pub use model::{FileKind, RepoFile, Repository};

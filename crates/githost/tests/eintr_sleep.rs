@@ -1,50 +1,52 @@
 //! Regression test: backoff/daemon sleeps must survive signal storms.
 //!
-//! Once the crawl daemon installs `SIGTERM`/`SIGINT` handlers, every
-//! naive sleep in the process can be cut short by `EINTR`. [`sleep_full`]
-//! must resume with the `nanosleep` remainder until the whole duration
-//! has elapsed — a sleeping retry loop whose delays silently shrink
-//! under signal load would make backoff schedules load-dependent.
-
-#![cfg(target_os = "linux")]
+//! Once the crawl daemon installs `SIGTERM`/`SIGINT` handlers, a sleep
+//! that returned on `EINTR` would be cut short by every signal — a
+//! retry loop whose delays silently shrink under signal load would make
+//! backoff schedules load-dependent. The workspace relies on
+//! `std::thread::sleep` resuming with the remainder until the whole
+//! duration has elapsed; the first storm pins that guarantee, the second
+//! pins [`sleep_until_stop`] built on it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gittables_githost::{sleep_full, sleep_until_stop};
+use gittables_githost::sleep_until_stop;
 
 mod sys {
     extern "C" {
         pub fn signal(signum: i32, handler: usize) -> usize;
-        pub fn pthread_self() -> u64;
-        pub fn pthread_kill(thread: u64, sig: i32) -> i32;
+        /// `pthread_t` is an `unsigned long` or a pointer: one word.
+        pub fn pthread_self() -> usize;
+        pub fn pthread_kill(thread: usize, sig: i32) -> i32;
     }
 }
 
-const SIGUSR1: i32 = 10;
+/// 14 on every unix (`SIGALRM` is not), and nothing here arms an alarm.
+const SIGALRM: i32 = 14;
 
 extern "C" fn noop(_signum: i32) {}
 
-/// Peppers the calling thread with SIGUSR1 from a helper thread while it
+/// Peppers the calling thread with SIGALRM from a helper thread while it
 /// sleeps; every signal interrupts the in-progress `nanosleep`, so the
 /// full duration only elapses if the sleep resumes with the remainder.
 #[test]
-fn sleep_full_survives_a_signal_storm() {
-    unsafe { sys::signal(SIGUSR1, noop as *const () as usize) };
+fn std_sleep_survives_a_signal_storm() {
+    unsafe { sys::signal(SIGALRM, noop as *const () as usize) };
     let target = unsafe { sys::pthread_self() };
     let done = Arc::new(AtomicBool::new(false));
     let storm = {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             while !done.load(Ordering::Relaxed) {
-                unsafe { sys::pthread_kill(target, SIGUSR1) };
+                unsafe { sys::pthread_kill(target, SIGALRM) };
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
     };
     let start = Instant::now();
-    sleep_full(Duration::from_millis(150));
+    std::thread::sleep(Duration::from_millis(150));
     let elapsed = start.elapsed();
     done.store(true, Ordering::Relaxed);
     storm.join().unwrap();
@@ -58,14 +60,14 @@ fn sleep_full_survives_a_signal_storm() {
 /// not stopped) and still wakes promptly when stopped.
 #[test]
 fn sleep_until_stop_survives_signals_and_stops() {
-    unsafe { sys::signal(SIGUSR1, noop as *const () as usize) };
+    unsafe { sys::signal(SIGALRM, noop as *const () as usize) };
     let target = unsafe { sys::pthread_self() };
     let done = Arc::new(AtomicBool::new(false));
     let storm = {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             while !done.load(Ordering::Relaxed) {
-                unsafe { sys::pthread_kill(target, SIGUSR1) };
+                unsafe { sys::pthread_kill(target, SIGALRM) };
                 std::thread::sleep(Duration::from_millis(2));
             }
         })

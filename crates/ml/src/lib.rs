@@ -14,6 +14,7 @@
 //! Everything is implemented from scratch on the offline crate set and is
 //! deterministic given a seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cv;

@@ -26,6 +26,7 @@
 //! assert!(dbp.len() > 2500);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

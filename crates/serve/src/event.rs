@@ -1,252 +1,54 @@
-//! Readiness primitives for the serving event loop — raw `libc`
-//! declarations, no external crates (the same approach `colv1`'s mmap
-//! takes).
+//! What other threads and signals use to reach the serving event loop:
+//! a [`Waker`] that interrupts its readiness wait, and the `SIGHUP` flag
+//! that asks for a live corpus reload.
 //!
-//! Linux gets the real thing: an epoll instance ([`Poller`]) parks idle
-//! keep-alive connections without pinning a worker thread, an eventfd
-//! ([`Waker`]) lets other threads interrupt the wait, and a `SIGHUP`
-//! handler flags a live corpus reload. On other platforms
-//! [`Poller::new`] reports `Unsupported` and the server falls back to
-//! the classic worker-per-connection poll loop.
+//! The readiness wait itself is [`gittables_sys::PollSet`] — `poll(2)`,
+//! the same on every unix — and everything here is `std` on top of it.
 
-#![allow(unsafe_code)]
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use std::io;
-use std::time::Duration;
+use gittables_sys::{raise_flag_on, Signal};
 
-/// Token [`Waker`] events surface under (picked to never collide with
-/// connection tokens, which count up from 0).
-pub const WAKE_TOKEN: u64 = u64::MAX;
-
-#[cfg(target_os = "linux")]
-mod sys {
-    //! The raw system surface: declarations straight from the Linux ABI.
-
-    /// `struct epoll_event` — packed on x86-64 (the kernel ABI has no
-    /// padding between `events` and `data`).
-    #[repr(C, packed)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CLOEXEC: i32 = 0x0008_0000;
-    pub const EFD_NONBLOCK: i32 = 0x800;
-    pub const EFD_CLOEXEC: i32 = 0x0008_0000;
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn eventfd(initval: u32, flags: i32) -> i32;
-        pub fn close(fd: i32) -> i32;
-        pub fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
-        pub fn signal(signum: i32, handler: usize) -> usize;
-    }
-}
-
-/// A level-triggered epoll instance. Level triggering means a
-/// connection registered with bytes already pending fires immediately —
-/// no arrival/registration race.
-#[cfg(target_os = "linux")]
-pub struct Poller {
-    epfd: i32,
-}
-
-#[cfg(target_os = "linux")]
-impl Poller {
-    /// Creates the epoll instance.
-    ///
-    /// # Errors
-    /// The raw `epoll_create1` error.
-    pub fn new() -> io::Result<Poller> {
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Poller { epfd })
-    }
-
-    /// Registers `fd` for read readiness under `token`.
-    ///
-    /// # Errors
-    /// The raw `epoll_ctl` error (e.g. fd limits).
-    pub fn add(&self, fd: i32, token: u64) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: sys::EPOLLIN,
-            data: token,
-        };
-        if unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Deregisters `fd`. Must be called before the fd is handed to
-    /// another thread (a still-registered fd would keep firing here).
-    pub fn del(&self, fd: i32) {
-        // A dummy event keeps pre-2.6.9-kernel semantics happy; the
-        // kernel ignores it for DEL.
-        let mut ev = sys::EpollEvent { events: 0, data: 0 };
-        unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-    }
-
-    /// Waits up to `timeout` and appends ready tokens to `out`. EINTR
-    /// reads as an empty wake-up, not an error.
-    ///
-    /// # Errors
-    /// The raw `epoll_wait` error (never EINTR).
-    pub fn wait(&self, timeout: Duration, out: &mut Vec<u64>) -> io::Result<()> {
-        const MAX_EVENTS: usize = 64;
-        let mut events: [sys::EpollEvent; MAX_EVENTS] =
-            unsafe { std::mem::zeroed::<[sys::EpollEvent; MAX_EVENTS]>() };
-        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        let n = unsafe { sys::epoll_wait(self.epfd, events.as_mut_ptr(), MAX_EVENTS as i32, ms) };
-        if n < 0 {
-            let e = io::Error::last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(e);
-        }
-        for ev in events.iter().take(n.unsigned_abs() as usize) {
-            // `data` is unaligned inside the packed struct: copy it out.
-            let token = ev.data;
-            out.push(token);
-        }
-        Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.epfd) };
-    }
-}
-
-/// Cross-thread wake-up for a [`Poller`] wait: an eventfd registered
-/// under [`WAKE_TOKEN`].
-#[cfg(target_os = "linux")]
+/// Cross-thread wake-up for a [`gittables_sys::PollSet`] wait: a
+/// non-blocking socket pair whose read end sits in the set.
 pub struct Waker {
-    fd: i32,
+    rx: UnixStream,
+    tx: UnixStream,
 }
 
-#[cfg(target_os = "linux")]
 impl Waker {
-    /// Creates the eventfd and registers it with `poller`.
+    /// Creates the socket pair.
     ///
     /// # Errors
-    /// The raw `eventfd`/`epoll_ctl` error.
-    pub fn new(poller: &Poller) -> io::Result<Waker> {
-        let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let waker = Waker { fd };
-        poller.add(fd, WAKE_TOKEN)?;
-        Ok(waker)
+    /// The raw `socketpair`/`fcntl` error (e.g. fd limits).
+    pub fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
     }
 
-    /// Interrupts a concurrent [`Poller::wait`].
+    /// The descriptor to push into the waiting thread's set; it turns
+    /// readable on [`Waker::wake`] and stays so until [`Waker::drain`].
+    #[must_use]
+    pub fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+
+    /// Interrupts a concurrent (or the next) wait.
     pub fn wake(&self) {
-        let one: u64 = 1;
-        unsafe {
-            sys::write(
-                self.fd,
-                std::ptr::addr_of!(one).cast(),
-                std::mem::size_of::<u64>(),
-            )
-        };
+        // A full socket buffer (`WouldBlock`) means wake-ups are already
+        // pending, which is all this call promises.
+        let _ = (&self.tx).write(&[1]);
     }
 
     /// Consumes pending wake-ups so the level-triggered fd goes quiet.
     pub fn drain(&self) {
-        let mut counter: u64 = 0;
-        unsafe {
-            sys::read(
-                self.fd,
-                std::ptr::addr_of_mut!(counter).cast(),
-                std::mem::size_of::<u64>(),
-            )
-        };
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.fd) };
-    }
-}
-
-/// Portable stand-ins: construction reports `Unsupported`, so callers
-/// fall back to the worker-per-connection poll loop. The methods exist
-/// for type-checking only and are never reached.
-#[cfg(not(target_os = "linux"))]
-pub struct Poller;
-
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    /// Always `Unsupported` off Linux.
-    ///
-    /// # Errors
-    /// Always.
-    pub fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only",
-        ))
-    }
-
-    /// Unreachable off Linux.
-    ///
-    /// # Errors
-    /// Never returns (unreachable).
-    pub fn add(&self, _fd: i32, _token: u64) -> io::Result<()> {
-        unreachable!("Poller cannot be constructed off Linux")
-    }
-
-    /// Unreachable off Linux.
-    pub fn del(&self, _fd: i32) {
-        unreachable!("Poller cannot be constructed off Linux")
-    }
-
-    /// Unreachable off Linux.
-    ///
-    /// # Errors
-    /// Never returns (unreachable).
-    pub fn wait(&self, _timeout: Duration, _out: &mut Vec<u64>) -> io::Result<()> {
-        unreachable!("Poller cannot be constructed off Linux")
-    }
-}
-
-/// Portable stand-in; see [`Poller`].
-#[cfg(not(target_os = "linux"))]
-pub struct Waker;
-
-#[cfg(not(target_os = "linux"))]
-impl Waker {
-    /// Unreachable off Linux ([`Poller::new`] already failed).
-    ///
-    /// # Errors
-    /// Never returns (unreachable).
-    pub fn new(_poller: &Poller) -> io::Result<Waker> {
-        unreachable!("Poller cannot be constructed off Linux")
-    }
-
-    /// Unreachable off Linux.
-    pub fn wake(&self) {
-        unreachable!("Waker cannot be constructed off Linux")
-    }
-
-    /// Unreachable off Linux.
-    pub fn drain(&self) {
-        unreachable!("Waker cannot be constructed off Linux")
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
@@ -254,106 +56,38 @@ impl Waker {
 
 /// Set by the `SIGHUP` handler; polled (and cleared) by the server's
 /// reload watcher.
-#[cfg(target_os = "linux")]
-static HUP_PENDING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static HUP_PENDING: AtomicBool = AtomicBool::new(false);
 
-/// The signal handler: one async-signal-safe atomic store, nothing else.
-#[cfg(target_os = "linux")]
-extern "C" fn on_sighup(_signum: i32) {
-    HUP_PENDING.store(true, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Installs the `SIGHUP` → reload-flag handler (idempotent). No-op off
-/// Linux.
+/// Installs the `SIGHUP` → reload-flag handler (idempotent).
 pub fn install_sighup_handler() {
-    #[cfg(target_os = "linux")]
-    {
-        const SIGHUP: i32 = 1;
-        unsafe { sys::signal(SIGHUP, on_sighup as *const () as usize) };
-    }
+    raise_flag_on(Signal::Hup, &HUP_PENDING);
 }
 
 /// Consumes a pending `SIGHUP`, reporting whether one had arrived since
-/// the last call. Always `false` off Linux.
+/// the last call.
 #[must_use]
 pub fn take_sighup() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        HUP_PENDING.swap(false, std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
+    HUP_PENDING.swap(false, Ordering::Relaxed)
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-
-    #[test]
-    fn poller_reports_readable_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let poller = Poller::new().unwrap();
-        poller.add(server_side.as_raw_fd(), 7).unwrap();
-
-        // Nothing pending: the wait times out empty.
-        let mut tokens = Vec::new();
-        poller.wait(Duration::from_millis(10), &mut tokens).unwrap();
-        assert!(tokens.is_empty());
-
-        // Bytes already written BEFORE a (re-)registration still fire —
-        // level triggering closes the park/arrival race.
-        client.write_all(b"ping").unwrap();
-        poller
-            .wait(Duration::from_millis(500), &mut tokens)
-            .unwrap();
-        assert_eq!(tokens, vec![7]);
-
-        // Level-triggered: unread data keeps firing.
-        tokens.clear();
-        poller.wait(Duration::from_millis(10), &mut tokens).unwrap();
-        assert_eq!(tokens, vec![7]);
-
-        poller.del(server_side.as_raw_fd());
-        tokens.clear();
-        poller.wait(Duration::from_millis(10), &mut tokens).unwrap();
-        assert!(tokens.is_empty());
-    }
+    use gittables_sys::PollSet;
+    use std::time::Duration;
 
     #[test]
     fn waker_interrupts_wait_and_drains_quiet() {
-        let poller = Poller::new().unwrap();
-        let waker = Waker::new(&poller).unwrap();
+        let waker = Waker::new().unwrap();
+        let mut set = PollSet::new();
+        let slot = set.push(waker.fd());
         waker.wake();
-        let mut tokens = Vec::new();
-        poller
-            .wait(Duration::from_millis(500), &mut tokens)
-            .unwrap();
-        assert_eq!(tokens, vec![WAKE_TOKEN]);
+        let mut ready = Vec::new();
+        set.wait(Duration::from_millis(500), &mut ready).unwrap();
+        assert_eq!(ready, vec![slot]);
         waker.drain();
-        tokens.clear();
-        poller.wait(Duration::from_millis(10), &mut tokens).unwrap();
-        assert!(tokens.is_empty());
-    }
-
-    #[test]
-    fn sighup_flag_roundtrip() {
-        install_sighup_handler();
-        assert!(!take_sighup());
-        // Raise the signal in-process; the handler must set the flag.
-        extern "C" {
-            fn raise(signum: i32) -> i32;
-        }
-        unsafe { raise(1) };
-        assert!(take_sighup());
-        assert!(!take_sighup());
+        ready.clear();
+        set.wait(Duration::from_millis(10), &mut ready).unwrap();
+        assert!(ready.is_empty());
     }
 }

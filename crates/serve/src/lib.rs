@@ -46,16 +46,18 @@
 //! single-engine ranking, answers `/complete` from the shared index, and
 //! routes `/tables/{id}` by the stable-id directory.
 //!
-//! On Linux idle keep-alive connections park in an epoll event loop
-//! ([`event`]) instead of pinning worker threads, and a `/reload` POST
-//! (or `SIGHUP`) atomically swaps in a freshly-loaded corpus snapshot
-//! with zero downtime: in-flight requests drain on the old snapshot
-//! before its mappings drop.
+//! Fresh and idle keep-alive connections park in one event loop — a
+//! level-triggered `poll(2)` set, the same on every unix — instead of
+//! pinning worker threads ([`http`], "Concurrency model"), and a
+//! `/reload` POST (or `SIGHUP`) atomically swaps in a freshly-loaded
+//! corpus snapshot with zero downtime: in-flight requests drain on the
+//! old snapshot before its mappings drop.
 //!
 //! Graceful shutdown drains in-flight work: the acceptor stops handing
 //! out connections, and every connection already handed to a worker
 //! completes its current request before the pool exits.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

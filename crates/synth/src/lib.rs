@@ -26,6 +26,7 @@
 //!
 //! All generators take explicit `u64` seeds and are bit-for-bit reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csvrender;

@@ -46,6 +46,7 @@
 //! assert_eq!(table.column(2).unwrap().atomic_type(), AtomicType::String);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

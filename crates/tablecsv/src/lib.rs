@@ -25,6 +25,7 @@
 //! assert_eq!(parsed.records.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dialect;

@@ -28,6 +28,7 @@
 //! assert_eq!(names, ["ant; colony", ""]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dialect;

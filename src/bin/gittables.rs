@@ -34,6 +34,8 @@
 //! exponential per-repo cooldowns, per-pass pool/breaker stats, and
 //! graceful SIGTERM/SIGINT shutdown that commits in-flight shards.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -343,16 +343,15 @@ fn graceful_shutdown_under_load_loses_no_accepted_request() {
 
 #[test]
 fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
-    // Regression: with every worker pinned to a long-lived keep-alive
+    // Regression: with every worker busy with a long-lived keep-alive
     // connection, a queued /shutdown connection must still get picked up
-    // — connection recycling (max_requests_per_connection) guarantees a
-    // worker frees up.
+    // — a connection parks after each response and re-queues behind
+    // whatever turned readable meanwhile, so no client owns a worker.
     let (_engine, handle, dir) = served_engine(
         78,
         "starve",
         ServerConfig {
             threads: 2,
-            max_requests_per_connection: 8,
             ..ServerConfig::default()
         },
     );
@@ -363,8 +362,8 @@ fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
     for _ in 0..2 {
         let stop = stop.clone();
         hammers.push(std::thread::spawn(move || {
-            // HttpClient reconnects transparently when the server
-            // recycles the connection, keeping the workers saturated.
+            // HttpClient reconnects transparently should the server
+            // recycle the connection, keeping the workers saturated.
             let mut client = match client::HttpClient::connect(addr) {
                 Ok(c) => c,
                 Err(_) => return,
@@ -387,6 +386,46 @@ fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
     for h in hammers {
         h.join().expect("hammer thread");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_connections_beyond_the_worker_count_pin_no_worker() {
+    // 64 clients connect and say nothing. Under a worker-owns-connection
+    // model the first two would hold both workers until the keep-alive
+    // timeout; parked in the event loop they hold none, so a 65th client
+    // is answered at once — and every one of the 64 is still served when
+    // it finally speaks.
+    let (_engine, handle, dir) = served_engine(
+        81,
+        "idle",
+        ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    let idle: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
+        .collect();
+
+    let (status, body) = client::get(addr, "/health").expect("65th client starved");
+    assert_eq!(status, 200, "{body}");
+
+    for (i, mut s) in idle.into_iter().enumerate() {
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        s.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp)
+            .unwrap_or_else(|e| panic!("idle client {i} unanswered: {e}"));
+        assert!(resp.starts_with("HTTP/1.1 200"), "idle client {i}: {resp}");
+        assert!(resp.ends_with(&body), "idle client {i}: {resp}");
+    }
+
+    handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
