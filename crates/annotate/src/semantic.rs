@@ -23,9 +23,6 @@ pub struct SemanticAnnotator {
     ids: Vec<TypeId>,
     /// Minimum cosine similarity for an annotation to be kept.
     pub threshold: f32,
-    /// Whether to use the inverted-n-gram candidate filter (fast path) or
-    /// exact brute-force cosine (ablation baseline).
-    pub use_pruning: bool,
 }
 
 impl SemanticAnnotator {
@@ -55,7 +52,6 @@ impl SemanticAnnotator {
             index,
             ids,
             threshold: DEFAULT_THRESHOLD,
-            use_pruning: true,
         }
     }
 
@@ -87,12 +83,9 @@ impl SemanticAnnotator {
         if norm.is_empty() || contains_digit(&norm) {
             return Vec::new();
         }
-        let hits = if self.use_pruning {
-            self.index.nearest_pruned(&norm, k)
-        } else {
-            self.index.nearest_brute(&norm, k)
-        };
-        hits.into_iter()
+        self.index
+            .nearest_pruned(&norm, k)
+            .into_iter()
             .filter(|h| h.similarity >= self.threshold)
             .filter_map(|h| {
                 let ty = self.ontology.get(self.ids[h.index])?;
@@ -126,11 +119,7 @@ impl SemanticAnnotator {
     /// once in the caller). The returned [`Annotation::column`] is `0`.
     #[must_use]
     pub fn annotate_norm(&self, norm: &str) -> Option<Annotation> {
-        let hits = if self.use_pruning {
-            self.index.nearest_pruned(norm, 1)
-        } else {
-            self.index.nearest_brute(norm, 1)
-        };
+        let hits = self.index.nearest_pruned(norm, 1);
         let best = hits.first()?;
         if best.similarity < self.threshold {
             return None;
@@ -232,14 +221,5 @@ mod tests {
         let sem_cov = sem.annotate(&table).coverage();
         let syn_cov = syn.annotate(&table).coverage();
         assert!(sem_cov > syn_cov, "sem {sem_cov} vs syn {syn_cov}");
-    }
-
-    #[test]
-    fn pruned_and_brute_agree_on_clear_matches() {
-        let mut ann = annotator();
-        let pruned = ann.annotate_name(0, "birth date").unwrap();
-        ann.use_pruning = false;
-        let brute = ann.annotate_name(0, "birth date").unwrap();
-        assert_eq!(pruned.type_id, brute.type_id);
     }
 }

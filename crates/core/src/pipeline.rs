@@ -294,7 +294,7 @@ impl Pipeline {
     }
 
     /// Populates `host` with synthetic repositories for every configured
-    /// topic (the stand-in for GitHub's existing content; see DESIGN.md §1).
+    /// topic (the stand-in for GitHub's existing content).
     pub fn populate_host(&self, host: &GitHost) {
         let gen = RepoGenerator::with_config(
             self.config.seed,

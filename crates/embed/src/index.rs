@@ -7,7 +7,8 @@
 //! * **n-gram pruned** — an inverted index from character n-grams to labels
 //!   limits the exact cosine computation to labels sharing at least one
 //!   n-gram with the query, falling back to brute force when the candidate
-//!   set is empty. This is the candidate-pruning ablation of DESIGN.md §4.2.
+//!   set is empty. `tests/index_equivalence.rs` pins its top hit to brute
+//!   force's over both full ontologies.
 //!
 //! Pruning is lossy in principle (a label with no shared n-gram can still
 //! have nonzero cosine via the synonym lexicon), so lexicon synonyms of the

@@ -21,7 +21,7 @@
 //! * [`SentenceEncoder`] — SIF-weighted mean over token vectors, the USE
 //!   substitute used for schemas and search queries.
 //! * [`EmbeddingIndex`] — cosine nearest-neighbour search with an optional
-//!   inverted n-gram candidate filter (the ablation of DESIGN.md §4.2).
+//!   inverted n-gram candidate filter.
 //! * [`rank`] — the bounded top-`k` selection shared by the index and the
 //!   §5 applications.
 //! * [`WordMemo`] — a bounded memo of word vectors, below.

@@ -15,7 +15,7 @@
 //! of real DBpedia/Schema.org property names, expanded combinatorially with
 //! domain-prefix compounds (`product id`, `birth date`, …) whose superproperty
 //! links point at the base property — exactly the hierarchy shape the paper's
-//! evaluation metadata exploits. See DESIGN.md §1 for the substitution note.
+//! evaluation metadata exploits.
 //!
 //! # Example
 //!

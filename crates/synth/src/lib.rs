@@ -2,7 +2,7 @@
 //!
 //! The paper's raw material — millions of CSV files in GitHub repositories —
 //! is an external resource, so this crate generates a statistically faithful
-//! stand-in (see DESIGN.md §1):
+//! stand-in:
 //!
 //! * [`wordnet`] — an English noun inventory with topic categories and the
 //!   offensive-topic exclusion list, driving query topics (paper §3.1 C3).

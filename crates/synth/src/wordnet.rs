@@ -1,7 +1,7 @@
 //! WordNet-style noun inventory used to form search topics.
 //!
 //! The paper selects 67 K unique English nouns from WordNet as query topics
-//! (§3.1, criterion C3), excluding offensive topics to avoid the "WordNet
+//! (§3.1, C3), excluding offensive topics to avoid the "WordNet
 //! effect". We embed a curated noun core organized by topical category plus a
 //! systematic compound expansion, yielding thousands of topics with the same
 //! role: driving query diversity and linking retrieved tables to a topical

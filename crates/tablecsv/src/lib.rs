@@ -40,5 +40,5 @@ pub use dialect::Dialect;
 pub use error::CsvError;
 pub use parser::{Parser, RawRecord};
 pub use reader::{read_csv, read_csv_columns, ParsedColumns, ParsedCsv, ReadOptions, RowFate};
-pub use sniffer::{sniff, sniff_naive, Sniffer};
+pub use sniffer::{sniff, Sniffer};
 pub use writer::write_csv;

@@ -50,7 +50,7 @@ impl Default for ReadOptions {
 }
 
 /// What happened to each raw row; used for pipeline statistics
-/// (`expt_pipeline_rates`).
+/// (`expt pipeline_rates`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RowFate {
     /// Kept as a data row.

@@ -11,10 +11,6 @@
 //!    evidence the character really is a separator).
 //! 3. Pick the best-scoring candidate; ties break by candidate priority
 //!    (comma > semicolon > tab > pipe > colon).
-//!
-//! [`sniff_naive`] is the frequency-counting strawman kept for the ablation
-//! bench (DESIGN.md §4.1): it picks the most frequent candidate byte, which
-//! fails on files where free-text columns contain commas.
 
 use crate::dialect::CANDIDATE_DELIMITERS;
 use crate::{Dialect, Parser};
@@ -151,21 +147,6 @@ pub fn sniff(input: &str) -> Option<Dialect> {
     Sniffer::default().sniff(input)
 }
 
-/// Naive frequency-based sniffing (ablation baseline): picks the candidate
-/// byte occurring most often in the sample, ignoring quoting and row shape.
-#[must_use]
-pub fn sniff_naive(input: &str) -> Option<Dialect> {
-    let sample: &str = &input[..input.len().min(4096)];
-    let mut best: Option<(usize, u8)> = None;
-    for &cand in CANDIDATE_DELIMITERS {
-        let count = sample.bytes().filter(|&b| b == cand).count();
-        if count > 0 && best.is_none_or(|(c, _)| count > c) {
-            best = Some((count, cand));
-        }
-    }
-    best.map(|(_, d)| Dialect::with_delimiter(d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,15 +181,12 @@ mod tests {
         let data = "name;notes\n\"a, b, c\";x\n\"d, e, f\";y\n\"g, h\";z\n";
         let d = sniff(data).unwrap();
         assert_eq!(d.delimiter, b';');
-        // The naive baseline gets this wrong — documents the ablation claim.
-        assert_eq!(sniff_naive(data).unwrap().delimiter, b',');
     }
 
     #[test]
     fn empty_input() {
         assert!(sniff("").is_none());
         assert!(sniff("   \n  ").is_none());
-        assert!(sniff_naive("").is_none());
     }
 
     #[test]
