@@ -38,6 +38,8 @@ pub struct NearestCompletion {
     starts: Vec<usize>,
     /// One embedding row per schema attribute, flat.
     rows: F32Matrix,
+    /// `norm` of every row ([`super::row_norms`]).
+    norms: Vec<f32>,
 }
 
 impl NearestCompletion {
@@ -93,6 +95,7 @@ impl NearestCompletion {
             encoder,
             schemas,
             starts,
+            norms: super::row_norms(&rows),
             rows,
         }
     }
@@ -100,7 +103,8 @@ impl NearestCompletion {
     /// Reassembles the engine from persisted parts (the sidecar boot
     /// path): the exact schemas, row offsets, and per-attribute embedding
     /// rows a [`Self::build_with_ids`] call produced, in the same order.
-    /// Ranking is bit-identical because the rows are.
+    /// Ranking is bit-identical because the rows are (their norms are
+    /// recomputed here, from the rows, as a build computes them).
     ///
     /// # Panics
     /// When `starts` is not a `schemas.len() + 1` cumulative offset list
@@ -120,6 +124,7 @@ impl NearestCompletion {
             encoder: SentenceEncoder::default(),
             schemas,
             starts,
+            norms: super::row_norms(&rows),
             rows,
         }
     }
@@ -181,16 +186,18 @@ impl NearestCompletion {
             .filter(|&idx| self.schemas[idx].len() > n)
             .collect();
         // Position by position: one prefix attribute (embedded and normed
-        // once) against the attribute at that position of every eligible
-        // schema, eight schemas at a time through the order-preserving
+        // once per call) against the attribute at that position of every
+        // eligible schema (normed once per index, when it was assembled),
+        // eight schemas at a time through the order-preserving
         // [`cosine_rows`] — each cosine has `cosine_with_norm`'s bits.
         let cos: Vec<Vec<f32>> = prefix
             .iter()
             .enumerate()
             .map(|(i, a)| {
                 let e = self.encoder.embed(a);
-                let row = |s: usize| self.rows.row(self.starts[eligible[s]] + i);
-                cosine_rows(&e, norm(&e), eligible.len(), row)
+                let at = |s: usize| self.starts[eligible[s]] + i;
+                let (row, row_norm) = (|s| self.rows.row(at(s)), |s| self.norms[at(s)]);
+                cosine_rows(&e, norm(&e), eligible.len(), row, row_norm)
             })
             .collect();
         // Score everything, then keep the nearest `k` under the total
@@ -375,6 +382,9 @@ mod tests {
             prefix in ranking_cases::phrase(),
         ) {
             let nc = NearestCompletion::build(&ranking_cases::corpus(&schemas));
+            // The sidecar boot path: the norms `from_raw_parts` computes are
+            // the ones a build computes, and both are `cosine`'s.
+            let again = reassembled(&nc);
             let prefix = ranking_cases::words(&prefix);
             for k in ranking_cases::ks(nc.len()) {
                 let want = complete_reference(&nc, &prefix, k);
@@ -385,7 +395,37 @@ mod tests {
                     out.iter().map(|c| c.prefix_distance.to_bits()).collect()
                 };
                 prop_assert_eq!(bits(&got), bits(&want), "k={} prefix={:?}", k, prefix);
+                let got = again.complete(&prefix, k);
+                prop_assert_eq!(&got, &want, "reassembled, k={}", k);
+                prop_assert_eq!(bits(&got), bits(&want), "reassembled, k={}", k);
             }
+        }
+    }
+
+    /// `nc` taken apart and put together again, as the sidecar path does.
+    fn reassembled(nc: &NearestCompletion) -> NearestCompletion {
+        let rows = nc.matrix();
+        NearestCompletion::from_raw_parts(
+            nc.entry_schemas().to_vec(),
+            nc.row_starts().to_vec(),
+            rows.slice_rows(0, rows.rows()),
+        )
+    }
+
+    #[test]
+    fn a_zero_row_is_at_distance_one_on_both_assembly_paths() {
+        // `!!` has no alphanumeric token and embeds to a zero row, whose
+        // stored norm must keep tripping the cosine's guard: cosine 0.0,
+        // distance exactly 1.0.
+        let mut c = Corpus::new("z");
+        let t = Table::from_rows("t", &["!!", "status"], &[["1", "2"]]).unwrap();
+        c.push(AnnotatedTable::new(t));
+        let built = NearestCompletion::build(&c);
+        assert!(built.matrix().row(0).iter().all(|&x| x == 0.0));
+        for nc in [reassembled(&built), built] {
+            let out = nc.complete(&["status"], 1);
+            assert_eq!(out[0].prefix_distance.to_bits(), 1.0f64.to_bits());
+            assert_eq!(out[0].completion, ["status"]);
         }
     }
 

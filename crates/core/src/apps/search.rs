@@ -31,6 +31,8 @@ pub struct DataSearch {
     schemas: Vec<Schema>,
     /// Row `n` is entry `n`'s schema embedding.
     rows: F32Matrix,
+    /// `norm` of every row ([`super::row_norms`]), parallel to `ids`.
+    norms: Vec<f32>,
 }
 
 impl DataSearch {
@@ -69,6 +71,7 @@ impl DataSearch {
             encoder,
             ids: kept,
             schemas,
+            norms: super::row_norms(&rows),
             rows,
         }
     }
@@ -76,7 +79,8 @@ impl DataSearch {
     /// Reassembles an index from persisted parts (the sidecar boot path):
     /// the exact ids, schemas, and embedding rows a
     /// [`Self::build_with_ids`] call produced, in the same order. Scoring
-    /// is bit-identical because the rows are.
+    /// is bit-identical because the rows are (their norms are recomputed
+    /// here, from the rows, as a build computes them).
     ///
     /// # Panics
     /// When `ids`, `schemas`, and `rows` are not parallel.
@@ -88,6 +92,7 @@ impl DataSearch {
             encoder: SentenceEncoder::default(),
             ids,
             schemas,
+            norms: super::row_norms(&rows),
             rows,
         }
     }
@@ -156,9 +161,10 @@ impl DataSearch {
 
     /// The ranking half of [`Self::search`] — the hot path of the
     /// `/search` endpoint. Scores every entry against `query` (its norm
-    /// computed once, not per row; rows eight at a time through the
-    /// order-preserving [`cosine_rows`], whose every score has
-    /// `cosine_with_norm`'s bits) and keeps the best `k` under the total
+    /// computed once per call, the rows' norms once per index, when it was
+    /// assembled; rows eight at a time through the order-preserving
+    /// [`cosine_rows`], whose every score has `cosine_with_norm`'s bits)
+    /// and keeps the best `k` under the total
     /// order *score descending, entry index ascending* by bounded
     /// selection ([`top_k_by`]); only those `k` are materialized (schemas
     /// cloned). The result is bit-identical to the original
@@ -170,12 +176,13 @@ impl DataSearch {
     /// norms and clamps.
     #[must_use]
     pub fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        let rows = |n| self.rows.row(n);
-        let mut scored: Vec<(usize, f64)> = cosine_rows(query, norm(query), self.ids.len(), rows)
-            .into_iter()
-            .map(f64::from)
-            .enumerate()
-            .collect();
+        let (row, row_norm) = (|n| self.rows.row(n), |n| self.norms[n]);
+        let mut scored: Vec<(usize, f64)> =
+            cosine_rows(query, norm(query), self.ids.len(), row, row_norm)
+                .into_iter()
+                .map(f64::from)
+                .enumerate()
+                .collect();
         top_k_by(&mut scored, k, |a, b| {
             desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
         });
@@ -323,6 +330,52 @@ mod tests {
                 );
                 prop_assert_eq!(ds.search(&query, k), got, "search != embed ∘ rank, k={}", k);
             }
+        }
+
+        /// The sidecar boot path: the norms `from_raw_parts` computes are
+        /// the ones a build computes, and both are `cosine_with_norm`'s.
+        #[test]
+        fn a_reassembled_index_ranks_bit_identically_to_the_built_one(
+            schemas in ranking_cases::schemas(),
+            query in ranking_cases::phrase(),
+        ) {
+            let built = DataSearch::build(&ranking_cases::corpus(&schemas));
+            let reassembled = reassembled(&built);
+            let embedded = built.embed_query(&ranking_cases::words(&query).join(" "));
+            for k in ranking_cases::ks(built.len()) {
+                let got = bits(&reassembled.search_embedded(&embedded, k));
+                prop_assert_eq!(&got, &bits(&built.search_embedded(&embedded, k)), "k={}", k);
+                prop_assert_eq!(got, search_embedded_per_row(&reassembled, &embedded, k), "k={}", k);
+            }
+        }
+    }
+
+    /// `ds` taken apart and put together again, as the sidecar path does.
+    fn reassembled(ds: &DataSearch) -> DataSearch {
+        let rows = ds.matrix();
+        DataSearch::from_raw_parts(
+            ds.entry_ids().to_vec(),
+            ds.entry_schemas().to_vec(),
+            rows.slice_rows(0, rows.rows()),
+        )
+    }
+
+    #[test]
+    fn a_zero_row_scores_zero_on_both_assembly_paths() {
+        // `—` has no alphanumeric token: its schema embeds to a zero row,
+        // whose stored norm must keep tripping the cosine's guard.
+        let mut c = Corpus::new("z");
+        for (i, s) in [["—"], ["status"]].iter().enumerate() {
+            c.push(AnnotatedTable::new(
+                Table::from_rows(format!("t{i}"), s, &[["1"]]).unwrap(),
+            ));
+        }
+        let built = DataSearch::build(&c);
+        assert!(built.matrix().row(0).iter().all(|&x| x == 0.0));
+        for ds in [reassembled(&built), built] {
+            let hits = ds.search("status", 2);
+            assert_eq!(bits(&hits)[1], (0, 0.0f64.to_bits()), "{hits:?}");
+            assert!(hits[0].score > 0.9, "{hits:?}");
         }
     }
 }

@@ -1048,6 +1048,19 @@ mod tests {
     }
 
     #[test]
+    fn open_over_a_bottomless_manifest_is_typed_not_a_stack_overflow() {
+        let dir = tmp("deepmanifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        for opener in ["[", "{\"a\":"] {
+            std::fs::write(dir.join(MANIFEST_FILE), opener.repeat(100_000)).unwrap();
+            let err = CorpusStore::open(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Json(_)), "{err}");
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn create_over_existing_store_is_typed() {
         let dir = tmp("exists");
         save_store(&corpus(2), &dir, 8).unwrap();

@@ -69,10 +69,20 @@
 //! `f32` [`dot`] computes, bit for bit; only adds of *different* rows are
 //! interleaved, and those never meet. No `unsafe`, no target features:
 //! the eight independent chains are what lets the optimizer pack rows
-//! into vector lanes. [`dot`], [`norm`], [`cosine`] and
-//! [`cosine_with_norm`] are unchanged and remain the reference
-//! (`vector`'s proptests compare `to_bits` over every block remainder,
-//! dims 0–130, signed zeros and subnormals).
+//! into vector lanes.
+//!
+//! A cosine needs two norms besides the dot product. The query's is
+//! computed once per call by the caller; a row's is a constant of the
+//! index, so [`vector::cosine_rows`] is *given* it (`row_norm(i)`, which
+//! must be [`norm`]`(row(i))`) and runs one dot product per row, not two.
+//! The data-search and schema-completion indexes compute their rows'
+//! norms once, where they are assembled — built from a corpus or
+//! reassembled from a sidecar — with the plain per-row [`norm`], which is
+//! the value [`cosine_with_norm`] would have computed.
+//!
+//! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] are unchanged
+//! and remain the reference (`vector`'s proptests compare `to_bits` over
+//! every block remainder, dims 0–130, signed zeros and subnormals).
 //!
 //! # Example
 //!

@@ -46,16 +46,15 @@ fn sum_identity() -> f32 {
     std::iter::empty::<f32>().sum()
 }
 
-/// `[dot(a, rows[0]), …, dot(a, rows[7])]` — or, `SELF`, each row's dot
-/// product with itself — over rows as long as `a`. Eight accumulators
-/// advance together through the element index, so the adds of different
-/// rows overlap in the pipeline (and the compiler may pack them into
-/// vector lanes, one row per lane) while each row's own sum is still
-/// `((init + p0) + p1) + …` — [`dot`]'s order, [`dot`]'s bits. Elements
-/// are taken four at a time only to hand the optimizer whole 16-byte
-/// loads; the adds within a tile stay in element order.
+/// `[dot(a, rows[0]), …, dot(a, rows[7])]` over rows as long as `a`. Eight
+/// accumulators advance together through the element index, so the adds
+/// of different rows overlap in the pipeline (and the compiler may pack
+/// them into vector lanes, one row per lane) while each row's own sum is
+/// still `((init + p0) + p1) + …` — [`dot`]'s order, [`dot`]'s bits.
+/// Elements are taken four at a time only to hand the optimizer whole
+/// 16-byte loads; the adds within a tile stay in element order.
 #[inline(always)]
-fn dot_block<const SELF: bool>(a: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [f32; ROW_BLOCK] {
+fn dot_block(a: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [f32; ROW_BLOCK] {
     let n = a.len();
     let rows = rows.map(|row| &row[..n]);
     let mut acc = [sum_identity(); ROW_BLOCK];
@@ -66,79 +65,66 @@ fn dot_block<const SELF: bool>(a: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [f32; RO
             rows.map(|row| row[j..j + 4].try_into().expect("four elements"));
         for i in 0..4 {
             for r in 0..ROW_BLOCK {
-                acc[r] += if SELF { y[r][i] } else { x[i] } * y[r][i];
+                acc[r] += x[i] * y[r][i];
             }
         }
         j += 4;
     }
     while j < n {
         for r in 0..ROW_BLOCK {
-            acc[r] += if SELF { rows[r][j] } else { a[j] } * rows[r][j];
+            acc[r] += a[j] * rows[r][j];
         }
         j += 1;
     }
     acc
 }
 
-/// The one row loop behind [`dot_rows`] and [`cosine_rows`]: for the `n`
-/// rows `row(0), …, row(n - 1)`, in order, `dot(a, row)` and —
-/// `WITH_SELF`, else left empty — `dot(row, row)`. Full blocks of
-/// [`ROW_BLOCK`] rows as long as `a` take [`dot_block`]; everything from
-/// the first block holding a row of another length on (no caller has
-/// one), and the `< ROW_BLOCK` rows left at the end, go through [`dot`]
-/// itself.
+/// `dot(a, row(i))` for `i` in `0..n` — bit-identical to calling [`dot`]
+/// per row, but [`ROW_BLOCK`] rows share one pass over `a` with
+/// independent accumulators (see the crate docs, *Scoring kernel*). Full
+/// blocks of rows as long as `a` take [`dot_block`]; everything from the
+/// first block holding a row of another length on (no caller has one),
+/// and the `< ROW_BLOCK` rows left at the end, go through [`dot`] itself.
 ///
 /// Never inlined: compiled on its own (with `row` inlined into it) the
 /// eight chains of [`dot_block`] are packed into vector lanes; inlined
 /// into a larger caller the optimizer was seen to give that up (an
 /// annotation miss took 26 µs instead of 17 µs).
+#[must_use]
 #[inline(never)]
-fn scan_rows<'r, const WITH_SELF: bool>(
-    a: &[f32],
-    n: usize,
-    row: impl Fn(usize) -> &'r [f32],
-) -> (Vec<f32>, Vec<f32>) {
+pub fn dot_rows<'r>(a: &[f32], n: usize, row: impl Fn(usize) -> &'r [f32]) -> Vec<f32> {
     let mut ab = Vec::with_capacity(n);
-    let mut bb = Vec::with_capacity(if WITH_SELF { n } else { 0 });
     let mut base = 0;
     while base + ROW_BLOCK <= n {
         let block: [&[f32]; ROW_BLOCK] = std::array::from_fn(|r| row(base + r));
         if block.iter().any(|b| b.len() != a.len()) {
             break;
         }
-        ab.extend_from_slice(&dot_block::<false>(a, block));
-        if WITH_SELF {
-            bb.extend_from_slice(&dot_block::<true>(a, block));
-        }
+        ab.extend_from_slice(&dot_block(a, block));
         base += ROW_BLOCK;
     }
-    for b in (base..n).map(row) {
-        ab.push(dot(a, b));
-        if WITH_SELF {
-            bb.push(dot(b, b));
-        }
-    }
-    (ab, bb)
+    ab.extend((base..n).map(|i| dot(a, row(i))));
+    ab
 }
 
-/// `dot(a, row(i))` for `i` in `0..n` — bit-identical to calling [`dot`]
-/// per row, but [`ROW_BLOCK`] rows share one pass over `a` with
-/// independent accumulators (see the crate docs, *Scoring kernel*).
-#[must_use]
-pub fn dot_rows<'r>(a: &[f32], n: usize, row: impl Fn(usize) -> &'r [f32]) -> Vec<f32> {
-    scan_rows::<false>(a, n, row).0
-}
-
-/// `cosine_with_norm(a, na, row(i))` for `i` in `0..n` — bit-identical to
-/// calling [`cosine_with_norm`] per row: both of its dot products
-/// (`a · row` and `row · row`) come from the order-preserving blocked
-/// kernel of [`dot_rows`], and the zero-norm guard, the division and the
+/// `cosine_with_norm(a, na, row(i))` for `i` in `0..n`, given
+/// `row_norm(i) == norm(row(i))` — what an index computes once per row
+/// when it is assembled, instead of once per row per query. Bit-identical
+/// to calling [`cosine_with_norm`] per row: `a · row` comes from the
+/// order-preserving blocked kernel of [`dot_rows`], the row norm is
+/// [`norm`]'s own value, and the zero-norm guard, the division and the
 /// clamp are the same expressions.
 #[must_use]
-pub fn cosine_rows<'r>(a: &[f32], na: f32, n: usize, row: impl Fn(usize) -> &'r [f32]) -> Vec<f32> {
-    let (mut cos, bb) = scan_rows::<true>(a, n, row);
-    for (ab, bb) in cos.iter_mut().zip(bb) {
-        let nb = bb.sqrt();
+pub fn cosine_rows<'r>(
+    a: &[f32],
+    na: f32,
+    n: usize,
+    row: impl Fn(usize) -> &'r [f32],
+    row_norm: impl Fn(usize) -> f32,
+) -> Vec<f32> {
+    let mut cos = dot_rows(a, n, row);
+    for (i, ab) in cos.iter_mut().enumerate() {
+        let nb = row_norm(i);
         *ab = if na == 0.0 || nb == 0.0 {
             0.0
         } else {
@@ -249,7 +235,8 @@ mod tests {
     }
 
     fn collect_cosines(a: &[f32], rows: &[Vec<f32>]) -> Vec<u32> {
-        let got = cosine_rows(a, norm(a), rows.len(), |i| &rows[i]);
+        let norms: Vec<f32> = rows.iter().map(|row| norm(row)).collect();
+        let got = cosine_rows(a, norm(a), rows.len(), |i| &rows[i], |i| norms[i]);
         got.iter().map(|c| c.to_bits()).collect()
     }
 

@@ -1,11 +1,18 @@
 //! Bounded response cache for the pure query endpoints.
 //!
-//! Every query endpoint is a pure function of an immutable corpus, so a
+//! Every query endpoint is a pure function of an immutable snapshot, so a
 //! response computed once can be replayed verbatim for the same request
-//! target — no invalidation needed for the lifetime of the server. The
-//! cache is a FIFO-bounded map keyed by the raw request target
-//! (path + query string); eviction is insertion-order, which is enough
-//! for a corpus-immutable workload where the win is absorbing repeats.
+//! target for as long as that snapshot serves. The cache is a
+//! FIFO-bounded map keyed by the raw request target (path + query
+//! string); eviction is insertion-order, which is enough for a
+//! corpus-immutable workload where the win is absorbing repeats.
+//!
+//! The cache belongs to one snapshot **generation** at a time. A request
+//! passes the generation of the snapshot it pinned to [`ResponseCache::get`]
+//! and [`ResponseCache::insert`]; for any other generation a lookup misses
+//! and an insert is dropped, so a request that outlives a reload can
+//! neither read nor plant a body of the corpus it ran against.
+//! [`ResponseCache::clear`] moves the cache to the next generation.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,12 +55,15 @@ pub struct ResponseCache {
 
 #[derive(Debug, Default)]
 struct CacheState {
+    /// The snapshot generation every cached body was computed against.
+    generation: u64,
     map: HashMap<String, CachedResponse>,
     order: VecDeque<String>,
 }
 
 impl ResponseCache {
-    /// Creates a cache holding at most `capacity` responses.
+    /// Creates a cache for generation 0 holding at most `capacity`
+    /// responses.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
@@ -64,14 +74,23 @@ impl ResponseCache {
         }
     }
 
-    /// Looks up the response for a request target.
+    /// Looks up the response for a request target, on behalf of a request
+    /// that pinned snapshot `generation`. Misses when the cache holds
+    /// another generation's bodies.
     #[must_use]
-    pub fn get(&self, target: &str) -> Option<CachedResponse> {
+    pub fn get(&self, generation: u64, target: &str) -> Option<CachedResponse> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let found = self.state.lock().map.get(target).cloned();
+        let found = {
+            let state = self.state.lock();
+            if state.generation == generation {
+                state.map.get(target).cloned()
+            } else {
+                None
+            }
+        };
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -79,14 +98,18 @@ impl ResponseCache {
         found
     }
 
-    /// Stores a response, evicting the oldest entry past capacity.
-    pub fn insert(&self, target: &str, response: CachedResponse) {
+    /// Stores a response computed against snapshot `generation`, evicting
+    /// the oldest entry past capacity. Dropped when the cache has moved to
+    /// another generation: the body answers a corpus no longer serving.
+    pub fn insert(&self, generation: u64, target: &str, response: CachedResponse) {
         if self.capacity == 0 {
             return;
         }
         let mut state = self.state.lock();
-        if state.map.contains_key(target) {
-            return; // racing workers computed the same pure response
+        // A reload overtook the request, or racing workers computed the
+        // same pure response.
+        if state.generation != generation || state.map.contains_key(target) {
+            return;
         }
         while state.map.len() >= self.capacity {
             let Some(oldest) = state.order.pop_front() else {
@@ -98,11 +121,14 @@ impl ResponseCache {
         state.order.push_back(target.to_string());
     }
 
-    /// Drops every cached entry (hit/miss counters are kept — they
-    /// describe traffic, not contents). Called on corpus reload: the
-    /// cached bodies were computed against the outgoing snapshot.
-    pub fn clear(&self) {
+    /// Drops every cached entry and starts caching for `generation`
+    /// (hit/miss counters are kept — they describe traffic, not contents).
+    /// Called on corpus reload: the cached bodies were computed against the
+    /// outgoing snapshot, and so will be those of its requests still in
+    /// flight.
+    pub fn clear(&self, generation: u64) {
         let mut state = self.state.lock();
+        state.generation = generation;
         state.map.clear();
         state.order.clear();
     }
@@ -133,9 +159,9 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let c = ResponseCache::new(4);
-        assert!(c.get("/a").is_none());
-        c.insert("/a", resp("x"));
-        let got = c.get("/a").unwrap();
+        assert!(c.get(0, "/a").is_none());
+        c.insert(0, "/a", resp("x"));
+        let got = c.get(0, "/a").unwrap();
         assert_eq!(*got.body, "x");
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -144,30 +170,48 @@ mod tests {
     #[test]
     fn fifo_eviction_at_capacity() {
         let c = ResponseCache::new(2);
-        c.insert("/a", resp("a"));
-        c.insert("/b", resp("b"));
-        c.insert("/c", resp("c"));
-        assert!(c.get("/a").is_none(), "oldest evicted");
-        assert!(c.get("/b").is_some());
-        assert!(c.get("/c").is_some());
+        c.insert(0, "/a", resp("a"));
+        c.insert(0, "/b", resp("b"));
+        c.insert(0, "/c", resp("c"));
+        assert!(c.get(0, "/a").is_none(), "oldest evicted");
+        assert!(c.get(0, "/b").is_some());
+        assert!(c.get(0, "/c").is_some());
         assert_eq!(c.stats().entries, 2);
     }
 
     #[test]
     fn zero_capacity_disables() {
         let c = ResponseCache::new(0);
-        c.insert("/a", resp("a"));
-        assert!(c.get("/a").is_none());
+        c.insert(0, "/a", resp("a"));
+        assert!(c.get(0, "/a").is_none());
         assert_eq!(c.stats().entries, 0);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
+    fn another_generation_neither_reads_nor_plants() {
+        let c = ResponseCache::new(4);
+        c.insert(0, "/a", resp("old corpus"));
+        assert!(c.get(1, "/a").is_none(), "not yet this generation's");
+        c.clear(1);
+        assert_eq!(c.stats().entries, 0);
+        // A request that pinned generation 0 finishes after the reload.
+        c.insert(0, "/a", resp("old corpus"));
+        assert_eq!(c.stats().entries, 0, "stale insert dropped");
+        assert!(c.get(1, "/a").is_none());
+        c.insert(1, "/a", resp("new corpus"));
+        assert!(c.get(0, "/a").is_none(), "an old request misses");
+        assert_eq!(*c.get(1, "/a").unwrap().body, "new corpus");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 3, 1));
+    }
+
+    #[test]
     fn duplicate_insert_keeps_first() {
         let c = ResponseCache::new(4);
-        c.insert("/a", resp("first"));
-        c.insert("/a", resp("second"));
-        assert_eq!(*c.get("/a").unwrap().body, "first");
+        c.insert(0, "/a", resp("first"));
+        c.insert(0, "/a", resp("second"));
+        assert_eq!(*c.get(0, "/a").unwrap().body, "first");
         assert_eq!(c.stats().entries, 1);
     }
 }

@@ -5,6 +5,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// The most a `Content-Length` header may make the client allocate ahead
+/// of the bytes themselves.
+const MAX_RESERVE: usize = 1 << 20;
+
 /// One-shot GET: connect, request, read the full response, close.
 ///
 /// # Errors
@@ -104,13 +108,18 @@ impl HttpClient {
         );
         stream.write_all(req.as_bytes())?;
 
-        // Read the response head.
+        // Read the response head, resuming the terminator scan where the
+        // last read left it (less the three bytes a split `\r\n\r\n`
+        // may have left behind).
         let mut buf: Vec<u8> = Vec::with_capacity(1024);
         let mut chunk = [0u8; 4096];
+        let mut scanned = 0usize;
         let head_end = loop {
-            if let Some(p) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break p + 4;
+            let from = scanned.saturating_sub(3);
+            if let Some(p) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break from + p + 4;
             }
+            scanned = buf.len();
             let n = stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
@@ -121,39 +130,49 @@ impl HttpClient {
             *received_any = true;
             buf.extend_from_slice(&chunk[..n]);
         };
-        let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line `{status_line}`"),
-                )
-            })?;
-        let mut content_length = 0usize;
-        let mut close = false;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
+        // Parsed in place: borrowed unless the head is not UTF-8.
+        let (status, content_length, close) = {
+            let head = String::from_utf8_lossy(&buf[..head_end]);
+            let mut lines = head.split("\r\n");
+            let status_line = lines.next().unwrap_or("");
+            let status: u16 = status_line
+                .split(' ')
+                .nth(1)
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad status line `{status_line}`"),
+                    )
                 })?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.trim().eq_ignore_ascii_case("close")
-            {
-                close = true;
+            let mut content_length = 0usize;
+            let mut close = false;
+            for line in lines {
+                let Some((name, value)) = line.split_once(':') else {
+                    continue;
+                };
+                if name.eq_ignore_ascii_case("content-length") {
+                    content_length = value.trim().parse().map_err(|_| {
+                        io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
+                    })?;
+                } else if name.eq_ignore_ascii_case("connection")
+                    && value.trim().eq_ignore_ascii_case("close")
+                {
+                    close = true;
+                }
             }
-        }
+            (status, content_length, close)
+        };
 
-        // Read the body (part of it may already be buffered).
-        let mut body = buf[head_end..].to_vec();
-        while body.len() < content_length {
+        // Read the body (part of it may already be buffered) into the
+        // same buffer, then cut the head off its front.
+        let response_end = head_end.checked_add(content_length).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "Content-Length overflows")
+        })?;
+        // Reserved once — up to a bound: the length is the server's word,
+        // and a body larger than that grows the buffer as it arrives.
+        buf.reserve(response_end.saturating_sub(buf.len()).min(MAX_RESERVE));
+        while buf.len() < response_end {
             let n = stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
@@ -161,13 +180,14 @@ impl HttpClient {
                     "connection closed mid-body",
                 ));
             }
-            body.extend_from_slice(&chunk[..n]);
+            buf.extend_from_slice(&chunk[..n]);
         }
-        body.truncate(content_length);
+        buf.truncate(response_end);
+        buf.drain(..head_end);
         if close {
             self.stream = None;
         }
-        String::from_utf8(body)
+        String::from_utf8(buf)
             .map(|b| (status, b))
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
     }

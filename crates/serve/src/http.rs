@@ -34,10 +34,13 @@
 //! atomic `migrate`/save rename committed — and swaps it in under the
 //! snapshot lock. In-flight requests keep the old snapshot alive via
 //! their `Arc` clones; the handler waits for them to drain (bounded)
-//! before letting the old mappings drop. The response cache is cleared
-//! in the same swap. Zero requests are dropped or answered from a
-//! half-swapped state: every request runs entirely against one
-//! snapshot.
+//! before letting the old mappings drop. The snapshot carries its
+//! generation, a request hands the generation it pinned to the response
+//! cache, and the reload moves the cache to the new generation right
+//! after the swap — so a request still running against the old snapshot
+//! can neither be served from nor leave a body in the new one's cache.
+//! Zero requests are dropped or answered from a half-swapped state:
+//! every request runs entirely against one snapshot.
 //!
 //! ## Graceful shutdown
 //!
@@ -53,7 +56,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -163,12 +166,11 @@ impl Default for ServerConfig {
 
 /// Everything the acceptor, workers, event loop, and handle share.
 struct Shared {
-    /// The serving snapshot. Each request clones the `Arc` once (one
-    /// short mutex hold) and runs entirely against that snapshot;
-    /// `/reload` swaps the pointer.
-    snapshot: Mutex<Arc<Router>>,
-    /// Snapshot generation: 0 at boot, +1 per successful reload.
-    generation: AtomicU64,
+    /// The serving snapshot and its generation (0 at boot, +1 per
+    /// successful reload), one pair under one lock. Each request clones
+    /// the `Arc` once (one short mutex hold) and runs entirely against
+    /// that snapshot; `/reload` swaps the pair.
+    snapshot: Mutex<(Arc<Router>, u64)>,
     /// Serializes reloads (concurrent `/reload` + `SIGHUP` must not
     /// interleave their load/swap/drain sequences).
     reload_mutex: Mutex<()>,
@@ -180,8 +182,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// The current snapshot (one short lock hold, then lock-free).
-    fn snapshot(&self) -> Arc<Router> {
+    /// The current snapshot and its generation (one short lock hold,
+    /// then lock-free).
+    fn snapshot(&self) -> (Arc<Router>, u64) {
         self.snapshot.lock().clone()
     }
 }
@@ -354,8 +357,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            snapshot: Mutex::new(Arc::new(Router::new(set))),
-            generation: AtomicU64::new(0),
+            snapshot: Mutex::new((Arc::new(Router::new(set)), 0)),
             reload_mutex: Mutex::new(()),
             metrics: Metrics::new(),
             cache: ResponseCache::new(config.cache_capacity),
@@ -474,19 +476,19 @@ impl ServerHandle {
     /// Live metrics snapshot (same data `/metrics` serves).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        metrics_snapshot(&self.shared, &self.shared.snapshot())
+        metrics_snapshot(&self.shared, &self.shared.snapshot().0)
     }
 
     /// Snapshot generation now serving (0 at boot, +1 per reload).
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.shared.generation.load(Ordering::SeqCst)
+        self.shared.snapshot().1
     }
 
     /// Number of shard-local engines in the serving snapshot.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.shared.snapshot().num_shards()
+        self.shared.snapshot().0.num_shards()
     }
 
     /// Whether a shutdown has been requested.
@@ -871,14 +873,19 @@ fn perform_reload(shared: &Shared) -> Result<ReloadResponse, String> {
         .map_err(|e| format!("reload failed, keeping current snapshot: {e}"))?;
     let router = Arc::new(Router::new(set));
     let (shards, tables) = (router.num_shards(), router.num_tables());
-    let old = {
+    let (old, generation) = {
         let mut snapshot = shared.snapshot.lock();
-        std::mem::replace(&mut *snapshot, router)
+        let generation = snapshot.1 + 1;
+        (
+            std::mem::replace(&mut *snapshot, (router, generation)).0,
+            generation,
+        )
     };
-    // The cache was computed against the old snapshot; clear it inside
-    // the reload critical section so no stale body survives the swap.
-    shared.cache.clear();
-    let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    // The cache was computed against the old snapshot: empty it and move
+    // it to the new generation. A request that pinned the old pair and is
+    // still running finds the cache closed to it when it finishes, so no
+    // stale body survives the swap.
+    shared.cache.clear(generation);
     // Drain: in-flight requests hold `Arc` clones of the old snapshot.
     // Wait (bounded) until ours is the last reference, so the store
     // mappings drop before this response reports success. The handler
@@ -929,12 +936,24 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
     }
     // Pin the serving snapshot: this request runs entirely against it,
     // even if a reload swaps the pointer mid-request.
-    let router = shared.snapshot();
+    let (router, generation) = shared.snapshot();
+    respond_pinned(shared, &router, generation, req, endpoint)
+}
+
+/// [`respond`] once the snapshot is pinned: `generation` is `router`'s,
+/// and is what lets the cache refuse this request after a reload.
+fn respond_pinned(
+    shared: &Shared,
+    router: &Router,
+    generation: u64,
+    req: &Request,
+    endpoint: Endpoint,
+) -> Routed {
     // Probe the cache only for GETs on pure endpoints — probing (and
     // counting misses for) /health, /metrics, or unrouted paths would
     // skew the hit rate with traffic that can never be cached.
     if req.method == "GET" && cacheable(endpoint) {
-        if let Some(hit) = shared.cache.get(&req.raw_target) {
+        if let Some(hit) = shared.cache.get(generation, &req.raw_target) {
             return Routed {
                 status: hit.status,
                 body: hit.body,
@@ -947,9 +966,10 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
     // an immutable snapshot a 400 (bad parameters) or 404 (unknown label
     // / id) is as permanent as a 200, and caching it keeps repeated
     // misconfigured pollers from reading as an ever-falling hit rate.
-    let routed = route(shared, &router, req, endpoint);
+    let routed = route(shared, router, req, endpoint);
     if req.method == "GET" && cacheable(routed.endpoint) {
         shared.cache.insert(
+            generation,
             &req.raw_target,
             CachedResponse {
                 status: routed.status,
@@ -992,21 +1012,25 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response in one `write_all`.
+/// Room for the longest response head (status line, three headers).
+const MAX_RESPONSE_HEAD: usize = 160;
+
+/// Writes a complete response in one `write_all`: head and body are
+/// assembled in one buffer, the head formatted straight into it.
 fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut out = Vec::with_capacity(MAX_RESPONSE_HEAD + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
+    )?;
     out.extend_from_slice(body.as_bytes());
     stream.write_all(&out)?;
     stream.flush()
@@ -1355,14 +1379,69 @@ mod tests {
         }
     }
 
+    /// A request that pinned the old snapshot and finishes after a reload
+    /// cleared the cache must not plant its old-corpus answer where the
+    /// new snapshot's requests would be served it.
+    #[test]
+    fn a_request_that_outlives_a_reload_leaves_nothing_in_the_cache() {
+        use gittables_corpus::AnnotatedTable;
+        use gittables_table::Table;
+
+        // The store the reload reads has one table; the boot snapshot none.
+        let dir = std::env::temp_dir().join(format!("gt_http_stale_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut grown = gittables_corpus::Corpus::new("http-test");
+        let table = Table::from_rows("t0", &["id"], &[["1"], ["2"]]).unwrap();
+        grown.push(AnnotatedTable::new(table));
+        gittables_corpus::save_store(&grown, &dir, 8).unwrap();
+        let shared = Shared {
+            cache: ResponseCache::new(8),
+            config: ServerConfig {
+                reload: Some(ReloadSpec {
+                    dir: dir.clone(),
+                    shards: 1,
+                }),
+                ..ServerConfig::default()
+            },
+            ..test_shared()
+        };
+        let req = parse_request(b"GET /tables/0 HTTP/1.1\r\n").unwrap();
+
+        // Pin, reload, then finish the request. The reload waits for the
+        // pinned snapshot to drain, so it runs beside this thread, which
+        // goes on as soon as the swap is visible.
+        let (old, pinned) = shared.snapshot();
+        std::thread::scope(|scope| {
+            let reload = scope.spawn(|| perform_reload(&shared).unwrap());
+            while shared.snapshot().1 == pinned {
+                std::thread::yield_now();
+            }
+            let stale = respond_pinned(&shared, &old, pinned, &req, Endpoint::Table);
+            assert_eq!(stale.status, 404, "answered by the snapshot it pinned");
+            drop(old);
+            let reloaded = reload.join().unwrap();
+            assert_eq!((reloaded.generation, reloaded.drained), (pinned + 1, true));
+        });
+        assert_eq!(
+            shared.cache.stats().entries,
+            0,
+            "the stale body was dropped"
+        );
+        let fresh = respond(&shared, &req);
+        assert_eq!(fresh.status, 200, "{}", fresh.body);
+        assert_eq!(respond(&shared, &req).body, fresh.body);
+        let stats = shared.cache.stats();
+        assert_eq!((stats.entries, stats.hits), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A `Shared` over a tiny in-memory corpus, for connection-loop
     /// tests.
     fn test_shared() -> Shared {
         let corpus = gittables_corpus::Corpus::new("http-test");
         let set = ShardSet::from_corpus(&corpus, 1);
         Shared {
-            snapshot: Mutex::new(Arc::new(Router::new(set))),
-            generation: AtomicU64::new(0),
+            snapshot: Mutex::new((Arc::new(Router::new(set)), 0)),
             reload_mutex: Mutex::new(()),
             metrics: Metrics::new(),
             cache: ResponseCache::new(0),

@@ -2,21 +2,33 @@
 //!
 //! The workspace builds in a container without registry access, so this
 //! crate supplies the minimal serde surface the codebase uses: the
-//! `Serialize` / `Deserialize` traits (over a JSON-like [`Value`] tree),
-//! derive macros re-exported from the sibling `serde_derive` shim, and
-//! impls for the primitives and containers that appear in derived types.
+//! `Serialize` / `Deserialize` traits, derive macros re-exported from the
+//! sibling `serde_derive` shim, and impls for the primitives and
+//! containers that appear in derived types.
 //!
-//! Maps serialize with keys sorted so output is deterministic regardless
-//! of `HashMap` iteration order.
+//! The two directions are not symmetric. [`Serialize`] *streams*: its one
+//! method appends the value's JSON text to a `String`, so no write path
+//! builds an intermediate tree (a derived struct pushes its pre-escaped
+//! keys as literals and recurses into its fields). [`Deserialize`] reads a
+//! JSON-like [`Value`] tree, which is what the `serde_json` shim's parser
+//! produces. `Value` itself implements `Serialize`, and every other impl
+//! goes through the same string escaping and number formatting, so there is
+//! one printer for strings, numbers and punctuation.
+//!
+//! The text is compact (no whitespace). Floats print as their `f64`
+//! widening's `{:?}` (`0.1f32` is `0.10000000149011612`, integral values
+//! keep `.0`), non-finite floats as `null`. `HashMap`s print with their
+//! keys sorted *as strings* (`"10"` before `"2"`), so output is
+//! deterministic regardless of iteration order; `BTreeMap`s in key order.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hash;
 use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// JSON-like data model shared by `Serialize` and `Deserialize`.
+/// JSON-like data model `Deserialize` reads — what a parsed document is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -82,7 +94,90 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 pub trait Serialize {
-    fn serialize(&self) -> Value;
+    /// Appends this value's compact JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Appends `s` as a JSON string literal: quoted, `"` and `\` preceded by a
+/// backslash, newline, carriage return and tab as `\n`, `\r`, `\t`, every
+/// other control character as `\u00XX`, and everything else (non-ASCII
+/// included) copied as it is, one unescaped run at a time.
+fn write_str(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Every escaped byte is ASCII, so `start` and `i` are char boundaries.
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let two_char = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        match two_char {
+            Some(escape) => out.push_str(escape),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends the items as a JSON array.
+pub fn write_seq<I>(items: I, out: &mut String)
+where
+    I: IntoIterator,
+    I::Item: Serialize,
+{
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Appends `(key, value)` pairs, in the order given, as a JSON object.
+fn write_map<K: AsRef<str>, V: Serialize>(
+    entries: impl IntoIterator<Item = (K, V)>,
+    out: &mut String,
+) {
+    out.push('{');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(k.as_ref(), out);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Int(i) => i.write_json(out),
+            Value::UInt(u) => u.write_json(out),
+            Value::Float(f) => f.write_json(out),
+            Value::Str(s) => write_str(s, out),
+            Value::Seq(xs) => write_seq(xs, out),
+            Value::Map(m) => write_map(m.iter().map(|(k, v)| (k, v)), out),
+        }
+    }
 }
 
 pub trait Deserialize: Sized {
@@ -114,8 +209,8 @@ pub fn de_field<T: Deserialize>(
 // ---------------------------------------------------------------- primitives
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -131,13 +226,8 @@ impl Deserialize for bool {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                #[allow(unused_comparisons)]
-                if *self >= 0 {
-                    Value::UInt(*self as u64)
-                } else {
-                    Value::Int(*self as i64)
-                }
+            fn write_json(&self, out: &mut String) {
+                write!(out, "{self}").expect("writing to a String cannot fail");
             }
         }
         impl Deserialize for $t {
@@ -159,12 +249,15 @@ impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
+            fn write_json(&self, out: &mut String) {
                 if self.is_finite() {
-                    Value::Float(f64::from(*self))
+                    // Always as the `f64` widening. `{:?}` keeps a trailing
+                    // `.0` on integral floats, which is still valid JSON
+                    // and preserves float-ness on re-parse.
+                    write!(out, "{:?}", f64::from(*self)).expect("writing to a String cannot fail");
                 } else {
                     // Mirrors serde_json: non-finite floats become null.
-                    Value::Null
+                    out.push_str("null");
                 }
             }
         }
@@ -185,8 +278,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -200,14 +293,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -223,16 +316,16 @@ impl Deserialize for char {
 // ---------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.serialize(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -251,8 +344,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -271,14 +364,14 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -292,8 +385,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -304,8 +397,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Arc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -318,8 +411,15 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 macro_rules! impl_tuple {
     ($(($($t:ident : $idx:tt),+)),+) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -374,13 +474,10 @@ macro_rules! impl_mapkey_int {
 impl_mapkey_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<K: MapKey + Eq + Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn serialize(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.serialize()))
-            .collect();
+    fn write_json(&self, out: &mut String) {
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_key(), v)).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
+        write_map(entries, out);
     }
 }
 
@@ -397,12 +494,8 @@ impl<K: MapKey + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
 }
 
 impl<K: MapKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.serialize()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_map(self.iter().map(|(k, v)| (k.to_key(), v)), out);
     }
 }
 

@@ -7,11 +7,15 @@
 //! * structs with named fields (no generics); a field marked
 //!   `#[serde(skip)]` is left out of the serialized map and filled with
 //!   `Default::default()` on deserialization,
-//! * enums with unit variants,
-//! * enums with struct variants (named fields).
+//! * enums with unit, tuple and struct (named-field) variants.
 //!
-//! It generates impls of the local `serde` shim's `Serialize` /
-//! `Deserialize` traits, which speak a JSON-like `serde::Value` tree.
+//! It generates impls of the local `serde` shim's traits: `Serialize`
+//! appends JSON text to a `String` (keys are emitted as pre-escaped
+//! literals, fields recurse through `Serialize::write_json`, no tree is
+//! built), `Deserialize` reads a JSON-like `serde::Value` tree. A unit
+//! variant is its name as a string; a tuple or struct variant is a
+//! one-key object `{"Variant": payload}` whose payload is the single
+//! field, an array of the fields, or an object of the named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -204,25 +208,40 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn gen_struct_serialize(name: &str, fields: &[Field]) -> String {
-    let pushes: String = fields
-        .iter()
-        .filter(|f| !f.skip)
-        .map(|f| {
-            format!(
-                "m.push((\"{n}\".to_string(), ::serde::Serialize::serialize(&self.{n})));\n",
-                n = f.name
-            )
-        })
-        .collect();
+/// `__out.push_str(<text as a Rust string literal>);`
+fn push_text(text: &str) -> String {
+    format!("__out.push_str({text:?});\n")
+}
+
+/// Statements writing `{"a":<a>,"b":<b>}` for the given `(name, place)`
+/// pairs: each key, with its punctuation, is one pre-escaped literal.
+fn write_fields<'a>(fields: impl Iterator<Item = (&'a str, String)>) -> String {
+    let mut code = String::new();
+    let mut open = "{";
+    for (name, place) in fields {
+        code += &push_text(&format!("{open}\"{name}\":"));
+        code += &format!("::serde::Serialize::write_json({place}, __out);\n");
+        open = ",";
+    }
+    // No field at all: the braces still have to open.
+    code + &push_text(if open == "{" { "{}" } else { "}" })
+}
+
+fn serialize_impl(name: &str, body: &str) -> String {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn serialize(&self) -> ::serde::Value {{\n\
-                let mut m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                {pushes}\
-                ::serde::Value::Map(m)\n\
+            fn write_json(&self, __out: &mut ::std::string::String) {{\n\
+                {body}\
             }}\n\
         }}\n"
+    )
+}
+
+fn gen_struct_serialize(name: &str, fields: &[Field]) -> String {
+    let kept = fields.iter().filter(|f| !f.skip);
+    serialize_impl(
+        name,
+        &write_fields(kept.map(|f| (f.name.as_str(), format!("&self.{}", f.name)))),
     )
 }
 
@@ -255,61 +274,39 @@ fn gen_enum_serialize(name: &str, variants: &[Variant]) -> String {
     let arms: String = variants
         .iter()
         .map(|v| match v {
-            Variant::Unit(vn) => format!(
-                "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
-            ),
-            Variant::Tuple(vn, arity) => {
-                let binds: Vec<String> = (0..*arity).map(|i| format!("f{i}")).collect();
-                let pushes: String = binds
-                    .iter()
-                    .map(|b| format!("inner.push(::serde::Serialize::serialize({b}));\n"))
-                    .collect();
-                let payload = if *arity == 1 {
-                    "inner.pop().unwrap()".to_string()
-                } else {
-                    "::serde::Value::Seq(inner)".to_string()
-                };
+            Variant::Unit(vn) => {
                 format!(
-                    "{name}::{vn}({binds}) => {{\n\
-                        let mut inner: ::std::vec::Vec<::serde::Value> = ::std::vec::Vec::new();\n\
-                        {pushes}\
-                        ::serde::Value::Map(vec![(\"{vn}\".to_string(), {payload})])\n\
-                    }}\n",
-                    binds = binds.join(", ")
+                    "{name}::{vn} => {{\n{}}}\n",
+                    push_text(&format!("\"{vn}\""))
                 )
             }
+            Variant::Tuple(vn, arity) => {
+                let binds: Vec<String> = (0..*arity).map(|i| format!("f{i}")).collect();
+                // One field is the payload itself; any other count an array.
+                let (open, close) = if *arity == 1 { ("", "}") } else { ("[", "]}") };
+                let mut body = push_text(&format!("{{\"{vn}\":{open}"));
+                for (i, b) in binds.iter().enumerate() {
+                    if i > 0 {
+                        body += &push_text(",");
+                    }
+                    body += &format!("::serde::Serialize::write_json({b}, __out);\n");
+                }
+                body += &push_text(close);
+                format!("{name}::{vn}({}) => {{\n{body}}}\n", binds.join(", "))
+            }
             Variant::Struct(vn, fields) => {
-                let binds: String = fields
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let pushes: String = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "inner.push((\"{n}\".to_string(), ::serde::Serialize::serialize({n})));\n",
-                            n = f.name
-                        )
-                    })
-                    .collect();
+                let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                let inner = write_fields(binds.iter().map(|n| (*n, (*n).to_string())));
                 format!(
-                    "{name}::{vn} {{ {binds} }} => {{\n\
-                        let mut inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                        {pushes}\
-                        ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Map(inner))])\n\
-                    }}\n"
+                    "{name}::{vn} {{ {} }} => {{\n{}{inner}{}}}\n",
+                    binds.join(", "),
+                    push_text(&format!("{{\"{vn}\":")),
+                    push_text("}"),
                 )
             }
         })
         .collect();
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-            fn serialize(&self) -> ::serde::Value {{\n\
-                match self {{\n{arms}}}\n\
-            }}\n\
-        }}\n"
-    )
+    serialize_impl(name, &format!("match self {{\n{arms}}}\n"))
 }
 
 fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {

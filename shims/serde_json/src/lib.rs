@@ -1,6 +1,12 @@
-//! Offline stand-in for `serde_json`, speaking the local `serde` shim's
-//! [`serde::Value`] data model. Supports the surface this workspace uses:
-//! `to_writer`, `to_string`, `to_vec`, `from_str`, `from_reader`, `Error`.
+//! Offline stand-in for `serde_json` over the local `serde` shim. Supports
+//! the surface this workspace uses: `to_writer`, `to_string`, `to_vec`,
+//! `from_str`, `from_slice`, `from_reader`, `parse_value`, `Error`.
+//!
+//! Printing is the shim's streaming [`Serialize::write_json`] into one
+//! buffer — the printer itself lives in `serde`, next to the impls that
+//! use it. Parsing builds a [`serde::Value`] tree that `Deserialize`
+//! reads; nesting deeper than [`RECURSION_LIMIT`] is a typed error, never
+//! a stack overflow.
 
 use std::fmt;
 use std::io;
@@ -35,68 +41,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 // ------------------------------------------------------------------ printing
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` keeps a trailing `.0` on integral floats, which is
-                // still valid JSON and preserves float-ness on re-parse.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => escape_into(s, out),
-        Value::Seq(xs) => {
-            out.push('[');
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(x, out);
-            }
-            out.push(']');
-        }
-        Value::Map(m) => {
-            out.push('{');
-            for (i, (k, x)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(k, out);
-                out.push(':');
-                write_value(x, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.serialize(), &mut out);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -111,9 +58,15 @@ pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) 
 
 // ------------------------------------------------------------------- parsing
 
+/// How deep arrays and objects may nest in a parsed document (real
+/// `serde_json`'s limit).
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -151,11 +104,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs an array or object parser one level deeper, refusing documents
+    /// whose nesting would otherwise be bounded only by the stack.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, kw: &str, v: Value) -> Result<Value> {
@@ -346,7 +311,11 @@ impl<'a> Parser<'a> {
 /// UTF-8 is validated lazily inside string parsing (see `parse_string`), so
 /// there is no up-front whole-buffer scan.
 fn parse_document(bytes: &[u8]) -> Result<Value> {
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -378,4 +347,47 @@ pub fn from_reader<R: io::Read, T: Deserialize>(mut reader: R) -> Result<T> {
     // into their own long-lived buffer and calling `from_str`.
     drop(buf);
     Ok(T::deserialize(&value)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(opener: &str, closer: &str, levels: usize) -> String {
+        format!("{}0{}", opener.repeat(levels), closer.repeat(levels))
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for opener in ["[", "{\"a\":"] {
+            let err = parse_value(&opener.repeat(100_000)).unwrap_err();
+            let at = RECURSION_LIMIT * opener.len();
+            assert_eq!(err.0, format!("recursion limit exceeded at byte {at}"));
+            assert!(from_str::<Vec<u8>>(&opener.repeat(100_000)).is_err());
+        }
+        // Mixed nesting counts every level, whichever bracket opened it.
+        assert!(parse_value(&nested("[{\"a\":", "}]", RECURSION_LIMIT / 2 + 1)).is_err());
+    }
+
+    #[test]
+    fn the_limit_itself_parses_and_siblings_do_not_accumulate() {
+        for (opener, closer) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse_value(&nested(opener, closer, RECURSION_LIMIT)).is_ok());
+            assert!(parse_value(&nested(opener, closer, RECURSION_LIMIT + 1)).is_err());
+        }
+        // Depth is how many are open at once, not how many were opened.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * RECURSION_LIMIT));
+        assert!(parse_value(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_parsed_document_prints_back_to_its_compact_bytes() {
+        let text = r#"{"a":[1,-2,3.5,1e21,1.0,-0.0,null,true,false],"é\"\\":{"":"\u0001\n\t/\u00e9"},"z":[]}"#;
+        let printed = to_string(&parse_value(text).unwrap()).unwrap();
+        assert_eq!(
+            printed,
+            r#"{"a":[1,-2,3.5,1e21,1.0,-0.0,null,true,false],"é\"\\":{"":"\u0001\n\t/é"},"z":[]}"#
+        );
+        assert_eq!(to_string(&parse_value(&printed).unwrap()).unwrap(), printed);
+    }
 }
