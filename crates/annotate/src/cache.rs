@@ -7,7 +7,7 @@
 //! needs to be computed exactly once per pipeline, not once per column.
 //!
 //! [`AnnotationCache`] is a sharded-lock hash map safe to share across a
-//! rayon fan-out: shards are selected by FNV hash of the name, reads take a
+//! worker fan-out: shards are selected by FNV hash of the name, reads take a
 //! shard read-lock, and a miss computes the value under the shard write-lock
 //! (so each distinct name is computed exactly once and hit/miss counts are
 //! deterministic regardless of scheduling). Cached values are returned as
@@ -66,7 +66,7 @@ pub struct AnnotationCache {
     misses: AtomicU64,
 }
 
-/// Shard count: enough to keep rayon workers off each other's locks while
+/// Shard count: enough to keep pipeline workers off each other's locks while
 /// staying cache-friendly; must be a power of two.
 const SHARDS: usize = 64;
 

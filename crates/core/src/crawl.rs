@@ -26,6 +26,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use gittables_corpus::persist;
 use gittables_corpus::store::{CorpusStore, StoreError};
 use gittables_githost::{sleep_until_stop, CodeHost, PoolStats};
 use serde::{Deserialize, Serialize};
@@ -67,14 +68,7 @@ impl CrawlState {
     /// I/O failures other than the file not existing, and malformed
     /// JSON (surfaced as [`std::io::ErrorKind::InvalidData`]).
     pub fn load(dir: &Path) -> std::io::Result<Self> {
-        let path = dir.join(CRAWL_STATE_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CrawlState::default()),
-            Err(e) => return Err(e),
-        };
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        persist::load_state(dir, CRAWL_STATE_FILE)
     }
 
     /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
@@ -84,9 +78,7 @@ impl CrawlState {
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let text = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        gittables_corpus::persist::write_durably(dir, CRAWL_STATE_FILE, text.as_bytes())
+        persist::save_state(dir, CRAWL_STATE_FILE, self)
     }
 
     /// Whether `repo` may be re-attempted at the current pass.

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use gittables_corpus::persist;
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::Quarantined;
@@ -34,16 +35,7 @@ impl QuarantineLog {
     /// I/O failures other than the file not existing, and malformed JSON
     /// (surfaced as [`std::io::ErrorKind::InvalidData`]).
     pub fn load(dir: &Path) -> std::io::Result<Self> {
-        let path = dir.join(QUARANTINE_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(QuarantineLog::default())
-            }
-            Err(e) => return Err(e),
-        };
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        persist::load_state(dir, QUARANTINE_FILE)
     }
 
     /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
@@ -53,9 +45,7 @@ impl QuarantineLog {
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let text = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        gittables_corpus::persist::write_durably(dir, QUARANTINE_FILE, text.as_bytes())
+        persist::save_state(dir, QUARANTINE_FILE, self)
     }
 
     /// The log as a skip map (`repository → recorded reason`) for the

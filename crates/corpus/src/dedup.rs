@@ -113,7 +113,7 @@ pub fn combine_fingerprints<I: IntoIterator<Item = u64>>(fingerprints: I) -> u64
     h
 }
 
-/// Fingerprints every table of `corpus` in one shared (rayon-parallel)
+/// Fingerprints every table of `corpus` in one shared (parallel)
 /// pass: `result[i] == table_fingerprint(&corpus.tables[i].table)`.
 ///
 /// Hashing every cell dominates the cost of corpus-level dedup, so callers
@@ -122,12 +122,7 @@ pub fn combine_fingerprints<I: IntoIterator<Item = u64>>(fingerprints: I) -> u64
 /// re-hash the whole corpus.
 #[must_use]
 pub fn table_fingerprints(corpus: &Corpus) -> Vec<u64> {
-    use rayon::prelude::*;
-    corpus
-        .tables
-        .par_iter()
-        .map(|at| table_fingerprint(&at.table))
-        .collect()
+    crate::par::par_map(&corpus.tables, |at| table_fingerprint(&at.table))
 }
 
 /// Finds groups of exactly identical tables (same schema and content).

@@ -35,6 +35,7 @@ pub mod dedup;
 pub mod export;
 pub mod failpoint;
 pub mod join;
+mod par;
 pub mod persist;
 pub mod sidecar;
 pub mod stats;
@@ -53,10 +54,8 @@ pub use dedup::{
 pub use export::{export_csv, export_csv_store};
 pub use join::{join_candidates, join_tables, JoinCandidate};
 pub use sidecar::{
-    binding_of, load_indexes, remove_sidecars, write_complete, write_directory,
-    write_directory_for_store, write_search, write_types, CompleteParts, DirEntry, F32Matrix,
-    LazyCorpus, SearchParts, SidecarBinding, SidecarIndexes, SidecarIssue, SidecarKind,
-    SIDECAR_FILES,
+    load_indexes, remove_sidecars, write_indexes, CompleteParts, F32Matrix, LazyCorpus,
+    SearchParts, SidecarIndexes, SidecarIssue, SIDECAR_FILE,
 };
 pub use stats::CorpusStats;
 pub use store::{

@@ -10,6 +10,8 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
+use serde::{Deserialize, Serialize};
+
 use crate::corpus::Corpus;
 
 /// Errors from persistence.
@@ -61,6 +63,35 @@ pub fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()
     }
     std::fs::rename(&tmp, dir.join(name))?;
     std::fs::File::open(dir)?.sync_all()
+}
+
+fn invalid_data(e: serde_json::Error) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Reads the JSON state file `dir/name` (a store's `quarantine.json`,
+/// `crawl_state.json`); a missing file is the default state.
+///
+/// # Errors
+/// I/O failures other than the file not existing, and malformed JSON
+/// (surfaced as [`std::io::ErrorKind::InvalidData`]).
+pub fn load_state<T: Deserialize + Default>(dir: &Path, name: &str) -> std::io::Result<T> {
+    match std::fs::read_to_string(dir.join(name)) {
+        Ok(text) => serde_json::from_str(&text).map_err(invalid_data),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(T::default()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Replaces the JSON state file `dir/name` with `state` through
+/// [`write_durably`], so a crash mid-save can never leave a torn file
+/// and a crash after it cannot lose the save.
+///
+/// # Errors
+/// Underlying I/O failures.
+pub fn save_state<T: Serialize>(dir: &Path, name: &str, state: &T) -> std::io::Result<()> {
+    let text = serde_json::to_string(state).map_err(invalid_data)?;
+    write_durably(dir, name, text.as_bytes())
 }
 
 /// Saves a corpus as JSON.

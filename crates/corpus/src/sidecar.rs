@@ -1,38 +1,42 @@
-//! Index sidecars: the derived query indexes of a store, persisted next
-//! to its shards and mmap-bootable in O(index size).
+//! The index sidecar: the derived query indexes of a store, persisted
+//! next to its shards as one file and mmap-bootable in O(index size).
 //!
 //! A [`crate::store::CorpusStore`] holds *tables*; answering queries
 //! also needs three derived structures (the inverted semantic-type
 //! index, the schema-embedding search matrix, and the schema-completion
 //! matrix) plus a *directory* locating each table's block inside its
 //! shard. Rebuilding those on every boot costs a full corpus
-//! materialization — cold start and RSS scale with corpus size. A
-//! sidecar set persists them once, at save/migrate/index time, so an
-//! engine can boot by mapping four small files and decode individual
-//! tables on demand through [`LazyCorpus`].
+//! materialization — cold start and RSS scale with corpus size.
+//! [`write_indexes`] persists them once, at index time, as
+//! [`SIDECAR_FILE`], so an engine boots by mapping that one file
+//! ([`load_indexes`]) and decodes individual tables on demand through
+//! [`LazyCorpus`]. One file means one commit: a re-index replaces the
+//! whole set with one atomic rename, so a boot sees the old indexes
+//! (stale, rebuilt from the corpus) or the new ones, never a mix.
 //!
 //! ## Container layout (all integers little-endian)
 //!
-//! Every sidecar file shares one container:
-//!
 //! ```text
 //! "GTSIDE1\0"            file magic (8 bytes)
-//! u32 kind               0 directory, 1 types, 2 search, 3 complete
-//! u32 version            currently 1
+//! u32 version            currently 2
 //! u64 store_fingerprint  fold of the manifest's shard fingerprints
 //! u64 tables             total tables in the store
 //! str format             shard format name ("jsonl"/"colv1")
 //! str name               corpus name          (str := u32 len + UTF-8)
-//! payload                kind-specific, see below
-//! u64 checksum           FNV-1a over every preceding byte
+//! u64 dim                values per embedding row, both matrices
+//! u64 len, directory     four sections in this order, each prefixed
+//! u64 len, types         with its byte length and consumed exactly
+//! u64 len, search
+//! u64 len, complete
+//! u64 checksum           [`checksum`] of every preceding byte
 //! "GTSIDF1\0"            footer magic (8 bytes)
 //! ```
 //!
 //! The footer magic is the commit mark (torn writes fail before any
 //! field is trusted, exactly like `colv1` segments), and the checksum
-//! makes *every* flipped bit a typed [`StoreError::Corrupt`] — a
+//! makes *every* altered byte a typed [`StoreError::Corrupt`] — a
 //! corrupted sidecar can trigger a rebuild, never a wrong answer. The
-//! `store_fingerprint`/`tables`/`format`/`name` quadruple binds a
+//! `store_fingerprint`/`tables`/`format`/`name` quadruple binds the
 //! sidecar to the exact store contents it was built from: re-saving,
 //! resuming, or migrating the store changes the binding, so a stale
 //! sidecar is *detected* ([`SidecarIssue::Stale`]), never silently
@@ -41,22 +45,50 @@
 //! entry, and every decoded table is verified against its directory
 //! fingerprint before it leaves [`LazyCorpus::get`].
 //!
-//! ## Payloads
+//! ## Sections
 //!
 //! * **directory** — shard file list, then per global table id:
 //!   `u32 shard, u64 offset, u64 len, u64 fingerprint`.
 //! * **types** — sorted labels, then each label's posting list
 //!   (`u64 table, u64 column, u8 method, u8 ontology, u32 sim bits`).
-//! * **search** — `u64 entries, u64 dim`, per-entry table ids, schemas,
+//! * **search** — `u64 entries`, per-entry table ids, schemas,
 //!   zero-padding to 8 bytes, then the raw `f32` embedding matrix
 //!   (row-major, `entries × dim`).
-//! * **complete** — `u64 schemas, u64 dim, u64 total_rows`, schemas,
-//!   padding, then the per-attribute embedding matrix
-//!   (`total_rows × dim`; row ranges follow from schema lengths).
+//! * **complete** — `u64 schemas`, the schemas, padding, then the
+//!   per-attribute embedding matrix (one row per schema attribute; row
+//!   ranges follow from schema lengths).
 //!
-//! Matrices are 8-byte aligned in the file so a mapped sidecar serves
-//! `&[f32]` rows zero-copy ([`F32Matrix`]); misaligned or big-endian
-//! fallbacks copy once.
+//! Matrices are 8-byte aligned in the file so the mapped sidecar serves
+//! `&[f32]` rows zero-copy ([`F32Matrix`]) out of the one shared arena;
+//! misaligned or big-endian fallbacks copy once. A section that ends
+//! before or after its parser does means a length field lied: it is
+//! `Corrupt`, named after the section.
+//!
+//! ## The checksum
+//!
+//! [`checksum`] reads the bytes as little-endian `u64` words, 32 bytes a
+//! round, each word folded into one of four independent lanes by
+//! `h = (h ^ word) * FNV_PRIME; h ^= h >> 32`. The lanes, then the
+//! tail bytes (fewer than 32, one at a time), then the total length are
+//! folded into one `u64` by the same step. Every step is a bijection of
+//! the state it updates — xor with the input, multiplication by an odd
+//! number, xor with the own high half — and a bijection of the input for
+//! a fixed state, so two buffers that differ in a **single byte** (or a
+//! single word) never share a digest; lanes are folded in order, so the
+//! digest is position- and order-sensitive. It is not cryptographic:
+//! it guards against rot and torn writes, not against an adversary. Its
+//! definition is part of this on-disk format (two digests are pinned in
+//! the tests) and is independent of `dedup`'s FNV, which store
+//! manifests persist.
+//!
+//! ## No reader for version 1
+//!
+//! Version 1 spread the same data over four files
+//! (`index-{directory,types,search,complete}.gtsc`). Sidecars are
+//! derived and disposable, so there is no compatibility path: those
+//! files are never opened, the boot reports the sidecar missing,
+//! rebuilds from the corpus, and serves the same bytes; `gittables
+//! index` restores the fast path.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -73,82 +105,38 @@ use crate::dedup::combine_fingerprints;
 use crate::store::{CorpusStore, StoreError};
 use crate::typeindex::{TypeIndex, TypePosting};
 
-/// Magic bytes opening every sidecar file.
+/// The sidecar's file name inside the store directory.
+pub const SIDECAR_FILE: &str = "index.gtsc";
+
+/// Magic bytes opening the sidecar file.
 pub const SIDECAR_MAGIC: &[u8; 8] = b"GTSIDE1\0";
 
-/// Magic bytes closing every sidecar file (the commit mark).
+/// Magic bytes closing the sidecar file (the commit mark).
 pub const SIDECAR_FOOTER_MAGIC: &[u8; 8] = b"GTSIDF1\0";
 
 /// Sidecar container version this build writes and reads.
-pub const SIDECAR_VERSION: u32 = 1;
+pub const SIDECAR_VERSION: u32 = 2;
 
-/// The kind of index a sidecar file persists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SidecarKind {
-    /// Table-id → (shard, block span, fingerprint) directory.
-    Directory,
-    /// Inverted semantic-type index.
-    Types,
-    /// Schema-embedding search index.
-    Search,
-    /// Schema-completion index.
-    Complete,
-}
+/// Section names as they appear in errors, in file order.
+const DIRECTORY: &str = "index.gtsc#directory";
+const TYPES: &str = "index.gtsc#types";
+const SEARCH: &str = "index.gtsc#search";
+const COMPLETE: &str = "index.gtsc#complete";
 
-impl SidecarKind {
-    /// All kinds, in tag order.
-    pub const ALL: [SidecarKind; 4] = [
-        SidecarKind::Directory,
-        SidecarKind::Types,
-        SidecarKind::Search,
-        SidecarKind::Complete,
-    ];
-
-    fn tag(self) -> u32 {
-        match self {
-            SidecarKind::Directory => 0,
-            SidecarKind::Types => 1,
-            SidecarKind::Search => 2,
-            SidecarKind::Complete => 3,
-        }
-    }
-
-    /// The sidecar's file name inside the store directory.
-    #[must_use]
-    pub fn file_name(self) -> &'static str {
-        match self {
-            SidecarKind::Directory => "index-directory.gtsc",
-            SidecarKind::Types => "index-types.gtsc",
-            SidecarKind::Search => "index-search.gtsc",
-            SidecarKind::Complete => "index-complete.gtsc",
-        }
-    }
-}
-
-/// Every sidecar file name, for cleanup and docs.
-pub const SIDECAR_FILES: [&str; 4] = [
-    "index-directory.gtsc",
-    "index-types.gtsc",
-    "index-search.gtsc",
-    "index-complete.gtsc",
-];
-
-/// What binds a sidecar set to one exact store state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SidecarBinding {
+/// What binds a sidecar to one exact store state.
+struct SidecarBinding {
     /// Order-sensitive fold of the manifest's shard fingerprints.
-    pub store_fingerprint: u64,
+    store_fingerprint: u64,
     /// Total tables across committed shards.
-    pub tables: u64,
+    tables: u64,
     /// Shard format name the store records.
-    pub format: String,
+    format: String,
     /// Corpus name the store records.
-    pub name: String,
+    name: String,
 }
 
 /// The binding of `store` as it is right now.
-#[must_use]
-pub fn binding_of(store: &CorpusStore) -> SidecarBinding {
+fn binding_of(store: &CorpusStore) -> SidecarBinding {
     let entries = store.shard_entries();
     SidecarBinding {
         store_fingerprint: combine_fingerprints(entries.iter().map(|e| e.fingerprint)),
@@ -158,25 +146,22 @@ pub fn binding_of(store: &CorpusStore) -> SidecarBinding {
     }
 }
 
-/// Why a sidecar set could not be served. Every variant is a *safe*
+/// Why the sidecar could not be served. Every variant is a *safe*
 /// outcome: the caller falls back to rebuilding from the corpus.
 #[derive(Debug)]
 pub enum SidecarIssue {
-    /// A sidecar file does not exist (store was never indexed).
-    Missing {
-        /// The missing file name.
-        file: String,
-    },
+    /// [`SIDECAR_FILE`] does not exist (the store was never indexed, or
+    /// only by a build that wrote the four version-1 files).
+    Missing,
     /// The sidecar is structurally valid but was built for a different
-    /// store state (older corpus, other format, renamed shards…).
+    /// store state (older corpus, other format, renamed shards…) or by a
+    /// build with another container version or embedding.
     Stale {
-        /// The stale file name.
-        file: String,
-        /// What disagreed with the store.
+        /// What disagreed with the store or this build.
         detail: String,
     },
     /// Structurally invalid bytes: torn write, truncation, bad magic,
-    /// or any flipped bit (checksum mismatch).
+    /// or any altered byte (checksum mismatch).
     Corrupt(StoreError),
 }
 
@@ -186,7 +171,7 @@ impl SidecarIssue {
     #[must_use]
     pub fn reason(&self) -> &'static str {
         match self {
-            SidecarIssue::Missing { .. } => "no_sidecar",
+            SidecarIssue::Missing => "no_sidecar",
             SidecarIssue::Stale { .. } => "stale",
             SidecarIssue::Corrupt(_) => "corrupt",
         }
@@ -196,9 +181,9 @@ impl SidecarIssue {
 impl std::fmt::Display for SidecarIssue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SidecarIssue::Missing { file } => write!(f, "sidecar `{file}` is missing"),
-            SidecarIssue::Stale { file, detail } => {
-                write!(f, "sidecar `{file}` is stale: {detail}")
+            SidecarIssue::Missing => write!(f, "sidecar `{SIDECAR_FILE}` is missing"),
+            SidecarIssue::Stale { detail } => {
+                write!(f, "sidecar `{SIDECAR_FILE}` is stale: {detail}")
             }
             SidecarIssue::Corrupt(e) => write!(f, "sidecar is corrupt: {e}"),
         }
@@ -207,15 +192,36 @@ impl std::fmt::Display for SidecarIssue {
 
 impl std::error::Error for SidecarIssue {}
 
-/// FNV-1a 64 over `bytes` — the whole-file checksum that turns every
-/// flipped bit into a typed error.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The one place a structural failure of the container or of a section
+/// becomes the `corrupt` fallback reason.
+impl From<StoreError> for SidecarIssue {
+    fn from(e: StoreError) -> Self {
+        SidecarIssue::Corrupt(e)
     }
-    h
+}
+
+/// The whole-file checksum (module docs, *The checksum*): four word
+/// lanes, then lanes, tail bytes and length folded in that order.
+fn checksum(bytes: &[u8]) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x100_0000_01b3;
+    fn step(h: u64, v: u64) -> u64 {
+        let h = (h ^ v).wrapping_mul(PRIME);
+        h ^ (h >> 32)
+    }
+    let mut lanes = [BASIS; 4];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().expect("8")));
+        }
+    }
+    let folded = lanes.into_iter().fold(BASIS, step);
+    let tailed = stripes
+        .remainder()
+        .iter()
+        .fold(folded, |h, &b| step(h, u64::from(b)));
+    step(tailed, bytes.len() as u64)
 }
 
 // ---------------------------------------------------------------- encoding
@@ -230,108 +236,60 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema, file: &str) -> Result<(), Stor
     Ok(())
 }
 
-/// Zero-pads `out` to the next 8-byte boundary, so `f32` matrices start
-/// aligned in the file (and thus in a page-aligned mapping).
-fn pad8(out: &mut Vec<u8>) {
+/// Zero-pads `out` to the next 8-byte boundary and appends `rows`, so
+/// the matrix starts aligned in the file (and thus in a page-aligned
+/// mapping).
+fn put_matrix(out: &mut Vec<u8>, rows: &F32Matrix) {
     while !out.len().is_multiple_of(8) {
         out.push(0);
     }
+    for v in rows.as_slice() {
+        put_u32(out, v.to_bits());
+    }
 }
 
-/// Appends a kind-specific payload to the container buffer being built
-/// for the named sidecar file.
-type PayloadWriter<'a> = &'a dyn Fn(&mut Vec<u8>, &str) -> Result<(), StoreError>;
-
-/// Writes one sidecar file: header, payload, checksum, footer magic —
-/// replaced atomically and durably ([`crate::persist::write_durably`]).
-fn write_container(
-    dir: &Path,
-    kind: SidecarKind,
-    binding: &SidecarBinding,
-    payload: PayloadWriter<'_>,
+/// Appends one section: the byte length of what `body` writes, then
+/// that.
+fn put_section(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    let file = kind.file_name();
-    let mut out = Vec::new();
-    out.extend_from_slice(SIDECAR_MAGIC);
-    put_u32(&mut out, kind.tag());
-    put_u32(&mut out, SIDECAR_VERSION);
-    put_u64(&mut out, binding.store_fingerprint);
-    put_u64(&mut out, binding.tables);
-    put_str(&mut out, &binding.format, file)?;
-    put_str(&mut out, &binding.name, file)?;
-    payload(&mut out, file)?;
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
-    out.extend_from_slice(SIDECAR_FOOTER_MAGIC);
-
-    Ok(crate::persist::write_durably(dir, file, &out)?)
+    let at = out.len();
+    put_u64(out, 0);
+    body(out)?;
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
-/// Removes every sidecar file under `dir`, best-effort. Used after
-/// store mutations (e.g. migration) so unreadable-stale files don't
+/// Removes the sidecar under `dir`, best-effort. Used after store
+/// mutations (e.g. migration) so an unreadable-stale file doesn't
 /// linger; a leftover would be detected as stale anyway.
 pub fn remove_sidecars(dir: &Path) {
-    for file in SIDECAR_FILES {
-        std::fs::remove_file(dir.join(file)).ok();
-    }
+    std::fs::remove_file(dir.join(SIDECAR_FILE)).ok();
 }
 
 /// One table's location inside the store: which shard, which block
 /// span, and the content fingerprint the decoded table must match.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirEntry {
+#[derive(Debug, Clone, Copy, Default)]
+struct DirEntry {
     /// Ordinal of the shard in manifest commit order.
-    pub shard: u32,
+    shard: u32,
     /// Byte offset of the table's block inside the shard file.
-    pub offset: u64,
+    offset: u64,
     /// Byte length of the block.
-    pub len: u64,
+    len: u64,
     /// [`crate::dedup::table_fingerprint`] of the table.
-    pub fingerprint: u64,
+    fingerprint: u64,
 }
 
-/// Writes the directory sidecar: `shard_files` in manifest commit
-/// order, then one [`DirEntry`] per global table id.
-///
-/// # Errors
-/// Propagates I/O and encoding failures.
-pub fn write_directory(
-    dir: &Path,
-    binding: &SidecarBinding,
-    shard_files: &[String],
-    entries: &[DirEntry],
-) -> Result<(), StoreError> {
-    assert_eq!(entries.len() as u64, binding.tables, "entry per table");
-    write_container(dir, SidecarKind::Directory, binding, &|out, file| {
-        put_u64(out, shard_files.len() as u64);
-        for f in shard_files {
-            put_str(out, f, file)?;
-        }
-        for e in entries {
-            put_u32(out, e.shard);
-            put_u64(out, e.offset);
-            put_u64(out, e.len);
-            put_u64(out, e.fingerprint);
-        }
-        Ok(())
-    })
-}
-
-/// Builds and writes the directory sidecar of `store` straight from its
-/// shard segments' block spans — no table block is decoded. The
-/// per-table content fingerprints come from the caller (one
-/// [`crate::dedup::table_fingerprints`] pass over the corpus being
-/// indexed), ordered by [`TableId`] ([`CorpusStore::table_ids`]).
-///
-/// # Errors
-/// [`StoreError::Corrupt`] when a segment's block count, or the number of
-/// fingerprints, disagrees with the manifest, plus I/O and encoding
-/// failures.
-pub fn write_directory_for_store(
+/// The directory of `store` — shard files in manifest commit order and
+/// one [`DirEntry`] per [`TableId`] — straight from its shard segments'
+/// block spans: no table block is decoded.
+fn directory_of(
     store: &CorpusStore,
-    binding: &SidecarBinding,
     fingerprints: &[u64],
-) -> Result<(), StoreError> {
+) -> Result<(Vec<String>, Vec<DirEntry>), StoreError> {
     let shards = store.table_ids();
     let total: usize = shards.iter().map(|(_, ids)| ids.len()).sum();
     if total != fingerprints.len() {
@@ -345,7 +303,7 @@ pub fn write_directory_for_store(
     }
     let codec = store.codec();
     // Ids are a permutation of `0..total`: every slot is written once.
-    let mut dir_entries = vec![DirEntry::default(); total];
+    let mut entries = vec![DirEntry::default(); total];
     let mut files = Vec::with_capacity(shards.len());
     for (s, (entry, ids)) in shards.iter().enumerate() {
         let arena = store.map_shard(entry)?;
@@ -361,7 +319,7 @@ pub fn write_directory_for_store(
             ));
         }
         for (&(offset, len), &id) in spans.iter().zip(ids) {
-            dir_entries[id] = DirEntry {
+            entries[id] = DirEntry {
                 shard: s as u32,
                 offset,
                 len,
@@ -370,24 +328,72 @@ pub fn write_directory_for_store(
         }
         files.push(entry.file.clone());
     }
-    write_directory(store.path(), binding, &files, &dir_entries)
+    Ok((files, entries))
 }
 
-/// Writes the types sidecar from a built [`TypeIndex`].
+/// Builds the sidecar of `store` in one buffer and commits it with one
+/// atomic, durable replace ([`crate::persist::write_durably`]): after a
+/// failure the previous file, if any, is untouched. Returns the file's
+/// length in bytes.
+///
+/// `fingerprints` are the per-table content fingerprints (one
+/// [`crate::dedup::table_fingerprints`] pass over the corpus being
+/// indexed) ordered by [`TableId`] ([`CorpusStore::table_ids`]);
+/// `search` is the search index's per-entry table ids and schemas with
+/// its row-major embedding matrix; `complete` the completion index's
+/// deduplicated schemas with its flat per-attribute matrix.
 ///
 /// # Errors
-/// Propagates I/O and encoding failures.
-pub fn write_types(
-    dir: &Path,
-    binding: &SidecarBinding,
-    index: &TypeIndex,
-) -> Result<(), StoreError> {
-    write_container(dir, SidecarKind::Types, binding, &|out, file| {
-        let labels = index.labels();
-        let lists = index.posting_lists();
+/// [`StoreError::Corrupt`] when a segment's block count, or the number of
+/// fingerprints, disagrees with the manifest, plus I/O and encoding
+/// failures.
+///
+/// # Panics
+/// When the parts disagree on their own shapes (an id, a schema and a
+/// row per search entry; a row per completion attribute; one `dim`).
+pub fn write_indexes(
+    store: &CorpusStore,
+    fingerprints: &[u64],
+    types: &TypeIndex,
+    search: (&[usize], &[Schema], &F32Matrix),
+    complete: (&[Schema], &F32Matrix),
+) -> Result<u64, StoreError> {
+    let (ids, search_schemas, search_rows) = search;
+    let (complete_schemas, complete_rows) = complete;
+    assert_eq!(ids.len(), search_schemas.len(), "id per schema");
+    assert_eq!(ids.len(), search_rows.rows(), "row per schema");
+    let attributes: usize = complete_schemas.iter().map(Schema::len).sum();
+    assert_eq!(attributes, complete_rows.rows(), "row per schema attribute");
+    assert_eq!(search_rows.dim(), complete_rows.dim(), "one embedding dim");
+    let binding = binding_of(store);
+    let (shard_files, entries) = directory_of(store, fingerprints)?;
+
+    let mut out = Vec::new();
+    out.extend_from_slice(SIDECAR_MAGIC);
+    put_u32(&mut out, SIDECAR_VERSION);
+    put_u64(&mut out, binding.store_fingerprint);
+    put_u64(&mut out, binding.tables);
+    put_str(&mut out, &binding.format, SIDECAR_FILE)?;
+    put_str(&mut out, &binding.name, SIDECAR_FILE)?;
+    put_u64(&mut out, search_rows.dim() as u64);
+    put_section(&mut out, |out| {
+        put_u64(out, shard_files.len() as u64);
+        for f in &shard_files {
+            put_str(out, f, DIRECTORY)?;
+        }
+        for e in &entries {
+            put_u32(out, e.shard);
+            put_u64(out, e.offset);
+            put_u64(out, e.len);
+            put_u64(out, e.fingerprint);
+        }
+        Ok(())
+    })?;
+    put_section(&mut out, |out| {
+        let labels = types.labels();
         put_u64(out, labels.len() as u64);
-        for (label, postings) in labels.iter().zip(lists) {
-            put_str(out, label, file)?;
+        for (label, postings) in labels.iter().zip(types.posting_lists()) {
+            put_str(out, label, TYPES)?;
             put_u64(out, postings.len() as u64);
             for p in postings {
                 put_u64(out, p.table as u64);
@@ -398,67 +404,32 @@ pub fn write_types(
             }
         }
         Ok(())
-    })
-}
-
-/// Writes the search sidecar: per-entry stable table ids and schemas,
-/// plus the row-major schema-embedding matrix.
-///
-/// # Errors
-/// Propagates I/O and encoding failures.
-pub fn write_search(
-    dir: &Path,
-    binding: &SidecarBinding,
-    ids: &[usize],
-    schemas: &[Schema],
-    rows: &F32Matrix,
-) -> Result<(), StoreError> {
-    assert_eq!(ids.len(), schemas.len(), "id per schema");
-    assert_eq!(ids.len(), rows.rows(), "row per schema");
-    write_container(dir, SidecarKind::Search, binding, &|out, file| {
+    })?;
+    put_section(&mut out, |out| {
         put_u64(out, ids.len() as u64);
-        put_u64(out, rows.dim() as u64);
         for &id in ids {
             put_u64(out, id as u64);
         }
-        for s in schemas {
-            put_schema(out, s, file)?;
+        for s in search_schemas {
+            put_schema(out, s, SEARCH)?;
         }
-        pad8(out);
-        for v in rows.as_slice() {
-            put_u32(out, v.to_bits());
-        }
+        put_matrix(out, search_rows);
         Ok(())
-    })
-}
+    })?;
+    put_section(&mut out, |out| {
+        put_u64(out, complete_schemas.len() as u64);
+        for s in complete_schemas {
+            put_schema(out, s, COMPLETE)?;
+        }
+        put_matrix(out, complete_rows);
+        Ok(())
+    })?;
+    let sum = checksum(&out);
+    put_u64(&mut out, sum);
+    out.extend_from_slice(SIDECAR_FOOTER_MAGIC);
 
-/// Writes the completion sidecar: deduplicated schemas plus the flat
-/// per-attribute embedding matrix (row ranges follow from the schema
-/// lengths).
-///
-/// # Errors
-/// Propagates I/O and encoding failures.
-pub fn write_complete(
-    dir: &Path,
-    binding: &SidecarBinding,
-    schemas: &[Schema],
-    rows: &F32Matrix,
-) -> Result<(), StoreError> {
-    let total: usize = schemas.iter().map(Schema::len).sum();
-    assert_eq!(total, rows.rows(), "row per schema attribute");
-    write_container(dir, SidecarKind::Complete, binding, &|out, file| {
-        put_u64(out, schemas.len() as u64);
-        put_u64(out, rows.dim() as u64);
-        put_u64(out, rows.rows() as u64);
-        for s in schemas {
-            put_schema(out, s, file)?;
-        }
-        pad8(out);
-        for v in rows.as_slice() {
-            put_u32(out, v.to_bits());
-        }
-        Ok(())
-    })
+    crate::persist::write_durably(store.path(), SIDECAR_FILE, &out)?;
+    Ok(out.len() as u64)
 }
 
 // ---------------------------------------------------------------- matrices
@@ -689,7 +660,7 @@ impl LazyCorpus {
         let (file, arena) = self
             .shards
             .get(entry.shard as usize)
-            .ok_or_else(|| corrupt("index-directory.gtsc", "shard ordinal out of range"))?;
+            .ok_or_else(|| corrupt(DIRECTORY, "shard ordinal out of range"))?;
         let block = span_bytes(arena.bytes(), entry.offset, entry.len, file)?;
         let at = codec_for(self.format).read_block(block, file)?;
         let actual = crate::dedup::table_fingerprint(&at.table);
@@ -708,7 +679,7 @@ impl LazyCorpus {
 
 // ----------------------------------------------------------------- loading
 
-/// The raw parts of the search index as persisted in its sidecar.
+/// The raw parts of the search index as persisted in the sidecar.
 #[derive(Debug)]
 pub struct SearchParts {
     /// Stable table id per entry.
@@ -719,7 +690,7 @@ pub struct SearchParts {
     pub rows: F32Matrix,
 }
 
-/// The raw parts of the completion index as persisted in its sidecar.
+/// The raw parts of the completion index as persisted in the sidecar.
 #[derive(Debug)]
 pub struct CompleteParts {
     /// Deduplicated schemas, in first-seen order.
@@ -745,78 +716,55 @@ pub struct SidecarIndexes {
     pub complete: CompleteParts,
 }
 
-struct Header<'a> {
-    cur: Cursor<'a>,
-}
-
-/// Validates one sidecar container end to end (magic, footer, checksum,
-/// version, binding) and returns a cursor positioned at the payload.
-/// The cursor's bounds exclude the checksum/footer trailer, so payload
-/// reads can never wander into it.
+/// Validates the container end to end (magic, footer, checksum, version,
+/// binding) and returns a cursor positioned at the first section, plus
+/// the embedding `dim`. The cursor's bounds exclude the checksum/footer
+/// trailer, so section reads can never wander into it.
 fn open_container<'a>(
     bytes: &'a [u8],
-    file: &'a str,
-    kind: SidecarKind,
     binding: &SidecarBinding,
-) -> Result<Header<'a>, SidecarIssue> {
+) -> Result<(Cursor<'a>, usize), SidecarIssue> {
+    let file = SIDECAR_FILE;
     let trailer = 8 + SIDECAR_FOOTER_MAGIC.len();
-    let min = SIDECAR_MAGIC.len() + 4 + 4 + 8 + 8 + 4 + 4 + trailer;
-    if bytes.len() < min {
-        return Err(SidecarIssue::Corrupt(corrupt(
+    if bytes.len() < SIDECAR_MAGIC.len() + trailer {
+        return Err(corrupt(
             file,
             format!("sidecar of {} bytes is truncated", bytes.len()),
-        )));
+        )
+        .into());
     }
     if &bytes[..SIDECAR_MAGIC.len()] != SIDECAR_MAGIC {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            "bad file magic (not a sidecar)",
-        )));
+        return Err(corrupt(file, "bad file magic (not a sidecar)").into());
     }
     if &bytes[bytes.len() - SIDECAR_FOOTER_MAGIC.len()..] != SIDECAR_FOOTER_MAGIC {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            "bad footer magic (sidecar not fully written)",
-        )));
+        return Err(corrupt(file, "bad footer magic (sidecar not fully written)").into());
     }
     let body = bytes.len() - trailer;
     let stored = u64::from_le_bytes(bytes[body..body + 8].try_into().expect("8"));
-    if fnv1a(&bytes[..body]) != stored {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            "checksum mismatch (sidecar bytes were altered)",
-        )));
+    if checksum(&bytes[..body]) != stored {
+        return Err(corrupt(file, "checksum mismatch (sidecar bytes were altered)").into());
     }
     let mut cur = Cursor {
         bytes: &bytes[..body],
         pos: SIDECAR_MAGIC.len(),
         file,
     };
-    let tag = cur.u32().map_err(SidecarIssue::Corrupt)?;
-    if tag != kind.tag() {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            format!("sidecar kind {tag} where {} was expected", kind.tag()),
-        )));
-    }
-    let version = cur.u32().map_err(SidecarIssue::Corrupt)?;
+    let version = cur.u32()?;
     if version != SIDECAR_VERSION {
         return Err(SidecarIssue::Stale {
-            file: file.to_string(),
             detail: format!("sidecar version {version}, this build reads {SIDECAR_VERSION}"),
         });
     }
-    let store_fingerprint = cur.u64().map_err(SidecarIssue::Corrupt)?;
-    let tables = cur.u64().map_err(SidecarIssue::Corrupt)?;
-    let format = cur.str().map_err(SidecarIssue::Corrupt)?;
-    let name = cur.str().map_err(SidecarIssue::Corrupt)?;
+    let store_fingerprint = cur.u64()?;
+    let tables = cur.u64()?;
+    let format = cur.str()?;
+    let name = cur.str()?;
     if store_fingerprint != binding.store_fingerprint
         || tables != binding.tables
         || format != binding.format
         || name != binding.name
     {
         return Err(SidecarIssue::Stale {
-            file: file.to_string(),
             detail: format!(
                 "built for corpus `{name}` ({tables} tables, {format}, {store_fingerprint:#018x}); \
                  store is `{}` ({} tables, {}, {:#018x})",
@@ -824,29 +772,42 @@ fn open_container<'a>(
             ),
         });
     }
-    Ok(Header { cur })
+    let dim = cur.u64()?;
+    let dim = cur.len_of(dim, "embedding dim")?;
+    Ok((cur, dim))
 }
 
-/// The payload must end exactly at the checksum; trailing bytes mean a
-/// length field lied somewhere upstream.
-fn finish_payload(cur: &Cursor<'_>) -> Result<(), SidecarIssue> {
-    if cur.pos != cur.bytes.len() {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            cur.file,
-            format!("payload ends at byte {} of {}", cur.pos, cur.bytes.len()),
-        )));
+/// Reads the next section of `cur` with `parse`, which sees the
+/// section's bytes and nothing after them and must consume them
+/// exactly. Every error is filed under `name`.
+fn section<'a, T>(
+    cur: &mut Cursor<'a>,
+    name: &'a str,
+    parse: impl FnOnce(&mut Cursor<'a>) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let mut sub = Cursor {
+        bytes: cur.bytes,
+        pos: cur.pos,
+        file: name,
+    };
+    let len = sub.u64()?;
+    let len = sub.len_of(len, "section length")?;
+    let end = sub
+        .pos
+        .checked_add(len)
+        .filter(|&end| end <= cur.bytes.len())
+        .ok_or_else(|| corrupt(name, "section extends past the checksum"))?;
+    sub.bytes = &cur.bytes[..end];
+    let value = parse(&mut sub)?;
+    if sub.pos != end {
+        // A length field lied, here or upstream.
+        return Err(corrupt(
+            name,
+            format!("section parsed to byte {} but ends at {end}", sub.pos),
+        ));
     }
-    Ok(())
-}
-
-fn load_arena(dir: &Path, kind: SidecarKind) -> Result<Arc<Arena>, SidecarIssue> {
-    match Arena::load(&dir.join(kind.file_name())) {
-        Ok(a) => Ok(Arc::new(a)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(SidecarIssue::Missing {
-            file: kind.file_name().to_string(),
-        }),
-        Err(e) => Err(SidecarIssue::Corrupt(StoreError::Io(e))),
-    }
+    cur.pos = end;
+    Ok(value)
 }
 
 fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
@@ -858,278 +819,248 @@ fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
     Ok(Schema::new(attrs))
 }
 
-/// Skips the zero padding [`pad8`] wrote before a matrix.
-fn skip_pad(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
-    let pad = (8 - cur.pos % 8) % 8;
-    cur.take(pad)?;
-    Ok(())
+/// Skips the zero padding [`put_matrix`] wrote and views the `rows ×
+/// dim` matrix behind it in `arena` (whose bytes `cur` walks).
+fn read_matrix(
+    cur: &mut Cursor<'_>,
+    arena: &Arc<Arena>,
+    rows: usize,
+    dim: usize,
+) -> Result<F32Matrix, StoreError> {
+    cur.take((8 - cur.pos % 8) % 8)?;
+    let matrix = F32Matrix::from_arena(arena, cur.pos, rows, dim, cur.file)?;
+    // `from_arena` refused a size that overflows.
+    cur.take(rows * dim * 4)?;
+    Ok(matrix)
 }
 
-/// Loads, verifies, and assembles the full sidecar set of `store`.
-///
-/// O(index size), not O(corpus): shard segments are mapped but no table
-/// block is decoded. Verification covers container structure (magic,
-/// footer, whole-file checksum), the binding of every file to the
-/// store's current fingerprint/format/size, the directory's shard file
-/// list against the manifest, and a per-shard fold of the directory's
-/// table fingerprints against each manifest entry.
-///
-/// # Errors
-/// [`SidecarIssue`] describing exactly why the set cannot be served
-/// (missing / stale / corrupt); callers fall back to a rebuild.
-pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue> {
-    let binding = binding_of(store);
-    let shards = store.table_ids();
-    let dir = store.path();
-
-    // -- directory ---------------------------------------------------
-    let dir_arena = load_arena(dir, SidecarKind::Directory)?;
-    let file = SidecarKind::Directory.file_name();
-    let mut h = open_container(dir_arena.bytes(), file, SidecarKind::Directory, &binding)?;
-    let cur = &mut h.cur;
-    let read = |r: Result<u64, StoreError>| r.map_err(SidecarIssue::Corrupt);
-    let nshards = read(cur.u64())? as usize;
-    if nshards != shards.len() {
-        return Err(SidecarIssue::Stale {
-            file: file.to_string(),
-            detail: format!(
-                "sidecar lists {nshards} shards, manifest has {}",
-                shards.len()
-            ),
-        });
+fn read_directory(
+    cur: &mut Cursor<'_>,
+    tables: usize,
+) -> Result<(Vec<String>, Vec<DirEntry>), StoreError> {
+    let nshards = cur.u64()?;
+    let nshards = cur.len_of(nshards, "shard count")?;
+    let mut files = Vec::with_capacity(cur.cap(nshards));
+    for _ in 0..nshards {
+        files.push(cur.str()?);
     }
-    for (entry, _) in &shards {
-        let f = cur.str().map_err(SidecarIssue::Corrupt)?;
-        if f != entry.file {
-            return Err(SidecarIssue::Stale {
-                file: file.to_string(),
-                detail: format!(
-                    "sidecar references shard `{f}`, manifest has `{}`",
-                    entry.file
-                ),
+    let mut entries = Vec::with_capacity(cur.cap(tables));
+    for _ in 0..tables {
+        let entry = DirEntry {
+            shard: cur.u32()?,
+            offset: cur.u64()?,
+            len: cur.u64()?,
+            fingerprint: cur.u64()?,
+        };
+        if entry.shard as usize >= nshards {
+            return Err(corrupt(
+                cur.file,
+                format!("shard ordinal {} out of range", entry.shard),
+            ));
+        }
+        entries.push(entry);
+    }
+    Ok((files, entries))
+}
+
+fn read_types(cur: &mut Cursor<'_>) -> Result<TypeIndex, StoreError> {
+    let nlabels = cur.u64()?;
+    let nlabels = cur.len_of(nlabels, "label count")?;
+    let mut labels: Vec<String> = Vec::with_capacity(cur.cap(nlabels));
+    let mut lists: Vec<Vec<TypePosting>> = Vec::with_capacity(cur.cap(nlabels));
+    for _ in 0..nlabels {
+        let label = cur.str()?;
+        if labels.last().is_some_and(|prev| *prev >= label) {
+            // Sorted-unique labels are what makes lookup's binary
+            // search correct; anything else is structural damage.
+            return Err(corrupt(cur.file, "labels are not sorted and distinct"));
+        }
+        let count = cur.u64()?;
+        let count = cur.len_of(count, "posting count")?;
+        let mut postings = Vec::with_capacity(cur.cap(count));
+        for _ in 0..count {
+            let table = cur.u64()?;
+            let column = cur.u64()?;
+            postings.push(TypePosting {
+                table: cur.len_of(table, "posting table id")?,
+                column: cur.len_of(column, "posting column")?,
+                method: method_from_tag(cur.u8()?)
+                    .ok_or_else(|| corrupt(cur.file, "unknown method tag"))?,
+                ontology: ontology_from_tag(cur.u8()?)
+                    .ok_or_else(|| corrupt(cur.file, "unknown ontology tag"))?,
+                similarity: f32::from_bits(cur.u32()?),
             });
         }
+        labels.push(label);
+        lists.push(postings);
     }
-    let tables = binding.tables as usize;
-    let mut dir_entries = Vec::with_capacity(cur.cap(tables));
-    for _ in 0..tables {
-        let shard = cur.u32().map_err(SidecarIssue::Corrupt)?;
-        let offset = read(cur.u64())?;
-        let len = read(cur.u64())?;
-        let fingerprint = read(cur.u64())?;
-        if shard as usize >= nshards {
-            return Err(SidecarIssue::Corrupt(corrupt(
-                file,
-                format!("shard ordinal {shard} out of range"),
+    Ok(TypeIndex::from_raw_parts(labels, lists))
+}
+
+fn read_search(
+    cur: &mut Cursor<'_>,
+    arena: &Arc<Arena>,
+    dim: usize,
+) -> Result<SearchParts, StoreError> {
+    let entries = cur.u64()?;
+    let entries = cur.len_of(entries, "search entries")?;
+    let mut ids = Vec::with_capacity(cur.cap(entries));
+    for _ in 0..entries {
+        let id = cur.u64()?;
+        ids.push(cur.len_of(id, "table id")?);
+    }
+    let mut schemas = Vec::with_capacity(cur.cap(entries));
+    for _ in 0..entries {
+        schemas.push(read_schema(cur)?);
+    }
+    let rows = read_matrix(cur, arena, entries, dim)?;
+    Ok(SearchParts { ids, schemas, rows })
+}
+
+fn read_complete(
+    cur: &mut Cursor<'_>,
+    arena: &Arc<Arena>,
+    dim: usize,
+) -> Result<CompleteParts, StoreError> {
+    let nschemas = cur.u64()?;
+    let nschemas = cur.len_of(nschemas, "schema count")?;
+    let mut schemas = Vec::with_capacity(cur.cap(nschemas));
+    let mut starts = Vec::with_capacity(cur.cap(nschemas) + 1);
+    let mut total = 0usize;
+    starts.push(total);
+    for _ in 0..nschemas {
+        let s = read_schema(cur)?;
+        total = total
+            .checked_add(s.len())
+            .ok_or_else(|| corrupt(cur.file, "schema rows overflow"))?;
+        starts.push(total);
+        schemas.push(s);
+    }
+    let rows = read_matrix(cur, arena, total, dim)?;
+    Ok(CompleteParts {
+        schemas,
+        starts,
+        rows,
+    })
+}
+
+/// Binds a parsed directory to `store` as it is now and maps its shard
+/// segments: the shard file list against the manifest, a per-shard fold
+/// of the directory's table fingerprints against each manifest entry,
+/// and every span against its mapped segment.
+fn bind_directory(
+    store: &CorpusStore,
+    files: &[String],
+    entries: Vec<DirEntry>,
+) -> Result<LazyCorpus, SidecarIssue> {
+    let stale = |detail: String| SidecarIssue::Stale { detail };
+    let shards = store.table_ids();
+    if files.len() != shards.len() {
+        return Err(stale(format!(
+            "sidecar lists {} shards, manifest has {}",
+            files.len(),
+            shards.len()
+        )));
+    }
+    for (s, ((entry, ids), file)) in shards.iter().zip(files).enumerate() {
+        if *file != entry.file {
+            return Err(stale(format!(
+                "sidecar references shard `{file}`, manifest has `{}`",
+                entry.file
             )));
         }
-        dir_entries.push(DirEntry {
-            shard,
-            offset,
-            len,
-            fingerprint,
-        });
-    }
-    finish_payload(cur)?;
-
-    // Bind the directory's per-table fingerprints to every manifest
-    // entry: fold them in each shard's write order and compare. This is
-    // what makes a sidecar from an older (same-name, same-shape) corpus
-    // detectable without touching a single corpus page.
-    for (s, (entry, ids)) in shards.iter().enumerate() {
+        // Fold the directory's per-table fingerprints in the shard's
+        // write order and compare with the manifest entry. This is what
+        // makes a sidecar from an older (same-name, same-shape) corpus
+        // detectable without touching a single corpus page.
         let mut fps = Vec::with_capacity(ids.len());
         for &gid in ids {
-            let Some(de) = dir_entries.get(gid) else {
-                return Err(SidecarIssue::Stale {
-                    file: file.to_string(),
-                    detail: format!("table id {gid} outside the sidecar directory"),
-                });
+            let Some(de) = entries.get(gid) else {
+                return Err(stale(format!(
+                    "table id {gid} outside the sidecar directory"
+                )));
             };
             if de.shard as usize != s {
-                return Err(SidecarIssue::Stale {
-                    file: file.to_string(),
-                    detail: format!("table {gid} recorded in shard {} not {s}", de.shard),
-                });
+                return Err(stale(format!(
+                    "table {gid} recorded in shard {} not {s}",
+                    de.shard
+                )));
             }
             fps.push(de.fingerprint);
         }
         let folded = combine_fingerprints(fps);
         if folded != entry.fingerprint {
-            return Err(SidecarIssue::Stale {
-                file: file.to_string(),
-                detail: format!(
-                    "shard `{}` fingerprint fold {folded:#018x} != manifest {:#018x}",
-                    entry.id, entry.fingerprint
-                ),
-            });
+            return Err(stale(format!(
+                "shard `{}` fingerprint fold {folded:#018x} != manifest {:#018x}",
+                entry.id, entry.fingerprint
+            )));
         }
     }
 
     // Map the shard segments (no pages are touched yet) and bounds-check
     // every directory span once, so `get` failures can only mean real
     // block corruption.
-    let mut arenas = Vec::with_capacity(nshards);
+    let mut arenas = Vec::with_capacity(shards.len());
     for (entry, _) in &shards {
-        let arena = store.map_shard(entry).map_err(SidecarIssue::Corrupt)?;
-        arenas.push((entry.file.clone(), Arc::new(arena)));
+        arenas.push((entry.file.clone(), Arc::new(store.map_shard(entry)?)));
     }
-    for (gid, de) in dir_entries.iter().enumerate() {
-        let shard_len = arenas[de.shard as usize].1.bytes().len() as u64;
-        let ok = de
+    for (gid, de) in entries.iter().enumerate() {
+        let (shard_file, arena) = &arenas[de.shard as usize];
+        let inside = de
             .offset
             .checked_add(de.len)
-            .is_some_and(|end| end <= shard_len);
-        if !ok {
-            return Err(SidecarIssue::Corrupt(corrupt(
-                file,
-                format!(
-                    "table {gid} span outside shard `{}`",
-                    arenas[de.shard as usize].0
-                ),
-            )));
+            .is_some_and(|end| end <= arena.bytes().len() as u64);
+        if !inside {
+            return Err(corrupt(
+                DIRECTORY,
+                format!("table {gid} span outside shard `{shard_file}`"),
+            )
+            .into());
         }
     }
-    let lazy = LazyCorpus {
-        name: binding.name.clone(),
+    Ok(LazyCorpus {
+        name: store.name(),
         format: store.format(),
         shards: arenas,
-        entries: dir_entries,
+        entries,
+    })
+}
+
+/// Loads, verifies, and assembles the sidecar of `store`.
+///
+/// O(index size), not O(corpus): one file is mapped and read once, shard
+/// segments are mapped but no table block is decoded. Verification
+/// covers container structure (magic, footer, whole-file checksum,
+/// every section consumed exactly), the binding to the store's current
+/// fingerprint/format/size, the directory's shard file list against the
+/// manifest, and a per-shard fold of the directory's table fingerprints
+/// against each manifest entry.
+///
+/// # Errors
+/// [`SidecarIssue`] describing exactly why the sidecar cannot be served
+/// (missing / stale / corrupt); callers fall back to a rebuild.
+pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue> {
+    let binding = binding_of(store);
+    let arena = match Arena::load(&store.path().join(SIDECAR_FILE)) {
+        Ok(arena) => Arc::new(arena),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(SidecarIssue::Missing),
+        Err(e) => return Err(StoreError::Io(e).into()),
     };
-
-    // -- types ---------------------------------------------------------
-    let types_arena = load_arena(dir, SidecarKind::Types)?;
-    let file = SidecarKind::Types.file_name();
-    let mut h = open_container(types_arena.bytes(), file, SidecarKind::Types, &binding)?;
-    let cur = &mut h.cur;
-    let nlabels = cur.u64().map_err(SidecarIssue::Corrupt)? as usize;
-    let mut labels: Vec<String> = Vec::with_capacity(cur.cap(nlabels));
-    let mut lists: Vec<Vec<TypePosting>> = Vec::with_capacity(cur.cap(nlabels));
-    for _ in 0..nlabels {
-        let label = cur.str().map_err(SidecarIssue::Corrupt)?;
-        if let Some(prev) = labels.last() {
-            if *prev >= label {
-                // Sorted-unique labels are what makes lookup's binary
-                // search correct; anything else is structural damage.
-                return Err(SidecarIssue::Corrupt(corrupt(
-                    file,
-                    "labels are not sorted and distinct",
-                )));
-            }
-        }
-        let count = cur.u64().map_err(SidecarIssue::Corrupt)? as usize;
-        let mut postings = Vec::with_capacity(cur.cap(count));
-        for _ in 0..count {
-            let table = cur.u64().map_err(SidecarIssue::Corrupt)?;
-            let table = cur
-                .len_of(table, "posting table id")
-                .map_err(SidecarIssue::Corrupt)?;
-            let column = cur.u64().map_err(SidecarIssue::Corrupt)?;
-            let column = cur
-                .len_of(column, "posting column")
-                .map_err(SidecarIssue::Corrupt)?;
-            let method = method_from_tag(cur.u8().map_err(SidecarIssue::Corrupt)?)
-                .ok_or_else(|| SidecarIssue::Corrupt(corrupt(file, "unknown method tag")))?;
-            let ontology = ontology_from_tag(cur.u8().map_err(SidecarIssue::Corrupt)?)
-                .ok_or_else(|| SidecarIssue::Corrupt(corrupt(file, "unknown ontology tag")))?;
-            let similarity = f32::from_bits(cur.u32().map_err(SidecarIssue::Corrupt)?);
-            postings.push(TypePosting {
-                table,
-                column,
-                method,
-                ontology,
-                similarity,
-            });
-        }
-        labels.push(label);
-        lists.push(postings);
+    let (mut cur, dim) = open_container(arena.bytes(), &binding)?;
+    let tables = cur.len_of(binding.tables, "table count")?;
+    let (files, entries) = section(&mut cur, DIRECTORY, |cur| read_directory(cur, tables))?;
+    let types = section(&mut cur, TYPES, read_types)?;
+    let search = section(&mut cur, SEARCH, |cur| read_search(cur, &arena, dim))?;
+    let complete = section(&mut cur, COMPLETE, |cur| read_complete(cur, &arena, dim))?;
+    if cur.pos != cur.bytes.len() {
+        return Err(corrupt(
+            SIDECAR_FILE,
+            format!("sections end at byte {} of {}", cur.pos, cur.bytes.len()),
+        )
+        .into());
     }
-    finish_payload(cur)?;
-    let types = TypeIndex::from_raw_parts(labels, lists);
-
-    // -- search ----------------------------------------------------------
-    let search_arena = load_arena(dir, SidecarKind::Search)?;
-    let file = SidecarKind::Search.file_name();
-    let mut h = open_container(search_arena.bytes(), file, SidecarKind::Search, &binding)?;
-    let cur = &mut h.cur;
-    let entries = cur.u64().map_err(SidecarIssue::Corrupt)? as usize;
-    let dim_v = cur.u64().map_err(SidecarIssue::Corrupt)?;
-    let dim = cur
-        .len_of(dim_v, "embedding dim")
-        .map_err(SidecarIssue::Corrupt)?;
-    let mut ids = Vec::with_capacity(cur.cap(entries));
-    for _ in 0..entries {
-        let id = cur.u64().map_err(SidecarIssue::Corrupt)?;
-        ids.push(cur.len_of(id, "table id").map_err(SidecarIssue::Corrupt)?);
-    }
-    let mut schemas = Vec::with_capacity(cur.cap(entries));
-    for _ in 0..entries {
-        schemas.push(read_schema(cur).map_err(SidecarIssue::Corrupt)?);
-    }
-    skip_pad(cur).map_err(SidecarIssue::Corrupt)?;
-    let rows = F32Matrix::from_arena(&search_arena, cur.pos, entries, dim, file)
-        .map_err(SidecarIssue::Corrupt)?;
-    cur.take(entries * dim * 4).map_err(SidecarIssue::Corrupt)?;
-    finish_payload(cur)?;
-    let search = SearchParts { ids, schemas, rows };
-
-    // -- complete ----------------------------------------------------------
-    let complete_arena = load_arena(dir, SidecarKind::Complete)?;
-    let file = SidecarKind::Complete.file_name();
-    let mut h = open_container(
-        complete_arena.bytes(),
-        file,
-        SidecarKind::Complete,
-        &binding,
-    )?;
-    let cur = &mut h.cur;
-    let nschemas = cur.u64().map_err(SidecarIssue::Corrupt)? as usize;
-    let cdim_v = cur.u64().map_err(SidecarIssue::Corrupt)?;
-    let cdim = cur
-        .len_of(cdim_v, "embedding dim")
-        .map_err(SidecarIssue::Corrupt)?;
-    let total_v = cur.u64().map_err(SidecarIssue::Corrupt)?;
-    let total = cur
-        .len_of(total_v, "total rows")
-        .map_err(SidecarIssue::Corrupt)?;
-    let mut cschemas = Vec::with_capacity(cur.cap(nschemas));
-    let mut starts = Vec::with_capacity(cur.cap(nschemas) + 1);
-    starts.push(0usize);
-    for _ in 0..nschemas {
-        let s = read_schema(cur).map_err(SidecarIssue::Corrupt)?;
-        let next = starts
-            .last()
-            .expect("seeded")
-            .checked_add(s.len())
-            .ok_or_else(|| SidecarIssue::Corrupt(corrupt(file, "schema rows overflow")))?;
-        starts.push(next);
-        cschemas.push(s);
-    }
-    if *starts.last().expect("seeded") != total {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            "schema lengths do not sum to the matrix rows",
-        )));
-    }
-    skip_pad(cur).map_err(SidecarIssue::Corrupt)?;
-    let crows = F32Matrix::from_arena(&complete_arena, cur.pos, total, cdim, file)
-        .map_err(SidecarIssue::Corrupt)?;
-    cur.take(total * cdim * 4).map_err(SidecarIssue::Corrupt)?;
-    finish_payload(cur)?;
-    let complete = CompleteParts {
-        schemas: cschemas,
-        starts,
-        rows: crows,
-    };
-
-    if search.rows.dim() != complete.rows.dim() {
-        return Err(SidecarIssue::Corrupt(corrupt(
-            file,
-            "search and completion sidecars disagree on embedding dim",
-        )));
-    }
-
     Ok(SidecarIndexes {
-        corpus: lazy,
+        corpus: bind_directory(store, &files, entries)?,
         types,
         search,
         complete,
@@ -1141,6 +1072,8 @@ mod tests {
     use super::*;
     use crate::corpus::Corpus;
     use crate::store::save_store_as;
+    use gittables_annotate::Method;
+    use gittables_ontology::OntologyKind;
     use gittables_table::Table;
 
     fn corpus(n: usize) -> Corpus {
@@ -1166,54 +1099,87 @@ mod tests {
         dir
     }
 
-    /// Minimal write path: directory entries computed from block spans,
-    /// empty-ish indexes. The full builder lives in `gittables_serve`.
-    fn write_minimal_sidecars(dir: &std::path::Path) {
-        let store = CorpusStore::open(dir).unwrap();
-        let binding = binding_of(&store);
-        let mut dir_entries = vec![None; store.len()];
-        let mut files = Vec::new();
-        for (s, (entry, ids)) in store.table_ids().iter().enumerate() {
-            let arena = Arena::load(&dir.join(&entry.file)).unwrap();
-            let spans = store
-                .codec()
-                .block_spans(arena.bytes(), &entry.file)
-                .unwrap();
-            for (i, (off, len)) in spans.iter().enumerate() {
-                let block = &arena.bytes()[*off as usize..(*off + *len) as usize];
-                let at = store.codec().read_block(block, &entry.file).unwrap();
-                dir_entries[ids[i]] = Some(DirEntry {
-                    shard: s as u32,
-                    offset: *off,
-                    len: *len,
-                    fingerprint: crate::dedup::table_fingerprint(&at.table),
-                });
-            }
-            files.push(entry.file.clone());
+    fn types_of(labels: &[&str]) -> TypeIndex {
+        let posting = TypePosting {
+            table: 0,
+            column: 1,
+            method: Method::Semantic,
+            ontology: OntologyKind::SchemaOrg,
+            similarity: 0.5,
+        };
+        TypeIndex::from_raw_parts(
+            labels.iter().map(|l| (*l).to_string()).collect(),
+            labels.iter().map(|_| vec![posting.clone()]).collect(),
+        )
+    }
+
+    /// Minimal write path: the store's real directory, `types`, and
+    /// one-entry indexes of dim 3. The full builder lives in
+    /// `gittables_serve`.
+    fn write_minimal(store: &CorpusStore, types: &TypeIndex) -> u64 {
+        let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+        let schema = [Schema::new(["id", "name"])];
+        write_indexes(
+            store,
+            &fingerprints,
+            types,
+            (
+                &[0],
+                &schema,
+                &F32Matrix::from_vec(vec![1.0, 2.0, 3.0], 1, 3),
+            ),
+            (&schema, &F32Matrix::from_vec(vec![1.0; 6], 2, 3)),
+        )
+        .unwrap()
+    }
+
+    /// `(offset of the length prefix, end)` of the four sections of a
+    /// well-formed container.
+    fn sections(bytes: &[u8]) -> [(usize, usize); 4] {
+        let mut cur = Cursor {
+            bytes,
+            pos: SIDECAR_MAGIC.len() + 4 + 8 + 8,
+            file: "test",
+        };
+        cur.str().unwrap();
+        cur.str().unwrap();
+        cur.u64().unwrap();
+        [(); 4].map(|()| {
+            let at = cur.pos;
+            let len = cur.u64().unwrap() as usize;
+            cur.take(len).unwrap();
+            (at, cur.pos)
+        })
+    }
+
+    /// Writes `clean` with `edit` applied and the checksum recomputed —
+    /// damage the checksum cannot see — and returns what the load says.
+    fn load_edited(
+        store: &CorpusStore,
+        clean: &[u8],
+        edit: impl FnOnce(&mut [u8]),
+    ) -> SidecarIssue {
+        let mut bytes = clean.to_vec();
+        edit(&mut bytes);
+        let body = bytes.len() - 16;
+        let sum = checksum(&bytes[..body]);
+        bytes[body..body + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(store.path().join(SIDECAR_FILE), bytes).unwrap();
+        load_indexes(store).expect_err("edited sidecar must be refused")
+    }
+
+    fn corrupt_parts(issue: SidecarIssue) -> (String, String) {
+        match issue {
+            SidecarIssue::Corrupt(StoreError::Corrupt { file, detail }) => (file, detail),
+            other => panic!("expected corrupt, got {other}"),
         }
-        let dir_entries: Vec<DirEntry> = dir_entries.into_iter().map(Option::unwrap).collect();
-        write_directory(dir, &binding, &files, &dir_entries).unwrap();
-        write_types(
-            dir,
-            &binding,
-            &TypeIndex::from_raw_parts(Vec::new(), Vec::new()),
-        )
-        .unwrap();
-        write_search(
-            dir,
-            &binding,
-            &[0],
-            &[Schema::new(["id", "name"])],
-            &F32Matrix::from_vec(vec![1.0, 2.0, 3.0], 1, 3),
-        )
-        .unwrap();
-        write_complete(
-            dir,
-            &binding,
-            &[Schema::new(["id", "name"])],
-            &F32Matrix::from_vec(vec![1.0; 6], 2, 3),
-        )
-        .unwrap();
+    }
+
+    fn stale_detail(issue: SidecarIssue) -> String {
+        match issue {
+            SidecarIssue::Stale { detail } => detail,
+            other => panic!("expected stale, got {other}"),
+        }
     }
 
     #[test]
@@ -1221,9 +1187,12 @@ mod tests {
         for format in StoreFormat::ALL {
             let dir = tmp(&format!("rt_{format}"));
             let c = corpus(7);
-            save_store_as(&c, &dir, 3, format).unwrap();
-            write_minimal_sidecars(&dir);
-            let store = CorpusStore::open(&dir).unwrap();
+            let store = save_store_as(&c, &dir, 3, format).unwrap();
+            let written = write_minimal(&store, &types_of(&["id", "name"]));
+            assert_eq!(
+                written,
+                std::fs::metadata(dir.join(SIDECAR_FILE)).unwrap().len()
+            );
             let loaded = load_indexes(&store).unwrap();
             assert_eq!(loaded.corpus.len(), 7);
             assert_eq!(loaded.corpus.name(), "sc-test");
@@ -1235,7 +1204,12 @@ mod tests {
             assert_eq!(loaded.search.ids, vec![0]);
             assert_eq!(loaded.search.rows.row(0), &[1.0, 2.0, 3.0]);
             assert_eq!(loaded.complete.starts, vec![0, 2]);
-            assert!(loaded.types.is_empty());
+            assert_eq!(loaded.complete.rows.as_slice(), &[1.0; 6]);
+            assert_eq!(loaded.types.labels(), ["id", "name"]);
+            assert_eq!(
+                loaded.types.posting_lists(),
+                types_of(&["id", "name"]).posting_lists()
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1248,9 +1222,9 @@ mod tests {
         // Missing before anything is written.
         assert!(matches!(
             load_indexes(&store).unwrap_err(),
-            SidecarIssue::Missing { .. }
+            SidecarIssue::Missing
         ));
-        write_minimal_sidecars(&dir);
+        write_minimal(&store, &types_of(&[]));
         assert!(load_indexes(&store).is_ok());
 
         // Growing the store invalidates the binding → stale.
@@ -1269,33 +1243,145 @@ mod tests {
     #[test]
     fn every_flipped_byte_is_typed() {
         let dir = tmp("flip");
-        let c = corpus(3);
-        let store = save_store_as(&c, &dir, 2, StoreFormat::ColV1).unwrap();
-        write_minimal_sidecars(&dir);
-        for kind in SidecarKind::ALL {
-            let path = dir.join(kind.file_name());
-            let clean = std::fs::read(&path).unwrap();
-            for at in (0..clean.len()).step_by(7) {
-                let mut bad = clean.clone();
-                bad[at] ^= 0x20;
-                std::fs::write(&path, &bad).unwrap();
-                match load_indexes(&store) {
-                    Err(SidecarIssue::Corrupt(_) | SidecarIssue::Stale { .. }) => {}
-                    other => panic!(
-                        "{}: flip at {at} must be typed, got {:?}",
-                        kind.file_name(),
-                        other.err().map(|e| e.to_string())
-                    ),
-                }
+        let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
+        write_minimal(&store, &types_of(&["id"]));
+        let path = dir.join(SIDECAR_FILE);
+        let clean = std::fs::read(&path).unwrap();
+        for at in (0..clean.len()).step_by(7) {
+            let mut bad = clean.clone();
+            bad[at] ^= 0x20;
+            std::fs::write(&path, &bad).unwrap();
+            match load_indexes(&store) {
+                Err(SidecarIssue::Corrupt(_) | SidecarIssue::Stale { .. }) => {}
+                other => panic!(
+                    "flip at {at} must be typed, got {:?}",
+                    other.err().map(|e| e.to_string())
+                ),
             }
-            std::fs::write(&path, &clean).unwrap();
-            assert!(
-                load_indexes(&store).is_ok(),
-                "restored {}",
-                kind.file_name()
-            );
+        }
+        std::fs::write(&path, &clean).unwrap();
+        assert!(load_indexes(&store).is_ok(), "restored");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_section_length_off_by_one_is_corrupt_naming_the_section() {
+        let dir = tmp("prefix");
+        let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
+        write_minimal(&store, &types_of(&["id"]));
+        let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+        let names = [DIRECTORY, TYPES, SEARCH, COMPLETE];
+        for ((at, _), name) in sections(&clean).into_iter().zip(names) {
+            let len = u64::from_le_bytes(clean[at..at + 8].try_into().unwrap());
+            for lied in [len + 1, len - 1] {
+                let issue = load_edited(&store, &clean, |bytes| {
+                    bytes[at..at + 8].copy_from_slice(&lied.to_le_bytes());
+                });
+                let (file, detail) = corrupt_parts(issue);
+                assert_eq!(file, name, "length {len} given as {lied}: {detail}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn another_version_in_a_valid_container_is_stale() {
+        let dir = tmp("version");
+        let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
+        write_minimal(&store, &types_of(&[]));
+        let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+        let issue = load_edited(&store, &clean, |bytes| {
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        });
+        assert!(stale_detail(issue).contains("version 1"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The checks behind the checksum, each met by bytes the checksum
+    /// vouches for.
+    #[test]
+    fn resealed_damage_is_caught_by_the_check_it_breaks() {
+        let dir = tmp("reseal");
+        let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
+        write_minimal(&store, &types_of(&["id"]));
+        let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+        let [(dir_at, dir_end), (_, types_end), _, _] = sections(&clean);
+
+        // Directory: first shard file name, then the last entry's
+        // fingerprint, length and shard ordinal.
+        let name_at = dir_at + 8 + 8 + 4;
+        let detail = stale_detail(load_edited(&store, &clean, |b| b[name_at] ^= 1));
+        assert!(detail.contains("references shard"), "{detail}");
+        let detail = stale_detail(load_edited(&store, &clean, |b| b[dir_end - 1] ^= 1));
+        assert!(detail.contains("fingerprint fold"), "{detail}");
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| b[dir_end - 9] = 0x7f));
+        assert_eq!(file, DIRECTORY);
+        assert!(detail.contains("span outside shard"), "{detail}");
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| b[dir_end - 28] = 9));
+        assert_eq!(file, DIRECTORY);
+        assert!(detail.contains("shard ordinal 9 out of range"), "{detail}");
+
+        // Types: the one posting ends `method, ontology, similarity`.
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| b[types_end - 6] = 9));
+        assert_eq!(
+            (file.as_str(), detail.as_str()),
+            (TYPES, "unknown method tag")
+        );
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| b[types_end - 5] = 9));
+        assert_eq!(
+            (file.as_str(), detail.as_str()),
+            (TYPES, "unknown ontology tag")
+        );
+
+        // Labels out of order and repeated, as a writer would persist them.
+        for labels in [["name", "id"], ["id", "id"]] {
+            write_minimal(&store, &types_of(&labels));
+            let (file, detail) = corrupt_parts(load_indexes(&store).unwrap_err());
+            assert_eq!(file, TYPES);
+            assert!(detail.contains("not sorted and distinct"), "{detail}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_of_every_lane_the_tail_and_the_length() {
+        for len in 0..=80 {
+            let clean = sample(len);
+            let digest = checksum(&clean);
+            for bit in 0..len * 8 {
+                let mut flipped = clean.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), digest, "len {len} bit {bit}");
+            }
+            let mut longer = clean;
+            longer.push(0);
+            assert_ne!(checksum(&longer), digest, "len {len} plus a zero byte");
+        }
+    }
+
+    #[test]
+    fn checksum_is_order_sensitive_across_stripes() {
+        let clean = sample(96);
+        let mut swapped = clean.clone();
+        swapped[..32].copy_from_slice(&clean[32..64]);
+        swapped[32..64].copy_from_slice(&clean[..32]);
+        assert_ne!(checksum(&swapped), checksum(&clean));
+        // Two words trading lanes inside one stripe.
+        let mut traded = clean.clone();
+        traded[..8].copy_from_slice(&clean[8..16]);
+        traded[8..16].copy_from_slice(&clean[..8]);
+        assert_ne!(checksum(&traded), checksum(&clean));
+    }
+
+    /// The function is part of the on-disk format: it must not drift.
+    #[test]
+    fn checksum_golden_digests() {
+        assert_eq!(checksum(b""), 0x0f42_c414_7dbb_93f2);
+        assert_eq!(checksum(&sample(100)), 0x63fd_b84c_abe0_389e);
     }
 
     #[test]

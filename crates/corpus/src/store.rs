@@ -29,7 +29,7 @@
 //!   its [`ShardEntry`] is committed to the manifest (written via a temp file
 //!   + atomic rename). An interrupted build keeps every committed shard.
 //! * **Parallel loads** — [`CorpusStore::load_corpus`] reads shards with a
-//!   rayon fan-out, so peak memory per worker is one shard, not the whole
+//!   thread fan-out, so peak memory per worker is one shard, not the whole
 //!   corpus.
 //! * **Integrity checks** — every shard entry records its table count and a
 //!   content fingerprint (an order-sensitive fold of
@@ -61,15 +61,15 @@
 use std::collections::HashSet;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{codec_for, span_bytes, ShardCodec, ShardEncoder, StoreFormat};
 use crate::colv1::Arena;
 use crate::corpus::{AnnotatedTable, Corpus, TableId};
 use crate::dedup::{combine_fingerprints, table_fingerprint};
+use crate::par::par_map;
 use crate::persist::PersistError;
 
 /// Name of the manifest file inside a store directory.
@@ -491,7 +491,7 @@ impl CorpusStore {
             })),
             format,
         };
-        store.persist_manifest(&store.manifest.lock().manifest)?;
+        store.persist_manifest(&store.committed().manifest)?;
         Ok(store)
     }
 
@@ -571,22 +571,31 @@ impl CorpusStore {
         &self.dir
     }
 
+    /// The manifest lock. This crate's poison policy, stated once: a
+    /// panic under the lock must not turn every later commit or read
+    /// into a panic, so a poisoned lock is entered all the same — every
+    /// update under it leaves a well-formed manifest in memory, and the
+    /// one on disk is replaced atomically whatever happened here.
+    fn committed(&self) -> MutexGuard<'_, Committed> {
+        self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The corpus name recorded in the manifest.
     #[must_use]
     pub fn name(&self) -> String {
-        self.manifest.lock().manifest.name.clone()
+        self.committed().manifest.name.clone()
     }
 
     /// Number of committed shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.manifest.lock().manifest.shards.len()
+        self.committed().manifest.shards.len()
     }
 
     /// Total number of tables across committed shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        let committed = self.manifest.lock();
+        let committed = self.committed();
         committed.manifest.shards.iter().map(|s| s.tables).sum()
     }
 
@@ -599,13 +608,13 @@ impl CorpusStore {
     /// Whether a shard with `id` has been committed.
     #[must_use]
     pub fn has_shard(&self, id: &str) -> bool {
-        self.manifest.lock().ids.contains(id)
+        self.committed().ids.contains(id)
     }
 
     /// The committed entry for `id`, if any.
     #[must_use]
     pub fn shard_entry(&self, id: &str) -> Option<ShardEntry> {
-        let committed = self.manifest.lock();
+        let committed = self.committed();
         committed
             .manifest
             .shards
@@ -617,7 +626,7 @@ impl CorpusStore {
     /// Snapshot of all committed entries, in commit order.
     #[must_use]
     pub fn shard_entries(&self) -> Vec<ShardEntry> {
-        self.manifest.lock().manifest.shards.clone()
+        self.committed().manifest.shards.clone()
     }
 
     /// Starts a new shard. The shard stays invisible until its entry is
@@ -648,7 +657,7 @@ impl CorpusStore {
     /// [`StoreError::DuplicateShard`] on id collision; otherwise propagates
     /// I/O and serialization failures.
     pub fn commit_shard(&self, entry: ShardEntry) -> Result<(), StoreError> {
-        let mut committed = self.manifest.lock();
+        let mut committed = self.committed();
         if !committed.ids.insert(entry.id.clone()) {
             return Err(StoreError::DuplicateShard { id: entry.id });
         }
@@ -770,7 +779,7 @@ impl CorpusStore {
         Ok(decoded)
     }
 
-    /// Loads the whole corpus with a rayon fan-out over shards, verifying
+    /// Loads the whole corpus with a thread fan-out over shards, verifying
     /// every shard, and places each table at its [`TableId`]
     /// ([`Self::table_ids`]).
     ///
@@ -778,10 +787,7 @@ impl CorpusStore {
     /// Propagates the first shard failure (see [`Self::load_shard`]).
     pub fn load_corpus(&self) -> Result<Corpus, StoreError> {
         let shards = self.table_ids();
-        let loaded: Vec<Result<Vec<AnnotatedTable>, StoreError>> = shards
-            .par_iter()
-            .map(|(entry, _)| self.load_shard(entry))
-            .collect();
+        let loaded = par_map(&shards, |(entry, _)| self.load_shard(entry));
         let mut tables: Vec<(TableId, AnnotatedTable)> = Vec::new();
         for ((_, ids), shard) in shards.iter().zip(loaded) {
             tables.extend(ids.iter().copied().zip(shard?));
@@ -930,34 +936,31 @@ pub fn migrate_store(
     }
     let entries = store.shard_entries();
     let codec = codec_for(to);
-    let rewritten: Vec<Result<ShardEntry, StoreError>> = entries
-        .par_iter()
-        .map(|entry| {
-            // Decode through the old codec with the usual integrity
-            // checks, re-encode, then re-read the new segment and verify
-            // its fingerprint before it can ever be committed.
-            let tables = store.load_shard(entry)?;
-            let file = codec.file_name(&entry.id);
-            let path = dir.join(&file);
-            let mut encoder = codec.begin(&path)?;
-            for at in &tables {
-                encoder.push(at)?;
-            }
-            encoder.finish()?;
-            let (reread, reread_fps) = decode_shard(codec, Arena::load(&path)?.bytes(), &file)?;
-            let fingerprint = combine_fingerprints(reread_fps);
-            if reread.len() != entry.tables || fingerprint != entry.fingerprint {
-                return Err(StoreError::Corrupt {
-                    file,
-                    detail: "rewritten segment failed verification".to_string(),
-                });
-            }
-            Ok(ShardEntry {
+    let rewritten = par_map(&entries, |entry| {
+        // Decode through the old codec with the usual integrity
+        // checks, re-encode, then re-read the new segment and verify
+        // its fingerprint before it can ever be committed.
+        let tables = store.load_shard(entry)?;
+        let file = codec.file_name(&entry.id);
+        let path = dir.join(&file);
+        let mut encoder = codec.begin(&path)?;
+        for at in &tables {
+            encoder.push(at)?;
+        }
+        encoder.finish()?;
+        let (reread, reread_fps) = decode_shard(codec, Arena::load(&path)?.bytes(), &file)?;
+        let fingerprint = combine_fingerprints(reread_fps);
+        if reread.len() != entry.tables || fingerprint != entry.fingerprint {
+            return Err(StoreError::Corrupt {
                 file,
-                ..entry.clone()
-            })
+                detail: "rewritten segment failed verification".to_string(),
+            });
+        }
+        Ok(ShardEntry {
+            file,
+            ..entry.clone()
         })
-        .collect();
+    });
     let mut new_entries = Vec::with_capacity(entries.len());
     for r in rewritten {
         new_entries.push(r?);
@@ -965,7 +968,7 @@ pub fn migrate_store(
     let tables = new_entries.iter().map(|e| e.tables).sum();
     {
         // A migration rewrites every entry's `file`, never its `id`.
-        let mut committed = store.manifest.lock();
+        let mut committed = store.committed();
         committed.manifest.format = Some(to.name().to_string());
         committed.manifest.shards = new_entries;
         store.persist_manifest(&committed.manifest)?;
@@ -1124,7 +1127,7 @@ mod tests {
         assert!(reopened.has_shard("owner__late"));
         assert_eq!(
             std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(),
-            serde_json::to_string(&reopened.manifest.lock().manifest).unwrap(),
+            serde_json::to_string(&reopened.committed().manifest).unwrap(),
             "the id set never reaches the manifest file"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -17,11 +17,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::host::{CodeHost, HostError};
 use crate::search::{Query, SearchResponse};
+use crate::unpoisoned;
 
 /// Configures which faults [`FlakyHost`] injects and how often. All rates
 /// are probabilities in `[0, 1]` evaluated deterministically per
@@ -177,7 +177,7 @@ impl<H: CodeHost> FlakyHost<H> {
         if rate <= 0.0 {
             return false;
         }
-        let mut streaks = self.streaks.lock();
+        let mut streaks = unpoisoned(self.streaks.lock());
         let n = streaks.entry(key.to_string()).or_insert(0);
         if *n >= self.spec.max_consecutive {
             return false;
@@ -195,7 +195,7 @@ impl<H: CodeHost> FlakyHost<H> {
             return Ok(());
         }
         self.transient.fetch_add(1, Ordering::Relaxed);
-        let streak = *self.streaks.lock().get(key).unwrap_or(&1);
+        let streak = *unpoisoned(self.streaks.lock()).get(key).unwrap_or(&1);
         Err(
             match mix(self.spec.seed, key, 0xFA17 ^ u64::from(streak)) % 3 {
                 0 => HostError::Timeout,

@@ -2,11 +2,11 @@
 //! search.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 use crate::model::{RepoFile, Repository};
 use crate::search::{Query, SearchApi, SearchResponse};
+use crate::unpoisoned;
 
 /// A per-operation failure surfaced by a [`CodeHost`].
 ///
@@ -143,7 +143,7 @@ impl GitHost {
 
     /// Adds a repository, indexing its files.
     pub fn add_repository(&self, repo: Repository) {
-        let mut inner = self.inner.write();
+        let mut inner = unpoisoned(self.inner.write());
         let repo_idx = inner.repos.len() as u32;
         for (file_idx, file) in repo.files.iter().enumerate() {
             let id = inner.files.len() as FileId;
@@ -170,20 +170,20 @@ impl GitHost {
     /// Number of repositories.
     #[must_use]
     pub fn repo_count(&self) -> usize {
-        self.inner.read().repos.len()
+        unpoisoned(self.inner.read()).repos.len()
     }
 
     /// Total number of files.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        self.inner.read().files.len()
+        unpoisoned(self.inner.read()).files.len()
     }
 
     /// Fetches raw file contents by `repo full_name` and `path` (the "raw
     /// content URL" fetch of §3.2). `None` when missing.
     #[must_use]
     pub fn fetch(&self, full_name: &str, path: &str) -> Option<String> {
-        let inner = self.inner.read();
+        let inner = unpoisoned(self.inner.read());
         let repo = inner.repos.iter().find(|r| r.full_name == full_name)?;
         repo.files
             .iter()
@@ -194,8 +194,7 @@ impl GitHost {
     /// Repository metadata (license, fork flag) by name.
     #[must_use]
     pub fn repository(&self, full_name: &str) -> Option<Repository> {
-        self.inner
-            .read()
+        unpoisoned(self.inner.read())
             .repos
             .iter()
             .find(|r| r.full_name == full_name)
@@ -292,7 +291,7 @@ mod tests {
                 RepoFile::new("more.csv", "orders,orders\n"),
             ],
         });
-        let inner = host.inner.read();
+        let inner = unpoisoned(host.inner.read());
         // Files 0 and 1 are a/one's, 2 is b/two's, 3 and 4 are c/three's.
         assert_eq!(inner.token_index["orders"], vec![0, 1, 3, 4]);
         assert_eq!(inner.token_index["id"], vec![0, 2, 3]);

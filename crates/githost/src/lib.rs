@@ -53,3 +53,12 @@ pub use pool::{
 pub use search::{
     Query, SearchApi, SearchResponse, SearchResult, MAX_RESULTS_PER_QUERY, PAGE_SIZE,
 };
+
+/// This crate's lock-poison policy, stated once: a fetch that panicked
+/// under a lock must not turn every later fetch into a panic, so a
+/// poisoned lock is entered all the same. What the locks guard — the
+/// host's repositories, fault streaks, replica counters — is well-formed
+/// between any two statements that change it.
+pub(crate) fn unpoisoned<G>(guard: Result<G, std::sync::PoisonError<G>>) -> G {
+    guard.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

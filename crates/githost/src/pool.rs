@@ -35,15 +35,16 @@
 //! run is *bit-identical* to the fault-free single-host run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::PoolClock;
 use crate::fault::mix;
 use crate::host::{CodeHost, HostError};
 use crate::search::{Query, SearchResponse};
+use crate::unpoisoned;
 
 /// When a replica's breaker opens and how long it stays open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -493,7 +494,7 @@ impl<H: CodeHost> HostPool<H> {
     /// Snapshot of the scheduling counters and breaker states.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
-        let state = self.state.lock();
+        let state = unpoisoned(self.state.lock());
         PoolStats {
             operations: self.operations.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
@@ -540,7 +541,7 @@ impl<H: CodeHost> HostPool<H> {
     /// of `(operation, attempt)` so the choice is deterministic yet
     /// spread across replicas.
     fn pick(&self, excluded: &[usize], now_ms: u64, key: &str, attempt: u32) -> Option<usize> {
-        let state = self.state.lock();
+        let state = unpoisoned(self.state.lock());
         let mut candidates: Vec<(u8, u64, usize)> = Vec::with_capacity(state.len());
         for (i, rs) in state.iter().enumerate() {
             if excluded.contains(&i) {
@@ -588,7 +589,7 @@ impl<H: CodeHost> HostPool<H> {
     /// Earliest time any replica becomes admissible again (budget refill
     /// or breaker cooldown), for wait scheduling.
     fn earliest_eligible_ms(&self, now_ms: u64) -> u64 {
-        let state = self.state.lock();
+        let state = unpoisoned(self.state.lock());
         let mut earliest = u64::MAX;
         for rs in state.iter() {
             let mut avail = now_ms;
@@ -624,7 +625,7 @@ impl<H: CodeHost> HostPool<H> {
         }
         #[allow(clippy::cast_precision_loss)]
         let slow = {
-            let state = self.state.lock();
+            let state = unpoisoned(self.state.lock());
             state[primary].ewma_latency_ms > hedge.latency_threshold_ms as f64
         };
         if !slow && attempt < hedge.after_attempts {
@@ -649,7 +650,7 @@ impl<H: CodeHost> HostPool<H> {
         op: &impl Fn(&H) -> Result<T, HostError>,
     ) -> (Result<T, HostError>, u64) {
         {
-            let mut state = self.state.lock();
+            let mut state = unpoisoned(self.state.lock());
             let now = self.clock.now_ms();
             let rs = &mut state[idx];
             if let Some(bucket) = &mut rs.bucket {
@@ -667,7 +668,7 @@ impl<H: CodeHost> HostPool<H> {
                 .unwrap_or(u64::MAX)
                 .max(1)
         };
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         let now = self.clock.now_ms();
         let rs = &mut state[idx];
         match &result {

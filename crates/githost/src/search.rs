@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::host::GitHost;
 use crate::model::FileKind;
+use crate::unpoisoned;
 
 /// Maximum number of results a single query can return across all pages
 /// (GitHub's documented cap; §3.2: "a second restriction limits the resulting
@@ -157,7 +158,7 @@ impl<'a> SearchApi<'a> {
 
     /// All matching internal file ids (uncapped), in stable id order.
     fn matching_ids(&self, query: &Query) -> Vec<u32> {
-        let inner = self.host.inner.read();
+        let inner = unpoisoned(self.host.inner.read());
         // Multi-word terms: intersect posting lists.
         let mut lists: Vec<&Vec<u32>> = Vec::new();
         for word in query.term.split_whitespace() {
@@ -203,7 +204,7 @@ impl<'a> SearchApi<'a> {
         let page = page.max(1);
         let start = (page - 1) * PAGE_SIZE;
         let end = (start + PAGE_SIZE).min(capped);
-        let inner = self.host.inner.read();
+        let inner = unpoisoned(self.host.inner.read());
         let items = if start >= capped {
             Vec::new()
         } else {

@@ -16,10 +16,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::unpoisoned;
 
 /// A cached response: status plus the exact body bytes.
 #[derive(Debug, Clone)]
@@ -84,7 +85,7 @@ impl ResponseCache {
             return None;
         }
         let found = {
-            let state = self.state.lock();
+            let state = unpoisoned(self.state.lock());
             if state.generation == generation {
                 state.map.get(target).cloned()
             } else {
@@ -105,7 +106,7 @@ impl ResponseCache {
         if self.capacity == 0 {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         // A reload overtook the request, or racing workers computed the
         // same pure response.
         if state.generation != generation || state.map.contains_key(target) {
@@ -127,7 +128,7 @@ impl ResponseCache {
     /// outgoing snapshot, and so will be those of its requests still in
     /// flight.
     pub fn clear(&self, generation: u64) {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         state.generation = generation;
         state.map.clear();
         state.order.clear();
@@ -139,7 +140,7 @@ impl ResponseCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.state.lock().map.len(),
+            entries: unpoisoned(self.state.lock()).map.len(),
             capacity: self.capacity,
         }
     }

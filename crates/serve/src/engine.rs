@@ -328,9 +328,6 @@ impl QueryEngine {
         let dim = DataSearch::encoder_dim();
         if indexes.search.rows.dim() != dim {
             return Err(SidecarIssue::Stale {
-                file: gittables_corpus::SidecarKind::Search
-                    .file_name()
-                    .to_string(),
                 detail: format!(
                     "embedding dim {} != this build's {dim}",
                     indexes.search.rows.dim()
@@ -700,11 +697,39 @@ mod tests {
             Table::from_rows("extra", &["alpha", "beta"], &[["1", "2"]]).unwrap(),
         ));
         gittables_corpus::save_store(&other, &dir, 1).unwrap();
-        for f in gittables_corpus::SIDECAR_FILES {
-            std::fs::copy(old.join(f), dir.join(f)).unwrap();
-        }
+        let f = gittables_corpus::SIDECAR_FILE;
+        std::fs::copy(old.join(f), dir.join(f)).unwrap();
         assert_fallback(&dir, "stale");
         std::fs::remove_dir_all(&old).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fallback_reason_stale_for_another_encoders_dim() {
+        // A well-formed sidecar of this very store whose rows another
+        // encoder build produced: they cannot be scored against this
+        // build's query embeddings.
+        let dir = store_dir("dim");
+        let c = corpus();
+        let store = gittables_corpus::save_store(&c, &dir, 1).unwrap();
+        let dim = DataSearch::encoder_dim() + 1;
+        let schema = [gittables_table::Schema::new(["order_id"])];
+        gittables_corpus::write_indexes(
+            &store,
+            &gittables_corpus::table_fingerprints(&c),
+            &TypeIndex::build(&c),
+            (
+                &[0],
+                &schema,
+                &gittables_corpus::F32Matrix::from_vec(vec![1.0; dim], 1, dim),
+            ),
+            (
+                &schema,
+                &gittables_corpus::F32Matrix::from_vec(vec![1.0; dim], 1, dim),
+            ),
+        )
+        .unwrap();
+        assert_fallback(&dir, "stale");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -717,7 +742,7 @@ mod tests {
         let healthy = QueryEngine::load(&dir).unwrap();
         assert_eq!(healthy.build_stats().boot_path, "sidecar");
         // ...then one flipped payload byte downgrades to a rebuild.
-        let path = dir.join("index-types.gtsc");
+        let path = dir.join(gittables_corpus::SIDECAR_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;

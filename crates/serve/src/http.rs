@@ -57,12 +57,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gittables_sys::PollSet;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedResponse, ResponseCache};
@@ -71,6 +70,7 @@ use crate::event;
 use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
 use crate::router::Router;
 use crate::shardset::ShardSet;
+use crate::unpoisoned;
 
 /// Maximum accepted request head (request line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
@@ -185,7 +185,7 @@ impl Shared {
     /// The current snapshot and its generation (one short lock hold,
     /// then lock-free).
     fn snapshot(&self) -> (Arc<Router>, u64) {
-        self.snapshot.lock().clone()
+        unpoisoned(self.snapshot.lock()).clone()
     }
 }
 
@@ -263,7 +263,7 @@ impl ParkerShared {
         if self.stopped.load(Ordering::SeqCst) {
             return; // drop => close
         }
-        self.inbox.lock().push(conn);
+        unpoisoned(self.inbox.lock()).push(conn);
         self.waker.wake();
     }
 }
@@ -282,7 +282,7 @@ fn run_event_loop(shared: &Shared, parker: &ParkerShared, tx: &mpsc::Sender<Conn
         // Ingest newly-parked connections. The set is level-triggered,
         // so one that already has bytes pending is ready on the very
         // next wait — no arrival/registration race.
-        for conn in parker.inbox.lock().drain(..) {
+        for conn in unpoisoned(parker.inbox.lock()).drain(..) {
             set.push(conn.stream.as_raw_fd());
             parked.push(conn);
         }
@@ -322,7 +322,7 @@ fn run_event_loop(shared: &Shared, parker: &ParkerShared, tx: &mpsc::Sender<Conn
     // here on sees the flag and closes its connection itself.
     parker.stopped.store(true, Ordering::SeqCst);
     parked.clear();
-    parker.inbox.lock().clear();
+    unpoisoned(parker.inbox.lock()).clear();
 }
 
 /// The server: bind with [`Server::start`] /
@@ -390,7 +390,7 @@ impl Server {
             workers.push(std::thread::spawn(move || loop {
                 // Take the next connection, releasing the receiver lock
                 // before handling so other workers keep draining.
-                let next = { rx.lock().recv() };
+                let next = { unpoisoned(rx.lock()).recv() };
                 match next {
                     Ok(mut conn) => match drive_connection(&shared, &mut conn) {
                         ConnFate::Close => {}
@@ -865,7 +865,7 @@ fn perform_reload(shared: &Shared) -> Result<ReloadResponse, String> {
         "reload is not available: server was not started from a store".to_string()
     })?;
     // Serialize concurrent reloads: each load/swap/drain runs alone.
-    let _guard = shared.reload_mutex.lock();
+    let _guard = unpoisoned(shared.reload_mutex.lock());
     // Load BEFORE swapping: a failed load leaves the old snapshot
     // serving untouched. The load performs full cold-boot validation
     // against whatever manifest the last atomic rename committed.
@@ -874,7 +874,7 @@ fn perform_reload(shared: &Shared) -> Result<ReloadResponse, String> {
     let router = Arc::new(Router::new(set));
     let (shards, tables) = (router.num_shards(), router.num_tables());
     let (old, generation) = {
-        let mut snapshot = shared.snapshot.lock();
+        let mut snapshot = unpoisoned(shared.snapshot.lock());
         let generation = snapshot.1 + 1;
         (
             std::mem::replace(&mut *snapshot, (router, generation)).0,

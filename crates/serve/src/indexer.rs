@@ -1,53 +1,47 @@
-//! Builds the index sidecars of a store — the write side of the
-//! sidecar boot path.
+//! Builds the index sidecar of a store — the write side of the sidecar
+//! boot path.
 //!
 //! [`build_sidecars`] materializes the corpus **once** (exactly what the
 //! rebuild boot path does on every start), builds the three query
 //! indexes with the same builder [`QueryEngine::from_corpus`] uses, and
-//! persists them plus the table-block directory next to the shards
-//! ([`gittables_corpus::sidecar`]). From then on
+//! persists them plus the table-block directory next to the shards as
+//! one file ([`gittables_corpus::sidecar`]). From then on
 //! [`QueryEngine::load`] boots in O(index mmap) until the store's
 //! contents change — at which point the binding fingerprints mark the
-//! sidecars stale and the engine falls back to a rebuild.
+//! sidecar stale and the engine falls back to a rebuild.
 //!
 //! Run it via `gittables index <store-dir>`, or call
 //! [`write_sidecars`] directly after building a store in-process.
 
 use std::path::Path;
 
-use gittables_corpus::{
-    binding_of, table_fingerprints, write_complete, write_directory_for_store, write_search,
-    write_types, Corpus, CorpusStore, StoreError, SIDECAR_FILES,
-};
+use gittables_corpus::{table_fingerprints, write_indexes, Corpus, CorpusStore, StoreError};
 
 use crate::engine::build_indexes;
 #[cfg(test)]
 use crate::engine::QueryEngine;
 
-/// What `gittables index` reports after writing a sidecar set.
+/// What `gittables index` reports after writing the sidecar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexReport {
     /// Tables in the indexed store.
     pub tables: usize,
-    /// Distinct semantic types in the types sidecar.
+    /// Distinct semantic types in the types section.
     pub types: usize,
-    /// Entries in the search sidecar (one per table).
+    /// Entries in the search section (one per table).
     pub search_entries: usize,
-    /// Distinct schemas in the completion sidecar.
+    /// Distinct schemas in the completion section.
     pub schemas: usize,
-    /// Total bytes across the four sidecar files.
+    /// Bytes of the sidecar file.
     pub bytes: u64,
 }
 
-/// Builds and persists the full sidecar set for the store at `dir`:
-/// loads the corpus once, builds the indexes, writes
-/// `index-{directory,types,search,complete}.gtsc` atomically.
+/// Builds and persists the sidecar for the store at `dir`: loads the
+/// corpus once, builds the indexes, replaces `index.gtsc` atomically.
 ///
 /// # Errors
-/// Propagates store open/load and sidecar write failures. On failure a
-/// partial set may remain on disk; every file is individually verified
-/// at boot, so a partial set downgrades to the rebuild path, never to a
-/// wrong answer.
+/// Propagates store open/load and sidecar write failures. A failure
+/// leaves the previous sidecar, if any, as it was.
 pub fn build_sidecars(dir: impl AsRef<Path>) -> Result<IndexReport, StoreError> {
     let store = CorpusStore::open(dir.as_ref())?;
     let corpus = store.load_corpus()?;
@@ -64,28 +58,13 @@ pub fn write_sidecars(store: &CorpusStore, corpus: &Corpus) -> Result<IndexRepor
     // The builder `QueryEngine::from_corpus` uses, so a sidecar-booted
     // engine reassembles bit-identical indexes.
     let (search, completion, types) = build_indexes(corpus);
-    let binding = binding_of(store);
-    let fingerprints = table_fingerprints(corpus);
-    write_directory_for_store(store, &binding, &fingerprints)?;
-    write_types(store.path(), &binding, &types)?;
-    write_search(
-        store.path(),
-        &binding,
-        search.entry_ids(),
-        search.entry_schemas(),
-        search.matrix(),
+    let bytes = write_indexes(
+        store,
+        &table_fingerprints(corpus),
+        &types,
+        (search.entry_ids(), search.entry_schemas(), search.matrix()),
+        (completion.entry_schemas(), completion.matrix()),
     )?;
-    write_complete(
-        store.path(),
-        &binding,
-        completion.entry_schemas(),
-        completion.matrix(),
-    )?;
-    let bytes = SIDECAR_FILES
-        .iter()
-        .filter_map(|f| std::fs::metadata(store.path().join(f)).ok())
-        .map(|m| m.len())
-        .sum();
     Ok(IndexReport {
         tables: corpus.len(),
         types: types.len(),

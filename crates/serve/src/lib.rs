@@ -82,3 +82,12 @@ pub use indexer::{build_sidecars, write_sidecars, IndexReport};
 pub use metrics::{EndpointCount, Metrics, MetricsSnapshot};
 pub use router::{FanoutStats, Router};
 pub use shardset::ShardSet;
+
+/// This crate's lock-poison policy, stated once: a request that panicked
+/// under a lock must not turn every later request into a panic, so a
+/// poisoned lock is entered all the same. What the locks guard — the
+/// response cache, the serving snapshot, the parked-connection inbox —
+/// is well-formed between any two statements that change it.
+pub(crate) fn unpoisoned<G>(guard: Result<G, std::sync::PoisonError<G>>) -> G {
+    guard.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

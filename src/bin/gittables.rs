@@ -24,9 +24,9 @@
 //! reads auto-detect from the manifest); `migrate` rewrites a store
 //! between shard formats in place, atomically; `resume` runs the pipeline
 //! incrementally against a store, skipping repositories whose shards are
-//! already committed; `index` builds the persisted index sidecars that
-//! let `serve` boot straight off the mapped files; `serve` boots a query
-//! engine over a store (sidecar path when a fresh sidecar set exists,
+//! already committed; `index` builds the persisted index sidecar that
+//! lets `serve` boot straight off the mapped files; `serve` boots a query
+//! engine over a store (sidecar path when a fresh sidecar exists,
 //! materialized rebuild otherwise) and answers HTTP queries against it
 //! until `/shutdown`; `crawl` is the long-running daemon: repeated
 //! incremental passes over a replica [`HostPool`] (with optional
@@ -51,10 +51,44 @@ fn opt(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    opt(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Why a command did not run to completion.
+enum CliError {
+    /// The command line itself is wrong: exit 2 with the usage.
+    Usage(String),
+    /// The command ran and failed: exit 1.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Failed(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Failed(message.to_string())
+    }
+}
+
+/// The number given for `key`, `None` when the flag is absent. A flag
+/// that is present must carry a number: running a default in place of
+/// what was typed (`--passes 1O` crawling for ever) is never right.
+fn opt_num<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, CliError> {
+    let Some(at) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| CliError::Usage(format!("{key} needs a value")))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| CliError::Usage(format!("invalid {key} value: {value}")))
+}
+
+fn num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, CliError> {
+    Ok(opt_num(args, key)?.unwrap_or(default))
 }
 
 fn load(args: &[String]) -> Result<Corpus, String> {
@@ -66,19 +100,19 @@ fn load(args: &[String]) -> Result<Corpus, String> {
 /// `--sql <prob>`, the share of synthesized files rendered as SQL dumps
 /// instead of CSV. The default 0.0 draws no extra randomness, so corpora
 /// built before SQL ingestion existed stay bit-identical.
-fn sized_config(args: &[String]) -> PipelineConfig {
-    let seed = num(args, "--seed", 42u64);
-    let topics = num(args, "--topics", 10usize);
-    let repos = num(args, "--repos", 40usize);
-    PipelineConfig {
-        sql_file_prob: num(args, "--sql", 0.0f64).clamp(0.0, 1.0),
+fn sized_config(args: &[String]) -> Result<PipelineConfig, CliError> {
+    let seed = num(args, "--seed", 42u64)?;
+    let topics = num(args, "--topics", 10usize)?;
+    let repos = num(args, "--repos", 40usize)?;
+    Ok(PipelineConfig {
+        sql_file_prob: num(args, "--sql", 0.0f64)?.clamp(0.0, 1.0),
         ..PipelineConfig::sized(seed, topics, repos)
-    }
+    })
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
+fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let out = opt(args, "--out").ok_or("missing --out <file>")?;
-    let config = sized_config(args);
+    let config = sized_config(args)?;
     eprintln!(
         "building corpus: seed {}, {} topics x {} repos, sql share {}",
         config.seed,
@@ -103,7 +137,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let corpus = load(args)?;
     let s = CorpusStats::of(&corpus);
     println!("corpus    : {} ({} tables)", corpus.name, s.tables);
@@ -131,10 +165,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_search(args: &[String]) -> Result<(), String> {
-    let corpus = load(args)?;
+fn cmd_search(args: &[String]) -> Result<(), CliError> {
     let query = opt(args, "--query").ok_or("missing --query <text>")?;
-    let k = num(args, "--k", 5usize);
+    let k = num(args, "--k", 5usize)?;
+    let corpus = load(args)?;
     let ds = DataSearch::build(&corpus);
     for hit in ds.search(&query, k) {
         let t = &corpus.tables[hit.table_index].table;
@@ -148,11 +182,11 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_complete(args: &[String]) -> Result<(), String> {
-    let corpus = load(args)?;
+fn cmd_complete(args: &[String]) -> Result<(), CliError> {
     let prefix_arg = opt(args, "--prefix").ok_or("missing --prefix a,b,c")?;
     let prefix: Vec<&str> = prefix_arg.split(',').map(str::trim).collect();
-    let k = num(args, "--k", 5usize);
+    let k = num(args, "--k", 5usize)?;
+    let corpus = load(args)?;
     let nc = NearestCompletion::build(&corpus);
     for c in nc.complete(&prefix, k) {
         println!(
@@ -164,7 +198,7 @@ fn cmd_complete(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_annotate(args: &[String]) -> Result<(), String> {
+fn cmd_annotate(args: &[String]) -> Result<(), CliError> {
     let path = opt(args, "--csv").ok_or("missing --csv <file>")?;
     let content = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let parsed = gittables_tablecsv::read_csv(&content, &Default::default())
@@ -184,7 +218,7 @@ fn cmd_annotate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(args: &[String]) -> Result<(), String> {
+fn cmd_export(args: &[String]) -> Result<(), CliError> {
     let corpus = load(args)?;
     let out = opt(args, "--out").ok_or("missing --out <dir>")?;
     let n = gittables_corpus::export_csv(&corpus, std::path::Path::new(&out))
@@ -193,9 +227,9 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_union(args: &[String]) -> Result<(), String> {
+fn cmd_union(args: &[String]) -> Result<(), CliError> {
+    let min = num(args, "--min", 3usize)?;
     let corpus = load(args)?;
-    let min = num(args, "--min", 3usize);
     let groups = gittables_corpus::union_groups(&corpus, min);
     println!("{} union groups with >= {min} members", groups.len());
     for g in groups.iter().take(20) {
@@ -211,7 +245,7 @@ fn cmd_union(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dedup(args: &[String]) -> Result<(), String> {
+fn cmd_dedup(args: &[String]) -> Result<(), CliError> {
     let corpus = load(args)?;
     // One shared fingerprint pass feeds both analyses.
     let fingerprints = gittables_corpus::table_fingerprints(&corpus);
@@ -243,11 +277,11 @@ fn store_format(args: &[String]) -> Result<gittables_corpus::StoreFormat, String
     }
 }
 
-fn cmd_save(args: &[String]) -> Result<(), String> {
-    let corpus = load(args)?;
+fn cmd_save(args: &[String]) -> Result<(), CliError> {
     let out = opt(args, "--out").ok_or("missing --out <dir>")?;
-    let shard = num(args, "--shard", PipelineConfig::small(0).tables_per_shard);
+    let shard = num(args, "--shard", PipelineConfig::small(0).tables_per_shard)?;
     let format = store_format(args)?;
+    let corpus = load(args)?;
     let store = gittables_corpus::save_store_as(&corpus, PathBuf::from(&out), shard, format)
         .map_err(|e| e.to_string())?;
     eprintln!(
@@ -258,7 +292,7 @@ fn cmd_save(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_migrate(args: &[String]) -> Result<(), String> {
+fn cmd_migrate(args: &[String]) -> Result<(), CliError> {
     let dir = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -281,7 +315,7 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_load(args: &[String]) -> Result<(), String> {
+fn cmd_load(args: &[String]) -> Result<(), CliError> {
     let dir = opt(args, "--store").ok_or("missing --store <dir>")?;
     let out = opt(args, "--out").ok_or("missing --out <file>")?;
     let corpus = gittables_corpus::load_store(PathBuf::from(&dir))
@@ -291,16 +325,10 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), String> {
+fn cmd_resume(args: &[String]) -> Result<(), CliError> {
     let dir = opt(args, "--store").ok_or("missing --store <dir>")?;
-    let max_shards = match opt(args, "--max-shards") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("invalid --max-shards value: {v}"))?,
-        ),
-        None => None,
-    };
-    let config = sized_config(args);
+    let max_shards = opt_num::<usize>(args, "--max-shards")?;
+    let config = sized_config(args)?;
     let (seed, topics, repos) = (config.seed, config.topics.len(), config.repos_per_topic);
     let pipeline = Pipeline::new(config);
     // `--format` applies when the store is first created; an existing
@@ -364,34 +392,28 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_crawl(args: &[String]) -> Result<(), String> {
+fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
     let dir = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .or_else(|| opt(args, "--store"))
         .ok_or("missing store directory (crawl <store-dir>)")?;
-    let passes = num(args, "--passes", 0u64);
-    let interval_ms = num(args, "--interval-ms", 1_000u64);
-    let max_shards = match opt(args, "--max-shards") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("invalid --max-shards value: {v}"))?,
-        ),
-        None => None,
-    };
-    let drain_every = num(args, "--drain-every", 2u64);
-    let cooldown_base = num(args, "--cooldown-base", 1u64);
-    let replicas = num(args, "--replicas", 2usize).max(1);
-    let fault_rate = num(args, "--fault-rate", 0.0f64).clamp(0.0, 1.0);
-    let corrupt_rate = num(args, "--corrupt-rate", 0.0f64).clamp(0.0, 1.0);
-    let fault_seed = num(args, "--fault-seed", 1u64);
+    let passes = num(args, "--passes", 0u64)?;
+    let interval_ms = num(args, "--interval-ms", 1_000u64)?;
+    let max_shards = opt_num::<usize>(args, "--max-shards")?;
+    let drain_every = num(args, "--drain-every", 2u64)?;
+    let cooldown_base = num(args, "--cooldown-base", 1u64)?;
+    let replicas = num(args, "--replicas", 2usize)?.max(1);
+    let fault_rate = num(args, "--fault-rate", 0.0f64)?.clamp(0.0, 1.0);
+    let corrupt_rate = num(args, "--corrupt-rate", 0.0f64)?.clamp(0.0, 1.0);
+    let fault_seed = num(args, "--fault-seed", 1u64)?;
 
     // Handlers go in before the (slow) replica population so an early
     // SIGTERM stops the daemon gracefully instead of killing it.
     let stop = gittables_core::crawl::signals::install();
 
-    let config = sized_config(args);
+    let config = sized_config(args)?;
     let (seed, topics, repos) = (config.seed, config.topics.len(), config.repos_per_topic);
     let pipeline = Pipeline::new(config);
     let store = gittables_corpus::CorpusStore::open_or_create_with_format(
@@ -487,7 +509,7 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_index(args: &[String]) -> Result<(), String> {
+fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let dir = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -503,7 +525,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     // The store directory is the positional argument (`serve dir/`) with
     // `--store dir/` accepted as an alias.
     let dir = args
@@ -513,9 +535,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .or_else(|| opt(args, "--store"))
         .ok_or("missing store directory (serve <store-dir>)")?;
     let addr = opt(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let threads = num(args, "--threads", 4usize);
-    let cache = num(args, "--cache", 1024usize);
-    let shards = num(args, "--shards", 1usize);
+    let threads = num(args, "--threads", 4usize)?;
+    let cache = num(args, "--cache", 1024usize)?;
+    let shards = num(args, "--shards", 1usize)?;
     eprintln!("loading corpus from {dir} ...");
     let set = gittables_serve::ShardSet::load(&dir, shards)
         .map_err(|e| format!("loading store {dir}: {e}"))?;
@@ -554,6 +576,29 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints the usage and returns the exit code of a wrong command line.
+fn usage() -> ExitCode {
+    eprintln!("usage: gittables <build|stats|search|complete|annotate|export|union|dedup|save|load|resume|crawl|migrate|index|serve> [options]");
+    eprintln!("  build    --out corpus.json [--seed N] [--topics N] [--repos N] [--sql P]");
+    eprintln!("  stats    --corpus corpus.json");
+    eprintln!("  search   --corpus corpus.json --query \"...\" [--k N]");
+    eprintln!("  complete --corpus corpus.json --prefix a,b,c [--k N]");
+    eprintln!("  annotate --csv file.csv");
+    eprintln!("  export   --corpus corpus.json --out dir/");
+    eprintln!("  union    --corpus corpus.json [--min N]");
+    eprintln!("  dedup    --corpus corpus.json");
+    eprintln!(
+        "  save     --corpus corpus.json --out store_dir/ [--shard N] [--format colv1|jsonl]"
+    );
+    eprintln!("  load     --store store_dir/ --out corpus.json");
+    eprintln!("  resume   --store store_dir/ [--seed N] [--topics N] [--repos N] [--sql P] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]");
+    eprintln!("  crawl    store_dir/ [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
+    eprintln!("  migrate  store_dir/ --to <colv1|jsonl>");
+    eprintln!("  index    store_dir/   (build the index sidecar for fast `serve` boots)");
+    eprintln!("  serve    store_dir/ [--addr HOST:PORT] [--threads N] [--cache N] [--shards N]");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -572,33 +617,17 @@ fn main() -> ExitCode {
         Some("migrate") => cmd_migrate(&args[1..]),
         Some("index") => cmd_index(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        _ => {
-            eprintln!("usage: gittables <build|stats|search|complete|annotate|export|union|dedup|save|load|resume|crawl|migrate|index|serve> [options]");
-            eprintln!("  build    --out corpus.json [--seed N] [--topics N] [--repos N] [--sql P]");
-            eprintln!("  stats    --corpus corpus.json");
-            eprintln!("  search   --corpus corpus.json --query \"...\" [--k N]");
-            eprintln!("  complete --corpus corpus.json --prefix a,b,c [--k N]");
-            eprintln!("  annotate --csv file.csv");
-            eprintln!("  export   --corpus corpus.json --out dir/");
-            eprintln!("  union    --corpus corpus.json [--min N]");
-            eprintln!("  dedup    --corpus corpus.json");
-            eprintln!("  save     --corpus corpus.json --out store_dir/ [--shard N] [--format colv1|jsonl]");
-            eprintln!("  load     --store store_dir/ --out corpus.json");
-            eprintln!("  resume   --store store_dir/ [--seed N] [--topics N] [--repos N] [--sql P] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]");
-            eprintln!("  crawl    store_dir/ [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
-            eprintln!("  migrate  store_dir/ --to <colv1|jsonl>");
-            eprintln!("  index    store_dir/   (build index sidecars for fast `serve` boots)");
-            eprintln!(
-                "  serve    store_dir/ [--addr HOST:PORT] [--threads N] [--cache N] [--shards N]"
-            );
-            return ExitCode::from(2);
-        }
+        _ => return usage(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+        Err(CliError::Usage(e)) => {
+            eprintln!("error: {e}");
+            usage()
         }
     }
 }

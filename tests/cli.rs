@@ -93,57 +93,37 @@ fn annotate_csv_file() {
     std::fs::remove_file(&csv).ok();
 }
 
-#[test]
-fn serve_subcommand_roundtrip() {
-    // build → save → serve on an ephemeral port → query → /shutdown →
-    // clean exit: the CI smoke test, self-contained.
-    let corpus = temp_path("serve_corpus.json");
-    let store = temp_path("serve_store");
+/// `build` then `save`: a small colv1 store under a per-test path.
+fn built_store(tag: &str, seed: &str) -> PathBuf {
+    let corpus = temp_path(&format!("{tag}_corpus.json"));
+    let store = temp_path(&format!("{tag}_store"));
     std::fs::remove_dir_all(&store).ok();
     let out = bin()
-        .args([
-            "build",
-            "--out",
-            corpus.to_str().unwrap(),
-            "--topics",
-            "2",
-            "--repos",
-            "5",
-            "--seed",
-            "9",
-        ])
+        .args(["build", "--out", corpus.to_str().unwrap()])
+        .args(["--topics", "2", "--repos", "5", "--seed", seed])
         .output()
         .expect("run build");
     assert!(out.status.success());
     let out = bin()
-        .args([
-            "save",
-            "--corpus",
-            corpus.to_str().unwrap(),
-            "--out",
-            store.to_str().unwrap(),
-            "--shard",
-            "16",
-        ])
+        .args(["save", "--corpus", corpus.to_str().unwrap()])
+        .args(["--out", store.to_str().unwrap(), "--shard", "16"])
         .output()
         .expect("run save");
     assert!(out.status.success());
+    std::fs::remove_file(&corpus).ok();
+    store
+}
 
+/// Starts `gittables serve` over `store` on an ephemeral port and waits
+/// for the `serving on http://ADDR` banner it prints once ready.
+fn serve(store: &std::path::Path) -> (std::process::Child, std::net::SocketAddr) {
     let mut child = bin()
-        .args([
-            "serve",
-            store.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--threads",
-            "2",
-        ])
+        .args(["serve", store.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0", "--threads", "2"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn serve");
-
-    // The server prints `serving on http://ADDR` once ready.
     let mut line = String::new();
     {
         use std::io::BufRead;
@@ -152,28 +132,121 @@ fn serve_subcommand_roundtrip() {
             .read_line(&mut line)
             .expect("read serve banner");
     }
-    let addr: std::net::SocketAddr = line
+    let addr = line
         .trim()
         .strip_prefix("serving on http://")
         .unwrap_or_else(|| panic!("unexpected banner `{line}`"))
         .parse()
         .expect("parse bound address");
+    (child, addr)
+}
 
-    let (status, body) = gittables_serve::client::get(addr, "/health").expect("health");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"status\":\"ok\""), "{body}");
-    let (status, body) =
-        gittables_serve::client::get(addr, "/search?q=values+and+ids&k=3").expect("search");
-    assert_eq!(status, 200);
-    assert!(body.starts_with('['), "{body}");
+fn get_ok(addr: std::net::SocketAddr, target: &str) -> String {
+    let (status, body) = gittables_serve::client::get(addr, target).expect(target);
+    assert_eq!(status, 200, "{target}: {body}");
+    body
+}
 
-    let (status, _) = gittables_serve::client::get(addr, "/shutdown").expect("shutdown");
-    assert_eq!(status, 200);
+/// `/shutdown`, then the process must drain and exit 0.
+fn shut_down(mut child: std::process::Child, addr: std::net::SocketAddr) {
+    get_ok(addr, "/shutdown");
     let exit = child.wait().expect("serve exit");
     assert!(exit.success(), "serve exited with {exit:?}");
+}
 
-    std::fs::remove_file(&corpus).ok();
+#[test]
+fn serve_subcommand_roundtrip() {
+    // build → save → serve on an ephemeral port → query → /shutdown →
+    // clean exit: the CI smoke test, self-contained.
+    let store = built_store("serve", "9");
+    let (child, addr) = serve(&store);
+
+    let body = get_ok(addr, "/health");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    let body = get_ok(addr, "/search?q=values+and+ids&k=3");
+    assert!(body.starts_with('['), "{body}");
+    let body = get_ok(addr, "/metrics");
+    assert!(body.contains("\"store_format\":\"colv1\""), "{body}");
+
+    shut_down(child, addr);
     std::fs::remove_dir_all(&store).ok();
+}
+
+#[test]
+fn sidecar_boot_then_fallback_serves_identical_bytes() {
+    // index → serve boots off the sidecar; delete it → the next boot
+    // rebuilds from the corpus and serves byte-identical answers.
+    let store = built_store("sidecar", "5");
+    let out = bin()
+        .args(["index", store.to_str().unwrap()])
+        .output()
+        .expect("run index");
+    assert!(out.status.success());
+    let targets = [
+        "/search?q=status+and+sales+amount&k=3",
+        "/tables/0",
+        "/types",
+    ];
+
+    let (child, addr) = serve(&store);
+    let metrics = get_ok(addr, "/metrics");
+    assert!(metrics.contains("\"boot_path\":\"sidecar\""), "{metrics}");
+    assert!(metrics.contains("\"fallback_reason\":null"), "{metrics}");
+    let from_sidecar = targets.map(|t| get_ok(addr, t));
+    shut_down(child, addr);
+
+    std::fs::remove_file(store.join("index.gtsc")).expect("the one sidecar file");
+    let (child, addr) = serve(&store);
+    let metrics = get_ok(addr, "/metrics");
+    assert!(metrics.contains("\"boot_path\":\"rebuild\""), "{metrics}");
+    assert!(
+        metrics.contains("\"fallback_reason\":\"no_sidecar\""),
+        "{metrics}"
+    );
+    let from_rebuild = targets.map(|t| get_ok(addr, t));
+    shut_down(child, addr);
+
+    assert_eq!(from_sidecar, from_rebuild);
+    std::fs::remove_dir_all(&store).ok();
+}
+
+#[test]
+fn unparsable_numbers_exit_2_and_write_nothing() {
+    // A numeric flag that is present must hold a number: the command
+    // never runs on a default in place of what was typed.
+    let store = temp_path("badnum_store");
+    let corpus = temp_path("badnum_corpus.json");
+    let (store_arg, corpus_arg) = (store.to_str().unwrap(), corpus.to_str().unwrap());
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["serve", store_arg, "--shards", "two"],
+            "invalid --shards value: two",
+        ),
+        (
+            &["crawl", store_arg, "--passes", "1O"],
+            "invalid --passes value: 1O",
+        ),
+        (
+            &["build", "--out", corpus_arg, "--topics", "x"],
+            "invalid --topics value: x",
+        ),
+        (
+            &["search", "--corpus", corpus_arg, "--query", "q", "--k"],
+            "--k needs a value",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = bin().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: gittables"), "{args:?}: {stderr}");
+        assert!(
+            !store.exists() && !corpus.exists(),
+            "{args:?} wrote something"
+        );
+    }
 }
 
 #[test]

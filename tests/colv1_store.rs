@@ -8,10 +8,9 @@
 use std::path::PathBuf;
 
 use gittables_annotate::Annotation;
-use gittables_corpus::SIDECAR_FILES;
 use gittables_corpus::{
     export_csv_store, load_indexes, load_store, migrate_store, save_store_as, table_fingerprint,
-    AnnotatedTable, Corpus, CorpusStore, StoreError, StoreFormat,
+    AnnotatedTable, Corpus, CorpusStore, StoreError, StoreFormat, SIDECAR_FILE,
 };
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
@@ -523,78 +522,87 @@ fn assert_falls_back_identically(dir: &PathBuf, want: &[String], reasons: &[&str
     assert_eq!(endpoint_sample(&engine), want, "{what}");
 }
 
+/// A colv1 store of [`sample_corpus`], indexed, with the bytes any boot
+/// of it must serve.
+fn indexed_store(tag: &str) -> (PathBuf, Vec<String>) {
+    let dir = tmp(tag);
+    save_store_as(&sample_corpus(), &dir, 2, StoreFormat::ColV1).unwrap();
+    build_sidecars(&dir).unwrap();
+    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    (dir, want)
+}
+
+/// Where each of the four sections of a sidecar starts (after its length
+/// prefix) and ends, walked from the documented layout: magic, version,
+/// fingerprint, tables, format, name, dim, then `u64 len` + section.
+fn section_bounds(bytes: &[u8], store: &CorpusStore) -> Vec<usize> {
+    let mut at = 8 + 4 + 8 + 8 + (4 + store.format().name().len()) + (4 + store.name().len()) + 8;
+    let mut bounds = Vec::new();
+    for _ in 0..4 {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        bounds.extend([at + 8, at + 8 + len]);
+        at += 8 + len;
+    }
+    assert_eq!(at + 16, bytes.len(), "sections end at the checksum");
+    bounds
+}
+
 #[test]
 fn sidecar_byte_flips_never_serve_wrong_bytes() {
     // Flipping any sidecar byte must yield a typed refusal and a correct
     // fallback rebuild — byte-identical answers, never a wrong one. The
-    // checksum covers everything before it, so a flip lands as `corrupt`
-    // (or `stale` when it hits the binding fields read first).
-    let corpus = sample_corpus();
-    let dir = tmp("sidecar_flip");
-    save_store_as(&corpus, &dir, 2, StoreFormat::ColV1).unwrap();
-    build_sidecars(&dir).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    // checksum is verified before any field is trusted and covers
+    // everything before it, so every flip lands as `corrupt`.
+    let (dir, want) = indexed_store("sidecar_flip");
     assert_eq!(
         endpoint_sample(&QueryEngine::load(&dir).unwrap()),
         want,
-        "healthy sidecars must serve the reference bytes"
+        "a healthy sidecar must serve the reference bytes"
     );
-    for file in SIDECAR_FILES {
-        let path = dir.join(file);
-        let original = std::fs::read(&path).unwrap();
-        for pos in (0..original.len()).step_by(31) {
-            let mut bytes = original.clone();
-            bytes[pos] ^= 0x20;
-            std::fs::write(&path, &bytes).unwrap();
-            assert_falls_back_identically(
-                &dir,
-                &want,
-                &["corrupt", "stale"],
-                &format!("{file} byte {pos}"),
-            );
-        }
-        std::fs::write(&path, &original).unwrap();
+    let path = dir.join(SIDECAR_FILE);
+    let original = std::fs::read(&path).unwrap();
+    for pos in (0..original.len()).step_by(31) {
+        let mut bytes = original.clone();
+        bytes[pos] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("byte {pos}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncated_or_missing_sidecar_falls_back_identically() {
-    let corpus = sample_corpus();
-    let dir = tmp("sidecar_trunc");
-    save_store_as(&corpus, &dir, 2, StoreFormat::ColV1).unwrap();
-    build_sidecars(&dir).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
-    for file in SIDECAR_FILES {
-        let path = dir.join(file);
-        let original = std::fs::read(&path).unwrap();
-        // Torn writes: footer gone, half a file, header fragment, empty.
-        for cut in [original.len() - 1, original.len() / 2, 4, 0] {
-            std::fs::write(&path, &original[..cut]).unwrap();
-            assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("{file} cut {cut}"));
-        }
-        // Bad header magic and bad footer magic.
-        for at in [0, original.len() - 1] {
-            let mut bytes = original.clone();
-            bytes[at] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
-            assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("{file} magic {at}"));
-        }
-        // A deleted sidecar downgrades the whole set to `no_sidecar`.
-        std::fs::remove_file(&path).unwrap();
-        assert_falls_back_identically(&dir, &want, &["no_sidecar"], &format!("{file} missing"));
-        std::fs::write(&path, &original).unwrap();
+    let (dir, want) = indexed_store("sidecar_trunc");
+    let path = dir.join(SIDECAR_FILE);
+    let original = std::fs::read(&path).unwrap();
+    // Torn writes: footer gone, half a file, header fragment, empty —
+    // and a tear on either side of every section boundary.
+    let mut cuts = vec![original.len() - 1, original.len() / 2, 4, 0];
+    for bound in section_bounds(&original, &CorpusStore::open(&dir).unwrap()) {
+        cuts.extend([bound - 1, bound, bound + 1]);
     }
+    for cut in cuts {
+        std::fs::write(&path, &original[..cut]).unwrap();
+        assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("cut {cut}"));
+    }
+    // Bad header magic and bad footer magic.
+    for at in [0, original.len() - 1] {
+        let mut bytes = original.clone();
+        bytes[at] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("magic {at}"));
+    }
+    // No file at all.
+    std::fs::remove_file(&path).unwrap();
+    assert_falls_back_identically(&dir, &want, &["no_sidecar"], "missing");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sidecars_from_an_older_corpus_are_stale_never_served() {
-    // Sidecars indexed over yesterday's store contents must be refused
+    // A sidecar indexed over yesterday's store contents must be refused
     // by fingerprint, not served against today's tables.
-    let old_dir = tmp("sidecar_stale_old");
-    save_store_as(&sample_corpus(), &old_dir, 2, StoreFormat::ColV1).unwrap();
-    build_sidecars(&old_dir).unwrap();
+    let (old_dir, _) = indexed_store("sidecar_stale_old");
 
     let mut newer = sample_corpus();
     newer.push(AnnotatedTable::new(
@@ -603,12 +611,76 @@ fn sidecars_from_an_older_corpus_are_stale_never_served() {
     ));
     let dir = tmp("sidecar_stale_new");
     save_store_as(&newer, &dir, 2, StoreFormat::ColV1).unwrap();
-    for file in SIDECAR_FILES {
-        std::fs::copy(old_dir.join(file), dir.join(file)).unwrap();
-    }
+    std::fs::copy(old_dir.join(SIDECAR_FILE), dir.join(SIDECAR_FILE)).unwrap();
     let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
-    assert_falls_back_identically(&dir, &want, &["stale"], "older-corpus sidecars");
+    assert_falls_back_identically(&dir, &want, &["stale"], "older-corpus sidecar");
     std::fs::remove_dir_all(&old_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn version_1_leftovers_are_never_opened_and_index_restores_the_fast_path() {
+    // A store last indexed by a build that wrote four files: whatever
+    // they hold, the boot reports no sidecar, rebuilds, and serves the
+    // reference bytes; indexing again writes the one file beside them.
+    let (dir, want) = indexed_store("sidecar_v1");
+    let bytes = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+    std::fs::remove_file(dir.join(SIDECAR_FILE)).unwrap();
+    let old_names = ["directory", "types", "search", "complete"].map(|k| format!("index-{k}.gtsc"));
+    for name in &old_names {
+        std::fs::write(dir.join(name), &bytes).unwrap();
+    }
+    assert_falls_back_identically(&dir, &want, &["no_sidecar"], "four version-1 files");
+    build_sidecars(&dir).unwrap();
+    let engine = QueryEngine::load(&dir).unwrap();
+    assert_eq!(engine.build_stats().boot_path, "sidecar");
+    assert_eq!(endpoint_sample(&engine), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_leftover_tmp_file_changes_nothing() {
+    // What a crash between the write and the rename leaves behind.
+    let (dir, want) = indexed_store("sidecar_tmp");
+    std::fs::write(
+        dir.join(format!("{SIDECAR_FILE}.tmp")),
+        b"torn half of a sidecar",
+    )
+    .unwrap();
+    let engine = QueryEngine::load(&dir).unwrap();
+    assert_eq!(engine.build_stats().boot_path, "sidecar");
+    assert_eq!(endpoint_sample(&engine), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_reindex_of_a_grown_store_leaves_the_old_sidecar_whole() {
+    // Re-indexing commits with one rename: the file is the old one
+    // (stale ⇒ rebuild) or the new one, never a mix of the two.
+    let (dir, _) = indexed_store("sidecar_atomic");
+    let old = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+    let store = CorpusStore::open(&dir).unwrap();
+    let added = AnnotatedTable::new(
+        Table::from_string_rows("added_later", &["fresh_col"], vec![vec!["v".to_string()]])
+            .unwrap(),
+    );
+    let mut writer = store.begin_shard("grown").unwrap();
+    writer.push(store.len(), &added).unwrap();
+    store.commit_shard(writer.finish().unwrap()).unwrap();
+    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+
+    // The write fails: its temp path is taken by a directory.
+    let blocker = dir.join(format!("{SIDECAR_FILE}.tmp"));
+    std::fs::create_dir(&blocker).unwrap();
+    assert!(matches!(build_sidecars(&dir), Err(StoreError::Io(_))));
+    assert_eq!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap(), old);
+    assert_falls_back_identically(&dir, &want, &["stale"], "old sidecar, grown store");
+
+    std::fs::remove_dir(&blocker).unwrap();
+    build_sidecars(&dir).unwrap();
+    let engine = QueryEngine::load(&dir).unwrap();
+    assert_eq!(engine.build_stats().boot_path, "sidecar");
+    assert_eq!(endpoint_sample(&engine), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 
