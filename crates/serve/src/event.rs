@@ -1,19 +1,21 @@
-//! What other threads and signals use to reach the serving event loop:
-//! a [`Waker`] that interrupts its readiness wait, and the `SIGHUP` flag
-//! that asks for a live corpus reload.
+//! What reaches the server's workers from outside their readiness waits:
+//! the shutdown [`Waker`], and the `SIGHUP` flag that asks for a live
+//! corpus reload.
 //!
 //! The readiness wait itself is [`gittables_sys::PollSet`] — `poll(2)`,
 //! the same on every unix — and everything here is `std` on top of it.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gittables_sys::{raise_flag_on, Signal};
 
-/// Cross-thread wake-up for a [`gittables_sys::PollSet`] wait: a
-/// non-blocking socket pair whose read end sits in the set.
+/// A one-way wake-up for every [`gittables_sys::PollSet`] wait that
+/// holds it: a non-blocking socket pair whose read end sits in each set.
+/// Nothing reads it, so once woken it stays readable and every wait
+/// returns at once — the server's shutdown signal to all its workers.
 pub struct Waker {
     rx: UnixStream,
     tx: UnixStream,
@@ -31,24 +33,18 @@ impl Waker {
         Ok(Waker { rx, tx })
     }
 
-    /// The descriptor to push into the waiting thread's set; it turns
-    /// readable on [`Waker::wake`] and stays so until [`Waker::drain`].
+    /// The descriptor to push into a waiting thread's set; it turns
+    /// readable on [`Waker::wake`] and stays so.
     #[must_use]
     pub fn fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 
-    /// Interrupts a concurrent (or the next) wait.
+    /// Interrupts every concurrent and later wait on [`Waker::fd`].
     pub fn wake(&self) {
-        // A full socket buffer (`WouldBlock`) means wake-ups are already
+        // A full socket buffer (`WouldBlock`) means a wake-up is already
         // pending, which is all this call promises.
         let _ = (&self.tx).write(&[1]);
-    }
-
-    /// Consumes pending wake-ups so the level-triggered fd goes quiet.
-    pub fn drain(&self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
@@ -77,17 +73,23 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn waker_interrupts_wait_and_drains_quiet() {
+    fn one_wake_reaches_every_wait_and_stays() {
         let waker = Waker::new().unwrap();
-        let mut set = PollSet::new();
-        let slot = set.push(waker.fd());
-        waker.wake();
+        let mut sets = [PollSet::new(), PollSet::new()];
+        for set in &mut sets {
+            set.push(waker.fd());
+        }
         let mut ready = Vec::new();
-        set.wait(Duration::from_millis(500), &mut ready).unwrap();
-        assert_eq!(ready, vec![slot]);
-        waker.drain();
-        ready.clear();
-        set.wait(Duration::from_millis(10), &mut ready).unwrap();
-        assert!(ready.is_empty());
+        sets[0].wait(Duration::from_millis(10), &mut ready).unwrap();
+        assert!(ready.is_empty(), "quiet before the wake");
+        waker.wake();
+        // Every set, again and again: nothing consumes the wake-up.
+        for _ in 0..3 {
+            for set in &mut sets {
+                ready.clear();
+                set.wait(Duration::from_millis(500), &mut ready).unwrap();
+                assert_eq!(ready, vec![0]);
+            }
+        }
     }
 }

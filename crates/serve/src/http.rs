@@ -1,24 +1,40 @@
 //! Hand-rolled HTTP/1.1 server on [`std::net::TcpListener`].
 //!
-//! No external dependencies: a fixed pool of worker threads pulls
-//! connections off an [`mpsc`] channel and speaks just enough HTTP/1.1
-//! (GET + keep-alive + `Content-Length`) to serve the JSON API.
-//! Requests with `Transfer-Encoding` are rejected with `501` and
-//! `Connection: close` — never silently misframed.
+//! No external dependencies: a fixed pool of worker threads speaks just
+//! enough HTTP/1.1 (GET + keep-alive + `Content-Length`) to serve the
+//! JSON API. Requests with `Transfer-Encoding` are rejected with `501`
+//! and `Connection: close` — never silently misframed.
 //!
 //! ## Concurrency model
 //!
-//! One acceptor thread owns the listener; `threads` workers drive
-//! connections that have work to do. Connections with no bytes in
-//! flight — fresh ones and idle keep-alive ones — park in one event-loop
-//! thread, a level-triggered `poll(2)` set ([`gittables_sys::PollSet`]),
-//! and occupy **no** worker thread; the event loop hands a connection to
-//! the pool only when it turns readable, and the worker parks it again
-//! after the response. That is the only model, on every unix: nothing
-//! selects between it and another. `poll` hands the kernel every parked
-//! descriptor on every wake, so a request costs O(parked connections) —
-//! measured at 50-100 microseconds per thousand idle connections, and
-//! paid by no workload the benchmark or the tests run.
+//! Each of the `threads` workers owns a level-triggered `poll(2)` set
+//! ([`gittables_sys::PollSet`]) and serves every connection it accepted
+//! on its own thread, from accept to close: a connection never changes
+//! threads. A worker's set holds the shared listener (non-blocking), the
+//! read end of the shared shutdown [`event::Waker`], and the worker's
+//! own connections. That is the only model, on every unix.
+//!
+//! - **Accept spread.** A readable listener wakes every worker, and each
+//!   accepts at most one connection per wake; the others take the rest,
+//!   so connections spread over the workers.
+//! - **Reads on readiness only.** A worker reads a connection only when
+//!   `poll` has reported it readable, once per readiness, then answers
+//!   every complete request in its buffer. A connection that is idle, or
+//!   holds only part of a request, stays in the set and costs no thread:
+//!   a client that sends half a request and stops holds its slot and
+//!   nothing else, until the worker's sweep (once per `POLL_INTERVAL`)
+//!   closes it at `REQUEST_DEADLINE` — or, idle, at
+//!   `KEEP_ALIVE_TIMEOUT`.
+//! - **The known trade.** A connection waits for the worker that owns
+//!   it. While that worker runs a slow query, or a `POST /reload` (which
+//!   holds it through load and drain), its other connections wait even
+//!   if another worker is free. The README's *Serving* section gives the
+//!   measured `/health` latency beside a slow `/search`.
+//!
+//! `poll` hands the kernel the whole set on every wake, so a request
+//! costs O(connections of its worker) — measured at 50-100 microseconds
+//! per thousand idle connections, and paid by no workload the benchmark
+//! or the tests run.
 //!
 //! Queries run against an immutable snapshot ([`crate::router::Router`]
 //! over a [`ShardSet`]) shared behind an `Arc` — request handling never
@@ -45,19 +61,20 @@
 //! ## Graceful shutdown
 //!
 //! [`ServerHandle::request_shutdown`] (or the `/shutdown` endpoint)
-//! flips an atomic flag and wakes the blocked acceptor. The acceptor
-//! stops taking connections; the event loop closes parked (idle)
-//! connections and drops the pool's channel sender; each worker
-//! finishes any request in flight — answering it with
-//! `Connection: close` — then exits. No request accepted into the pool
-//! is abandoned mid-flight.
+//! flips an atomic flag and wakes the shared waker once. The waker is
+//! never drained, so every worker's wait returns and sees the flag. A
+//! worker then stops accepting and closes its idle connections. It keeps
+//! polling only the connections that hold part of a request, until each
+//! request is answered with `Connection: close` or passes
+//! `REQUEST_DEADLINE`; then it exits. No request that has begun to
+//! arrive is abandoned mid-flight.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,19 +99,20 @@ const MAX_BODY: usize = 64 * 1024;
 /// connection is dropped. Doubles as the bound on the reload drain wait.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
-/// The tick of every wait that must notice a shutdown request or a
-/// `SIGHUP`: the event loop's readiness wait, a worker's socket read,
-/// the reload watcher's sleep. Keep-alive timeouts are swept once per
-/// tick.
+/// The tick of every wait that must notice time passing: a worker's
+/// readiness wait (its sweep of expired connections runs once per tick),
+/// the bound on a connection read should a readiness prove spurious, and
+/// the reload watcher's sleep between `SIGHUP` checks.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How long an idle keep-alive connection is kept open.
 const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Requests served per connection before it is recycled with
-/// `Connection: close`. A connection parks after every response that
-/// leaves its buffer empty, so this binds only a client that pipelines
-/// without pause — it bounds how long that client can hold one worker.
+/// `Connection: close`. A worker reads a connection once per readiness,
+/// so not even a client that pipelines without pause holds its worker
+/// past one read's worth of requests; the cap makes a long-lived client
+/// reconnect, which spreads its connection afresh over the workers.
 const MAX_REQUESTS_PER_CONNECTION: usize = 256;
 
 /// JSON body used for every non-2xx response.
@@ -164,7 +182,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything the acceptor, workers, event loop, and handle share.
+/// Everything the workers, the reload watcher and the handle share.
 struct Shared {
     /// The serving snapshot and its generation (0 at boot, +1 per
     /// successful reload), one pair under one lock. Each request clones
@@ -177,6 +195,9 @@ struct Shared {
     metrics: Metrics,
     cache: ResponseCache,
     shutdown: AtomicBool,
+    /// Sits in every worker's set; woken once, on shutdown, and never
+    /// drained.
+    waker: event::Waker,
     addr: SocketAddr,
     config: ServerConfig,
 }
@@ -189,38 +210,27 @@ impl Shared {
     }
 }
 
-/// The address a wake-up connection should dial: the bound port, but on
-/// loopback when the server bound a wildcard address (connecting *to*
-/// `0.0.0.0`/`::` is not portable).
-fn wake_addr(addr: SocketAddr) -> SocketAddr {
-    let mut addr = addr;
-    if addr.ip().is_unspecified() {
-        match addr {
-            SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-            SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-        }
-    }
-    addr
-}
-
-/// Flips the shutdown flag once and wakes the blocked acceptor.
+/// Flips the shutdown flag once and wakes every worker: the waker is
+/// never drained, so each worker's wait returns until it drops the waker
+/// from its set.
 fn trigger_shutdown(shared: &Shared) {
     if !shared.shutdown.swap(true, Ordering::SeqCst) {
-        // The acceptor blocks in `accept`; a throwaway loopback
-        // connection unblocks it so it can observe the flag.
-        let _ = TcpStream::connect_timeout(&wake_addr(shared.addr), Duration::from_secs(1));
+        shared.waker.wake();
     }
 }
 
-// ------------------------------------------------------------------ parking
+// ------------------------------------------------------------------ workers
 
-/// A connection plus its cross-request state, movable between the event
-/// loop and the worker pool.
+/// A connection plus its cross-request state. It lives in the set of
+/// the worker that accepted it until it closes.
 struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet consumed (possibly a partial or pipelined
     /// request).
     buf: Vec<u8>,
+    /// How much of `buf` the head search has seen without finding the
+    /// end of a head; 0 again once a request is consumed.
+    scanned: usize,
     /// Requests served on this connection so far.
     served: usize,
     /// Start of the current idle period / request (drives the
@@ -232,6 +242,9 @@ impl Conn {
     /// Adopts an accepted stream, setting its socket options once for
     /// the connection's lifetime.
     fn new(stream: TcpStream) -> Self {
+        // Where an accepted socket inherits the listener's non-blocking
+        // flag (the BSDs), clear it: writes block, bounded below.
+        let _ = stream.set_nonblocking(false);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         // A client that never reads its response must not pin a worker
@@ -240,89 +253,96 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             served: 0,
             idle_since: Instant::now(),
         }
     }
-}
 
-/// State shared with the event-loop thread: the inbox of connections to
-/// park and the waker that interrupts its readiness wait.
-struct ParkerShared {
-    inbox: Mutex<Vec<Conn>>,
-    waker: event::Waker,
-    /// Set when the event loop exited: connections handed to `park`
-    /// from then on are dropped (closed) instead of leaking.
-    stopped: AtomicBool,
-}
-
-impl ParkerShared {
-    /// Hands a connection to the event loop (or closes it when the loop
-    /// already exited).
-    fn park(&self, conn: Conn) {
-        if self.stopped.load(Ordering::SeqCst) {
-            return; // drop => close
-        }
-        unpoisoned(self.inbox.lock()).push(conn);
-        self.waker.wake();
+    /// Whether the connection outlived its wait: idle past the
+    /// keep-alive timeout, or a request dribbling past its deadline.
+    fn expired(&self) -> bool {
+        let limit = if self.buf.is_empty() {
+            KEEP_ALIVE_TIMEOUT
+        } else {
+            REQUEST_DEADLINE
+        };
+        self.idle_since.elapsed() > limit
     }
 }
 
-/// The event loop: owns every parked connection, hands one to the worker
-/// channel the moment it turns readable (or its peer hangs up — the
-/// worker's read sees the EOF), sweeps keep-alive timeouts, and closes
-/// everything on shutdown.
-fn run_event_loop(shared: &Shared, parker: &ParkerShared, tx: &mpsc::Sender<Conn>) {
+/// One worker: accepts, reads, answers and closes its own connections on
+/// its own thread, until shutdown has drained them.
+fn run_worker(shared: &Shared, listener: &TcpListener) {
+    // The listener waits in slot 0 and the waker in slot 1 (it only
+    // wakes the flag check below); conns[i] waits in slot i + base —
+    // behind those two while accepting, from slot 0 once draining.
     let mut set = PollSet::new();
-    set.push(parker.waker.fd()); // slot 0, never removed
-    let mut parked: Vec<Conn> = Vec::new(); // parked[i] waits in slot i + 1
+    set.push(listener.as_raw_fd());
+    set.push(shared.waker.fd());
+    let mut base = 2;
+    let mut conns: Vec<Conn> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
     let mut swept = Instant::now();
     loop {
-        // Ingest newly-parked connections. The set is level-triggered,
-        // so one that already has bytes pending is ready on the very
-        // next wait — no arrival/registration race.
-        for conn in unpoisoned(parker.inbox.lock()).drain(..) {
-            set.push(conn.stream.as_raw_fd());
-            parked.push(conn);
-        }
         ready.clear();
         if set.wait(POLL_INTERVAL, &mut ready).is_err() {
             break;
         }
         // Highest slot first: a removal moves the last slot into the
-        // hole, which is then never a slot still to be visited.
+        // hole, which is then never a slot still to be visited. The
+        // listener comes last, so a connection it adds waits for the
+        // next wait (level-triggered: bytes already sent fire at once).
         for &slot in ready.iter().rev() {
-            if slot == 0 {
-                parker.waker.drain();
-                continue;
-            }
-            set.remove(slot);
-            if tx.send(parked.swap_remove(slot - 1)).is_err() {
-                break;
+            if slot >= base {
+                if let ConnFate::Close = drive_connection(shared, &mut conns[slot - base]) {
+                    set.remove(slot);
+                    conns.swap_remove(slot - base);
+                }
+            } else if slot == 0 {
+                // One connection per wake: the other workers woke on the
+                // same readiness and take the rest.
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let conn = Conn::new(stream);
+                        set.push(conn.stream.as_raw_fd());
+                        conns.push(conn);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    // Back off instead of hot-spinning: a persistent
+                    // accept failure (e.g. EMFILE under fd exhaustion)
+                    // would otherwise burn a core the workers need to
+                    // free fds.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
             }
         }
-        // Sweep keep-alive timeouts once a tick, not once a wake; parked
-        // connections have no request in flight, so closing them never
-        // abandons work.
         if swept.elapsed() >= POLL_INTERVAL {
             swept = Instant::now();
-            for i in (0..parked.len()).rev() {
-                if parked[i].idle_since.elapsed() > KEEP_ALIVE_TIMEOUT {
-                    set.remove(i + 1);
-                    parked.swap_remove(i);
+            for i in (0..conns.len()).rev() {
+                if conns[i].expired() {
+                    set.remove(i + base);
+                    conns.swap_remove(i);
                 }
             }
         }
         if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+            if base > 0 {
+                // Stop accepting and close idle connections; keep only
+                // those holding part of a request, to be answered with
+                // `Connection: close` or swept at their deadline.
+                conns.retain(|c| !c.buf.is_empty());
+                set = PollSet::new();
+                for conn in &conns {
+                    set.push(conn.stream.as_raw_fd());
+                }
+                base = 0;
+            }
+            if conns.is_empty() {
+                break;
+            }
         }
     }
-    // Mark stopped BEFORE draining: a worker that races `park` from
-    // here on sees the flag and closes its connection itself.
-    parker.stopped.store(true, Ordering::SeqCst);
-    parked.clear();
-    unpoisoned(parker.inbox.lock()).clear();
 }
 
 /// The server: bind with [`Server::start`] /
@@ -344,8 +364,7 @@ impl Server {
         Self::start_set(ShardSet::from_engine(engine), addr, config)
     }
 
-    /// Binds `addr` and starts the acceptor, worker pool, and the
-    /// parking event loop over a sharded snapshot.
+    /// Binds `addr` and starts the workers over a sharded snapshot.
     ///
     /// # Errors
     /// Propagates bind failures (and a refused wake-up socket pair).
@@ -355,6 +374,9 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
+        // Every worker accepts from it; the ones that lose a race must
+        // get `WouldBlock`, not sleep in `accept`.
+        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             snapshot: Mutex::new((Arc::new(Router::new(set)), 0)),
@@ -362,44 +384,19 @@ impl Server {
             metrics: Metrics::new(),
             cache: ResponseCache::new(config.cache_capacity),
             shutdown: AtomicBool::new(false),
+            waker: event::Waker::new()?,
             addr: local,
             config: config.clone(),
         });
 
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let parker = Arc::new(ParkerShared {
-            inbox: Mutex::new(Vec::new()),
-            waker: event::Waker::new()?,
-            stopped: AtomicBool::new(false),
-        });
-        // The event loop holds the only sender: when it exits, workers
-        // drain the queue and exit too.
-        let event_loop = {
-            let shared = shared.clone();
-            let parker = parker.clone();
-            std::thread::spawn(move || run_event_loop(&shared, &parker, &tx))
-        };
-
-        let mut workers = Vec::with_capacity(config.threads.max(1));
-        for _ in 0..config.threads.max(1) {
-            let shared = shared.clone();
-            let rx = rx.clone();
-            let parker = parker.clone();
-            workers.push(std::thread::spawn(move || loop {
-                // Take the next connection, releasing the receiver lock
-                // before handling so other workers keep draining.
-                let next = { unpoisoned(rx.lock()).recv() };
-                match next {
-                    Ok(mut conn) => match drive_connection(&shared, &mut conn) {
-                        ConnFate::Close => {}
-                        ConnFate::Park => parker.park(conn),
-                    },
-                    Err(_) => break, // event loop gone, queue drained
-                }
-            }));
-        }
+        // The listener closes when the last worker exits.
+        let listener = Arc::new(listener);
+        let workers = (0..config.threads.max(1))
+            .map(|_| {
+                let (shared, listener) = (shared.clone(), listener.clone());
+                std::thread::spawn(move || run_worker(&shared, &listener))
+            })
+            .collect();
 
         // SIGHUP → reload watcher (only when there is a store to reload
         // from).
@@ -424,33 +421,8 @@ impl Server {
             None
         };
 
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break; // drop the wake-up (or late) connection
-                    }
-                    match stream {
-                        // Fresh connections park too: one that connects
-                        // and says nothing costs no worker.
-                        Ok(s) => parker.park(Conn::new(s)),
-                        Err(_) => {
-                            // Back off instead of hot-spinning: a
-                            // persistent accept failure (e.g. EMFILE
-                            // under fd exhaustion) would otherwise burn
-                            // a core the workers need to free fds.
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            })
-        };
-
         Ok(ServerHandle {
             shared,
-            acceptor: Some(acceptor),
-            event_loop: Some(event_loop),
             watcher,
             workers,
         })
@@ -460,8 +432,6 @@ impl Server {
 /// Handle to a running server.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    event_loop: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -502,17 +472,11 @@ impl ServerHandle {
         trigger_shutdown(&self.shared);
     }
 
-    /// Waits until the acceptor, event loop, and every worker have
-    /// exited. Without a prior shutdown request this blocks until one
-    /// arrives (e.g. the `/shutdown` endpoint) — the serve-forever mode
-    /// of the CLI.
+    /// Waits until every worker and the reload watcher have exited.
+    /// Without a prior shutdown request this blocks until one arrives
+    /// (e.g. the `/shutdown` endpoint) — the serve-forever mode of the
+    /// CLI.
     pub fn join(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(e) = self.event_loop.take() {
-            let _ = e.join();
-        }
         if let Some(w) = self.watcher.take() {
             let _ = w.join();
         }
@@ -562,9 +526,17 @@ impl Request {
     }
 }
 
-/// Position right after the first `\r\n\r\n`, if present.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Position right after the first `\r\n\r\n`, if present. The search
+/// resumes where the last miss left it — less the three bytes a split
+/// terminator may have left behind — and records how far it got, so a
+/// head that arrives a byte at a time is scanned once, not once a read.
+fn head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    let found = buf[from..].windows(4).position(|w| w == b"\r\n\r\n");
+    if found.is_none() {
+        *scanned = buf.len();
+    }
+    found.map(|p| from + p + 4)
 }
 
 /// Percent-decodes `%XX` escapes; additionally maps `+` to space when
@@ -1040,145 +1012,117 @@ fn write_response(
 enum ConnFate {
     /// Drop the stream (close the connection).
     Close,
-    /// Hand it to the event loop to wait for the next request.
-    Park,
+    /// Leave it in the worker's set until it is readable again.
+    Keep,
 }
 
-/// Drives one connection until it closes or goes idle between
-/// keep-alive requests.
+/// Drives one connection `poll` reported readable: one read, then an
+/// answer to every complete request the buffer holds. A partial head or
+/// body stays buffered for the next readiness.
 fn drive_connection(shared: &Shared, conn: &mut Conn) -> ConnFate {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(end) = head_end(&conn.buf) {
-            let req = match parse_request(&conn.buf[..end - 4]) {
-                Ok(r) => r,
-                Err(e) => {
-                    shared.metrics.record(Endpoint::Other, 400, 0);
-                    let body = json_body(&ErrorResponse { error: e });
-                    let _ = write_response(&mut conn.stream, 400, &body, false);
-                    return ConnFate::Close;
-                }
-            };
-            if req.transfer_encoded {
-                // This server frames bodies by Content-Length only; a
-                // chunked body it cannot parse would desync the
-                // keep-alive stream, turning body bytes into phantom
-                // requests. Refuse loudly and close.
-                shared.metrics.record(Endpoint::Other, 501, 0);
-                let body = json_body(&ErrorResponse {
-                    error: "Transfer-Encoding is not supported; send Content-Length".to_string(),
-                });
-                let _ = write_response(&mut conn.stream, 501, &body, false);
-                return ConnFate::Close;
-            }
-            if req.content_length > MAX_BODY {
-                shared.metrics.record(Endpoint::Other, 413, 0);
-                let body = json_body(&ErrorResponse {
-                    error: "request body too large".to_string(),
-                });
-                let _ = write_response(&mut conn.stream, 413, &body, false);
-                return ConnFate::Close;
-            }
-            let consumed = end + req.content_length;
-            if conn.buf.len() < consumed {
-                // Body not fully received yet; keep reading below.
-                if read_more(shared, conn, &mut chunk).is_err() {
-                    return ConnFate::Close;
-                }
-                continue;
-            }
-            // Full request in hand: this request WILL be answered, even
-            // mid-shutdown (drain guarantee); only the connection closes.
-            conn.served += 1;
-            let keep_alive = req.keep_alive
-                && !shared.shutdown.load(Ordering::SeqCst)
-                && conn.served < MAX_REQUESTS_PER_CONNECTION;
-            let started = Instant::now();
-            let routed = respond(shared, &req);
-            let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared
-                .metrics
-                .record(routed.endpoint, routed.status, latency_us);
-            let keep_alive = keep_alive && !routed.shutdown;
-            let ok = write_response(&mut conn.stream, routed.status, &routed.body, keep_alive);
-            if routed.shutdown {
-                trigger_shutdown(shared);
-            }
-            if ok.is_err() || !keep_alive {
-                return ConnFate::Close;
-            }
-            conn.buf.drain(..consumed);
-            conn.idle_since = Instant::now();
-            // Idle between requests with nothing buffered: park in the
-            // event loop instead of pinning this worker. Pipelined bytes
-            // already in the buffer keep the loop going instead.
-            if conn.buf.is_empty() {
-                return ConnFate::Park;
-            }
-            continue;
-        }
-        if conn.buf.len() > MAX_HEAD {
-            shared.metrics.record(Endpoint::Other, 431, 0);
-            let body = json_body(&ErrorResponse {
-                error: "request head too large".to_string(),
-            });
-            let _ = write_response(&mut conn.stream, 431, &body, false);
-            return ConnFate::Close;
-        }
-        if read_more(shared, conn, &mut chunk).is_err() {
-            return ConnFate::Close;
-        }
+    if read_more(conn).is_err() {
+        return ConnFate::Close;
     }
+    // Pipelined bytes already in the buffer keep the loop going.
+    while let Some(end) = head_end(&conn.buf, &mut conn.scanned) {
+        let req = match parse_request(&conn.buf[..end - 4]) {
+            Ok(r) => r,
+            Err(e) => {
+                shared.metrics.record(Endpoint::Other, 400, 0);
+                let body = json_body(&ErrorResponse { error: e });
+                let _ = write_response(&mut conn.stream, 400, &body, false);
+                return ConnFate::Close;
+            }
+        };
+        if req.transfer_encoded {
+            // This server frames bodies by Content-Length only; a
+            // chunked body it cannot parse would desync the
+            // keep-alive stream, turning body bytes into phantom
+            // requests. Refuse loudly and close.
+            shared.metrics.record(Endpoint::Other, 501, 0);
+            let body = json_body(&ErrorResponse {
+                error: "Transfer-Encoding is not supported; send Content-Length".to_string(),
+            });
+            let _ = write_response(&mut conn.stream, 501, &body, false);
+            return ConnFate::Close;
+        }
+        if req.content_length > MAX_BODY {
+            shared.metrics.record(Endpoint::Other, 413, 0);
+            let body = json_body(&ErrorResponse {
+                error: "request body too large".to_string(),
+            });
+            let _ = write_response(&mut conn.stream, 413, &body, false);
+            return ConnFate::Close;
+        }
+        let consumed = end + req.content_length;
+        if conn.buf.len() < consumed {
+            // Body not fully received yet.
+            return ConnFate::Keep;
+        }
+        // Full request in hand: this request WILL be answered, even
+        // mid-shutdown (drain guarantee); only the connection closes.
+        conn.served += 1;
+        let keep_alive = req.keep_alive
+            && !shared.shutdown.load(Ordering::SeqCst)
+            && conn.served < MAX_REQUESTS_PER_CONNECTION;
+        let started = Instant::now();
+        let routed = respond(shared, &req);
+        let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        shared
+            .metrics
+            .record(routed.endpoint, routed.status, latency_us);
+        let keep_alive = keep_alive && !routed.shutdown;
+        let ok = write_response(&mut conn.stream, routed.status, &routed.body, keep_alive);
+        if routed.shutdown {
+            trigger_shutdown(shared);
+        }
+        if ok.is_err() || !keep_alive {
+            return ConnFate::Close;
+        }
+        conn.buf.drain(..consumed);
+        conn.scanned = 0;
+        conn.idle_since = Instant::now();
+    }
+    if conn.buf.len() > MAX_HEAD {
+        shared.metrics.record(Endpoint::Other, 431, 0);
+        let body = json_body(&ErrorResponse {
+            error: "request head too large".to_string(),
+        });
+        let _ = write_response(&mut conn.stream, 431, &body, false);
+        return ConnFate::Close;
+    }
+    ConnFate::Keep
 }
 
-/// One poll-tick read into the connection buffer. `Err(())` means the
-/// connection should be dropped (EOF, hard error, idle timeout, or
-/// idle shutdown). `idle_since` is restarted when the first bytes of a
-/// new request arrive, so the dribble deadline is measured from the
-/// start of the request — not from the end of the previous response.
-fn read_more(shared: &Shared, conn: &mut Conn, chunk: &mut [u8; 4096]) -> Result<(), ()> {
-    match conn.stream.read(chunk) {
+/// One read into the connection buffer, made only once `poll` has
+/// reported the connection readable. `Err(())` means the connection
+/// should be dropped (EOF or a hard error). `idle_since` is restarted
+/// when the first bytes of a new request arrive, so the sweep measures
+/// the dribble deadline from the start of the request — not from the end
+/// of the previous response — and it binds a client whose reads keep
+/// *succeeding*, a byte per readiness, as surely as one that stops.
+fn read_more(conn: &mut Conn) -> Result<(), ()> {
+    let mut chunk = [0u8; 4096];
+    match conn.stream.read(&mut chunk) {
         Ok(0) => Err(()), // EOF
         Ok(n) => {
             if conn.buf.is_empty() {
                 conn.idle_since = Instant::now();
             }
             conn.buf.extend_from_slice(&chunk[..n]);
-            // The dribble deadline must also bind clients that keep the
-            // reads *succeeding* — one byte per poll tick would never
-            // hit the timeout branch below.
-            if conn.idle_since.elapsed() > REQUEST_DEADLINE {
-                return Err(());
-            }
-            Ok(())
-        }
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            if conn.buf.is_empty() {
-                // Idle between requests: close on shutdown or timeout.
-                if shared.shutdown.load(Ordering::SeqCst)
-                    || conn.idle_since.elapsed() > KEEP_ALIVE_TIMEOUT
-                {
-                    return Err(());
-                }
-            } else if conn.idle_since.elapsed() > REQUEST_DEADLINE {
-                // A dribbling request: answer nothing once it's too slow;
-                // even under shutdown we wait until the deadline so a
-                // request already partially received still gets served.
-                return Err(());
-            }
             Ok(())
         }
         // A signal interrupting the read says nothing about the
-        // connection's health — retry. (SIGHUP-triggered reloads made
-        // EINTR a steady-state occurrence, and the old catch-all here
-        // silently dropped healthy connections on it.)
+        // connection's health, and neither does a readiness that proved
+        // spurious: poll again. (SIGHUP-triggered reloads make EINTR a
+        // steady-state occurrence.)
         Err(e) if !read_error_is_fatal(e.kind()) => Ok(()),
         Err(_) => Err(()),
     }
 }
 
 /// Whether a read error of this kind must close the connection. EINTR
-/// (a signal interrupted the syscall) and the poll-tick timeouts are
+/// (a signal interrupted the syscall) and the read-timeout kinds are
 /// retried; everything else — reset, broken pipe, unexpected EOF —
 /// closes.
 fn read_error_is_fatal(kind: io::ErrorKind) -> bool {
@@ -1261,18 +1205,50 @@ mod tests {
 
     #[test]
     fn head_end_detection() {
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\n"), Some(18));
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\n"), None);
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\n", &mut 0), Some(18));
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\n", &mut 0), None);
     }
 
+    /// Feeds `bytes` in pieces cut at `cuts`, searching after each piece
+    /// as a connection does after each read, and returns where the head
+    /// was first found and after how many pieces.
+    fn incremental_head_end(bytes: &[u8], cuts: &[usize]) -> Option<(usize, usize)> {
+        let (mut buf, mut scanned, mut from) = (Vec::new(), 0, 0);
+        for (piece, &to) in cuts.iter().chain([&bytes.len()]).enumerate() {
+            buf.extend_from_slice(&bytes[from..to]);
+            from = to;
+            if let Some(end) = head_end(&buf, &mut scanned) {
+                return Some((end, piece));
+            }
+        }
+        None
+    }
+
+    /// The resumed search must find a head that arrives in pieces exactly
+    /// where a one-shot search over the whole buffer does, and as soon as
+    /// its terminator is complete — wherever one or two cuts fall, inside
+    /// the terminator and inside a decoy `\r\n\r` included.
     #[test]
-    fn wake_addr_rewrites_wildcard_binds() {
-        let v4: SocketAddr = "0.0.0.0:7878".parse().unwrap();
-        assert_eq!(wake_addr(v4), "127.0.0.1:7878".parse().unwrap());
-        let v6: SocketAddr = "[::]:7878".parse().unwrap();
-        assert_eq!(wake_addr(v6), "[::1]:7878".parse().unwrap());
-        let concrete: SocketAddr = "127.0.0.1:80".parse().unwrap();
-        assert_eq!(wake_addr(concrete), concrete);
+    fn head_end_resumes_across_every_split() {
+        let bytes: &[u8] = b"GET /a HTTP/1.1\r\nX-Decoy: \r\n\r\r\nHost: t\r\n\r\nbody\r\n\r\n";
+        let whole = head_end(bytes, &mut 0).unwrap();
+        assert_eq!(&bytes[whole - 4..whole], b"\r\n\r\n");
+        // The piece holding the terminator's last byte.
+        let piece_of = |cuts: &[usize]| cuts.iter().filter(|&&c| c < whole).count();
+        for a in 0..=bytes.len() {
+            assert_eq!(
+                incremental_head_end(bytes, &[a]),
+                Some((whole, piece_of(&[a]))),
+                "cut at {a}"
+            );
+            for b in a..=bytes.len() {
+                assert_eq!(
+                    incremental_head_end(bytes, &[a, b]),
+                    Some((whole, piece_of(&[a, b]))),
+                    "cuts at {a}, {b}"
+                );
+            }
+        }
     }
 
     fn segs(path: &str) -> Vec<String> {
@@ -1312,16 +1288,14 @@ mod tests {
         let client = TcpStream::connect(addr).unwrap();
         let (server_side, _) = listener.accept().unwrap();
 
-        let shared = test_shared();
         let mut conn = Conn::new(server_side);
         let _ = conn
             .stream
             .set_read_timeout(Some(Duration::from_millis(10)));
-        let mut chunk = [0u8; 4096];
 
-        // Timeout with an empty buffer inside the keep-alive window:
-        // keep waiting.
-        assert!(read_more(&shared, &mut conn, &mut chunk).is_ok());
+        // A read that finds nothing (a spurious readiness) times out:
+        // keep the connection.
+        assert!(read_more(&mut conn).is_ok());
 
         // Bytes arrive: buffered, deadline restarted.
         {
@@ -1331,7 +1305,7 @@ mod tests {
         // The kernel may need a beat to deliver loopback bytes.
         let mut got = false;
         for _ in 0..100 {
-            if read_more(&shared, &mut conn, &mut chunk).is_err() {
+            if read_more(&mut conn).is_err() {
                 panic!("healthy read classified as fatal");
             }
             if !conn.buf.is_empty() {
@@ -1345,7 +1319,7 @@ mod tests {
         drop(client);
         let mut fatal = false;
         for _ in 0..100 {
-            if read_more(&shared, &mut conn, &mut chunk).is_err() {
+            if read_more(&mut conn).is_err() {
                 fatal = true;
                 break;
             }
@@ -1446,6 +1420,7 @@ mod tests {
             metrics: Metrics::new(),
             cache: ResponseCache::new(0),
             shutdown: AtomicBool::new(false),
+            waker: event::Waker::new().unwrap(),
             addr: "127.0.0.1:0".parse().unwrap(),
             config: ServerConfig::default(),
         }

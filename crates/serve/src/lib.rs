@@ -46,16 +46,14 @@
 //! single-engine ranking, answers `/complete` from the shared index, and
 //! routes `/tables/{id}` by the stable-id directory.
 //!
-//! Fresh and idle keep-alive connections park in one event loop — a
-//! level-triggered `poll(2)` set, the same on every unix — instead of
-//! pinning worker threads ([`http`], "Concurrency model"), and a
-//! `/reload` POST (or `SIGHUP`) atomically swaps in a freshly-loaded
-//! corpus snapshot with zero downtime: in-flight requests drain on the
-//! old snapshot before its mappings drop.
-//!
-//! Graceful shutdown drains in-flight work: the acceptor stops handing
-//! out connections, and every connection already handed to a worker
-//! completes its current request before the pool exits.
+//! Each worker serves the connections it accepted from its own
+//! level-triggered `poll(2)` set — the same on every unix — so an idle
+//! connection pins no thread and a request never changes threads
+//! ([`http`], "Concurrency model"). A `/reload` POST (or `SIGHUP`)
+//! atomically swaps in a freshly-loaded corpus snapshot with zero
+//! downtime: in-flight requests drain on the old snapshot before its
+//! mappings drop. Graceful shutdown stops accepting and answers every
+//! request that has begun to arrive before the workers exit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,8 +84,8 @@ pub use shardset::ShardSet;
 /// This crate's lock-poison policy, stated once: a request that panicked
 /// under a lock must not turn every later request into a panic, so a
 /// poisoned lock is entered all the same. What the locks guard — the
-/// response cache, the serving snapshot, the parked-connection inbox —
-/// is well-formed between any two statements that change it.
+/// response cache, the serving snapshot — is well-formed between any two
+/// statements that change it.
 pub(crate) fn unpoisoned<G>(guard: Result<G, std::sync::PoisonError<G>>) -> G {
     guard.unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -19,7 +19,7 @@
 //! Nothing else is declared by hand, because `std` covers it: on unix
 //! `std::thread::sleep` resumes after `EINTR` until the whole duration
 //! has elapsed, a non-blocking `std::os::unix::net::UnixStream::pair` is
-//! the event loop's cross-thread wake-up, and `std::process::id` is the
+//! the server's shutdown wake-up, and `std::process::id` is the
 //! pid [`kill_self`] aims at.
 //!
 //! The supported platform is **unix**. Nothing here selects between

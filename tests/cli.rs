@@ -114,12 +114,14 @@ fn built_store(tag: &str, seed: &str) -> PathBuf {
     store
 }
 
-/// Starts `gittables serve` over `store` on an ephemeral port and waits
-/// for the `serving on http://ADDR` banner it prints once ready.
-fn serve(store: &std::path::Path) -> (std::process::Child, std::net::SocketAddr) {
+/// Starts `gittables serve` over `store` as `shards` shards on an
+/// ephemeral port and waits for the `serving on http://ADDR` banner it
+/// prints once ready.
+fn serve(store: &std::path::Path, shards: usize) -> (std::process::Child, std::net::SocketAddr) {
     let mut child = bin()
         .args(["serve", store.to_str().unwrap()])
         .args(["--addr", "127.0.0.1:0", "--threads", "2"])
+        .args(["--shards", &shards.to_string()])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -159,7 +161,7 @@ fn serve_subcommand_roundtrip() {
     // build → save → serve on an ephemeral port → query → /shutdown →
     // clean exit: the CI smoke test, self-contained.
     let store = built_store("serve", "9");
-    let (child, addr) = serve(&store);
+    let (child, addr) = serve(&store, 1);
 
     let body = get_ok(addr, "/health");
     assert!(body.contains("\"status\":\"ok\""), "{body}");
@@ -188,7 +190,7 @@ fn sidecar_boot_then_fallback_serves_identical_bytes() {
         "/types",
     ];
 
-    let (child, addr) = serve(&store);
+    let (child, addr) = serve(&store, 1);
     let metrics = get_ok(addr, "/metrics");
     assert!(metrics.contains("\"boot_path\":\"sidecar\""), "{metrics}");
     assert!(metrics.contains("\"fallback_reason\":null"), "{metrics}");
@@ -196,7 +198,7 @@ fn sidecar_boot_then_fallback_serves_identical_bytes() {
     shut_down(child, addr);
 
     std::fs::remove_file(store.join("index.gtsc")).expect("the one sidecar file");
-    let (child, addr) = serve(&store);
+    let (child, addr) = serve(&store, 1);
     let metrics = get_ok(addr, "/metrics");
     assert!(metrics.contains("\"boot_path\":\"rebuild\""), "{metrics}");
     assert!(
@@ -207,6 +209,111 @@ fn sidecar_boot_then_fallback_serves_identical_bytes() {
     shut_down(child, addr);
 
     assert_eq!(from_sidecar, from_rebuild);
+    std::fs::remove_dir_all(&store).ok();
+}
+
+/// `fanouts` of `/metrics`: scattered requests on the serving snapshot,
+/// restarted at 0 by every reload.
+fn fanouts(addr: std::net::SocketAddr) -> u64 {
+    let body = get_ok(addr, "/metrics");
+    let snap: gittables_serve::MetricsSnapshot = serde_json::from_str(&body).expect(&body);
+    snap.fanouts
+}
+
+#[test]
+fn sharded_serve_reloads_under_load_and_on_sighup() {
+    // The real binary, 1 shard beside 2 over one indexed store: bytes
+    // equal before and after a `POST /reload` that lands mid-hammer,
+    // and `SIGHUP` is a reload too.
+    mod sys {
+        extern "C" {
+            pub fn kill(pid: i32, sig: i32) -> i32;
+        }
+    }
+    const SIGHUP: i32 = 1;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let store = built_store("sharded", "5");
+    let out = bin()
+        .args(["index", store.to_str().unwrap()])
+        .output()
+        .expect("run index");
+    assert!(out.status.success());
+    let targets = [
+        "/search?q=status+and+sales+amount&k=5",
+        "/search?q=species&k=20",
+        "/tables/0",
+        "/tables/7",
+        "/types",
+        "/complete?prefix=id&k=4",
+    ];
+    let (one, one_addr) = serve(&store, 1);
+    let (two, two_addr) = serve(&store, 2);
+    let same_bytes = || {
+        for target in targets {
+            assert_eq!(
+                get_ok(one_addr, target),
+                get_ok(two_addr, target),
+                "bytes diverged for {target}"
+            );
+        }
+    };
+    same_bytes();
+
+    // `POST /reload` once the hammer is under way; every one of its 200
+    // requests must still be answered 200.
+    let sent = Arc::new(AtomicUsize::new(0));
+    let hammer = {
+        let sent = sent.clone();
+        std::thread::spawn(move || {
+            (0..200)
+                .filter(|_| {
+                    sent.fetch_add(1, Ordering::SeqCst);
+                    !matches!(
+                        gittables_serve::client::get(two_addr, "/search?q=status&k=3"),
+                        Ok((200, _))
+                    )
+                })
+                .count()
+        })
+    };
+    while sent.load(Ordering::SeqCst) < 20 {
+        std::thread::yield_now();
+    }
+    let mut control = gittables_serve::HttpClient::connect(two_addr).expect("connect");
+    let (status, body) = control.post("/reload").expect("reload");
+    assert_eq!(status, 200, "{body}");
+    let ack: gittables_serve::ReloadResponse = serde_json::from_str(&body).expect(&body);
+    assert_eq!(
+        (ack.status.as_str(), ack.generation, ack.shards),
+        ("reloaded", 1, 2)
+    );
+    assert_eq!(hammer.join().expect("hammer"), 0, "failed requests");
+    same_bytes();
+
+    // SIGHUP: observed as `fanouts` restarting at 0 (a new snapshot),
+    // then as the next `POST /reload` being generation 3.
+    get_ok(two_addr, "/search?q=sighup+probe&k=1");
+    assert!(fanouts(two_addr) > 0);
+    let pid = i32::try_from(two.id()).expect("pid");
+    assert_eq!(unsafe { sys::kill(pid, SIGHUP) }, 0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while fanouts(two_addr) > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "SIGHUP never reloaded"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let (status, body) = control.post("/reload").expect("reload after SIGHUP");
+    assert_eq!(status, 200, "{body}");
+    let ack: gittables_serve::ReloadResponse = serde_json::from_str(&body).expect(&body);
+    assert_eq!(ack.generation, 3, "{body}");
+    same_bytes();
+
+    shut_down(one, one_addr);
+    shut_down(two, two_addr);
     std::fs::remove_dir_all(&store).ok();
 }
 

@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_githost::GitHost;
@@ -345,8 +346,8 @@ fn graceful_shutdown_under_load_loses_no_accepted_request() {
 fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
     // Regression: with every worker busy with a long-lived keep-alive
     // connection, a queued /shutdown connection must still get picked up
-    // — a connection parks after each response and re-queues behind
-    // whatever turned readable meanwhile, so no client owns a worker.
+    // — a worker reads each of its connections once per readiness and
+    // accepts between them, so no client owns a worker.
     let (_engine, handle, dir) = served_engine(
         78,
         "starve",
@@ -391,11 +392,11 @@ fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
 
 #[test]
 fn idle_connections_beyond_the_worker_count_pin_no_worker() {
-    // 64 clients connect and say nothing. Under a worker-owns-connection
-    // model the first two would hold both workers until the keep-alive
-    // timeout; parked in the event loop they hold none, so a 65th client
-    // is answered at once — and every one of the 64 is still served when
-    // it finally speaks.
+    // 64 clients connect and say nothing. Were a worker to block reading
+    // a connection, the first two would hold both workers until the
+    // keep-alive timeout; waiting in their workers' poll sets they hold
+    // none, so a 65th client is answered at once — and every one of the
+    // 64 is still served when it finally speaks.
     let (_engine, handle, dir) = served_engine(
         81,
         "idle",
@@ -481,7 +482,8 @@ fn pipelined_requests_in_one_segment_answered_in_order() {
     // Two complete requests written in a single TCP segment: both must
     // be answered, in order, each byte-identical to the in-process
     // engine's answer — the buffered second request must survive the
-    // first response (and must not be lost to event-loop parking).
+    // first response (and must not be lost waiting for a readiness that
+    // its already-read bytes will never raise).
     let (engine, handle, dir) = served_engine(80, "pipeline", ServerConfig::default());
     let addr = handle.addr();
 
@@ -541,6 +543,156 @@ fn smoke_health_and_search_roundtrip() {
     let hits: Vec<gittables_core::apps::SearchHit> = serde_json::from_str(&body).expect("json");
     assert!(hits.len() <= 3);
 
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sends a raw request on a fresh connection and reads until the server
+/// closes it.
+fn read_to_close(mut s: TcpStream) -> String {
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut resp = String::new();
+    s.read_to_string(&mut resp).expect("response, then close");
+    resp
+}
+
+#[test]
+fn a_half_sent_request_pins_no_worker() {
+    // Regression (slowloris): on the only worker, a client that sends
+    // part of a head and stops must not stall anyone else while it waits
+    // out its deadline — then it is closed, unanswered.
+    let (_engine, handle, dir) = served_engine(
+        82,
+        "slowloris",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(b"GET /hea").unwrap();
+    let stalled_since = Instant::now();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let asked = Instant::now();
+    let (status, body) = client::get(addr, "/health").expect("neighbour answered");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "/health waited {:?} behind a half-sent request",
+        asked.elapsed()
+    );
+
+    // A head that arrives in two halves is still one request.
+    let mut halves = TcpStream::connect(addr).unwrap();
+    halves.write_all(b"GET /health HTTP/1.1\r\nHo").unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    halves
+        .write_all(b"st: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let resp = read_to_close(halves);
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    assert!(resp.ends_with(&body), "{resp}");
+
+    // The stalled request is closed, unanswered, once its 5 s deadline
+    // has passed.
+    let resp = read_to_close(stalled);
+    assert_eq!(resp, "", "a partial request got an answer");
+    assert!(
+        stalled_since.elapsed() >= Duration::from_millis(4900),
+        "closed before its deadline: {:?}",
+        stalled_since.elapsed()
+    );
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn graceful_shutdown_answers_a_partially_received_request() {
+    let (engine, handle, dir) = served_engine(83, "halfdrain", ServerConfig::default());
+    let addr = handle.addr();
+    let expected = serde_json::to_string(&engine.health()).unwrap();
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    handle.request_shutdown();
+    std::thread::sleep(Duration::from_millis(200));
+    s.write_all(b"\r\n").unwrap();
+    let resp = read_to_close(s);
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    assert!(resp.contains("Connection: close"), "{resp}");
+    assert!(resp.ends_with(&expected), "{resp}");
+
+    let joined = std::thread::spawn(move || handle.join());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !joined.is_finished() {
+        assert!(Instant::now() < deadline, "join() never returned");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    joined.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn health_beside_a_slow_search_is_always_answered() {
+    // The known trade of worker-owned connections, measured: one client
+    // hammers the slowest `/search` this corpus has (every table
+    // ranked and returned, cache off) while a second connection asks for
+    // `/health` 500 times. Every probe must be answered; the latencies
+    // are printed (`--nocapture`) for the README.
+    let (engine, handle, dir) = served_engine(
+        84,
+        "neighbour",
+        ServerConfig {
+            threads: 2,
+            cache_capacity: 0,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let slow = format!(
+        "/search?q=status+and+sales+amount+per+product+species+observed+per+country&k={}",
+        engine.num_tables()
+    );
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let hammer = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut client = client::HttpClient::connect(addr).expect("connect");
+            let (mut served, started) = (0u32, Instant::now());
+            while !stop.load(Ordering::SeqCst) {
+                let (status, body) = client.get(&slow).expect("slow search");
+                assert_eq!(status, 200, "{body}");
+                served += 1;
+            }
+            started.elapsed() / served.max(1)
+        })
+    };
+
+    let mut probe = client::HttpClient::connect(addr).expect("connect");
+    let mut latencies: Vec<Duration> = (0..500)
+        .map(|i| {
+            let asked = Instant::now();
+            let (status, body) = probe.get("/health").expect("probe answered");
+            assert_eq!(status, 200, "probe {i}: {body}");
+            asked.elapsed()
+        })
+        .collect();
+    stop.store(true, Ordering::SeqCst);
+    let per_search = hammer.join().expect("hammer");
+
+    latencies.sort_unstable();
+    println!(
+        "/health beside a slow /search ({} µs each): p50 {} µs, p99 {} µs",
+        per_search.as_micros(),
+        latencies[latencies.len() / 2].as_micros(),
+        latencies[latencies.len() * 99 / 100].as_micros()
+    );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
