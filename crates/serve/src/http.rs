@@ -659,15 +659,14 @@ fn parse_request(head: &[u8]) -> Result<Request, String> {
 }
 
 /// The `/metrics` body: server-lifetime counters plus the facts of the
-/// snapshot now serving (`engine`, `fanouts`, `fanout_wait_us`,
-/// `word_memo`).
+/// snapshot now serving (`engine`, `fanouts`, `word_memo`).
 fn metrics_snapshot(shared: &Shared, router: &Router) -> MetricsSnapshot {
     MetricsSnapshot {
         word_memo: router.word_memo_stats(),
         ..shared.metrics.snapshot(
             shared.cache.stats(),
             router.build_stats().clone(),
-            router.fanout_stats(),
+            router.fanouts(),
         )
     }
 }
@@ -699,7 +698,7 @@ fn error_body(status: u16, endpoint: Endpoint, message: impl Into<String>) -> Ro
     }
 }
 
-/// A fan-out failed because a shard query thread panicked: count it in
+/// A fan-out failed because a shard's query panicked: count it in
 /// `/metrics` (`shard_errors`) and answer a typed 500 — the server stays
 /// up and every other request keeps working.
 fn shard_error_body(shared: &Shared, endpoint: Endpoint, e: &crate::router::ShardPanic) -> Routed {

@@ -39,12 +39,14 @@
 //! contiguous id ranges — per-range views of the search and
 //! type indexes, one shared table source, one shared corpus-global
 //! completion index. [`Router`] scatter-gathers `/search`, `/types` and
-//! `/types/{label}/tables` across the engines — shard 0 on the calling
-//! thread, every further shard on a persistent worker thread that lives
-//! as long as the snapshot; a `/search` query is embedded once for all
-//! of them — merging bounded top-k answers bit-identically to the
-//! single-engine ranking, answers `/complete` from the shared index, and
-//! routes `/tables/{id}` by the stable-id directory.
+//! `/types/{label}/tables` across the engines — every shard in turn on
+//! the worker that took the request, so the router owns no threads; a
+//! `/search` query is embedded once for all of them — merging bounded
+//! top-k answers bit-identically to the single-engine ranking, answers
+//! `/complete` from the shared index, and routes `/tables/{id}` by the
+//! stable-id directory. One request to N shards therefore costs the sum
+//! of their engine time, not the maximum; under load the workers share
+//! all shards' work (the trade is stated in [`router`]).
 //!
 //! Each worker serves the connections it accepted from its own
 //! level-triggered `poll(2)` set — the same on every unix — so an idle
@@ -78,7 +80,7 @@ pub use http::{
 };
 pub use indexer::{build_sidecars, write_sidecars, IndexReport};
 pub use metrics::{EndpointCount, Metrics, MetricsSnapshot};
-pub use router::{FanoutStats, Router};
+pub use router::Router;
 pub use shardset::ShardSet;
 
 /// This crate's lock-poison policy, stated once: a request that panicked

@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
 use crate::engine::EngineBuildStats;
-use crate::router::FanoutStats;
 
 /// The routable endpoints, used to key per-endpoint counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +159,8 @@ impl Metrics {
         self.histogram[bucket(latency_us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one scatter-gather fan-out that failed because a shard
-    /// query thread panicked (the request got a typed 500).
+    /// Records one scatter-gather fan-out that failed because a shard's
+    /// query panicked (the request got a typed 500).
     pub fn record_shard_error(&self) {
         self.shard_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -200,18 +199,17 @@ impl Metrics {
 
     /// Snapshot for `/metrics`, folding in the response-cache stats and
     /// the serving snapshot's own facts: the engine's cold-start
-    /// breakdown and what its fan-outs have cost.
+    /// breakdown and how many requests it has scattered.
     #[must_use]
     pub fn snapshot(
         &self,
         cache: CacheStats,
         engine: EngineBuildStats,
-        fanout: FanoutStats,
+        fanouts: u64,
     ) -> MetricsSnapshot {
         MetricsSnapshot {
             engine,
-            fanouts: fanout.fanouts,
-            fanout_wait_us: fanout.fanout_wait_us,
+            fanouts,
             total_requests: self.total(),
             ok: self.ok.load(Ordering::Relaxed),
             client_errors: self.client_errors.load(Ordering::Relaxed),
@@ -249,17 +247,15 @@ pub struct MetricsSnapshot {
     pub ok: u64,
     /// Responses with a non-2xx status.
     pub client_errors: u64,
-    /// Fan-outs that failed because a shard query thread panicked (each
-    /// one also counts as a non-2xx response).
+    /// Fan-outs that failed because a shard's query panicked (each one
+    /// also counts as a non-2xx response). The panic is caught on the
+    /// server worker that ran the query, which goes on serving.
     pub shard_errors: u64,
     /// Requests the serving snapshot scattered to every shard (`/search`,
-    /// `/types`, `/types/{label}/tables` on a multi-shard set). Counted
-    /// per snapshot: like `engine`, a reload resets it.
+    /// `/types`, `/types/{label}/tables` on a multi-shard set), each run
+    /// shard by shard on the worker that took it. Counted per snapshot:
+    /// like `engine`, a reload resets it.
     pub fanouts: u64,
-    /// Total time (µs) those requests' handlers spent blocked on the
-    /// other shards' replies after finishing shard 0 themselves — what
-    /// scatter-gather costs beyond the work itself. Reset by a reload.
-    pub fanout_wait_us: u64,
     /// Estimated median handler latency (µs, histogram upper bound).
     /// Includes cache replays: this is observed response latency, so it
     /// drops as the cache warms — cold-query cost is the p99 tail.
@@ -353,11 +349,7 @@ mod tests {
         let m = Metrics::new();
         m.record(Endpoint::Search, 200, 5);
         m.record(Endpoint::Other, 404, 5);
-        let s = m.snapshot(
-            CacheStats::default(),
-            EngineBuildStats::default(),
-            FanoutStats::default(),
-        );
+        let s = m.snapshot(CacheStats::default(), EngineBuildStats::default(), 0);
         assert_eq!(s.total_requests, 2);
         assert_eq!(s.ok, 1);
         assert_eq!(s.client_errors, 1);

@@ -3,17 +3,24 @@
 //! [`QueryEngine`].
 //!
 //! Fan-out queries (`/search`, `/types`, `/types/{label}/tables`) run on
-//! every shard engine — shard 0 on the calling thread, each further
-//! shard on its own persistent worker thread, started with the router
-//! and joined when it drops — and the per-shard answers are merged. A
-//! request costs one channel round trip per extra shard, never a thread
-//! spawn, and whatever the shards have in common is computed once: a
-//! `/search` query is embedded on the calling thread and the vector
-//! shared by every shard's ranking. `/tables/{id}` routes to the owning
-//! shard by the stable-id directory. `/complete` does not fan out: the
-//! completion index is corpus-global and shared by every engine, so one
-//! engine's answer *is* the whole-corpus answer. The merges reproduce
-//! the single-engine rankings exactly:
+//! every shard engine, one after another in shard order, on the thread
+//! that took the request, and the per-shard answers are merged. The
+//! router owns no threads: a request never changes threads, and
+//! whatever the shards have in common is computed once — a `/search`
+//! query is embedded once and the vector shared by every shard's
+//! ranking. `/tables/{id}` routes to the owning shard by the stable-id
+//! directory. `/complete` does not fan out: the completion index is
+//! corpus-global and shared by every engine, so one engine's answer *is*
+//! the whole-corpus answer.
+//!
+//! The trade: on an idle multi-core machine one request to an
+//! N-shard snapshot takes the *sum* of its shards' engine time, not the
+//! maximum. In exchange no shard costs a thread handoff, and no shard
+//! has a thread of its own that every concurrent request's work on that
+//! shard must pass through: under load the server's `--threads` workers
+//! share all shards' work between them.
+//!
+//! The merges reproduce the single-engine rankings exactly:
 //!
 //! * **search** — per-shard lists are sorted by (score desc, entry
 //!   order); entry order across shards is (shard, local order) because
@@ -28,9 +35,7 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::Arc;
 
 use gittables_core::apps::{MemoStats, SchemaCompletion, SearchHit};
 use gittables_corpus::{StoreError, TableId, TypeCount};
@@ -41,85 +46,16 @@ use crate::engine::{
 use crate::shardset::ShardSet;
 
 /// A [`ShardSet`] plus the precomputed whole-corpus facts (`/health`)
-/// that would otherwise cost a fan-out per liveness probe, and the
-/// worker threads its fan-outs run on. One router is one immutable corpus
-/// snapshot; reload swaps the whole router, and dropping the old one
-/// joins its workers — once the drop returns, nothing references the old
-/// snapshot's engines.
+/// that would otherwise cost a fan-out per liveness probe. One router is
+/// one immutable corpus snapshot; reload swaps the whole router.
 pub struct Router {
-    /// The query thread of shard `i + 1`; empty for a 1-shard set.
-    workers: Vec<ShardWorker>,
     set: ShardSet,
     health: HealthResponse,
     fanouts: AtomicU64,
-    fanout_wait_ns: AtomicU64,
-}
-
-/// What scatter-gather has cost on one snapshot, served under `/metrics`.
-/// Counted from the snapshot's construction, so — like `engine` — a
-/// reload resets it. Both stay 0 on a 1-shard set, which never scatters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FanoutStats {
-    /// Requests scattered to every shard.
-    pub fanouts: u64,
-    /// Total time (µs) callers spent blocked on the other shards'
-    /// replies after finishing shard 0 themselves.
-    pub fanout_wait_us: u64,
-}
-
-/// Shard worker threads are named this plus their shard index.
-pub const WORKER_THREAD_PREFIX: &str = "gt-shard-";
-
-/// A unit of work posted to a shard worker: runs against the worker's
-/// engine and sends its own reply.
-type Job = Box<dyn FnOnce(&QueryEngine) + Send>;
-
-/// The persistent query thread of one shard beyond the first. It owns
-/// its engine and runs posted jobs in order until the channel closes.
-struct ShardWorker {
-    /// `None` only while dropping: closing the channel stops the thread.
-    jobs: Option<mpsc::Sender<Job>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ShardWorker {
-    fn start(shard: usize, engine: Arc<QueryEngine>) -> Self {
-        let (jobs, inbox) = mpsc::channel::<Job>();
-        let thread = std::thread::Builder::new()
-            .name(format!("{WORKER_THREAD_PREFIX}{shard}"))
-            .spawn(move || {
-                for job in inbox {
-                    job(&engine);
-                }
-            })
-            .expect("spawn shard worker thread");
-        ShardWorker {
-            jobs: Some(jobs),
-            thread: Some(thread),
-        }
-    }
-
-    /// Queues `job`. A worker that is gone drops it unrun, which the
-    /// caller sees as that shard's reply never arriving.
-    fn post(&self, job: Job) {
-        if let Some(jobs) = &self.jobs {
-            let _ = jobs.send(job);
-        }
-    }
-}
-
-impl Drop for ShardWorker {
-    fn drop(&mut self) {
-        drop(self.jobs.take());
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 impl Router {
-    /// Wraps a shard set, precomputing the merged `/health` answer and
-    /// starting one worker thread per shard beyond the first.
+    /// Wraps a shard set, precomputing the merged `/health` answer.
     #[must_use]
     pub fn new(set: ShardSet) -> Self {
         let corpus = set
@@ -141,19 +77,10 @@ impl Router {
             tables: set.num_tables(),
             types,
         };
-        let workers = set
-            .engines()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(shard, e)| ShardWorker::start(shard, Arc::clone(e)))
-            .collect();
         Router {
-            workers,
             set,
             health,
             fanouts: AtomicU64::new(0),
-            fanout_wait_ns: AtomicU64::new(0),
         }
     }
 
@@ -189,64 +116,37 @@ impl Router {
         self.set.engines()[0].word_memo_stats()
     }
 
-    /// What scatter-gather has cost on this snapshot so far.
+    /// Requests this snapshot has scattered to every shard (served under
+    /// `/metrics`). Counted from construction, so — like `build_stats` —
+    /// a reload resets it; always 0 on a 1-shard set, which never
+    /// scatters.
     #[must_use]
-    pub fn fanout_stats(&self) -> FanoutStats {
-        FanoutStats {
-            fanouts: self.fanouts.load(Ordering::Relaxed),
-            fanout_wait_us: self.fanout_wait_ns.load(Ordering::Relaxed) / 1_000,
-        }
+    pub fn fanouts(&self) -> u64 {
+        self.fanouts.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` on every shard engine: posts one job to each worker,
-    /// runs shard 0 on the calling thread, then collects the replies.
-    /// Results come back in shard order. Each fan-out has its own reply
-    /// channel, so concurrent callers never see each other's answers.
+    /// Runs `f` on every shard engine in shard order, on the calling
+    /// thread, and returns the answers in that order.
     ///
-    /// Every per-shard call is panic-isolated *inside* its job
-    /// ([`isolated`]), so a crashing shard neither unwinds into the
-    /// server nor costs the worker its thread: the first panicking shard
-    /// (lowest index) is reported as a typed [`ShardPanic`] once every
-    /// shard has answered. A worker that is gone all the same reads as
-    /// its shard having panicked — never as a hung request.
-    fn fan_out<T, F>(&self, injected: Option<usize>, f: F) -> Result<Vec<T>, ShardPanic>
-    where
-        T: Send + 'static,
-        F: Fn(&QueryEngine) -> T + Send + Sync + 'static,
-    {
-        let first = &self.set.engines()[0];
-        if self.workers.is_empty() {
-            return Ok(vec![isolated(0, injected, || f(first))?]);
+    /// Every per-shard call is panic-isolated ([`isolated`]), so a
+    /// crashing shard neither unwinds into the server nor keeps the
+    /// shards after it from running: once every shard has run, the
+    /// lowest panicking one is reported as a typed [`ShardPanic`].
+    fn fan_out<T>(
+        &self,
+        injected: Option<usize>,
+        f: impl Fn(&QueryEngine) -> T,
+    ) -> Result<Vec<T>, ShardPanic> {
+        let engines = self.set.engines();
+        if engines.len() > 1 {
+            self.fanouts.fetch_add(1, Ordering::Relaxed);
         }
-        let f = Arc::new(f);
-        let (reply, replies) = mpsc::channel();
-        for (i, worker) in self.workers.iter().enumerate() {
-            let (shard, f, reply) = (i + 1, Arc::clone(&f), reply.clone());
-            worker.post(Box::new(move |e| {
-                let _ = reply.send((shard, isolated(shard, injected, || f(e))));
-            }));
-        }
-        drop(reply);
-        let mut answers: Vec<Option<Result<T, ShardPanic>>> = Vec::new();
-        answers.resize_with(self.workers.len() + 1, || None);
-        answers[0] = Some(isolated(0, injected, || f(first)));
-        let waiting = Instant::now();
-        // One reply per worker; `recv` fails early only when every job
-        // still outstanding was dropped unrun.
-        for _ in &self.workers {
-            let Ok((shard, answer)) = replies.recv() else {
-                break;
-            };
-            answers[shard] = Some(answer);
-        }
-        self.fanouts.fetch_add(1, Ordering::Relaxed);
-        self.fanout_wait_ns
-            .fetch_add(waiting.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        answers
-            .into_iter()
+        let answers: Vec<Result<T, ShardPanic>> = engines
+            .iter()
             .enumerate()
-            .map(|(shard, answer)| answer.unwrap_or(Err(ShardPanic { shard })))
-            .collect()
+            .map(|(shard, e)| isolated(shard, injected, || f(e)))
+            .collect();
+        answers.into_iter().collect()
     }
 
     /// `/search`: embed the query once, rank it on all shards, merge by
@@ -260,7 +160,7 @@ impl Router {
         let first = &self.set.engines()[0];
         // Every engine of a snapshot embeds alike; shard 0 does it for all.
         let embedded = isolated(0, injected, || first.embed_query(query))?;
-        let per = self.fan_out(injected, move |e| e.search_embedded(&embedded, k))?;
+        let per = self.fan_out(injected, |e| e.search_embedded(&embedded, k))?;
         Ok(merge_by(per, k, |a, b| {
             a.score.partial_cmp(&b.score) == Some(std::cmp::Ordering::Greater)
         }))
@@ -307,8 +207,7 @@ impl Router {
     /// # Errors
     /// [`ShardPanic`] when a shard's query panicked.
     pub fn type_tables(&self, label: &str) -> Result<Option<TypeTablesResponse>, ShardPanic> {
-        let wanted = label.to_string();
-        let per = self.fan_out(injected_panic_shard(), move |e| e.type_tables(&wanted))?;
+        let per = self.fan_out(injected_panic_shard(), |e| e.type_tables(label))?;
         let mut found = false;
         let mut tables = Vec::new();
         let mut postings = Vec::new();
@@ -363,7 +262,7 @@ pub struct ShardPanic {
 
 impl std::fmt::Display for ShardPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {} query thread panicked", self.shard)
+        write!(f, "shard {} query panicked", self.shard)
     }
 }
 
@@ -511,11 +410,10 @@ mod tests {
         }
     }
 
-    /// Concurrent fan-outs share the workers but never each other's
-    /// replies: 8 threads × 200 mixed calls on one 4-shard router, every
-    /// answer the single engine's.
+    /// Fan-outs running at once on one 4-shard router stay independent:
+    /// 8 threads × 200 mixed calls, every answer the single engine's.
     #[test]
-    fn concurrent_fan_outs_never_cross_replies() {
+    fn concurrent_fan_outs_match_the_single_engine() {
         let c = corpus();
         let reference = QueryEngine::from_corpus(c.clone());
         let router = Router::new(ShardSet::from_corpus(&c, 4));
@@ -527,8 +425,8 @@ mod tests {
                 let (router, reference) = (&router, &reference);
                 s.spawn(move || {
                     for i in 0..200 {
-                        // Distinct (query, k) per thread and step, so a
-                        // reply delivered to the wrong caller cannot pass.
+                        // Distinct (query, k) per thread and step, so an
+                        // answer meant for another call cannot pass.
                         match (t + i) % 3 {
                             0 => {
                                 let (q, k) = (queries[(t + i / 3) % 4], 1 + (t + i) % 7);
@@ -547,31 +445,33 @@ mod tests {
                 });
             }
         });
-        let stats = router.fanout_stats();
-        assert_eq!(stats.fanouts, 8 * 200, "every call scattered once");
+        assert_eq!(router.fanouts(), 8 * 200, "every call scattered once");
     }
 
     #[test]
-    fn one_shard_router_has_no_workers_and_counts_no_fan_outs() {
+    fn one_shard_router_counts_no_fan_outs() {
         let router = Router::new(ShardSet::from_corpus(&corpus(), 1));
-        assert!(router.workers.is_empty());
         router.search("order status", 3).unwrap();
         router.type_counts().unwrap();
-        assert_eq!(router.fanout_stats(), FanoutStats::default());
+        router.type_tables("name").unwrap();
+        assert_eq!(router.fanouts(), 0);
     }
 
+    /// A panic on one shard neither stops the shards after it nor hides
+    /// a lower one: shard 1 (injected) and shard 2 (its own call) panic,
+    /// shards 0, 2 and 3 all run, and the error names shard 1.
     #[test]
-    fn dropping_the_router_joins_its_workers() {
-        let router = Router::new(ShardSet::from_corpus(&corpus(), 3));
-        // Each worker holds the only other reference to its engine.
-        let engines: Vec<Arc<QueryEngine>> = router.engines().to_vec();
-        assert_eq!(router.workers.len(), 2);
-        assert_eq!(Arc::strong_count(&engines[1]), 3, "set + worker + ours");
-        router.search("species", 2).unwrap();
-        drop(router);
-        for e in &engines {
-            assert_eq!(Arc::strong_count(e), 1, "a worker outlived its router");
-        }
+    fn a_shard_panic_names_the_lowest_shard_after_every_shard_ran() {
+        let router = Router::new(ShardSet::from_corpus(&corpus(), 4));
+        let second = Arc::clone(&router.engines()[2]);
+        let calls = AtomicU64::new(0);
+        let answer = router.fan_out(Some(1), |e| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert!(!std::ptr::eq(e, &*second), "shard 2 fails on its own");
+        });
+        assert_eq!(answer, Err(ShardPanic { shard: 1 }));
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(router.fanouts(), 1);
     }
 
     #[test]

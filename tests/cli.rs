@@ -93,6 +93,50 @@ fn annotate_csv_file() {
     std::fs::remove_file(&csv).ok();
 }
 
+#[test]
+fn mixed_csv_and_sql_corpus_saves_and_loads_identically() {
+    // build --sql 0.5 → save → two loads: byte-identical, and the corpus
+    // really holds tables from SQL dumps beside tables from CSV files.
+    let corpus = temp_path("mixed_corpus.json");
+    let store = temp_path("mixed_store");
+    let loads = [temp_path("mixed_load1.json"), temp_path("mixed_load2.json")];
+    std::fs::remove_dir_all(&store).ok();
+    let (corpus_arg, store_arg) = (corpus.to_str().unwrap(), store.to_str().unwrap());
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd:?}: {stderr}");
+    };
+    run(bin()
+        .args(["build", "--out", corpus_arg])
+        .args(["--topics", "3", "--repos", "8"])
+        .args(["--seed", "7", "--sql", "0.5"]));
+    run(bin()
+        .args(["save", "--corpus", corpus_arg])
+        .args(["--out", store_arg, "--shard", "64"]));
+    for load in &loads {
+        run(bin()
+            .args(["load", "--store", store_arg, "--out"])
+            .arg(load));
+    }
+    let [first, second] = loads
+        .each_ref()
+        .map(|l| std::fs::read(l).expect("read load"));
+    assert!(first == second, "two loads of one store differ");
+    let loaded: gittables_corpus::Corpus = serde_json::from_slice(&first).expect("parse load");
+    let paths: Vec<&str> = loaded
+        .tables
+        .iter()
+        .map(|t| t.table.provenance().path.as_str())
+        .collect();
+    assert!(paths.iter().any(|p| p.ends_with(".sql")), "no SQL tables");
+    assert!(paths.iter().any(|p| p.ends_with(".csv")), "no CSV tables");
+    for file in [&corpus, &loads[0], &loads[1]] {
+        std::fs::remove_file(file).ok();
+    }
+    std::fs::remove_dir_all(&store).ok();
+}
+
 /// `build` then `save`: a small colv1 store under a per-test path.
 fn built_store(tag: &str, seed: &str) -> PathBuf {
     let corpus = temp_path(&format!("{tag}_corpus.json"));

@@ -722,7 +722,7 @@ fn engine_reports_cold_start_breakdown_per_format() {
         let snap = serde_json::to_string(&gittables_serve::Metrics::new().snapshot(
             gittables_serve::CacheStats::default(),
             stats.clone(),
-            gittables_serve::FanoutStats::default(),
+            0,
         ))
         .unwrap();
         assert!(snap.contains("store_load_ms"), "{snap}");

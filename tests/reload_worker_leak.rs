@@ -1,7 +1,9 @@
-//! Leak guard for the router's persistent shard workers: every `/reload`
-//! starts a new snapshot's worker threads and must stop and join the old
-//! snapshot's before it answers. Runs in its own test binary because it
-//! counts the threads of the whole process.
+//! Leak guard for `/reload` on a sharded server: every reload swaps in a
+//! new snapshot and must drop the old one before it answers, and fifty of
+//! them leave the process with the threads it had before the first. The
+//! router runs each shard on the serving thread, so a reload starts no
+//! thread at all; `tests/server_threads.rs` pins the exact count. Runs in
+//! its own test binary because it counts the threads of the whole process.
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
 use gittables_serve::{client, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};

@@ -1,10 +1,12 @@
 //! A server with `threads: N` runs N threads — its workers, which accept,
-//! read and answer their own connections — plus the `SIGHUP` watcher when
-//! it has a store to reload from, and nothing else. Runs in its own test
-//! binary because it counts the threads of the whole process.
+//! read and answer their own connections and run every shard's share of
+//! a fan-out themselves — plus the `SIGHUP` watcher when it has a store
+//! to reload from, and nothing else: at every shard count, and across
+//! reloads. Runs in its own test binary because it counts the threads of
+//! the whole process.
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
-use gittables_serve::{client, ReloadSpec, Server, ServerConfig, ShardSet};
+use gittables_serve::{client, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};
 use gittables_table::Table;
 
 /// Entries of `/proc/self/task`; `None` where there is no `/proc`.
@@ -15,8 +17,9 @@ fn process_threads() -> Option<usize> {
 #[test]
 fn a_server_runs_its_workers_and_the_reload_watcher_only() {
     let mut corpus = Corpus::new("server-threads");
-    for i in 0..4 {
-        let t = Table::from_rows(format!("t{i}"), &["id", "status"], &[["1", "a"]]).unwrap();
+    for i in 0..8 {
+        let attrs = [format!("col_{}", i % 3), "status".to_string()];
+        let t = Table::from_rows(format!("t{i}"), &attrs, &[["a", "b"]]).unwrap();
         corpus.push(AnnotatedTable::new(t));
     }
     let dir = std::env::temp_dir().join(format!("gt_server_threads_{}", std::process::id()));
@@ -26,30 +29,55 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
     let Some(before) = process_threads() else {
         return;
     };
-    let reload = ReloadSpec {
-        dir: dir.clone(),
-        shards: 1,
-    };
-    // (workers, reload source, threads beyond the workers)
-    for (threads, reload, watcher) in [(3, None, 0), (2, Some(reload), 1)] {
-        // One shard: the router starts no shard threads.
+    let search = "/search?q=status&k=3";
+    // (workers, shards, reloadable from the store)
+    for (threads, shards, reloadable) in [(3, 1, false), (2, 1, true), (2, 4, true)] {
+        let set = ShardSet::load(&dir, shards).unwrap();
+        assert_eq!(set.num_shards(), shards);
         let handle = Server::start_set(
-            ShardSet::load(&dir, 1).unwrap(),
+            set,
             "127.0.0.1:0",
             ServerConfig {
                 threads,
-                reload,
+                // Every `/search` reaches the router.
+                cache_capacity: 0,
+                reload: reloadable.then(|| ReloadSpec {
+                    dir: dir.clone(),
+                    shards,
+                }),
                 ..ServerConfig::default()
             },
         )
         .unwrap();
-        let (status, body) = client::get(handle.addr(), "/health").unwrap();
-        assert_eq!(status, 200, "{body}");
+        let expected = Some(before + threads + usize::from(reloadable));
+        let mut client = client::HttpClient::connect(handle.addr()).unwrap();
+        let (status, want) = client.get(search).unwrap();
+        assert_eq!(status, 200, "{want}");
         assert_eq!(
             process_threads(),
-            Some(before + threads + watcher),
-            "threads: {threads}"
+            expected,
+            "threads: {threads}, shards: {shards}"
         );
+        if reloadable {
+            for generation in 1..=10 {
+                let (status, body) = client.post("/reload").unwrap();
+                assert_eq!(status, 200, "{body}");
+                let ack: ReloadResponse = serde_json::from_str(&body).unwrap();
+                assert_eq!(
+                    (ack.generation, ack.shards, ack.drained),
+                    (generation, shards, true),
+                    "{body}"
+                );
+                let (status, body) = client.get(search).unwrap();
+                assert_eq!((status, body.as_str()), (200, want.as_str()));
+            }
+            assert_eq!(
+                process_threads(),
+                expected,
+                "after 10 reloads, shards: {shards}"
+            );
+        }
+        drop(client);
         handle.shutdown();
         assert_eq!(process_threads(), Some(before), "threads left behind");
     }
