@@ -1,8 +1,26 @@
 //! Data search over table schemas (§5.3, Fig. 6b): embed entire table
 //! schemas and rank them against a natural-language query.
+//!
+//! The search is an exact scan: every entry's schema embedding is scored
+//! against the query. [`DataSearch::rank`] does that in one pass over a
+//! packed copy of the rows ([`PackedRows`], 32 rows per sweep of the
+//! query), finishing each dot product into a cosine and keeping the best
+//! `k` as the scores arrive ([`best_k`]); nothing with one slot per entry
+//! is collected but the `f32` dot products themselves. Ranking yields
+//! `(entry, score)` pairs, and only [`DataSearch::hit`] clones a schema,
+//! so a sharded server merges the shards' pairs first and materializes
+//! just the `k` that survive the merge.
+//!
+//! **Memory.** The packed copy is `rows × dim × 4` bytes (152 KB at 593
+//! tables and `dim` 64) held beside the index's own rows, which on the
+//! sidecar boot path are a mapped view of `index.gtsc`. It is made once
+//! per assembled index; the shard-local indexes [`DataSearch::slice`]
+//! carves out of one share it instead of packing their rows again.
+
+use std::sync::Arc;
 
 use gittables_corpus::{Corpus, F32Matrix, TableId};
-use gittables_embed::{cosine_rows, desc_nan_last, norm, top_k_by, MemoStats, SentenceEncoder};
+use gittables_embed::{best_k, cosine_of_dot, norm, MemoStats, PackedRows, SentenceEncoder};
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
 
@@ -21,8 +39,9 @@ pub struct SearchHit {
 ///
 /// Entry embeddings live in one row-major [`F32Matrix`], which is either
 /// built in memory or a zero-copy view into a mapped index sidecar
-/// ([`gittables_corpus::sidecar`]) — scoring reads plain `&[f32]` rows
-/// either way, so both boot paths rank bit-identically.
+/// ([`gittables_corpus::sidecar`]). Scoring reads the packed copy made
+/// from those rows where the index is assembled, so both boot paths rank
+/// bit-identically.
 pub struct DataSearch {
     encoder: SentenceEncoder,
     /// Stable table id per entry.
@@ -33,6 +52,10 @@ pub struct DataSearch {
     rows: F32Matrix,
     /// `norm` of every row ([`super::row_norms`]), parallel to `ids`.
     norms: Vec<f32>,
+    /// The rows as scored: entry `n` is packed row `first + n`. Shared by
+    /// every index [`Self::slice`]d from the one that packed it.
+    packed: Arc<PackedRows>,
+    first: usize,
 }
 
 impl DataSearch {
@@ -67,20 +90,14 @@ impl DataSearch {
             schemas.push(schema);
         }
         let rows = F32Matrix::from_vec(flat, kept.len(), dim);
-        DataSearch {
-            encoder,
-            ids: kept,
-            schemas,
-            norms: super::row_norms(&rows),
-            rows,
-        }
+        Self::assemble(encoder, kept, schemas, rows)
     }
 
     /// Reassembles an index from persisted parts (the sidecar boot path):
     /// the exact ids, schemas, and embedding rows a
     /// [`Self::build_with_ids`] call produced, in the same order. Scoring
-    /// is bit-identical because the rows are (their norms are recomputed
-    /// here, from the rows, as a build computes them).
+    /// is bit-identical because the rows are (their norms and packed copy
+    /// are made here, from the rows, as a build makes them).
     ///
     /// # Panics
     /// When `ids`, `schemas`, and `rows` are not parallel.
@@ -88,12 +105,49 @@ impl DataSearch {
     pub fn from_raw_parts(ids: Vec<TableId>, schemas: Vec<Schema>, rows: F32Matrix) -> Self {
         assert_eq!(ids.len(), schemas.len(), "schema per entry");
         assert_eq!(ids.len(), rows.rows(), "embedding row per entry");
+        Self::assemble(SentenceEncoder::default(), ids, schemas, rows)
+    }
+
+    /// Where both constructors assemble an index: every row normed and
+    /// packed, once.
+    fn assemble(
+        encoder: SentenceEncoder,
+        ids: Vec<TableId>,
+        schemas: Vec<Schema>,
+        rows: F32Matrix,
+    ) -> Self {
+        let packed = PackedRows::pack(rows.rows(), rows.dim(), |n| rows.row(n));
         DataSearch {
-            encoder: SentenceEncoder::default(),
+            encoder,
             ids,
             schemas,
             norms: super::row_norms(&rows),
             rows,
+            packed: Arc::new(packed),
+            first: 0,
+        }
+    }
+
+    /// Entries `range` as an index of their own — a shard-local index
+    /// carved out of a whole-corpus one. Nothing is re-embedded, re-normed
+    /// or re-packed: the entries keep their rows (a zero-copy view when the
+    /// matrix is mapped), their norms, and their place in this index's
+    /// packed copy, which the two indexes share; the ids and schemas are
+    /// copied. Ranked over any `query`, its entries score with the same
+    /// bits as here.
+    ///
+    /// # Panics
+    /// When `range` reaches past the entries.
+    #[must_use]
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Self {
+        DataSearch {
+            encoder: SentenceEncoder::default(),
+            ids: self.ids[range.clone()].to_vec(),
+            schemas: self.schemas[range.clone()].to_vec(),
+            rows: self.rows.slice_rows(range.start, range.end),
+            norms: self.norms[range.clone()].to_vec(),
+            packed: Arc::clone(&self.packed),
+            first: self.first + range.start,
         }
     }
 
@@ -159,41 +213,55 @@ impl DataSearch {
         self.encoder.embed(query)
     }
 
-    /// The ranking half of [`Self::search`] — the hot path of the
-    /// `/search` endpoint. Scores every entry against `query` (its norm
-    /// computed once per call, the rows' norms once per index, when it was
-    /// assembled; rows eight at a time through the order-preserving
-    /// [`cosine_rows`], whose every score has `cosine_with_norm`'s bits)
-    /// and keeps the best `k` under the total
-    /// order *score descending, entry index ascending* by bounded
-    /// selection ([`top_k_by`]); only those `k` are materialized (schemas
-    /// cloned). The result is bit-identical to the original
-    /// sort-everything-stably-then-truncate implementation, ties
-    /// resolving in entry order.
-    ///
-    /// A NaN score would rank after every number ([`desc_nan_last`]); none
-    /// can arise from finite embeddings, since the cosine guards zero
-    /// norms and clamps.
+    /// The ranking half of [`Self::search`]: [`Self::rank`], then each
+    /// survivor materialized ([`Self::hit`]).
     #[must_use]
     pub fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        let (row, row_norm) = (|n| self.rows.row(n), |n| self.norms[n]);
-        let mut scored: Vec<(usize, f64)> =
-            cosine_rows(query, norm(query), self.ids.len(), row, row_norm)
-                .into_iter()
-                .map(f64::from)
-                .enumerate()
-                .collect();
-        top_k_by(&mut scored, k, |a, b| {
-            desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
-        });
-        scored
+        self.rank(query, k)
             .into_iter()
-            .map(|(n, score)| SearchHit {
-                table_index: self.ids[n],
-                schema: self.schemas[n].clone(),
-                score,
-            })
+            .map(|(entry, score)| self.hit(entry, score))
             .collect()
+    }
+
+    /// The best `k` entries for an embedded `query`, as `(entry, score)`
+    /// pairs in rank order — the hot path of the `/search` endpoint. One
+    /// pass: the packed rows' dot products with `query`
+    /// ([`PackedRows::dots_into`], each `dot`'s bits), each finished into
+    /// a cosine with the query's norm (once per call) and the row's (once
+    /// per index) by [`cosine_of_dot`] — so every score has
+    /// `cosine_with_norm`'s bits — and fed to the bounded selection
+    /// [`best_k`] under *score descending, entry ascending*. The ranking
+    /// is bit-identical to the original sort-everything-stably-then-
+    /// truncate implementation, ties resolving in entry order.
+    ///
+    /// A NaN score would rank after every number; none can arise from
+    /// finite embeddings, since the cosine guards zero norms and clamps.
+    #[must_use]
+    pub fn rank(&self, query: &[f32], k: usize) -> Vec<(usize, f64)> {
+        let mut dots = Vec::with_capacity(self.ids.len());
+        self.packed
+            .dots_into(query, self.first..self.first + self.ids.len(), &mut dots);
+        let na = norm(query);
+        let scored = dots
+            .iter()
+            .zip(&self.norms)
+            .map(|(&ab, &nb)| f64::from(cosine_of_dot(ab, na, nb)))
+            .enumerate();
+        best_k(scored, k)
+    }
+
+    /// The [`SearchHit`] for a `(entry, score)` pair of [`Self::rank`]:
+    /// where a schema is cloned, for the hits that are kept only.
+    ///
+    /// # Panics
+    /// When `entry` is not an entry of this index.
+    #[must_use]
+    pub fn hit(&self, entry: usize, score: f64) -> SearchHit {
+        SearchHit {
+            table_index: self.ids[entry],
+            schema: self.schemas[entry].clone(),
+            score,
+        }
     }
 }
 
@@ -202,6 +270,7 @@ mod tests {
     use super::*;
     use crate::apps::ranking_cases;
     use gittables_corpus::AnnotatedTable;
+    use gittables_embed::{desc_nan_last, top_k_by};
     use gittables_table::Table;
     use proptest::prelude::*;
 
@@ -348,7 +417,64 @@ mod tests {
                 prop_assert_eq!(got, search_embedded_per_row(&reassembled, &embedded, k), "k={}", k);
             }
         }
+
+        /// A shard-local index ranks its entries with the per-row
+        /// definition's bits for any run of entries. The corpus is
+        /// repeated three times, so runs cover whole 32-row sweeps and
+        /// start and end inside blocks of the shared packed copy.
+        #[test]
+        fn a_sliced_index_ranks_its_entries_with_the_per_row_bits(
+            schemas in ranking_cases::schemas(),
+            query in ranking_cases::phrase(),
+            cut in (any::<usize>(), any::<usize>()),
+        ) {
+            let mut corpus = ranking_cases::corpus(&schemas);
+            let once = corpus.tables.clone();
+            for t in once.iter().chain(&once) {
+                corpus.push(t.clone());
+            }
+            let whole = DataSearch::build(&corpus);
+            let (lo, hi) = (cut.0 % (whole.len() + 1), cut.1 % (whole.len() + 1));
+            let slice = whole.slice(lo.min(hi)..lo.max(hi));
+            prop_assert_eq!(slice.entry_ids(), &whole.entry_ids()[lo.min(hi)..lo.max(hi)]);
+            let embedded = whole.embed_query(&ranking_cases::words(&query).join(" "));
+            for k in ranking_cases::ks(slice.len()) {
+                let got = bits(&slice.search_embedded(&embedded, k));
+                prop_assert_eq!(got, search_embedded_per_row(&slice, &embedded, k), "k={}", k);
+            }
+        }
+
+        /// The streamed selection against `top_k_by` and the stable sort,
+        /// over scores dense in NaNs, signed zeros and exact ties, with the
+        /// entries arriving in ascending or in descending order.
+        #[test]
+        fn streamed_selection_equals_top_k_by_and_the_stable_sort(
+            picks in collection::vec(0..SCORES.len(), 0..40),
+            descending in any::<bool>(),
+        ) {
+            let mut scored: Vec<(usize, f64)> =
+                picks.iter().enumerate().map(|(n, &p)| (n, SCORES[p])).collect();
+            if descending {
+                scored.reverse();
+            }
+            let mut stable = scored.clone();
+            stable.sort_by_key(|e| e.0);
+            stable.sort_by(|a, b| desc_nan_last(a.1, b.1));
+            let as_bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                v.iter().map(|&(n, s)| (n, s.to_bits())).collect()
+            };
+            for k in ranking_cases::ks(scored.len()) {
+                let got = as_bits(&best_k(scored.iter().copied(), k));
+                let mut selected = scored.clone();
+                top_k_by(&mut selected, k, |a, b| desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
+                prop_assert_eq!(&got, &as_bits(&selected), "k={}", k);
+                prop_assert_eq!(&got, &as_bits(&stable[..k.min(stable.len())]), "k={}", k);
+            }
+        }
     }
+
+    /// Scores the selection proptest draws from.
+    const SCORES: [f64; 6] = [f64::NAN, -0.0, 0.0, 0.5, 1.0, -1.0];
 
     /// `ds` taken apart and put together again, as the sidecar path does.
     fn reassembled(ds: &DataSearch) -> DataSearch {

@@ -56,20 +56,31 @@
 //!
 //! # Scoring kernel
 //!
-//! Scoring one query against many rows ([`EmbeddingIndex`]'s nearest-type
-//! search, data search, schema completion) goes through
-//! [`vector::dot_rows`] / [`vector::cosine_rows`], which take eight rows
-//! per pass over the query. [`dot`] sums its products in element order
-//! from `f32::sum`'s initial value — one chain of 64 dependent adds, which
-//! the compiler may not reorder and the CPU cannot overlap. The kernel
-//! keeps *that order within every row* and runs eight rows' chains side by
-//! side: row `r`'s accumulator starts from the same initial value and
-//! receives the same products `a[0]·row[0], a[1]·row[1], …` in the same
-//! order, so each of its intermediate sums — and the result — is the
-//! `f32` [`dot`] computes, bit for bit; only adds of *different* rows are
-//! interleaved, and those never meet. No `unsafe`, no target features:
-//! the eight independent chains are what lets the optimizer pack rows
-//! into vector lanes.
+//! [`dot`] sums its products in element order from `f32::sum`'s initial
+//! value — one chain of 64 dependent adds, which the compiler may not
+//! reorder and the CPU cannot overlap. Both kernels below keep *that
+//! order within every row* and run many rows' chains side by side: row
+//! `r`'s accumulator starts from the same initial value and receives the
+//! same products `a[0]·row[0], a[1]·row[1], …` in the same order, so each
+//! of its intermediate sums — and the result — is the `f32` [`dot`]
+//! computes, bit for bit; only adds of *different* rows are interleaved,
+//! and those never meet. No `unsafe`, no target features: the independent
+//! chains are what lets the optimizer pack rows into vector lanes.
+//!
+//! * [`PackedRows`] — for a fixed set of rows that every query scans
+//!   whole: data search (`gittables_core::apps::DataSearch`). The rows
+//!   are copied once, when the index is assembled, into blocks of eight
+//!   stored element-major, and [`PackedRows::dots_into`] sweeps the query
+//!   once per four blocks — 32 accumulators per pass, each query element
+//!   multiplying eight adjacent values per block. The copy costs
+//!   `rows × dim × 4` bytes beside the index's own rows.
+//! * [`vector::dot_rows`] / [`vector::cosine_rows`] — for rows *gathered*
+//!   per query: [`EmbeddingIndex`]'s nearest-type search scores the
+//!   candidates its n-gram probe picked, schema completion the attribute
+//!   rows of the schemas a prefix leaves eligible. A different subset per
+//!   query cannot be packed ahead, and packing it per query would cost
+//!   what it saves, so these take eight rows per pass straight from
+//!   where they lie.
 //!
 //! A cosine needs two norms besides the dot product. The query's is
 //! computed once per call by the caller; a row's is a constant of the
@@ -78,11 +89,14 @@
 //! The data-search and schema-completion indexes compute their rows'
 //! norms once, where they are assembled — built from a corpus or
 //! reassembled from a sidecar — with the plain per-row [`norm`], which is
-//! the value [`cosine_with_norm`] would have computed.
+//! the value [`cosine_with_norm`] would have computed. Every cosine is
+//! finished by [`cosine_of_dot`]: the zero-norm guard, the division and
+//! the clamp are written once.
 //!
-//! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] are unchanged
-//! and remain the reference (`vector`'s proptests compare `to_bits` over
-//! every block remainder, dims 0–130, signed zeros and subnormals).
+//! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] remain the
+//! reference (`vector`'s proptests compare `to_bits` over every block
+//! remainder — of 8 and of 32 rows — dims 0–130, signed zeros and
+//! subnormals).
 //!
 //! # Example
 //!
@@ -112,6 +126,9 @@ pub mod vector;
 pub use index::{EmbeddingIndex, Neighbor};
 pub use memo::{MemoStats, WordMemo};
 pub use ngram::{ngrams, GramBuf, NgramEmbedder};
-pub use rank::{asc_nan_last, desc_nan_last, top_k_by};
+pub use rank::{asc_nan_last, best_k, desc_nan_last, top_k_by};
 pub use sentence::SentenceEncoder;
-pub use vector::{cosine, cosine_rows, cosine_with_norm, dot, dot_rows, norm, normalize};
+pub use vector::{
+    cosine, cosine_of_dot, cosine_rows, cosine_with_norm, dot, dot_rows, norm, normalize,
+    PackedRows,
+};

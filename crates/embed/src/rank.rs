@@ -1,6 +1,7 @@
-//! Bounded top-`k` selection under a total order — the one ranking
-//! helper behind [`crate::EmbeddingIndex`], data search and schema
-//! completion.
+//! Bounded top-`k` selection under a total order — the ranking helpers
+//! behind [`crate::EmbeddingIndex`], data search and schema completion:
+//! [`top_k_by`] selects among collected items, [`best_k`] keeps the best
+//! of a stream as it arrives.
 //!
 //! Every caller ranks `(entry index, score)` pairs by score with the
 //! entry index as tiebreak. Because indices are distinct and ascend in
@@ -48,6 +49,60 @@ pub fn top_k_by<T>(items: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> 
         items.truncate(k);
     }
     items.sort_unstable_by(cmp);
+}
+
+/// `(entry, score)` under *score descending ([`desc_nan_last`]), entry
+/// ascending*: the lesser is the better-ranked.
+struct Ranked(usize, f64);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        desc_nan_last(self.1, other.1).then(self.0.cmp(&other.0))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The best `k` of `scored` — `(entry, score)` pairs with distinct
+/// entries — under *score descending ([`desc_nan_last`]), entry
+/// ascending*, best first: exactly what [`top_k_by`] keeps under that
+/// order, taken as the pairs arrive instead of after collecting them.
+/// A max-heap holds the best `min(k, len)` seen so far with the worst of
+/// them on top; a pair enters only by beating it. O(n log k) at worst,
+/// and a pair that does not beat the worst kept costs one comparison.
+#[must_use]
+pub fn best_k(scored: impl ExactSizeIterator<Item = (usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    let keep = k.min(scored.len());
+    if keep == 0 {
+        return Vec::new();
+    }
+    let mut heap = std::collections::BinaryHeap::with_capacity(keep);
+    for (entry, score) in scored {
+        let candidate = Ranked(entry, score);
+        if heap.len() < keep {
+            heap.push(candidate);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(entry, score)| (entry, score))
+        .collect()
 }
 
 #[cfg(test)]

@@ -212,17 +212,20 @@ impl QueryEngine {
     /// Splits a whole-corpus engine into one shard-local engine per group
     /// of `directory` (which must cover `0..num_tables`). A single group
     /// is the engine itself, moved. Otherwise each engine gets its slice
-    /// of the search index — a zero-copy row view when the matrix is a
-    /// mapped sidecar — and its restriction of the type index, while the
-    /// table source and the completion index are shared: nothing is
-    /// re-embedded, so a scatter-gather merge across the engines
-    /// reproduces this engine's answers bit for bit.
+    /// of the search index ([`DataSearch::slice`]: a zero-copy row view
+    /// when the matrix is a mapped sidecar, its rows' norms, and its run
+    /// of the one packed copy) and its restriction of the type index,
+    /// while the table source and the completion index are shared:
+    /// nothing is re-embedded, re-normed or re-packed — a boot norms and
+    /// packs every row once at any shard count — so a scatter-gather
+    /// merge across the engines reproduces this engine's answers bit for
+    /// bit.
     pub(crate) fn split(self, directory: &GroupDirectory) -> Vec<QueryEngine> {
         if let [whole] = directory.groups() {
             assert_eq!(whole.range, self.id_range, "one group covers the engine");
             return vec![self];
         }
-        let (ids, schemas) = (self.search.entry_ids(), self.search.entry_schemas());
+        let ids = self.search.entry_ids();
         directory
             .groups()
             .iter()
@@ -234,11 +237,7 @@ impl QueryEngine {
                 let hi = ids.partition_point(|&id| id < range.end);
                 QueryEngine {
                     tables: self.tables.clone(),
-                    search: DataSearch::from_raw_parts(
-                        ids[lo..hi].to_vec(),
-                        schemas[lo..hi].to_vec(),
-                        self.search.matrix().slice_rows(lo, hi),
-                    ),
+                    search: self.search.slice(lo..hi),
                     completion: Arc::clone(&self.completion),
                     types: restrict_types(&self.types, range),
                     build: self.build.clone(),
@@ -431,12 +430,6 @@ impl QueryEngine {
     /// request and hands the vector to every shard.
     pub(crate) fn embed_query(&self, query: &str) -> Vec<f32> {
         self.search.embed_query(query)
-    }
-
-    /// The ranking half of [`Self::search`]: top-`k` of this engine's
-    /// tables for an already-embedded query.
-    pub(crate) fn search_embedded(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        self.search.search_embedded(query, k)
     }
 
     /// `/complete`: the `k` nearest completions for a schema prefix.

@@ -8,7 +8,10 @@
 //! router owns no threads: a request never changes threads, and
 //! whatever the shards have in common is computed once — a `/search`
 //! query is embedded once and the vector shared by every shard's
-//! ranking. `/tables/{id}` routes to the owning shard by the stable-id
+//! ranking, and every shard scores its own run of the one packed copy of
+//! the search rows the snapshot made at boot (`rows × dim × 4` bytes per
+//! snapshot, not per shard; see `gittables_core::apps::search`).
+//! `/tables/{id}` routes to the owning shard by the stable-id
 //! directory. `/complete` does not fan out: the completion index is
 //! corpus-global and shared by every engine, so one engine's answer *is*
 //! the whole-corpus answer.
@@ -22,13 +25,15 @@
 //!
 //! The merges reproduce the single-engine rankings exactly:
 //!
-//! * **search** — per-shard lists are sorted by (score desc, entry
-//!   order); entry order across shards is (shard, local order) because
-//!   ids ascend within and across shards. Taking the head with the
-//!   strictly greatest score (ties and non-comparables fall to the
-//!   lowest shard) replays the whole-corpus order. A shard-local top-k
-//!   suffices globally: any entry ahead of a survivor locally is ahead
-//!   of it globally too.
+//! * **search** — each shard ranks to `(entry, score)` pairs sorted by
+//!   (score desc, entry order); entry order across shards is (shard,
+//!   local order) because ids ascend within and across shards. Taking
+//!   the head with the strictly greatest score (ties and non-comparables
+//!   fall to the lowest shard) replays the whole-corpus order. A
+//!   shard-local top-k suffices globally: any entry ahead of a survivor
+//!   locally is ahead of it globally too. Only the `k` pairs the merge
+//!   keeps become [`SearchHit`]s; the other (N−1)·k never clone a
+//!   schema.
 //! * **types** — counts sum per label (shard ranges are disjoint, so
 //!   distinct-table counts add); posting lists concatenate in shard
 //!   order, which is global scan order.
@@ -149,21 +154,26 @@ impl Router {
         answers.into_iter().collect()
     }
 
-    /// `/search`: embed the query once, rank it on all shards, merge by
-    /// (score desc, lowest shard) — bit-identical to the whole-corpus
-    /// ranking.
+    /// `/search`: embed the query once, rank it on all shards as
+    /// `(entry, score)` pairs, merge by (score desc, lowest shard) —
+    /// bit-identical to the whole-corpus ranking — and only then
+    /// materialize the `k` winners, so a schema is cloned per hit served,
+    /// not per hit each shard proposed.
     ///
     /// # Errors
     /// [`ShardPanic`] when a shard's query panicked.
     pub fn search(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ShardPanic> {
         let injected = injected_panic_shard();
-        let first = &self.set.engines()[0];
+        let engines = self.set.engines();
         // Every engine of a snapshot embeds alike; shard 0 does it for all.
-        let embedded = isolated(0, injected, || first.embed_query(query))?;
-        let per = self.fan_out(injected, |e| e.search_embedded(&embedded, k))?;
+        let embedded = isolated(0, injected, || engines[0].embed_query(query))?;
+        let per = self.fan_out(injected, |e| e.search_index().rank(&embedded, k))?;
         Ok(merge_by(per, k, |a, b| {
-            a.score.partial_cmp(&b.score) == Some(std::cmp::Ordering::Greater)
-        }))
+            a.1.partial_cmp(&b.1) == Some(std::cmp::Ordering::Greater)
+        })
+        .into_iter()
+        .map(|(shard, (entry, score))| engines[shard].search_index().hit(entry, score))
+        .collect())
     }
 
     /// `/complete`: one panic-isolated call on shard 0 — every engine
@@ -295,8 +305,9 @@ fn isolated<T>(
 /// K-way merge of per-shard lists, each already sorted by the same
 /// order `better` induces: repeatedly take the head that is strictly
 /// `better` than every lower-shard head (ties fall to the lowest
-/// shard, replaying the whole-corpus stable sort's entry order).
-fn merge_by<T>(per: Vec<Vec<T>>, k: usize, better: impl Fn(&T, &T) -> bool) -> Vec<T> {
+/// shard, replaying the whole-corpus stable sort's entry order). Each
+/// item comes out beside the shard it came from.
+fn merge_by<T>(per: Vec<Vec<T>>, k: usize, better: impl Fn(&T, &T) -> bool) -> Vec<(usize, T)> {
     let mut queues: Vec<VecDeque<T>> = per.into_iter().map(Into::into).collect();
     let mut out = Vec::with_capacity(k.min(64));
     while out.len() < k {
@@ -318,7 +329,7 @@ fn merge_by<T>(per: Vec<Vec<T>>, k: usize, better: impl Fn(&T, &T) -> bool) -> V
             });
         }
         let Some(g) = best else { break };
-        out.push(queues[g].pop_front().expect("picked head exists"));
+        out.push((g, queues[g].pop_front().expect("picked head exists")));
     }
     out
 }
@@ -481,7 +492,7 @@ mod tests {
             3,
             |a, b| a.1 > b.1,
         );
-        assert_eq!(merged, vec![(2, 2.0), (0, 1.0), (1, 1.0)]);
+        assert_eq!(merged, vec![(2, (2, 2.0)), (0, (0, 1.0)), (1, (1, 1.0))]);
     }
 
     #[test]
@@ -495,7 +506,7 @@ mod tests {
                 a.1.partial_cmp(&b.1) == Some(std::cmp::Ordering::Greater)
             },
         );
-        assert_eq!(merged[0].0, 0);
-        assert_eq!(merged[1].0, 1);
+        assert_eq!(merged[0].1 .0, 0);
+        assert_eq!(merged[1].1 .0, 1);
     }
 }

@@ -8,11 +8,13 @@
 //! reads tables from the one shared source, so the store's own shard
 //! boundaries do not matter): each engine gets a
 //! slice of the search index (a zero-copy row view of the mapped sidecar
-//! matrix, [`gittables_corpus::F32Matrix::slice_rows`]) and its
+//! matrix, [`gittables_corpus::F32Matrix::slice_rows`], its rows' norms
+//! and its run of the shared packed rows) and its
 //! restriction of the type index, while all engines share the table
 //! source (mapped shard arenas or the materialized corpus) and the one
 //! corpus-global completion index. N-shard boot therefore costs what
-//! 1-shard boot costs plus the slicing; nothing is re-embedded. A
+//! 1-shard boot costs plus the slicing; nothing is re-embedded, and every
+//! search row is normed and packed once. A
 //! [`crate::router::Router`] scatter-gathers queries across the set and
 //! merges answers bit-identically to a whole-corpus engine.
 //!

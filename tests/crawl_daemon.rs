@@ -8,6 +8,13 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+#[cfg(target_os = "linux")]
+use std::{
+    io::{BufRead, BufReader},
+    net::SocketAddr,
+    path::Path,
+    process::{Child, Command, Stdio},
+};
 
 use gittables_core::crawl::{CrawlState, CRAWL_STATE_FILE};
 use gittables_core::{
@@ -535,5 +542,96 @@ fn crawl_binary_survives_sigterm_and_resumes() {
     let pipeline = Pipeline::new(config);
     let (reference, _) = pipeline.run(&populated(&pipeline));
     assert_eq!(corpus, reference);
+    crawled_dir_serves_sharded_like_the_reference(&dir, &reference);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The binary from crawl to serve: `gittables index` on the crawled
+/// `dir`, then `serve --shards 2` on it beside `serve --shards 1` on a
+/// `save --shard 64` of `reference`. Every target's bytes are equal, and
+/// the sharded server booted off the sidecar and really scattered.
+#[cfg(target_os = "linux")]
+fn crawled_dir_serves_sharded_like_the_reference(dir: &Path, reference: &gittables_corpus::Corpus) {
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd:?}: {stderr}");
+    };
+    run(bin().arg("index").arg(dir));
+    let reference_json = dir.with_extension("reference.json");
+    let reference_store = dir.with_extension("reference");
+    std::fs::remove_dir_all(&reference_store).ok();
+    std::fs::write(&reference_json, serde_json::to_string(reference).unwrap()).unwrap();
+    run(bin()
+        .arg("save")
+        .arg("--corpus")
+        .arg(&reference_json)
+        .arg("--out")
+        .arg(&reference_store)
+        .args(["--shard", "64"]));
+
+    let (one, one_addr) = serve(&reference_store, 1);
+    let (two, two_addr) = serve(dir, 2);
+    for target in [
+        "/search?q=status+and+sales+amount&k=5",
+        "/tables/0",
+        "/types",
+        "/complete?prefix=id&k=4",
+    ] {
+        let (one_status, one_body) = client::get(one_addr, target).expect(target);
+        let (two_status, two_body) = client::get(two_addr, target).expect(target);
+        assert_eq!((one_status, two_status), (200, 200), "{target}");
+        assert_eq!(one_body, two_body, "bytes diverged for {target}");
+    }
+    let (_, metrics) = client::get(two_addr, "/metrics").expect("metrics");
+    let metrics: MetricsSnapshot = serde_json::from_str(&metrics).expect("metrics JSON");
+    assert_eq!(metrics.engine.boot_path, "sidecar");
+    assert!(metrics.fanouts >= 1, "a 2-shard server scattered nothing");
+    shut_down(one, one_addr);
+    shut_down(two, two_addr);
+
+    std::fs::remove_file(&reference_json).ok();
+    std::fs::remove_dir_all(&reference_store).ok();
+}
+
+#[cfg(target_os = "linux")]
+fn bin() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_gittables"))
+}
+
+/// Starts `gittables serve` over `store` as `shards` shards on an
+/// ephemeral port and waits for the `serving on http://ADDR` banner it
+/// prints once ready.
+#[cfg(target_os = "linux")]
+fn serve(store: &Path, shards: usize) -> (Child, SocketAddr) {
+    let mut child = bin()
+        .arg("serve")
+        .arg(store)
+        .args(["--addr", "127.0.0.1:0", "--threads", "2"])
+        .args(["--shards", &shards.to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut line = String::new();
+    let stdout = child.stdout.as_mut().expect("piped stdout");
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read serve banner");
+    let addr = line
+        .trim()
+        .strip_prefix("serving on http://")
+        .unwrap_or_else(|| panic!("unexpected banner `{line}`"))
+        .parse()
+        .expect("parse bound address");
+    (child, addr)
+}
+
+/// `/shutdown`, then the process must drain and exit 0.
+#[cfg(target_os = "linux")]
+fn shut_down(mut child: Child, addr: SocketAddr) {
+    let (status, body) = client::get(addr, "/shutdown").expect("shutdown");
+    assert_eq!(status, 200, "{body}");
+    let exit = child.wait().expect("serve exit");
+    assert!(exit.success(), "serve exited with {exit:?}");
 }

@@ -234,6 +234,11 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
         assert_eq!(b1, b3, "HTTP bytes diverged for {target}");
         assert_eq!(b1 == "[]", target.ends_with("k=0"), "{target}: {b1}");
     }
+    // Keep-everything ranks every table, as the in-process 1-shard engine.
+    let every = QueryEngine::load(&dir).unwrap().search("col0", usize::MAX);
+    assert_eq!(every.len(), corpus.len());
+    let (_, body) = client::get(three.addr(), "/search?q=col0&k=18446744073709551615").unwrap();
+    assert_eq!(body, json(&every));
 
     one.shutdown();
     three.shutdown();
