@@ -80,7 +80,7 @@ impl NearestCompletion {
         let mut flat = Vec::new();
         for t in ids.iter().filter_map(|&id| corpus.table_by_id(id)) {
             let schema = t.table.schema();
-            if schema.is_empty() || !seen.insert(schema.attributes().to_vec()) {
+            if schema.is_empty() || !seen.insert(schema.clone()) {
                 continue;
             }
             for a in schema.iter() {

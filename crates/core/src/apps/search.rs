@@ -7,15 +7,19 @@
 //! query), finishing each dot product into a cosine and keeping the best
 //! `k` as the scores arrive ([`best_k`]); nothing with one slot per entry
 //! is collected but the `f32` dot products themselves. Ranking yields
-//! `(entry, score)` pairs, and only [`DataSearch::hit`] clones a schema,
-//! so a sharded server merges the shards' pairs first and materializes
-//! just the `k` that survive the merge.
+//! `(entry, score)` pairs, and only [`DataSearch::hit`] turns one into a
+//! [`SearchHit`], so a sharded server merges the shards' pairs first and
+//! materializes just the `k` that survive the merge.
 //!
 //! **Memory.** The packed copy is `rows × dim × 4` bytes (152 KB at 593
 //! tables and `dim` 64) held beside the index's own rows, which on the
 //! sidecar boot path are a mapped view of `index.gtsc`. It is made once
 //! per assembled index; the shard-local indexes [`DataSearch::slice`]
-//! carves out of one share it instead of packing their rows again.
+//! carves out of one share it instead of packing their rows again. The
+//! schemas are shared the same way: a [`Schema`] keeps its attributes
+//! behind one reference count, so a hit and a slice point at the index's
+//! own lists, and a hit costs no allocation of its own until its body is
+//! written.
 
 use std::sync::Arc;
 
@@ -132,8 +136,9 @@ impl DataSearch {
     /// carved out of a whole-corpus one. Nothing is re-embedded, re-normed
     /// or re-packed: the entries keep their rows (a zero-copy view when the
     /// matrix is mapped), their norms, and their place in this index's
-    /// packed copy, which the two indexes share; the ids and schemas are
-    /// copied. Ranked over any `query`, its entries score with the same
+    /// packed copy, which the two indexes share; the ids and norms are
+    /// copied, and the schemas are shared (each clone is a reference
+    /// count). Ranked over any `query`, its entries score with the same
     /// bits as here.
     ///
     /// # Panics
@@ -250,8 +255,9 @@ impl DataSearch {
         best_k(scored, k)
     }
 
-    /// The [`SearchHit`] for a `(entry, score)` pair of [`Self::rank`]:
-    /// where a schema is cloned, for the hits that are kept only.
+    /// The [`SearchHit`] for a `(entry, score)` pair of [`Self::rank`],
+    /// for the hits that are kept only. Its schema shares the entry's
+    /// attribute list.
     ///
     /// # Panics
     /// When `entry` is not an entry of this index.
@@ -484,6 +490,39 @@ mod tests {
             ds.entry_schemas().to_vec(),
             rows.slice_rows(0, rows.rows()),
         )
+    }
+
+    /// Every hit of `ds` points at its entry's schema in `ds`: a hit
+    /// costs a reference count, not a copy of the attributes.
+    fn assert_hits_share(ds: &DataSearch) {
+        let hits = ds.search("order status of the species", usize::MAX);
+        assert_eq!(hits.len(), ds.len());
+        for hit in &hits {
+            let entry = ds.entry_ids().iter().position(|&id| id == hit.table_index);
+            let schema = &ds.entry_schemas()[entry.expect("hit is an entry")];
+            assert_eq!(
+                hit.schema.attributes().as_ptr(),
+                schema.attributes().as_ptr()
+            );
+        }
+    }
+
+    #[test]
+    fn hits_and_slices_share_the_index_schemas() {
+        let built = DataSearch::build(&corpus());
+        let again = reassembled(&built);
+        let slice = built.slice(1..3);
+        for ds in [&built, &again, &slice] {
+            assert_hits_share(ds);
+        }
+        let ptrs = |ds: &DataSearch| -> Vec<*const String> {
+            ds.entry_schemas()
+                .iter()
+                .map(|s| s.attributes().as_ptr())
+                .collect()
+        };
+        assert_eq!(ptrs(&again), ptrs(&built));
+        assert_eq!(ptrs(&slice), ptrs(&built)[1..3]);
     }
 
     #[test]

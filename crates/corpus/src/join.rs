@@ -108,7 +108,7 @@ pub fn join_tables(corpus: &Corpus, candidate: &JoinCandidate) -> Result<Table, 
     for (r, v) in right_key_col.values().enumerate() {
         right_index.entry(v).or_insert(r);
     }
-    let mut header: Vec<String> = left.schema().attributes().to_vec();
+    let mut header: Vec<String> = left.columns().iter().map(|c| c.name().into()).collect();
     for (ci, c) in right.columns().iter().enumerate() {
         if ci == candidate.right_key {
             continue; // key appears once

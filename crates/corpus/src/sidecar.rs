@@ -816,6 +816,8 @@ fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
     for _ in 0..n {
         attrs.push(cur.str()?);
     }
+    // The names move into the schema's shared list: one allocation, no
+    // second copy of the `Vec`.
     Ok(Schema::new(attrs))
 }
 

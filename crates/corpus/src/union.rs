@@ -34,8 +34,8 @@ pub fn union_groups(corpus: &Corpus, min_members: usize) -> Vec<UnionGroup> {
         if repo.is_empty() {
             continue;
         }
-        let schema = at.table.schema().attributes().to_vec();
-        groups.entry((repo, schema)).or_default().push(i);
+        let names = at.table.columns().iter().map(|c| c.name().into());
+        groups.entry((repo, names.collect())).or_default().push(i);
     }
     let mut out: Vec<UnionGroup> = groups
         .into_iter()

@@ -538,7 +538,7 @@ fn summarize(id: TableId, at: &AnnotatedTable) -> TableSummary {
         license: p.license.clone(),
         num_rows: t.num_rows(),
         num_columns: t.num_columns(),
-        schema: t.schema().attributes().to_vec(),
+        schema: t.columns().iter().map(|c| c.name().into()).collect(),
         annotations,
         sample_rows,
     }

@@ -32,8 +32,10 @@
 //!   fall to the lowest shard) replays the whole-corpus order. A
 //!   shard-local top-k suffices globally: any entry ahead of a survivor
 //!   locally is ahead of it globally too. Only the `k` pairs the merge
-//!   keeps become [`SearchHit`]s; the other (N−1)·k never clone a
-//!   schema.
+//!   keeps become [`SearchHit`]s. A hit's schema is a shared reference
+//!   to the owning shard's list, so what merging first still saves is
+//!   the other (N−1)·k hits' reference counts and the per-shard hit
+//!   vectors, not a copy of their attributes.
 //! * **types** — counts sum per label (shard ranges are disjoint, so
 //!   distinct-table counts add); posting lists concatenate in shard
 //!   order, which is global scan order.
@@ -157,8 +159,7 @@ impl Router {
     /// `/search`: embed the query once, rank it on all shards as
     /// `(entry, score)` pairs, merge by (score desc, lowest shard) —
     /// bit-identical to the whole-corpus ranking — and only then
-    /// materialize the `k` winners, so a schema is cloned per hit served,
-    /// not per hit each shard proposed.
+    /// materialize the `k` winners, each sharing its shard's schema.
     ///
     /// # Errors
     /// [`ShardPanic`] when a shard's query panicked.
@@ -483,6 +484,28 @@ mod tests {
         assert_eq!(answer, Err(ShardPanic { shard: 1 }));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert_eq!(router.fanouts(), 1);
+    }
+
+    /// A routed hit is the owning shard's schema, shared: its attribute
+    /// list is the one that shard's search index holds.
+    #[test]
+    fn sharded_hits_share_the_owning_shard_schemas() {
+        let router = Router::new(ShardSet::from_corpus(&corpus(), 2));
+        let hits = router.search("order status", usize::MAX).unwrap();
+        assert_eq!(hits.len(), router.num_tables());
+        for hit in &hits {
+            let owner = router.shard_set().directory().owner_of(hit.table_index);
+            let index = router.engines()[owner.expect("owned id")].search_index();
+            let entry = index
+                .entry_ids()
+                .iter()
+                .position(|&id| id == hit.table_index);
+            let schema = &index.entry_schemas()[entry.expect("entry of its owner")];
+            assert_eq!(
+                hit.schema.attributes().as_ptr(),
+                schema.attributes().as_ptr()
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,24 @@
 //! (paper §5.2, Algorithm 1): a *prefix* of length `N` is matched against the
 //! prefixes of corpus schemas.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// An ordered list of attribute names.
+///
+/// Immutable and shared: the list lives in one `Arc<[String]>`, so a
+/// clone is a reference count and every clone reads the same allocation
+/// (a search hit and the index it came from, a shard-local index and the
+/// snapshot's). Built from names of known count (an array, a slice, a
+/// table's columns), it allocates the list once, beside the strings; a
+/// `Vec` handed to [`Schema::new`] is moved into a new list, one
+/// allocation more than keeping the `Vec`. Equality, hashing, `Debug`
+/// and the serialized form are the attribute slice's, as they were when
+/// the list was a `Vec<String>`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Schema {
-    attributes: Vec<String>,
+    attributes: Arc<[String]>,
 }
 
 impl Schema {
@@ -42,9 +54,7 @@ impl Schema {
     /// The first `n` attributes as a new schema (all of them if `n > len`).
     #[must_use]
     pub fn prefix(&self, n: usize) -> Schema {
-        Schema {
-            attributes: self.attributes[..n.min(self.attributes.len())].to_vec(),
-        }
+        self.attributes.iter().take(n).cloned().collect()
     }
 
     /// The attributes after the first `n` (the "completion" of a prefix).
@@ -74,6 +84,7 @@ impl std::fmt::Display for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{BuildHasher, RandomState};
 
     #[test]
     fn prefix_and_suffix() {
@@ -98,5 +109,28 @@ mod tests {
         let s: Schema = ["x", "y"].into_iter().collect();
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn a_clone_shares_the_attribute_list() {
+        let s = Schema::new(["id", "name"]);
+        let c = s.clone();
+        assert_eq!(c.attributes().as_ptr(), s.attributes().as_ptr());
+        assert_eq!(c, s);
+    }
+
+    /// `Hash`, `Eq` and `Debug` are the `Vec<String>` field's, which were
+    /// the slice's: a schema keyed into a map meets the same buckets.
+    #[test]
+    fn hashes_and_prints_as_the_vec_it_was() {
+        for attrs in [vec![], vec!["id".to_string(), String::new(), "é\"".into()]] {
+            let s = Schema::new(attrs.clone());
+            let state = RandomState::new();
+            assert_eq!(state.hash_one(&s), state.hash_one(&attrs));
+            assert_eq!(
+                format!("{s:?}"),
+                format!("Schema {{ attributes: {attrs:?} }}")
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use gittables_table::CellArena;
+use gittables_core::apps::SearchHit;
+use gittables_table::{CellArena, Schema};
 use serde::Serialize;
 
 #[track_caller]
@@ -213,6 +214,29 @@ fn enum_variants_are_a_name_or_a_one_key_object() {
     check(&shapes, SHAPES);
 }
 
+/// A schema is an object with one `attributes` array, whatever holds the
+/// list in memory; these were captured at 12c6f2a, where `Schema` kept a
+/// `Vec<String>`.
+#[test]
+fn schemas_and_search_hits_keep_their_bytes() {
+    let odd = Schema::new(["say \"hi\"", "C:\\dir\\", "größe 東京", ""]);
+    check(&odd, ODD_SCHEMA);
+    check(&Schema::default(), r#"{"attributes":[]}"#);
+    let hits = vec![
+        SearchHit {
+            table_index: 7,
+            schema: odd,
+            score: f64::from(0.7f32),
+        },
+        SearchHit {
+            table_index: 0,
+            schema: Schema::new(["id", "order_status"]),
+            score: -0.0,
+        },
+    ];
+    check(&hits, HITS);
+}
+
 #[test]
 fn a_cell_arena_is_the_array_of_its_cells() {
     let cells = CellArena::from_values(&["1", "", "é\"", "line\nbreak", "\u{1}"]).unwrap();
@@ -230,4 +254,7 @@ const STRINGS: &str = "[\"\",\"plain\",\"quote\\\" backslash\\\\ slash/\",\"\\n\
 const CHARS: &str = "[\"é\",\"\\u0001\"]";
 const KEYS: &str = "{\"\\u001f\":[],\"Z\":[1.0,2.0],\"a\\nb\":[],\"é\\\"k\\\\\":[0.5]}";
 const SHAPES: &str = "[\"Unit\",{\"One\":1},{\"OneTuple\":[2,3]},{\"Pair\":[-1,\"p\"]},{\"Triple\":[null,0.25,[\"Unit\",{\"One\":9}]]},{\"Rec\":{\"w\":0.10000000149011612,\"label\":\"l\\\"\"}},{\"Nested\":{\"child\":{\"Nested\":{\"child\":\"Unit\"}}}}]";
+const ODD_SCHEMA: &str =
+    "{\"attributes\":[\"say \\\"hi\\\"\",\"C:\\\\dir\\\\\",\"größe 東京\",\"\"]}";
+const HITS: &str = "[{\"table_index\":7,\"schema\":{\"attributes\":[\"say \\\"hi\\\"\",\"C:\\\\dir\\\\\",\"größe 東京\",\"\"]},\"score\":0.699999988079071},{\"table_index\":0,\"schema\":{\"attributes\":[\"id\",\"order_status\"]},\"score\":-0.0}]";
 const CELLS: &str = "[\"1\",\"\",\"é\\\"\",\"line\\nbreak\",\"\\u0001\"]";

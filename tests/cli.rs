@@ -137,6 +137,43 @@ fn mixed_csv_and_sql_corpus_saves_and_loads_identically() {
     std::fs::remove_dir_all(&store).ok();
 }
 
+#[test]
+fn store_format_round_trip_loads_identically() {
+    // save (colv1) → load, migrate to jsonl → load, migrate back →
+    // load: the three loads are one file, byte for byte.
+    let corpus = temp_path("format_corpus.json");
+    let store = temp_path("format_store");
+    std::fs::remove_dir_all(&store).ok();
+    let (corpus_arg, store_arg) = (corpus.to_str().unwrap(), store.to_str().unwrap());
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd:?}: {stderr}");
+    };
+    let load = |tag: &str| {
+        let out = temp_path(&format!("format_load_{tag}.json"));
+        run(bin()
+            .args(["load", "--store", store_arg, "--out"])
+            .arg(&out));
+        let bytes = std::fs::read(&out).expect("read load");
+        std::fs::remove_file(&out).ok();
+        bytes
+    };
+    run(bin()
+        .args(["build", "--out", corpus_arg])
+        .args(["--topics", "3", "--repos", "8", "--seed", "5"]));
+    run(bin()
+        .args(["save", "--corpus", corpus_arg])
+        .args(["--out", store_arg, "--shard", "64"]));
+    let colv1 = load("colv1");
+    run(bin().args(["migrate", store_arg, "--to", "jsonl"]));
+    assert!(load("jsonl") == colv1, "the jsonl store loads differently");
+    run(bin().args(["migrate", store_arg, "--to", "colv1"]));
+    assert!(load("back") == colv1, "the colv1 store loads differently");
+    std::fs::remove_file(&corpus).ok();
+    std::fs::remove_dir_all(&store).ok();
+}
+
 /// `build` then `save`: a small colv1 store under a per-test path.
 fn built_store(tag: &str, seed: &str) -> PathBuf {
     let corpus = temp_path(&format!("{tag}_corpus.json"));
