@@ -12,7 +12,7 @@
 //! * [`PoolClock`] — the time source [`crate::HostPool`] schedules
 //!   against. In `Wall` mode it is monotonic real time; in `Virtual`
 //!   mode it is a logical millisecond counter advanced explicitly, so
-//!   every breaker cooldown, token refill, and hedging decision is a
+//!   every breaker cooldown, token refill, and routing decision is a
 //!   pure function of the operation sequence — never of the machine's
 //!   actual speed.
 

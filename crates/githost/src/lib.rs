@@ -47,8 +47,8 @@ pub use fault::{FaultCounts, FaultSpec, FlakyHost};
 pub use host::{CodeHost, GitHost, HostError};
 pub use model::{FileKind, RepoFile, Repository};
 pub use pool::{
-    BreakerPolicy, BreakerState, CircuitBreaker, HedgePolicy, HostPool, PoolPolicy, PoolStats,
-    RateBudget, ReplicaStats,
+    BreakerPolicy, BreakerState, CircuitBreaker, HostPool, PoolPolicy, PoolStats, RateBudget,
+    ReplicaStats,
 };
 pub use search::{
     Query, SearchApi, SearchResponse, SearchResult, MAX_RESULTS_PER_QUERY, PAGE_SIZE,

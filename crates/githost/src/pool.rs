@@ -1,4 +1,4 @@
-//! Multi-backend host pooling: rate budgets, circuit breakers, hedging.
+//! Multi-backend host pooling: rate budgets, circuit breakers, failover.
 //!
 //! At crawl scale the extraction pipeline talks to several rate-limited,
 //! independently flaky endpoints (API mirrors, regional replicas) rather
@@ -14,10 +14,8 @@
 //! * trips a per-replica **circuit breaker** ([`CircuitBreaker`]) after
 //!   a run of consecutive transient failures, ejects the replica for a
 //!   cooldown, then re-admits it through a single half-open probe;
-//! * **fails over** transient errors to a different replica, and issues
-//!   a **hedged** second request against another replica when the
-//!   primary looks slow (smoothed latency above a threshold) or the
-//!   operation is already on a later attempt ([`HedgePolicy`]).
+//! * **fails over** transient errors to a different replica. Every
+//!   attempt is one backend call on the replica routing chose.
 //!
 //! Permanent faults ([`HostError::CorruptContent`]) are different: a
 //! corrupt *mirror copy* is healed by another replica, but once every
@@ -29,7 +27,7 @@
 //! With [`PoolPolicy::deterministic`] set, the pool schedules against a
 //! virtual clock ([`PoolClock::Virtual`]) and simulates each request's
 //! latency as a pure function of `(seed, replica, operation, attempt)`.
-//! Every routing, breaker, budget, and hedging decision then depends
+//! Every routing, breaker and budget decision then depends
 //! only on the operation sequence — never wall time — which is what lets
 //! the fault-injection oracle assert that a transient-only multi-backend
 //! run is *bit-identical* to the fault-free single-host run.
@@ -66,26 +64,6 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// When the pool issues a speculative second request against a different
-/// replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgePolicy {
-    /// Hedge when the chosen replica's smoothed latency exceeds this.
-    pub latency_threshold_ms: u64,
-    /// Hedge unconditionally from this attempt number on (1-based), slow
-    /// primary or not — later attempts mean earlier ones already failed.
-    pub after_attempts: u32,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        HedgePolicy {
-            latency_threshold_ms: 20,
-            after_attempts: 2,
-        }
-    }
-}
-
 /// A token-bucket rate budget applied to each replica independently:
 /// `capacity` requests may burst, then one token refills every
 /// `refill_interval_ms`.
@@ -99,7 +77,7 @@ pub struct RateBudget {
 }
 
 /// Full scheduling policy of a [`HostPool`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolPolicy {
     /// Seed of the deterministic routing/tie-break/latency schedule.
     pub seed: u64,
@@ -108,27 +86,12 @@ pub struct PoolPolicy {
     pub max_attempts: u32,
     /// Per-replica circuit-breaker thresholds.
     pub breaker: BreakerPolicy,
-    /// Hedged-request policy; `None` disables hedging.
-    pub hedge: Option<HedgePolicy>,
     /// Per-replica rate budget; `None` means unmetered.
     pub budget: Option<RateBudget>,
     /// Schedule against a virtual clock with simulated latencies, making
     /// every decision a pure function of `(seed, operation, attempt)`.
     /// Off, the pool uses wall time and measured latencies.
     pub deterministic: bool,
-}
-
-impl Default for PoolPolicy {
-    fn default() -> Self {
-        PoolPolicy {
-            seed: 0,
-            max_attempts: 0,
-            breaker: BreakerPolicy::default(),
-            hedge: Some(HedgePolicy::default()),
-            budget: None,
-            deterministic: false,
-        }
-    }
 }
 
 /// The three circuit-breaker states.
@@ -254,8 +217,10 @@ impl CircuitBreaker {
                     self.opens += 1;
                 }
             }
-            // A late failure while already open (e.g. a hedged request
-            // that lost the admission race) cannot trip anything further.
+            // A late failure while already open cannot trip anything
+            // further. It happens when pipeline workers share the pool:
+            // another worker's request, admitted before the trip, can
+            // fail after it.
             BreakerState::Open => {}
         }
     }
@@ -328,7 +293,7 @@ impl TokenBucket {
 pub struct ReplicaStats {
     /// Replica name (`replica-0`, `replica-1`, …).
     pub name: String,
-    /// Requests routed here (including probes and hedges).
+    /// Requests routed here (including probes).
     pub attempts: u64,
     /// Successful responses returned.
     pub served: u64,
@@ -351,9 +316,10 @@ pub struct PoolStats {
     pub operations: u64,
     /// Transient failures failed over to another replica or attempt.
     pub failovers: u64,
-    /// Hedged second requests issued.
+    /// Retired: the pool no longer hedges, so this always reads 0. It
+    /// stays while the benchmark's trace still reads it.
     pub hedges: u64,
-    /// Hedges whose response won over the primary's.
+    /// Retired with [`PoolStats::hedges`]; always 0.
     pub hedges_won: u64,
     /// Times the pool had to wait for a rate budget or breaker cooldown.
     pub budget_waits: u64,
@@ -392,10 +358,9 @@ impl PoolStats {
         PoolStats {
             operations: self.operations - earlier.operations,
             failovers: self.failovers - earlier.failovers,
-            hedges: self.hedges - earlier.hedges,
-            hedges_won: self.hedges_won - earlier.hedges_won,
             budget_waits: self.budget_waits - earlier.budget_waits,
             replicas,
+            ..PoolStats::default()
         }
     }
 }
@@ -417,8 +382,8 @@ struct ReplicaState {
 const MAX_WAITS: u32 = 64;
 
 /// A [`CodeHost`] routing every operation across N replica backends with
-/// rate budgets, circuit breakers, transient-failure failover, and
-/// hedged retries. See the [module docs](self) for the scheduling rules.
+/// rate budgets, circuit breakers and transient-failure failover. See
+/// the [module docs](self) for the scheduling rules.
 pub struct HostPool<H> {
     replicas: Vec<H>,
     names: Vec<String>,
@@ -427,8 +392,6 @@ pub struct HostPool<H> {
     policy: PoolPolicy,
     operations: AtomicU64,
     failovers: AtomicU64,
-    hedges: AtomicU64,
-    hedges_won: AtomicU64,
     budget_waits: AtomicU64,
 }
 
@@ -466,8 +429,6 @@ impl<H: CodeHost> HostPool<H> {
             policy,
             operations: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
             budget_waits: AtomicU64::new(0),
         }
     }
@@ -498,8 +459,6 @@ impl<H: CodeHost> HostPool<H> {
         PoolStats {
             operations: self.operations.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
             budget_waits: self.budget_waits.load(Ordering::Relaxed),
             replicas: state
                 .iter()
@@ -514,6 +473,7 @@ impl<H: CodeHost> HostPool<H> {
                     breaker_probes: rs.breaker.probes(),
                 })
                 .collect(),
+            ..PoolStats::default()
         }
     }
 
@@ -610,45 +570,18 @@ impl<H: CodeHost> HostPool<H> {
         }
     }
 
-    /// Whether to hedge this attempt, and against which replica.
-    fn hedge_candidate(
-        &self,
-        primary: usize,
-        tried: &[usize],
-        now_ms: u64,
-        key: &str,
-        attempt: u32,
-    ) -> Option<usize> {
-        let hedge = self.policy.hedge.as_ref()?;
-        if self.replicas.len() < 2 {
-            return None;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let slow = {
-            let state = unpoisoned(self.state.lock());
-            state[primary].ewma_latency_ms > hedge.latency_threshold_ms as f64
-        };
-        if !slow && attempt < hedge.after_attempts {
-            return None;
-        }
-        let mut excluded = tried.to_vec();
-        excluded.push(primary);
-        self.pick(&excluded, now_ms, key, attempt.wrapping_add(97))
-    }
-
     /// Routes one raw request to replica `idx`: consumes a token, admits
     /// through the breaker, invokes `op`, then records the outcome and
-    /// latency. Returns the result and the attempt's latency in ms
-    /// (simulated in deterministic mode, measured otherwise). Does not
-    /// advance the virtual clock — the caller advances by the round's
-    /// winning latency.
+    /// latency (simulated in deterministic mode, measured otherwise). In
+    /// deterministic mode the virtual clock then advances by that
+    /// latency.
     fn attempt_on<T>(
         &self,
         idx: usize,
         key: &str,
         attempt: u32,
         op: &impl Fn(&H) -> Result<T, HostError>,
-    ) -> (Result<T, HostError>, u64) {
+    ) -> Result<T, HostError> {
         {
             let mut state = unpoisoned(self.state.lock());
             let now = self.clock.now_ms();
@@ -691,11 +624,15 @@ impl<H: CodeHost> HostPool<H> {
         } else {
             0.7 * rs.ewma_latency_ms + 0.3 * sample
         };
-        (result, latency_ms)
+        drop(state);
+        if self.policy.deterministic {
+            self.clock.advance_by(latency_ms);
+        }
+        result
     }
 
-    /// The full scheduling loop for one operation: route, hedge, fail
-    /// over, wait on budgets/cooldowns, bounded by
+    /// The full scheduling loop for one operation: route, fail over,
+    /// wait on budgets/cooldowns, bounded by
     /// [`PoolPolicy::max_attempts`].
     fn call<T>(&self, key: &str, op: impl Fn(&H) -> Result<T, HostError>) -> Result<T, HostError> {
         self.operations.fetch_add(1, Ordering::Relaxed);
@@ -711,7 +648,7 @@ impl<H: CodeHost> HostPool<H> {
         let mut attempt = 0u32;
         while attempt < max_attempts {
             let now = self.clock.now_ms();
-            let Some(primary) = self.pick(&tried, now, key, attempt) else {
+            let Some(idx) = self.pick(&tried, now, key, attempt) else {
                 if tried.len() > corrupt_replicas.len()
                     && self.pick(&corrupt_replicas, now, key, attempt).is_some()
                 {
@@ -731,65 +668,23 @@ impl<H: CodeHost> HostPool<H> {
                 continue;
             };
             attempt += 1;
-            let hedge = self.hedge_candidate(primary, &tried, now, key, attempt);
-            let (primary_result, primary_latency) = self.attempt_on(primary, key, attempt, &op);
-            let (result, round_latency) = if let Some(secondary) = hedge {
-                self.hedges.fetch_add(1, Ordering::Relaxed);
-                let (hedge_result, hedge_latency) = self.attempt_on(secondary, key, attempt, &op);
-                match (&primary_result, &hedge_result) {
-                    // Both answered: the faster success wins (a tie keeps
-                    // the primary). Replica content is identical, so the
-                    // winner choice never changes the bytes returned.
-                    (Ok(_), Ok(_)) if hedge_latency < primary_latency => {
-                        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-                        (hedge_result, hedge_latency)
-                    }
-                    (Ok(_), _) => (primary_result, primary_latency),
-                    (Err(_), Ok(_)) => {
-                        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-                        (hedge_result, hedge_latency)
-                    }
-                    (Err(_), Err(_)) => {
-                        // Record the hedge's failure kind too before the
-                        // failover path below handles the primary's.
-                        match hedge_result {
-                            Err(HostError::CorruptContent { .. }) => {
-                                corrupt_replicas.push(secondary);
-                                tried.push(secondary);
-                                corrupt_error = hedge_result.err();
-                            }
-                            Err(e) => {
-                                last_transient = e;
-                                tried.push(secondary);
-                            }
-                            Ok(_) => unreachable!("matched Err"),
-                        }
-                        (primary_result, primary_latency.max(hedge_latency))
-                    }
-                }
-            } else {
-                (primary_result, primary_latency)
-            };
-            if self.policy.deterministic {
-                self.clock.advance_by(round_latency);
-            }
-            match result {
+            match self.attempt_on(idx, key, attempt, &op) {
                 Ok(value) => return Ok(value),
                 Err(err @ HostError::CorruptContent { .. }) => {
-                    if !corrupt_replicas.contains(&primary) {
-                        corrupt_replicas.push(primary);
-                    }
-                    tried.push(primary);
-                    corrupt_error = Some(err);
+                    // `pick` skipped every replica in `tried`, which
+                    // holds all of `corrupt_replicas`: no duplicate.
+                    corrupt_replicas.push(idx);
+                    tried.push(idx);
                     if corrupt_replicas.len() == self.replicas.len() {
                         // Every replica agrees the content is corrupt:
                         // report the permanent fault.
-                        return Err(corrupt_error.unwrap_or(HostError::Timeout));
+                        return Err(err);
                     }
+                    corrupt_error = Some(err);
                 }
                 Err(err) => {
                     last_transient = err;
-                    tried.push(primary);
+                    tried.push(idx);
                     self.failovers.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -867,7 +762,7 @@ mod tests {
         }
         let stats = pool.stats();
         assert_eq!(stats.operations, 12);
-        assert_eq!(stats.hedges, 0, "one replica cannot hedge");
+        assert_eq!(stats.replicas[0].attempts, 12);
         assert_eq!(stats.replicas[0].served, 12);
     }
 
@@ -964,7 +859,6 @@ mod tests {
                     capacity: 2,
                     refill_interval_ms: 500,
                 }),
-                hedge: None,
                 ..det_policy(2)
             },
         );

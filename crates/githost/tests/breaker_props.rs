@@ -10,7 +10,7 @@
 
 use gittables_githost::{
     BreakerPolicy, BreakerState, CircuitBreaker, CodeHost, FaultSpec, FlakyHost, GitHost, HostPool,
-    PoolPolicy, RepoFile, Repository,
+    PoolPolicy, PoolStats, RepoFile, Repository,
 };
 use proptest::prelude::*;
 
@@ -143,25 +143,13 @@ proptest! {
     /// the healthy replica carried the load — for any seed.
     #[test]
     fn blackout_replica_is_ejected_for_any_seed(seed in 0u64..1_000) {
-        let build = || {
-            let host = GitHost::new();
-            for i in 0..10 {
-                host.add_repository(Repository {
-                    full_name: format!("u{i}/r{i}"),
-                    license: Some("mit".into()),
-                    fork: false,
-                    files: vec![RepoFile::new("t.csv", format!("id,v\n{i},w\n"))],
-                });
-            }
-            host
-        };
-        let dead = FlakyHost::new(build(), FaultSpec {
+        let dead = FlakyHost::new(sample_host(), FaultSpec {
             seed,
             transient_rate: 1.0,
             max_consecutive: u32::MAX,
             ..FaultSpec::default()
         });
-        let healthy = FlakyHost::new(build(), FaultSpec::default());
+        let healthy = FlakyHost::new(sample_host(), FaultSpec::default());
         let pool = HostPool::new(vec![dead, healthy], PoolPolicy {
             seed,
             deterministic: true,
@@ -182,5 +170,49 @@ proptest! {
         prop_assert!(stats.breaker_opens() >= 1, "{:?}", stats);
         prop_assert_eq!(stats.replicas[1].transient_errors, 0);
         prop_assert!(stats.replicas[1].served >= 30, "{:?}", stats);
+        prop_assert_eq!(backend_calls(&stats), stats.operations + stats.failovers);
     }
+
+    /// One backend call per attempt, counted: over two transient-faulty
+    /// replicas every operation succeeds, so each backend call is either
+    /// an operation's one success or a transient error that failed over.
+    #[test]
+    fn every_attempt_is_one_backend_call(seed in 0u64..1_000, rate in 0.0f64..0.6) {
+        let pool = HostPool::new(
+            vec![
+                FlakyHost::new(sample_host(), FaultSpec::transient(seed, rate)),
+                FlakyHost::new(sample_host(), FaultSpec::transient(seed + 1, rate)),
+            ],
+            PoolPolicy { seed, deterministic: true, ..PoolPolicy::default() },
+        );
+        for round in 0..3 {
+            for i in 0..10 {
+                let got = pool.fetch(&format!("u{i}/r{i}"), "t.csv");
+                prop_assert!(got.is_ok(), "round {} seed {}: {:?}", round, seed, got);
+            }
+        }
+        let stats = pool.stats();
+        prop_assert_eq!(backend_calls(&stats), stats.operations + stats.failovers);
+        let transient: u64 = stats.replicas.iter().map(|r| r.transient_errors).sum();
+        prop_assert_eq!(transient, stats.failovers);
+    }
+}
+
+/// Ten repositories `u{i}/r{i}`, each holding one `t.csv`.
+fn sample_host() -> GitHost {
+    let host = GitHost::new();
+    for i in 0..10 {
+        host.add_repository(Repository {
+            full_name: format!("u{i}/r{i}"),
+            license: Some("mit".into()),
+            fork: false,
+            files: vec![RepoFile::new("t.csv", format!("id,v\n{i},w\n"))],
+        });
+    }
+    host
+}
+
+/// Requests the pool sent to any backend.
+fn backend_calls(stats: &PoolStats) -> u64 {
+    stats.replicas.iter().map(|r| r.attempts).sum()
 }

@@ -13,10 +13,10 @@
 //! gittables save    --corpus corpus.json --out store_dir/ [--shard 256] [--format colv1|jsonl]
 //! gittables load    --store store_dir/ --out corpus.json
 //! gittables resume  --store store_dir/ [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]
-//! gittables crawl   store_dir/ [--passes N] [--interval-ms N] [--max-shards N] [--drain-every N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]
+//! gittables crawl   <store_dir/ | --store store_dir/> [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--format colv1|jsonl] [--passes N] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]
 //! gittables migrate store_dir/ --to <colv1|jsonl>
 //! gittables index   store_dir/
-//! gittables serve   store_dir/ [--addr 127.0.0.1:7878] [--threads 4] [--cache 1024]
+//! gittables serve   store_dir/ [--addr 127.0.0.1:7878] [--threads 4] [--cache 1024] [--shards 1]
 //! ```
 //!
 //! `save`/`load` convert between the monolithic JSON file and the sharded
@@ -484,11 +484,9 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
         }
         if let Some(pool) = &p.pool {
             eprintln!(
-                "  pool: {} ops, {} failovers, {} hedges ({} won), {} budget waits, {} breaker opens",
+                "  pool: {} ops, {} failovers, {} budget waits, {} breaker opens",
                 pool.operations,
                 pool.failovers,
-                pool.hedges,
-                pool.hedges_won,
                 pool.budget_waits,
                 pool.breaker_opens()
             );
@@ -592,7 +590,7 @@ fn usage() -> ExitCode {
     );
     eprintln!("  load     --store store_dir/ --out corpus.json");
     eprintln!("  resume   --store store_dir/ [--seed N] [--topics N] [--repos N] [--sql P] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]");
-    eprintln!("  crawl    store_dir/ [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
+    eprintln!("  crawl    <store_dir/ | --store store_dir/> [--seed N] [--topics N] [--repos N] [--sql P] [--format colv1|jsonl] [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
     eprintln!("  migrate  store_dir/ --to <colv1|jsonl>");
     eprintln!("  index    store_dir/   (build the index sidecar for fast `serve` boots)");
     eprintln!("  serve    store_dir/ [--addr HOST:PORT] [--threads N] [--cache N] [--shards N]");
