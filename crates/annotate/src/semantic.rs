@@ -84,7 +84,7 @@ impl SemanticAnnotator {
             return Vec::new();
         }
         self.index
-            .nearest_pruned(&norm, k)
+            .nearest(&norm, k)
             .into_iter()
             .filter(|h| h.similarity >= self.threshold)
             .filter_map(|h| {
@@ -119,7 +119,7 @@ impl SemanticAnnotator {
     /// once in the caller). The returned [`Annotation::column`] is `0`.
     #[must_use]
     pub fn annotate_norm(&self, norm: &str) -> Option<Annotation> {
-        let hits = self.index.nearest_pruned(norm, 1);
+        let hits = self.index.nearest(norm, 1);
         let best = hits.first()?;
         if best.similarity < self.threshold {
             return None;

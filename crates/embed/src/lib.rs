@@ -20,8 +20,8 @@
 //!   Common Crawl pretraining provides.
 //! * [`SentenceEncoder`] — SIF-weighted mean over token vectors, the USE
 //!   substitute used for schemas and search queries.
-//! * [`EmbeddingIndex`] — cosine nearest-neighbour search with an optional
-//!   inverted n-gram candidate filter.
+//! * [`EmbeddingIndex`] — exact cosine nearest-neighbour search over a
+//!   fixed label set: the semantic annotator's best-cosine type.
 //! * [`rank`] — the bounded top-`k` selection shared by the index and the
 //!   §5 applications.
 //! * [`WordMemo`] — a bounded memo of word vectors, below.
@@ -48,7 +48,8 @@
 //!   64 (256 B of vector, ≤ 80 B of key, `Arc` and hash-slot overhead):
 //!   ~26 MB for a full memo, under 1 MB for a realistic vocabulary;
 //! * **lifetime** — owned by its holder, shared by the holder's clones,
-//!   never serialized (a deserialized holder starts a fresh one), never a
+//!   never serialized (a deserialized [`SentenceEncoder`] starts a fresh
+//!   one; an [`EmbeddingIndex`] is never serialized at all), never a
 //!   process-global.
 //!
 //! `NgramEmbedder`'s own `embed_word`/`embed` stay uncached: they are the
@@ -68,19 +69,20 @@
 //! chains are what lets the optimizer pack rows into vector lanes.
 //!
 //! * [`PackedRows`] — for a fixed set of rows that every query scans
-//!   whole: data search (`gittables_core::apps::DataSearch`). The rows
-//!   are copied once, when the index is assembled, into blocks of eight
-//!   stored element-major, and [`PackedRows::dots_into`] sweeps the query
-//!   once per four blocks — 32 accumulators per pass, each query element
-//!   multiplying eight adjacent values per block. The copy costs
-//!   `rows × dim × 4` bytes beside the index's own rows.
+//!   whole: data search (`gittables_core::apps::DataSearch`) and
+//!   [`EmbeddingIndex`]'s nearest-type search over every ontology label.
+//!   The rows are copied once, when the index is assembled, into blocks
+//!   of eight stored element-major, and [`PackedRows::dots_into`] sweeps
+//!   the query once per four blocks — 32 accumulators per pass, each
+//!   query element multiplying eight adjacent values per block. Data
+//!   search's copy costs `rows × dim × 4` bytes beside the index's own
+//!   rows; [`EmbeddingIndex`] keeps only the packed copy.
 //! * [`vector::dot_rows`] / [`vector::cosine_rows`] — for rows *gathered*
-//!   per query: [`EmbeddingIndex`]'s nearest-type search scores the
-//!   candidates its n-gram probe picked, schema completion the attribute
-//!   rows of the schemas a prefix leaves eligible. A different subset per
-//!   query cannot be packed ahead, and packing it per query would cost
-//!   what it saves, so these take eight rows per pass straight from
-//!   where they lie.
+//!   per query, which only schema completion does: it scores the
+//!   attribute rows of the schemas a prefix leaves eligible. A different
+//!   subset per query cannot be packed ahead, and packing it per query
+//!   would cost what it saves, so these take eight rows per pass straight
+//!   from where they lie.
 //!
 //! A cosine needs two norms besides the dot product. The query's is
 //! computed once per call by the caller; a row's is a constant of the
@@ -125,7 +127,7 @@ pub mod vector;
 
 pub use index::{EmbeddingIndex, Neighbor};
 pub use memo::{MemoStats, WordMemo};
-pub use ngram::{ngrams, GramBuf, NgramEmbedder};
+pub use ngram::{ngrams, NgramEmbedder};
 pub use rank::{asc_nan_last, best_k, desc_nan_last, top_k_by};
 pub use sentence::SentenceEncoder;
 pub use vector::{

@@ -40,10 +40,10 @@ pub fn ngrams(word: &str, n_min: usize, n_max: usize) -> Vec<String> {
 
 /// Reusable scratch for borrowed n-gram iteration: holds the boundary-marked
 /// token (`<word>`) and its char-boundary offsets so grams can be yielded as
-/// `&str` slices instead of allocating one `String` per gram (the candidate
-/// probe of `EmbeddingIndex` runs this for every query).
+/// `&str` slices instead of allocating one `String` per gram (embedding a
+/// word walks every gram of it).
 #[derive(Debug, Default, Clone)]
-pub struct GramBuf {
+pub(crate) struct GramBuf {
     buf: String,
     bounds: Vec<usize>,
 }

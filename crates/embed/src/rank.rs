@@ -1,7 +1,8 @@
 //! Bounded top-`k` selection under a total order — the ranking helpers
 //! behind [`crate::EmbeddingIndex`], data search and schema completion:
-//! [`top_k_by`] selects among collected items, [`best_k`] keeps the best
-//! of a stream as it arrives.
+//! [`best_k`] keeps the best of a stream as it arrives (the nearest-type
+//! and data searches), [`top_k_by`] selects among collected items
+//! (schema completion).
 //!
 //! Every caller ranks `(entry index, score)` pairs by score with the
 //! entry index as tiebreak. Because indices are distinct and ascend in
