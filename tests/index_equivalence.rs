@@ -140,14 +140,16 @@ fn nearest_equals_the_per_row_reference_over_schema_org() {
 }
 
 #[test]
-fn nearest_matches_reference_cosine_on_full_dbpedia() {
-    // Against the rows as they were before L2 pre-normalization:
-    // unnormalized, with both norms computed per call.
+fn brute_dot_product_matches_reference_cosine_on_full_dbpedia() {
+    // `nearest` is a brute-force dot product over every pre-normalized
+    // row; checked against the rows as they were before L2
+    // pre-normalization: unnormalized, with both norms computed per call.
     let ontology = dbpedia();
     let labels: Vec<&str> = ontology.types().iter().map(|t| t.label.as_str()).collect();
     let embedder = NgramEmbedder::default();
     let rows: Vec<Vec<f32>> = labels.iter().map(|l| embedder.embed(l)).collect();
     let index = EmbeddingIndex::build(embedder, &labels);
+    assert_eq!(index.len(), labels.len());
     // Every 7th label as a query keeps the quadratic reference affordable
     // while sweeping the whole alphabet of type labels.
     let queries = labels
