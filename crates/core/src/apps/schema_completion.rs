@@ -74,6 +74,9 @@ impl NearestCompletion {
         encoder: SentenceEncoder,
     ) -> Self {
         let dim = encoder.embedder().dim;
+        // A `Schema`'s one interior mutability is its rendered-body
+        // cache, which its `Hash` and `Eq` ignore.
+        #[allow(clippy::mutable_key_type)]
         let mut seen = std::collections::HashSet::new();
         let mut schemas = Vec::new();
         let mut starts = vec![0usize];

@@ -2,14 +2,16 @@
 //! schemas and rank them against a natural-language query.
 //!
 //! The search is an exact scan: every entry's schema embedding is scored
-//! against the query. [`DataSearch::rank`] does that in one pass over a
-//! packed copy of the rows ([`PackedRows`], 32 rows per sweep of the
-//! query), finishing each dot product into a cosine and keeping the best
-//! `k` as the scores arrive ([`best_k`]); nothing with one slot per entry
-//! is collected but the `f32` dot products themselves. Ranking yields
-//! `(entry, score)` pairs, and only [`DataSearch::hit`] turns one into a
-//! [`SearchHit`], so a sharded server merges the shards' pairs first and
-//! materializes just the `k` that survive the merge.
+//! against the query. [`DataSearch::rank`] does that in three steps over
+//! one buffer with a slot per entry: the dot products of a packed copy
+//! of the rows ([`PackedRows`], 32 rows per sweep of the query); the
+//! same buffer finished into cosines in place, by a plain loop over
+//! [`cosine_of_dot`] that the compiler vectorizes; and the selection of
+//! the best `k` ([`best_k`]), which turns away a score below the worst
+//! one kept with a single compare. Ranking yields `(entry, score)` pairs,
+//! and only [`DataSearch::hit`] turns one into a [`SearchHit`], so a
+//! sharded server merges the shards' pairs first and materializes just
+//! the `k` that survive the merge.
 //!
 //! **Memory.** The packed copy is `rows × dim × 4` bytes (152 KB at 593
 //! tables and `dim` 64) held beside the index's own rows, which on the
@@ -18,8 +20,9 @@
 //! carves out of one share it instead of packing their rows again. The
 //! schemas are shared the same way: a [`Schema`] keeps its attributes
 //! behind one reference count, so a hit and a slice point at the index's
-//! own lists, and a hit costs no allocation of its own until its body is
-//! written.
+//! own lists, and a hit costs no allocation of its own. Its body reuses
+//! the list's serialized text, rendered the first time any hit of that
+//! entry is written and kept with the list (see [`Schema`]).
 
 use std::sync::Arc;
 
@@ -229,30 +232,28 @@ impl DataSearch {
     }
 
     /// The best `k` entries for an embedded `query`, as `(entry, score)`
-    /// pairs in rank order — the hot path of the `/search` endpoint. One
-    /// pass: the packed rows' dot products with `query`
-    /// ([`PackedRows::dots_into`], each `dot`'s bits), each finished into
-    /// a cosine with the query's norm (once per call) and the row's (once
-    /// per index) by [`cosine_of_dot`] — so every score has
-    /// `cosine_with_norm`'s bits — and fed to the bounded selection
-    /// [`best_k`] under *score descending, entry ascending*. The ranking
-    /// is bit-identical to the original sort-everything-stably-then-
-    /// truncate implementation, ties resolving in entry order.
+    /// pairs in rank order — the hot path of the `/search` endpoint. The
+    /// packed rows' dot products with `query` ([`PackedRows::dots_into`],
+    /// each `dot`'s bits) are finished into cosines in place, with the
+    /// query's norm (once per call) and the row's (once per index), by
+    /// [`cosine_of_dot`] — so every score has `cosine_with_norm`'s bits —
+    /// and handed, widened to `f64`, to the bounded selection [`best_k`]
+    /// under *score descending, entry ascending*. The ranking is
+    /// bit-identical to the original sort-everything-stably-then-truncate
+    /// implementation, ties resolving in entry order.
     ///
     /// A NaN score would rank after every number; none can arise from
     /// finite embeddings, since the cosine guards zero norms and clamps.
     #[must_use]
     pub fn rank(&self, query: &[f32], k: usize) -> Vec<(usize, f64)> {
-        let mut dots = Vec::with_capacity(self.ids.len());
+        let mut scores = Vec::with_capacity(self.ids.len());
         self.packed
-            .dots_into(query, self.first..self.first + self.ids.len(), &mut dots);
+            .dots_into(query, self.first..self.first + self.ids.len(), &mut scores);
         let na = norm(query);
-        let scored = dots
-            .iter()
-            .zip(&self.norms)
-            .map(|(&ab, &nb)| f64::from(cosine_of_dot(ab, na, nb)))
-            .enumerate();
-        best_k(scored, k)
+        for (score, &nb) in scores.iter_mut().zip(&self.norms) {
+            *score = cosine_of_dot(*score, na, nb);
+        }
+        best_k(scores.iter().map(|&score| f64::from(score)).enumerate(), k)
     }
 
     /// The [`SearchHit`] for a `(entry, score)` pair of [`Self::rank`],

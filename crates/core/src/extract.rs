@@ -304,7 +304,7 @@ fn search_pages(
 
 /// Extracts all CSV files for one topic. Returns the files and stats.
 /// Infallible-host convenience wrapper around
-/// [`extract_topic_session`] with the default fault policy and the CSV
+/// `extract_topic_session` with the default fault policy and the CSV
 /// file kind.
 #[must_use]
 pub fn extract_topic(

@@ -66,7 +66,7 @@
 //!
 //! ## The checksum
 //!
-//! [`checksum`] reads the bytes as little-endian `u64` words, 32 bytes a
+//! `checksum` reads the bytes as little-endian `u64` words, 32 bytes a
 //! round, each word folded into one of four independent lanes by
 //! `h = (h ^ word) * FNV_PRIME; h ^= h >> 32`. The lanes, then the
 //! tail bytes (fewer than 32, one at a time), then the total length are
@@ -816,8 +816,8 @@ fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
     for _ in 0..n {
         attrs.push(cur.str()?);
     }
-    // The names move into the schema's shared list: one allocation, no
-    // second copy of the `Vec`.
+    // The `Vec`'s buffer becomes the schema's list; sharing it is one
+    // allocation more, with no second copy of the names.
     Ok(Schema::new(attrs))
 }
 

@@ -93,7 +93,17 @@
 //! reassembled from a sidecar — with the plain per-row [`norm`], which is
 //! the value [`cosine_with_norm`] would have computed. Every cosine is
 //! finished by [`cosine_of_dot`]: the zero-norm guard, the division and
-//! the clamp are written once.
+//! the clamp are written once. Data search finishes a whole buffer of dot
+//! products that way in place, one plain loop the compiler vectorizes,
+//! before it selects any of them.
+//!
+//! Both full scans select with [`best_k`]: a bounded max-heap of the best
+//! `k` so far, with the worst kept score held as a floor once the heap is
+//! full. A score below the floor is turned away by one `f64` compare, so
+//! after the first few rows nearly every row costs that compare and
+//! nothing else; the rest (a NaN, a signed zero, a tie) take the full
+//! order. The selection is the stable sort's prefix either way (see
+//! [`rank`]) and stays O(n log k).
 //!
 //! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] remain the
 //! reference (`vector`'s proptests compare `to_bits` over every block

@@ -81,23 +81,40 @@ impl Eq for Ranked {}
 /// ascending*, best first: exactly what [`top_k_by`] keeps under that
 /// order, taken as the pairs arrive instead of after collecting them.
 /// A max-heap holds the best `min(k, len)` seen so far with the worst of
-/// them on top; a pair enters only by beating it. O(n log k) at worst,
-/// and a pair that does not beat the worst kept costs one comparison.
+/// them on top; a pair enters only by beating it. O(n log k) at worst.
+///
+/// Once the heap is full, the worst kept score is held as a *floor*, and
+/// a pair scoring below it (`score < floor`, one `f64` compare) is turned
+/// away without touching the heap: under the order above it ranks after
+/// the worst kept pair, whatever its entry. Everything else — a NaN on
+/// either side, `-0.0` against `0.0`, a tie — is compared in the full
+/// order, as every pair was before the floor, so the result is unchanged.
 #[must_use]
-pub fn best_k(scored: impl ExactSizeIterator<Item = (usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+pub fn best_k(
+    mut scored: impl ExactSizeIterator<Item = (usize, f64)>,
+    k: usize,
+) -> Vec<(usize, f64)> {
     let keep = k.min(scored.len());
-    if keep == 0 {
-        return Vec::new();
-    }
-    let mut heap = std::collections::BinaryHeap::with_capacity(keep);
+    let mut heap: std::collections::BinaryHeap<Ranked> = scored
+        .by_ref()
+        .take(keep)
+        .map(|(entry, score)| Ranked(entry, score))
+        .collect();
+    let mut floor = heap.peek().map_or(f64::NAN, |worst| worst.1);
     for (entry, score) in scored {
+        if score < floor {
+            continue;
+        }
+        // Empty only at `k == 0`: nothing is kept.
+        let Some(mut worst) = heap.peek_mut() else {
+            break;
+        };
         let candidate = Ranked(entry, score);
-        if heap.len() < keep {
-            heap.push(candidate);
-        } else if let Some(mut worst) = heap.peek_mut() {
-            if candidate < *worst {
-                *worst = candidate;
-            }
+        if candidate < *worst {
+            *worst = candidate;
+            // Dropping the `PeekMut` sifts the new pair down.
+            drop(worst);
+            floor = heap.peek().map_or(f64::NAN, |worst| worst.1);
         }
     }
     heap.into_sorted_vec()
@@ -114,21 +131,47 @@ mod tests {
         desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
     }
 
+    /// `(entry, score)` pairs in the order a selection receives them.
+    fn stream(scores: &[f64]) -> Vec<(usize, f64)> {
+        scores.iter().copied().enumerate().collect()
+    }
+
     #[test]
     fn selection_equals_stable_sort_then_truncate() {
-        // Ties (incl. -0.0 vs 0.0) must resolve in entry order.
-        let scores = [0.5, 1.0, 0.5, -0.0, 0.0, 1.0, -1.0, 0.5];
-        let entries: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
-        let mut stable = entries.clone();
-        stable.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        for k in [0, 1, 3, 7, 8, 13, usize::MAX] {
-            let mut picked = entries.clone();
-            top_k_by(&mut picked, k, by_score_desc);
-            let want = &stable[..k.min(stable.len())];
-            assert_eq!(picked.len(), want.len(), "k={k}");
-            for (p, w) in picked.iter().zip(want) {
-                assert_eq!(p.0, w.0, "k={k}");
-                assert_eq!(p.1.to_bits(), w.1.to_bits(), "k={k}");
+        let nan = f64::NAN;
+        let mut ties_descending = stream(&[0.5, 0.7, 0.5, 0.5, 0.5, 0.9, 0.5, 0.5, 0.5, 0.5]);
+        ties_descending.reverse();
+        let streams = [
+            // Ties (incl. -0.0 vs 0.0) must resolve in entry order.
+            stream(&[0.5, 1.0, 0.5, -0.0, 0.0, 1.0, -1.0, 0.5]),
+            // Three numbers: at k = 5 the worst kept score, the floor of
+            // `best_k`, is a NaN, which every later pair must be compared
+            // against in full.
+            stream(&[nan, 0.3, nan, 0.1, nan, nan, 0.2, nan]),
+            // At k = 3 the floor is -0.0 and later 0.0s (and a -0.0)
+            // tie with it: the entry decides, not the sign.
+            stream(&[1.0, -0.0, 0.5, -0.0, 0.0, 0.0, -1.0, 0.0]),
+            // Exact ties at the floor, each with a lower entry than every
+            // kept one: each must displace the worst kept pair.
+            ties_descending,
+        ];
+        for pairs in streams {
+            // The stable sort by score of the pairs in entry order.
+            let mut stable = pairs.clone();
+            stable.sort_by_key(|p| p.0);
+            stable.sort_by(|a, b| desc_nan_last(a.1, b.1));
+            for k in [0, 1, 3, 5, 7, 8, 13, usize::MAX] {
+                let want = &stable[..k.min(stable.len())];
+                let mut picked = pairs.clone();
+                top_k_by(&mut picked, k, by_score_desc);
+                let streamed = best_k(pairs.iter().copied(), k);
+                for got in [&picked, &streamed] {
+                    assert_eq!(got.len(), want.len(), "k={k} {pairs:?}");
+                    for (p, w) in got.iter().zip(want) {
+                        assert_eq!(p.0, w.0, "k={k} {pairs:?}");
+                        assert_eq!(p.1.to_bits(), w.1.to_bits(), "k={k} {pairs:?}");
+                    }
+                }
             }
         }
     }

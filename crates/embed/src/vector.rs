@@ -96,12 +96,12 @@ fn dot_block(a: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [f32; ROW_BLOCK] {
 /// `dot(a, row(i))` for `i` in `0..n` — bit-identical to calling [`dot`]
 /// per row, but [`ROW_BLOCK`] rows share one pass over `a` with
 /// independent accumulators (see the crate docs, *Scoring kernel*). Full
-/// blocks of rows as long as `a` take [`dot_block`]; everything from the
+/// blocks of rows as long as `a` take `dot_block`; everything from the
 /// first block holding a row of another length on (no caller has one),
 /// and the `< ROW_BLOCK` rows left at the end, go through [`dot`] itself.
 ///
 /// Never inlined: compiled on its own (with `row` inlined into it) the
-/// eight chains of [`dot_block`] are packed into vector lanes; inlined
+/// eight chains of `dot_block` are packed into vector lanes; inlined
 /// into a larger caller the optimizer was seen to give that up (an
 /// annotation miss took 26 µs instead of 17 µs).
 #[must_use]
@@ -187,7 +187,7 @@ impl PackedRows {
     /// order — bit-identical to calling [`dot`] per row: each row has an
     /// accumulator of its own that starts from `f32`'s `Sum` start value
     /// and takes `a[0]·row[0], a[1]·row[1], …` in that order. Blocks are
-    /// swept [`SWEEP_BLOCKS`] at a time (32 independent accumulators per
+    /// swept `SWEEP_BLOCKS` at a time (32 independent accumulators per
     /// pass over `a`), then one at a time.
     ///
     /// # Panics

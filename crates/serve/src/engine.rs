@@ -16,9 +16,9 @@
 //! materialized rebuild when the sidecars are missing, stale, or
 //! corrupt — recording which path ran (and why a fallback happened) in
 //! [`EngineBuildStats`], served under `/metrics`. That decision lives in
-//! one place ([`QueryEngine::boot`]); a sharded deployment boots the same
-//! whole-corpus engine and then [splits](QueryEngine::split) it into
-//! shard-local views.
+//! one place (`QueryEngine::boot`); a sharded deployment boots the same
+//! whole-corpus engine and then splits it into shard-local views
+//! (`QueryEngine::split`).
 
 use std::path::Path;
 use std::sync::Arc;

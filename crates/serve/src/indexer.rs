@@ -3,10 +3,10 @@
 //!
 //! [`build_sidecars`] materializes the corpus **once** (exactly what the
 //! rebuild boot path does on every start), builds the three query
-//! indexes with the same builder [`QueryEngine::from_corpus`] uses, and
+//! indexes with the same builder [`QueryEngine::from_corpus`](crate::QueryEngine::from_corpus) uses, and
 //! persists them plus the table-block directory next to the shards as
 //! one file ([`gittables_corpus::sidecar`]). From then on
-//! [`QueryEngine::load`] boots in O(index mmap) until the store's
+//! [`QueryEngine::load`](crate::QueryEngine::load) boots in O(index mmap) until the store's
 //! contents change — at which point the binding fingerprints mark the
 //! sidecar stale and the engine falls back to a rebuild.
 //!

@@ -2,7 +2,7 @@
 //! [`QueryEngine`]s, each owning a contiguous global table-id range.
 //!
 //! Every set starts as one whole-corpus engine — booted from the store
-//! ([`QueryEngine::boot`]: sidecar-first, rebuild fallback) or built
+//! (`QueryEngine::boot`: sidecar-first, rebuild fallback) or built
 //! over an in-memory corpus — which is then split into near-even id
 //! ranges by table count ([`GroupDirectory::split_even`]; every engine
 //! reads tables from the one shared source, so the store's own shard

@@ -14,6 +14,20 @@ fn process_threads() -> Option<usize> {
     Some(std::fs::read_dir("/proc/self/task").ok()?.count())
 }
 
+/// [`process_threads`] once it reads `want`, or its last reading after
+/// 2 s: a thread that has been joined can still be listed for a moment
+/// while the kernel tears it down.
+fn threads_settled_at(want: usize) -> Option<usize> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    loop {
+        let now = process_threads();
+        if now == Some(want) || std::time::Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn a_server_runs_its_workers_and_the_reload_watcher_only() {
     let mut corpus = Corpus::new("server-threads");
@@ -79,7 +93,11 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
         }
         drop(client);
         handle.shutdown();
-        assert_eq!(process_threads(), Some(before), "threads left behind");
+        assert_eq!(
+            threads_settled_at(before),
+            Some(before),
+            "threads left behind"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
