@@ -6,7 +6,7 @@
 //! one buffer with a slot per entry: the dot products of a packed copy
 //! of the rows ([`PackedRows`], 32 rows per sweep of the query); the
 //! same buffer finished into cosines in place, by a plain loop over
-//! [`cosine_of_dot`] that the compiler vectorizes; and the selection of
+//! [`cosine_of_dot`]; and the selection of
 //! the best `k` ([`best_k`]), which turns away a score below the worst
 //! one kept with a single compare. Ranking yields `(entry, score)` pairs,
 //! and only [`DataSearch::hit`] turns one into a [`SearchHit`], so a

@@ -94,8 +94,8 @@
 //! the value [`cosine_with_norm`] would have computed. Every cosine is
 //! finished by [`cosine_of_dot`]: the zero-norm guard, the division and
 //! the clamp are written once. Data search finishes a whole buffer of dot
-//! products that way in place, one plain loop the compiler vectorizes,
-//! before it selects any of them.
+//! products that way in place, in one plain loop, before it selects any
+//! of them.
 //!
 //! Both full scans select with [`best_k`]: a bounded max-heap of the best
 //! `k` so far, with the worst kept score held as a floor once the heap is

@@ -156,10 +156,21 @@ mod tests {
             ties_descending,
         ];
         for pairs in streams {
-            // The stable sort by score of the pairs in entry order.
+            // The stable sort by score of the pairs in entry order, written
+            // without this module's orders: numbers by `partial_cmp`
+            // (so `-0.0` and `0.0` tie), every NaN after them in entry
+            // order.
             let mut stable = pairs.clone();
             stable.sort_by_key(|p| p.0);
-            stable.sort_by(|a, b| desc_nan_last(a.1, b.1));
+            stable.sort_by(|a, b| {
+                a.1.is_nan().cmp(&b.1.is_nan()).then_with(|| {
+                    if a.1.is_nan() {
+                        Ordering::Equal
+                    } else {
+                        b.1.partial_cmp(&a.1).unwrap()
+                    }
+                })
+            });
             for k in [0, 1, 3, 5, 7, 8, 13, usize::MAX] {
                 let want = &stable[..k.min(stable.len())];
                 let mut picked = pairs.clone();

@@ -396,7 +396,7 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
-impl<T: Serialize> Serialize for Arc<T> {
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
@@ -405,6 +405,15 @@ impl<T: Serialize> Serialize for Arc<T> {
 impl<T: Deserialize> Deserialize for Arc<T> {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         T::deserialize(v).map(Arc::new)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Seq(xs) => xs.iter().map(T::deserialize).collect(),
+            _ => Err(Error::expected("sequence", "Arc<[T]>")),
+        }
     }
 }
 
@@ -508,5 +517,45 @@ impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
                 .collect(),
             _ => Err(Error::expected("map", "BTreeMap")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
+    #[test]
+    fn a_shared_slice_round_trips_as_an_array() {
+        let v = Value::Seq(vec![Value::Str("a\"".into()), Value::Str(String::new())]);
+        let shared = <Arc<[String]>>::deserialize(&v).unwrap();
+        assert_eq!(&*shared, ["a\"".to_string(), String::new()]);
+        assert_eq!(json(&shared), json(&v));
+        assert_eq!(json(&shared), r#"["a\"",""]"#);
+    }
+
+    #[test]
+    fn an_empty_shared_slice_is_an_empty_array() {
+        let shared = <Arc<[u8]>>::deserialize(&Value::Seq(Vec::new())).unwrap();
+        assert!(shared.is_empty());
+        assert_eq!(json(&shared), "[]");
+    }
+
+    #[test]
+    fn a_shared_slice_refuses_what_is_not_a_sequence() {
+        for v in [Value::Null, Value::Str("[]".into()), Value::Map(Vec::new())] {
+            let err = <Arc<[u8]>>::deserialize(&v).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "expected sequence while deserializing Arc<[T]>"
+            );
+        }
+        let err = <Arc<[u8]>>::deserialize(&Value::Seq(vec![Value::Int(-1)])).unwrap_err();
+        assert!(err.to_string().contains("out of range for u8"), "{err}");
     }
 }
