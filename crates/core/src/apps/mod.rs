@@ -18,19 +18,6 @@ pub use type_detection::{build_type_dataset, train_sherlock, TypeDetectionConfig
 /// [`NearestCompletion::word_memo_stats`] return.
 pub use gittables_embed::MemoStats;
 
-/// `norm(row)` of every row of an index's embedding matrix. Both indexes
-/// call this in the two places they are assembled — built from a corpus,
-/// reassembled from a sidecar — so a query costs one dot product per row,
-/// not two. The norms are [`gittables_embed::norm`]'s own values, which is
-/// what keeps scores bit-identical to the per-row
-/// [`gittables_embed::cosine_with_norm`]; they are never persisted
-/// (~0.2 ms per boot at benchmark size, against a sidecar format change).
-fn row_norms(rows: &gittables_corpus::F32Matrix) -> Vec<f32> {
-    (0..rows.rows())
-        .map(|i| gittables_embed::norm(rows.row(i)))
-        .collect()
-}
-
 /// Shared generators for the ranking proptests of [`search`] and
 /// [`schema_completion`]: small random corpora dense in exact ties.
 #[cfg(test)]

@@ -5,9 +5,12 @@
 //! distance between attribute embeddings) and return them as suggested
 //! completions.
 
+use std::cmp::Reverse;
+use std::sync::OnceLock;
+
 use gittables_corpus::{Corpus, F32Matrix, TableId};
 use gittables_embed::{
-    asc_nan_last, cosine, cosine_rows, norm, top_k_by, MemoStats, SentenceEncoder,
+    best_k, cosine, cosine_of_dot, norm, MemoStats, PackedRows, SentenceEncoder,
 };
 use gittables_table::Schema;
 use serde::{Deserialize, Serialize};
@@ -28,8 +31,15 @@ pub struct SchemaCompletion {
 /// Per-attribute embeddings live flat in one row-major [`F32Matrix`]
 /// (schema `i`'s rows are `starts[i]..starts[i + 1]`), which is either
 /// built in memory or a zero-copy view into a mapped index sidecar
-/// ([`gittables_corpus::sidecar`]) — distances read plain `&[f32]` rows
-/// either way, so both boot paths rank bit-identically.
+/// ([`gittables_corpus::sidecar`]). Queries score a packed copy made from
+/// those rows, so both boot paths rank bit-identically.
+///
+/// **Memory.** The packed copy holds every attribute row, `dim × 4`
+/// bytes each plus a 4-byte norm, beside the index's own rows: 1.14–1.24
+/// MB at benchmark size (the 4 391–4 769 attributes of the `sql_hot`
+/// corpora of seeds 1–3, `dim` 64). It is made on the first
+/// [`Self::complete`] call, not where the engine is assembled, so a boot
+/// or reload that answers no `/complete` never pays for it.
 pub struct NearestCompletion {
     encoder: SentenceEncoder,
     /// Distinct schemas, in first-seen order.
@@ -38,8 +48,52 @@ pub struct NearestCompletion {
     starts: Vec<usize>,
     /// One embedding row per schema attribute, flat.
     rows: F32Matrix,
-    /// `norm` of every row ([`super::row_norms`]).
+    /// What [`Self::complete`] scores, made on its first call.
+    ranking: OnceLock<Ranking>,
+}
+
+/// The attribute rows laid out for [`NearestCompletion::complete`]:
+/// position-major, in one [`PackedRows`]. Run `i` holds attribute `i` of
+/// every schema longer than `i`, the schemas ordered by length
+/// descending, then by index. The schemas that can complete a prefix of
+/// length `n` — those longer than `n` — are therefore the first
+/// `runs[n + 1] - runs[n]` slots of every run `i < n`, and a prefix
+/// attribute is scored against one consecutive run of packed rows.
+struct Ranking {
+    /// `order[j]` is the schema in slot `j` of every run.
+    order: Vec<usize>,
+    /// `longest + 1` cumulative run offsets into `packed`.
+    runs: Vec<usize>,
+    packed: PackedRows,
+    /// `norm` of every packed row, in packed order.
     norms: Vec<f32>,
+}
+
+impl Ranking {
+    fn new(schemas: &[Schema], starts: &[usize], rows: &F32Matrix) -> Self {
+        let mut order: Vec<usize> = (0..schemas.len()).collect();
+        order.sort_by_key(|&s| Reverse(schemas[s].len()));
+        let longest = order.first().map_or(0, |&s| schemas[s].len());
+        // The matrix row behind every packed row.
+        let mut at = Vec::with_capacity(rows.rows());
+        let mut runs = vec![0];
+        for i in 0..longest {
+            let longer = order.iter().take_while(|&&s| schemas[s].len() > i);
+            at.extend(longer.map(|&s| starts[s] + i));
+            runs.push(at.len());
+        }
+        Ranking {
+            order,
+            runs,
+            packed: PackedRows::pack(at.len(), rows.dim(), |r| rows.row(at[r])),
+            norms: at.iter().map(|&r| norm(rows.row(r))).collect(),
+        }
+    }
+
+    /// How many schemas can complete a prefix of length `n`.
+    fn eligible(&self, n: usize) -> usize {
+        self.runs.get(n + 1).map_or(0, |end| end - self.runs[n])
+    }
 }
 
 impl NearestCompletion {
@@ -98,16 +152,16 @@ impl NearestCompletion {
             encoder,
             schemas,
             starts,
-            norms: super::row_norms(&rows),
             rows,
+            ranking: OnceLock::new(),
         }
     }
 
     /// Reassembles the engine from persisted parts (the sidecar boot
     /// path): the exact schemas, row offsets, and per-attribute embedding
     /// rows a [`Self::build_with_ids`] call produced, in the same order.
-    /// Ranking is bit-identical because the rows are (their norms are
-    /// recomputed here, from the rows, as a build computes them).
+    /// Ranking is bit-identical because the rows are (the packed copy and
+    /// its norms are made from them alike, on the first query).
     ///
     /// # Panics
     /// When `starts` is not a `schemas.len() + 1` cumulative offset list
@@ -127,8 +181,8 @@ impl NearestCompletion {
             encoder: SentenceEncoder::default(),
             schemas,
             starts,
-            norms: super::row_norms(&rows),
             rows,
+            ranking: OnceLock::new(),
         }
     }
 
@@ -173,62 +227,56 @@ impl NearestCompletion {
 
     /// Algorithm 1: the `k` nearest completions for `prefix`.
     ///
-    /// Corpus schemas shorter than the prefix are skipped (they cannot
-    /// complete it). Distance is `mean_i (1 - cos(prefix[i], schema[i]))`.
-    /// A NaN distance would rank after every number ([`asc_nan_last`]);
-    /// none can arise from finite embeddings, since the cosine guards zero
-    /// norms and clamps.
+    /// Corpus schemas no longer than the prefix are skipped (they cannot
+    /// complete it); when none is longer, nothing is embedded. Distance is
+    /// `mean_i (1 - cos(prefix[i], schema[i]))`, summed in position order.
+    /// Each prefix attribute is embedded and normed once and scored
+    /// against its position's run of eligible schemas by
+    /// [`PackedRows::dots_into`], each dot product finished by
+    /// [`cosine_of_dot`] with the row's stored norm — `cosine`'s bits.
+    /// The nearest `k` are kept by [`best_k`] over the negated distances
+    /// (exact), i.e. *distance ascending, schema index ascending*, and
+    /// only those are materialized. The ranking is bit-identical to the
+    /// original sort-everything-stably-then-truncate implementation, ties
+    /// resolving in schema order. A NaN distance would rank after every
+    /// number; none can arise from finite embeddings, since the cosine
+    /// guards zero norms and clamps.
     #[must_use]
     pub fn complete(&self, prefix: &[&str], k: usize) -> Vec<SchemaCompletion> {
         let n = prefix.len();
         if n == 0 {
             return Vec::new();
         }
-        // Schemas shorter than the prefix cannot complete it.
-        let eligible: Vec<usize> = (0..self.schemas.len())
-            .filter(|&idx| self.schemas[idx].len() > n)
-            .collect();
-        // Position by position: one prefix attribute (embedded and normed
-        // once per call) against the attribute at that position of every
-        // eligible schema (normed once per index, when it was assembled),
-        // eight schemas at a time through the order-preserving
-        // [`cosine_rows`] — each cosine has `cosine_with_norm`'s bits.
-        let cos: Vec<Vec<f32>> = prefix
+        let ranking = self
+            .ranking
+            .get_or_init(|| Ranking::new(&self.schemas, &self.starts, &self.rows));
+        let m = ranking.eligible(n);
+        if m == 0 {
+            return Vec::new();
+        }
+        // `f64`'s `Sum` start value, as the reference's `sum` folds from.
+        let mut sums = vec![std::iter::empty::<f64>().sum::<f64>(); m];
+        let mut dots = Vec::with_capacity(m);
+        for (i, a) in prefix.iter().enumerate() {
+            let e = self.encoder.embed(a);
+            let na = norm(&e);
+            let run = ranking.runs[i]..ranking.runs[i] + m;
+            ranking.packed.dots_into(&e, run.clone(), &mut dots);
+            for ((sum, &ab), &nb) in sums.iter_mut().zip(&dots).zip(&ranking.norms[run]) {
+                *sum += 1.0 - f64::from(cosine_of_dot(ab, na, nb));
+            }
+        }
+        let scored = sums
             .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let e = self.encoder.embed(a);
-                let at = |s: usize| self.starts[eligible[s]] + i;
-                let (row, row_norm) = (|s| self.rows.row(at(s)), |s| self.norms[at(s)]);
-                cosine_rows(&e, norm(&e), eligible.len(), row, row_norm)
-            })
-            .collect();
-        // Score everything, then keep the nearest `k` under the total
-        // order *distance ascending, schema index ascending* by bounded
-        // selection and materialize (clone schemas for) only those — the
-        // hot path of the `/complete` endpoint. Bit-identical to the
-        // original sort-everything-stably-then-truncate implementation,
-        // ties resolving in schema order; a schema's distances are still
-        // summed in position order.
-        let mut scored: Vec<(usize, f64)> = eligible
-            .iter()
-            .enumerate()
-            .map(|(s, &idx)| {
-                let d: f64 =
-                    cos.iter().map(|at_i| 1.0 - f64::from(at_i[s])).sum::<f64>() / n as f64;
-                (idx, d)
-            })
-            .collect();
-        top_k_by(&mut scored, k, |a, b| {
-            asc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
-        });
-        scored
+            .zip(&ranking.order)
+            .map(|(&sum, &idx)| (idx, -(sum / n as f64)));
+        best_k(scored, k)
             .into_iter()
-            .map(|(idx, d)| {
+            .map(|(idx, neg)| {
                 let s = &self.schemas[idx];
                 SchemaCompletion {
                     schema: s.clone(),
-                    prefix_distance: d,
+                    prefix_distance: -neg,
                     completion: s.suffix(n).to_vec(),
                 }
             })
@@ -327,6 +375,28 @@ mod tests {
     }
 
     #[test]
+    fn a_prefix_no_schema_can_complete_embeds_nothing() {
+        let nc = NearestCompletion::build(&corpus());
+        let lookups = |nc: &NearestCompletion| {
+            let stats = nc.word_memo_stats();
+            stats.hits + stats.misses
+        };
+        // The longest schema has five attributes: a prefix of five (or
+        // more) leaves no schema to complete it.
+        let prefix = ["order id", "order date", "status", "total", "notes", "x"];
+        for n in [5, 6] {
+            let before = lookups(&nc);
+            assert!(nc.complete(&prefix[..n], 10).is_empty(), "n={n}");
+            assert_eq!(lookups(&nc), before, "n={n}");
+        }
+        // One shorter, the two five-attribute schemas can.
+        let out = nc.complete(&prefix[..4], 10);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|c| c.completion.len() == 1), "{out:?}");
+        assert!(nc.complete(&prefix[..4], 0).is_empty());
+    }
+
+    #[test]
     fn relevance_higher_for_related_schemas() {
         let nc = NearestCompletion::build(&corpus());
         let order = Schema::new(["order id", "order date", "status"]);
@@ -421,14 +491,24 @@ mod tests {
         // stored norm must keep tripping the cosine's guard: cosine 0.0,
         // distance exactly 1.0.
         let mut c = Corpus::new("z");
-        let t = Table::from_rows("t", &["!!", "status"], &[["1", "2"]]).unwrap();
-        c.push(AnnotatedTable::new(t));
+        for (i, s) in [["!!", "status"], ["status", "price"]].iter().enumerate() {
+            let t = Table::from_rows(format!("t{i}"), s, &[["1", "2"]]).unwrap();
+            c.push(AnnotatedTable::new(t));
+        }
         let built = NearestCompletion::build(&c);
         assert!(built.matrix().row(0).iter().all(|&x| x == 0.0));
         for nc in [reassembled(&built), built] {
-            let out = nc.complete(&["status"], 1);
-            assert_eq!(out[0].prefix_distance.to_bits(), 1.0f64.to_bits());
-            assert_eq!(out[0].completion, ["status"]);
+            // Ranked after the exact match: the zero row's schema.
+            let out = nc.complete(&["status"], 2);
+            assert_eq!(out[1].prefix_distance.to_bits(), 1.0f64.to_bits());
+            assert_eq!(out[1].completion, ["status"]);
+            // A prefix attribute that embeds to zero scores cosine 0.0
+            // against a nonzero row and against the zero row alike.
+            let out = nc.complete(&["!!"], 5);
+            assert_eq!(out.len(), 2);
+            for c in &out {
+                assert_eq!(c.prefix_distance.to_bits(), 1.0f64.to_bits());
+            }
         }
     }
 

@@ -57,7 +57,7 @@ pub struct DataSearch {
     schemas: Vec<Schema>,
     /// Row `n` is entry `n`'s schema embedding.
     rows: F32Matrix,
-    /// `norm` of every row ([`super::row_norms`]), parallel to `ids`.
+    /// `norm` of every row ([`row_norms`]), parallel to `ids`.
     norms: Vec<f32>,
     /// The rows as scored: entry `n` is packed row `first + n`. Shared by
     /// every index [`Self::slice`]d from the one that packed it.
@@ -128,7 +128,7 @@ impl DataSearch {
             encoder,
             ids,
             schemas,
-            norms: super::row_norms(&rows),
+            norms: row_norms(&rows),
             rows,
             packed: Arc::new(packed),
             first: 0,
@@ -272,12 +272,22 @@ impl DataSearch {
     }
 }
 
+/// `norm(row)` of every row of the embedding matrix, computed in the
+/// two places an index is assembled — built from a corpus, reassembled
+/// from a sidecar — so a query costs one dot product per row, not two.
+/// The norms are [`norm`]'s own values, which is what keeps scores
+/// bit-identical to the per-row [`gittables_embed::cosine_with_norm`];
+/// they are never persisted, so the sidecar format does not carry them.
+fn row_norms(rows: &F32Matrix) -> Vec<f32> {
+    (0..rows.rows()).map(|i| norm(rows.row(i))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps::ranking_cases;
     use gittables_corpus::AnnotatedTable;
-    use gittables_embed::{desc_nan_last, top_k_by};
+    use gittables_embed::desc_nan_last;
     use gittables_table::Table;
     use proptest::prelude::*;
 
@@ -357,20 +367,15 @@ mod tests {
             .collect()
     }
 
-    /// The per-row body `search_embedded` had before the blocked kernel:
+    /// The per-row body `search_embedded` had before the packed kernel:
     /// one `cosine_with_norm` per entry, then the same bounded selection.
     fn search_embedded_per_row(ds: &DataSearch, query: &[f32], k: usize) -> Vec<(usize, u64)> {
         let qn = norm(query);
-        let mut scored: Vec<(usize, f64)> = (0..ds.ids.len())
-            .map(|n| {
-                let score = gittables_embed::cosine_with_norm(query, qn, ds.rows.row(n));
-                (n, f64::from(score))
-            })
-            .collect();
-        top_k_by(&mut scored, k, |a, b| {
-            desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
+        let scored = (0..ds.ids.len()).map(|n| {
+            let score = gittables_embed::cosine_with_norm(query, qn, ds.rows.row(n));
+            (n, f64::from(score))
         });
-        scored
+        best_k(scored, k)
             .into_iter()
             .map(|(n, score)| (ds.ids[n], score.to_bits()))
             .collect()
@@ -402,7 +407,7 @@ mod tests {
                 prop_assert_eq!(
                     bits(&got),
                     search_embedded_per_row(&ds, &embedded, k),
-                    "blocked != per-row, k={} query={:?}", k, query
+                    "packed != per-row, k={} query={:?}", k, query
                 );
                 prop_assert_eq!(ds.search(&query, k), got, "search != embed ∘ rank, k={}", k);
             }
@@ -451,11 +456,11 @@ mod tests {
             }
         }
 
-        /// The streamed selection against `top_k_by` and the stable sort,
-        /// over scores dense in NaNs, signed zeros and exact ties, with the
-        /// entries arriving in ascending or in descending order.
+        /// The streamed selection against the stable sort, over scores
+        /// dense in NaNs, signed zeros and exact ties, with the entries
+        /// arriving in ascending or in descending order.
         #[test]
-        fn streamed_selection_equals_top_k_by_and_the_stable_sort(
+        fn streamed_selection_equals_the_stable_sort(
             picks in collection::vec(0..SCORES.len(), 0..40),
             descending in any::<bool>(),
         ) {
@@ -472,9 +477,6 @@ mod tests {
             };
             for k in ranking_cases::ks(scored.len()) {
                 let got = as_bits(&best_k(scored.iter().copied(), k));
-                let mut selected = scored.clone();
-                top_k_by(&mut selected, k, |a, b| desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
-                prop_assert_eq!(&got, &as_bits(&selected), "k={}", k);
                 prop_assert_eq!(&got, &as_bits(&stable[..k.min(stable.len())]), "k={}", k);
             }
         }

@@ -59,45 +59,42 @@
 //!
 //! [`dot`] sums its products in element order from `f32::sum`'s initial
 //! value — one chain of 64 dependent adds, which the compiler may not
-//! reorder and the CPU cannot overlap. Both kernels below keep *that
-//! order within every row* and run many rows' chains side by side: row
-//! `r`'s accumulator starts from the same initial value and receives the
-//! same products `a[0]·row[0], a[1]·row[1], …` in the same order, so each
-//! of its intermediate sums — and the result — is the `f32` [`dot`]
-//! computes, bit for bit; only adds of *different* rows are interleaved,
-//! and those never meet. No `unsafe`, no target features: the independent
-//! chains are what lets the optimizer pack rows into vector lanes.
+//! reorder and the CPU cannot overlap. The one kernel, [`PackedRows`],
+//! keeps *that order within every row* and runs many rows' chains side
+//! by side: row `r`'s accumulator starts from the same initial value and
+//! receives the same products `a[0]·row[0], a[1]·row[1], …` in the same
+//! order, so each of its intermediate sums — and the result — is the
+//! `f32` [`dot`] computes, bit for bit; only adds of *different* rows are
+//! interleaved, and those never meet. No `unsafe`, no target features:
+//! the independent chains are what lets the optimizer pack rows into
+//! vector lanes.
 //!
-//! * [`PackedRows`] — for a fixed set of rows that every query scans
-//!   whole: data search (`gittables_core::apps::DataSearch`) and
-//!   [`EmbeddingIndex`]'s nearest-type search over every ontology label.
-//!   The rows are copied once, when the index is assembled, into blocks
-//!   of eight stored element-major, and [`PackedRows::dots_into`] sweeps
-//!   the query once per four blocks — 32 accumulators per pass, each
-//!   query element multiplying eight adjacent values per block. Data
-//!   search's copy costs `rows × dim × 4` bytes beside the index's own
-//!   rows; [`EmbeddingIndex`] keeps only the packed copy.
-//! * [`vector::dot_rows`] / [`vector::cosine_rows`] — for rows *gathered*
-//!   per query, which only schema completion does: it scores the
-//!   attribute rows of the schemas a prefix leaves eligible. A different
-//!   subset per query cannot be packed ahead, and packing it per query
-//!   would cost what it saves, so these take eight rows per pass straight
-//!   from where they lie.
+//! The rows are copied once into blocks of eight stored element-major,
+//! and [`PackedRows::dots_into`] sweeps the query once per four blocks —
+//! 32 accumulators per pass, each query element multiplying eight
+//! adjacent values per block — over any run of consecutive rows. Every
+//! ranker scores through it:
+//!
+//! * data search (`gittables_core::apps::DataSearch`) packs its schema
+//!   rows when the index is assembled and scans all of them;
+//! * [`EmbeddingIndex`]'s nearest-type search packs every ontology label
+//!   and keeps only the packed copy;
+//! * schema completion (`gittables_core::apps::NearestCompletion`) packs
+//!   its attribute rows position by position, each position's schemas
+//!   longest first, on its first query: the schemas long enough to
+//!   complete a prefix are then the leading rows of each position's run,
+//!   one consecutive run per prefix attribute.
 //!
 //! A cosine needs two norms besides the dot product. The query's is
-//! computed once per call by the caller; a row's is a constant of the
-//! index, so [`vector::cosine_rows`] is *given* it (`row_norm(i)`, which
-//! must be [`norm`]`(row(i))`) and runs one dot product per row, not two.
-//! The data-search and schema-completion indexes compute their rows'
-//! norms once, where they are assembled — built from a corpus or
-//! reassembled from a sidecar — with the plain per-row [`norm`], which is
-//! the value [`cosine_with_norm`] would have computed. Every cosine is
-//! finished by [`cosine_of_dot`]: the zero-norm guard, the division and
-//! the clamp are written once. Data search finishes a whole buffer of dot
-//! products that way in place, in one plain loop, before it selects any
-//! of them.
+//! computed once per call by the caller. A row's is a constant of the
+//! index: data search and schema completion compute it once, where their
+//! packed copy is made, with the plain per-row [`norm`] — the value
+//! [`cosine_with_norm`] would have computed — and finish every cosine
+//! with [`cosine_of_dot`], where the zero-norm guard, the division and
+//! the clamp are written once ([`EmbeddingIndex`] normalizes its label
+//! rows instead).
 //!
-//! Both full scans select with [`best_k`]: a bounded max-heap of the best
+//! Every ranker selects with [`best_k`]: a bounded max-heap of the best
 //! `k` so far, with the worst kept score held as a floor once the heap is
 //! full. A score below the floor is turned away by one `f64` compare, so
 //! after the first few rows nearly every row costs that compare and
@@ -107,8 +104,8 @@
 //!
 //! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] remain the
 //! reference (`vector`'s proptests compare `to_bits` over every block
-//! remainder — of 8 and of 32 rows — dims 0–130, signed zeros and
-//! subnormals).
+//! remainder — of 8 and of 32 rows — any run of rows, dims 0–130, signed
+//! zeros and subnormals).
 //!
 //! # Example
 //!
@@ -138,9 +135,6 @@ pub mod vector;
 pub use index::{EmbeddingIndex, Neighbor};
 pub use memo::{MemoStats, WordMemo};
 pub use ngram::{ngrams, NgramEmbedder};
-pub use rank::{asc_nan_last, best_k, desc_nan_last, top_k_by};
+pub use rank::{best_k, desc_nan_last};
 pub use sentence::SentenceEncoder;
-pub use vector::{
-    cosine, cosine_of_dot, cosine_rows, cosine_with_norm, dot, dot_rows, norm, normalize,
-    PackedRows,
-};
+pub use vector::{cosine, cosine_of_dot, cosine_with_norm, dot, norm, normalize, PackedRows};

@@ -1,55 +1,30 @@
-//! Bounded top-`k` selection under a total order — the ranking helpers
+//! Bounded top-`k` selection under a total order — the one selector
 //! behind [`crate::EmbeddingIndex`], data search and schema completion:
-//! [`best_k`] keeps the best of a stream as it arrives (the nearest-type
-//! and data searches), [`top_k_by`] selects among collected items
-//! (schema completion).
+//! [`best_k`] keeps the best of a stream of scores as it arrives.
 //!
 //! Every caller ranks `(entry index, score)` pairs by score with the
-//! entry index as tiebreak. Because indices are distinct and ascend in
-//! entry order, that order is total and its sorted prefix is exactly what
-//! a *stable* sort by score alone followed by `truncate(k)` produces — so
-//! the selection below can replace sort-everything without moving a
-//! single result.
+//! entry index as tiebreak. Because indices are distinct, that order is
+//! total, and when the indices ascend in entry order its sorted prefix
+//! is exactly what a *stable* sort by score alone followed by
+//! `truncate(k)` produces — so the selection below can replace
+//! sort-everything without moving a single result. A caller ranking by
+//! a score to minimize (schema completion's distance) hands over its
+//! negation: `-x` is exact, and greatest-first with a NaN last on `-x`
+//! is least-first with a NaN last on `x`.
 
 use std::cmp::Ordering;
 
-/// Ascending score order that is total over all of `f64`: `partial_cmp`
-/// wherever it is defined (so `-0.0` and `0.0` tie, as they do for the
-/// stable sorts this replaces), and a NaN after every number (two NaNs
-/// tie). Unlike `partial_cmp(..).unwrap_or(Equal)` — under which a NaN
-/// "equals" both of two unequal numbers — this never hands `sort_by` an
-/// inconsistent order, which it is allowed to panic on.
-#[must_use]
-pub fn asc_nan_last(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b)
-        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
-}
-
-/// Descending counterpart of [`asc_nan_last`]: greatest score first, a
-/// NaN still after every number.
+/// Descending score order that is total over all of `f64`: greatest
+/// score first by `partial_cmp` wherever it is defined (so `-0.0` and
+/// `0.0` tie, as they do for the stable sorts this replaces), and a NaN
+/// after every number (two NaNs tie). Unlike
+/// `partial_cmp(..).unwrap_or(Equal)` — under which a NaN "equals" both
+/// of two unequal numbers — this never hands `sort_by` an inconsistent
+/// order, which it is allowed to panic on.
 #[must_use]
 pub fn desc_nan_last(a: f64, b: f64) -> Ordering {
     b.partial_cmp(&a)
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
-}
-
-/// Truncates `items` to its `k` least elements under `cmp`, sorted:
-/// `select_nth_unstable_by` partitions the least `k` in O(n), then only
-/// those `k` are sorted. `k == 0` clears; `k >= len` sorts everything.
-///
-/// `cmp` must be a total order without ties (compose a score order from
-/// this module with a distinct index); the result is then identical to a
-/// full sort followed by `truncate(k)`.
-pub fn top_k_by<T>(items: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
-    if k == 0 {
-        items.clear();
-        return;
-    }
-    if items.len() > k {
-        items.select_nth_unstable_by(k - 1, &mut cmp);
-        items.truncate(k);
-    }
-    items.sort_unstable_by(cmp);
 }
 
 /// `(entry, score)` under *score descending ([`desc_nan_last`]), entry
@@ -78,8 +53,8 @@ impl Eq for Ranked {}
 
 /// The best `k` of `scored` — `(entry, score)` pairs with distinct
 /// entries — under *score descending ([`desc_nan_last`]), entry
-/// ascending*, best first: exactly what [`top_k_by`] keeps under that
-/// order, taken as the pairs arrive instead of after collecting them.
+/// ascending*, best first: the first `k` of a sort by that order, taken
+/// as the pairs arrive instead of after collecting them, in any order.
 /// A max-heap holds the best `min(k, len)` seen so far with the worst of
 /// them on top; a pair enters only by beating it. O(n log k) at worst.
 ///
@@ -127,10 +102,6 @@ pub fn best_k(
 mod tests {
     use super::*;
 
-    fn by_score_desc(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
-        desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
-    }
-
     /// `(entry, score)` pairs in the order a selection receives them.
     fn stream(scores: &[f64]) -> Vec<(usize, f64)> {
         scores.iter().copied().enumerate().collect()
@@ -173,15 +144,11 @@ mod tests {
             });
             for k in [0, 1, 3, 5, 7, 8, 13, usize::MAX] {
                 let want = &stable[..k.min(stable.len())];
-                let mut picked = pairs.clone();
-                top_k_by(&mut picked, k, by_score_desc);
-                let streamed = best_k(pairs.iter().copied(), k);
-                for got in [&picked, &streamed] {
-                    assert_eq!(got.len(), want.len(), "k={k} {pairs:?}");
-                    for (p, w) in got.iter().zip(want) {
-                        assert_eq!(p.0, w.0, "k={k} {pairs:?}");
-                        assert_eq!(p.1.to_bits(), w.1.to_bits(), "k={k} {pairs:?}");
-                    }
+                let got = best_k(pairs.iter().copied(), k);
+                assert_eq!(got.len(), want.len(), "k={k} {pairs:?}");
+                for (p, w) in got.iter().zip(want) {
+                    assert_eq!(p.0, w.0, "k={k} {pairs:?}");
+                    assert_eq!(p.1.to_bits(), w.1.to_bits(), "k={k} {pairs:?}");
                 }
             }
         }
@@ -189,16 +156,18 @@ mod tests {
 
     #[test]
     fn nan_ranks_after_every_number_in_both_directions() {
-        let mut v = vec![(0, f64::NAN), (1, 2.0), (2, f64::NAN), (3, -5.0)];
-        top_k_by(&mut v, 4, by_score_desc);
-        assert_eq!(v.iter().map(|e| e.0).collect::<Vec<_>>(), [1, 3, 0, 2]);
-        top_k_by(&mut v, 4, |a, b| asc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
-        assert_eq!(v.iter().map(|e| e.0).collect::<Vec<_>>(), [3, 1, 0, 2]);
-        // Transitive where `unwrap_or(Equal)` is not: 1.0 < NaN, and
-        // 2.0 < NaN, and 1.0 < 2.0 all hold together.
-        assert_eq!(asc_nan_last(1.0, f64::NAN), Ordering::Less);
-        assert_eq!(asc_nan_last(f64::NAN, 2.0), Ordering::Greater);
-        assert_eq!(asc_nan_last(f64::NAN, f64::NAN), Ordering::Equal);
-        assert_eq!(desc_nan_last(f64::NAN, 2.0), Ordering::Greater);
+        let v = [(0, f64::NAN), (1, 2.0), (2, f64::NAN), (3, -5.0)];
+        let entries =
+            |ranked: Vec<(usize, f64)>| -> Vec<usize> { ranked.into_iter().map(|e| e.0).collect() };
+        assert_eq!(entries(best_k(v.into_iter(), 4)), [1, 3, 0, 2]);
+        // Least first, as schema completion ranks: the negated scores.
+        let negated = v.map(|(entry, score)| (entry, -score));
+        assert_eq!(entries(best_k(negated.into_iter(), 4)), [3, 1, 0, 2]);
+        // Transitive where `unwrap_or(Equal)` is not: 2.0 before NaN, and
+        // 1.0 before NaN, and 2.0 before 1.0 all hold together.
+        assert_eq!(desc_nan_last(2.0, f64::NAN), Ordering::Less);
+        assert_eq!(desc_nan_last(f64::NAN, 1.0), Ordering::Greater);
+        assert_eq!(desc_nan_last(2.0, 1.0), Ordering::Less);
+        assert_eq!(desc_nan_last(f64::NAN, f64::NAN), Ordering::Equal);
     }
 }

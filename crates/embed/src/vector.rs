@@ -34,7 +34,7 @@ pub fn cosine_with_norm(a: &[f32], na: f32, b: &[f32]) -> f32 {
 /// The cosine of two vectors from their dot product `ab` and their norms:
 /// `0.0` when either norm is zero, else `ab / (na * nb)` clamped to
 /// `[-1, 1]`. The one place these expressions are written, so every
-/// cosine in this crate, blocked or not, shares their bits.
+/// cosine in this crate, packed or per row, shares their bits.
 #[must_use]
 #[inline]
 pub fn cosine_of_dot(ab: f32, na: f32, nb: f32) -> f32 {
@@ -44,8 +44,8 @@ pub fn cosine_of_dot(ab: f32, na: f32, nb: f32) -> f32 {
     (ab / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Rows scored together by [`dot_rows`] and [`cosine_rows`], and the
-/// block width of [`PackedRows`].
+/// Rows per block of [`PackedRows`]: the rows one query element
+/// multiplies side by side, eight adjacent values in memory.
 pub const ROW_BLOCK: usize = 8;
 
 /// Blocks [`PackedRows::dots_into`] sweeps together: four blocks, 32 rows
@@ -53,94 +53,11 @@ pub const ROW_BLOCK: usize = 8;
 const SWEEP_BLOCKS: usize = 4;
 
 /// The value `f32`'s `Sum` starts from — what [`dot`] folds its products
-/// into. Taken from `sum` itself so the blocked kernel can never disagree
+/// into. Taken from `sum` itself so the packed kernel can never disagree
 /// with it about the sign of an empty or all-`-0.0` sum.
 #[inline]
 fn sum_identity() -> f32 {
     std::iter::empty::<f32>().sum()
-}
-
-/// `[dot(a, rows[0]), …, dot(a, rows[7])]` over rows as long as `a`. Eight
-/// accumulators advance together through the element index, so the adds
-/// of different rows overlap in the pipeline (and the compiler may pack
-/// them into vector lanes, one row per lane) while each row's own sum is
-/// still `((init + p0) + p1) + …` — [`dot`]'s order, [`dot`]'s bits.
-/// Elements are taken four at a time only to hand the optimizer whole
-/// 16-byte loads; the adds within a tile stay in element order.
-#[inline(always)]
-fn dot_block(a: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [f32; ROW_BLOCK] {
-    let n = a.len();
-    let rows = rows.map(|row| &row[..n]);
-    let mut acc = [sum_identity(); ROW_BLOCK];
-    let mut j = 0;
-    while j + 4 <= n {
-        let x: [f32; 4] = a[j..j + 4].try_into().expect("four elements");
-        let y: [[f32; 4]; ROW_BLOCK] =
-            rows.map(|row| row[j..j + 4].try_into().expect("four elements"));
-        for i in 0..4 {
-            for r in 0..ROW_BLOCK {
-                acc[r] += x[i] * y[r][i];
-            }
-        }
-        j += 4;
-    }
-    while j < n {
-        for r in 0..ROW_BLOCK {
-            acc[r] += a[j] * rows[r][j];
-        }
-        j += 1;
-    }
-    acc
-}
-
-/// `dot(a, row(i))` for `i` in `0..n` — bit-identical to calling [`dot`]
-/// per row, but [`ROW_BLOCK`] rows share one pass over `a` with
-/// independent accumulators (see the crate docs, *Scoring kernel*). Full
-/// blocks of rows as long as `a` take `dot_block`; everything from the
-/// first block holding a row of another length on (no caller has one),
-/// and the `< ROW_BLOCK` rows left at the end, go through [`dot`] itself.
-///
-/// Never inlined: compiled on its own (with `row` inlined into it) the
-/// eight chains of `dot_block` are packed into vector lanes; inlined
-/// into a larger caller the optimizer was seen to give that up (an
-/// annotation miss took 26 µs instead of 17 µs).
-#[must_use]
-#[inline(never)]
-pub fn dot_rows<'r>(a: &[f32], n: usize, row: impl Fn(usize) -> &'r [f32]) -> Vec<f32> {
-    let mut ab = Vec::with_capacity(n);
-    let mut base = 0;
-    while base + ROW_BLOCK <= n {
-        let block: [&[f32]; ROW_BLOCK] = std::array::from_fn(|r| row(base + r));
-        if block.iter().any(|b| b.len() != a.len()) {
-            break;
-        }
-        ab.extend_from_slice(&dot_block(a, block));
-        base += ROW_BLOCK;
-    }
-    ab.extend((base..n).map(|i| dot(a, row(i))));
-    ab
-}
-
-/// `cosine_with_norm(a, na, row(i))` for `i` in `0..n`, given
-/// `row_norm(i) == norm(row(i))` — what an index computes once per row
-/// when it is assembled, instead of once per row per query. Bit-identical
-/// to calling [`cosine_with_norm`] per row: `a · row` comes from the
-/// order-preserving blocked kernel of [`dot_rows`], the row norm is
-/// [`norm`]'s own value, and the zero-norm guard, the division and the
-/// clamp are the same expressions.
-#[must_use]
-pub fn cosine_rows<'r>(
-    a: &[f32],
-    na: f32,
-    n: usize,
-    row: impl Fn(usize) -> &'r [f32],
-    row_norm: impl Fn(usize) -> f32,
-) -> Vec<f32> {
-    let mut cos = dot_rows(a, n, row);
-    for (i, ab) in cos.iter_mut().enumerate() {
-        *ab = cosine_of_dot(*ab, na, row_norm(i));
-    }
-    cos
 }
 
 /// A fixed set of equal-length rows laid out for scoring one query
@@ -336,47 +253,10 @@ mod tests {
         }
     }
 
-    fn collect_dots(a: &[f32], rows: &[Vec<f32>]) -> Vec<u32> {
-        let got = dot_rows(a, rows.len(), |i| &rows[i]);
-        got.iter().map(|d| d.to_bits()).collect()
-    }
-
-    fn collect_cosines(a: &[f32], rows: &[Vec<f32>]) -> Vec<u32> {
-        let norms: Vec<f32> = rows.iter().map(|row| norm(row)).collect();
-        let got = cosine_rows(a, norm(a), rows.len(), |i| &rows[i], |i| norms[i]);
-        got.iter().map(|c| c.to_bits()).collect()
-    }
-
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// Every block remainder (0–19 rows) at dims 0–130: the blocked
-        /// kernel has `dot`'s and `cosine_with_norm`'s bits, row by row.
-        #[test]
-        fn blocked_kernel_is_bit_identical_to_the_per_row_definitions(
-            n_rows in 0usize..20,
-            dim in 0usize..131,
-            seed in any::<u64>(),
-            all_negative_zero_row in 0usize..20,
-        ) {
-            let a: Vec<f32> = (0..dim).map(|j| value(seed ^ j as u64)).collect();
-            let rows: Vec<Vec<f32>> = (0..n_rows)
-                .map(|r| {
-                    if r == all_negative_zero_row {
-                        return vec![-0.0; dim];
-                    }
-                    (0..dim).map(|j| value(seed.rotate_left(17) ^ (r * 131 + j) as u64)).collect()
-                })
-                .collect();
-            let want_dots: Vec<u32> = rows.iter().map(|b| dot(&a, b).to_bits()).collect();
-            prop_assert_eq!(collect_dots(&a, &rows), want_dots);
-            let na = norm(&a);
-            let want_cos: Vec<u32> =
-                rows.iter().map(|b| cosine_with_norm(&a, na, b).to_bits()).collect();
-            prop_assert_eq!(collect_cosines(&a, &rows), want_cos);
-        }
 
         /// Every remainder of 8 and of 32 rows (0–69) at dims 0–130, with
         /// an all-`-0.0` row, sometimes a zero query, and any run of rows:
@@ -427,39 +307,6 @@ mod tests {
             let got = collect_packed(&a, &rows, 0..rows.len());
             assert_eq!(got, vec![want; rows.len()], "dim {dim}");
         }
-    }
-
-    #[test]
-    fn blocked_kernel_keeps_the_sign_of_zero_sums() {
-        // `-0.0 * x` products summed from `sum`'s own start value: the
-        // result is `-0.0` only if that start value is, too.
-        for dim in [0, 1, 5, 64] {
-            let a = vec![1.0f32; dim];
-            let rows = vec![vec![-0.0f32; dim]; ROW_BLOCK + 3];
-            let want = dot(&a, &rows[0]).to_bits();
-            assert!(
-                collect_dots(&a, &rows).iter().all(|&d| d == want),
-                "dim {dim}"
-            );
-            assert_eq!(collect_cosines(&a, &rows), vec![0; ROW_BLOCK + 3]);
-        }
-        // A zero query scores 0.0 against everything.
-        let rows = vec![vec![1.0f32; 4]; ROW_BLOCK];
-        assert_eq!(collect_cosines(&[0.0; 4], &rows), vec![0; ROW_BLOCK]);
-    }
-
-    #[test]
-    fn a_block_holding_a_row_of_another_length_takes_the_per_row_path() {
-        // `dot` lets the shorter length govern (release); the kernel must
-        // not index past it. Equal-length blocks around it stay blocked.
-        if cfg!(debug_assertions) {
-            return; // `dot` debug-asserts equal lengths.
-        }
-        let a = [1.0f32, 2.0, 3.0];
-        let mut rows = vec![vec![0.5f32, -1.0, 4.0]; 2 * ROW_BLOCK];
-        rows[ROW_BLOCK + 2] = vec![0.5, -1.0, 4.0, 9.0];
-        let want: Vec<u32> = rows.iter().map(|b| dot(&a, b).to_bits()).collect();
-        assert_eq!(collect_dots(&a, &rows), want);
     }
 
     #[test]
