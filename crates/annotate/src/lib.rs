@@ -28,7 +28,7 @@ pub mod semantic;
 pub mod syntactic;
 
 pub use annotation::{Annotation, Method, TableAnnotations};
-pub use cache::{AnnotationCache, CacheStats, NameAnnotations};
+pub use cache::{AnnotationCache, NameAnnotations};
 pub use contextual::ContextualAnnotator;
 pub use hierarchy::HierarchyScorer;
 pub use semantic::SemanticAnnotator;

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gittables_annotate::{
-    Annotation, AnnotationCache, CacheStats, NameAnnotations, SemanticAnnotator,
-    SyntacticAnnotator, TableAnnotations,
+    Annotation, AnnotationCache, NameAnnotations, SemanticAnnotator, SyntacticAnnotator,
+    TableAnnotations,
 };
 use gittables_corpus::store::{shard_id_for, CorpusStore, StoreError};
 use gittables_corpus::{AnnotatedTable, Corpus};
@@ -215,10 +215,10 @@ impl Pipeline {
         }
     }
 
-    /// Hit/miss counters of the per-name annotation cache (cumulative over
+    /// Hit/miss/entry counters of the per-name annotation cache (cumulative over
     /// every run of this pipeline instance).
     #[must_use]
-    pub fn annotation_cache_stats(&self) -> CacheStats {
+    pub fn annotation_cache_stats(&self) -> MemoStats {
         self.annotation_cache.stats()
     }
 

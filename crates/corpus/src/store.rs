@@ -58,7 +58,7 @@
 //! stashes its per-shard stage report in [`ShardEntry::meta`]; the store
 //! itself treats `meta` as an opaque string.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -435,21 +435,27 @@ pub struct CorpusStore {
     format: StoreFormat,
 }
 
-/// The manifest with the set of its shard ids beside it, under one lock:
-/// "is this shard committed?" is asked once per repository by a resume
-/// and once per commit, and a scan of `manifest.shards` for each made
-/// that quadratic in the number of repositories.
+/// The manifest with an index of its shard ids beside it, under one
+/// lock: "is this shard committed?" is asked once per repository by a
+/// resume and once per commit, and a resume reads back every skipped
+/// shard's entry; a scan of `manifest.shards` for each made those
+/// quadratic in the number of repositories.
 #[derive(Debug)]
 struct Committed {
     manifest: StoreManifest,
-    /// `manifest.shards[..].id`, exactly: filled when the manifest is
+    /// `manifest.shards[i].id → i`, exactly: filled when the manifest is
     /// read or created, extended by every commit.
-    ids: HashSet<String>,
+    ids: HashMap<String, usize>,
 }
 
 impl Committed {
     fn new(manifest: StoreManifest) -> Self {
-        let ids = manifest.shards.iter().map(|s| s.id.clone()).collect();
+        let ids = manifest
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.id.clone(), i))
+            .collect();
         Committed { manifest, ids }
     }
 }
@@ -608,19 +614,15 @@ impl CorpusStore {
     /// Whether a shard with `id` has been committed.
     #[must_use]
     pub fn has_shard(&self, id: &str) -> bool {
-        self.committed().ids.contains(id)
+        self.committed().ids.contains_key(id)
     }
 
     /// The committed entry for `id`, if any.
     #[must_use]
     pub fn shard_entry(&self, id: &str) -> Option<ShardEntry> {
         let committed = self.committed();
-        committed
-            .manifest
-            .shards
-            .iter()
-            .find(|s| s.id == id)
-            .cloned()
+        let &i = committed.ids.get(id)?;
+        Some(committed.manifest.shards[i].clone())
     }
 
     /// Snapshot of all committed entries, in commit order.
@@ -658,9 +660,11 @@ impl CorpusStore {
     /// I/O and serialization failures.
     pub fn commit_shard(&self, entry: ShardEntry) -> Result<(), StoreError> {
         let mut committed = self.committed();
-        if !committed.ids.insert(entry.id.clone()) {
+        if committed.ids.contains_key(&entry.id) {
             return Err(StoreError::DuplicateShard { id: entry.id });
         }
+        let i = committed.manifest.shards.len();
+        committed.ids.insert(entry.id.clone(), i);
         committed.manifest.shards.push(entry);
         self.persist_manifest(&committed.manifest)
     }
@@ -967,7 +971,8 @@ pub fn migrate_store(
     }
     let tables = new_entries.iter().map(|e| e.tables).sum();
     {
-        // A migration rewrites every entry's `file`, never its `id`.
+        // A migration rewrites every entry's `file`, never its `id` or
+        // its position, so the id index stays exact.
         let mut committed = store.committed();
         committed.manifest.format = Some(to.name().to_string());
         committed.manifest.shards = new_entries;
@@ -1101,12 +1106,15 @@ mod tests {
         let reopened = CorpusStore::open(&dir).unwrap();
         for s in [&store, &reopened] {
             let scan = |id: &str| s.shard_entries().iter().any(|e| e.id == id);
+            let entries = s.shard_entries();
             for id in ids
                 .iter()
                 .map(String::as_str)
                 .chain(["owner__repo-40", "owner__repo", ""])
             {
                 assert_eq!(s.has_shard(id), scan(id), "{id:?}");
+                let scanned = entries.iter().find(|e| e.id == id);
+                assert_eq!(s.shard_entry(id).as_ref(), scanned, "{id:?}");
             }
             // A duplicate is rejected at both doors, and changes nothing.
             assert!(matches!(
@@ -1123,8 +1131,10 @@ mod tests {
         // The reopened store keeps extending its set.
         let mut w = reopened.begin_shard("owner__late").unwrap();
         w.push(40, &table("a", "x")).unwrap();
-        reopened.commit_shard(w.finish().unwrap()).unwrap();
+        let late = w.finish().unwrap();
+        reopened.commit_shard(late.clone()).unwrap();
         assert!(reopened.has_shard("owner__late"));
+        assert_eq!(reopened.shard_entry("owner__late"), Some(late));
         assert_eq!(
             std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(),
             serde_json::to_string(&reopened.committed().manifest).unwrap(),

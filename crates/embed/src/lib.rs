@@ -24,7 +24,9 @@
 //!   fixed label set: the semantic annotator's best-cosine type.
 //! * [`rank`] — the bounded top-`k` selection shared by the index and the
 //!   §5 applications.
-//! * [`WordMemo`] — a bounded memo of word vectors, below.
+//! * [`Memo`] — the bounded, sharded map each value of which is computed
+//!   once; [`WordMemo`], a memo of word vectors (below), and the
+//!   annotation pipeline's per-name cache are both one.
 //!
 //! # Word-vector memo
 //!
@@ -47,10 +49,12 @@
 //! * **worst-case footprint** — ~400 B per entry at the default `dim` of
 //!   64 (256 B of vector, ≤ 80 B of key, `Arc` and hash-slot overhead):
 //!   ~26 MB for a full memo, under 1 MB for a realistic vocabulary;
+//! * **concurrency** — a hit takes one shard read lock; a miss computes
+//!   under its shard's write lock, so a word that several threads miss at
+//!   once is computed once and counted as one miss: the counters of a
+//!   run are the same at any number of threads (see [`Memo`]);
 //! * **lifetime** — owned by its holder, shared by the holder's clones,
-//!   never serialized (a deserialized [`SentenceEncoder`] starts a fresh
-//!   one; an [`EmbeddingIndex`] is never serialized at all), never a
-//!   process-global.
+//!   never serialized (no holder is), never a process-global.
 //!
 //! `NgramEmbedder`'s own `embed_word`/`embed` stay uncached: they are the
 //! definition the memo is tested against, by bits.
@@ -133,7 +137,7 @@ pub mod sentence;
 pub mod vector;
 
 pub use index::{EmbeddingIndex, Neighbor};
-pub use memo::{MemoStats, WordMemo};
+pub use memo::{Memo, MemoStats, WordMemo};
 pub use ngram::{ngrams, NgramEmbedder};
 pub use rank::{best_k, desc_nan_last};
 pub use sentence::SentenceEncoder;

@@ -1,4 +1,5 @@
-//! A bounded memo of word vectors.
+//! Bounded memos: [`Memo`], the one sharded map every memoization in the
+//! workspace goes through, and [`WordMemo`], its word-vector instance.
 //!
 //! [`NgramEmbedder::embed_word`] is a pure function of the embedder's five
 //! parameters and the lower-cased word, and it is expensive: every n-gram
@@ -8,45 +9,52 @@
 //! names of a synthetic corpus hold 2 412 tokens but 214 distinct ones),
 //! so [`WordMemo`] keeps each word's vector after the first computation.
 //!
-//! Key, cap, worst-case footprint and lifetime are stated once, in the
-//! crate docs (*Word-vector memo*); the constants are below.
-//!
-//! Concurrency: shards are selected by FNV hash of the word; a hit takes
-//! one shard read-lock and clones an `Arc`. A miss computes *outside* any
-//! lock and inserts under the shard write-lock; two threads missing the
-//! same word both compute it, the first insert wins and both return equal
-//! vectors.
+//! Key, cap, worst-case footprint and lifetime of the word memo are
+//! stated once, in the crate docs (*Word-vector memo*); the constants are
+//! below. Concurrency is [`Memo`]'s.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::ngram::{fnv1a, lowered, mean_of_words, NgramEmbedder};
 
-/// Shard count; must be a power of two.
-pub const SHARDS: usize = 16;
+/// Shard count of a [`WordMemo`].
+pub const WORD_SHARDS: usize = 16;
 
-/// Per-shard entry cap.
+/// Per-shard entry cap of a [`WordMemo`].
 pub const MAX_WORDS_PER_SHARD: usize = 4096;
 
 /// Most words a memo holds (65 536).
-pub const MAX_WORDS: usize = SHARDS * MAX_WORDS_PER_SHARD;
+pub const MAX_WORDS: usize = WORD_SHARDS * MAX_WORDS_PER_SHARD;
 
 /// Longest lower-cased word (in bytes) a memo stores; longer ones are
 /// computed on every call, which bounds what one entry can cost.
 pub const MAX_WORD_BYTES: usize = 64;
 
-/// Counters of a [`WordMemo`].
+/// Counters of a [`Memo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MemoStats {
-    /// Lookups answered with a stored vector.
+    /// Lookups answered with a stored value.
     pub hits: u64,
-    /// Lookups that computed the vector (stored or not).
+    /// Lookups that computed the value (stored or not).
     pub misses: u64,
-    /// Words currently stored.
+    /// Keys currently stored.
     pub entries: u64,
+}
+
+impl MemoStats {
+    /// Fraction of lookups answered with a stored value.
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            return 0.0;
+        }
+        self.hits as f64 / total as f64
+    }
 }
 
 impl std::ops::Add for MemoStats {
@@ -61,32 +69,123 @@ impl std::ops::Add for MemoStats {
     }
 }
 
-/// One lock's worth of the memo: lower-cased word → its unit vector.
-type Shard = RwLock<HashMap<Box<str>, Arc<[f32]>>>;
+/// This crate's lock-poison policy, stated once: a `compute` that
+/// panicked under a shard's write lock must not turn every later lookup
+/// in that shard into a panic, so a poisoned lock is entered all the
+/// same. A shard's map changes only by a completed insert, so it is
+/// well-formed whenever its lock is free.
+fn unpoisoned<G>(guard: Result<G, PoisonError<G>>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
-/// A memoizing view of one [`NgramEmbedder`]: `word → unit vector`,
-/// bounded, sharded, read-mostly. See the module documentation.
-pub struct WordMemo {
-    /// The parameter set every stored vector was computed under.
-    embedder: NgramEmbedder,
-    shards: Vec<Shard>,
+/// One lock's worth of a memo.
+type Shard<V> = RwLock<HashMap<Box<str>, Arc<V>>>;
+
+/// A bounded, sharded, read-mostly map from string keys to shared values,
+/// each computed once:
+///
+/// * a key selects one of `SHARDS` (a power of two) shards by its FNV-1a
+///   hash; a hit takes that shard's read lock and clones an `Arc`;
+/// * a miss takes the shard's write lock, looks again, then computes and
+///   inserts under it: concurrent misses of one key compute it once, so
+///   `misses` counts each stored key once whatever the scheduling
+///   (`compute` must therefore not look up the same memo);
+/// * a shard stores at most `PER_SHARD` keys and no key longer than
+///   `MAX_KEY_BYTES`; past either cap a lookup computes without storing
+///   (and without holding a lock), so results never depend on what is
+///   stored;
+/// * a `compute` that panics leaves its key missing, and its shard as
+///   usable as before: the next lookup computes it again.
+pub struct Memo<V: ?Sized, const SHARDS: usize, const PER_SHARD: usize, const MAX_KEY_BYTES: usize>
+{
+    shards: Box<[Shard<V>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl std::fmt::Debug for WordMemo {
+impl<V: ?Sized, const S: usize, const P: usize, const K: usize> std::fmt::Debug
+    for Memo<V, S, P, K>
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WordMemo")
-            .field("embedder", &self.embedder)
+        f.debug_struct("Memo")
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl Default for WordMemo {
+impl<V: ?Sized, const S: usize, const P: usize, const K: usize> Default for Memo<V, S, P, K> {
     fn default() -> Self {
-        WordMemo::new(NgramEmbedder::default())
+        Self::new()
     }
+}
+
+impl<V: ?Sized, const SHARDS: usize, const PER_SHARD: usize, const MAX_KEY_BYTES: usize>
+    Memo<V, SHARDS, PER_SHARD, MAX_KEY_BYTES>
+{
+    /// An empty memo.
+    #[must_use]
+    pub fn new() -> Self {
+        const { assert!(SHARDS.is_power_of_two()) };
+        Memo {
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The value stored for `key`, or `compute`'s, stored if it fits.
+    /// See the type documentation.
+    pub fn get_or_compute<T: Into<Arc<V>>>(
+        &self,
+        key: &str,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<V> {
+        if key.len() <= MAX_KEY_BYTES {
+            let hit = |found: &Arc<V>| {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(found)
+            };
+            let shard = &self.shards[fnv1a(key.as_bytes()) as usize & (SHARDS - 1)];
+            if let Some(found) = unpoisoned(shard.read()).get(key) {
+                return hit(found);
+            }
+            let mut map = unpoisoned(shard.write());
+            if let Some(found) = map.get(key) {
+                return hit(found);
+            }
+            if map.len() < PER_SHARD {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let value = compute().into();
+                map.insert(key.into(), Arc::clone(&value));
+                return value;
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        compute().into()
+    }
+
+    /// Current counters.
+    #[must_use]
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| unpoisoned(s.read()).len() as u64)
+                .sum(),
+        }
+    }
+}
+
+/// A memoizing view of one [`NgramEmbedder`]: a [`Memo`] from lower-cased
+/// word to its unit vector. See the module documentation.
+#[derive(Debug, Default)]
+pub struct WordMemo {
+    /// The parameter set every stored vector was computed under.
+    embedder: NgramEmbedder,
+    words: Memo<[f32], WORD_SHARDS, MAX_WORDS_PER_SHARD, MAX_WORD_BYTES>,
 }
 
 impl WordMemo {
@@ -95,9 +194,7 @@ impl WordMemo {
     pub fn new(embedder: NgramEmbedder) -> Self {
         WordMemo {
             embedder,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            words: Memo::new(),
         }
     }
 
@@ -115,23 +212,8 @@ impl WordMemo {
 
     /// [`Self::embed_word`] of an already lower-cased word.
     pub(crate) fn embed_word_lower(&self, lower: &str) -> Arc<[f32]> {
-        let shard = &self.shards[fnv1a(lower.as_bytes()) as usize & (SHARDS - 1)];
-        if let Some(found) = shard.read().expect("word memo shard lock").get(lower) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed: Arc<[f32]> = self.embedder.embed_word_lower(lower).into();
-        if lower.len() > MAX_WORD_BYTES {
-            return computed;
-        }
-        let mut guard = shard.write().expect("word memo shard lock");
-        if guard.len() >= MAX_WORDS_PER_SHARD {
-            return computed;
-        }
-        // A concurrent miss of the same word may have inserted first; its
-        // vector is equal, keep it.
-        Arc::clone(guard.entry(lower.into()).or_insert(computed))
+        self.words
+            .get_or_compute(lower, || self.embedder.embed_word_lower(lower))
     }
 
     /// [`NgramEmbedder::embed`] over remembered word vectors.
@@ -146,33 +228,7 @@ impl WordMemo {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().expect("word memo shard lock").len() as u64)
-                .sum(),
-        }
-    }
-}
-
-/// A holder's handle on its memo. Constructors fill it (so clones of the
-/// holder share one memo); a holder that came out of deserialization —
-/// the memo is never serialized — creates it on first use from the
-/// embedder it was deserialized with.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MemoSlot(OnceLock<Arc<WordMemo>>);
-
-impl MemoSlot {
-    pub(crate) fn of(memo: Arc<WordMemo>) -> Self {
-        MemoSlot(OnceLock::from(memo))
-    }
-
-    pub(crate) fn get(&self, embedder: &NgramEmbedder) -> &Arc<WordMemo> {
-        self.0
-            .get_or_init(|| Arc::new(WordMemo::new(embedder.clone())))
+        self.words.stats()
     }
 }
 
@@ -202,6 +258,31 @@ mod tests {
         assert_eq!(
             bits(&first),
             bits(&NgramEmbedder::default().embed_word("STATUS"))
+        );
+    }
+
+    #[test]
+    fn eight_threads_missing_the_same_fresh_words_compute_each_once() {
+        let memo = WordMemo::default();
+        let words: Vec<String> = (0..64).map(|i| format!("fresh{i}")).collect();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    barrier.wait();
+                    for word in &words {
+                        let _ = memo.embed_word(word);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                hits: 7 * 64,
+                misses: 64,
+                entries: 64
+            }
         );
     }
 

@@ -11,8 +11,6 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
-
 use crate::lexicon;
 use crate::vector::{add_scaled, cosine, normalize, scale_inv};
 
@@ -113,7 +111,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The deterministic char-n-gram embedder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NgramEmbedder {
     /// Embedding dimensionality.
     pub dim: usize,

@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
-use crate::memo::{MemoSlot, WordMemo};
+use crate::memo::WordMemo;
 use crate::ngram::{lowered, NgramEmbedder};
 use crate::vector::{add_scaled, cosine, normalize};
 
@@ -42,15 +40,13 @@ const COMMON_TOKENS: &[(&str, f32)] = &[
 const DEFAULT_FREQ: f32 = 0.0005;
 
 /// SIF-weighted sentence encoder over [`NgramEmbedder`] word vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SentenceEncoder {
-    embedder: NgramEmbedder,
     /// SIF smoothing constant `a`.
     pub sif_a: f32,
-    /// Word vectors of `embedder`, remembered (never serialized; clones
-    /// of an encoder share one memo).
-    #[serde(skip)]
-    memo: MemoSlot,
+    /// The word embedder and its vectors, remembered (clones of an
+    /// encoder share one memo).
+    memo: Arc<WordMemo>,
 }
 
 impl Default for SentenceEncoder {
@@ -65,22 +61,21 @@ impl SentenceEncoder {
     #[must_use]
     pub fn new(embedder: NgramEmbedder) -> Self {
         SentenceEncoder {
-            memo: MemoSlot::of(Arc::new(WordMemo::new(embedder.clone()))),
-            embedder,
             sif_a: 1e-2,
+            memo: Arc::new(WordMemo::new(embedder)),
         }
     }
 
     /// The underlying word embedder.
     #[must_use]
     pub fn embedder(&self) -> &NgramEmbedder {
-        &self.embedder
+        self.memo.embedder()
     }
 
     /// The word-vector memo behind [`Self::embed`].
     #[must_use]
     pub fn word_memo(&self) -> &Arc<WordMemo> {
-        self.memo.get(&self.embedder)
+        &self.memo
     }
 
     /// SIF weight of an already lower-cased token.
@@ -96,14 +91,13 @@ impl SentenceEncoder {
     /// Tokenization: split on whitespace and punctuation, keep alphanumerics.
     #[must_use]
     pub fn embed(&self, text: &str) -> Vec<f32> {
-        let memo = self.word_memo();
-        let mut v = vec![0.0f32; self.embedder.dim];
+        let mut v = vec![0.0f32; self.embedder().dim];
         let mut total_w = 0.0f32;
         for tok in tokenize(text) {
             // Lower-cased once: the weight table's and the memo's key.
             let lower = lowered(tok);
             let w = self.token_weight(&lower);
-            add_scaled(&mut v, &memo.embed_word_lower(&lower), w);
+            add_scaled(&mut v, &self.memo.embed_word_lower(&lower), w);
             total_w += w;
         }
         if total_w > 0.0 {
@@ -123,7 +117,7 @@ impl SentenceEncoder {
     /// table schemas are compared against queries.
     #[must_use]
     pub fn embed_schema<S: AsRef<str>>(&self, attributes: &[S]) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.embedder.dim];
+        let mut v = vec![0.0f32; self.embedder().dim];
         for a in attributes {
             add_scaled(&mut v, &self.embed(a.as_ref()), 1.0);
         }
@@ -145,7 +139,7 @@ mod tests {
     /// `embed` as it was before the memo: per-token `to_lowercase` for the
     /// weight, uncached `embed_word` for the vector.
     fn embed_reference(e: &SentenceEncoder, text: &str) -> Vec<f32> {
-        let mut v = vec![0.0f32; e.embedder.dim];
+        let mut v = vec![0.0f32; e.embedder().dim];
         let mut total_w = 0.0f32;
         for tok in tokenize(text) {
             let lower = tok.to_lowercase();
@@ -154,7 +148,7 @@ mod tests {
                 .find(|(t, _)| *t == lower)
                 .map_or(DEFAULT_FREQ, |(_, f)| *f);
             let w = e.sif_a / (e.sif_a + freq);
-            add_scaled(&mut v, &e.embedder.embed_word(tok), w);
+            add_scaled(&mut v, &e.embedder().embed_word(tok), w);
             total_w += w;
         }
         if total_w > 0.0 {
@@ -187,17 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn serialized_form_has_no_memo_and_clones_share_one() {
+    fn clones_share_one_memo() {
         let e = SentenceEncoder::default();
-        let json = serde_json::to_string(&e).expect("serializes");
-        assert!(
-            json.starts_with("{\"embedder\":{") && !json.contains("memo"),
-            "{json}"
-        );
-        let back: SentenceEncoder = serde_json::from_str(&json).expect("round trip");
-        assert_eq!(back.embed("order date"), e.embed("order date"));
         assert!(Arc::ptr_eq(e.clone().word_memo(), e.word_memo()));
-        assert!(!Arc::ptr_eq(back.word_memo(), e.word_memo()));
     }
 
     #[test]

@@ -90,6 +90,29 @@ fn cache_hits_dominate_and_misses_count_distinct_names() {
     assert_eq!(pipeline.word_memo_stats(), words);
 }
 
+/// Each distinct name misses the annotation cache once and each distinct
+/// word misses the word-vector memo once, however the workers interleave:
+/// both memos end a run with the same counters at one worker and at eight.
+#[test]
+fn memo_counters_are_the_same_at_one_and_eight_workers() {
+    let config = |workers| PipelineConfig {
+        workers,
+        ..PipelineConfig::small(17)
+    };
+    let host = GitHost::new();
+    Pipeline::new(config(1)).populate_host(&host);
+    let [one, eight] = [1, 8].map(|workers| {
+        let pipeline = Pipeline::new(config(workers));
+        let (corpus, _) = pipeline.run(&host);
+        assert!(!corpus.is_empty());
+        (
+            pipeline.annotation_cache_stats(),
+            pipeline.word_memo_stats(),
+        )
+    });
+    assert_eq!(one, eight);
+}
+
 /// FNV-1a digest over every annotation the pipeline produces for
 /// `PipelineConfig::sized(42, 3, 6)`: `(column, type_id, method,
 /// similarity bits)` per annotation, tables in corpus order, the four
