@@ -44,7 +44,7 @@ pub fn run(ctx: &Ctx) {
     let mut rows = Vec::new();
     for topic in pipeline.config.topics.iter().take(8) {
         let count = api.count(&Query::csv(&topic.noun));
-        let (files, stats) = extract_topic(&host, &topic.noun, 1000);
+        let (files, stats) = extract_topic(&host, &topic.noun);
         rows.push(vec![
             format!("q=\"{}\" extension:csv", topic.noun),
             count.to_string(),

@@ -8,7 +8,7 @@
 use std::cmp::Reverse;
 use std::sync::OnceLock;
 
-use gittables_corpus::{Corpus, F32Matrix, TableId};
+use gittables_corpus::{Corpus, F32Matrix};
 use gittables_embed::{
     best_k, cosine, cosine_of_dot, norm, MemoStats, PackedRows, SentenceEncoder,
 };
@@ -97,36 +97,13 @@ impl Ranking {
 }
 
 impl NearestCompletion {
-    /// Builds the engine over every distinct schema in `corpus`.
+    /// Builds the engine over every distinct schema in `corpus`, in
+    /// corpus order. Shared by the in-process examples and the
+    /// `gittables_serve` query engine, so both deduplicate and rank the
+    /// exact same schemas in the exact same order.
     #[must_use]
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_with_encoder(corpus, SentenceEncoder::default())
-    }
-
-    /// Builds with a custom encoder.
-    #[must_use]
-    pub fn build_with_encoder(corpus: &Corpus, encoder: SentenceEncoder) -> Self {
-        let ids: Vec<TableId> = (0..corpus.len()).collect();
-        Self::build_with_ids_and_encoder(corpus, &ids, encoder)
-    }
-
-    /// Builds the engine over the distinct schemas of the tables at `ids`,
-    /// in id order. Shared by the in-process examples and the
-    /// `gittables_serve` query engine, so both deduplicate and rank the
-    /// exact same schemas in the exact same order. Ids out of range are
-    /// skipped.
-    #[must_use]
-    pub fn build_with_ids(corpus: &Corpus, ids: &[TableId]) -> Self {
-        Self::build_with_ids_and_encoder(corpus, ids, SentenceEncoder::default())
-    }
-
-    /// [`Self::build_with_ids`] with a custom encoder.
-    #[must_use]
-    pub fn build_with_ids_and_encoder(
-        corpus: &Corpus,
-        ids: &[TableId],
-        encoder: SentenceEncoder,
-    ) -> Self {
+        let encoder = SentenceEncoder::default();
         let dim = encoder.embedder().dim;
         // A `Schema`'s one interior mutability is its rendered-body
         // cache, which its `Hash` and `Eq` ignore.
@@ -135,7 +112,7 @@ impl NearestCompletion {
         let mut schemas = Vec::new();
         let mut starts = vec![0usize];
         let mut flat = Vec::new();
-        for t in ids.iter().filter_map(|&id| corpus.table_by_id(id)) {
+        for t in &corpus.tables {
             let schema = t.table.schema();
             if schema.is_empty() || !seen.insert(schema.clone()) {
                 continue;
@@ -159,7 +136,7 @@ impl NearestCompletion {
 
     /// Reassembles the engine from persisted parts (the sidecar boot
     /// path): the exact schemas, row offsets, and per-attribute embedding
-    /// rows a [`Self::build_with_ids`] call produced, in the same order.
+    /// rows a [`Self::build`] call produced, in the same order.
     /// Ranking is bit-identical because the rows are (the packed copy and
     /// its norms are made from them alike, on the first query).
     ///

@@ -67,44 +67,30 @@ pub struct DataSearch {
 
 impl DataSearch {
     /// Builds the index over every table in the corpus, with table ids
-    /// equal to corpus positions.
+    /// equal to corpus positions. Shared by the in-process examples and
+    /// the `gittables_serve` query engine, so both rank the exact same
+    /// entries in the exact same order.
     #[must_use]
     pub fn build(corpus: &Corpus) -> Self {
-        let ids: Vec<TableId> = (0..corpus.len()).collect();
-        Self::build_with_ids(corpus, &ids)
-    }
-
-    /// Builds the index over the tables at `ids`, preserving the given
-    /// stable ids in [`SearchHit::table_index`]. Shared by the in-process
-    /// examples and the `gittables_serve` query engine, so both rank the
-    /// exact same entries in the exact same order. Ids out of range are
-    /// skipped.
-    #[must_use]
-    pub fn build_with_ids(corpus: &Corpus, ids: &[TableId]) -> Self {
         let encoder = SentenceEncoder::default();
         let dim = encoder.embedder().dim;
-        let mut kept = Vec::new();
-        let mut schemas = Vec::new();
+        let mut schemas = Vec::with_capacity(corpus.len());
         let mut flat = Vec::new();
-        for (id, t) in ids
-            .iter()
-            .filter_map(|&id| corpus.table_by_id(id).map(|t| (id, t)))
-        {
+        for t in &corpus.tables {
             let schema = t.table.schema();
             let attrs: Vec<&str> = schema.iter().collect();
             flat.extend_from_slice(&encoder.embed_schema(&attrs));
-            kept.push(id);
             schemas.push(schema);
         }
-        let rows = F32Matrix::from_vec(flat, kept.len(), dim);
-        Self::assemble(encoder, kept, schemas, rows)
+        let rows = F32Matrix::from_vec(flat, schemas.len(), dim);
+        Self::assemble(encoder, (0..schemas.len()).collect(), schemas, rows)
     }
 
     /// Reassembles an index from persisted parts (the sidecar boot path):
-    /// the exact ids, schemas, and embedding rows a
-    /// [`Self::build_with_ids`] call produced, in the same order. Scoring
-    /// is bit-identical because the rows are (their norms and packed copy
-    /// are made here, from the rows, as a build makes them).
+    /// the exact ids, schemas, and embedding rows a [`Self::build`] call
+    /// produced, in the same order. Scoring is bit-identical because the
+    /// rows are (their norms and packed copy are made here, from the
+    /// rows, as a build makes them).
     ///
     /// # Panics
     /// When `ids`, `schemas`, and `rows` are not parallel.

@@ -34,31 +34,20 @@ pub struct PipelineConfig {
     /// Worker threads for the parse/curate/annotate stage (0 ⇒ available
     /// parallelism).
     pub workers: usize,
-    /// Results-per-query segmentation trigger: queries whose initial count
-    /// exceeds this are segmented by size (GitHub cap: 1 000).
-    pub results_cap: usize,
-    /// Tables per shard when a monolithic corpus is split into a sharded
-    /// store (`gittables_corpus::save_store`; the CLI `save` subcommand).
-    /// Store-backed pipeline runs shard by repository instead.
-    pub tables_per_shard: usize,
     /// Retry, backoff, and quarantine policy for host faults.
     pub fault: FaultPolicy,
 }
 
 /// How the pipeline reacts to host faults: retry transient errors with
-/// jittered exponential backoff, bounded per operation and per
-/// repository; quarantine the repository (and keep going) when a bound
-/// is hit or a fault is permanent.
+/// jittered exponential backoff (5 ms doubling per retry, capped at
+/// 100 ms), bounded per operation and per repository; quarantine the
+/// repository (and keep going) when a bound is hit or a fault is
+/// permanent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultPolicy {
     /// Attempts per host operation before giving up on it (1 ⇒ never
     /// retry).
     pub max_attempts: u32,
-    /// Backoff before the first retry, milliseconds; each further retry
-    /// doubles it (with deterministic jitter in `[delay/2, delay]`).
-    pub backoff_base_ms: u64,
-    /// Cap on a single backoff delay, milliseconds.
-    pub backoff_max_ms: u64,
     /// Total retries allowed across all of one repository's fetches
     /// before the repository is quarantined.
     pub repo_retry_budget: u32,
@@ -75,8 +64,6 @@ impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
             max_attempts: 4,
-            backoff_base_ms: 5,
-            backoff_max_ms: 100,
             repo_retry_budget: 16,
             sleep: true,
             poison_marker: None,
@@ -115,8 +102,6 @@ impl PipelineConfig {
             semantic_threshold: gittables_annotate::semantic::DEFAULT_THRESHOLD,
             anonymize: true,
             workers: 0,
-            results_cap: 1000,
-            tables_per_shard: 256,
             fault: FaultPolicy::default(),
         }
     }
@@ -156,7 +141,6 @@ mod tests {
         let m = PipelineConfig::sized(1, 10, 5);
         assert_eq!(m.topics.len(), 10);
         assert_eq!(m.repos_per_topic, 5);
-        assert!(m.tables_per_shard > 0);
     }
 
     #[test]

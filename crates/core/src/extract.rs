@@ -14,14 +14,21 @@
 
 use std::collections::HashMap;
 
-use gittables_githost::{CodeHost, FileKind, HostError, Query, SearchResult};
+use gittables_githost::search::MAX_FILE_SIZE;
+use gittables_githost::{
+    CodeHost, FileKind, HostError, Query, SearchResult, MAX_RESULTS_PER_QUERY,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FaultPolicy;
 use crate::pipeline::Quarantined;
 
-/// Maximum file size the API serves (438 kB, §3.2).
-const MAX_FILE_SIZE: usize = 438 * 1024;
+/// Backoff before the first retry, milliseconds; each further retry
+/// doubles it (with deterministic jitter in `[delay/2, delay]`).
+const BACKOFF_BASE_MS: u64 = 5;
+
+/// Cap on a single backoff delay, milliseconds.
+const BACKOFF_MAX_MS: u64 = 100;
 
 /// A fetched raw tabular file (CSV or SQL dump) with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,18 +138,13 @@ impl<'a> FaultSession<'a> {
     }
 
     /// Schedules (and optionally sleeps) one jittered exponential-backoff
-    /// delay: `base * 2^(attempt-1)` capped at `backoff_max_ms`, jittered
-    /// deterministically into `[delay/2, delay]` by `(seed, key,
-    /// attempt)`.
+    /// delay: `BACKOFF_BASE_MS * 2^(attempt-1)` capped at
+    /// `BACKOFF_MAX_MS`, jittered deterministically into `[delay/2,
+    /// delay]` by `(seed, key, attempt)`.
     fn backoff(&mut self, key: &str, attempt: u32) {
         self.retries += 1;
-        let base = self.policy.backoff_base_ms;
-        if base == 0 {
-            return;
-        }
-        let exp = base
-            .saturating_mul(1u64 << u64::from(attempt.saturating_sub(1)).min(16))
-            .min(self.policy.backoff_max_ms.max(base));
+        let exp =
+            (BACKOFF_BASE_MS << u64::from(attempt.saturating_sub(1)).min(16)).min(BACKOFF_MAX_MS);
         let mut h = self.seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         for b in key.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
@@ -250,13 +252,13 @@ fn fetch_one(host: &dyn CodeHost, r: &SearchResult, session: &mut FaultSession) 
     }
 }
 
-/// Recursively collects size ranges whose result counts fit under `cap`.
+/// Recursively collects size ranges whose result counts fit under the
+/// API's result cap.
 fn segment(
     host: &dyn CodeHost,
     session: &mut FaultSession,
     base: &Query,
     (lo, hi): (usize, usize),
-    cap: usize,
     out: &mut Vec<(usize, usize)>,
     queries: &mut usize,
 ) {
@@ -268,13 +270,13 @@ fn segment(
     if count == 0 {
         return;
     }
-    if count <= cap || lo >= hi {
+    if count <= MAX_RESULTS_PER_QUERY || lo >= hi {
         out.push((lo, hi));
         return;
     }
     let mid = lo + (hi - lo) / 2;
-    segment(host, session, base, (lo, mid), cap, out, queries);
-    segment(host, session, base, (mid + 1, hi), cap, out, queries);
+    segment(host, session, base, (lo, mid), out, queries);
+    segment(host, session, base, (mid + 1, hi), out, queries);
 }
 
 /// Traverses all pages of `query` with transient-retry; an ultimately
@@ -307,14 +309,10 @@ fn search_pages(
 /// `extract_topic_session` with the default fault policy and the CSV
 /// file kind.
 #[must_use]
-pub fn extract_topic(
-    host: &dyn CodeHost,
-    topic: &str,
-    cap: usize,
-) -> (Vec<RawCsvFile>, ExtractStats) {
+pub fn extract_topic(host: &dyn CodeHost, topic: &str) -> (Vec<RawCsvFile>, ExtractStats) {
     let policy = FaultPolicy::default();
     let mut session = FaultSession::new(&policy, 0, HashMap::new());
-    extract_topic_session(host, topic, FileKind::Csv, cap, &mut session)
+    extract_topic_session(host, topic, FileKind::Csv, &mut session)
 }
 
 /// Extracts all files of one `kind` for one topic under `session`'s fault
@@ -326,7 +324,6 @@ pub(crate) fn extract_topic_session(
     host: &dyn CodeHost,
     topic: &str,
     kind: FileKind,
-    cap: usize,
     session: &mut FaultSession,
 ) -> (Vec<RawCsvFile>, ExtractStats) {
     let base = Query::for_kind(topic, kind);
@@ -341,7 +338,7 @@ pub(crate) fn extract_topic_session(
 
     let results: Vec<SearchResult> = if initial_count == 0 {
         Vec::new()
-    } else if initial_count <= cap {
+    } else if initial_count <= MAX_RESULTS_PER_QUERY {
         search_pages(host, &base, session)
     } else {
         let mut ranges = Vec::new();
@@ -351,7 +348,6 @@ pub(crate) fn extract_topic_session(
             session,
             &base,
             (0, MAX_FILE_SIZE),
-            cap,
             &mut ranges,
             &mut queries,
         );
@@ -417,7 +413,7 @@ mod tests {
     #[test]
     fn small_topic_single_query() {
         let h = host(50);
-        let (files, stats) = extract_topic(&h, "id", 1000);
+        let (files, stats) = extract_topic(&h, "id");
         assert_eq!(files.len(), 50);
         assert_eq!(stats.initial_count, 50);
         assert_eq!(stats.queries_executed, 1);
@@ -427,7 +423,7 @@ mod tests {
     #[test]
     fn large_topic_segmented_recovers_all() {
         let h = host(2500);
-        let (files, stats) = extract_topic(&h, "id", 1000);
+        let (files, stats) = extract_topic(&h, "id");
         assert_eq!(stats.initial_count, 2500);
         assert!(stats.queries_executed > 1, "should segment");
         assert_eq!(files.len(), 2500, "segmentation must recover past the cap");
@@ -436,7 +432,7 @@ mod tests {
     #[test]
     fn unknown_topic_empty() {
         let h = host(10);
-        let (files, stats) = extract_topic(&h, "nonexistenttopicz", 1000);
+        let (files, stats) = extract_topic(&h, "nonexistenttopicz");
         assert!(files.is_empty());
         assert_eq!(stats.initial_count, 0);
     }
@@ -452,7 +448,7 @@ mod tests {
     #[test]
     fn provenance_carried() {
         let h = host(3);
-        let (files, _) = extract_topic(&h, "id", 1000);
+        let (files, _) = extract_topic(&h, "id");
         assert_eq!(files[0].topic, "id");
         assert_eq!(files[0].license.as_deref(), Some("mit"));
         assert!(files[0].content.starts_with("id,pad"));

@@ -71,7 +71,7 @@ pub struct PipelineReport {
 
 /// One quarantined item (a repository or a file) and why it was set
 /// aside. Quarantined work is recorded, skipped, and re-attemptable
-/// (`--retry-quarantined`) instead of aborting the run.
+/// ([`RetrySelection`]) instead of aborting the run.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Quarantined {
     /// `owner/repo` for repositories, `owner/repo/path` for files.
@@ -356,13 +356,7 @@ impl Pipeline {
             // not the synthesis knobs, decide what comes back, so a host
             // populated elsewhere with SQL dumps is extracted the same way.
             for kind in FileKind::ALL {
-                let (fs, stats) = extract_topic_session(
-                    host,
-                    &topic.noun,
-                    kind,
-                    self.config.results_cap,
-                    &mut session,
-                );
+                let (fs, stats) = extract_topic_session(host, &topic.noun, kind, &mut session);
                 queries += stats.queries_executed;
                 files.extend(fs);
             }
@@ -778,10 +772,9 @@ pub enum RetrySelection<'a> {
     /// cannot flap in and out of the corpus between resumes.
     #[default]
     None,
-    /// Every quarantined repository is re-attempted from scratch
-    /// (`--retry-quarantined`, the self-healing resume path): one that
-    /// now extracts and processes cleanly joins the corpus and leaves the
-    /// log.
+    /// Every quarantined repository is re-attempted from scratch (the
+    /// self-healing resume path): one that now extracts and processes
+    /// cleanly joins the corpus and leaves the log.
     All,
     /// Only the named repositories (the crawl daemon's cooldown-eligible
     /// drain set); the rest stay sticky.

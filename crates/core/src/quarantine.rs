@@ -6,8 +6,9 @@
 //! quarantined (host faults, exhausted retry budgets, worker panics). On
 //! the next invocation the log makes quarantine *sticky* — listed
 //! repositories are skipped without host traffic — unless the run opts
-//! into re-attempting them (`--retry-quarantined`), in which case healed
-//! repositories join the corpus and drop out of the log.
+//! into re-attempting them ([`RetrySelection`](crate::RetrySelection)),
+//! in which case healed repositories join the corpus and drop out of the
+//! log.
 
 use std::collections::HashMap;
 use std::path::Path;

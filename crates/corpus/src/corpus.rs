@@ -117,17 +117,6 @@ impl Corpus {
         self.tables.get(id)
     }
 
-    /// Whether `id` names a table in this corpus.
-    #[must_use]
-    pub fn contains_id(&self, id: TableId) -> bool {
-        id < self.tables.len()
-    }
-
-    /// Iterator over `(stable id, table)` pairs in id order.
-    pub fn iter_with_ids(&self) -> impl Iterator<Item = (TableId, &AnnotatedTable)> {
-        self.tables.iter().enumerate()
-    }
-
     /// The subset of tables retrieved by `topic` (paper §4.1: topic subsets
     /// can be used for domain-specific models).
     #[must_use]

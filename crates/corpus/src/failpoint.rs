@@ -1,8 +1,14 @@
 //! Deterministic filesystem failpoints for crash-consistency testing.
 //!
-//! A failpoint is a named site in the store's write path (shard fsync,
-//! manifest write/fsync/rename, directory fsync) that can be armed to
-//! misbehave exactly once, on its *n*-th hit:
+//! A failpoint is a named site in the store's write path that can be
+//! armed to misbehave exactly once, on its *n*-th hit. The sites are
+//! `store::shard_fsync` (both shard formats' writers) and the four steps
+//! of [`crate::persist::write_durably`] — `store::manifest_write`,
+//! `store::manifest_fsync`, `store::manifest_rename`, `store::dir_fsync`
+//! — which every durably replaced file of a store passes through:
+//! `manifest.json`, `index.gtsc`, `quarantine.json` and
+//! `crawl_state.json`. The four keep their `manifest` names; a path
+//! filter on the temp file (`manifest.json.tmp`) picks one file. Modes:
 //!
 //! * **err** — the site returns an injected I/O error (simulating
 //!   `EIO`/`ENOSPC`), which surfaces as a typed

@@ -52,16 +52,42 @@ impl From<serde_json::Error> for PersistError {
 /// rename can be lost with the directory's dirty page. A crash at any
 /// point leaves the old file or the new one, never a torn one.
 ///
+/// Each step is a [`crate::failpoint`] site, hit with the temp file's
+/// path: `store::manifest_write` (whose `short` mode leaves half the
+/// bytes in the temp file), `store::manifest_fsync`,
+/// `store::manifest_rename` and `store::dir_fsync`.
+///
 /// # Errors
 /// Propagates I/O failures; `name` is untouched unless the rename ran.
 pub fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    use crate::failpoint::{hit, injected, Triggered};
+
     let tmp = dir.join(format!("{name}.tmp"));
+    let tag = tmp.display().to_string();
+    let fail_at = |site: &str| match hit(site, &tag) {
+        Some(_) => Err(injected(site)),
+        None => Ok(()),
+    };
     {
         let mut file = std::fs::File::create(&tmp)?;
+        match hit("store::manifest_write", &tag) {
+            // Torn write (ENOSPC mid-write): half the bytes land, then the
+            // error propagates. The temp file is garbage, but it is never
+            // renamed — the live file is untouched.
+            Some(Triggered::Short) => {
+                file.write_all(&bytes[..bytes.len() / 2])?;
+                return Err(injected("store::manifest_write"));
+            }
+            Some(Triggered::Error) => return Err(injected("store::manifest_write")),
+            None => {}
+        }
         file.write_all(bytes)?;
+        fail_at("store::manifest_fsync")?;
         file.sync_all()?;
     }
+    fail_at("store::manifest_rename")?;
     std::fs::rename(&tmp, dir.join(name))?;
+    fail_at("store::dir_fsync")?;
     std::fs::File::open(dir)?.sync_all()
 }
 

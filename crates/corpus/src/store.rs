@@ -59,7 +59,7 @@
 //! itself treats `meta` as an opaque string.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -669,48 +669,14 @@ impl CorpusStore {
         self.persist_manifest(&committed.manifest)
     }
 
-    /// Writes the manifest to a temp file, fsyncs it, renames it into place,
-    /// and fsyncs the directory so the rename itself is durable. Callers
-    /// hold the manifest lock, so the single temp name cannot race.
+    /// Replaces the manifest through [`crate::persist::write_durably`]
+    /// (temp file `manifest.json.tmp`, its failpoint sites included).
+    /// Callers hold the manifest lock, so the single temp name cannot
+    /// race.
     fn persist_manifest(&self, manifest: &StoreManifest) -> Result<(), StoreError> {
-        use crate::failpoint::{self, Triggered};
-
-        let tmp = self.dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let tmp_tag = tmp.display().to_string();
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut w = BufWriter::new(file);
-            match failpoint::hit("store::manifest_write", &tmp_tag) {
-                // Torn write (ENOSPC mid-write): half the bytes land, then
-                // the error propagates. The tmp file is garbage, but it was
-                // never renamed — the live manifest is untouched.
-                Some(Triggered::Short) => {
-                    let text = serde_json::to_string(manifest)?;
-                    w.write_all(&text.as_bytes()[..text.len() / 2])?;
-                    w.flush()?;
-                    return Err(failpoint::injected("store::manifest_write").into());
-                }
-                Some(Triggered::Error) => {
-                    return Err(failpoint::injected("store::manifest_write").into())
-                }
-                None => {}
-            }
-            serde_json::to_writer(&mut w, manifest)?;
-            w.flush()?;
-            if failpoint::hit("store::manifest_fsync", &tmp_tag).is_some() {
-                return Err(failpoint::injected("store::manifest_fsync").into());
-            }
-            w.get_ref().sync_all()?;
-        }
-        if failpoint::hit("store::manifest_rename", &tmp_tag).is_some() {
-            return Err(failpoint::injected("store::manifest_rename").into());
-        }
-        std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
-        if failpoint::hit("store::dir_fsync", &tmp_tag).is_some() {
-            return Err(failpoint::injected("store::dir_fsync").into());
-        }
-        std::fs::File::open(&self.dir)?.sync_all()?;
-        Ok(())
+        let text = serde_json::to_string(manifest)?;
+        crate::persist::write_durably(&self.dir, MANIFEST_FILE, text.as_bytes())
+            .map_err(StoreError::Io)
     }
 
     /// The id rule (module docs): every committed shard, in commit order,

@@ -60,22 +60,11 @@ impl TypeIndex {
     /// ids equal to corpus positions.
     #[must_use]
     pub fn build(corpus: &Corpus) -> Self {
-        let ids: Vec<TableId> = (0..corpus.len()).collect();
-        Self::build_with_ids(corpus, &ids)
-    }
-
-    /// Builds the index over the tables at `ids` (stable ids preserved in
-    /// the postings). Ids out of range are skipped.
-    #[must_use]
-    pub fn build_with_ids(corpus: &Corpus, ids: &[TableId]) -> Self {
         // Collect (label, posting) pairs in deterministic scan order, then
         // group by label with a stable sort so posting order inside a list
         // stays the scan order.
         let mut pairs: Vec<(&str, TypePosting)> = Vec::new();
-        for &id in ids {
-            let Some(at) = corpus.table_by_id(id) else {
-                continue;
-            };
+        for (id, at) in corpus.tables.iter().enumerate() {
             for (method, ontology) in Corpus::annotation_configs() {
                 for a in &at.annotations(method, ontology).annotations {
                     pairs.push((
@@ -165,10 +154,9 @@ impl TypeIndex {
         let Some(postings) = self.postings(label) else {
             return Vec::new();
         };
-        // `build_with_ids` emits postings in scan order, so within one
-        // label they are ascending when the caller's id list was — the
-        // sort is a cheap guard for arbitrary id orders, not a
-        // correctness requirement for index-built-over-0..n corpora.
+        // `build` emits postings in scan order, so within one label they
+        // are ascending — the sort is a cheap guard, not a correctness
+        // requirement.
         let mut ids: Vec<TableId> = postings.iter().map(|p| p.table).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -289,16 +277,5 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert!(idx.counts().is_empty());
-    }
-
-    #[test]
-    fn build_with_ids_subset() {
-        let c = corpus();
-        let idx = TypeIndex::build_with_ids(&c, &[2]);
-        assert_eq!(idx.labels(), &["address", "year"]);
-        assert_eq!(idx.tables_with("address"), vec![2]);
-        // Out-of-range ids are skipped, not a panic.
-        let idx = TypeIndex::build_with_ids(&c, &[99]);
-        assert!(idx.is_empty());
     }
 }

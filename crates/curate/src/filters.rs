@@ -39,6 +39,9 @@ impl FilterReason {
 /// Social-media keywords excluded per §3.3.
 pub const SOCIAL_KEYWORDS: &[&str] = &["twitter", "tweet", "reddit", "facebook"];
 
+/// Largest tolerated fraction of unnamed columns (paper: 0.5).
+const MAX_UNNAMED_FRACTION: f64 = 0.5;
+
 /// Configuration of the curation filters. Defaults match the paper.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CurationConfig {
@@ -49,8 +52,6 @@ pub struct CurationConfig {
     pub min_rows: usize,
     /// Minimum number of columns (paper: 2).
     pub min_cols: usize,
-    /// Maximum tolerated fraction of unnamed columns (paper: 0.5).
-    pub max_unnamed_fraction: f64,
 }
 
 impl Default for CurationConfig {
@@ -59,7 +60,6 @@ impl Default for CurationConfig {
             require_license: true,
             min_rows: 2,
             min_cols: 2,
-            max_unnamed_fraction: 0.5,
         }
     }
 }
@@ -80,7 +80,7 @@ impl CurationConfig {
             return Err(FilterReason::TooFewColumns);
         }
         let unnamed = table.columns().iter().filter(|c| c.is_unnamed()).count();
-        if unnamed as f64 > self.max_unnamed_fraction * table.num_columns() as f64 {
+        if unnamed as f64 > MAX_UNNAMED_FRACTION * table.num_columns() as f64 {
             return Err(FilterReason::MostlyUnnamedColumns);
         }
         for c in table.columns() {

@@ -16,7 +16,6 @@
 
 use gittables_embed::NgramEmbedder;
 use gittables_table::atomic::{infer_value_type, is_missing, AtomicType};
-use gittables_table::Column;
 
 /// The 96 printable ASCII characters tracked by the character features.
 pub const TRACKED_CHARS: usize = 96; // 0x20 ..= 0x7e plus a catch-all bin
@@ -133,12 +132,6 @@ impl FeatureExtractor {
         self.global_features(&cells, &mut out);
         debug_assert_eq!(out.len(), FEATURE_COUNT);
         out
-    }
-
-    /// Extracts features for a [`Column`].
-    #[must_use]
-    pub fn extract_column(&self, column: &Column) -> Vec<f32> {
-        self.extract(column.values())
     }
 
     fn char_features(&self, cells: &[&str], out: &mut Vec<f32>) {

@@ -173,12 +173,10 @@ pub struct QueryEngine {
 /// corpus, so they run on separate threads: the cost is the slowest
 /// build, not the sum.
 pub(crate) fn build_indexes(corpus: &Corpus) -> (DataSearch, NearestCompletion, TypeIndex) {
-    let ids: Vec<TableId> = (0..corpus.len()).collect();
     std::thread::scope(|s| {
-        let ids = &ids;
-        let search = s.spawn(move || DataSearch::build_with_ids(corpus, ids));
-        let completion = s.spawn(move || NearestCompletion::build_with_ids(corpus, ids));
-        let types = TypeIndex::build_with_ids(corpus, ids);
+        let search = s.spawn(|| DataSearch::build(corpus));
+        let completion = s.spawn(|| NearestCompletion::build(corpus));
+        let types = TypeIndex::build(corpus);
         (
             search.join().expect("search index build"),
             completion.join().expect("completion index build"),

@@ -163,8 +163,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Response-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Whether `GET|POST /shutdown` triggers a graceful shutdown.
-    pub enable_shutdown_endpoint: bool,
     /// When set, `POST /reload` and `SIGHUP` re-load the corpus from
     /// this store and swap it in atomically. `None` (e.g. a server over
     /// an in-memory corpus) answers `/reload` with `409`.
@@ -176,7 +174,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 4,
             cache_capacity: 1024,
-            enable_shutdown_endpoint: true,
             reload: None,
         }
     }
@@ -459,12 +456,6 @@ impl ServerHandle {
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.shared.snapshot().0.num_shards()
-    }
-
-    /// Whether a shutdown has been requested.
-    #[must_use]
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Starts a graceful shutdown without waiting for it to finish.
@@ -813,7 +804,7 @@ fn route(shared: &Shared, router: &Router, req: &Request, endpoint: Endpoint) ->
                 },
             }
         }
-        Endpoint::Shutdown if shared.config.enable_shutdown_endpoint => Routed {
+        Endpoint::Shutdown => Routed {
             status: 200,
             body: json_body(&ShutdownResponse {
                 status: "draining".to_string(),
@@ -823,7 +814,7 @@ fn route(shared: &Shared, router: &Router, req: &Request, endpoint: Endpoint) ->
         },
         // `Reload` is intercepted by `respond` before a snapshot is
         // pinned; reaching here means it raced nothing and 404s safely.
-        Endpoint::Shutdown | Endpoint::Reload | Endpoint::Other => {
+        Endpoint::Reload | Endpoint::Other => {
             error_body(404, Endpoint::Other, format!("no route for {}", req.path))
         }
     }

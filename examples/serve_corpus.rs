@@ -1,7 +1,7 @@
 //! End-to-end serving demo: build a corpus straight into a sharded
 //! store, index that directory, boot a [`QueryEngine`] from it, serve it
 //! over HTTP, and query it with the bundled client — the full
-//! `gittables resume` → `index` → `serve` loop in one process, on one
+//! `gittables crawl` → `index` → `serve` loop in one process, on one
 //! directory.
 //!
 //! ```sh

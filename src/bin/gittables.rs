@@ -12,7 +12,6 @@
 //! gittables dedup   --corpus corpus.json
 //! gittables save    --corpus corpus.json --out store_dir/ [--shard 256] [--format colv1|jsonl]
 //! gittables load    --store store_dir/ --out corpus.json
-//! gittables resume  --store store_dir/ [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]
 //! gittables crawl   <store_dir/ | --store store_dir/> [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--format colv1|jsonl] [--passes N] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]
 //! gittables migrate store_dir/ --to <colv1|jsonl>
 //! gittables index   store_dir/
@@ -22,17 +21,17 @@
 //! `save`/`load` convert between the monolithic JSON file and the sharded
 //! on-disk store (shard format defaults to the binary columnar `colv1`;
 //! reads auto-detect from the manifest); `migrate` rewrites a store
-//! between shard formats in place, atomically; `resume` runs the pipeline
-//! incrementally against a store, skipping repositories whose shards are
-//! already committed; `index` builds the persisted index sidecar that
-//! lets `serve` boot straight off the mapped files; `serve` boots a query
-//! engine over a store (sidecar path when a fresh sidecar exists,
-//! materialized rebuild otherwise) and answers HTTP queries against it
-//! until `/shutdown`; `crawl` is the long-running daemon: repeated
-//! incremental passes over a replica [`HostPool`] (with optional
+//! between shard formats in place, atomically; `index` builds the
+//! persisted index sidecar that lets `serve` boot straight off the mapped
+//! files; `serve` boots a query engine over a store (sidecar path when a
+//! fresh sidecar exists, materialized rebuild otherwise) and answers HTTP
+//! queries against it until `/shutdown`; `crawl` builds a store
+//! incrementally, skipping repositories whose shards are already
+//! committed: repeated passes over a replica [`HostPool`] (with optional
 //! injected faults for chaos drills), scheduled quarantine drains with
 //! exponential per-repo cooldowns, per-pass pool/breaker stats, and
 //! graceful SIGTERM/SIGINT shutdown that commits in-flight shards.
+//! `crawl <dir> --passes 1 --replicas 1` is one incremental build pass.
 
 #![forbid(unsafe_code)]
 
@@ -40,16 +39,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gittables_core::apps::{DataSearch, NearestCompletion};
-use gittables_core::{Pipeline, PipelineConfig, RetrySelection, StoreRunOptions};
+use gittables_core::{Pipeline, PipelineConfig};
 use gittables_corpus::{persist, AnnotationStats, Corpus, CorpusStats};
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{Server, ServerConfig};
 
-fn opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// Tables per shard when `save` splits a corpus file into a store.
+const TABLES_PER_SHARD: usize = 256;
 
 /// Why a command did not run to completion.
 enum CliError {
@@ -71,16 +67,26 @@ impl From<&str> for CliError {
     }
 }
 
+/// The value given for `key`, `None` when the flag is absent. A flag
+/// that is present must carry a value, and the next flag is not one:
+/// `--out --shard 4` writing a store named `--shard` is never right.
+fn opt(args: &[String], key: &str) -> Result<Option<String>, CliError> {
+    let Some(at) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(CliError::Usage(format!("{key} needs a value"))),
+    }
+}
+
 /// The number given for `key`, `None` when the flag is absent. A flag
 /// that is present must carry a number: running a default in place of
 /// what was typed (`--passes 1O` crawling for ever) is never right.
 fn opt_num<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, CliError> {
-    let Some(at) = args.iter().position(|a| a == key) else {
+    let Some(value) = opt(args, key)? else {
         return Ok(None);
     };
-    let value = args
-        .get(at + 1)
-        .ok_or_else(|| CliError::Usage(format!("{key} needs a value")))?;
     value
         .parse()
         .map(Some)
@@ -91,12 +97,21 @@ fn num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T
     Ok(opt_num(args, key)?.unwrap_or(default))
 }
 
-fn load(args: &[String]) -> Result<Corpus, String> {
-    let path = opt(args, "--corpus").ok_or("missing --corpus <file>")?;
-    persist::load_corpus(&PathBuf::from(&path)).map_err(|e| format!("loading {path}: {e}"))
+fn load(args: &[String]) -> Result<Corpus, CliError> {
+    let path = opt(args, "--corpus")?.ok_or("missing --corpus <file>")?;
+    Ok(persist::load_corpus(&PathBuf::from(&path)).map_err(|e| format!("loading {path}: {e}"))?)
 }
 
-/// The `build`/`resume` pipeline config: `--seed/--topics/--repos` plus
+/// The store directory: the positional argument (`serve dir/`), with
+/// `--store dir/` accepted as an alias. `form` is the command's usage.
+fn store_dir(args: &[String], form: &str) -> Result<String, CliError> {
+    match args.first().filter(|a| !a.starts_with("--")) {
+        Some(dir) => Ok(dir.clone()),
+        None => Ok(opt(args, "--store")?.ok_or(format!("missing store directory ({form})"))?),
+    }
+}
+
+/// The `build`/`crawl` pipeline config: `--seed/--topics/--repos` plus
 /// `--sql <prob>`, the share of synthesized files rendered as SQL dumps
 /// instead of CSV. The default 0.0 draws no extra randomness, so corpora
 /// built before SQL ingestion existed stay bit-identical.
@@ -111,7 +126,7 @@ fn sized_config(args: &[String]) -> Result<PipelineConfig, CliError> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let out = opt(args, "--out").ok_or("missing --out <file>")?;
+    let out = opt(args, "--out")?.ok_or("missing --out <file>")?;
     let config = sized_config(args)?;
     eprintln!(
         "building corpus: seed {}, {} topics x {} repos, sql share {}",
@@ -166,7 +181,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_search(args: &[String]) -> Result<(), CliError> {
-    let query = opt(args, "--query").ok_or("missing --query <text>")?;
+    let query = opt(args, "--query")?.ok_or("missing --query <text>")?;
     let k = num(args, "--k", 5usize)?;
     let corpus = load(args)?;
     let ds = DataSearch::build(&corpus);
@@ -183,7 +198,7 @@ fn cmd_search(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_complete(args: &[String]) -> Result<(), CliError> {
-    let prefix_arg = opt(args, "--prefix").ok_or("missing --prefix a,b,c")?;
+    let prefix_arg = opt(args, "--prefix")?.ok_or("missing --prefix a,b,c")?;
     let prefix: Vec<&str> = prefix_arg.split(',').map(str::trim).collect();
     let k = num(args, "--k", 5usize)?;
     let corpus = load(args)?;
@@ -199,7 +214,7 @@ fn cmd_complete(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_annotate(args: &[String]) -> Result<(), CliError> {
-    let path = opt(args, "--csv").ok_or("missing --csv <file>")?;
+    let path = opt(args, "--csv")?.ok_or("missing --csv <file>")?;
     let content = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let parsed = gittables_tablecsv::read_csv(&content, &Default::default())
         .map_err(|e| format!("{path}: {e}"))?;
@@ -220,7 +235,7 @@ fn cmd_annotate(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_export(args: &[String]) -> Result<(), CliError> {
     let corpus = load(args)?;
-    let out = opt(args, "--out").ok_or("missing --out <dir>")?;
+    let out = opt(args, "--out")?.ok_or("missing --out <dir>")?;
     let n = gittables_corpus::export_csv(&corpus, std::path::Path::new(&out))
         .map_err(|e| e.to_string())?;
     eprintln!("wrote {n} CSV files under {out}");
@@ -269,17 +284,17 @@ fn cmd_dedup(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Parses `--format` (default: the fast binary `colv1`).
-fn store_format(args: &[String]) -> Result<gittables_corpus::StoreFormat, String> {
-    match opt(args, "--format") {
+fn store_format(args: &[String]) -> Result<gittables_corpus::StoreFormat, CliError> {
+    match opt(args, "--format")? {
         None => Ok(gittables_corpus::StoreFormat::ColV1),
-        Some(v) => gittables_corpus::StoreFormat::parse(&v)
-            .ok_or_else(|| format!("unknown store format `{v}` (use colv1 or jsonl)")),
+        Some(v) => Ok(gittables_corpus::StoreFormat::parse(&v)
+            .ok_or_else(|| format!("unknown store format `{v}` (use colv1 or jsonl)"))?),
     }
 }
 
 fn cmd_save(args: &[String]) -> Result<(), CliError> {
-    let out = opt(args, "--out").ok_or("missing --out <dir>")?;
-    let shard = num(args, "--shard", PipelineConfig::small(0).tables_per_shard)?;
+    let out = opt(args, "--out")?.ok_or("missing --out <dir>")?;
+    let shard = num(args, "--shard", TABLES_PER_SHARD)?;
     let format = store_format(args)?;
     let corpus = load(args)?;
     let store = gittables_corpus::save_store_as(&corpus, PathBuf::from(&out), shard, format)
@@ -293,13 +308,8 @@ fn cmd_save(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_migrate(args: &[String]) -> Result<(), CliError> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| opt(args, "--store"))
-        .ok_or("missing store directory (migrate <store-dir> --to <format>)")?;
-    let to_arg = opt(args, "--to").ok_or("missing --to <colv1|jsonl>")?;
+    let dir = store_dir(args, "migrate <store-dir> --to <format>")?;
+    let to_arg = opt(args, "--to")?.ok_or("missing --to <colv1|jsonl>")?;
     let to = gittables_corpus::StoreFormat::parse(&to_arg)
         .ok_or_else(|| format!("unknown store format `{to_arg}` (use colv1 or jsonl)"))?;
     let report =
@@ -316,8 +326,8 @@ fn cmd_migrate(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_load(args: &[String]) -> Result<(), CliError> {
-    let dir = opt(args, "--store").ok_or("missing --store <dir>")?;
-    let out = opt(args, "--out").ok_or("missing --out <file>")?;
+    let dir = opt(args, "--store")?.ok_or("missing --store <dir>")?;
+    let out = opt(args, "--out")?.ok_or("missing --out <file>")?;
     let corpus = gittables_corpus::load_store(PathBuf::from(&dir))
         .map_err(|e| format!("loading store {dir}: {e}"))?;
     persist::save_corpus(&corpus, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
@@ -325,80 +335,8 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), CliError> {
-    let dir = opt(args, "--store").ok_or("missing --store <dir>")?;
-    let max_shards = opt_num::<usize>(args, "--max-shards")?;
-    let config = sized_config(args)?;
-    let (seed, topics, repos) = (config.seed, config.topics.len(), config.repos_per_topic);
-    let pipeline = Pipeline::new(config);
-    // `--format` applies when the store is first created; an existing
-    // store keeps its recorded format (use `migrate` to change it).
-    let store = gittables_corpus::CorpusStore::open_or_create_with_format(
-        PathBuf::from(&dir),
-        pipeline.corpus_name(),
-        store_format(args)?,
-    )
-    .map_err(|e| e.to_string())?;
-    eprintln!(
-        "resuming into {dir} ({} format): seed {seed}, {topics} topics x {repos} repos ({} shards already stored)",
-        store.format(),
-        store.num_shards()
-    );
-    let retry_quarantined = args.iter().any(|a| a == "--retry-quarantined");
-    let host = GitHost::new();
-    pipeline.populate_host(&host);
-    let run = pipeline
-        .run_to_store_with(
-            &host,
-            &store,
-            &StoreRunOptions {
-                max_new_shards: max_shards,
-                retry: if retry_quarantined {
-                    RetrySelection::All
-                } else {
-                    RetrySelection::None
-                },
-                stop: None,
-            },
-        )
-        .map_err(|e| e.to_string())?;
-    eprintln!(
-        "wrote {} new shards, skipped {} existing; corpus now {} tables ({} parsed, {} kept this config)",
-        run.shards_written,
-        run.shards_skipped,
-        run.corpus.len(),
-        run.report.parsed,
-        run.report.kept
-    );
-    if run.report.retries > 0 || run.report.queries_failed > 0 {
-        eprintln!(
-            "host faults: {} retries ({} ms backoff), {} queries failed",
-            run.report.retries, run.report.backoff_ms, run.report.queries_failed
-        );
-    }
-    if run.report.quarantined_repos.is_empty() {
-        if retry_quarantined {
-            eprintln!("quarantine is empty");
-        }
-    } else {
-        eprintln!(
-            "{} repositories quarantined (re-attempt with --retry-quarantined):",
-            run.report.quarantined_repos.len()
-        );
-        for q in &run.report.quarantined_repos {
-            eprintln!("  {} — {}", q.name, q.reason);
-        }
-    }
-    Ok(())
-}
-
 fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| opt(args, "--store"))
-        .ok_or("missing store directory (crawl <store-dir>)")?;
+    let dir = store_dir(args, "crawl <store-dir>")?;
     let passes = num(args, "--passes", 0u64)?;
     let interval_ms = num(args, "--interval-ms", 1_000u64)?;
     let max_shards = opt_num::<usize>(args, "--max-shards")?;
@@ -508,12 +446,7 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| opt(args, "--store"))
-        .ok_or("missing store directory (index <store-dir>)")?;
+    let dir = store_dir(args, "index <store-dir>")?;
     let report =
         gittables_serve::build_sidecars(&dir).map_err(|e| format!("indexing {dir}: {e}"))?;
     eprintln!(
@@ -524,15 +457,8 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    // The store directory is the positional argument (`serve dir/`) with
-    // `--store dir/` accepted as an alias.
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| opt(args, "--store"))
-        .ok_or("missing store directory (serve <store-dir>)")?;
-    let addr = opt(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let dir = store_dir(args, "serve <store-dir>")?;
+    let addr = opt(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let threads = num(args, "--threads", 4usize)?;
     let cache = num(args, "--cache", 1024usize)?;
     let shards = num(args, "--shards", 1usize)?;
@@ -560,7 +486,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             dir: std::path::PathBuf::from(&dir),
             shards,
         }),
-        ..ServerConfig::default()
     };
     let handle = Server::start_set(set, addr.as_str(), config)
         .map_err(|e| format!("binding {addr}: {e}"))?;
@@ -576,7 +501,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 
 /// Prints the usage and returns the exit code of a wrong command line.
 fn usage() -> ExitCode {
-    eprintln!("usage: gittables <build|stats|search|complete|annotate|export|union|dedup|save|load|resume|crawl|migrate|index|serve> [options]");
+    eprintln!("usage: gittables <build|stats|search|complete|annotate|export|union|dedup|save|load|crawl|migrate|index|serve> [options]");
     eprintln!("  build    --out corpus.json [--seed N] [--topics N] [--repos N] [--sql P]");
     eprintln!("  stats    --corpus corpus.json");
     eprintln!("  search   --corpus corpus.json --query \"...\" [--k N]");
@@ -589,7 +514,6 @@ fn usage() -> ExitCode {
         "  save     --corpus corpus.json --out store_dir/ [--shard N] [--format colv1|jsonl]"
     );
     eprintln!("  load     --store store_dir/ --out corpus.json");
-    eprintln!("  resume   --store store_dir/ [--seed N] [--topics N] [--repos N] [--sql P] [--max-shards N] [--format colv1|jsonl] [--retry-quarantined]");
     eprintln!("  crawl    <store_dir/ | --store store_dir/> [--seed N] [--topics N] [--repos N] [--sql P] [--format colv1|jsonl] [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
     eprintln!("  migrate  store_dir/ --to <colv1|jsonl>");
     eprintln!("  index    store_dir/   (build the index sidecar for fast `serve` boots)");
@@ -610,7 +534,6 @@ fn main() -> ExitCode {
         Some("dedup") => cmd_dedup(&args[1..]),
         Some("save") => cmd_save(&args[1..]),
         Some("load") => cmd_load(&args[1..]),
-        Some("resume") => cmd_resume(&args[1..]),
         Some("crawl") => cmd_crawl(&args[1..]),
         Some("migrate") => cmd_migrate(&args[1..]),
         Some("index") => cmd_index(&args[1..]),

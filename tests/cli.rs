@@ -174,6 +174,52 @@ fn store_format_round_trip_loads_identically() {
     std::fs::remove_dir_all(&store).ok();
 }
 
+#[test]
+fn capped_crawl_passes_build_the_corpus_incrementally() {
+    // The interrupted-build workflow: one-pass crawls capped at two new
+    // shards each until a pass writes none, one more pass with no cap,
+    // then `load` — the same bytes as `build` of the same seed.
+    let corpus = temp_path("incremental_corpus.json");
+    let store = temp_path("incremental_store");
+    let loaded = temp_path("incremental_loaded.json");
+    std::fs::remove_dir_all(&store).ok();
+    let sized = ["--topics", "2", "--repos", "4", "--seed", "7"];
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{cmd:?}: {stderr}");
+        stderr
+    };
+    let crawl = |cap: &[&str]| {
+        run(bin()
+            .arg("crawl")
+            .arg(&store)
+            .args(sized)
+            .args(["--passes", "1", "--replicas", "1", "--interval-ms", "0"])
+            .args(cap))
+    };
+    run(bin().args(["build", "--out"]).arg(&corpus).args(sized));
+    let mut capped = 0;
+    while !crawl(&["--max-shards", "2"]).contains("+0 shards") {
+        capped += 1;
+        assert!(capped < 100, "capped passes never ran out of shards");
+    }
+    assert!(capped > 1, "the cap split the build over {capped} pass(es)");
+    crawl(&[]);
+    run(bin()
+        .args(["load", "--store"])
+        .arg(&store)
+        .arg("--out")
+        .arg(&loaded));
+    assert!(
+        std::fs::read(&loaded).expect("loaded") == std::fs::read(&corpus).expect("built"),
+        "the incrementally crawled store loads differently from `build`"
+    );
+    std::fs::remove_file(&corpus).ok();
+    std::fs::remove_file(&loaded).ok();
+    std::fs::remove_dir_all(&store).ok();
+}
+
 /// `build` then `save`: a small colv1 store under a per-test path.
 fn built_store(tag: &str, seed: &str) -> PathBuf {
     let corpus = temp_path(&format!("{tag}_corpus.json"));
@@ -405,7 +451,7 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
     let store = temp_path("badnum_store");
     let corpus = temp_path("badnum_corpus.json");
     let (store_arg, corpus_arg) = (store.to_str().unwrap(), corpus.to_str().unwrap());
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["serve", store_arg, "--shards", "two"],
             "invalid --shards value: two",
@@ -421,6 +467,11 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
         (
             &["search", "--corpus", corpus_arg, "--query", "q", "--k"],
             "--k needs a value",
+        ),
+        // A flag is never a value: this once wrote a store named `--shard`.
+        (
+            &["save", "--corpus", corpus_arg, "--out", "--shard", "4"],
+            "--out needs a value",
         ),
     ];
     for (args, message) in cases {

@@ -10,14 +10,22 @@
 //! parent then reopens whatever the kill left on disk and resumes
 //! in-process with failpoints disarmed.
 //!
-//! Rounds default to 5 (one per failpoint site); CI sets
+//! Both shard formats are tortured: `jsonl` and the production `colv1`,
+//! whose segment writer has its own `store::shard_fsync` site. The four
+//! manifest sites are those of `persist::write_durably`, so a kill can
+//! also land in the run's final `quarantine.json` save.
+//!
+//! Rounds default to 5 per format (one per failpoint site); CI sets
 //! `GT_TORTURE_ROUNDS=20` to sweep more (site, N) combinations.
 
 use gittables_core::{FaultPolicy, Pipeline, PipelineConfig};
 use gittables_corpus::store::CorpusStore;
+use gittables_corpus::StoreFormat;
 use gittables_githost::GitHost;
 
 const DIR_VAR: &str = "GT_TORTURE_DIR";
+/// The shard format the child creates its store in (`jsonl` when unset).
+const FORMAT_VAR: &str = "GT_TORTURE_FORMAT";
 const SEED: u64 = 90;
 
 /// Every failpoint site on the store's durability path, in commit order.
@@ -57,24 +65,30 @@ fn child_build() {
     let Ok(dir) = std::env::var(DIR_VAR) else {
         return;
     };
+    let format = std::env::var(FORMAT_VAR)
+        .ok()
+        .and_then(|f| StoreFormat::parse(&f))
+        .unwrap_or(StoreFormat::Jsonl);
     let pipeline = pipeline();
-    let store = CorpusStore::open_or_create(&dir, pipeline.corpus_name()).unwrap();
+    let store =
+        CorpusStore::open_or_create_with_format(&dir, pipeline.corpus_name(), format).unwrap();
     pipeline
         .run_to_store(&populated(&pipeline), &store)
         .unwrap();
     println!("TORTURE_CHILD_COMPLETED");
 }
 
-/// Spawns [`child_build`] with `site=kill@nth` armed. Returns whether the
-/// child was SIGKILLed (vs completing because the site was hit fewer than
-/// `nth` times).
-fn spawn_interrupted(dir: &std::path::Path, site: &str, nth: u32) -> bool {
+/// Spawns [`child_build`] with `site=kill@nth` armed, building a
+/// `format` store. Returns whether the child was SIGKILLed (vs completing
+/// because the site was hit fewer than `nth` times).
+fn spawn_interrupted(dir: &std::path::Path, format: StoreFormat, site: &str, nth: u32) -> bool {
     use std::os::unix::process::ExitStatusExt;
 
     let exe = std::env::current_exe().expect("current exe");
     let out = std::process::Command::new(exe)
         .args(["child_build", "--exact", "--nocapture", "--test-threads=1"])
         .env(DIR_VAR, dir)
+        .env(FORMAT_VAR, format.name())
         .env("GITTABLES_FAILPOINTS", format!("{site}=kill@{nth}"))
         .output()
         .expect("spawn torture child");
@@ -98,6 +112,18 @@ fn spawn_interrupted(dir: &std::path::Path, site: &str, nth: u32) -> bool {
 
 #[test]
 fn sigkill_mid_commit_then_resume_is_bit_identical() {
+    torture(StoreFormat::Jsonl, "gt_torture");
+}
+
+#[test]
+fn sigkill_mid_commit_of_a_colv1_store_then_resume_is_bit_identical() {
+    torture(StoreFormat::ColV1, "gt_torture_colv1");
+}
+
+/// Kills a child building a `format` store at seeded failpoints, resumes
+/// each wreck in-process (in directories named after `tag`), and checks
+/// every resumed run against the uninterrupted one.
+fn torture(format: StoreFormat, tag: &str) {
     let pipeline = pipeline();
     let (reference_corpus, reference_report) = pipeline.run(&populated(&pipeline));
 
@@ -111,18 +137,19 @@ fn sigkill_mid_commit_then_resume_is_bit_identical() {
         // Sweep the kill deeper into the run as rounds progress, so early
         // commits, mid-run commits, and the final manifest all get hit.
         let nth = round / SITES.len() as u32 + 1;
-        let dir = std::env::temp_dir().join(format!("gt_torture_{}_{round}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("{tag}_{}_{round}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
 
-        let killed = spawn_interrupted(&dir, site, nth);
+        let killed = spawn_interrupted(&dir, format, site, nth);
         kills += u32::from(killed);
 
         // Resume over the wreckage: whatever state the SIGKILL left —
         // torn manifest temp, fsynced-but-uncommitted shard, missing
         // directory entry — the resumed run must converge exactly.
-        let store = CorpusStore::open_or_create(&dir, pipeline.corpus_name())
+        let store = CorpusStore::open_or_create_with_format(&dir, pipeline.corpus_name(), format)
             .unwrap_or_else(|e| panic!("round {round} ({site}@{nth}): store unopenable: {e}"));
+        assert_eq!(store.format(), format, "round {round} ({site}@{nth})");
         let resumed = pipeline
             .run_to_store(&populated(&pipeline), &store)
             .unwrap_or_else(|e| panic!("round {round} ({site}@{nth}): resume failed: {e}"));

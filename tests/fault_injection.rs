@@ -3,7 +3,7 @@
 //! converges to the bit-identical fault-free corpus — the headline
 //! robustness oracle) or *quarantine* (permanent faults and exhausted
 //! budgets set whole repositories aside deterministically, and a
-//! store-backed resume with `--retry-quarantined` re-admits them once the
+//! store-backed resume under `RetrySelection::All` re-admits them once the
 //! fault is gone).
 
 use std::collections::HashSet;
@@ -201,7 +201,7 @@ fn exhausted_retry_bounds_quarantine() {
 
 /// The self-healing store resume: a run against a corrupting host
 /// quarantines repositories into `quarantine.json`; a later fault-free
-/// run keeps them out (sticky) until `--retry-quarantined` re-attempts
+/// run keeps them out (sticky) until `RetrySelection::All` re-attempts
 /// them — after which the corpus, report, and (empty) quarantine log all
 /// match the never-faulted run exactly.
 #[test]

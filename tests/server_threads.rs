@@ -59,7 +59,6 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
                     dir: dir.clone(),
                     shards,
                 }),
-                ..ServerConfig::default()
             },
         )
         .unwrap();

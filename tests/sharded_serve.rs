@@ -322,7 +322,6 @@ fn reload_swaps_snapshots_under_load_without_dropping_responses() {
                 dir: dir.clone(),
                 shards: 2,
             }),
-            ..ServerConfig::default()
         },
     )
     .unwrap();

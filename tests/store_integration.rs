@@ -8,7 +8,7 @@ use gittables_core::{Pipeline, PipelineConfig, StoreRunOptions};
 use gittables_corpus::store::{
     load_store, save_store, CorpusStore, StoreError, StoreManifest, MANIFEST_FILE,
 };
-use gittables_corpus::Corpus;
+use gittables_corpus::{Corpus, StoreFormat};
 use gittables_githost::GitHost;
 
 fn tmp(tag: &str) -> PathBuf {
@@ -323,6 +323,19 @@ fn commit_one(
 /// be retried to success.
 #[test]
 fn injected_write_failures_are_typed_and_never_tear_the_manifest() {
+    failpoint_matrix(StoreFormat::Jsonl, "fp");
+}
+
+/// The same matrix over the production shard format, whose segment
+/// writer hits `store::shard_fsync` in `colv1::SegmentWriter::finish`.
+#[test]
+fn injected_write_failures_in_colv1_stores_never_tear_the_manifest() {
+    failpoint_matrix(StoreFormat::ColV1, "fp_colv1");
+}
+
+/// Runs the failpoint matrix on stores of `format`, in directories
+/// named after `tag`.
+fn failpoint_matrix(format: StoreFormat, tag: &str) {
     use gittables_corpus::failpoint::{self, FailMode};
 
     let corpus = pipeline_corpus(61);
@@ -338,8 +351,8 @@ fn injected_write_failures_are_typed_and_never_tear_the_manifest() {
     .iter()
     .enumerate()
     {
-        let dir = tmp(&format!("fp_err_{i}"));
-        let store = CorpusStore::create(&dir, "fp").expect("create");
+        let dir = tmp(&format!("{tag}_err_{i}"));
+        let store = CorpusStore::create_with_format(&dir, "fp", format).expect("create");
         failpoint::configure(site, FailMode::Err, 1, dir.to_str());
 
         let err = commit_one(&store, &corpus, "s0", 0).expect_err(site);
@@ -352,6 +365,7 @@ fn injected_write_failures_are_typed_and_never_tear_the_manifest() {
         // place, merely of uncertain durability); every earlier site
         // leaves the previous manifest.
         let reopened = CorpusStore::open(&dir).expect("reopen after injected failure");
+        assert_eq!(reopened.format(), format, "{site}");
         let committed = reopened.shard_entries().len();
         match *site {
             "store::dir_fsync" => assert_eq!(committed, 1, "{site}"),
@@ -368,8 +382,8 @@ fn injected_write_failures_are_typed_and_never_tear_the_manifest() {
     // Torn manifest write (ENOSPC mid-write): half the bytes land in the
     // temp file, which is garbage — but it was never renamed, so the live
     // manifest still holds exactly the previously committed shard.
-    let dir = tmp("fp_short");
-    let store = CorpusStore::create(&dir, "fp").expect("create");
+    let dir = tmp(&format!("{tag}_short"));
+    let store = CorpusStore::create_with_format(&dir, "fp", format).expect("create");
     commit_one(&store, &corpus, "s0", 0).expect("first commit");
     failpoint::configure("store::manifest_write", FailMode::Short, 1, dir.to_str());
     let err = commit_one(&store, &corpus, "s1", 1).expect_err("torn write");

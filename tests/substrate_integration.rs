@@ -34,7 +34,7 @@ fn extraction_ignores_forked_duplicates() {
         fork: true,
         files: vec![RepoFile::new("a.csv", "id,v\n1,2\n")],
     });
-    let (files, stats) = extract_topic(&host, "id", 1000);
+    let (files, stats) = extract_topic(&host, "id");
     assert_eq!(files.len(), 1);
     assert_eq!(files[0].repository, "orig/data");
     assert_eq!(stats.initial_count, 1);
@@ -63,7 +63,7 @@ fn synthetic_repos_index_and_extract_end_to_end() {
                 .collect(),
         });
     }
-    let (files, _) = extract_topic(&host, &topic.noun, 1000);
+    let (files, _) = extract_topic(&host, &topic.noun);
     // Every non-fork file is token-indexed under its own topic (the topic
     // appears in the file path) — extraction must find most of them. A few
     // garbage-rendered files may not contain the topic token in content or
