@@ -14,6 +14,11 @@
 //! the exact bytes (`gittables_embed::ngram::fnv1a`), except for the two
 //! rows that are digests already (the store fingerprint and the sidecar
 //! checksum).
+//!
+//! A second table pins the generators' own bytes — repositories, SQL
+//! dumps, a snapshot series, web tables and the T2D gold standard — before
+//! any pipeline stage reads them, so a change to how `gittables_synth`
+//! renders its output shows here first.
 
 use std::path::{Path, PathBuf};
 
@@ -22,6 +27,8 @@ use gittables_corpus::{combine_fingerprints, CorpusStore, StoreFormat};
 use gittables_embed::ngram::fnv1a;
 use gittables_githost::GitHost;
 use gittables_serve::{build_sidecars, QueryEngine};
+use gittables_synth::repo::{RepoConfig, RepoGenerator};
+use gittables_synth::{t2d, Topic, WebTableGenerator};
 
 /// `(row, digest)` at the current behaviour.
 const PINNED: &[(&str, u64)] = &[
@@ -152,5 +159,128 @@ fn pinned_outputs_hold_their_digests() {
     assert!(
         got == pinned,
         "pinned outputs moved; the table at this build is:\n{table}"
+    );
+}
+
+/// `(row, digest)` of the synthetic inputs at the current behaviour.
+const SYNTH_PINNED: &[(&str, u64)] = &[
+    ("synth repositories", 0x88f3dc91a6ea85d5),
+    ("synth repositories, sql_file_prob 0.3", 0x7faa439c6f9dfc89),
+    ("synth snapshot series", 0x2a221705412fd4ee),
+    ("synth web tables", 0x45f18f5dce85c769),
+    ("synth t2d benchmark", 0x9b71a11a5129f12e),
+];
+
+/// FNV-1a over a sequence of fields, each prefixed with its length so
+/// that moving a byte across a field boundary changes the digest.
+struct Fields(u64);
+
+impl Fields {
+    fn new() -> Self {
+        Fields(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn field(&mut self, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of every repository `gen` makes for `topics` × `0..repos`:
+/// names, licenses, fork flags, and each file's path, topic and content.
+fn repositories(gen: &RepoGenerator, topics: &[Topic], repos: usize) -> u64 {
+    let mut d = Fields::new();
+    for topic in topics {
+        for i in 0..repos {
+            let spec = gen.generate(topic, i);
+            d.field(spec.full_name.as_bytes());
+            d.field(spec.license.as_deref().unwrap_or("-").as_bytes());
+            d.field(&[u8::from(spec.fork)]);
+            for f in &spec.files {
+                d.field(f.path.as_bytes());
+                d.field(f.topic.as_bytes());
+                d.field(f.content.as_bytes());
+            }
+        }
+    }
+    d.0
+}
+
+fn synth_rows() -> Vec<(String, u64)> {
+    let config = PipelineConfig::sized(42, 3, 6);
+    let (topics, repos) = (&config.topics, config.repos_per_topic);
+    let with = |config: RepoConfig| RepoGenerator::with_config(42, config);
+
+    let mut web = Fields::new();
+    for t in WebTableGenerator::new(42).generate_many(200) {
+        for h in &t.header {
+            web.field(h.as_bytes());
+        }
+        for row in &t.rows {
+            for cell in row {
+                web.field(cell.as_bytes());
+            }
+        }
+    }
+    let mut gold = Fields::new();
+    for t in t2d::generate_benchmark(42, 50, 30) {
+        gold.field(t.name.as_bytes());
+        for c in &t.columns {
+            gold.field(c.header.as_bytes());
+            gold.field(c.gold_label.as_bytes());
+            gold.field(format!("{:?}", c.kind).as_bytes());
+            for v in &c.values {
+                gold.field(v.as_bytes());
+            }
+        }
+    }
+    vec![
+        (
+            "synth repositories".to_string(),
+            repositories(&RepoGenerator::new(42), topics, repos),
+        ),
+        (
+            "synth repositories, sql_file_prob 0.3".to_string(),
+            repositories(
+                &with(RepoConfig {
+                    sql_file_prob: 0.3,
+                    ..RepoConfig::default()
+                }),
+                topics,
+                repos,
+            ),
+        ),
+        (
+            "synth snapshot series".to_string(),
+            repositories(
+                &with(RepoConfig {
+                    snapshot_prob: 1.0,
+                    ..RepoConfig::default()
+                }),
+                &topics[..1],
+                1,
+            ),
+        ),
+        ("synth web tables".to_string(), web.0),
+        ("synth t2d benchmark".to_string(), gold.0),
+    ]
+}
+
+#[test]
+fn synth_bytes_hold_their_digests() {
+    let got = synth_rows();
+    let table: String = got
+        .iter()
+        .map(|(row, digest)| format!("    ({row:?}, {digest:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = SYNTH_PINNED
+        .iter()
+        .map(|&(r, d)| (r.to_string(), d))
+        .collect();
+    assert!(
+        got == pinned,
+        "synth bytes moved; the table at this build is:\n{table}"
     );
 }
