@@ -22,7 +22,7 @@ pub fn run(ctx: &Ctx) {
     let mut other = 0usize;
     for t in &web {
         for (ci, h) in t.header.iter().enumerate() {
-            let values: Vec<String> = t.rows.iter().map(|r| r[ci].clone()).collect();
+            let values: Vec<String> = t.rows.column(ci).map(str::to_string).collect();
             let col = Column::new(h.clone(), values);
             let ty = col.atomic_type();
             if ty.is_numeric() {

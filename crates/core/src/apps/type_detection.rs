@@ -122,7 +122,7 @@ pub fn build_webtable_type_dataset(
             if counts[class] >= config.per_type {
                 continue;
             }
-            let values: Vec<String> = t.rows.iter().map(|r| r[ci].clone()).collect();
+            let values: Vec<String> = t.rows.column(ci).map(str::to_string).collect();
             if values.is_empty() {
                 continue;
             }

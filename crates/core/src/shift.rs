@@ -61,7 +61,7 @@ pub fn sample_webtable_columns(seed: u64, n: usize, extractor: &FeatureExtractor
             if out.len() >= n {
                 break;
             }
-            let values: Vec<String> = t.rows.iter().map(|r| r[ci].clone()).collect();
+            let values: Vec<String> = t.rows.column(ci).map(str::to_string).collect();
             let mut h = DefaultHasher::new();
             for v in values.iter().take(16) {
                 v.hash(&mut h);

@@ -94,6 +94,27 @@ pub trait CodeHost: Sync {
     }
 }
 
+/// A shared reference is a view of the same host: replicas in a
+/// [`crate::HostPool`] can each wrap `&host` in their own
+/// [`crate::FlakyHost`] over one populated [`GitHost`].
+impl<H: CodeHost + ?Sized> CodeHost for &H {
+    fn count(&self, query: &Query) -> Result<usize, HostError> {
+        (**self).count(query)
+    }
+
+    fn search(&self, query: &Query, page: usize) -> Result<SearchResponse, HostError> {
+        (**self).search(query, page)
+    }
+
+    fn fetch(&self, repository: &str, path: &str) -> Result<Option<String>, HostError> {
+        (**self).fetch(repository, path)
+    }
+
+    fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
+        (**self).pool_stats()
+    }
+}
+
 /// Internal id of a stored file.
 pub(crate) type FileId = u32;
 
@@ -113,6 +134,18 @@ pub(crate) struct HostInner {
     pub files: Vec<FileMeta>,
     /// token → sorted file ids containing the token.
     pub token_index: HashMap<String, Vec<FileId>>,
+    /// `full_name` → index in `repos` of the first repository of that name.
+    by_name: HashMap<String, u32>,
+    /// Per repository: path → index in its `files` of the first file there.
+    by_path: Vec<HashMap<String, u32>>,
+}
+
+impl HostInner {
+    /// The first repository named `full_name` and its path map.
+    fn find(&self, full_name: &str) -> Option<(&Repository, &HashMap<String, u32>)> {
+        let &idx = self.by_name.get(full_name)?;
+        Some((&self.repos[idx as usize], &self.by_path[idx as usize]))
+    }
 }
 
 /// The simulated code-hosting service.
@@ -145,7 +178,13 @@ impl GitHost {
     pub fn add_repository(&self, repo: Repository) {
         let mut inner = unpoisoned(self.inner.write());
         let repo_idx = inner.repos.len() as u32;
+        inner
+            .by_name
+            .entry(repo.full_name.clone())
+            .or_insert(repo_idx);
+        let mut paths = HashMap::with_capacity(repo.files.len());
         for (file_idx, file) in repo.files.iter().enumerate() {
+            paths.entry(file.path.clone()).or_insert(file_idx as u32);
             let id = inner.files.len() as FileId;
             inner.files.push(FileMeta {
                 repo_idx,
@@ -164,6 +203,7 @@ impl GitHost {
                 }
             }
         }
+        inner.by_path.push(paths);
         inner.repos.push(repo);
     }
 
@@ -184,21 +224,16 @@ impl GitHost {
     #[must_use]
     pub fn fetch(&self, full_name: &str, path: &str) -> Option<String> {
         let inner = unpoisoned(self.inner.read());
-        let repo = inner.repos.iter().find(|r| r.full_name == full_name)?;
-        repo.files
-            .iter()
-            .find(|f| f.path == path)
-            .map(|f| f.content.clone())
+        let (repo, paths) = inner.find(full_name)?;
+        let &file_idx = paths.get(path)?;
+        Some(repo.files[file_idx as usize].content.clone())
     }
 
     /// Repository metadata (license, fork flag) by name.
     #[must_use]
     pub fn repository(&self, full_name: &str) -> Option<Repository> {
-        unpoisoned(self.inner.read())
-            .repos
-            .iter()
-            .find(|r| r.full_name == full_name)
-            .cloned()
+        let inner = unpoisoned(self.inner.read());
+        inner.find(full_name).map(|(repo, _)| repo.clone())
     }
 
     /// A search API view over this host.
@@ -277,6 +312,35 @@ mod tests {
         let r = h.repository("b/two").unwrap();
         assert!(r.fork);
         assert!(h.repository("zz/zz").is_none());
+    }
+
+    #[test]
+    fn a_name_or_path_inserted_twice_resolves_to_the_first() {
+        let h = sample_host();
+        h.add_repository(Repository {
+            full_name: "a/one".into(),
+            license: None,
+            fork: true,
+            files: vec![RepoFile::new("data/orders.csv", "second,repo\n")],
+        });
+        h.add_repository(Repository {
+            full_name: "c/dup".into(),
+            license: None,
+            fork: false,
+            files: vec![
+                RepoFile::new("x.csv", "first,file\n"),
+                RepoFile::new("x.csv", "second,file\n"),
+            ],
+        });
+        let first = h.repository("a/one").unwrap();
+        assert_eq!(first.license.as_deref(), Some("mit"));
+        assert_eq!(first.files.len(), 2);
+        assert!(h
+            .fetch("a/one", "data/orders.csv")
+            .unwrap()
+            .starts_with("order_id"));
+        assert_eq!(h.fetch("c/dup", "x.csv").unwrap(), "first,file\n");
+        assert_eq!(h.repo_count(), 4);
     }
 
     #[test]

@@ -61,8 +61,8 @@ impl MessModel {
         }
     }
 
-    fn pick_delimiter<R: Rng>(&self, rng: &mut R) -> char {
-        const DELIMS: [char; 4] = [',', ';', '\t', '|'];
+    fn pick_delimiter<R: Rng>(&self, rng: &mut R) -> u8 {
+        const DELIMS: [u8; 4] = [b',', b';', b'\t', b'|'];
         let total: u32 = self.delimiter_weights.iter().sum();
         let mut pick = rng.gen_range(0..total.max(1));
         for (d, w) in DELIMS.iter().zip(self.delimiter_weights) {
@@ -71,27 +71,47 @@ impl MessModel {
             }
             pick -= w;
         }
-        ','
+        b','
     }
 }
 
-fn field_needs_quotes(f: &str, delim: char) -> bool {
-    f.contains(delim) || f.contains('"') || f.contains('\n') || f.starts_with('#')
+/// One pass over a field's bytes: whether it needs quotes (it holds the
+/// delimiter, a quote or a newline, or starts like a comment) and whether
+/// it holds a letter. The delimiter is ASCII, so no byte of a multi-byte
+/// character can match it; a letter beyond ASCII takes the `char` path.
+fn scan_field(f: &str, delim: u8) -> (bool, bool) {
+    let mut quotes = f.starts_with('#');
+    let mut letter = false;
+    let mut ascii = true;
+    for b in f.bytes() {
+        quotes |= b == delim || b == b'"' || b == b'\n';
+        letter |= b.is_ascii_alphabetic();
+        ascii &= b.is_ascii();
+    }
+    if !letter && !ascii {
+        letter = f.chars().any(char::is_alphabetic);
+    }
+    (quotes, letter)
 }
 
-fn push_field<R: Rng>(out: &mut String, f: &str, delim: char, model: &MessModel, rng: &mut R) {
-    let force = !f.is_empty()
-        && f.chars().any(|c| c.is_alphabetic())
-        && rng.gen_bool(model.gratuitous_quote_prob);
-    if field_needs_quotes(f, delim) || force {
-        out.push('"');
-        for ch in f.chars() {
-            if ch == '"' {
-                out.push('"');
-            }
-            out.push(ch);
+/// Appends `f` in quotes, doubling the quotes inside it.
+fn push_quoted(out: &mut String, f: &str) {
+    out.push('"');
+    for (i, part) in f.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
         }
-        out.push('"');
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+fn push_field<R: Rng>(out: &mut String, f: &str, delim: u8, model: &MessModel, rng: &mut R) {
+    let (quotes, letter) = scan_field(f, delim);
+    // An empty field holds no letter, so it never draws.
+    let force = letter && rng.gen_bool(model.gratuitous_quote_prob);
+    if quotes || force {
+        push_quoted(out, f);
     } else {
         out.push_str(f);
     }
@@ -111,6 +131,7 @@ pub fn render_csv<R: Rng>(rng: &mut R, table: &GeneratedTable, model: &MessModel
         return s;
     }
     let delim = model.pick_delimiter(rng);
+    let delim_char = char::from(delim);
     let trailing = rng.gen_bool(model.trailing_sep_prob);
     let mut out = String::new();
 
@@ -118,7 +139,7 @@ pub fn render_csv<R: Rng>(rng: &mut R, table: &GeneratedTable, model: &MessModel
         for _ in 0..rng.gen_range(1..4) {
             if rng.gen_bool(0.7) {
                 out.push_str("# exported by data tool v");
-                out.push_str(&rng.gen_range(1..9u8).to_string());
+                out.push(char::from(b'0' + rng.gen_range(1..9u8)));
                 out.push('\n');
             } else {
                 out.push('\n');
@@ -126,56 +147,48 @@ pub fn render_csv<R: Rng>(rng: &mut R, table: &GeneratedTable, model: &MessModel
         }
     }
 
-    let write_row = |rng: &mut R, out: &mut String, cells: &[String], is_header: bool| {
-        let bad = !is_header && rng.gen_bool(model.bad_line_prob);
-        let cells_to_write: Vec<&String> = if bad && cells.len() > 1 && rng.gen_bool(0.5) {
-            // Truncated row.
-            cells.iter().take(rng.gen_range(1..cells.len())).collect()
-        } else {
-            cells.iter().collect()
-        };
-        for (i, f) in cells_to_write.iter().enumerate() {
-            if i > 0 {
-                out.push(delim);
-            }
-            push_field(out, f, delim, model, rng);
-        }
-        if bad && rng.gen_bool(0.5) {
-            // Over-long row: extra junk field.
-            out.push(delim);
-            out.push_str("EXTRA");
-        }
-        if trailing {
-            out.push(delim);
-        }
-        out.push('\n');
-        if !is_header && rng.gen_bool(model.blank_line_prob / 10.0) {
-            out.push('\n');
-        }
-    };
-
     // When the whole file carries trailing separators, the header does NOT
     // (that is the paper's misalignment case: values have one extra
     // separator relative to the header).
-    {
-        let delim_s = delim.to_string();
-        let header_join = table
-            .header
-            .iter()
-            .map(|h| {
-                if field_needs_quotes(h, delim) {
-                    format!("\"{}\"", h.replace('"', "\"\""))
-                } else {
-                    h.clone()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(&delim_s);
-        out.push_str(&header_join);
-        out.push('\n');
+    for (i, h) in table.header.iter().enumerate() {
+        if i > 0 {
+            out.push(delim_char);
+        }
+        if scan_field(h, delim).0 {
+            push_quoted(&mut out, h);
+        } else {
+            out.push_str(h);
+        }
     }
-    for row in &table.rows {
-        write_row(rng, &mut out, row, false);
+    out.push('\n');
+
+    for row in table.rows.rows() {
+        let bad = rng.gen_bool(model.bad_line_prob);
+        let width = row.len();
+        let keep = if bad && width > 1 && rng.gen_bool(0.5) {
+            // Truncated row.
+            rng.gen_range(1..width)
+        } else {
+            width
+        };
+        for (i, f) in row.take(keep).enumerate() {
+            if i > 0 {
+                out.push(delim_char);
+            }
+            push_field(&mut out, f, delim, model, rng);
+        }
+        if bad && rng.gen_bool(0.5) {
+            // Over-long row: extra junk field.
+            out.push(delim_char);
+            out.push_str("EXTRA");
+        }
+        if trailing {
+            out.push(delim_char);
+        }
+        out.push('\n');
+        if rng.gen_bool(model.blank_line_prob / 10.0) {
+            out.push('\n');
+        }
     }
     out
 }
@@ -192,6 +205,39 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = SchemaSampler::default().sample(&mut rng, "order", Domain::Business);
         generate_table(&mut rng, &plan)
+    }
+
+    #[test]
+    fn field_scan_matches_the_char_definitions() {
+        let fields = [
+            "",
+            "1.5",
+            "-",
+            "#note",
+            "a#",
+            "x,y",
+            "x;y",
+            "tab\there",
+            "pipe|d",
+            "say \"hi\"",
+            "two\nlines",
+            "42",
+            "Ünïcode",
+            "数字",
+            "数字7",
+            "½",
+            "naïve,",
+            "ßß",
+        ];
+        for f in fields {
+            for delim in [b',', b';', b'\t', b'|'] {
+                let d = char::from(delim);
+                let quotes =
+                    f.contains(d) || f.contains('"') || f.contains('\n') || f.starts_with('#');
+                let letter = f.chars().any(char::is_alphabetic);
+                assert_eq!(scan_field(f, delim), (quotes, letter), "{f:?} {d:?}");
+            }
+        }
     }
 
     #[test]

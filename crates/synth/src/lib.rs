@@ -8,9 +8,13 @@
 //!   offensive-topic exclusion list, driving query topics (paper §3.1 C3).
 //! * [`values`] — seeded value generators per semantic domain (names, dates,
 //!   countries with the Western skew of Table 6, species, prices, …).
+//!   [`ValueKind::write`] appends a cell to a caller's buffer, printing
+//!   numbers by hand; [`ValueKind::generate`] returns the same bytes as a
+//!   `String`.
 //! * [`schema`] — domain-specific schema templates with GitTables-like
 //!   dimension distributions (long-tailed rows ≈ 142, columns ≈ 12).
-//! * [`tablegen`] — turns a schema plan into a full table.
+//! * [`tablegen`] — turns a schema plan into a full table whose cells live
+//!   in one row-major buffer ([`tablegen::Cells`]), not a `String` each.
 //! * [`csvrender`] — renders tables to CSV text through a configurable *mess
 //!   model*: delimiter choice, quoting, comment preambles, bad lines,
 //!   trailing separators — the defect classes §3.3 curates away.

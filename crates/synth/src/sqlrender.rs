@@ -196,8 +196,7 @@ fn column_type(table: &GeneratedTable, col: usize, dialect: SqlDialect) -> &'sta
     let mut any = false;
     let mut ints = true;
     let mut nums = true;
-    for row in &table.rows {
-        let Some(cell) = row.get(col) else { continue };
+    for cell in table.rows.column(col) {
         if cell.is_empty() {
             continue;
         }
@@ -233,7 +232,8 @@ fn push_inserts(
     with_cols: bool,
     dialect: SqlDialect,
 ) {
-    for chunk in table.rows.chunks(batch.max(1)) {
+    let batch = batch.max(1);
+    for first in (0..table.rows.len()).step_by(batch) {
         out.push_str("INSERT INTO ");
         out.push_str(qname);
         if with_cols {
@@ -247,9 +247,9 @@ fn push_inserts(
             out.push(')');
         }
         out.push_str(" VALUES");
-        for (i, row) in chunk.iter().enumerate() {
-            out.push_str(if i == 0 { "\n(" } else { ",\n(" });
-            for (j, cell) in row.iter().enumerate() {
+        for r in first..(first + batch).min(table.rows.len()) {
+            out.push_str(if r == first { "\n(" } else { ",\n(" });
+            for (j, cell) in table.rows.row(r).enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -272,8 +272,8 @@ fn push_copy(out: &mut String, qname: &str, table: &GeneratedTable, dialect: Sql
         push_ident(out, col, dialect);
     }
     out.push_str(") FROM stdin;\n");
-    for row in &table.rows {
-        for (j, cell) in row.iter().enumerate() {
+    for row in table.rows.rows() {
+        for (j, cell) in row.enumerate() {
             if j > 0 {
                 out.push('\t');
             }
@@ -382,7 +382,7 @@ fn bare_ident_ok(s: &str) -> bool {
 mod tests {
     use super::*;
     use crate::schema::{Domain, SchemaSampler};
-    use crate::tablegen::generate_table;
+    use crate::tablegen::{generate_table, Cells};
     use gittables_tablesql::{read_sql_tables, sniff_dialect, SqlReadOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -407,8 +407,8 @@ mod tests {
                 let st = &parsed.tables[0];
                 assert_eq!(st.header, t.header, "{dialect:?} header");
                 assert_eq!(st.num_rows(), t.rows.len(), "{dialect:?} rows");
-                for (i, row) in t.rows.iter().enumerate() {
-                    for (j, cell) in row.iter().enumerate() {
+                for (i, row) in t.rows.rows().enumerate() {
+                    for (j, cell) in row.enumerate() {
                         assert_eq!(&st.columns[j][i], cell, "{dialect:?} cell ({i},{j})");
                     }
                 }
@@ -468,7 +468,7 @@ mod tests {
     fn quoted_identifiers_round_trip() {
         let t = GeneratedTable {
             header: vec!["order id".into(), "".into(), "Name \"x\"".into()],
-            rows: vec![vec!["1".into(), "it's".into(), "a`b".into()]],
+            rows: Cells::from_rows(3, [["1", "it's", "a`b"]]),
             plan: table(1).plan,
         };
         for dialect in SqlDialect::ALL {

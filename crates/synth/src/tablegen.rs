@@ -1,4 +1,5 @@
-//! Materializes a [`SchemaPlan`] into a full table (header + row-major cells).
+//! Materializes a [`SchemaPlan`] into a full table: a header and the
+//! row-major [`Cells`] that [`generate_table`] writes in one buffer.
 
 use rand::Rng;
 
@@ -13,9 +14,132 @@ pub struct GeneratedTable {
     /// Header names.
     pub header: Vec<String>,
     /// Row-major cell values.
-    pub rows: Vec<Vec<String>>,
+    pub rows: Cells,
     /// The plan the table was generated from.
     pub plan: SchemaPlan,
+}
+
+/// A table's cells, row-major, in one buffer: every cell's text back to
+/// back in one `String`, and where each cell ends. Every row holds exactly
+/// [`Cells::width`] cells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cells {
+    text: String,
+    /// Cell `i` is `text[bounds[i]..bounds[i + 1]]`; `bounds[0] == 0`.
+    bounds: Vec<u32>,
+    width: usize,
+    rows: usize,
+}
+
+impl Cells {
+    /// An empty table of `width` columns with room for `rows` rows.
+    #[must_use]
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> Self {
+        let mut bounds = Vec::with_capacity(width * rows + 1);
+        bounds.push(0);
+        Cells {
+            text: String::new(),
+            bounds,
+            width,
+            rows: 0,
+        }
+    }
+
+    /// Copies `rows` of exactly `width` cells each.
+    ///
+    /// # Panics
+    /// When a row holds more or fewer than `width` cells.
+    #[must_use]
+    pub fn from_rows<I, R, S>(width: usize, rows: I) -> Self
+    where
+        I: IntoIterator<Item = R>,
+        R: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut cells = Cells::with_capacity(width, 0);
+        for row in rows {
+            let mut row = row.into_iter();
+            cells.push_row(|_, out| {
+                out.push_str(row.next().expect("row has `width` cells").as_ref())
+            });
+            assert!(row.next().is_none(), "row has more than `width` cells");
+        }
+        cells
+    }
+
+    /// Appends one row: `cell(c, text)` appends column `c`'s text, for
+    /// `c` in `0..width`.
+    ///
+    /// # Panics
+    /// When the table's text outgrows `u32` offsets (4 GiB).
+    pub(crate) fn push_row(&mut self, mut cell: impl FnMut(usize, &mut String)) {
+        for c in 0..self.width {
+            cell(c, &mut self.text);
+            let end = u32::try_from(self.text.len()).expect("a table's cells fit in 4 GiB");
+            self.bounds.push(end);
+        }
+        self.rows += 1;
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the table has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Number of cells per row.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The cell at row `r`, column `c`.
+    ///
+    /// # Panics
+    /// When `r >= len()` or `c >= width()`.
+    #[must_use]
+    pub fn cell(&self, r: usize, c: usize) -> &str {
+        assert!(
+            r < self.rows && c < self.width,
+            "cell ({r}, {c}) out of range"
+        );
+        let i = r * self.width + c;
+        &self.text[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// Row `r`'s cells, left to right.
+    ///
+    /// # Panics
+    /// When `r >= len()`.
+    pub fn row(&self, r: usize) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
+        assert!(r < self.rows, "row {r} out of range");
+        let first = r * self.width;
+        self.bounds[first..=first + self.width]
+            .windows(2)
+            .map(|w| &self.text[w[0] as usize..w[1] as usize])
+    }
+
+    /// Every row, top to bottom.
+    pub fn rows(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl ExactSizeIterator<Item = &str> + Clone + '_> + '_ {
+        (0..self.rows).map(|r| self.row(r))
+    }
+
+    /// Column `c`'s cells, top to bottom.
+    ///
+    /// # Panics
+    /// When `c >= width()`.
+    pub fn column(&self, c: usize) -> impl ExactSizeIterator<Item = &str> + '_ {
+        assert!(c < self.width, "column {c} out of range");
+        (0..self.rows).map(move |r| self.cell(r, c))
+    }
 }
 
 /// Fraction of columns that carry *contamination* — occasional cells drawn
@@ -55,21 +179,20 @@ pub fn generate_table<R: Rng>(rng: &mut R, plan: &SchemaPlan) -> GeneratedTable 
                 .then(|| CONTAMINANTS[rng.gen_range(0..CONTAMINANTS.len())])
         })
         .collect();
-    let mut rows = Vec::with_capacity(plan.rows);
+    let mut rows = Cells::with_capacity(plan.columns.len(), plan.rows);
     for r in 0..plan.rows {
-        let mut row = Vec::with_capacity(plan.columns.len());
-        for (c, spec) in plan.columns.iter().enumerate() {
+        rows.push_row(|c, out| {
+            let spec = &plan.columns[c];
             if spec.missing_prob > 0.0 && rng.gen_bool(spec.missing_prob.min(1.0)) {
-                row.push(markers[c].to_string());
+                out.push_str(markers[c]);
             } else if let Some(kind) =
                 contaminant[c].filter(|_| rng.gen_bool(CONTAMINATION_CELL_PROB))
             {
-                row.push(kind.generate(rng, r));
+                kind.write(rng, r, out);
             } else {
-                row.push(spec.kind.generate(rng, r));
+                spec.kind.write(rng, r, out);
             }
-        }
-        rows.push(row);
+        });
     }
     GeneratedTable {
         header,
@@ -97,7 +220,7 @@ mod tests {
         let t = generate_table(&mut rng, &p);
         assert_eq!(t.rows.len(), p.rows);
         assert_eq!(t.header.len(), p.columns.len());
-        for row in &t.rows {
+        for row in t.rows.rows() {
             assert_eq!(row.len(), p.columns.len());
         }
     }
@@ -118,9 +241,9 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(6);
         let t = generate_table(&mut rng, &p);
-        for row in &t.rows {
-            for (cell, _) in row.iter().zip(&p.columns) {
-                assert!(MISSING.contains(&cell.as_str()), "cell {cell:?}");
+        for row in t.rows.rows() {
+            for cell in row {
+                assert!(MISSING.contains(&cell), "cell {cell:?}");
             }
         }
     }
@@ -133,7 +256,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(8);
         let t = generate_table(&mut rng, &p);
-        for row in &t.rows {
+        for row in t.rows.rows() {
             for cell in row {
                 assert!(!cell.is_empty());
             }

@@ -405,6 +405,113 @@ pub fn uniform<'a, R: Rng>(rng: &mut R, items: &[&'a str]) -> &'a str {
     items[rng.gen_range(0..items.len())]
 }
 
+/// Appends `s` lowercased. Every word list in this module is ASCII, for
+/// which this equals `str::to_lowercase`.
+fn push_lowercase(out: &mut String, s: &str) {
+    let at = out.len();
+    out.push_str(s);
+    out[at..].make_ascii_lowercase();
+}
+
+/// Appends `v` in decimal, zero-padded to at least `width` digits: what
+/// `format!("{v:0width$}")` writes.
+fn push_uint(out: &mut String, v: u64, width: usize) {
+    push_decimal(out, v, width, 0);
+}
+
+/// Appends `v` in decimal with at least `width` digits, zero-padded, and a
+/// `.` before its last `point` digits (`point < 20`).
+fn push_decimal(out: &mut String, mut v: u64, width: usize, point: usize) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    // At least one digit before the point; the buffer is zero-filled.
+    let at = at.min(digits.len() - point - 1);
+    for _ in digits.len() - at..width {
+        out.push('0');
+    }
+    let (whole, decimals) = digits[at..].split_at(digits.len() - at - point);
+    for &d in whole {
+        out.push(char::from(d));
+    }
+    if point > 0 {
+        out.push('.');
+        for &d in decimals {
+            out.push(char::from(d));
+        }
+    }
+}
+
+/// `10^p` for the precisions [`push_fixed`] prints by hand.
+const POW10: [u64; 20] = {
+    let mut p = [1u64; 20];
+    let mut i = 1;
+    while i < p.len() {
+        p[i] = p[i - 1] * 10;
+        i += 1;
+    }
+    p
+};
+
+/// Appends `x` with `prec` decimals: what `format!("{x:.prec$}")` writes.
+///
+/// Like `format!`, it rounds the exact binary value of `x` half to even
+/// and keeps the sign of a negative value that rounds to zero (`-0.000`).
+/// Non-finite values, `|x| >= 2^52`, `prec >= 20` and values whose
+/// `prec`-decimal digits do not fit a `u64` go to `format!`.
+fn push_fixed(out: &mut String, x: f64, prec: usize) {
+    const MANTISSA_BITS: u32 = 52;
+    let by_format = |out: &mut String| {
+        use std::fmt::Write;
+        write!(out, "{x:.prec$}").expect("writing to a String cannot fail");
+    };
+    let bits = x.to_bits();
+    let biased = ((bits >> MANTISSA_BITS) & 0x7ff) as i32;
+    // |x| < 2^52 is a biased exponent below 1075, which excludes NaN and
+    // the infinities (2047).
+    if biased >= 1023 + MANTISSA_BITS as i32 || prec >= POW10.len() {
+        return by_format(out);
+    }
+    let fraction = bits & ((1 << MANTISSA_BITS) - 1);
+    // |x| = mantissa / 2^shift exactly (shift >= 1 below 2^52); a
+    // subnormal has no implicit bit.
+    let (mantissa, shift) = if biased == 0 {
+        (fraction, 1074)
+    } else {
+        (fraction | 1 << MANTISSA_BITS, (1075 - biased) as u32)
+    };
+    let scale = u128::from(POW10[prec]);
+    // `scaled` = round(|x| * 10^prec), half to even. The product is below
+    // 2^53 * 10^19 < 2^117, so from shift 118 on it is under half of one.
+    let product = u128::from(mantissa) * scale;
+    let scaled = if shift >= 118 {
+        0
+    } else {
+        let quotient = product >> shift;
+        let rest = product & ((1u128 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        if rest > half || (rest == half && quotient & 1 == 1) {
+            quotient + 1
+        } else {
+            quotient
+        }
+    };
+    let Ok(scaled) = u64::try_from(scaled) else {
+        return by_format(out);
+    };
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    push_decimal(out, scaled, 0, prec);
+}
+
 /// The kind of values a synthetic column holds; mirrors the ontology's
 /// semantic-type domains so generated headers and contents agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -489,7 +596,185 @@ impl ValueKind {
     /// Generates one cell value. `row` is the zero-based row index (used by
     /// sequential ids).
     pub fn generate<R: Rng>(self, rng: &mut R, row: usize) -> String {
+        let mut out = String::new();
+        self.write(rng, row, &mut out);
+        out
+    }
+
+    /// Appends one cell value to `out`: the bytes [`ValueKind::generate`]
+    /// returns, from the same draws on `rng`, without allocating.
+    pub fn write<R: Rng>(self, rng: &mut R, row: usize, out: &mut String) {
         match self {
+            ValueKind::SequentialId => push_uint(out, row as u64 + 1, 0),
+            ValueKind::RandomId => push_uint(out, rng.gen_range(1_000..10_000_000u64), 0),
+            ValueKind::FullName => {
+                out.push_str(uniform(rng, FIRST_NAMES));
+                out.push(' ');
+                out.push_str(uniform(rng, LAST_NAMES));
+            }
+            ValueKind::FirstName => out.push_str(uniform(rng, FIRST_NAMES)),
+            ValueKind::LastName => out.push_str(uniform(rng, LAST_NAMES)),
+            ValueKind::Email => {
+                push_lowercase(out, uniform(rng, FIRST_NAMES));
+                out.push('.');
+                push_lowercase(out, uniform(rng, LAST_NAMES));
+                out.push('@');
+                out.push_str(uniform(rng, EMAIL_DOMAINS));
+            }
+            ValueKind::Date => {
+                push_uint(out, rng.gen_range(1990..2024u64), 4);
+                out.push('-');
+                push_uint(out, rng.gen_range(1..=12u64), 2);
+                out.push('-');
+                push_uint(out, rng.gen_range(1..=28u64), 2);
+            }
+            ValueKind::DateTime => {
+                ValueKind::Date.write(rng, row, out);
+                out.push(' ');
+                push_uint(out, rng.gen_range(0..24u64), 2);
+                out.push(':');
+                push_uint(out, rng.gen_range(0..60u64), 2);
+                out.push(':');
+                push_uint(out, rng.gen_range(0..60u64), 2);
+            }
+            ValueKind::Year => push_uint(out, rng.gen_range(1950..2024u64), 0),
+            ValueKind::Country => out.push_str(weighted(rng, COUNTRIES)),
+            ValueKind::City => out.push_str(weighted(rng, CITIES)),
+            ValueKind::Gender => out.push_str(weighted(rng, GENDERS)),
+            ValueKind::Ethnicity => out.push_str(weighted(rng, ETHNICITIES)),
+            ValueKind::Race => out.push_str(weighted(rng, RACES)),
+            ValueKind::Nationality => out.push_str(weighted(rng, NATIONALITIES)),
+            ValueKind::Address => {
+                push_uint(out, rng.gen_range(1..2000u64), 0);
+                out.push(' ');
+                out.push_str(uniform(rng, LAST_NAMES));
+                out.push(' ');
+                out.push_str(uniform(rng, STREET_SUFFIXES));
+            }
+            ValueKind::PostalCode => push_uint(out, rng.gen_range(501..99951u64), 5),
+            ValueKind::Phone => {
+                push_uint(out, rng.gen_range(200..1000u64), 3);
+                out.push('-');
+                push_uint(out, rng.gen_range(100..1000u64), 3);
+                out.push('-');
+                push_uint(out, rng.gen_range(0..10000u64), 4);
+            }
+            ValueKind::Species => out.push_str(uniform(rng, SPECIES)),
+            ValueKind::OrganismGroup => out.push_str(uniform(rng, ORGANISM_GROUPS)),
+            ValueKind::AgeGroup => out.push_str(uniform(rng, AGE_GROUPS)),
+            ValueKind::Status => out.push_str(uniform(rng, STATUSES)),
+            ValueKind::Category => out.push_str(uniform(rng, CATEGORIES)),
+            ValueKind::Product => out.push_str(uniform(rng, PRODUCTS)),
+            ValueKind::Price => push_fixed(out, rng.gen_range(0.5..5000.0), 2),
+            ValueKind::Quantity => push_uint(out, rng.gen_range(1..500u64), 0),
+            ValueKind::Count => push_uint(out, rng.gen_range(0..1_000_000u64), 0),
+            ValueKind::Score => push_uint(out, rng.gen_range(0..=100u64), 0),
+            ValueKind::Measurement => push_fixed(out, rng.gen_range(-100.0..1000.0), 3),
+            ValueKind::Latitude => push_fixed(out, rng.gen_range(-90.0..90.0), 5),
+            ValueKind::Longitude => push_fixed(out, rng.gen_range(-180.0..180.0), 5),
+            ValueKind::Percentage => push_fixed(out, rng.gen_range(0.0..100.0), 1),
+            ValueKind::Bool => out.push_str(if rng.gen_bool(0.5) { "true" } else { "false" }),
+            ValueKind::Url => {
+                out.push_str("https://");
+                out.push_str(uniform(rng, WORDS));
+                out.push_str(".example.com/");
+                out.push_str(uniform(rng, WORDS));
+            }
+            ValueKind::Text => {
+                for i in 0..rng.gen_range(1..=4) {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    out.push_str(uniform(rng, WORDS));
+                }
+            }
+            ValueKind::Code => {
+                out.push(char::from(b'A' + rng.gen_range(0..26u8)));
+                out.push(char::from(b'A' + rng.gen_range(0..26u8)));
+                out.push('-');
+                push_uint(out, rng.gen_range(0..10000u64), 4);
+            }
+            ValueKind::Word => out.push_str(uniform(rng, WORDS)),
+        }
+    }
+
+    /// Whether this kind generates numeric cells (drives the atomic-type
+    /// distribution of Table 4).
+    #[must_use]
+    pub fn is_numeric(self) -> bool {
+        matches!(
+            self,
+            ValueKind::SequentialId
+                | ValueKind::RandomId
+                | ValueKind::Year
+                | ValueKind::PostalCode
+                | ValueKind::Price
+                | ValueKind::Quantity
+                | ValueKind::Count
+                | ValueKind::Score
+                | ValueKind::Measurement
+                | ValueKind::Latitude
+                | ValueKind::Longitude
+                | ValueKind::Percentage
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(7)
+    }
+
+    /// Every kind, for the per-kind differential test.
+    const ALL_KINDS: [ValueKind; 37] = [
+        ValueKind::SequentialId,
+        ValueKind::RandomId,
+        ValueKind::FullName,
+        ValueKind::FirstName,
+        ValueKind::LastName,
+        ValueKind::Email,
+        ValueKind::Date,
+        ValueKind::DateTime,
+        ValueKind::Year,
+        ValueKind::Country,
+        ValueKind::City,
+        ValueKind::Gender,
+        ValueKind::Ethnicity,
+        ValueKind::Race,
+        ValueKind::Nationality,
+        ValueKind::Address,
+        ValueKind::PostalCode,
+        ValueKind::Phone,
+        ValueKind::Species,
+        ValueKind::OrganismGroup,
+        ValueKind::AgeGroup,
+        ValueKind::Status,
+        ValueKind::Category,
+        ValueKind::Product,
+        ValueKind::Price,
+        ValueKind::Quantity,
+        ValueKind::Count,
+        ValueKind::Score,
+        ValueKind::Measurement,
+        ValueKind::Latitude,
+        ValueKind::Longitude,
+        ValueKind::Percentage,
+        ValueKind::Bool,
+        ValueKind::Url,
+        ValueKind::Text,
+        ValueKind::Code,
+        ValueKind::Word,
+    ];
+
+    /// The `format!`-based generator [`ValueKind::write`] replaced, kept
+    /// as the reference it is checked against.
+    fn generate_reference<R: Rng>(kind: ValueKind, rng: &mut R, row: usize) -> String {
+        match kind {
             ValueKind::SequentialId => (row + 1).to_string(),
             ValueKind::RandomId => rng.gen_range(1_000..10_000_000u64).to_string(),
             ValueKind::FullName => {
@@ -510,7 +795,7 @@ impl ValueKind {
                 format!("{y:04}-{m:02}-{d:02}")
             }
             ValueKind::DateTime => {
-                let date = ValueKind::Date.generate(rng, row);
+                let date = generate_reference(ValueKind::Date, rng, row);
                 format!(
                     "{date} {:02}:{:02}:{:02}",
                     rng.gen_range(0..24),
@@ -575,36 +860,135 @@ impl ValueKind {
         }
     }
 
-    /// Whether this kind generates numeric cells (drives the atomic-type
-    /// distribution of Table 4).
-    #[must_use]
-    pub fn is_numeric(self) -> bool {
-        matches!(
-            self,
-            ValueKind::SequentialId
-                | ValueKind::RandomId
-                | ValueKind::Year
-                | ValueKind::PostalCode
-                | ValueKind::Price
-                | ValueKind::Quantity
-                | ValueKind::Count
-                | ValueKind::Score
-                | ValueKind::Measurement
-                | ValueKind::Latitude
-                | ValueKind::Longitude
-                | ValueKind::Percentage
-        )
+    fn fixed(x: f64, prec: usize) -> String {
+        let mut out = String::new();
+        push_fixed(&mut out, x, prec);
+        out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    fn uint(v: u64, width: usize) -> String {
+        let mut out = String::new();
+        push_uint(&mut out, v, width);
+        out
+    }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    #[test]
+    fn write_appends_what_the_format_reference_returns_from_the_same_draws() {
+        for kind in ALL_KINDS {
+            let mut reference = StdRng::seed_from_u64(0x5eed ^ kind as u64);
+            let mut written = reference.clone();
+            let mut out = String::from("prefix|");
+            for row in 0..20_000 {
+                let want = generate_reference(kind, &mut reference, row);
+                let at = out.len();
+                kind.write(&mut written, row, &mut out);
+                assert_eq!(&out[at..], want, "{kind:?} row {row}");
+                if out.len() > 4096 {
+                    out.truncate(7);
+                }
+            }
+            // The streams are in the same state: they go on alike.
+            for _ in 0..4 {
+                assert_eq!(reference.next_u64(), written.next_u64(), "{kind:?}");
+            }
+            assert!(out.starts_with("prefix|"), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn push_uint_matches_format() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            for width in 0..=22 {
+                assert_eq!(uint(v, width), format!("{v:0width$}"), "{v} width {width}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..1_000_000 {
+            let v = rng.next_u64() >> rng.gen_range(0..64u32);
+            let width = rng.gen_range(0..=6usize);
+            assert_eq!(uint(v, width), format!("{v:0width$}"));
+        }
+    }
+
+    #[test]
+    fn push_fixed_edge_cases_match_format() {
+        let cases: &[(f64, usize, &str)] = &[
+            // Exact ties round half to even.
+            (0.125, 2, "0.12"),
+            (0.375, 2, "0.38"),
+            (2.5, 0, "2"),
+            (3.5, 0, "4"),
+            (0.25, 1, "0.2"),
+            (0.75, 1, "0.8"),
+            // The sign of a negative value survives rounding to zero.
+            (-0.0, 3, "-0.000"),
+            (-0.0004, 3, "-0.000"),
+            (0.0, 0, "0"),
+            // A carry through every digit.
+            (999.9995, 3, "1000.000"),
+            (9.96, 1, "10.0"),
+        ];
+        for &(x, prec, want) in cases {
+            assert_eq!(fixed(x, prec), want, "{x} at {prec}");
+        }
+        let mut specials = vec![
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::EPSILON,
+            0.5,
+            1.5,
+            0.05,
+            0.005,
+            1e-5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5, the last hand-printed value
+            4_503_599_627_370_496.0, // 2^52, printed by `format!`
+            9_007_199_254_740_993.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        specials.extend(specials.clone().iter().map(|x| -x));
+        for x in specials {
+            for prec in 0..=25 {
+                assert_eq!(fixed(x, prec), format!("{x:.prec$}"), "{x:e} at {prec}");
+            }
+        }
+    }
+
+    #[test]
+    fn push_fixed_matches_format_on_the_generator_ranges() {
+        // Each range and precision `write` prints.
+        let ranges: [(f64, f64, usize); 5] = [
+            (0.5, 5000.0, 2),
+            (-100.0, 1000.0, 3),
+            (-90.0, 90.0, 5),
+            (-180.0, 180.0, 5),
+            (0.0, 100.0, 1),
+        ];
+        let mut rng = StdRng::seed_from_u64(13);
+        for (lo, hi, prec) in ranges {
+            for _ in 0..1_000_000 {
+                let x: f64 = rng.gen_range(lo..hi);
+                assert_eq!(fixed(x, prec), format!("{x:.prec$}"), "{x:e} at {prec}");
+            }
+        }
+        // Any sign and mantissa, with magnitudes from 2^-24 up to the
+        // format fallback and a little past it, at any precision.
+        for _ in 0..1_000_000 {
+            let exponent = rng.gen_range(999..1077u64) << 52;
+            let x = f64::from_bits(rng.next_u64() & !(0x7ff << 52) | exponent);
+            let prec = rng.gen_range(0..=20usize);
+            assert_eq!(fixed(x, prec), format!("{x:.prec$}"), "{x:e} at {prec}");
+        }
+        // Any bit pattern at all.
+        for _ in 0..20_000 {
+            let x = f64::from_bits(rng.next_u64());
+            let prec = rng.gen_range(0..=20usize);
+            assert_eq!(fixed(x, prec), format!("{x:.prec$}"), "{x:e} at {prec}");
+        }
     }
 
     #[test]

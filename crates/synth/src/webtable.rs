@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::schema::{ColumnSpec, Domain, SchemaPlan};
-use crate::tablegen::{generate_table, GeneratedTable};
+use crate::tablegen::{generate_table, Cells, GeneratedTable};
 use crate::values::ValueKind;
 
 /// Header pool for web tables: the WDC top types (name, date, title, artist,
@@ -98,13 +98,17 @@ impl WebTableGenerator {
         // of cells with free text so web columns are *less* internally
         // consistent than GitTables columns — the reason the paper's
         // VizNet-trained model scores 0.77 in-corpus vs GitTables' 0.86.
-        for row in &mut table.rows {
-            for cell in row.iter_mut() {
+        let mut cells = Cells::with_capacity(table.rows.width(), table.rows.len());
+        for r in 0..table.rows.len() {
+            cells.push_row(|c, out| {
                 if rng.gen_bool(0.16) {
-                    *cell = ValueKind::Text.generate(&mut rng, 0);
+                    ValueKind::Text.write(&mut rng, 0, out);
+                } else {
+                    out.push_str(table.rows.cell(r, c));
                 }
-            }
+            });
         }
+        table.rows = cells;
         table
     }
 

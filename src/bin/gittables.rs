@@ -361,14 +361,15 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
     )
     .map_err(|e| e.to_string())?;
 
-    // Replica mirrors of one upstream: identical content and a shared
-    // corruption schedule, independent transient-fault schedules.
-    let backends: Vec<FlakyHost<GitHost>> = (0..replicas)
+    // Replica mirrors of one upstream: views of one populated host, so
+    // identical content, with a shared corruption schedule and
+    // independent transient-fault schedules.
+    let host = GitHost::new();
+    pipeline.populate_host(&host);
+    let backends: Vec<FlakyHost<&GitHost>> = (0..replicas)
         .map(|i| {
-            let host = GitHost::new();
-            pipeline.populate_host(&host);
             FlakyHost::new(
-                host,
+                &host,
                 FaultSpec {
                     seed: fault_seed.wrapping_add(i as u64),
                     transient_rate: fault_rate,

@@ -218,7 +218,7 @@ fn synth_rows() -> Vec<(String, u64)> {
         for h in &t.header {
             web.field(h.as_bytes());
         }
-        for row in &t.rows {
+        for row in t.rows.rows() {
             for cell in row {
                 web.field(cell.as_bytes());
             }

@@ -4,7 +4,7 @@
 //! with the CSV renderer + parser over the same table from the same seed.
 
 use gittables_synth::sqlrender::{render_sql_dialect, SqlRenderOptions};
-use gittables_synth::tablegen::GeneratedTable;
+use gittables_synth::tablegen::{Cells, GeneratedTable};
 use gittables_synth::{generate_table, render_csv, Domain, MessModel, SchemaPlan, SchemaSampler};
 use gittables_tablecsv::{read_csv, Dialect as CsvDialect, ReadOptions};
 use gittables_tablesql::{read_sql_tables, sniff_dialect, SqlDialect, SqlReadOptions};
@@ -66,7 +66,7 @@ proptest! {
             .collect();
         let table = GeneratedTable {
             header: header.clone(),
-            rows: rows.clone(),
+            rows: Cells::from_rows(width, &rows),
             plan: plan(),
         };
 
