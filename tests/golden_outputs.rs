@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{combine_fingerprints, CorpusStore, StoreFormat};
+use gittables_corpus::{combine_fingerprints, Corpus, CorpusStore, StoreFormat};
 use gittables_embed::ngram::fnv1a;
 use gittables_githost::GitHost;
 use gittables_serve::{build_sidecars, QueryEngine};
@@ -59,6 +59,8 @@ const PINNED: &[(&str, u64)] = &[
     ("/tables/1", 0x252df24d28840b99),
     ("/tables/7", 0x081b8f8fb556c127),
     ("/tables/42", 0xd823904fd2d795dd),
+    ("column atomic types", 0xa81f4358c59fc5ff),
+    ("column atomic types, sql_file_prob 0.3", 0xe62f6436f1bc8462),
 ];
 
 /// Fixed `/search` requests: `(q, k)`.
@@ -142,7 +144,37 @@ fn measure(dir: &Path) -> Vec<(String, u64)> {
         let summary = engine.table_summary(id).expect("table exists");
         rows.push((format!("/tables/{id}"), body(&summary)));
     }
+    rows.push(("column atomic types".to_string(), atomic_types(&run.corpus)));
+
+    // A mixed CSV and SQL-dump corpus, built in memory: the SQL reader's
+    // columns are typed by the same inference as the CSV reader's.
+    let mut config = PipelineConfig::sized(42, 3, 6);
+    config.sql_file_prob = 0.3;
+    let pipeline = Pipeline::new(config);
+    let host = GitHost::new();
+    pipeline.populate_host(&host);
+    let (corpus, _) = pipeline.run(&host);
+    rows.push((
+        "column atomic types, sql_file_prob 0.3".to_string(),
+        atomic_types(&corpus),
+    ));
     rows
+}
+
+/// Digest of every column's inferred atomic type, table by table in id
+/// order.
+fn atomic_types(corpus: &Corpus) -> u64 {
+    let mut d = Fields::new();
+    for at in &corpus.tables {
+        let names: Vec<&str> = at
+            .table
+            .columns()
+            .iter()
+            .map(|c| c.atomic_type().name())
+            .collect();
+        d.field(names.join(",").as_bytes());
+    }
+    d.0
 }
 
 #[test]
