@@ -104,32 +104,9 @@ pub fn is_missing(value: &str) -> bool {
     is_missing_trimmed(value.trim())
 }
 
-fn is_integer(v: &str) -> bool {
-    let v = v.strip_prefix(['+', '-']).unwrap_or(v);
-    !v.is_empty() && v.len() <= 19 && v.bytes().all(|b| b.is_ascii_digit())
-}
-
-fn is_float(v: &str) -> bool {
-    // Fast-path rejection: floats only contain a small byte alphabet.
-    if !v
-        .bytes()
-        .all(|b| b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E'))
-    {
-        return false;
-    }
-    // Must contain at least one digit; `parse::<f64>` also accepts "inf"/"NaN"
-    // but those are excluded by the alphabet check above.
-    v.bytes().any(|b| b.is_ascii_digit()) && v.parse::<f64>().is_ok()
-}
-
 fn is_boolean(v: &str) -> bool {
     const LONGEST: usize = longest(BOOLEAN_TOKENS);
     is_token(v, BOOLEAN_TOKENS, LONGEST)
-}
-
-/// Checks whether the byte is an accepted date separator.
-fn is_date_sep(b: u8) -> bool {
-    matches!(b, b'-' | b'/' | b'.')
 }
 
 fn valid_month_day(month: u32, day: u32) -> bool {
@@ -139,45 +116,46 @@ fn valid_month_day(month: u32, day: u32) -> bool {
 /// Detects common date and timestamp layouts:
 /// `YYYY-MM-DD`, `DD-MM-YYYY`, `MM/DD/YYYY`, `YYYY/MM/DD`, optionally followed
 /// by a `HH:MM[:SS]` time component separated by a space or `T`.
+///
+/// Works on bytes: every byte it accepts is ASCII, and no byte of a
+/// multi-byte character is, so such a character always fails the match.
 #[must_use]
 pub fn is_date(v: &str) -> bool {
-    // Split off an optional time suffix.
-    let date_part = match v.split_once([' ', 'T']) {
-        Some((d, t)) => {
-            if !is_time(t) {
+    let bytes = v.as_bytes();
+    // Split off an optional time suffix at the first space or `T`.
+    let date = match bytes.iter().position(|&b| b == b' ' || b == b'T') {
+        Some(at) => {
+            if !is_time(&bytes[at + 1..]) {
                 return false;
             }
-            d
+            &bytes[..at]
         }
-        None => v,
+        None => bytes,
     };
-    let bytes = date_part.as_bytes();
-    if bytes.len() < 8 || bytes.len() > 10 {
+    if date.len() < 8 || date.len() > 10 {
         return false;
     }
+    // Three non-empty digit runs joined by one separator used twice. At
+    // most ten bytes, so no run exceeds eight digits and no part overflows.
     let mut parts = [0u32; 3];
-    let mut count = 0;
+    let mut part = 0;
+    let mut run = 0;
     let mut sep = 0u8;
-    // `char` patterns, not `c as u8`: the cast truncates, and the low byte
-    // of U+012D is `-`.
-    for chunk in date_part.split(['-', '/', '.']) {
-        if count >= 3 || chunk.is_empty() || !chunk.bytes().all(|b| b.is_ascii_digit()) {
-            return false;
-        }
-        parts[count] = chunk.parse().unwrap_or(u32::MAX);
-        count += 1;
-    }
-    // Determine the separator actually used (all must match).
-    for &b in bytes {
-        if is_date_sep(b) {
-            if sep == 0 {
-                sep = b;
-            } else if sep != b {
-                return false;
+    for &b in date {
+        match b {
+            b'0'..=b'9' => {
+                parts[part] = parts[part] * 10 + u32::from(b - b'0');
+                run += 1;
             }
+            b'-' | b'/' | b'.' if run > 0 && part < 2 && (sep == 0 || sep == b) => {
+                sep = b;
+                part += 1;
+                run = 0;
+            }
+            _ => return false,
         }
     }
-    if count != 3 {
+    if part != 2 || run == 0 {
         return false;
     }
     let [a, b, c] = parts;
@@ -186,45 +164,160 @@ pub fn is_date(v: &str) -> bool {
         return true;
     }
     // DD-MM-YYYY / MM/DD/YYYY
-    if (1000..=2999).contains(&c) && (valid_month_day(b, a) || valid_month_day(a, b)) {
-        return true;
-    }
-    false
+    (1000..=2999).contains(&c) && (valid_month_day(b, a) || valid_month_day(a, b))
 }
 
-fn is_time(t: &str) -> bool {
-    let mut it = t.split(':');
-    let (Some(h), Some(m)) = (it.next(), it.next()) else {
-        return false;
+/// `HH:MM` or `HH:MM:SS`, the seconds optionally followed by `Z`s.
+fn is_time(t: &[u8]) -> bool {
+    let two = |x: &[u8], max: u8| {
+        x[0].is_ascii_digit() && x[1].is_ascii_digit() && (x[0] - b'0') * 10 + (x[1] - b'0') <= max
     };
-    let s = it.next();
-    if it.next().is_some() {
-        return false;
+    match t.len() {
+        5 => two(t, 23) && t[2] == b':' && two(&t[3..], 59),
+        8.. => {
+            two(t, 23)
+                && t[2] == b':'
+                && two(&t[3..], 59)
+                && t[5] == b':'
+                && two(&t[6..], 59)
+                && t[8..].iter().all(|&b| b == b'Z')
+        }
+        _ => false,
     }
-    let ok_num = |x: &str, max: u32| {
-        x.len() == 2
-            && x.bytes().all(|b| b.is_ascii_digit())
-            && x.parse::<u32>().unwrap_or(99) <= max
-    };
-    ok_num(h, 23) && ok_num(m, 59) && s.is_none_or(|s| ok_num(s.trim_end_matches('Z'), 59))
+}
+
+/// What one pass over a trimmed cell's bytes leaves to decide.
+enum Shape {
+    Integer,
+    Float,
+    /// Has a digit and only bytes a date may hold, but is no number.
+    DateLike,
+    /// No digit, or a byte no number or date holds: a missing marker, a
+    /// boolean token or a string.
+    Word,
+}
+
+/// Byte classes: the number grammar's, [`DATE`] and [`OTHER`].
+const DIGIT: u8 = 0;
+const SIGN: u8 = 1;
+const DOT: u8 = 2;
+const EXP: u8 = 3;
+/// Space, `:`, `T`, `Z` and `/`: in a timestamp, never in a number.
+const DATE: u8 = 4;
+const OTHER: u8 = 5;
+
+const CLASS: [u8; 256] = {
+    let mut class = [OTHER; 256];
+    let mut b = b'0';
+    while b <= b'9' {
+        class[b as usize] = DIGIT;
+        b += 1;
+    }
+    class[b'+' as usize] = SIGN;
+    class[b'-' as usize] = SIGN;
+    class[b'.' as usize] = DOT;
+    class[b'e' as usize] = EXP;
+    class[b'E' as usize] = EXP;
+    class[b' ' as usize] = DATE;
+    class[b':' as usize] = DATE;
+    class[b'T' as usize] = DATE;
+    class[b'Z' as usize] = DATE;
+    class[b'/' as usize] = DATE;
+    class
+};
+
+// States of `f64::from_str`'s grammar without `inf`/`nan` (their letters
+// are `OTHER` bytes), `sign? (digits ('.' digits?)? | '.' digits)
+// ([eE] sign? digits)?`, plus three that have left it.
+const START: u8 = 0;
+const SIGNED: u8 = 1;
+const INT: u8 = 2;
+const INT_DOT: u8 = 3;
+const LEAD_DOT: u8 = 4;
+const FRAC: u8 = 5;
+const E: u8 = 6;
+const E_SIGN: u8 = 7;
+const E_INT: u8 = 8;
+/// No number, and no digit so far.
+const BARE: u8 = 9;
+/// No number, but a digit.
+const DIGITS: u8 = 10;
+/// A byte no number or date holds.
+const WORD: u8 = 11;
+
+/// `STEP[state][class]`.
+const STEP: [[u8; 6]; 12] = [
+    // DIGIT   SIGN    DOT       EXP     DATE    OTHER
+    [INT, SIGNED, LEAD_DOT, BARE, BARE, WORD],      // START
+    [INT, BARE, LEAD_DOT, BARE, BARE, WORD],        // SIGNED
+    [INT, DIGITS, INT_DOT, E, DIGITS, WORD],        // INT
+    [FRAC, DIGITS, DIGITS, E, DIGITS, WORD],        // INT_DOT
+    [FRAC, BARE, BARE, BARE, BARE, WORD],           // LEAD_DOT
+    [FRAC, DIGITS, DIGITS, E, DIGITS, WORD],        // FRAC
+    [E_INT, E_SIGN, DIGITS, DIGITS, DIGITS, WORD],  // E
+    [E_INT, DIGITS, DIGITS, DIGITS, DIGITS, WORD],  // E_SIGN
+    [E_INT, DIGITS, DIGITS, DIGITS, DIGITS, WORD],  // E_INT
+    [DIGITS, BARE, BARE, BARE, BARE, WORD],         // BARE
+    [DIGITS, DIGITS, DIGITS, DIGITS, DIGITS, WORD], // DIGITS
+    [WORD, WORD, WORD, WORD, WORD, WORD],           // WORD
+];
+
+/// `STEP` indexed by the byte itself: one load per byte.
+const NEXT: [[u8; 256]; 12] = {
+    let mut next = [[WORD; 256]; 12];
+    let mut state = 0;
+    while state < 12 {
+        let mut b = 0;
+        while b < 256 {
+            next[state][b] = STEP[state][CLASS[b] as usize];
+            b += 1;
+        }
+        state += 1;
+    }
+    next
+};
+
+/// Runs the number grammar over `v`, stopping at the first byte no number
+/// or date holds.
+fn shape(v: &[u8]) -> Shape {
+    let mut state = START;
+    for &b in v {
+        state = NEXT[state as usize][b as usize];
+        if state == WORD {
+            return Shape::Word;
+        }
+    }
+    match state {
+        // An integer is at most 19 digits after an optional sign; a longer
+        // digit run still parses as a float.
+        INT if v.len() - usize::from(CLASS[v[0] as usize] == SIGN) <= 19 => Shape::Integer,
+        INT | INT_DOT | FRAC | E_INT => Shape::Float,
+        E | E_SIGN | DIGITS => Shape::DateLike,
+        _ => Shape::Word,
+    }
 }
 
 /// Infers the [`AtomicType`] of a single cell value.
+///
+/// One pass over the trimmed bytes settles integers, floats and most
+/// strings; only digit-bearing cells that are no number go on to the date
+/// check, and only digit-free cells to the missing-marker and boolean
+/// tokens (none of which holds a digit).
 #[must_use]
 pub fn infer_value_type(value: &str) -> AtomicType {
-    let v = value.trim();
-    if is_missing_trimmed(v) {
-        AtomicType::Empty
-    } else if is_integer(v) {
-        AtomicType::Integer
-    } else if is_float(v) {
-        AtomicType::Float
-    } else if is_boolean(v) {
-        AtomicType::Boolean
-    } else if is_date(v) {
-        AtomicType::Date
-    } else {
-        AtomicType::String
+    // `trim` is a no-op when both ends are visible ASCII, as nearly all are.
+    let v = match value.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => value,
+        [only] if only.is_ascii_graphic() => value,
+        _ => value.trim(),
+    };
+    match shape(v.as_bytes()) {
+        Shape::Integer => AtomicType::Integer,
+        Shape::Float => AtomicType::Float,
+        Shape::DateLike if is_date(v) => AtomicType::Date,
+        Shape::Word if is_missing_trimmed(v) => AtomicType::Empty,
+        Shape::Word if is_boolean(v) => AtomicType::Boolean,
+        Shape::DateLike | Shape::Word => AtomicType::String,
     }
 }
 
@@ -283,6 +376,232 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cell typing as it was before the one-pass classifier: each
+    /// predicate re-scans the cell, floats go through `parse::<f64>` and
+    /// dates through `str` splitting. Kept only as the oracle.
+    mod oracle {
+        use super::super::{is_boolean, is_missing_trimmed, valid_month_day, AtomicType};
+
+        pub fn is_integer(v: &str) -> bool {
+            let v = v.strip_prefix(['+', '-']).unwrap_or(v);
+            !v.is_empty() && v.len() <= 19 && v.bytes().all(|b| b.is_ascii_digit())
+        }
+
+        pub fn is_float(v: &str) -> bool {
+            if !v
+                .bytes()
+                .all(|b| b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E'))
+            {
+                return false;
+            }
+            v.bytes().any(|b| b.is_ascii_digit()) && v.parse::<f64>().is_ok()
+        }
+
+        fn is_date_sep(b: u8) -> bool {
+            matches!(b, b'-' | b'/' | b'.')
+        }
+
+        pub fn is_date(v: &str) -> bool {
+            let date_part = match v.split_once([' ', 'T']) {
+                Some((d, t)) => {
+                    if !is_time(t) {
+                        return false;
+                    }
+                    d
+                }
+                None => v,
+            };
+            let bytes = date_part.as_bytes();
+            if bytes.len() < 8 || bytes.len() > 10 {
+                return false;
+            }
+            let mut parts = [0u32; 3];
+            let mut count = 0;
+            let mut sep = 0u8;
+            for chunk in date_part.split(['-', '/', '.']) {
+                if count >= 3 || chunk.is_empty() || !chunk.bytes().all(|b| b.is_ascii_digit()) {
+                    return false;
+                }
+                parts[count] = chunk.parse().unwrap_or(u32::MAX);
+                count += 1;
+            }
+            for &b in bytes {
+                if is_date_sep(b) {
+                    if sep == 0 {
+                        sep = b;
+                    } else if sep != b {
+                        return false;
+                    }
+                }
+            }
+            if count != 3 {
+                return false;
+            }
+            let [a, b, c] = parts;
+            if (1000..=2999).contains(&a) && valid_month_day(b, c) {
+                return true;
+            }
+            if (1000..=2999).contains(&c) && (valid_month_day(b, a) || valid_month_day(a, b)) {
+                return true;
+            }
+            false
+        }
+
+        fn is_time(t: &str) -> bool {
+            let mut it = t.split(':');
+            let (Some(h), Some(m)) = (it.next(), it.next()) else {
+                return false;
+            };
+            let s = it.next();
+            if it.next().is_some() {
+                return false;
+            }
+            let ok_num = |x: &str, max: u32| {
+                x.len() == 2
+                    && x.bytes().all(|b| b.is_ascii_digit())
+                    && x.parse::<u32>().unwrap_or(99) <= max
+            };
+            ok_num(h, 23) && ok_num(m, 59) && s.is_none_or(|s| ok_num(s.trim_end_matches('Z'), 59))
+        }
+
+        pub fn infer_value_type(value: &str) -> AtomicType {
+            let v = value.trim();
+            if is_missing_trimmed(v) {
+                AtomicType::Empty
+            } else if is_integer(v) {
+                AtomicType::Integer
+            } else if is_float(v) {
+                AtomicType::Float
+            } else if is_boolean(v) {
+                AtomicType::Boolean
+            } else if is_date(v) {
+                AtomicType::Date
+            } else {
+                AtomicType::String
+            }
+        }
+    }
+
+    /// Every string of up to `max_len` characters over `alphabet`, one at
+    /// a time in a reused buffer.
+    fn for_each_string(alphabet: &[char], max_len: usize, mut f: impl FnMut(&str)) {
+        let mut digits: Vec<usize> = Vec::with_capacity(max_len);
+        let mut s = String::new();
+        loop {
+            s.clear();
+            s.extend(digits.iter().map(|&d| alphabet[d]));
+            f(&s);
+            // Odometer increment; grow by one position on overflow.
+            let mut i = 0;
+            loop {
+                if i == digits.len() {
+                    if digits.len() == max_len {
+                        return;
+                    }
+                    digits.push(0);
+                    break;
+                }
+                digits[i] += 1;
+                if digits[i] < alphabet.len() {
+                    break;
+                }
+                digits[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn classifier_matches_the_oracle_on_every_short_string() {
+        // The number, date and token bytes, two letters of the tokens, a
+        // marker, and a non-ASCII whitespace that `trim` strips.
+        let alphabet = [
+            '0', ' ', '1', '+', '-', '.', 'e', 'E', 'T', ':', 'Z', '/', 'a', 'f', 'n', '?',
+            '\u{a0}',
+        ];
+        let mut checked = 0usize;
+        for_each_string(&alphabet, 6, |v| {
+            assert_eq!(infer_value_type(v), oracle::infer_value_type(v), "{v:?}");
+            checked += 1;
+        });
+        assert_eq!(checked, (0..=6).map(|n| 17usize.pow(n)).sum::<usize>());
+    }
+
+    #[test]
+    fn date_check_matches_the_oracle_on_a_grid_of_layouts() {
+        let runs = [
+            "", "0", "1", "9", "00", "01", "12", "13", "31", "32", "999", "1000", "2021", "2999",
+            "3000", "12345", "1a", "\u{12d}",
+        ];
+        let seps = ["-", "/", ".", ":", "\u{12d}"];
+        let suffixes = [
+            "",
+            " 10:30",
+            "T23:59",
+            "T24:00",
+            " 10:60",
+            " 10:30:59",
+            "T10:30:59Z",
+            " 10:30:59ZZ",
+            " 10:30:5Z",
+            " 10:30:",
+            " 1:30",
+            "T10:30:59:00",
+            " 10:30Z",
+            "T",
+            " ",
+            "  10:30",
+            " 10:30 ",
+            "T10:30T",
+            "-1",
+            "/2020",
+        ];
+        let mut v = String::new();
+        for a in runs {
+            for s1 in seps {
+                for b in runs {
+                    for s2 in seps {
+                        for c in runs {
+                            for suffix in suffixes {
+                                v.clear();
+                                v.extend([a, s1, b, s2, c, suffix]);
+                                assert_eq!(is_date(&v), oracle::is_date(&v), "{v:?}");
+                                assert_eq!(
+                                    infer_value_type(&v),
+                                    oracle::infer_value_type(&v),
+                                    "{v:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_digit_runs_match_the_oracle() {
+        // Integers stop at 19 digits after the sign; longer runs are floats.
+        for n in 0..=25 {
+            let run = "9".repeat(n);
+            for sign in ["", "+", "-", "--", "."] {
+                for suffix in ["", ".", ".5", "e5", "e", "-1-2020", "x"] {
+                    let v = format!("{sign}{run}{suffix}");
+                    assert_eq!(infer_value_type(&v), oracle::infer_value_type(&v), "{v:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn classifier_matches_the_oracle_on_printable_ascii(v in "[ -~]{0,24}") {
+            proptest::prop_assert_eq!(infer_value_type(&v), oracle::infer_value_type(&v), "{:?}", v);
+        }
+    }
 
     #[test]
     fn integers() {
@@ -364,13 +683,13 @@ mod tests {
         let lower = v.to_ascii_lowercase();
         if MISSING_MARKERS.contains(&lower.as_str()) {
             AtomicType::Empty
-        } else if is_integer(v) {
+        } else if oracle::is_integer(v) {
             AtomicType::Integer
-        } else if is_float(v) {
+        } else if oracle::is_float(v) {
             AtomicType::Float
         } else if matches!(lower.as_str(), "true" | "false" | "yes" | "no" | "t" | "f") {
             AtomicType::Boolean
-        } else if is_date(v) {
+        } else if oracle::is_date(v) {
             AtomicType::Date
         } else {
             AtomicType::String

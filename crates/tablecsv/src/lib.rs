@@ -5,9 +5,10 @@
 //! comment preambles, "bad lines", and trailing-delimiter misalignment. This
 //! crate reimplements that functional contract:
 //!
-//! * [`Sniffer`] infers the CSV *dialect* (delimiter and quote character) from
-//!   a sample, by scoring row-shape consistency across candidate delimiters —
-//!   the same idea as Python's `csv.Sniffer`.
+//! * [`sniff`] infers the CSV *dialect*'s delimiter from a sample, by
+//!   scoring row-shape consistency across candidate delimiters — the same
+//!   idea as Python's `csv.Sniffer`; the quote and comment bytes keep their
+//!   conventional `"` and `#`.
 //! * [`Parser`] is a streaming RFC-4180-style record reader supporting quoted
 //!   fields, embedded delimiters/newlines, doubled-quote escapes, CR/LF/CRLF
 //!   line endings, and comment lines.
@@ -39,6 +40,6 @@ pub mod writer;
 pub use dialect::Dialect;
 pub use error::CsvError;
 pub use parser::{Parser, RawRecord};
-pub use reader::{read_csv, read_csv_columns, ParsedColumns, ParsedCsv, ReadOptions, RowFate};
-pub use sniffer::{sniff, Sniffer};
+pub use reader::{read_csv, read_csv_columns, ParsedColumns, ParsedCsv, ReadOptions};
+pub use sniffer::sniff;
 pub use writer::write_csv;

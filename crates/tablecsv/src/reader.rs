@@ -15,12 +15,15 @@
 //! 6. **Rejection** of files where the bad-line fraction exceeds a threshold,
 //!    reproducing the 0.7 % of files the paper could not parse into tables.
 //!
-//! The reader rides the parser's zero-copy path: every record is kept as
-//! borrowed field spans (escaped fields land in one shared scratch buffer),
-//! the keep/drop/realign decisions run over those spans, and only the cells
-//! that survive are copied — once, as `&str`, onto the end of their column's
-//! [`CellArena`]. No cell is ever an owned `String`: a parsed file costs two
+//! The reader rides the parser's zero-copy path: each record arrives as
+//! borrowed field spans, and the cells of a kept row are copied once, as
+//! `&str` sliced out of the input, onto the end of their column's
+//! [`CellArena`]. Realignment needs every row to agree, so rows of a
+//! realignable shape are kept tentatively and dropped together when one row
+//! disagrees. No cell is ever an owned `String`: a parsed file costs two
 //! buffers per column, not one allocation per cell.
+
+use std::borrow::Cow;
 
 use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
@@ -47,18 +50,6 @@ impl Default for ReadOptions {
             max_rows: 1_000_000,
         }
     }
-}
-
-/// What happened to each raw row; used for pipeline statistics
-/// (`expt pipeline_rates`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowFate {
-    /// Kept as a data row.
-    Kept,
-    /// Dropped: empty line.
-    EmptyLine,
-    /// Dropped: field count deviated from the header width.
-    WidthMismatch,
 }
 
 /// The result of reading a CSV file, row-major (the historical shape).
@@ -108,62 +99,20 @@ impl ParsedColumns {
     }
 }
 
-/// One stored cell: a span into the original input (zero-copy path) or into
-/// the reader's arena (fields that needed quote unescaping).
-#[derive(Debug, Clone, Copy)]
-enum CellRef {
-    Input { start: usize, end: usize },
-    Arena { start: usize, end: usize },
-}
-
-/// Compact row storage: all cell spans in one flat vector plus per-row end
-/// offsets — no per-row `Vec`, no `String`s until the keep set is known.
-#[derive(Debug, Default)]
-struct RowSpans {
-    cells: Vec<CellRef>,
-    /// `row_ends[i]` is the end offset of row `i` in `cells`.
-    row_ends: Vec<usize>,
-    /// Escaped-field bytes, copied out of the parser's per-record scratch.
-    arena: Vec<u8>,
-}
-
-impl RowSpans {
-    fn num_rows(&self) -> usize {
-        self.row_ends.len()
-    }
-
-    fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = if i == 0 { 0 } else { self.row_ends[i - 1] };
-        start..self.row_ends[i]
-    }
-
-    fn row_len(&self, i: usize) -> usize {
-        self.row_range(i).len()
-    }
-
-    fn cell_bytes<'s>(&'s self, input: &'s [u8], cell: CellRef) -> &'s [u8] {
-        match cell {
-            CellRef::Input { start, end } => &input[start..end],
-            CellRef::Arena { start, end } => &self.arena[start..end],
-        }
-    }
-
-    fn push_record(&mut self, rec: &crate::RawRecord<'_, '_>) {
-        for i in 0..rec.len() {
-            match rec.input_span(i) {
-                Some((start, end)) => self.cells.push(CellRef::Input { start, end }),
-                None => {
-                    let start = self.arena.len();
-                    self.arena.extend_from_slice(rec.field_bytes(i));
-                    self.cells.push(CellRef::Arena {
-                        start,
-                        end: self.arena.len(),
-                    });
-                }
-            }
-        }
-        self.row_ends.push(self.cells.len());
-    }
+/// How the data rows read so far relate to the header width. Realignment
+/// needs *every* row to agree, so rows of a realignable shape are kept
+/// tentatively until one row disagrees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// No data row yet.
+    Unseen,
+    /// Every row is one wider than the header, with a blank last field.
+    AllWider,
+    /// Every row is one narrower than a header whose last name is blank.
+    AllNarrower,
+    /// Anything else: rows exactly as wide as the header are kept, the rest
+    /// are bad lines.
+    Mixed,
 }
 
 /// Reads a CSV document applying the GitTables parsing rules, producing
@@ -187,7 +136,6 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
         Some(d) => d,
         None => sniff(input).ok_or(CsvError::UndetectableDialect)?,
     };
-    let bytes = input.as_bytes();
     let mut parser = Parser::new(input, dialect);
 
     // Preamble: skip leading blank records (comments are eaten by the parser).
@@ -200,62 +148,78 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
         }
     };
     let width = header.len();
+    let narrower_ok = width >= 2 && header.last().is_some_and(|h| h.trim().is_empty());
 
-    let mut rows = RowSpans::default();
-    let mut empty_lines = 0usize;
+    // Each kept row's cells go straight onto the end of their columns'
+    // arenas. A cell too large for its arena is reported once the whole
+    // input has parsed, as a parse error takes precedence; a tentative
+    // row's failure is forgotten with the row.
+    let mut columns: Vec<CellArena> = (0..width).map(|_| CellArena::new()).collect();
+    let mut shape = Shape::Unseen;
+    let mut rows = 0usize;
+    let mut kept = 0usize;
+    let mut bad_lines = 0usize;
+    let mut too_large = None;
     while let Some(rec) = parser.next_raw()? {
-        if rows.num_rows() >= options.max_rows {
+        if rows >= options.max_rows {
             break;
         }
         if rec.is_blank() {
-            empty_lines += 1;
+            bad_lines += 1;
             continue;
         }
-        rows.push_record(&rec);
+        rows += 1;
+        let len = rec.len();
+        let wider = len == width + 1 && bytes_blank(rec.field_bytes(width));
+        let narrower = narrower_ok && len + 1 == width;
+        shape = match shape {
+            Shape::Unseen | Shape::AllWider if wider => Shape::AllWider,
+            Shape::Unseen | Shape::AllNarrower if narrower => Shape::AllNarrower,
+            Shape::Unseen | Shape::Mixed => Shape::Mixed,
+            Shape::AllWider | Shape::AllNarrower => {
+                // The first disagreeing row: the tentative rows are bad.
+                bad_lines += kept;
+                kept = 0;
+                columns.iter_mut().for_each(CellArena::clear);
+                too_large = None;
+                Shape::Mixed
+            }
+        };
+        if shape == Shape::Mixed && len != width {
+            bad_lines += 1;
+            continue;
+        }
+        kept += 1;
+        for (i, column) in columns.iter_mut().enumerate().take(len) {
+            // An input span lies on `char` boundaries unless the dialect
+            // forced a non-ASCII byte next to it; that case and escaped
+            // fields decode lossily.
+            let cell = match rec
+                .input_span(i)
+                .and_then(|(start, end)| input.get(start..end))
+            {
+                Some(text) => Cow::Borrowed(text),
+                None => rec.field(i),
+            };
+            if let Err(e) = column.push(&cell) {
+                too_large.get_or_insert(e);
+            }
+        }
+    }
+    if let Some(e) = too_large {
+        return Err(e.into());
     }
 
     // Trailing-delimiter realignment (paper §3.3): all data rows one wider
-    // than the header with an empty last field ⇒ drop that field; or header
-    // one wider than all rows with an empty last name ⇒ drop that name.
-    let n = rows.num_rows();
-    let mut realigned = false;
-    let mut drop_last_cell = false;
-    if n > 0 {
-        let all_one_wider = (0..n).all(|i| {
-            let r = rows.row_range(i);
-            r.len() == width + 1 && bytes_blank(rows.cell_bytes(bytes, rows.cells[r.end - 1]))
-        });
-        if all_one_wider {
-            drop_last_cell = true;
-            realigned = true;
-        } else if width >= 2
-            && header.last().is_some_and(|h| h.trim().is_empty())
-            && (0..n).all(|i| rows.row_len(i) == width - 1)
-        {
-            header.pop();
-            realigned = true;
-        }
+    // than the header with an empty last field ⇒ that field was never
+    // stored; or header one wider than all rows with an empty last name ⇒
+    // drop that name and its empty column.
+    let realigned = matches!(shape, Shape::AllWider | Shape::AllNarrower);
+    if shape == Shape::AllNarrower {
+        header.pop();
+        columns.pop();
     }
-    let width = header.len();
 
-    // Bad-line removal + materialization: only cells of kept rows are
-    // copied, each onto the end of its column's arena.
-    let mut bad_lines = 0usize;
-    let mut columns: Vec<CellArena> = (0..width).map(|_| CellArena::with_capacity(n, 0)).collect();
-    for i in 0..n {
-        let r = rows.row_range(i);
-        let effective_len = r.len() - usize::from(drop_last_cell);
-        if effective_len == width {
-            for (j, &cell) in rows.cells[r].iter().take(width).enumerate() {
-                columns[j].push(&String::from_utf8_lossy(rows.cell_bytes(bytes, cell)))?;
-            }
-        } else {
-            bad_lines += 1;
-        }
-    }
-    bad_lines += empty_lines;
-
-    let kept = columns.first().map_or(0, CellArena::len);
     let total = kept + bad_lines;
     if total > 0 && bad_lines as f64 / total as f64 > options.max_bad_line_fraction {
         return Err(CsvError::TooManyBadLines {
@@ -465,6 +429,49 @@ mod tests {
         }
         assert_eq!(cols.bad_lines, rows.bad_lines);
         assert_eq!(cols.realigned, rows.realigned);
+    }
+
+    /// Cells as owned strings, column-major.
+    fn cells(p: &ParsedColumns) -> Vec<Vec<String>> {
+        p.columns
+            .iter()
+            .map(|c| c.iter().map(str::to_string).collect())
+            .collect()
+    }
+
+    #[test]
+    fn forced_non_ascii_delimiter_splits_characters_lossily() {
+        // 0xC3 is the first byte of `é`: every split lands mid-character,
+        // and the orphaned continuation byte decodes to U+FFFD.
+        let opts = ReadOptions {
+            dialect: Some(Dialect::with_delimiter(0xC3)),
+            ..Default::default()
+        };
+        let p = read_csv_columns("aéb\ncéd\nxéy\n", &opts).unwrap();
+        assert_eq!(p.header, vec!["a", "\u{fffd}b"]);
+        assert_eq!(
+            cells(&p),
+            vec![vec!["c", "x"], vec!["\u{fffd}d", "\u{fffd}y"]]
+        );
+    }
+
+    #[test]
+    fn forced_non_ascii_quote_keeps_lossy_cells() {
+        // A quote byte of 0xC3 opens on `é`'s first byte and closes on the
+        // next `é`'s; the continuation byte after it is trailing junk.
+        let opts = ReadOptions {
+            dialect: Some(Dialect {
+                quote: 0xC3,
+                ..Dialect::default()
+            }),
+            ..Default::default()
+        };
+        let p = read_csv_columns("éaé,x\néqé,2\nn,€\n", &opts).unwrap();
+        assert_eq!(p.header, vec!["\u{fffd}a\u{fffd}", "x"]);
+        assert_eq!(
+            cells(&p),
+            vec![vec!["\u{fffd}q\u{fffd}", "n"], vec!["2", "€"]]
+        );
     }
 
     #[test]

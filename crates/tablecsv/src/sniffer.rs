@@ -2,7 +2,7 @@
 //!
 //! Python's `csv.Sniffer` — used by the GitTables pipeline (§3.3) — infers the
 //! delimiter by checking which candidate character splits the sample into rows
-//! of the most *consistent* width. [`Sniffer`] reimplements that idea:
+//! of the most *consistent* width. [`sniff`] reimplements that idea:
 //!
 //! 1. For each candidate delimiter, parse a bounded sample with the full
 //!    quote-aware parser.
@@ -11,140 +11,114 @@
 //!    evidence the character really is a separator).
 //! 3. Pick the best-scoring candidate; ties break by candidate priority
 //!    (comma > semicolon > tab > pipe > colon).
+//!
+//! A candidate byte that occurs nowhere in the bytes its parse consumed
+//! never steered that parse: the records, widths and errors are those of
+//! any other candidate that occurs nowhere there, and so is the score. So
+//! the first such candidate stands for the whole class, and a later
+//! candidate absent from the same prefix is not parsed: it would tie, and a
+//! tie goes to the earlier candidate. Typically two or three of the five
+//! candidates are parsed.
 
 use crate::dialect::CANDIDATE_DELIMITERS;
+use crate::scan::memchr;
 use crate::{Dialect, Parser};
 
 /// Maximum number of sample rows examined when sniffing.
 const SAMPLE_ROWS: usize = 64;
 
-/// Dialect sniffer with configurable candidates.
-#[derive(Debug, Clone)]
-pub struct Sniffer {
-    candidates: Vec<u8>,
-    sample_rows: usize,
-}
-
-impl Default for Sniffer {
-    fn default() -> Self {
-        Sniffer {
-            candidates: CANDIDATE_DELIMITERS.to_vec(),
-            sample_rows: SAMPLE_ROWS,
-        }
-    }
-}
-
 /// The outcome of sniffing one candidate delimiter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CandidateScore {
-    delimiter: u8,
     /// Consistency in `[0, 1]`: fraction of sample rows with the modal width.
     consistency: f64,
     /// Modal number of fields per row.
     modal_width: usize,
 }
 
-impl Sniffer {
-    /// Creates a sniffer with custom candidate delimiters (priority order).
-    #[must_use]
-    pub fn with_candidates(candidates: &[u8]) -> Self {
-        Sniffer {
-            candidates: candidates.to_vec(),
-            ..Sniffer::default()
-        }
-    }
-
-    /// Limits the number of sample rows examined.
-    #[must_use]
-    pub fn with_sample_rows(mut self, rows: usize) -> Self {
-        self.sample_rows = rows.max(1);
-        self
-    }
-
-    fn score(&self, input: &str, delimiter: u8) -> Option<CandidateScore> {
-        let dialect = Dialect::with_delimiter(delimiter);
-        let mut parser = Parser::new(input, dialect);
-        let mut widths = Vec::with_capacity(self.sample_rows);
-        for _ in 0..self.sample_rows {
-            // Borrowed records: sniffing only needs row shapes, so no field
-            // is ever materialized while scoring candidates.
-            match parser.next_raw() {
-                Ok(Some(rec)) => {
-                    // Ignore blank lines for shape statistics.
-                    if !(rec.len() == 1 && rec.is_blank()) {
-                        widths.push(rec.len());
-                    }
+/// Parses the sample under `delimiter`. Returns its score, `None` when a
+/// quote never closes or no row has a shape, and the length of the input
+/// prefix whose bytes the parse compared with the delimiter.
+fn score(input: &str, delimiter: u8) -> (Option<CandidateScore>, usize) {
+    let mut parser = Parser::new(input, Dialect::with_delimiter(delimiter));
+    let mut widths = Vec::with_capacity(SAMPLE_ROWS);
+    for _ in 0..SAMPLE_ROWS {
+        // Borrowed records: sniffing only needs row shapes, so no field
+        // is ever materialized while scoring candidates.
+        match parser.next_raw() {
+            Ok(Some(rec)) => {
+                // Ignore blank lines for shape statistics.
+                if !(rec.len() == 1 && rec.is_blank()) {
+                    widths.push(rec.len());
                 }
-                Ok(None) => break,
-                // Quote errors under this candidate: heavily penalized but not
-                // disqualifying (the real delimiter may still parse cleanly).
-                Err(_) => return None,
             }
+            Ok(None) => break,
+            // A quote error under this candidate disqualifies it; the real
+            // delimiter may still parse cleanly. The parser rests on the
+            // opening quote, and past it compared bytes with the quote only.
+            Err(_) => return (None, parser.offset()),
         }
-        if widths.is_empty() {
-            return None;
-        }
-        // Modal width and its frequency.
-        let mut counts = std::collections::HashMap::new();
-        for &w in &widths {
-            *counts.entry(w).or_insert(0usize) += 1;
-        }
-        let (&modal_width, &modal_count) = counts
-            .iter()
-            .max_by_key(|(w, c)| (**c, **w))
-            .expect("non-empty");
-        // A delimiter that never splits anything gives width 1; that is only
-        // plausible for genuinely single-column files, so give it a floor
-        // score that any real split beats.
-        let consistency = modal_count as f64 / widths.len() as f64;
-        Some(CandidateScore {
-            delimiter,
-            consistency,
-            modal_width,
-        })
     }
+    let consumed = parser.offset();
+    if widths.is_empty() {
+        return (None, consumed);
+    }
+    // Modal width and its frequency; a tie goes to the wider shape.
+    widths.sort_unstable();
+    let (mut modal_width, mut modal_count) = (0, 0);
+    for run in widths.chunk_by(|a, b| a == b) {
+        if run.len() >= modal_count {
+            (modal_width, modal_count) = (run[0], run.len());
+        }
+    }
+    // A delimiter that never splits anything gives width 1; that is only
+    // plausible for genuinely single-column files, so give it a floor
+    // score that any real split beats.
+    let consistency = modal_count as f64 / widths.len() as f64;
+    let score = CandidateScore {
+        consistency,
+        modal_width,
+    };
+    (Some(score), consumed)
+}
 
-    /// Sniffs the dialect of `input`. Returns `None` when no candidate yields
-    /// a consistent multi-row shape (e.g. binary junk).
-    #[must_use]
-    pub fn sniff(&self, input: &str) -> Option<Dialect> {
-        if input.trim().is_empty() {
-            return None;
-        }
-        let mut best: Option<(f64, usize, CandidateScore)> = None;
-        for (priority, &cand) in self.candidates.iter().enumerate() {
-            let Some(score) = self.score(input, cand) else {
-                continue;
-            };
-            // Rank by (splits at all, consistency, modal width, priority).
-            let splits = usize::from(score.modal_width > 1);
-            let key = (
-                splits as f64 * 2.0 + score.consistency * score_weight(score.modal_width),
-                usize::MAX - priority,
-                score,
-            );
-            let better = match &best {
-                None => true,
-                Some((k, p, _)) => (key.0, key.1) > (*k, *p),
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, s)| Dialect::with_delimiter(s.delimiter))
+/// Sniffs the dialect of `input`. Returns `None` when no candidate yields
+/// a consistent multi-row shape (e.g. binary junk).
+#[must_use]
+pub fn sniff(input: &str) -> Option<Dialect> {
+    if input.trim().is_empty() {
+        return None;
     }
+    let bytes = input.as_bytes();
+    let mut best: Option<(f64, u8)> = None;
+    // The prefix consumed by the first candidate that occurs nowhere in it.
+    let mut absent_prefix: Option<usize> = None;
+    for &cand in CANDIDATE_DELIMITERS {
+        if absent_prefix.is_some_and(|end| memchr(cand, &bytes[..end]).is_none()) {
+            continue;
+        }
+        let (score, consumed) = score(input, cand);
+        if absent_prefix.is_none() && memchr(cand, &bytes[..consumed]).is_none() {
+            absent_prefix = Some(consumed);
+        }
+        let Some(score) = score else {
+            continue;
+        };
+        // Rank by (splits at all, consistency, modal width); candidates
+        // come in priority order, so a tie keeps the earlier one.
+        let splits = usize::from(score.modal_width > 1);
+        let key = splits as f64 * 2.0 + score.consistency * score_weight(score.modal_width);
+        if best.is_none_or(|(k, _)| key > k) {
+            best = Some((key, cand));
+        }
+    }
+    best.map(|(_, delimiter)| Dialect::with_delimiter(delimiter))
 }
 
 /// Weight that mildly favours wider consistent tables: a candidate that
 /// consistently yields 8 columns is stronger evidence than one yielding 2.
 fn score_weight(modal_width: usize) -> f64 {
     1.0 + (modal_width.min(32) as f64).ln() / 8.0
-}
-
-/// Sniffs with the default candidate set. See [`Sniffer::sniff`].
-#[must_use]
-pub fn sniff(input: &str) -> Option<Dialect> {
-    Sniffer::default().sniff(input)
 }
 
 #[cfg(test)]
@@ -210,22 +184,5 @@ mod tests {
         // Comma splits into consistent 3 columns; pipe appears once.
         let data = "a,b,c|x\n1,2,3\n4,5,6\n7,8,9\n";
         assert_eq!(sniff(data).unwrap().delimiter, b',');
-    }
-
-    #[test]
-    fn custom_candidates() {
-        let s = Sniffer::with_candidates(b"~");
-        let d = s.sniff("a~b\n1~2\n").unwrap();
-        assert_eq!(d.delimiter, b'~');
-    }
-
-    #[test]
-    fn sample_rows_limit() {
-        let mut data = String::from("a,b\n");
-        for i in 0..1000 {
-            data.push_str(&format!("{i},{i}\n"));
-        }
-        let s = Sniffer::default().with_sample_rows(8);
-        assert_eq!(s.sniff(&data).unwrap().delimiter, b',');
     }
 }

@@ -6,7 +6,7 @@
 //! scanning ([`gittables_tablecsv::scan`]) and mirroring its structure:
 //!
 //! * [`sniff_dialect`] detects the dump dialect from a bounded prefix by
-//!   scoring lexical fingerprints (the analogue of `tablecsv::Sniffer`'s
+//!   scoring lexical fingerprints (the analogue of `tablecsv::sniff`'s
 //!   consistency scoring) — and rejects content with no SQL structure.
 //! * [`StatementSplitter`] splits the byte stream into statements with a
 //!   quote/comment state machine over `memchr`-located interesting bytes,
