@@ -107,6 +107,7 @@ impl CellArena {
     /// # Errors
     /// [`TableError::ColumnTooLarge`] when the blob would grow past
     /// `u32::MAX` bytes; the arena is left unchanged.
+    #[inline]
     pub fn push(&mut self, cell: &str) -> Result<(), TableError> {
         let end = checked_end(self.blob.len(), cell.len())?;
         self.blob.push_str(cell);

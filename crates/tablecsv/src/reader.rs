@@ -16,14 +16,15 @@
 //!    reproducing the 0.7 % of files the paper could not parse into tables.
 //!
 //! The reader rides the parser's zero-copy path: each record arrives as
-//! borrowed field spans, and the cells of a kept row are copied once, as
-//! `&str` sliced out of the input, onto the end of their column's
-//! [`CellArena`]. Realignment needs every row to agree, so rows of a
-//! realignable shape are kept tentatively and dropped together when one row
-//! disagrees. No cell is ever an owned `String`: a parsed file costs two
-//! buffers per column, not one allocation per cell.
+//! borrowed field spans, and a kept row's cells are remembered as ranges of
+//! the input (escaped fields are decoded once, into a side buffer).
+//! Realignment needs every row to agree, so rows of a realignable shape are
+//! kept tentatively and dropped together when one row disagrees. Once the
+//! keep set is final, each column's [`CellArena`] is sized exactly and its
+//! cells are copied in, once, as `&str`. No cell is ever an owned `String`:
+//! a parsed file costs two buffers per column, not one allocation per cell.
 
-use std::borrow::Cow;
+use std::ops::Range;
 
 use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
@@ -150,16 +151,17 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
     let width = header.len();
     let narrower_ok = width >= 2 && header.last().is_some_and(|h| h.trim().is_empty());
 
-    // Each kept row's cells go straight onto the end of their columns'
-    // arenas. A cell too large for its arena is reported once the whole
-    // input has parsed, as a parse error takes precedence; a tentative
-    // row's failure is forgotten with the row.
-    let mut columns: Vec<CellArena> = (0..width).map(|_| CellArena::new()).collect();
+    // First pass: the kept rows' cells as text ranges, row-major. Escaped
+    // fields and lossy decodings go to `decoded`, and their ranges start
+    // at `past` or later, so every cell's stored length is known before
+    // any arena is sized.
+    let mut cells: Vec<Range<usize>> = Vec::new();
+    let mut decoded = String::new();
+    let past = input.len() + 1;
     let mut shape = Shape::Unseen;
     let mut rows = 0usize;
     let mut kept = 0usize;
     let mut bad_lines = 0usize;
-    let mut too_large = None;
     while let Some(rec) = parser.next_raw()? {
         if rows >= options.max_rows {
             break;
@@ -180,8 +182,8 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
                 // The first disagreeing row: the tentative rows are bad.
                 bad_lines += kept;
                 kept = 0;
-                columns.iter_mut().for_each(CellArena::clear);
-                too_large = None;
+                cells.clear();
+                decoded.clear();
                 Shape::Mixed
             }
         };
@@ -190,34 +192,54 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
             continue;
         }
         kept += 1;
-        for (i, column) in columns.iter_mut().enumerate().take(len) {
+        for i in 0..len.min(width) {
             // An input span lies on `char` boundaries unless the dialect
             // forced a non-ASCII byte next to it; that case and escaped
             // fields decode lossily.
-            let cell = match rec
-                .input_span(i)
-                .and_then(|(start, end)| input.get(start..end))
-            {
-                Some(text) => Cow::Borrowed(text),
-                None => rec.field(i),
-            };
-            if let Err(e) = column.push(&cell) {
-                too_large.get_or_insert(e);
+            match rec.input_span(i) {
+                Some((start, end))
+                    if input.is_char_boundary(start) && input.is_char_boundary(end) =>
+                {
+                    cells.push(start..end);
+                }
+                _ => {
+                    let start = past + decoded.len();
+                    decoded.push_str(&rec.field(i));
+                    cells.push(start..past + decoded.len());
+                }
             }
         }
-    }
-    if let Some(e) = too_large {
-        return Err(e.into());
     }
 
     // Trailing-delimiter realignment (paper §3.3): all data rows one wider
     // than the header with an empty last field ⇒ that field was never
     // stored; or header one wider than all rows with an empty last name ⇒
-    // drop that name and its empty column.
+    // drop that name.
     let realigned = matches!(shape, Shape::AllWider | Shape::AllNarrower);
     if shape == Shape::AllNarrower {
         header.pop();
-        columns.pop();
+    }
+
+    // Second pass: each column's arena sized exactly, then filled.
+    let width = header.len();
+    let text = |r: &Range<usize>| match r.start.checked_sub(past) {
+        Some(at) => &decoded[at..at + r.len()],
+        None => &input[r.clone()],
+    };
+    let mut bytes = vec![0usize; width];
+    for row in cells.chunks_exact(width) {
+        for (b, r) in bytes.iter_mut().zip(row) {
+            *b += r.len();
+        }
+    }
+    let mut columns: Vec<CellArena> = bytes
+        .iter()
+        .map(|&b| CellArena::with_capacity(kept, b.min(u32::MAX as usize)))
+        .collect();
+    for row in cells.chunks_exact(width) {
+        for (column, r) in columns.iter_mut().zip(row) {
+            column.push(text(r))?;
+        }
     }
 
     let total = kept + bad_lines;
