@@ -299,10 +299,10 @@ fn shape(v: &[u8]) -> Shape {
 
 /// Infers the [`AtomicType`] of a single cell value.
 ///
-/// One pass over the trimmed bytes settles integers, floats and most
-/// strings; only digit-bearing cells that are no number go on to the date
-/// check, and only digit-free cells to the missing-marker and boolean
-/// tokens (none of which holds a digit).
+/// One pass over the trimmed bytes settles integers and floats. Of the
+/// rest, only cells with a digit and no byte foreign to a timestamp go on
+/// to the date check, and only the others to the missing-marker and
+/// boolean tokens, none of which holds a digit.
 #[must_use]
 pub fn infer_value_type(value: &str) -> AtomicType {
     // `trim` is a no-op when both ends are visible ASCII, as nearly all are.

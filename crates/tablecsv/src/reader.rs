@@ -226,15 +226,17 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
         Some(at) => &decoded[at..at + r.len()],
         None => &input[r.clone()],
     };
-    let mut bytes = vec![0usize; width];
+    let mut sizes = vec![0usize; width];
     for row in cells.chunks_exact(width) {
-        for (b, r) in bytes.iter_mut().zip(row) {
-            *b += r.len();
+        for (size, r) in sizes.iter_mut().zip(row) {
+            *size += r.len();
         }
     }
-    let mut columns: Vec<CellArena> = bytes
+    // A column past `u32::MAX` bytes fails its push below; its arena is
+    // not sized past what it can hold.
+    let mut columns: Vec<CellArena> = sizes
         .iter()
-        .map(|&b| CellArena::with_capacity(kept, b.min(u32::MAX as usize)))
+        .map(|&size| CellArena::with_capacity(kept, size.min(u32::MAX as usize)))
         .collect();
     for row in cells.chunks_exact(width) {
         for (column, r) in columns.iter_mut().zip(row) {
