@@ -135,15 +135,16 @@ pub fn is_date(v: &str) -> bool {
     if date.len() < 8 || date.len() > 10 {
         return false;
     }
-    // Three non-empty digit runs joined by one separator used twice. At
-    // most ten bytes, so no run exceeds eight digits and no part overflows.
+    // Three non-empty digit runs joined by one separator used twice, in at
+    // most ten bytes: no run of a date exceeds six digits, so a seventh
+    // digit rejects the cell before any part can overflow.
     let mut parts = [0u32; 3];
     let mut part = 0;
     let mut run = 0;
     let mut sep = 0u8;
     for &b in date {
         match b {
-            b'0'..=b'9' => {
+            b'0'..=b'9' if run < 6 => {
                 parts[part] = parts[part] * 10 + u32::from(b - b'0');
                 run += 1;
             }
@@ -532,7 +533,7 @@ mod tests {
     fn date_check_matches_the_oracle_on_a_grid_of_layouts() {
         let runs = [
             "", "0", "1", "9", "00", "01", "12", "13", "31", "32", "999", "1000", "2021", "2999",
-            "3000", "12345", "1a", "\u{12d}",
+            "3000", "12345", "1234567", "1a", "\u{12d}",
         ];
         let seps = ["-", "/", ".", ":", "\u{12d}"];
         let suffixes = [
@@ -577,6 +578,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ten_digit_runs_match_the_oracle_without_overflow() {
+        // Ten digits fit the date's length gate and exceed `u32::MAX`.
+        for v in [
+            "5551234567",
+            "9999999999",
+            "4294967296",
+            "5000000000 10:30",
+            "9999999999T10:30:59",
+            "1234567-1-1",
+            "1-1-1234567",
+        ] {
+            assert!(!is_date(v), "{v:?}");
+            assert_eq!(is_date(v), oracle::is_date(v), "{v:?}");
+            assert_eq!(infer_value_type(v), oracle::infer_value_type(v), "{v:?}");
         }
     }
 
