@@ -104,6 +104,17 @@ pub fn is_missing(value: &str) -> bool {
     is_missing_trimmed(value.trim())
 }
 
+fn is_integer(v: &str) -> bool {
+    let v = v.strip_prefix(['+', '-']).unwrap_or(v);
+    !v.is_empty() && v.len() <= 19 && v.bytes().all(|b| b.is_ascii_digit())
+}
+
+fn is_float(v: &str) -> bool {
+    // Must contain at least one digit; `parse::<f64>` also accepts "inf"/"NaN"
+    // but `infer_value_type`'s byte check has turned those away.
+    v.bytes().any(|b| b.is_ascii_digit()) && v.parse::<f64>().is_ok()
+}
+
 fn is_boolean(v: &str) -> bool {
     const LONGEST: usize = longest(BOOLEAN_TOKENS);
     is_token(v, BOOLEAN_TOKENS, LONGEST)
@@ -187,123 +198,18 @@ fn is_time(t: &[u8]) -> bool {
     }
 }
 
-/// What one pass over a trimmed cell's bytes leaves to decide.
-enum Shape {
-    Integer,
-    Float,
-    /// Has a digit and only bytes a date may hold, but is no number.
-    DateLike,
-    /// No digit, or a byte no number or date holds: a missing marker, a
-    /// boolean token or a string.
-    Word,
-}
-
-/// Byte classes: the number grammar's, [`DATE`] and [`OTHER`].
-const DIGIT: u8 = 0;
-const SIGN: u8 = 1;
-const DOT: u8 = 2;
-const EXP: u8 = 3;
-/// Space, `:`, `T`, `Z` and `/`: in a timestamp, never in a number.
-const DATE: u8 = 4;
-const OTHER: u8 = 5;
-
-const CLASS: [u8; 256] = {
-    let mut class = [OTHER; 256];
-    let mut b = b'0';
-    while b <= b'9' {
-        class[b as usize] = DIGIT;
-        b += 1;
-    }
-    class[b'+' as usize] = SIGN;
-    class[b'-' as usize] = SIGN;
-    class[b'.' as usize] = DOT;
-    class[b'e' as usize] = EXP;
-    class[b'E' as usize] = EXP;
-    class[b' ' as usize] = DATE;
-    class[b':' as usize] = DATE;
-    class[b'T' as usize] = DATE;
-    class[b'Z' as usize] = DATE;
-    class[b'/' as usize] = DATE;
-    class
-};
-
-// States of `f64::from_str`'s grammar without `inf`/`nan` (their letters
-// are `OTHER` bytes), `sign? (digits ('.' digits?)? | '.' digits)
-// ([eE] sign? digits)?`, plus three that have left it.
-const START: u8 = 0;
-const SIGNED: u8 = 1;
-const INT: u8 = 2;
-const INT_DOT: u8 = 3;
-const LEAD_DOT: u8 = 4;
-const FRAC: u8 = 5;
-const E: u8 = 6;
-const E_SIGN: u8 = 7;
-const E_INT: u8 = 8;
-/// No number, and no digit so far.
-const BARE: u8 = 9;
-/// No number, but a digit.
-const DIGITS: u8 = 10;
-/// A byte no number or date holds.
-const WORD: u8 = 11;
-
-/// `STEP[state][class]`.
-const STEP: [[u8; 6]; 12] = [
-    // DIGIT   SIGN    DOT       EXP     DATE    OTHER
-    [INT, SIGNED, LEAD_DOT, BARE, BARE, WORD],      // START
-    [INT, BARE, LEAD_DOT, BARE, BARE, WORD],        // SIGNED
-    [INT, DIGITS, INT_DOT, E, DIGITS, WORD],        // INT
-    [FRAC, DIGITS, DIGITS, E, DIGITS, WORD],        // INT_DOT
-    [FRAC, BARE, BARE, BARE, BARE, WORD],           // LEAD_DOT
-    [FRAC, DIGITS, DIGITS, E, DIGITS, WORD],        // FRAC
-    [E_INT, E_SIGN, DIGITS, DIGITS, DIGITS, WORD],  // E
-    [E_INT, DIGITS, DIGITS, DIGITS, DIGITS, WORD],  // E_SIGN
-    [E_INT, DIGITS, DIGITS, DIGITS, DIGITS, WORD],  // E_INT
-    [DIGITS, BARE, BARE, BARE, BARE, WORD],         // BARE
-    [DIGITS, DIGITS, DIGITS, DIGITS, DIGITS, WORD], // DIGITS
-    [WORD, WORD, WORD, WORD, WORD, WORD],           // WORD
-];
-
-/// `STEP` indexed by the byte itself: one load per byte.
-const NEXT: [[u8; 256]; 12] = {
-    let mut next = [[WORD; 256]; 12];
-    let mut state = 0;
-    while state < 12 {
-        let mut b = 0;
-        while b < 256 {
-            next[state][b] = STEP[state][CLASS[b] as usize];
-            b += 1;
-        }
-        state += 1;
-    }
-    next
-};
-
-/// Runs the number grammar over `v`, stopping at the first byte no number
-/// or date holds.
-fn shape(v: &[u8]) -> Shape {
-    let mut state = START;
-    for &b in v {
-        state = NEXT[state as usize][b as usize];
-        if state == WORD {
-            return Shape::Word;
-        }
-    }
-    match state {
-        // An integer is at most 19 digits after an optional sign; a longer
-        // digit run still parses as a float.
-        INT if v.len() - usize::from(CLASS[v[0] as usize] == SIGN) <= 19 => Shape::Integer,
-        INT | INT_DOT | FRAC | E_INT => Shape::Float,
-        E | E_SIGN | DIGITS => Shape::DateLike,
-        _ => Shape::Word,
-    }
+/// Whether `b` may appear in a number or a timestamp.
+fn in_number_or_date(b: u8) -> bool {
+    matches!(
+        b,
+        b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E' | b' ' | b':' | b'T' | b'Z' | b'/'
+    )
 }
 
 /// Infers the [`AtomicType`] of a single cell value.
 ///
-/// One pass over the trimmed bytes settles integers and floats. Of the
-/// rest, only cells with a digit and no byte foreign to a timestamp go on
-/// to the date check, and only the others to the missing-marker and
-/// boolean tokens, none of which holds a digit.
+/// A cell holding a byte that no number or timestamp holds skips the
+/// number and date checks; on real tables that is most text cells.
 #[must_use]
 pub fn infer_value_type(value: &str) -> AtomicType {
     // `trim` is a no-op when both ends are visible ASCII, as nearly all are.
@@ -312,13 +218,24 @@ pub fn infer_value_type(value: &str) -> AtomicType {
         [only] if only.is_ascii_graphic() => value,
         _ => value.trim(),
     };
-    match shape(v.as_bytes()) {
-        Shape::Integer => AtomicType::Integer,
-        Shape::Float => AtomicType::Float,
-        Shape::DateLike if is_date(v) => AtomicType::Date,
-        Shape::Word if is_missing_trimmed(v) => AtomicType::Empty,
-        Shape::Word if is_boolean(v) => AtomicType::Boolean,
-        Shape::DateLike | Shape::Word => AtomicType::String,
+    if is_missing_trimmed(v) {
+        AtomicType::Empty
+    } else if !v.bytes().all(in_number_or_date) {
+        if is_boolean(v) {
+            AtomicType::Boolean
+        } else {
+            AtomicType::String
+        }
+    } else if is_integer(v) {
+        AtomicType::Integer
+    } else if is_float(v) {
+        AtomicType::Float
+    } else if is_boolean(v) {
+        AtomicType::Boolean
+    } else if is_date(v) {
+        AtomicType::Date
+    } else {
+        AtomicType::String
     }
 }
 
@@ -378,9 +295,9 @@ where
 mod tests {
     use super::*;
 
-    /// Cell typing as it was before the one-pass classifier: each
-    /// predicate re-scans the cell, floats go through `parse::<f64>` and
-    /// dates through `str` splitting. Kept only as the oracle.
+    /// Cell typing as it was before the byte check: every cell runs the
+    /// predicate chain, `is_float` checks its own byte alphabet and dates
+    /// go through `str` splitting. Kept only as the oracle.
     mod oracle {
         use super::super::{is_boolean, is_missing_trimmed, valid_month_day, AtomicType};
 

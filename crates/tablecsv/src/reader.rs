@@ -15,16 +15,12 @@
 //! 6. **Rejection** of files where the bad-line fraction exceeds a threshold,
 //!    reproducing the 0.7 % of files the paper could not parse into tables.
 //!
-//! The reader rides the parser's zero-copy path: each record arrives as
-//! borrowed field spans, and a kept row's cells are remembered as ranges of
-//! the input (escaped fields are decoded once, into a side buffer).
-//! Realignment needs every row to agree, so rows of a realignable shape are
-//! kept tentatively and dropped together when one row disagrees. Once the
-//! keep set is final, each column's [`CellArena`] is sized exactly and its
-//! cells are copied in, once, as `&str`. No cell is ever an owned `String`:
-//! a parsed file costs two buffers per column, not one allocation per cell.
-
-use std::ops::Range;
+//! The reader rides the parser's zero-copy path: every record is kept as
+//! borrowed field spans (escaped fields land in one shared scratch buffer),
+//! the keep/drop/realign decisions run over those spans, and only the cells
+//! that survive are copied — once, as `&str`, onto the end of their column's
+//! [`CellArena`]. No cell is ever an owned `String`: a parsed file costs two
+//! buffers per column, not one allocation per cell.
 
 use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
@@ -100,20 +96,62 @@ impl ParsedColumns {
     }
 }
 
-/// How the data rows read so far relate to the header width. Realignment
-/// needs *every* row to agree, so rows of a realignable shape are kept
-/// tentatively until one row disagrees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// No data row yet.
-    Unseen,
-    /// Every row is one wider than the header, with a blank last field.
-    AllWider,
-    /// Every row is one narrower than a header whose last name is blank.
-    AllNarrower,
-    /// Anything else: rows exactly as wide as the header are kept, the rest
-    /// are bad lines.
-    Mixed,
+/// One stored cell: a span into the original input (zero-copy path) or into
+/// the reader's arena (fields that needed quote unescaping).
+#[derive(Debug, Clone, Copy)]
+enum CellRef {
+    Input { start: usize, end: usize },
+    Arena { start: usize, end: usize },
+}
+
+/// Compact row storage: all cell spans in one flat vector plus per-row end
+/// offsets — no per-row `Vec`, no `String`s until the keep set is known.
+#[derive(Debug, Default)]
+struct RowSpans {
+    cells: Vec<CellRef>,
+    /// `row_ends[i]` is the end offset of row `i` in `cells`.
+    row_ends: Vec<usize>,
+    /// Escaped-field bytes, copied out of the parser's per-record scratch.
+    arena: Vec<u8>,
+}
+
+impl RowSpans {
+    fn num_rows(&self) -> usize {
+        self.row_ends.len()
+    }
+
+    fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.row_ends[i - 1] };
+        start..self.row_ends[i]
+    }
+
+    fn row_len(&self, i: usize) -> usize {
+        self.row_range(i).len()
+    }
+
+    fn cell_bytes<'s>(&'s self, input: &'s [u8], cell: CellRef) -> &'s [u8] {
+        match cell {
+            CellRef::Input { start, end } => &input[start..end],
+            CellRef::Arena { start, end } => &self.arena[start..end],
+        }
+    }
+
+    fn push_record(&mut self, rec: &crate::RawRecord<'_, '_>) {
+        for i in 0..rec.len() {
+            match rec.input_span(i) {
+                Some((start, end)) => self.cells.push(CellRef::Input { start, end }),
+                None => {
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(rec.field_bytes(i));
+                    self.cells.push(CellRef::Arena {
+                        start,
+                        end: self.arena.len(),
+                    });
+                }
+            }
+        }
+        self.row_ends.push(self.cells.len());
+    }
 }
 
 /// Reads a CSV document applying the GitTables parsing rules, producing
@@ -137,6 +175,7 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
         Some(d) => d,
         None => sniff(input).ok_or(CsvError::UndetectableDialect)?,
     };
+    let bytes = input.as_bytes();
     let mut parser = Parser::new(input, dialect);
 
     // Preamble: skip leading blank records (comments are eaten by the parser).
@@ -149,101 +188,74 @@ pub fn read_csv_columns(input: &str, options: &ReadOptions) -> Result<ParsedColu
         }
     };
     let width = header.len();
-    let narrower_ok = width >= 2 && header.last().is_some_and(|h| h.trim().is_empty());
 
-    // First pass: the kept rows' cells as text ranges, row-major. Escaped
-    // fields and lossy decodings go to `decoded`, and their ranges start
-    // at `past` or later, so every cell's stored length is known before
-    // any arena is sized.
-    let mut cells: Vec<Range<usize>> = Vec::new();
-    let mut decoded = String::new();
-    let past = input.len() + 1;
-    let mut shape = Shape::Unseen;
-    let mut rows = 0usize;
-    let mut kept = 0usize;
-    let mut bad_lines = 0usize;
+    let mut rows = RowSpans::default();
+    let mut empty_lines = 0usize;
     while let Some(rec) = parser.next_raw()? {
-        if rows >= options.max_rows {
+        if rows.num_rows() >= options.max_rows {
             break;
         }
         if rec.is_blank() {
-            bad_lines += 1;
+            empty_lines += 1;
             continue;
         }
-        rows += 1;
-        let len = rec.len();
-        let wider = len == width + 1 && bytes_blank(rec.field_bytes(width));
-        let narrower = narrower_ok && len + 1 == width;
-        shape = match shape {
-            Shape::Unseen | Shape::AllWider if wider => Shape::AllWider,
-            Shape::Unseen | Shape::AllNarrower if narrower => Shape::AllNarrower,
-            Shape::Unseen | Shape::Mixed => Shape::Mixed,
-            Shape::AllWider | Shape::AllNarrower => {
-                // The first disagreeing row: the tentative rows are bad.
-                bad_lines += kept;
-                kept = 0;
-                cells.clear();
-                decoded.clear();
-                Shape::Mixed
-            }
-        };
-        if shape == Shape::Mixed && len != width {
-            bad_lines += 1;
-            continue;
-        }
-        kept += 1;
-        for i in 0..len.min(width) {
-            // An input span lies on `char` boundaries unless the dialect
-            // forced a non-ASCII byte next to it; that case and escaped
-            // fields decode lossily.
-            match rec.input_span(i) {
-                Some((start, end))
-                    if input.is_char_boundary(start) && input.is_char_boundary(end) =>
-                {
-                    cells.push(start..end);
-                }
-                _ => {
-                    let start = past + decoded.len();
-                    decoded.push_str(&rec.field(i));
-                    cells.push(start..past + decoded.len());
-                }
-            }
-        }
+        rows.push_record(&rec);
     }
 
     // Trailing-delimiter realignment (paper §3.3): all data rows one wider
-    // than the header with an empty last field ⇒ that field was never
-    // stored; or header one wider than all rows with an empty last name ⇒
-    // drop that name.
-    let realigned = matches!(shape, Shape::AllWider | Shape::AllNarrower);
-    if shape == Shape::AllNarrower {
-        header.pop();
+    // than the header with an empty last field ⇒ drop that field; or header
+    // one wider than all rows with an empty last name ⇒ drop that name.
+    let n = rows.num_rows();
+    let mut realigned = false;
+    let mut drop_last_cell = false;
+    if n > 0 {
+        let all_one_wider = (0..n).all(|i| {
+            let r = rows.row_range(i);
+            r.len() == width + 1 && bytes_blank(rows.cell_bytes(bytes, rows.cells[r.end - 1]))
+        });
+        if all_one_wider {
+            drop_last_cell = true;
+            realigned = true;
+        } else if width >= 2
+            && header.last().is_some_and(|h| h.trim().is_empty())
+            && (0..n).all(|i| rows.row_len(i) == width - 1)
+        {
+            header.pop();
+            realigned = true;
+        }
     }
-
-    // Second pass: each column's arena sized exactly, then filled.
     let width = header.len();
-    let text = |r: &Range<usize>| match r.start.checked_sub(past) {
-        Some(at) => &decoded[at..at + r.len()],
-        None => &input[r.clone()],
-    };
-    let mut sizes = vec![0usize; width];
-    for row in cells.chunks_exact(width) {
-        for (size, r) in sizes.iter_mut().zip(row) {
-            *size += r.len();
-        }
-    }
-    // A column past `u32::MAX` bytes fails its push below; its arena is
-    // not sized past what it can hold.
-    let mut columns: Vec<CellArena> = sizes
-        .iter()
-        .map(|&size| CellArena::with_capacity(kept, size.min(u32::MAX as usize)))
-        .collect();
-    for row in cells.chunks_exact(width) {
-        for (column, r) in columns.iter_mut().zip(row) {
-            column.push(text(r))?;
-        }
-    }
 
+    // Bad-line removal + materialization: only cells of kept rows are
+    // copied, each onto the end of its column's arena.
+    let mut bad_lines = 0usize;
+    let mut columns: Vec<CellArena> = (0..width).map(|_| CellArena::with_capacity(n, 0)).collect();
+    for i in 0..n {
+        let r = rows.row_range(i);
+        let effective_len = r.len() - usize::from(drop_last_cell);
+        if effective_len == width {
+            for (j, &cell) in rows.cells[r].iter().take(width).enumerate() {
+                // An input span lies on `char` boundaries unless the dialect
+                // forced a non-ASCII byte next to it; that case and escaped
+                // fields decode lossily.
+                let text = match cell {
+                    CellRef::Input { start, end } => input.get(start..end),
+                    CellRef::Arena { .. } => None,
+                };
+                match text {
+                    Some(text) => columns[j].push(text)?,
+                    None => {
+                        columns[j].push(&String::from_utf8_lossy(rows.cell_bytes(bytes, cell)))?
+                    }
+                }
+            }
+        } else {
+            bad_lines += 1;
+        }
+    }
+    bad_lines += empty_lines;
+
+    let kept = columns.first().map_or(0, CellArena::len);
     let total = kept + bad_lines;
     if total > 0 && bad_lines as f64 / total as f64 > options.max_bad_line_fraction {
         return Err(CsvError::TooManyBadLines {
