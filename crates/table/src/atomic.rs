@@ -209,7 +209,7 @@ fn in_number_or_date(b: u8) -> bool {
 /// Infers the [`AtomicType`] of a single cell value.
 ///
 /// A cell holding a byte that no number or timestamp holds skips the
-/// number and date checks; on real tables that is most text cells.
+/// number and date checks.
 #[must_use]
 pub fn infer_value_type(value: &str) -> AtomicType {
     // `trim` is a no-op when both ends are visible ASCII, as nearly all are.
