@@ -187,18 +187,6 @@ impl KnowledgeGraph {
     pub fn lookup(&self, value: &str) -> Option<&'static str> {
         self.entities.get(&value.trim().to_lowercase()).copied()
     }
-
-    /// Number of entities.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entities.len()
-    }
-
-    /// Whether the dictionary is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
-    }
 }
 
 /// Cell-value linking with majority vote.
@@ -237,7 +225,7 @@ impl KgMatcher for CellValueMatcher {
             let mut votes: HashMap<&'static str, usize> = HashMap::new();
             let mut total = 0usize;
             for v in col.values() {
-                if gittables_table::atomic::is_missing(v) {
+                if gittables_table::is_missing(v) {
                     continue;
                 }
                 total += 1;
@@ -288,7 +276,7 @@ impl PatternMatcher {
         if v.starts_with("http://") || v.starts_with("https://") {
             return Some("url");
         }
-        if gittables_table::atomic::is_date(v) {
+        if gittables_table::is_date(v) {
             return Some("date");
         }
         if v.len() == 5 && v.bytes().all(|b| b.is_ascii_digit()) {
@@ -328,7 +316,7 @@ fn predict_pattern_column(i: usize, col: &Column, min_support: f64) -> Option<Kg
     let mut votes: HashMap<&'static str, usize> = HashMap::new();
     let mut total = 0usize;
     for v in col.values() {
-        if gittables_table::atomic::is_missing(v) {
+        if gittables_table::is_missing(v) {
             continue;
         }
         total += 1;
@@ -514,6 +502,6 @@ mod tests {
         assert_eq!(kg.lookup(" London "), Some("city"));
         assert_eq!(kg.lookup("USA"), Some("country"));
         assert_eq!(kg.lookup("42"), None);
-        assert!(!kg.is_empty());
+        assert!(!kg.entities.is_empty());
     }
 }

@@ -12,24 +12,27 @@
 //!   threshold. Annotates ≈71 % of columns; similarity scores are attached
 //!   as confidence (Fig. 2, Fig. 4c).
 //!
-//! [`kgmatch`] implements the cell-value-linking / pattern / header matchers
-//! whose behaviour on database-like tables reproduces the low SemTab scores
-//! of Fig. 6a.
+//! [`CellValueMatcher`], [`PatternMatcher`] and [`HeaderMatcher`] are the
+//! cell-value-linking / pattern / header [`KgMatcher`]s whose behaviour on
+//! database-like tables reproduces the low SemTab scores of Fig. 6a.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod annotation;
-pub mod cache;
-pub mod contextual;
-pub mod hierarchy;
-pub mod kgmatch;
-pub mod semantic;
-pub mod syntactic;
+mod annotation;
+mod cache;
+mod contextual;
+mod hierarchy;
+mod kgmatch;
+mod semantic;
+mod syntactic;
 
 pub use annotation::{Annotation, Method, TableAnnotations};
 pub use cache::{AnnotationCache, NameAnnotations};
 pub use contextual::ContextualAnnotator;
 pub use hierarchy::HierarchyScorer;
-pub use semantic::SemanticAnnotator;
+pub use kgmatch::{
+    score_predictions, CellValueMatcher, HeaderMatcher, KgMatcher, KgPrediction, PatternMatcher,
+};
+pub use semantic::{SemanticAnnotator, DEFAULT_THRESHOLD};
 pub use syntactic::SyntacticAnnotator;

@@ -5,7 +5,7 @@
 //! corpus. Extra knob: `--columns <n>` per corpus (default 400).
 
 use crate::{print_table, Ctx};
-use gittables_core::shift::domain_shift_experiment;
+use gittables_core::domain_shift_experiment;
 
 /// Prints the experiment.
 pub fn run(ctx: &Ctx) {

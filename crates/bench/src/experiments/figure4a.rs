@@ -5,7 +5,7 @@
 //! column curve. We print both cumulative series at log-spaced thresholds.
 
 use crate::{bar, print_table, Ctx};
-use gittables_corpus::stats::{col_dims, cumulative_counts, row_dims};
+use gittables_corpus::{col_dims, cumulative_counts, row_dims};
 
 /// Prints the experiment.
 pub fn run(ctx: &Ctx) {

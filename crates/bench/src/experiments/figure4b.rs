@@ -6,7 +6,7 @@
 
 use crate::{histogram_rows, print_table, Ctx};
 use gittables_annotate::Method;
-use gittables_corpus::annstats::coverage_histogram;
+use gittables_corpus::coverage_histogram;
 
 /// Prints the experiment.
 pub fn run(ctx: &Ctx) {

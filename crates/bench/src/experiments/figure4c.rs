@@ -5,7 +5,7 @@
 //! type labels) with the remaining mass centered around 0.75.
 
 use crate::{histogram_rows, print_table, Ctx};
-use gittables_corpus::annstats::similarity_histogram;
+use gittables_corpus::similarity_histogram;
 use gittables_ontology::OntologyKind;
 
 /// Prints the experiment.

@@ -8,7 +8,7 @@
 //! on the same construction.
 
 use crate::{print_table, Ctx};
-use gittables_annotate::kgmatch::{CellValueMatcher, HeaderMatcher, KgMatcher, PatternMatcher};
+use gittables_annotate::{CellValueMatcher, HeaderMatcher, KgMatcher, PatternMatcher};
 use gittables_core::apps::{build_cta_benchmark, run_kg_benchmark};
 use gittables_ontology::OntologyKind;
 

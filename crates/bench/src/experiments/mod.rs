@@ -1,28 +1,28 @@
 //! The experiments, one module each, and the registry that indexes them.
 
-pub mod ablation_context;
-pub mod ablation_embed;
-pub mod ablation_threshold;
-pub mod completion_eval;
-pub mod domain_shift;
-pub mod figure3;
-pub mod figure4a;
-pub mod figure4b;
-pub mod figure4c;
-pub mod figure5;
-pub mod figure6a;
-pub mod figure6b;
-pub mod pipeline_rates;
-pub mod search_benchmark;
-pub mod t2d;
-pub mod table1;
-pub mod table2;
-pub mod table3;
-pub mod table4;
-pub mod table5;
-pub mod table6;
-pub mod table7;
-pub mod table8;
+mod ablation_context;
+mod ablation_embed;
+mod ablation_threshold;
+mod completion_eval;
+mod domain_shift;
+mod figure3;
+mod figure4a;
+mod figure4b;
+mod figure4c;
+mod figure5;
+mod figure6a;
+mod figure6b;
+mod pipeline_rates;
+mod search_benchmark;
+mod t2d;
+mod table1;
+mod table2;
+mod table3;
+mod table4;
+mod table5;
+mod table6;
+mod table7;
+mod table8;
 
 use crate::Ctx;
 

@@ -8,9 +8,9 @@
 
 use crate::{print_table, Ctx};
 use gittables_annotate::{SemanticAnnotator, SyntacticAnnotator};
-use gittables_core::t2d_eval::{evaluate_semantic, evaluate_syntactic};
+use gittables_core::{evaluate_semantic, evaluate_syntactic};
 use gittables_ontology::dbpedia;
-use gittables_synth::t2d::generate_benchmark;
+use gittables_synth::generate_benchmark;
 use std::sync::Arc;
 
 /// Prints the experiment.

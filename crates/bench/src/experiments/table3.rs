@@ -8,7 +8,7 @@
 
 use crate::{print_table, Ctx};
 use gittables_annotate::Method;
-use gittables_curate::faker::FakerClass;
+use gittables_curate::FakerClass;
 use gittables_ontology::OntologyKind;
 
 /// Paper ordering of Table 3.

@@ -9,7 +9,7 @@
 //! `--classifier forest|logistic|mlp` (the classifier ablation).
 
 use crate::{print_table, Ctx};
-use gittables_core::apps::type_detection::{
+use gittables_core::apps::{
     build_type_dataset, build_webtable_type_dataset, train_eval_cross, train_sherlock,
     TypeDetectionConfig,
 };

@@ -1,5 +1,5 @@
 //! The `expt` harness: one binary regenerates every table and figure of
-//! the paper from a registry of experiments ([`experiments::REGISTRY`], in
+//! the paper from a registry of experiments ([`REGISTRY`], in
 //! the paper's order; README "Experiments" holds the index and the
 //! measured suite time).
 //!
@@ -22,12 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
+mod experiments;
+
+pub use experiments::{Experiment, REGISTRY};
 
 use std::fmt;
 use std::sync::OnceLock;
 
-use experiments::{Experiment, REGISTRY};
 use gittables_core::{Pipeline, PipelineConfig, PipelineReport};
 use gittables_corpus::{Corpus, Histogram};
 use gittables_githost::GitHost;

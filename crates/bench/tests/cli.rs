@@ -3,7 +3,7 @@
 
 use std::process::{Command, Output};
 
-use gittables_bench::experiments::REGISTRY;
+use gittables_bench::REGISTRY;
 
 fn expt(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_expt"))

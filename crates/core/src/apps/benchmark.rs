@@ -8,8 +8,8 @@
 //! content. We rebuild the benchmark from a corpus and evaluate our matcher
 //! baselines the same way.
 
-use gittables_annotate::kgmatch::{score_predictions, KgMatcher};
 use gittables_annotate::Method;
+use gittables_annotate::{score_predictions, KgMatcher};
 use gittables_corpus::Corpus;
 use gittables_ontology::OntologyKind;
 use gittables_table::Table;
@@ -125,8 +125,9 @@ pub fn run_kg_benchmark(benchmark: &CtaBenchmark, matcher: &dyn KgMatcher) -> Kg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gittables_annotate::kgmatch::{CellValueMatcher, HeaderMatcher, PatternMatcher};
-    use gittables_annotate::{Annotation, TableAnnotations};
+    use gittables_annotate::{
+        Annotation, CellValueMatcher, HeaderMatcher, PatternMatcher, TableAnnotations,
+    };
     use gittables_corpus::AnnotatedTable;
 
     fn corpus() -> Corpus {

@@ -24,7 +24,7 @@ pub struct CompletionEval {
     /// Top-k contained the true next attribute anywhere in some completion.
     pub soft_hits: usize,
     /// Top-k contained an attribute semantically close to the true next
-    /// attribute (embedding cosine ≥ [`SEMANTIC_HIT_THRESHOLD`]) — headers
+    /// attribute (embedding cosine ≥ `SEMANTIC_HIT_THRESHOLD`, 0.70) — headers
     /// in the wild are abbreviated/mutated, so exact matching undercounts.
     pub semantic_hits: usize,
     /// Cutoff used.

@@ -1,22 +1,25 @@
 //! The paper's §5 applications built on the corpus.
 
-pub mod benchmark;
-pub mod completion_eval;
-pub mod schema_completion;
-pub mod search;
-pub mod search_benchmark;
-pub mod type_detection;
+mod benchmark;
+mod completion_eval;
+mod schema_completion;
+mod search;
+mod search_benchmark;
+mod type_detection;
 
-pub use benchmark::{build_cta_benchmark, run_kg_benchmark, CtaBenchmark, KgBenchmarkRow};
+pub use benchmark::{
+    build_cta_benchmark, run_kg_benchmark, CtaBenchmark, CtaTable, KgBenchmarkRow,
+};
 pub use completion_eval::{evaluate_completion, CompletionEval};
 pub use schema_completion::{NearestCompletion, SchemaCompletion};
 pub use search::{DataSearch, SearchHit};
-pub use search_benchmark::{default_queries, evaluate_search, mean_ndcg, BenchmarkQuery};
-pub use type_detection::{build_type_dataset, train_sherlock, TypeDetectionConfig};
-
-/// What [`DataSearch::word_memo_stats`] and
-/// [`NearestCompletion::word_memo_stats`] return.
-pub use gittables_embed::MemoStats;
+pub use search_benchmark::{
+    default_queries, evaluate_search, mean_ndcg, BenchmarkQuery, QueryScore,
+};
+pub use type_detection::{
+    build_type_dataset, build_webtable_type_dataset, train_eval_cross, train_sherlock,
+    TypeDetectionConfig,
+};
 
 /// Shared generators for the ranking proptests of [`search`] and
 /// [`schema_completion`]: small random corpora dense in exact ties.

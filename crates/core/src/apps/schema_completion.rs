@@ -31,7 +31,7 @@ pub struct SchemaCompletion {
 /// Per-attribute embeddings live flat in one row-major [`F32Matrix`]
 /// (schema `i`'s rows are `starts[i]..starts[i + 1]`), which is either
 /// built in memory or a zero-copy view into a mapped index sidecar
-/// ([`gittables_corpus::sidecar`]). Queries score a packed copy made from
+/// ([`gittables_corpus::SidecarIndexes`]). Queries score a packed copy made from
 /// those rows, so both boot paths rank bit-identically.
 ///
 /// **Memory.** The packed copy holds every attribute row, `dim × 4`

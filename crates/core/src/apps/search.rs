@@ -46,7 +46,7 @@ pub struct SearchHit {
 ///
 /// Entry embeddings live in one row-major [`F32Matrix`], which is either
 /// built in memory or a zero-copy view into a mapped index sidecar
-/// ([`gittables_corpus::sidecar`]). Scoring reads the packed copy made
+/// ([`gittables_corpus::SidecarIndexes`]). Scoring reads the packed copy made
 /// from those rows where the index is assembled, so both boot paths rank
 /// bit-identically.
 pub struct DataSearch {

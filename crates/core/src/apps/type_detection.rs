@@ -17,7 +17,7 @@ use gittables_ml::{
     LogisticRegression, Mlp, MlpConfig, RandomForest,
 };
 use gittables_ontology::OntologyKind;
-use gittables_synth::tablegen::GeneratedTable;
+use gittables_synth::GeneratedTable;
 use serde::{Deserialize, Serialize};
 
 /// The five semantic types of the paper's Table 7 experiment.
@@ -191,7 +191,7 @@ pub fn train_eval_cross(
     };
     model.fit(train);
     let pred = model.predict_all(&eval.features);
-    let m = gittables_ml::metrics::compute(&pred, &eval.labels, train.num_classes());
+    let m = gittables_ml::Metrics::compute(&pred, &eval.labels, train.num_classes());
     (m.accuracy, m.macro_f1)
 }
 

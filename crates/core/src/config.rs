@@ -99,7 +99,7 @@ impl PipelineConfig {
                 require_license: false,
                 ..CurationConfig::default()
             },
-            semantic_threshold: gittables_annotate::semantic::DEFAULT_THRESHOLD,
+            semantic_threshold: gittables_annotate::DEFAULT_THRESHOLD,
             anonymize: true,
             workers: 0,
             fault: FaultPolicy::default(),

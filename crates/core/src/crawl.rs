@@ -16,18 +16,17 @@
 //!   alongside `quarantine.json`, so the schedule survives restarts;
 //! * each pass reports pool/breaker statistics (when the host is a
 //!   [`gittables_githost::HostPool`]) via [`PassOutcome::pool`];
-//! * a stop flag — typically set by the [`signals`] SIGTERM/SIGINT
-//!   handler — stops the loop *gracefully*: in-flight shards finish and
-//!   commit, deferred shards wait for the next daemon start, and the
-//!   crawl state is saved before returning.
+//! * a stop flag — typically the one [`install_stop_signals`] points
+//!   SIGTERM/SIGINT at — stops the loop *gracefully*: in-flight shards
+//!   finish and commit, deferred shards wait for the next daemon start,
+//!   and the crawl state is saved before returning.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use gittables_corpus::persist;
-use gittables_corpus::store::{CorpusStore, StoreError};
+use gittables_corpus::{CorpusStore, StoreError};
 use gittables_githost::{sleep_until_stop, CodeHost, PoolStats};
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +67,7 @@ impl CrawlState {
     /// I/O failures other than the file not existing, and malformed
     /// JSON (surfaced as [`std::io::ErrorKind::InvalidData`]).
     pub fn load(dir: &Path) -> std::io::Result<Self> {
-        persist::load_state(dir, CRAWL_STATE_FILE)
+        gittables_corpus::load_state(dir, CRAWL_STATE_FILE)
     }
 
     /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
@@ -78,7 +77,7 @@ impl CrawlState {
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        persist::save_state(dir, CRAWL_STATE_FILE, self)
+        gittables_corpus::save_state(dir, CRAWL_STATE_FILE, self)
     }
 
     /// Whether `repo` may be re-attempted at the current pass.
@@ -172,7 +171,7 @@ pub struct CrawlSummary {
 
 /// Runs the crawl loop: incremental store passes, scheduled quarantine
 /// drains with exponential per-repo cooldowns, per-pass observer
-/// callbacks, and graceful stop. See the [module docs](self).
+/// callbacks, and graceful stop. See the `crawl` module docs.
 ///
 /// # Errors
 /// Store I/O and consistency failures from the underlying runs; crawl
@@ -277,30 +276,17 @@ pub fn crawl(
     })
 }
 
-/// Process-wide SIGTERM/SIGINT handling for the crawl daemon: both
-/// signals raise one flag ([`gittables_sys::raise_flag_on`] — the handler
-/// is a single atomic store) that the crawl loop polls at shard
-/// boundaries and during interval sleeps.
-pub mod signals {
-    use std::sync::atomic::AtomicBool;
+/// The crawl daemon's process-wide stop flag.
+static STOP: AtomicBool = AtomicBool::new(false);
 
-    use gittables_sys::{raise_flag_on, Signal};
-
-    static STOP: AtomicBool = AtomicBool::new(false);
-
-    /// Installs the SIGTERM/SIGINT handlers and returns the stop flag
-    /// they set.
-    pub fn install() -> &'static AtomicBool {
-        raise_flag_on(Signal::Int, &STOP);
-        raise_flag_on(Signal::Term, &STOP);
-        &STOP
-    }
-
-    /// The process-wide stop flag, without (re)installing handlers.
-    #[must_use]
-    pub fn stop_flag() -> &'static AtomicBool {
-        &STOP
-    }
+/// Installs the crawl daemon's SIGTERM/SIGINT handling and returns the
+/// stop flag: both signals raise it ([`gittables_sys::raise_flag_on`] —
+/// the handler is a single atomic store), and the crawl loop polls it at
+/// shard boundaries and during interval sleeps.
+pub fn install_stop_signals() -> &'static AtomicBool {
+    gittables_sys::raise_flag_on(gittables_sys::Signal::Int, &STOP);
+    gittables_sys::raise_flag_on(gittables_sys::Signal::Term, &STOP);
+    &STOP
 }
 
 #[cfg(test)]
@@ -351,8 +337,8 @@ mod tests {
 
     #[test]
     fn signal_flag_installs_and_reads() {
-        let flag = signals::install();
+        let flag = install_stop_signals();
         assert!(!flag.load(Ordering::Relaxed));
-        assert!(std::ptr::eq(flag, signals::stop_flag()));
+        assert!(std::ptr::eq(flag, &STOP));
     }
 }

@@ -14,9 +14,8 @@
 
 use std::collections::HashMap;
 
-use gittables_githost::search::MAX_FILE_SIZE;
 use gittables_githost::{
-    CodeHost, FileKind, HostError, Query, SearchResult, MAX_RESULTS_PER_QUERY,
+    CodeHost, FileKind, HostError, Query, SearchResult, MAX_FILE_SIZE, MAX_RESULTS_PER_QUERY,
 };
 use serde::{Deserialize, Serialize};
 

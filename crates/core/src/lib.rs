@@ -4,14 +4,14 @@
 //! Large-Scale Corpus of Relational Tables* (SIGMOD 2023). It wires the
 //! substrates together into the paper's pipeline (Fig. 1):
 //!
-//! 1. **Extraction** ([`extract`]) — WordNet topic queries against the
+//! 1. **Extraction** ([`extract_topic`]) — WordNet topic queries against the
 //!    (simulated) GitHub search API for every file kind (CSV and SQL
 //!    dumps), with size-range segmentation to work around the
 //!    1 000-result cap (§3.2).
-//! 2. **Parsing** ([`parse`]) — per-kind dispatch: CSV sniffing + robust
-//!    parsing with the §3.3 rules (99.3 % of files parse), and SQL-dump
-//!    decoding via `gittables_tablesql` (a dump can yield several
-//!    tables, one per `CREATE`/`INSERT`/`COPY` section).
+//! 2. **Parsing** ([`parse_file_tables`]) — per-kind dispatch: CSV
+//!    sniffing + robust parsing with the §3.3 rules (99.3 % of files
+//!    parse), and SQL-dump decoding via `gittables_tablesql` (a dump can
+//!    yield several tables, one per `CREATE`/`INSERT`/`COPY` section).
 //! 3. **Curation** — license/dimension/header/social filters and PII
 //!    anonymization (§3.3).
 //! 4. **Annotation** — syntactic and semantic column annotation against
@@ -21,8 +21,9 @@
 //!
 //! The [`apps`] module implements the paper's §5 applications: semantic type
 //! detection, schema completion (Algorithm 1), data search, and the
-//! table-to-KG benchmark. [`shift`] implements the §4.2 data-shift
-//! experiment and [`t2d_eval`] the §4.3 annotation-quality evaluation.
+//! table-to-KG benchmark. [`domain_shift_experiment`] implements the §4.2
+//! data-shift experiment and [`evaluate_semantic`] /
+//! [`evaluate_syntactic`] the §4.3 annotation-quality evaluation.
 //!
 //! # Quickstart
 //!
@@ -43,20 +44,25 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod config;
-pub mod crawl;
-pub mod extract;
-pub mod parse;
-pub mod pipeline;
-pub mod quarantine;
-pub mod shift;
-pub mod t2d_eval;
+mod config;
+mod crawl;
+mod extract;
+mod parse;
+mod pipeline;
+mod quarantine;
+mod shift;
+mod t2d_eval;
 
 pub use config::{FaultPolicy, PipelineConfig};
-pub use crawl::{crawl, CrawlOptions, CrawlState, CrawlSummary, PassOutcome, RepoCooldown};
-pub use extract::{extract_topic, RawCsvFile};
-pub use parse::{parse_file, parse_file_tables, ParseFailure};
+pub use crawl::{
+    crawl, install_stop_signals, CrawlOptions, CrawlState, CrawlSummary, PassOutcome, RepoCooldown,
+    CRAWL_STATE_FILE,
+};
+pub use extract::{extract_topic, ExtractStats, RawCsvFile};
+pub use parse::{parse_file_tables, ParseFailure};
 pub use pipeline::{
     Pipeline, PipelineReport, Quarantined, RetrySelection, StoreRun, StoreRunOptions,
 };
 pub use quarantine::QuarantineLog;
+pub use shift::domain_shift_experiment;
+pub use t2d_eval::{evaluate_semantic, evaluate_syntactic, T2dReport};

@@ -9,9 +9,8 @@ use gittables_annotate::{
     Annotation, AnnotationCache, NameAnnotations, SemanticAnnotator, SyntacticAnnotator,
     TableAnnotations,
 };
-use gittables_corpus::store::{shard_id_for, CorpusStore, StoreError};
-use gittables_corpus::{AnnotatedTable, Corpus};
-use gittables_curate::{anonymize_table, FilterReason};
+use gittables_corpus::{shard_id_for, AnnotatedTable, Corpus, CorpusStore, StoreError};
+use gittables_curate::anonymize_table;
 use gittables_embed::{MemoStats, WordMemo};
 use gittables_githost::{CodeHost, FileKind, GitHost, Repository};
 use gittables_ontology::{contains_digit, dbpedia, normalize_label, schema_org, Ontology};
@@ -330,7 +329,8 @@ impl Pipeline {
         (files, report.queries_executed)
     }
 
-    /// The full extraction stage under the configured [`FaultPolicy`]:
+    /// The full extraction stage under the configured
+    /// [`FaultPolicy`](crate::FaultPolicy):
     /// every topic is extracted through one shared [`FaultSession`] (so
     /// retry budgets and quarantines are repository-global), files of
     /// quarantined repositories are dropped — including files fetched
@@ -836,11 +836,6 @@ fn shard_by_repository(raw_files: &[RawCsvFile]) -> Vec<RepoShard<'_>> {
     }
     shards
 }
-
-/// Re-exported for report consumers matching on filter tags.
-pub use gittables_curate::FilterReason as Filter;
-
-const _: fn() -> &'static str = || FilterReason::TooFewRows.tag();
 
 #[cfg(test)]
 mod tests {

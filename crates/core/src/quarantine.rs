@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use gittables_corpus::persist;
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::Quarantined;
@@ -36,7 +35,7 @@ impl QuarantineLog {
     /// I/O failures other than the file not existing, and malformed JSON
     /// (surfaced as [`std::io::ErrorKind::InvalidData`]).
     pub fn load(dir: &Path) -> std::io::Result<Self> {
-        persist::load_state(dir, QUARANTINE_FILE)
+        gittables_corpus::load_state(dir, QUARANTINE_FILE)
     }
 
     /// Atomically and durably rewrites the sidecar (write-to-temp, fsync,
@@ -46,7 +45,7 @@ impl QuarantineLog {
     /// # Errors
     /// Underlying I/O failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        persist::save_state(dir, QUARANTINE_FILE, self)
+        gittables_corpus::save_state(dir, QUARANTINE_FILE, self)
     }
 
     /// The log as a skip map (`repository → recorded reason`) for the

@@ -11,7 +11,7 @@
 //! * disagreements broken down by the generator's gold-kind classes.
 
 use gittables_annotate::{Annotation, SemanticAnnotator, SyntacticAnnotator};
-use gittables_synth::t2d::{GoldKind, GoldTable};
+use gittables_synth::{GoldKind, GoldTable};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate agreement statistics of one annotator on the benchmark.
@@ -99,7 +99,7 @@ pub fn evaluate_semantic(benchmark: &[GoldTable], annotator: &SemanticAnnotator)
 mod tests {
     use super::*;
     use gittables_ontology::dbpedia;
-    use gittables_synth::t2d::generate_benchmark;
+    use gittables_synth::generate_benchmark;
     use std::sync::Arc;
 
     #[test]

@@ -49,7 +49,7 @@ pub fn bias_audit(corpus: &Corpus, method: Method, top_k: usize) -> Vec<BiasRow>
             let values = per_type_values.entry(audited).or_default();
             if let Some(col) = t.table.column(a.column) {
                 for v in col.values() {
-                    if gittables_table::atomic::is_missing(v) {
+                    if gittables_table::is_missing(v) {
                         continue;
                     }
                     // Paper footnote: merge "USA" into "United States".

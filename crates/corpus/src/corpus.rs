@@ -68,8 +68,9 @@ impl AnnotatedTable {
 
 /// Stable identifier of a table inside a corpus: its global position.
 ///
-/// The sharded store ([`crate::store`]) records every table's global
-/// position and [`crate::store::CorpusStore::load_corpus`] reassembles
+/// The sharded store ([`CorpusStore`](crate::CorpusStore)) records every
+/// table's global position and
+/// [`CorpusStore::load_corpus`](crate::CorpusStore::load_corpus) reassembles
 /// tables in that order, so the id a table gets here is the same across
 /// save/load round trips and across resumed builds — stable enough to
 /// hand out over a network API.

@@ -79,27 +79,6 @@ pub fn table_fingerprint(table: &gittables_table::Table) -> u64 {
     h
 }
 
-/// Sketch fingerprint: schema + a bounded sample of cells (first/last rows),
-/// catching truncated or extended near-duplicates of the same source.
-#[must_use]
-pub fn table_sketch(table: &gittables_table::Table) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for a in table.schema().iter() {
-        fnv(&mut h, a.as_bytes());
-        fnv(&mut h, b"\x1f");
-    }
-    let rows = table.num_rows();
-    for r in (0..rows.min(4)).chain(rows.saturating_sub(2)..rows) {
-        if let Some(row) = table.row(r) {
-            for v in row {
-                fnv(&mut h, v.as_bytes());
-                fnv(&mut h, b"\x1e");
-            }
-        }
-    }
-    h
-}
-
 /// Folds a sequence of per-table fingerprints into one order-sensitive
 /// digest: FNV-1a over the little-endian bytes of each fingerprint. Used by
 /// the sharded store to fingerprint a whole shard — reordering, dropping, or
@@ -252,26 +231,5 @@ mod tests {
         assert_ne!(combine_fingerprints([a, b]), combine_fingerprints([b, a]));
         assert_ne!(combine_fingerprints([a, b]), combine_fingerprints([a]));
         assert_eq!(combine_fingerprints([a, b]), combine_fingerprints([a, b]));
-    }
-
-    #[test]
-    fn sketch_stable_under_middle_changes() {
-        // The sketch samples head/tail rows only, so two long tables sharing
-        // head & tail hash equal — near-duplicate detection for snapshots.
-        let rows_a: Vec<[&'static str; 2]> = vec![
-            ["1", "x"],
-            ["2", "y"],
-            ["3", "z"],
-            ["4", "w"],
-            ["5", "q"],
-            ["6", "t"],
-            ["7", "u"],
-        ];
-        let mut rows_b = rows_a.clone();
-        rows_b[4] = ["5", "CHANGED"]; // middle row (not in head-4 or tail-2)
-        let a = t("a", &rows_a);
-        let b = t("b", &rows_b);
-        assert_eq!(table_sketch(&a.table), table_sketch(&b.table));
-        assert_ne!(table_fingerprint(&a.table), table_fingerprint(&b.table));
     }
 }

@@ -18,9 +18,9 @@
 //! * **kill** — the process `SIGKILL`s itself at the site, simulating a
 //!   crash at that exact point for torture tests.
 //!
-//! Arming is either programmatic ([`configure`], for in-process tests —
-//! a `path_filter` scopes the point to one store directory so parallel
-//! tests cannot trip each other's points) or via the environment
+//! Arming is either programmatic ([`configure_failpoint`], for in-process
+//! tests — a `path_filter` scopes the point to one store directory so
+//! parallel tests cannot trip each other's points) or via the environment
 //! variable `GITTABLES_FAILPOINTS` (`name=mode[@N];name2=mode`, for
 //! child processes in crash-torture harnesses). Points are one-shot:
 //! they disarm when they fire. When nothing is armed, the hot-path cost
@@ -118,7 +118,7 @@ fn registry() -> &'static Mutex<HashMap<String, Point>> {
 /// Arms failpoint `name` to fire on its `nth` (1-based) hit whose path
 /// contains `path_filter` (every hit matches when `None`). Rearming an
 /// armed point replaces it.
-pub fn configure(name: &str, mode: FailMode, nth: u64, path_filter: Option<&str>) {
+pub fn configure_failpoint(name: &str, mode: FailMode, nth: u64, path_filter: Option<&str>) {
     let mut reg = registry().lock().expect("failpoint registry poisoned");
     reg.insert(
         name.to_string(),
@@ -133,7 +133,7 @@ pub fn configure(name: &str, mode: FailMode, nth: u64, path_filter: Option<&str>
 }
 
 /// Disarms failpoint `name` (a no-op when not armed).
-pub fn clear(name: &str) {
+pub fn clear_failpoint(name: &str) {
     registry()
         .lock()
         .expect("failpoint registry poisoned")
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn fires_once_on_nth_matching_hit() {
-        configure("fp::test_a", FailMode::Err, 2, Some("/fp-a/"));
+        configure_failpoint("fp::test_a", FailMode::Err, 2, Some("/fp-a/"));
         assert_eq!(hit("fp::test_a", "/elsewhere/x"), None);
         assert_eq!(hit("fp::test_a", "/fp-a/x"), None);
         assert_eq!(hit("fp::test_a", "/fp-a/x"), Some(Triggered::Error));
@@ -199,8 +199,8 @@ mod tests {
     #[test]
     fn unarmed_sites_are_silent() {
         assert_eq!(hit("fp::never_armed", "/anywhere"), None);
-        configure("fp::test_b", FailMode::Short, 1, None);
+        configure_failpoint("fp::test_b", FailMode::Short, 1, None);
         assert_eq!(hit("fp::test_b", "/any/path"), Some(Triggered::Short));
-        clear("fp::test_b");
+        clear_failpoint("fp::test_b");
     }
 }

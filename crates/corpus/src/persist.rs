@@ -110,7 +110,7 @@ pub fn load_state<T: Deserialize + Default>(dir: &Path, name: &str) -> std::io::
 }
 
 /// Replaces the JSON state file `dir/name` with `state` through
-/// [`write_durably`], so a crash mid-save can never leave a torn file
+/// `write_durably`, so a crash mid-save can never leave a torn file
 /// and a crash after it cannot lose the save.
 ///
 /// # Errors

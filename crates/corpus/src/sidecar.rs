@@ -332,7 +332,7 @@ fn directory_of(
 }
 
 /// Builds the sidecar of `store` in one buffer and commits it with one
-/// atomic, durable replace ([`crate::persist::write_durably`]): after a
+/// atomic, durable replace (`persist::write_durably`): after a
 /// failure the previous file, if any, is untouched. Returns the file's
 /// length in bytes.
 ///
@@ -435,7 +435,7 @@ pub fn write_indexes(
 // ---------------------------------------------------------------- matrices
 
 /// A row-major `f32` matrix whose storage is either owned or a live
-/// zero-copy view into a mapped sidecar ([`Arena`]). Rows are served as
+/// zero-copy view into a mapped sidecar. Rows are served as
 /// plain `&[f32]` slices either way, so index code is storage-agnostic
 /// and bit-identical across boot paths.
 pub struct F32Matrix {

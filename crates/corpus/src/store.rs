@@ -527,18 +527,6 @@ impl CorpusStore {
         })
     }
 
-    /// Opens `dir` as a store, creating a fresh `jsonl` one when no
-    /// manifest exists. See [`Self::open_or_create_with_format`].
-    ///
-    /// # Errors
-    /// Propagates [`Self::open`]/[`Self::create`] failures.
-    pub fn open_or_create(
-        dir: impl Into<PathBuf>,
-        name: impl Into<String>,
-    ) -> Result<Self, StoreError> {
-        Self::open_or_create_with_format(dir, name, StoreFormat::Jsonl)
-    }
-
     /// Opens `dir` as a store, creating a fresh one with `format` when no
     /// manifest exists. An existing store keeps its recorded format —
     /// `format` only applies to creation (use [`migrate_store`] to change

@@ -106,20 +106,14 @@ pub const SYNONYM_GROUPS: &[&[&str]] = &[
     &["spouse", "partner", "husband", "wife"],
 ];
 
-/// Returns the synonyms of `word` (lowercased exact match), excluding the
-/// word itself. Empty when the word is not in the lexicon.
+/// Returns the synonyms of `lower`, an already lower-cased word, excluding
+/// the word itself: one hash lookup in a table built on first use, no
+/// allocation. Empty when the word is not in the lexicon.
 ///
 /// The order is part of the contract — groups in [`SYNONYM_GROUPS`] order,
 /// then in-group order; a word in two groups gets both lists concatenated —
 /// because [`crate::NgramEmbedder::embed_word`] adds synonym vectors in
 /// this order and float addition does not commute across it.
-#[must_use]
-pub fn synonyms(word: &str) -> &'static [&'static str] {
-    synonyms_of_lower(&crate::ngram::lowered(word))
-}
-
-/// [`synonyms`] of a word that is already lower-cased: one hash lookup in
-/// a table built on first use, no allocation.
 pub(crate) fn synonyms_of_lower(lower: &str) -> &'static [&'static str] {
     static TABLE: OnceLock<HashMap<&'static str, Vec<&'static str>>> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -139,7 +133,12 @@ pub(crate) fn synonyms_of_lower(lower: &str) -> &'static [&'static str] {
 mod tests {
     use super::*;
 
-    /// The per-call scan [`synonyms`] replaced, kept as the oracle.
+    /// The synonyms of `word` in any case.
+    fn synonyms(word: &str) -> &'static [&'static str] {
+        synonyms_of_lower(&crate::ngram::lowered(word))
+    }
+
+    /// The per-call scan the table replaced, kept as the oracle.
     fn synonyms_by_scan(word: &str) -> Vec<&'static str> {
         let w = word.to_lowercase();
         let mut out = Vec::new();

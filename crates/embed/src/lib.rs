@@ -14,7 +14,7 @@
 //!   phrase the mean of its word vectors. Shared sub-words ⇒ high cosine,
 //!   which is the property the annotation pipeline exploits (the Fig. 4c peak
 //!   at cosine 1 comes from syntactic resemblance).
-//! * [`lexicon`] — a built-in synonym lexicon mixes related-word vectors into
+//! * a built-in synonym lexicon mixes related-word vectors into
 //!   each word's embedding, giving genuinely *semantic* similarity between
 //!   lexically unrelated terms (`sex` ≈ `gender`), standing in for what the
 //!   Common Crawl pretraining provides.
@@ -22,7 +22,7 @@
 //!   substitute used for schemas and search queries.
 //! * [`EmbeddingIndex`] — exact cosine nearest-neighbour search over a
 //!   fixed label set: the semantic annotator's best-cosine type.
-//! * [`rank`] — the bounded top-`k` selection shared by the index and the
+//! * [`best_k`] — the bounded top-`k` selection shared by the index and the
 //!   §5 applications.
 //! * [`Memo`] — the bounded, sharded map each value of which is computed
 //!   once; [`WordMemo`], a memo of word vectors (below), and the
@@ -43,8 +43,8 @@
 //!   built from a shared memo ([`EmbeddingIndex::build_with_memo`]) takes
 //!   *its* embedder from the memo, so no memo can hold a vector computed
 //!   under other parameters;
-//! * **cap** — [`memo::MAX_WORDS`] (65 536) words of at most
-//!   [`memo::MAX_WORD_BYTES`] (64) bytes; past either a lookup computes
+//! * **cap** — 65 536 words (`WORD_SHARDS` × `MAX_WORDS_PER_SHARD`,
+//!   16 × 4 096) of at most `MAX_WORD_BYTES` (64) bytes; past either a lookup computes
 //!   without storing, so results never depend on what is stored;
 //! * **worst-case footprint** — ~400 B per entry at the default `dim` of
 //!   64 (256 B of vector, ≤ 80 B of key, `Arc` and hash-slot overhead):
@@ -104,7 +104,7 @@
 //! after the first few rows nearly every row costs that compare and
 //! nothing else; the rest (a NaN, a signed zero, a tie) take the full
 //! order. The selection is the stable sort's prefix either way (see
-//! [`rank`]) and stays O(n log k).
+//! [`best_k`]) and stays O(n log k).
 //!
 //! [`dot`], [`norm`], [`cosine`] and [`cosine_with_norm`] remain the
 //! reference (`vector`'s proptests compare `to_bits` over every block
@@ -128,17 +128,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod index;
-pub mod lexicon;
-pub mod memo;
-pub mod ngram;
-pub mod rank;
-pub mod sentence;
-pub mod vector;
+mod index;
+mod lexicon;
+mod memo;
+mod ngram;
+mod rank;
+mod sentence;
+mod vector;
 
 pub use index::{EmbeddingIndex, Neighbor};
 pub use memo::{Memo, MemoStats, WordMemo};
-pub use ngram::{ngrams, NgramEmbedder};
+pub use ngram::{fnv1a, NgramEmbedder};
 pub use rank::{best_k, desc_nan_last};
 pub use sentence::SentenceEncoder;
 pub use vector::{cosine, cosine_of_dot, cosine_with_norm, dot, norm, normalize, PackedRows};

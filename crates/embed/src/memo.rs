@@ -27,9 +27,6 @@ pub const WORD_SHARDS: usize = 16;
 /// Per-shard entry cap of a [`WordMemo`].
 pub const MAX_WORDS_PER_SHARD: usize = 4096;
 
-/// Most words a memo holds (65 536).
-pub const MAX_WORDS: usize = WORD_SHARDS * MAX_WORDS_PER_SHARD;
-
 /// Longest lower-cased word (in bytes) a memo stores; longer ones are
 /// computed on every call, which bounds what one entry can cost.
 pub const MAX_WORD_BYTES: usize = 64;
@@ -236,6 +233,9 @@ impl WordMemo {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Most words a memo holds (65 536).
+    const MAX_WORDS: usize = WORD_SHARDS * MAX_WORDS_PER_SHARD;
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()

@@ -14,28 +14,6 @@ use std::borrow::Cow;
 use crate::lexicon;
 use crate::vector::{add_scaled, cosine, normalize, scale_inv};
 
-/// Extracts FastText-style character n-grams from a single word, including
-/// boundary markers and the full `<word>` token.
-#[must_use]
-pub fn ngrams(word: &str, n_min: usize, n_max: usize) -> Vec<String> {
-    let bounded: Vec<char> = std::iter::once('<')
-        .chain(word.chars())
-        .chain(std::iter::once('>'))
-        .collect();
-    let mut out = Vec::new();
-    for n in n_min..=n_max {
-        if n > bounded.len() {
-            break;
-        }
-        for w in bounded.windows(n) {
-            out.push(w.iter().collect());
-        }
-    }
-    // The full token (distinguishes the word from its substrings).
-    out.push(bounded.iter().collect());
-    out
-}
-
 /// Reusable scratch for borrowed n-gram iteration: holds the boundary-marked
 /// token (`<word>`) and its char-boundary offsets so grams can be yielded as
 /// `&str` slices instead of allocating one `String` per gram (embedding a
@@ -48,8 +26,9 @@ pub(crate) struct GramBuf {
 
 impl GramBuf {
     /// Calls `f` with every FastText-style n-gram of `word` — boundary
-    /// markers included, full `<word>` token last — in exactly the order
-    /// [`ngrams`] returns them, without allocating per gram.
+    /// markers included, full `<word>` token last — for each `n` in
+    /// `n_min..=n_max`, the `n`-char windows left to right, without
+    /// allocating per gram.
     pub fn for_each_gram(
         &mut self,
         word: &str,
@@ -249,6 +228,27 @@ pub(crate) fn mean_of_words<V: AsRef<[f32]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Extracts FastText-style character n-grams from a single word, including
+    /// boundary markers and the full `<word>` token.
+    fn ngrams(word: &str, n_min: usize, n_max: usize) -> Vec<String> {
+        let bounded: Vec<char> = std::iter::once('<')
+            .chain(word.chars())
+            .chain(std::iter::once('>'))
+            .collect();
+        let mut out = Vec::new();
+        for n in n_min..=n_max {
+            if n > bounded.len() {
+                break;
+            }
+            for w in bounded.windows(n) {
+                out.push(w.iter().collect());
+            }
+        }
+        // The full token (distinguishes the word from its substrings).
+        out.push(bounded.iter().collect());
+        out
+    }
 
     #[test]
     fn lowered_equals_to_lowercase() {

@@ -62,7 +62,7 @@ fn sum_identity() -> f32 {
 
 /// A fixed set of equal-length rows laid out for scoring one query
 /// against all of them (see the crate docs, *Scoring kernel*). Rows are
-/// grouped in blocks of [`ROW_BLOCK`], each block element-major —
+/// grouped in blocks of `ROW_BLOCK` (8), each block element-major —
 /// `block[j * ROW_BLOCK + r] == row(ROW_BLOCK * b + r)[j]` — so the
 /// eight values one query element multiplies sit side by side in memory.
 /// The last block is filled up with zero rows; their dots are computed

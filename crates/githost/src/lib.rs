@@ -35,14 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod fault;
-pub mod host;
-pub mod model;
-pub mod pool;
-pub mod search;
+mod clock;
+mod fault;
+mod host;
+mod model;
+mod pool;
+mod search;
 
-pub use clock::{sleep_until_stop, PoolClock};
+pub use clock::sleep_until_stop;
 pub use fault::{FaultCounts, FaultSpec, FlakyHost};
 pub use host::{CodeHost, GitHost, HostError};
 pub use model::{FileKind, RepoFile, Repository};
@@ -51,7 +51,7 @@ pub use pool::{
     ReplicaStats,
 };
 pub use search::{
-    Query, SearchApi, SearchResponse, SearchResult, MAX_RESULTS_PER_QUERY, PAGE_SIZE,
+    Query, SearchApi, SearchResponse, SearchResult, MAX_FILE_SIZE, MAX_RESULTS_PER_QUERY,
 };
 
 /// This crate's lock-poison policy, stated once: a fetch that panicked

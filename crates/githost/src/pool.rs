@@ -383,7 +383,7 @@ const MAX_WAITS: u32 = 64;
 
 /// A [`CodeHost`] routing every operation across N replica backends with
 /// rate budgets, circuit breakers and transient-failure failover. See
-/// the [module docs](self) for the scheduling rules.
+/// the `pool` module docs for the scheduling rules.
 pub struct HostPool<H> {
     replicas: Vec<H>,
     names: Vec<String>,

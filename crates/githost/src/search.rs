@@ -139,7 +139,7 @@ pub struct SearchResponse {
     /// what the paper calls the "initial response size" used to plan
     /// segmentation.
     pub total_count: usize,
-    /// Results on this page (at most [`PAGE_SIZE`]; the stream of pages is
+    /// Results on this page (at most `PAGE_SIZE`, 100; the stream of pages is
     /// truncated at [`MAX_RESULTS_PER_QUERY`] results).
     pub items: Vec<SearchResult>,
     /// Whether another page is available.
@@ -234,14 +234,19 @@ impl<'a> SearchApi<'a> {
     pub fn count(&self, query: &Query) -> usize {
         self.matching_ids(query).len()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{RepoFile, Repository};
 
     /// Traverses all pages of `query`, collecting up to the 1 000-result cap.
-    #[must_use]
-    pub fn search_all_pages(&self, query: &Query) -> Vec<SearchResult> {
+    fn search_all_pages(api: &SearchApi, query: &Query) -> Vec<SearchResult> {
         let mut out = Vec::new();
         let mut page = 1;
         loop {
-            let resp = self.search(query, page);
+            let resp = api.search(query, page);
             let done = !resp.has_next_page;
             out.extend(resp.items);
             if done {
@@ -251,12 +256,6 @@ impl<'a> SearchApi<'a> {
         }
         out
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::{RepoFile, Repository};
 
     fn host_with_files(n: usize) -> GitHost {
         let host = GitHost::new();
@@ -328,7 +327,7 @@ mod tests {
             )],
         });
         let api = host.search_api();
-        let hits = api.search_all_pages(&Query::sql("orders"));
+        let hits = search_all_pages(&api, &Query::sql("orders"));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].path, "db/orders.sql");
         // The CSV query does not see the dump, and vice versa.
@@ -384,7 +383,7 @@ mod tests {
         assert_eq!(first.total_count, 1200);
         assert_eq!(first.items.len(), PAGE_SIZE);
         assert!(first.has_next_page);
-        let all = api.search_all_pages(&q);
+        let all = search_all_pages(&api, &q);
         assert_eq!(all.len(), MAX_RESULTS_PER_QUERY); // capped
                                                       // Page past the cap is empty.
         let past = api.search(&q, 11);
@@ -401,7 +400,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for lo in (0..80).step_by(10) {
             let q = Query::csv("id").with_size(lo, lo + 9);
-            for r in api.search_all_pages(&q) {
+            for r in search_all_pages(&api, &q) {
                 seen.insert((r.repository, r.path));
             }
         }

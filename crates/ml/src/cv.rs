@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
-use crate::metrics::{self, Metrics};
+use crate::metrics::Metrics;
 use crate::Classifier;
 
 /// Per-fold and aggregate cross-validation results.
@@ -39,7 +39,7 @@ pub fn cross_validate<C: Classifier, F: FnMut() -> C>(
         let mut model = factory();
         model.fit(&train);
         let pred = model.predict_all(&test.features);
-        results.push(metrics::compute(&pred, &test.labels, data.num_classes()));
+        results.push(Metrics::compute(&pred, &test.labels, data.num_classes()));
     }
     let n = results.len().max(1) as f64;
     let mean_acc = results.iter().map(|m| m.accuracy).sum::<f64>() / n;

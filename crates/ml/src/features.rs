@@ -15,7 +15,7 @@
 //! semantic-type detection experiments (§5.1, Table 7).
 
 use gittables_embed::NgramEmbedder;
-use gittables_table::atomic::{infer_value_type, is_missing, AtomicType};
+use gittables_table::{infer_value_type, is_missing, AtomicType};
 
 /// The 96 printable ASCII characters tracked by the character features.
 pub const TRACKED_CHARS: usize = 96; // 0x20 ..= 0x7e plus a catch-all bin
@@ -326,16 +326,13 @@ fn clamp_f32(v: f64) -> f32 {
     }
 }
 
-/// One-shot extraction with a default extractor (convenience for tests and
-/// small experiments; build a [`FeatureExtractor`] for bulk use).
-#[must_use]
-pub fn extract_features(values: &[String]) -> Vec<f32> {
-    FeatureExtractor::default().extract(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn extract_features(values: &[String]) -> Vec<f32> {
+        FeatureExtractor::default().extract(values)
+    }
 
     fn col(vals: &[&str]) -> Vec<String> {
         vals.iter().map(|s| (*s).to_string()).collect()

@@ -17,23 +17,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cv;
-pub mod dataset;
-pub mod features;
-pub mod forest;
-pub mod linear;
-pub mod metrics;
-pub mod mlp;
-pub mod tree;
+mod cv;
+mod dataset;
+mod features;
+mod forest;
+mod linear;
+mod metrics;
+mod mlp;
+mod tree;
 
 pub use cv::{cross_validate, CvReport};
 pub use dataset::Dataset;
-pub use features::{extract_features, FeatureExtractor, FEATURE_COUNT};
+pub use features::{FeatureExtractor, FEATURE_COUNT};
 pub use forest::{ForestConfig, RandomForest};
 pub use linear::{LogisticConfig, LogisticRegression};
-pub use metrics::{accuracy, confusion_matrix, macro_f1, Metrics};
+pub use metrics::Metrics;
 pub use mlp::{Mlp, MlpConfig};
-pub use tree::{DecisionTree, TreeConfig};
+pub use tree::TreeConfig;
 
 /// Common classifier interface.
 pub trait Classifier {

@@ -35,49 +35,43 @@ pub fn confusion_matrix(pred: &[usize], gold: &[usize], k: usize) -> Vec<Vec<usi
     m
 }
 
-/// Macro-averaged F1 over `k` classes (classes absent from gold contribute 0
-/// only if also predicted — scikit-learn's convention of averaging over
-/// classes present in gold ∪ pred).
-#[must_use]
-pub fn macro_f1(pred: &[usize], gold: &[usize], k: usize) -> f64 {
-    compute(pred, gold, k).macro_f1
-}
-
-/// Full metric bundle.
-#[must_use]
-#[allow(clippy::needless_range_loop)]
-pub fn compute(pred: &[usize], gold: &[usize], k: usize) -> Metrics {
-    let m = confusion_matrix(pred, gold, k);
-    let mut per_class = Vec::with_capacity(k);
-    let mut f1_sum = 0.0;
-    let mut f1_count = 0usize;
-    for c in 0..k {
-        let tp = m[c][c] as f64;
-        let fp: f64 = (0..k).filter(|&g| g != c).map(|g| m[g][c] as f64).sum();
-        let fn_: f64 = (0..k).filter(|&p| p != c).map(|p| m[c][p] as f64).sum();
-        let support = tp + fn_;
-        let predicted = tp + fp;
-        let precision = if predicted > 0.0 { tp / predicted } else { 0.0 };
-        let recall = if support > 0.0 { tp / support } else { 0.0 };
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        per_class.push((precision, recall, f1));
-        if support > 0.0 || predicted > 0.0 {
-            f1_sum += f1;
-            f1_count += 1;
+impl Metrics {
+    /// Full metric bundle.
+    #[must_use]
+    #[allow(clippy::needless_range_loop)]
+    pub fn compute(pred: &[usize], gold: &[usize], k: usize) -> Self {
+        let m = confusion_matrix(pred, gold, k);
+        let mut per_class = Vec::with_capacity(k);
+        let mut f1_sum = 0.0;
+        let mut f1_count = 0usize;
+        for c in 0..k {
+            let tp = m[c][c] as f64;
+            let fp: f64 = (0..k).filter(|&g| g != c).map(|g| m[g][c] as f64).sum();
+            let fn_: f64 = (0..k).filter(|&p| p != c).map(|p| m[c][p] as f64).sum();
+            let support = tp + fn_;
+            let predicted = tp + fp;
+            let precision = if predicted > 0.0 { tp / predicted } else { 0.0 };
+            let recall = if support > 0.0 { tp / support } else { 0.0 };
+            let f1 = if precision + recall > 0.0 {
+                2.0 * precision * recall / (precision + recall)
+            } else {
+                0.0
+            };
+            per_class.push((precision, recall, f1));
+            if support > 0.0 || predicted > 0.0 {
+                f1_sum += f1;
+                f1_count += 1;
+            }
         }
-    }
-    Metrics {
-        accuracy: accuracy(pred, gold),
-        macro_f1: if f1_count > 0 {
-            f1_sum / f1_count as f64
-        } else {
-            0.0
-        },
-        per_class,
+        Metrics {
+            accuracy: accuracy(pred, gold),
+            macro_f1: if f1_count > 0 {
+                f1_sum / f1_count as f64
+            } else {
+                0.0
+            },
+            per_class,
+        }
     }
 }
 
@@ -88,7 +82,7 @@ mod tests {
     #[test]
     fn perfect_predictions() {
         let y = vec![0, 1, 2, 0, 1, 2];
-        let m = compute(&y, &y, 3);
+        let m = Metrics::compute(&y, &y, 3);
         assert_eq!(m.accuracy, 1.0);
         assert!((m.macro_f1 - 1.0).abs() < 1e-12);
     }
@@ -111,7 +105,7 @@ mod tests {
         // though accuracy is high.
         let gold = vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
         let pred = vec![0; 10];
-        let m = compute(&pred, &gold, 2);
+        let m = Metrics::compute(&pred, &gold, 2);
         assert!(m.accuracy > 0.89);
         assert!(m.macro_f1 < 0.6);
     }
@@ -121,7 +115,7 @@ mod tests {
         // Class 2 appears in neither gold nor pred: macro over 2 classes.
         let gold = vec![0, 1, 0, 1];
         let pred = vec![0, 1, 0, 1];
-        let m = compute(&pred, &gold, 3);
+        let m = Metrics::compute(&pred, &gold, 3);
         assert!((m.macro_f1 - 1.0).abs() < 1e-12);
     }
 
@@ -129,7 +123,7 @@ mod tests {
     fn per_class_values() {
         let gold = vec![0, 0, 1, 1];
         let pred = vec![0, 1, 1, 1];
-        let m = compute(&pred, &gold, 2);
+        let m = Metrics::compute(&pred, &gold, 2);
         let (p0, r0, _) = m.per_class[0];
         assert!((p0 - 1.0).abs() < 1e-12);
         assert!((r0 - 0.5).abs() < 1e-12);

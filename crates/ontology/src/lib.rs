@@ -29,13 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod data;
-pub mod dbpedia;
-pub mod normalize;
+mod data;
+mod dbpedia;
+mod normalize;
 #[allow(clippy::module_inception)]
-pub mod ontology;
-pub mod schema_org;
-pub mod types;
+mod ontology;
+mod schema_org;
+mod types;
 
 pub use dbpedia::dbpedia;
 pub use normalize::{contains_digit, normalize_label};

@@ -97,12 +97,6 @@ impl OntologyBuilder {
         self.types.len()
     }
 
-    /// Whether no types were added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
-
     /// Finalizes into an [`Ontology`].
     #[must_use]
     pub fn build(self) -> Ontology {
@@ -184,35 +178,10 @@ impl Ontology {
         self.ancestors(descendant).iter().any(|t| t.id == ancestor)
     }
 
-    /// All PII-flagged types.
-    #[must_use]
-    pub fn pii_types(&self) -> Vec<&SemanticType> {
-        self.types.iter().filter(|t| t.pii).collect()
-    }
-
     /// Iterator over `(normalized label, id)` pairs — consumed by the
     /// annotators to build their matching structures.
     pub fn labels(&self) -> impl Iterator<Item = (&str, TypeId)> {
         self.types.iter().map(|t| (t.label.as_str(), t.id))
-    }
-
-    /// Distribution of types per top domain: `(domain, count)` sorted
-    /// descending. Reproduces the §3.4 observation that DBpedia types cluster
-    /// in `Person`/`Place` while Schema.org spreads over `CreativeWork` etc.
-    #[must_use]
-    pub fn domain_distribution(&self) -> Vec<(String, usize)> {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for t in &self.types {
-            for d in &t.domains {
-                *counts.entry(d.as_str()).or_default() += 1;
-            }
-        }
-        let mut out: Vec<(String, usize)> = counts
-            .into_iter()
-            .map(|(d, c)| (d.to_string(), c))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 }
 
@@ -290,23 +259,5 @@ mod tests {
         // Must terminate.
         let anc = o.ancestors(a);
         assert!(anc.len() <= 2);
-    }
-
-    #[test]
-    fn pii_listing() {
-        let o = small();
-        let pii = o.pii_types();
-        assert_eq!(pii.len(), 1);
-        assert_eq!(pii[0].label, "email");
-    }
-
-    #[test]
-    fn domain_distribution_sorted() {
-        let o = small();
-        let d = o.domain_distribution();
-        assert!(!d.is_empty());
-        for w in d.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
     }
 }

@@ -65,15 +65,6 @@ pub struct SemanticType {
     pub pii: bool,
 }
 
-impl SemanticType {
-    /// Whether this is a compound type generated by domain-prefix expansion
-    /// (it has a superclass and a multi-word label).
-    #[must_use]
-    pub fn is_compound(&self) -> bool {
-        self.superclass.is_some() && self.label.contains(' ')
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,25 +73,5 @@ mod tests {
     fn atomic_names() {
         assert_eq!(AtomicKind::Text.to_string(), "text");
         assert_eq!(AtomicKind::Identifier.name(), "identifier");
-    }
-
-    #[test]
-    fn compound_detection() {
-        let t = SemanticType {
-            id: 0,
-            label: "product id".into(),
-            atomic: AtomicKind::Identifier,
-            domains: vec!["Product".into()],
-            superclass: Some("id".into()),
-            description: String::new(),
-            pii: false,
-        };
-        assert!(t.is_compound());
-        let base = SemanticType {
-            label: "id".into(),
-            superclass: None,
-            ..t
-        };
-        assert!(!base.is_compound());
     }
 }

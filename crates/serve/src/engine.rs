@@ -7,7 +7,7 @@
 //!   [`QueryEngine::load_materialized`]); cold start and RSS scale with
 //!   corpus size.
 //! * **sidecar** — map the persisted index sidecars
-//!   ([`gittables_corpus::sidecar`]) and serve tables lazily off the
+//!   ([`gittables_corpus::load_indexes`]) and serve tables lazily off the
 //!   mapped shard segments ([`gittables_corpus::LazyCorpus`]); cold
 //!   start is O(index size) and `/tables/{id}` touches only that
 //!   table's pages.
@@ -24,11 +24,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gittables_annotate::{Annotation, Method};
-use gittables_core::apps::{DataSearch, MemoStats, NearestCompletion, SchemaCompletion, SearchHit};
+use gittables_core::apps::{DataSearch, NearestCompletion, SchemaCompletion, SearchHit};
 use gittables_corpus::{
     load_indexes, AnnotatedTable, Corpus, CorpusStore, GroupDirectory, LazyCorpus, SidecarIssue,
     StoreError, TableId, TypeCount, TypeIndex,
 };
+use gittables_embed::MemoStats;
 use gittables_ontology::OntologyKind;
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +93,7 @@ pub struct TableSummary {
     pub schema: Vec<String>,
     /// The four annotation sets (2 methods × 2 ontologies).
     pub annotations: Vec<AnnotationSet>,
-    /// Up to [`SAMPLE_ROWS`] leading rows.
+    /// Up to `SAMPLE_ROWS` (5) leading rows.
     pub sample_rows: Vec<Vec<String>>,
 }
 
@@ -246,7 +247,7 @@ impl QueryEngine {
     }
 
     /// Boots the engine for the store at `dir`, preferring the sidecar
-    /// path: map the persisted indexes ([`gittables_corpus::sidecar`])
+    /// path: map the persisted indexes ([`gittables_corpus::load_indexes`])
     /// and serve tables lazily off the mapped shard segments — cold
     /// start is O(index size), not O(corpus). When the sidecar set is
     /// missing, stale, or corrupt, falls back to the materialized

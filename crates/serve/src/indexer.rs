@@ -5,7 +5,7 @@
 //! rebuild boot path does on every start), builds the three query
 //! indexes with the same builder [`QueryEngine::from_corpus`](crate::QueryEngine::from_corpus) uses, and
 //! persists them plus the table-block directory next to the shards as
-//! one file ([`gittables_corpus::sidecar`]). From then on
+//! one file ([`gittables_corpus::write_indexes`]). From then on
 //! [`QueryEngine::load`](crate::QueryEngine::load) boots in O(index mmap) until the store's
 //! contents change — at which point the binding fingerprints mark the
 //! sidecar stale and the engine falls back to a rebuild.

@@ -46,13 +46,13 @@
 //! `/complete` from the shared index, and routes `/tables/{id}` by the
 //! stable-id directory. One request to N shards therefore costs the sum
 //! of their engine time, not the maximum; under load the workers share
-//! all shards' work (the trade is stated in [`router`]).
+//! all shards' work (the trade is stated in the `router` module docs).
 //!
 //! Each worker serves the connections it accepted from its own
 //! level-triggered `poll(2)` set — the same on every unix — so an idle
 //! connection pins no thread and a request never changes threads
-//! ([`http`], "Concurrency model"). A `/reload` POST (or `SIGHUP`)
-//! atomically swaps in a freshly-loaded corpus snapshot with zero
+//! (the `http` module docs, "Concurrency model"). A `/reload` POST (or
+//! `SIGHUP`) atomically swaps in a freshly-loaded corpus snapshot with zero
 //! downtime: in-flight requests drain on the old snapshot before its
 //! mappings drop. Graceful shutdown stops accepting and answers every
 //! request that has begun to arrive before the workers exit.
@@ -60,27 +60,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod client;
-pub mod engine;
-pub mod event;
-pub mod http;
-pub mod indexer;
-pub mod metrics;
-pub mod router;
-pub mod shardset;
+mod cache;
+mod client;
+mod engine;
+mod event;
+mod http;
+mod indexer;
+mod metrics;
+mod router;
+mod shardset;
 
-pub use cache::{CacheStats, ResponseCache};
+pub use cache::CacheStats;
 pub use client::{get, HttpClient};
 pub use engine::{
     AnnotationSet, EngineBuildStats, HealthResponse, QueryEngine, TableSummary, TypeTablesResponse,
 };
-pub use http::{
-    ErrorResponse, ReloadResponse, ReloadSpec, Server, ServerConfig, ServerHandle, ShutdownResponse,
-};
-pub use indexer::{build_sidecars, write_sidecars, IndexReport};
-pub use metrics::{EndpointCount, Metrics, MetricsSnapshot};
-pub use router::Router;
+pub use http::{ErrorResponse, ReloadResponse, ReloadSpec, Server, ServerConfig, ServerHandle};
+pub use indexer::{build_sidecars, IndexReport};
+pub use metrics::{Endpoint, EndpointCount, Metrics, MetricsSnapshot};
+pub use router::{Router, ShardPanic};
 pub use shardset::ShardSet;
 
 /// This crate's lock-poison policy, stated once: a request that panicked

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gittables_core::apps::MemoStats;
+use gittables_embed::MemoStats;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;

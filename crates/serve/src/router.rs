@@ -44,8 +44,9 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gittables_core::apps::{MemoStats, SchemaCompletion, SearchHit};
+use gittables_core::apps::{SchemaCompletion, SearchHit};
 use gittables_corpus::{StoreError, TableId, TypeCount};
+use gittables_embed::MemoStats;
 
 use crate::engine::{
     EngineBuildStats, HealthResponse, QueryEngine, TableSummary, TypeTablesResponse,

@@ -64,16 +64,6 @@ pub struct RepoSpec {
     pub files: Vec<SynthFile>,
 }
 
-impl RepoSpec {
-    /// Whether the license permits redistribution (the §3.3 filter).
-    #[must_use]
-    pub fn is_permissive(&self) -> bool {
-        self.license
-            .as_deref()
-            .is_some_and(|l| PERMISSIVE_LICENSES.contains(&l))
-    }
-}
-
 /// Configuration for repository generation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RepoConfig {
@@ -281,7 +271,11 @@ mod tests {
         let t = topic();
         let n = 1000;
         let permissive = (0..n)
-            .filter(|&i| g.generate(&t, i).is_permissive())
+            .filter(|&i| {
+                g.generate(&t, i)
+                    .license
+                    .is_some_and(|l| PERMISSIVE_LICENSES.contains(&l.as_str()))
+            })
             .count();
         let rate = permissive as f64 / n as f64;
         assert!((0.10..0.24).contains(&rate), "rate {rate}");

@@ -91,7 +91,7 @@ pub fn render_sql<R: Rng>(
 }
 
 /// Renders `table` in a specific `dialect` (round-trip tests pin the
-/// dialect; the pipeline path picks one by weight via [`render_sql`]).
+/// dialect; the pipeline path picks one by weight via `render_sql`).
 pub fn render_sql_dialect<R: Rng>(
     rng: &mut R,
     name: &str,

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::TableError;
 
 /// The cells of one column: a shared text blob plus cumulative end offsets.
-/// See the [module documentation](self) for the invariant.
+/// See the `arena` module docs for the invariant.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellArena {
     blob: String,

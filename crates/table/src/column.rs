@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{CellArena, Cells};
-use crate::atomic::{infer_column_type, is_missing, AtomicType};
+use crate::atomic::{infer_column_type, AtomicType};
 
 /// A single table column: a name plus cell values (all represented as text,
 /// as parsed from CSV), held in one [`CellArena`].
@@ -113,16 +113,6 @@ impl Column {
         self.values.is_empty()
     }
 
-    /// Fraction of cells that are missing/empty markers; 0 for empty columns.
-    #[must_use]
-    pub fn missing_fraction(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let missing = self.values().filter(|v| is_missing(v)).count();
-        missing as f64 / self.values.len() as f64
-    }
-
     /// Number of distinct values (exact, by sorting borrowed cells; intended
     /// for statistics over modest columns, not hot paths).
     #[must_use]
@@ -167,18 +157,6 @@ mod tests {
         assert_eq!(c.atomic_type(), AtomicType::Float);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn missing_fraction() {
-        let c = Column::from_slice("state", &["nan", "CA", "", "NY"]);
-        assert!((c.missing_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn missing_fraction_empty_column() {
-        let c = Column::new("x", vec![]);
-        assert_eq!(c.missing_fraction(), 0.0);
     }
 
     #[test]

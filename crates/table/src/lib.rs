@@ -19,7 +19,7 @@
 //! `blob.len()`) is kept by its private fields and checked constructors, and
 //! it gives every sequence of cells exactly one representation, so `==` on
 //! columns and tables is still cell-by-cell equality whichever route built
-//! them — see [`arena`]. It is the only cell storage: the CSV and SQL
+//! them — see [`CellArena`]. It is the only cell storage: the CSV and SQL
 //! readers push surviving cells onto arenas as `&str`, [`Column::from_cells`]
 //! adopts them, and [`Column::new`] / [`Column::replace_values`] remain as
 //! conveniences that copy a `Vec<String>` in. Type inference
@@ -49,21 +49,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod atomic;
-pub mod column;
-pub mod error;
-pub mod provenance;
-pub mod schema;
-pub mod stats;
+mod arena;
+mod atomic;
+mod column;
+mod error;
+mod provenance;
+mod schema;
 #[allow(clippy::module_inception)]
-pub mod table;
+mod table;
 
 pub use arena::{CellArena, Cells};
-pub use atomic::{infer_column_type, infer_value_type, AtomicType};
+pub use atomic::{infer_column_type, infer_value_type, is_date, is_missing, AtomicType};
 pub use column::Column;
 pub use error::TableError;
 pub use provenance::Provenance;
 pub use schema::Schema;
-pub use stats::{ColumnStats, TableStats};
 pub use table::Table;

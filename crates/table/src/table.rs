@@ -128,12 +128,6 @@ impl Table {
         self.columns.get(idx)
     }
 
-    /// Column by exact name (first match).
-    #[must_use]
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.columns.iter().find(|c| c.name() == name)
-    }
-
     /// Number of columns.
     #[must_use]
     pub fn num_columns(&self) -> usize {
@@ -169,11 +163,6 @@ impl Table {
     pub fn with_provenance(mut self, p: Provenance) -> Self {
         self.provenance = p;
         self
-    }
-
-    /// Sets provenance in place.
-    pub fn set_provenance(&mut self, p: Provenance) {
-        self.provenance = p;
     }
 
     /// A single row as owned strings (for display / export). `None` if out of
@@ -213,8 +202,6 @@ mod tests {
     fn schema_and_lookup() {
         let t = sample();
         assert_eq!(t.schema().attributes(), &["id", "name", "price"]);
-        assert_eq!(t.column_by_name("name").unwrap().get(1), Some("bee"));
-        assert!(t.column_by_name("missing").is_none());
     }
 
     #[test]

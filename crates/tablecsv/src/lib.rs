@@ -29,17 +29,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dialect;
-pub mod error;
-pub mod parser;
-pub mod reader;
-pub mod scan;
-pub mod sniffer;
-pub mod writer;
+mod dialect;
+mod error;
+mod parser;
+mod reader;
+mod scan;
+mod sniffer;
+mod writer;
 
-pub use dialect::Dialect;
+pub use dialect::{Dialect, CANDIDATE_DELIMITERS};
 pub use error::CsvError;
 pub use parser::{Parser, RawRecord};
 pub use reader::{read_csv, read_csv_columns, ParsedColumns, ParsedCsv, ReadOptions};
+pub use scan::{memchr, memchr2, memchr3};
 pub use sniffer::sniff;
 pub use writer::write_csv;

@@ -136,7 +136,7 @@ impl RowSpans {
         }
     }
 
-    fn push_record(&mut self, rec: &crate::RawRecord<'_, '_>) {
+    fn push_record(&mut self, rec: &crate::parser::RawRecord<'_, '_>) {
         for i in 0..rec.len() {
             match rec.input_span(i) {
                 Some((start, end)) => self.cells.push(CellRef::Input { start, end }),

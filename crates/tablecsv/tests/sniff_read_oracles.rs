@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use gittables_table::CellArena;
-use gittables_tablecsv::dialect::CANDIDATE_DELIMITERS;
+use gittables_tablecsv::CANDIDATE_DELIMITERS;
 use gittables_tablecsv::{
     read_csv_columns, sniff, CsvError, Dialect, ParsedColumns, Parser, ReadOptions,
 };

@@ -30,15 +30,6 @@ impl SqlDialect {
         matches!(self, SqlDialect::MySql)
     }
 
-    /// The identifier quote character the dialect's dump tool emits.
-    #[must_use]
-    pub fn identifier_quote(self) -> char {
-        match self {
-            SqlDialect::MySql => '`',
-            SqlDialect::Postgres | SqlDialect::Sqlite | SqlDialect::Ansi => '"',
-        }
-    }
-
     /// Short lowercase name used in reports and bench output.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -67,8 +58,6 @@ mod tests {
     fn lexical_properties() {
         assert!(SqlDialect::MySql.backslash_escapes());
         assert!(!SqlDialect::Postgres.backslash_escapes());
-        assert_eq!(SqlDialect::MySql.identifier_quote(), '`');
-        assert_eq!(SqlDialect::Sqlite.identifier_quote(), '"');
         assert_eq!(SqlDialect::ALL.len(), 4);
         assert_eq!(SqlDialect::Postgres.name(), "postgres");
     }

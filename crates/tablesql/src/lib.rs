@@ -3,12 +3,13 @@
 //! GitHub repositories hold relational tables not only as CSV files but as
 //! MySQL/Postgres/SQLite dumps. This crate turns such dumps into the same
 //! column-major tables the CSV substrate produces, reusing its SWAR byte
-//! scanning ([`gittables_tablecsv::scan`]) and mirroring its structure:
+//! scanning ([`gittables_tablecsv::memchr`] and its two- and three-byte
+//! variants) and mirroring its structure:
 //!
 //! * [`sniff_dialect`] detects the dump dialect from a bounded prefix by
 //!   scoring lexical fingerprints (the analogue of `tablecsv::sniff`'s
 //!   consistency scoring) — and rejects content with no SQL structure.
-//! * [`StatementSplitter`] splits the byte stream into statements with a
+//! * `StatementSplitter` splits the byte stream into statements with a
 //!   quote/comment state machine over `memchr`-located interesting bytes,
 //!   so semicolons inside literals, comments, or dollar quotes never
 //!   split; `COPY ... FROM stdin` data blocks attach to their statement.
@@ -31,14 +32,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dialect;
-pub mod error;
-pub mod reader;
-pub mod sniffer;
-pub mod splitter;
+mod dialect;
+mod error;
+mod reader;
+mod sniffer;
+mod splitter;
 
 pub use dialect::SqlDialect;
 pub use error::SqlError;
 pub use reader::{read_sql_tables, ParsedSql, SqlReadOptions, SqlTable};
 pub use sniffer::sniff_dialect;
-pub use splitter::{split_statements, Statement, StatementSplitter};

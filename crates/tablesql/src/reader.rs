@@ -570,7 +570,7 @@ impl<'a> Cursor<'a> {
                 let mut out = String::new();
                 let mut i = self.pos + 1;
                 loop {
-                    let at = gittables_tablecsv::scan::memchr(q, &bytes[i..])?;
+                    let at = gittables_tablecsv::memchr(q, &bytes[i..])?;
                     let abs = i + at;
                     out.push_str(&self.s[i..abs]);
                     if bytes.get(abs + 1) == Some(&q) {
@@ -583,7 +583,7 @@ impl<'a> Cursor<'a> {
                 }
             }
             b'[' => {
-                let at = gittables_tablecsv::scan::memchr(b']', &bytes[self.pos..])?;
+                let at = gittables_tablecsv::memchr(b']', &bytes[self.pos..])?;
                 let out = self.s[self.pos + 1..self.pos + at].to_string();
                 self.pos += at + 1;
                 Some(out)
@@ -659,9 +659,9 @@ impl<'a> Cursor<'a> {
         loop {
             let rest = &bytes[i..];
             let at = if backslash {
-                gittables_tablecsv::scan::memchr2(b'\'', b'\\', rest)
+                gittables_tablecsv::memchr2(b'\'', b'\\', rest)
             } else {
-                gittables_tablecsv::scan::memchr(b'\'', rest)
+                gittables_tablecsv::memchr(b'\'', rest)
             };
             let Some(at) = at else {
                 return Err(SqlError::UnterminatedString {

@@ -1,7 +1,7 @@
 //! Statement splitting: the byte stream → one span per SQL statement.
 //!
 //! The splitter walks the dump with the same SWAR `memchr` scanning the
-//! CSV parser uses ([`gittables_tablecsv::scan`]): uninteresting spans are
+//! CSV parser uses ([`gittables_tablecsv::memchr`]): uninteresting spans are
 //! skipped a machine word at a time, and a quote/comment state machine
 //! handles the only bytes that can change meaning — `;`, `'`, `"`,
 //! backtick, `--` / `/* */` comments, and `$tag$` dollar quotes — so a
@@ -11,7 +11,7 @@
 //! block that follows them is not SQL. The splitter consumes the block up
 //! to its `\.` terminator line and attaches it to the statement.
 
-use gittables_tablecsv::scan::{memchr, memchr2, memchr3};
+use gittables_tablecsv::{memchr, memchr2, memchr3};
 
 use crate::dialect::SqlDialect;
 use crate::error::SqlError;
@@ -336,23 +336,19 @@ fn contains_ignore_case(hay: &str, needle: &str) -> bool {
     (0..=hay.len() - needle.len()).any(|i| hay[i..i + needle.len()].eq_ignore_ascii_case(needle))
 }
 
-/// Splits an entire dump into statements (convenience over the streaming
-/// splitter).
-///
-/// # Errors
-/// Propagates the first [`SqlError`] from [`StatementSplitter`].
-pub fn split_statements(input: &str, dialect: SqlDialect) -> Result<Vec<Statement<'_>>, SqlError> {
-    let mut splitter = StatementSplitter::new(input, dialect);
-    let mut out = Vec::new();
-    while let Some(stmt) = splitter.next_statement()? {
-        out.push(stmt);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits an entire dump into statements, or the first error.
+    fn split_statements(input: &str, dialect: SqlDialect) -> Result<Vec<Statement<'_>>, SqlError> {
+        let mut splitter = StatementSplitter::new(input, dialect);
+        let mut out = Vec::new();
+        while let Some(stmt) = splitter.next_statement()? {
+            out.push(stmt);
+        }
+        Ok(out)
+    }
 
     fn texts(input: &str, dialect: SqlDialect) -> Vec<String> {
         split_statements(input, dialect)

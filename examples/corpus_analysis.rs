@@ -7,7 +7,7 @@
 
 use gittables_annotate::Method;
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{annstats, bias_audit, AnnotationStats, CorpusStats};
+use gittables_corpus::{bias_audit, similarity_histogram, AnnotationStats, CorpusStats};
 use gittables_githost::GitHost;
 use gittables_ontology::OntologyKind;
 
@@ -50,7 +50,7 @@ fn main() {
     }
 
     println!("\n== similarity distribution (Fig. 4c) ==");
-    let h = annstats::similarity_histogram(&corpus, OntologyKind::DBpedia);
+    let h = similarity_histogram(&corpus, OntologyKind::DBpedia);
     for (mid, count) in h.series() {
         if count > 0 {
             println!("  {:.2}: {}", mid, "#".repeat((count / 10 + 1).min(60)));

@@ -6,7 +6,8 @@
 //! cargo run --release --example corpus_store
 //! ```
 
-use gittables::{load_store, save_store, CorpusStore, Pipeline, PipelineConfig, StoreRunOptions};
+use gittables_core::{Pipeline, PipelineConfig, StoreRunOptions};
+use gittables_corpus::{load_store, save_store, CorpusStore};
 use gittables_githost::GitHost;
 
 fn main() {

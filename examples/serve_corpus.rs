@@ -13,7 +13,7 @@ use std::sync::Arc;
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_corpus::{CorpusStore, StoreFormat};
 use gittables_githost::GitHost;
-use gittables_serve::{build_sidecars, client, QueryEngine, Server, ServerConfig};
+use gittables_serve::{build_sidecars, get, QueryEngine, Server, ServerConfig};
 
 fn main() {
     // Build once, straight into the store; the server boots from the
@@ -54,7 +54,7 @@ fn main() {
         "/tables/0",
         "/metrics",
     ] {
-        let (status, body) = client::get(addr, target).expect("request");
+        let (status, body) = get(addr, target).expect("request");
         let preview: String = body.chars().take(120).collect();
         println!("GET {target}\n  {status} {preview}...\n");
     }

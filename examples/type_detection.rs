@@ -6,7 +6,7 @@
 //! cargo run --release --example type_detection
 //! ```
 
-use gittables_core::apps::type_detection::{
+use gittables_core::apps::{
     build_type_dataset, build_webtable_type_dataset, train_eval_cross, train_sherlock,
     TypeDetectionConfig,
 };

@@ -32,6 +32,12 @@
 //! exponential per-repo cooldowns, per-pass pool/breaker stats, and
 //! graceful SIGTERM/SIGINT shutdown that commits in-flight shards.
 //! `crawl <dir> --passes 1 --replicas 1` is one incremental build pass.
+//!
+//! The supported platform is **unix**: the server, the crawl daemon's
+//! signal handling and the mapped store reads go through `gittables_sys`,
+//! the one crate with foreign calls and `unsafe` (five libc symbols:
+//! `mmap`, `munmap`, `poll`, `signal`, `kill`). Every other crate, this
+//! binary included, forbids `unsafe_code`.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +46,7 @@ use std::process::ExitCode;
 
 use gittables_core::apps::{DataSearch, NearestCompletion};
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{persist, AnnotationStats, Corpus, CorpusStats};
+use gittables_corpus::{load_corpus, save_corpus, AnnotationStats, Corpus, CorpusStats};
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{Server, ServerConfig};
 
@@ -99,7 +105,7 @@ fn num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T
 
 fn load(args: &[String]) -> Result<Corpus, CliError> {
     let path = opt(args, "--corpus")?.ok_or("missing --corpus <file>")?;
-    Ok(persist::load_corpus(&PathBuf::from(&path)).map_err(|e| format!("loading {path}: {e}"))?)
+    Ok(load_corpus(&PathBuf::from(&path)).map_err(|e| format!("loading {path}: {e}"))?)
 }
 
 /// The store directory: the positional argument (`serve dir/`), with
@@ -147,7 +153,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         report.kept,
         report.pii_columns
     );
-    persist::save_corpus(&corpus, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
+    save_corpus(&corpus, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
     eprintln!("wrote {out}");
     Ok(())
 }
@@ -330,7 +336,7 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
     let out = opt(args, "--out")?.ok_or("missing --out <file>")?;
     let corpus = gittables_corpus::load_store(PathBuf::from(&dir))
         .map_err(|e| format!("loading store {dir}: {e}"))?;
-    persist::save_corpus(&corpus, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
+    save_corpus(&corpus, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
     eprintln!("loaded {} tables from {dir}, wrote {out}", corpus.len());
     Ok(())
 }
@@ -349,7 +355,7 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
 
     // Handlers go in before the (slow) replica population so an early
     // SIGTERM stops the daemon gracefully instead of killing it.
-    let stop = gittables_core::crawl::signals::install();
+    let stop = gittables_core::install_stop_signals();
 
     let config = sized_config(args)?;
     let (seed, topics, repos) = (config.seed, config.topics.len(), config.repos_per_topic);

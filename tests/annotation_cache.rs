@@ -152,7 +152,7 @@ fn annotation_bits_equal_the_digest_pinned_at_the_parent_commit() {
             }
         }
     }
-    let digest = gittables_embed::ngram::fnv1a(&bytes);
+    let digest = gittables_embed::fnv1a(&bytes);
     assert_eq!(
         (count, digest),
         (ANNOTATIONS_AT_PARENT, DIGEST_AT_PARENT),

@@ -1,6 +1,6 @@
 //! Integration tests of the §5 applications over a pipeline-built corpus.
 
-use gittables_annotate::kgmatch::{CellValueMatcher, HeaderMatcher, PatternMatcher};
+use gittables_annotate::{CellValueMatcher, HeaderMatcher, PatternMatcher};
 use gittables_core::apps::{build_cta_benchmark, run_kg_benchmark, DataSearch, NearestCompletion};
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_githost::GitHost;

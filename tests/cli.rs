@@ -271,7 +271,7 @@ fn serve(store: &std::path::Path, shards: usize) -> (std::process::Child, std::n
 }
 
 fn get_ok(addr: std::net::SocketAddr, target: &str) -> String {
-    let (status, body) = gittables_serve::client::get(addr, target).expect(target);
+    let (status, body) = gittables_serve::get(addr, target).expect(target);
     assert_eq!(status, 200, "{target}: {body}");
     body
 }
@@ -398,7 +398,7 @@ fn sharded_serve_reloads_under_load_and_on_sighup() {
                 .filter(|_| {
                     sent.fetch_add(1, Ordering::SeqCst);
                     !matches!(
-                        gittables_serve::client::get(two_addr, "/search?q=status&k=3"),
+                        gittables_serve::get(two_addr, "/search?q=status&k=3"),
                         Ok((200, _))
                     )
                 })

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use gittables_annotate::Annotation;
 use gittables_corpus::{
-    export_csv_store, load_indexes, load_store, migrate_store, save_store_as, table_fingerprint,
+    export_csv, load_indexes, load_store, migrate_store, save_store_as, table_fingerprint,
     AnnotatedTable, Corpus, CorpusStore, StoreError, StoreFormat, SIDECAR_FILE,
 };
 use gittables_serve::{build_sidecars, QueryEngine};
@@ -453,8 +453,8 @@ fn export_streams_identically_through_both_codecs() {
     let je = base.join("jsonl_export");
     let ce = base.join("colv1_export");
     assert_eq!(
-        export_csv_store(&js, &je).unwrap(),
-        export_csv_store(&cs, &ce).unwrap()
+        export_csv(&js.load_corpus().unwrap(), &je).unwrap(),
+        export_csv(&cs.load_corpus().unwrap(), &ce).unwrap()
     );
     // Identical file sets with identical bytes (manifest paths are
     // absolute, so compare them relative to each export root).
@@ -489,7 +489,7 @@ fn cli_load_path_identical_across_formats() {
         save_store_as(&corpus, &sd, 2, format).unwrap();
         let loaded = load_store(&sd).unwrap();
         let out = base.join(format!("corpus_{format}.json"));
-        gittables_corpus::persist::save_corpus(&loaded, &out).unwrap();
+        gittables_corpus::save_corpus(&loaded, &out).unwrap();
         outputs.push(std::fs::read(&out).unwrap());
     }
     assert_eq!(outputs[0], outputs[1], "load output differs across formats");

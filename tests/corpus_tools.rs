@@ -1,8 +1,8 @@
-//! Integration tests of the corpus tooling (export, dedup, joins) over a
+//! Integration tests of the corpus tooling (export, dedup) over a
 //! pipeline-built corpus.
 
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{dedup_indices, exact_duplicates, export_csv, join_candidates, join_tables};
+use gittables_corpus::{dedup_indices, exact_duplicates, export_csv};
 use gittables_githost::GitHost;
 
 fn corpus(seed: u64) -> gittables_corpus::Corpus {
@@ -47,20 +47,4 @@ fn dedup_is_idempotent_and_order_preserving() {
         .map(|g| g.members.len() - 1)
         .sum();
     assert_eq!(idx.len(), c.len() - dup_extra);
-}
-
-#[test]
-fn joins_materialize_with_consistent_arity() {
-    let c = corpus(47);
-    let cands = join_candidates(&c, 0.3);
-    for cand in cands.iter().take(5) {
-        let left = &c.tables[cand.left].table;
-        let right = &c.tables[cand.right].table;
-        let joined = join_tables(&c, cand).expect("join");
-        assert_eq!(
-            joined.num_columns(),
-            left.num_columns() + right.num_columns() - 1
-        );
-        assert!(joined.num_rows() <= left.num_rows());
-    }
 }

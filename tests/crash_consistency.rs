@@ -19,7 +19,7 @@
 //! `GT_TORTURE_ROUNDS=20` to sweep more (site, N) combinations.
 
 use gittables_core::{FaultPolicy, Pipeline, PipelineConfig};
-use gittables_corpus::store::CorpusStore;
+use gittables_corpus::CorpusStore;
 use gittables_corpus::StoreFormat;
 use gittables_githost::GitHost;
 

@@ -16,16 +16,16 @@ use std::{
     process::{Child, Command, Stdio},
 };
 
-use gittables_core::crawl::{CrawlState, CRAWL_STATE_FILE};
 use gittables_core::{
-    crawl, CrawlOptions, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog, StoreRunOptions,
+    crawl, CrawlOptions, CrawlState, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog,
+    StoreRunOptions, CRAWL_STATE_FILE,
 };
-use gittables_corpus::store::CorpusStore;
+use gittables_corpus::CorpusStore;
 use gittables_corpus::StoreFormat;
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{
-    build_sidecars, client, MetricsSnapshot, QueryEngine, ReloadSpec, Router, Server, ServerConfig,
-    ShardSet,
+    build_sidecars, get, HttpClient, MetricsSnapshot, QueryEngine, ReloadSpec, Router, Server,
+    ServerConfig, ShardSet,
 };
 
 fn cfg(seed: u64) -> PipelineConfig {
@@ -430,11 +430,11 @@ fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
     .unwrap();
     let served = |what: &str| {
         for (target, expected) in &want {
-            let (status, body) = client::get(server.addr(), target).expect("request");
+            let (status, body) = get(server.addr(), target).expect("request");
             assert_eq!(status, 200, "{what}: {target}");
             assert_eq!(&body, expected, "{what}: {target}");
         }
-        let (_, metrics) = client::get(server.addr(), "/metrics").expect("metrics");
+        let (_, metrics) = get(server.addr(), "/metrics").expect("metrics");
         let metrics: MetricsSnapshot = serde_json::from_str(&metrics).expect("metrics JSON");
         metrics.engine
     };
@@ -442,7 +442,7 @@ fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
 
     // Re-index, reload: the same bytes off the sidecar path.
     build_sidecars(&dir).unwrap();
-    let mut admin = client::HttpClient::connect(server.addr()).expect("admin connect");
+    let mut admin = HttpClient::connect(server.addr()).expect("admin connect");
     let (status, body) = admin.post("/reload").expect("reload");
     assert_eq!(status, 200, "{body}");
     let engine = served("re-indexed");
@@ -578,12 +578,12 @@ fn crawled_dir_serves_sharded_like_the_reference(dir: &Path, reference: &gittabl
         "/types",
         "/complete?prefix=id&k=4",
     ] {
-        let (one_status, one_body) = client::get(one_addr, target).expect(target);
-        let (two_status, two_body) = client::get(two_addr, target).expect(target);
+        let (one_status, one_body) = get(one_addr, target).expect(target);
+        let (two_status, two_body) = get(two_addr, target).expect(target);
         assert_eq!((one_status, two_status), (200, 200), "{target}");
         assert_eq!(one_body, two_body, "bytes diverged for {target}");
     }
-    let (_, metrics) = client::get(two_addr, "/metrics").expect("metrics");
+    let (_, metrics) = get(two_addr, "/metrics").expect("metrics");
     let metrics: MetricsSnapshot = serde_json::from_str(&metrics).expect("metrics JSON");
     assert_eq!(metrics.engine.boot_path, "sidecar");
     assert!(metrics.fanouts >= 1, "a 2-shard server scattered nothing");
@@ -630,7 +630,7 @@ fn serve(store: &Path, shards: usize) -> (Child, SocketAddr) {
 /// `/shutdown`, then the process must drain and exit 0.
 #[cfg(target_os = "linux")]
 fn shut_down(mut child: Child, addr: SocketAddr) {
-    let (status, body) = client::get(addr, "/shutdown").expect("shutdown");
+    let (status, body) = get(addr, "/shutdown").expect("shutdown");
     assert_eq!(status, 200, "{body}");
     let exit = child.wait().expect("serve exit");
     assert!(exit.success(), "serve exited with {exit:?}");

@@ -3,9 +3,7 @@
 //! naming, must react to any cell edit (including pure reorderings), and
 //! `dedup_indices` must keep exactly one representative per duplicate group.
 
-use gittables_corpus::dedup::{
-    combine_fingerprints, dedup_indices, exact_duplicates, table_fingerprint,
-};
+use gittables_corpus::{combine_fingerprints, dedup_indices, exact_duplicates, table_fingerprint};
 use gittables_corpus::{AnnotatedTable, Corpus};
 use gittables_table::{Provenance, Table};
 use proptest::prelude::*;

@@ -11,8 +11,8 @@ use std::collections::HashSet;
 use gittables_core::{
     FaultPolicy, Pipeline, PipelineConfig, QuarantineLog, RetrySelection, StoreRunOptions,
 };
-use gittables_corpus::store::CorpusStore;
 use gittables_corpus::Corpus;
+use gittables_corpus::CorpusStore;
 use gittables_githost::{
     FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy, RateBudget, RepoFile, Repository,
 };

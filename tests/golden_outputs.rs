@@ -11,7 +11,7 @@
 //!
 //! The digests hold for `f32` arithmetic as the kernels in
 //! `gittables_embed::vector` perform it on x86_64; they are FNV-1a over
-//! the exact bytes (`gittables_embed::ngram::fnv1a`), except for the two
+//! the exact bytes (`gittables_embed::fnv1a`), except for the two
 //! rows that are digests already (the store fingerprint and the sidecar
 //! checksum).
 //!
@@ -24,11 +24,12 @@ use std::path::{Path, PathBuf};
 
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_corpus::{combine_fingerprints, Corpus, CorpusStore, StoreFormat};
-use gittables_embed::ngram::fnv1a;
+use gittables_embed::fnv1a;
 use gittables_githost::GitHost;
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_synth::repo::{RepoConfig, RepoGenerator};
-use gittables_synth::{t2d, Topic, WebTableGenerator};
+use gittables_synth::wordnet::Topic;
+use gittables_synth::{generate_benchmark, WebTableGenerator};
 
 /// `(row, digest)` at the current behaviour.
 const PINNED: &[(&str, u64)] = &[
@@ -257,7 +258,7 @@ fn synth_rows() -> Vec<(String, u64)> {
         }
     }
     let mut gold = Fields::new();
-    for t in t2d::generate_benchmark(42, 50, 30) {
+    for t in generate_benchmark(42, 50, 30) {
         gold.field(t.name.as_bytes());
         for c in &t.columns {
             gold.field(c.header.as_bytes());

@@ -172,8 +172,8 @@ fn corpus_persists_roundtrip() {
     let dir = std::env::temp_dir().join("gittables_it");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("c.json");
-    gittables_corpus::persist::save_corpus(&corpus, &path).unwrap();
-    let loaded = gittables_corpus::persist::load_corpus(&path).unwrap();
+    gittables_corpus::save_corpus(&corpus, &path).unwrap();
+    let loaded = gittables_corpus::load_corpus(&path).unwrap();
     assert_eq!(corpus, loaded);
     std::fs::remove_file(&path).ok();
 }

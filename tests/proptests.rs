@@ -144,7 +144,7 @@ proptest! {
     /// Feature extraction is total (finite) on arbitrary cell content.
     #[test]
     fn features_always_finite(values in proptest::collection::vec(cell(), 0..12)) {
-        let f = gittables_ml::extract_features(&values);
+        let f = gittables_ml::FeatureExtractor::default().extract(&values);
         prop_assert_eq!(f.len(), gittables_ml::FEATURE_COUNT);
         for v in f {
             prop_assert!(v.is_finite());

@@ -1,11 +1,11 @@
 //! Second property-test batch: provenance-bearing utilities and the search
 //! query language.
 
-use gittables_corpus::dedup::table_fingerprint;
+use gittables_corpus::table_fingerprint;
 use gittables_corpus::{
     load_store, save_store_as, union_tables, AnnotatedTable, Corpus, StoreFormat, UnionGroup,
 };
-use gittables_curate::faker::{Faker, FakerClass};
+use gittables_curate::{Faker, FakerClass};
 use gittables_githost::Query;
 use gittables_table::{CellArena, Column, Provenance, Table};
 use proptest::prelude::*;
@@ -38,8 +38,9 @@ proptest! {
     fn union_preserves_rows_and_schema(base in table_strategy(), copies in 1usize..5) {
         let mut corpus = Corpus::new("p");
         for i in 0..copies {
-            let mut t = base.clone();
-            t.set_provenance(Provenance::new("r/x", format!("{i}.csv")));
+            let t = base
+                .clone()
+                .with_provenance(Provenance::new("r/x", format!("{i}.csv")));
             corpus.push(AnnotatedTable::new(t));
         }
         let group = UnionGroup {

@@ -6,7 +6,7 @@
 //! its own test binary because it counts the threads of the whole process.
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
-use gittables_serve::{client, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};
+use gittables_serve::{HttpClient, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};
 use gittables_table::Table;
 
 /// `Threads:` of `/proc/self/status`; `None` where there is no `/proc`.
@@ -43,7 +43,7 @@ fn fifty_reloads_of_a_four_shard_server_leak_no_threads() {
         },
     )
     .unwrap();
-    let mut client = client::HttpClient::connect(handle.addr()).unwrap();
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
     let search = "/search?q=status&k=3";
     let (status, want) = client.get(search).unwrap();
     assert_eq!(status, 200, "{want}");

@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_githost::GitHost;
-use gittables_serve::{client, ErrorResponse, MetricsSnapshot, QueryEngine, Server, ServerConfig};
+use gittables_serve::{
+    get, ErrorResponse, HttpClient, MetricsSnapshot, QueryEngine, Server, ServerConfig,
+};
 
 fn corpus(seed: u64) -> gittables_corpus::Corpus {
     let pipeline = Pipeline::new(PipelineConfig::sized(seed, 6, 12));
@@ -107,14 +109,14 @@ fn every_endpoint_equals_in_process_answer() {
         ),
     ];
     for (target, expected) in &cases {
-        let (status, body) = client::get(addr, target).expect("request");
+        let (status, body) = get(addr, target).expect("request");
         assert_eq!(status, 200, "{target}");
         assert_eq!(&body, expected, "served JSON diverged for {target}");
     }
 
     // Repeat through one keep-alive connection: cache replay must serve
     // the exact same bytes.
-    let mut ka = client::HttpClient::connect(addr).expect("connect");
+    let mut ka = HttpClient::connect(addr).expect("connect");
     for (target, expected) in &cases {
         let (status, body) = ka.get(target).expect("keep-alive request");
         assert_eq!(status, 200);
@@ -140,7 +142,7 @@ fn error_statuses_and_bodies() {
         ("/absolutely/unrouted", 404),
     ];
     for (target, expected_status) in cases {
-        let (status, body) = client::get(addr, target).expect("request");
+        let (status, body) = get(addr, target).expect("request");
         assert_eq!(status, expected_status, "{target}: {body}");
         let err: ErrorResponse = serde_json::from_str(&body).expect("error body is JSON");
         assert!(!err.error.is_empty(), "{target}");
@@ -179,13 +181,13 @@ fn metrics_report_counts_latency_and_cache() {
     let addr = handle.addr();
 
     let target = "/search?q=employee+salaries&k=3";
-    let (s1, first) = client::get(addr, target).expect("first");
-    let (s2, second) = client::get(addr, target).expect("second");
+    let (s1, first) = get(addr, target).expect("first");
+    let (s2, second) = get(addr, target).expect("second");
     assert_eq!((s1, s2), (200, 200));
     assert_eq!(first, second, "cache replay must be byte-identical");
-    client::get(addr, "/no/such/route").expect("404 route");
+    get(addr, "/no/such/route").expect("404 route");
 
-    let (status, body) = client::get(addr, "/metrics").expect("metrics");
+    let (status, body) = get(addr, "/metrics").expect("metrics");
     assert_eq!(status, 200);
     let snap: MetricsSnapshot = serde_json::from_str(&body).expect("metrics JSON");
     assert!(snap.total_requests >= 3, "{snap:?}");
@@ -250,7 +252,7 @@ fn concurrent_clients_get_byte_identical_answers() {
     for t in 0..8 {
         let expected = expected.clone();
         threads.push(std::thread::spawn(move || {
-            let mut client = client::HttpClient::connect(addr).expect("connect");
+            let mut client = HttpClient::connect(addr).expect("connect");
             for i in 0..30 {
                 let (target, want) = &expected[(t + i) % expected.len()];
                 let (status, body) = client.get(target).expect("request");
@@ -294,7 +296,7 @@ fn graceful_shutdown_under_load_loses_no_accepted_request() {
         let successes = successes.clone();
         let expected = expected.clone();
         threads.push(std::thread::spawn(move || {
-            let mut client = match client::HttpClient::connect(addr) {
+            let mut client = match HttpClient::connect(addr) {
                 Ok(c) => c,
                 Err(_) => return,
             };
@@ -336,7 +338,7 @@ fn graceful_shutdown_under_load_loses_no_accepted_request() {
 
     // Fully drained: new connections are refused (or reset immediately).
     assert!(
-        client::get(addr, "/health").is_err(),
+        get(addr, "/health").is_err(),
         "server still answering after drain"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -365,7 +367,7 @@ fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
         hammers.push(std::thread::spawn(move || {
             // HttpClient reconnects transparently should the server
             // recycle the connection, keeping the workers saturated.
-            let mut client = match client::HttpClient::connect(addr) {
+            let mut client = match HttpClient::connect(addr) {
                 Ok(c) => c,
                 Err(_) => return,
             };
@@ -380,7 +382,7 @@ fn shutdown_endpoint_not_starved_by_persistent_keep_alive_clients() {
     // Give the hammers time to pin both workers, then ask a third
     // client for a graceful drain; it must not hang.
     std::thread::sleep(std::time::Duration::from_millis(200));
-    let (status, body) = client::get(addr, "/shutdown").expect("shutdown not starved");
+    let (status, body) = get(addr, "/shutdown").expect("shutdown not starved");
     assert_eq!(status, 200, "{body}");
     handle.join();
     stop.store(true, Ordering::SeqCst);
@@ -411,7 +413,7 @@ fn idle_connections_beyond_the_worker_count_pin_no_worker() {
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
 
-    let (status, body) = client::get(addr, "/health").expect("65th client starved");
+    let (status, body) = get(addr, "/health").expect("65th client starved");
     assert_eq!(status, 200, "{body}");
 
     for (i, mut s) in idle.into_iter().enumerate() {
@@ -435,13 +437,13 @@ fn shutdown_endpoint_drains_the_server() {
     let (_engine, handle, dir) = served_engine(76, "shutdownep", ServerConfig::default());
     let addr = handle.addr();
 
-    let (status, body) = client::get(addr, "/shutdown").expect("shutdown request");
+    let (status, body) = get(addr, "/shutdown").expect("shutdown request");
     assert_eq!(status, 200);
     assert!(body.contains("draining"), "{body}");
 
     // join() must return on its own: the endpoint triggered the drain.
     handle.join();
-    assert!(client::get(addr, "/health").is_err());
+    assert!(get(addr, "/health").is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -470,7 +472,7 @@ fn chunked_requests_rejected_with_501_and_close() {
     assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{resp}");
 
     // The server remains healthy for the next, fresh connection.
-    let (status, _) = client::get(addr, "/health").expect("fresh connection after 501");
+    let (status, _) = get(addr, "/health").expect("fresh connection after 501");
     assert_eq!(status, 200);
 
     handle.shutdown();
@@ -532,13 +534,13 @@ fn smoke_health_and_search_roundtrip() {
     let (engine, handle, dir) = served_engine(77, "smoke", ServerConfig::default());
     let addr = handle.addr();
 
-    let (status, body) = client::get(addr, "/health").expect("health");
+    let (status, body) = get(addr, "/health").expect("health");
     assert_eq!(status, 200);
     let health: gittables_serve::HealthResponse = serde_json::from_str(&body).expect("json");
     assert_eq!(health.status, "ok");
     assert_eq!(health.tables, engine.num_tables());
 
-    let (status, body) = client::get(addr, "/search?q=total+price&k=3").expect("search");
+    let (status, body) = get(addr, "/search?q=total+price&k=3").expect("search");
     assert_eq!(status, 200);
     let hits: Vec<gittables_core::apps::SearchHit> = serde_json::from_str(&body).expect("json");
     assert!(hits.len() <= 3);
@@ -577,7 +579,7 @@ fn a_half_sent_request_pins_no_worker() {
     std::thread::sleep(Duration::from_millis(100));
 
     let asked = Instant::now();
-    let (status, body) = client::get(addr, "/health").expect("neighbour answered");
+    let (status, body) = get(addr, "/health").expect("neighbour answered");
     assert_eq!(status, 200, "{body}");
     assert!(
         asked.elapsed() < Duration::from_secs(1),
@@ -663,7 +665,7 @@ fn health_beside_a_slow_search_is_always_answered() {
     let hammer = {
         let stop = stop.clone();
         std::thread::spawn(move || {
-            let mut client = client::HttpClient::connect(addr).expect("connect");
+            let mut client = HttpClient::connect(addr).expect("connect");
             let (mut served, started) = (0u32, Instant::now());
             while !stop.load(Ordering::SeqCst) {
                 let (status, body) = client.get(&slow).expect("slow search");
@@ -674,7 +676,7 @@ fn health_beside_a_slow_search_is_always_answered() {
         })
     };
 
-    let mut probe = client::HttpClient::connect(addr).expect("connect");
+    let mut probe = HttpClient::connect(addr).expect("connect");
     let mut latencies: Vec<Duration> = (0..500)
         .map(|i| {
             let asked = Instant::now();

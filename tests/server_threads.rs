@@ -6,7 +6,7 @@
 //! the whole process.
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
-use gittables_serve::{client, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};
+use gittables_serve::{HttpClient, ReloadResponse, ReloadSpec, Server, ServerConfig, ShardSet};
 use gittables_table::Table;
 
 /// Entries of `/proc/self/task`; `None` where there is no `/proc`.
@@ -63,7 +63,7 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
         )
         .unwrap();
         let expected = Some(before + threads + usize::from(reloadable));
-        let mut client = client::HttpClient::connect(handle.addr()).unwrap();
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
         let (status, want) = client.get(search).unwrap();
         assert_eq!(status, 200, "{want}");
         assert_eq!(

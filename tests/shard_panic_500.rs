@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
-use gittables_serve::{client, MetricsSnapshot, Router, Server, ServerConfig, ShardSet};
+use gittables_serve::{get, HttpClient, MetricsSnapshot, Router, Server, ServerConfig, ShardSet};
 use gittables_table::{Provenance, Table};
 
 fn corpus() -> Corpus {
@@ -56,7 +56,7 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     .unwrap();
     let addr = handle.addr();
 
-    let (status, _) = client::get(addr, "/search?q=status&k=3").unwrap();
+    let (status, _) = get(addr, "/search?q=status&k=3").unwrap();
     assert_eq!(status, 200, "baseline query must succeed");
     let complete = "/complete?prefix=col&k=3";
     let one_shard = Router::new(ShardSet::load(&dir, 1).unwrap());
@@ -73,7 +73,7 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     let bystander = {
         let (poisoned, complete_body) = (Arc::clone(&poisoned), complete_body.clone());
         std::thread::spawn(move || {
-            let mut client = client::HttpClient::connect(addr).expect("bystander connect");
+            let mut client = HttpClient::connect(addr).expect("bystander connect");
             let mut served = 0;
             while poisoned.load(Ordering::SeqCst) || served == 0 {
                 let (status, body) = client.get(complete).expect("bystander /complete");
@@ -86,7 +86,7 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
         })
     };
     for target in ["/search?q=status&k=3", "/types"] {
-        let (status, body) = client::get(addr, target).unwrap();
+        let (status, body) = get(addr, target).unwrap();
         assert_eq!(status, 500, "{target}: {body}");
         assert!(
             body.contains("panicked"),
@@ -96,7 +96,7 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     // `/complete` does not fan out — the completion index is
     // corpus-global — so a poisoned shard 1 cannot touch it: the answer
     // is the 1-shard engine's, byte for byte.
-    let (status, body) = client::get(addr, complete).unwrap();
+    let (status, body) = get(addr, complete).unwrap();
     assert_eq!(status, 200, "{complete}: {body}");
     assert_eq!(body, complete_body);
     std::env::remove_var("GITTABLES_PANIC_SHARD");
@@ -104,11 +104,11 @@ fn panicking_shard_returns_typed_500_and_server_survives() {
     assert!(bystander.join().expect("bystander thread") > 0);
 
     // The panics were counted, and the server keeps serving normally.
-    let (status, body) = client::get(addr, "/metrics").unwrap();
+    let (status, body) = get(addr, "/metrics").unwrap();
     assert_eq!(status, 200);
     let snap: MetricsSnapshot = serde_json::from_str(&body).unwrap();
     assert_eq!(snap.shard_errors, 2, "{body}");
-    let (status, _) = client::get(addr, "/search?q=status&k=3").unwrap();
+    let (status, _) = get(addr, "/search?q=status&k=3").unwrap();
     assert_eq!(status, 200, "server must recover once the hook is unset");
     // ...on the same threads: each panic was caught on the worker that
     // ran the query, which was neither lost nor replaced.

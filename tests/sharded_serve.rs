@@ -12,8 +12,8 @@ use std::sync::Arc;
 use gittables_annotate::Annotation;
 use gittables_corpus::{save_store, AnnotatedTable, Corpus};
 use gittables_serve::{
-    build_sidecars, client, QueryEngine, ReloadResponse, ReloadSpec, Router, Server, ServerConfig,
-    ShardSet,
+    build_sidecars, get, HttpClient, QueryEngine, ReloadResponse, ReloadSpec, Router, Server,
+    ServerConfig, ShardSet,
 };
 use gittables_table::{Provenance, Table};
 use proptest::prelude::*;
@@ -215,8 +215,8 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
         targets.push(format!("/tables/{id}"));
     }
     for target in &targets {
-        let (s1, b1) = client::get(one.addr(), target).expect("single-shard request");
-        let (s3, b3) = client::get(three.addr(), target).expect("sharded request");
+        let (s1, b1) = get(one.addr(), target).expect("single-shard request");
+        let (s3, b3) = get(three.addr(), target).expect("sharded request");
         assert_eq!(s1, s3, "{target}");
         assert_eq!(b1, b3, "HTTP bytes diverged for {target}");
     }
@@ -228,8 +228,8 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
         "/complete?prefix=col0_0&k=0",
         "/complete?prefix=col0_0&k=18446744073709551615",
     ] {
-        let (s1, b1) = client::get(one.addr(), target).expect("single-shard request");
-        let (s3, b3) = client::get(three.addr(), target).expect("sharded request");
+        let (s1, b1) = get(one.addr(), target).expect("single-shard request");
+        let (s3, b3) = get(three.addr(), target).expect("sharded request");
         assert_eq!((s1, s3), (200, 200), "{target}: {b1} / {b3}");
         assert_eq!(b1, b3, "HTTP bytes diverged for {target}");
         assert_eq!(b1 == "[]", target.ends_with("k=0"), "{target}: {b1}");
@@ -237,7 +237,7 @@ fn sharded_server_http_bytes_equal_single_shard_server() {
     // Keep-everything ranks every table, as the in-process 1-shard engine.
     let every = QueryEngine::load(&dir).unwrap().search("col0", usize::MAX);
     assert_eq!(every.len(), corpus.len());
-    let (_, body) = client::get(three.addr(), "/search?q=col0&k=18446744073709551615").unwrap();
+    let (_, body) = get(three.addr(), "/search?q=col0&k=18446744073709551615").unwrap();
     assert_eq!(body, json(&every));
 
     one.shutdown();
@@ -348,7 +348,7 @@ fn reload_swaps_snapshots_under_load_without_dropping_responses() {
         let (stop, saw_b, total) = (stop.clone(), saw_b.clone(), total.clone());
         let (body_a, body_b) = (body_a.clone(), body_b.clone());
         hammers.push(std::thread::spawn(move || {
-            let mut client = client::HttpClient::connect(addr).expect("connect");
+            let mut client = HttpClient::connect(addr).expect("connect");
             while !stop.load(Ordering::SeqCst) {
                 // Zero tolerance: under reload (unlike shutdown) every
                 // single request must succeed with a full answer.
@@ -366,7 +366,7 @@ fn reload_swaps_snapshots_under_load_without_dropping_responses() {
 
     // Let the hammer settle on snapshot A, then swap under load.
     std::thread::sleep(std::time::Duration::from_millis(150));
-    let mut admin = client::HttpClient::connect(addr).expect("admin connect");
+    let mut admin = HttpClient::connect(addr).expect("admin connect");
     let (status, body) = admin.post("/reload").expect("reload");
     assert_eq!(status, 200, "{body}");
     let ack: ReloadResponse = serde_json::from_str(&body).expect("reload JSON");
@@ -383,7 +383,7 @@ fn reload_swaps_snapshots_under_load_without_dropping_responses() {
     }
     assert!(saw_b.load(Ordering::SeqCst), "swap never became visible");
     assert!(total.load(Ordering::SeqCst) > 0, "hammer never ran");
-    let (_, body) = client::get(addr, target).expect("post-reload request");
+    let (_, body) = get(addr, target).expect("post-reload request");
     assert_eq!(body, body_b);
     assert_eq!(handle.generation(), 1);
 
@@ -408,7 +408,7 @@ fn reload_method_and_availability_errors() {
         ServerConfig::default(),
     )
     .unwrap();
-    let mut c = client::HttpClient::connect(fixed.addr()).unwrap();
+    let mut c = HttpClient::connect(fixed.addr()).unwrap();
     let (status, _) = c.post("/reload").expect("post");
     assert_eq!(status, 409);
     fixed.shutdown();
@@ -426,9 +426,9 @@ fn reload_method_and_availability_errors() {
         },
     )
     .unwrap();
-    let (status, _) = client::get(live.addr(), "/reload").expect("get");
+    let (status, _) = get(live.addr(), "/reload").expect("get");
     assert_eq!(status, 405);
-    let mut c = client::HttpClient::connect(live.addr()).unwrap();
+    let mut c = HttpClient::connect(live.addr()).unwrap();
     let (status, body) = c.post("/reload").expect("post");
     assert_eq!(status, 200, "{body}");
 
@@ -436,7 +436,7 @@ fn reload_method_and_availability_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
     let (status, _) = c.post("/reload").expect("post after store loss");
     assert_eq!(status, 500);
-    let (status, _) = client::get(live.addr(), "/health").expect("health");
+    let (status, _) = get(live.addr(), "/health").expect("health");
     assert_eq!(status, 200, "old snapshot must keep serving");
 
     live.shutdown();
@@ -457,7 +457,7 @@ fn single_engine_start_still_serves() {
     let expected = json(&engine.search("col0", 3));
     let handle = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     assert_eq!(handle.num_shards(), 1);
-    let (status, body) = client::get(handle.addr(), "/search?q=col0&k=3").unwrap();
+    let (status, body) = get(handle.addr(), "/search?q=col0&k=3").unwrap();
     assert_eq!(status, 200);
     assert_eq!(body, expected);
     handle.shutdown();
@@ -515,7 +515,7 @@ fn search_and_complete_bits_equal_the_digest_pinned_at_the_parent_commit() {
                 answers += 1;
             }
         }
-        (answers, gittables_embed::ngram::fnv1a(&bytes))
+        (answers, gittables_embed::fnv1a(&bytes))
     };
 
     for shards in [1, 2] {

@@ -5,10 +5,10 @@
 //! `PipelineReport::parse_failed`, never a panic or a quarantine.
 
 use gittables_core::{FaultPolicy, Pipeline, PipelineConfig, StoreRunOptions};
-use gittables_corpus::store::CorpusStore;
+use gittables_corpus::CorpusStore;
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, RepoFile, Repository};
+use gittables_synth::schema::Domain;
 use gittables_synth::wordnet::Topic;
-use gittables_synth::Domain;
 
 /// Laptop-scale mixed corpus: roughly half the synthesized files are SQL
 /// dumps. Backoff sleeping is disabled (still accounted) to keep the

@@ -3,9 +3,11 @@
 //! — quotes, semicolons, newlines, NULLs, unicode and all — and must agree
 //! with the CSV renderer + parser over the same table from the same seed.
 
-use gittables_synth::sqlrender::{render_sql_dialect, SqlRenderOptions};
-use gittables_synth::tablegen::{Cells, GeneratedTable};
-use gittables_synth::{generate_table, render_csv, Domain, MessModel, SchemaPlan, SchemaSampler};
+use gittables_synth::schema::{Domain, SchemaPlan, SchemaSampler};
+use gittables_synth::{
+    generate_table, render_csv, render_sql_dialect, Cells, GeneratedTable, MessModel,
+    SqlRenderOptions,
+};
 use gittables_tablecsv::{read_csv, Dialect as CsvDialect, ReadOptions};
 use gittables_tablesql::{read_sql_tables, sniff_dialect, SqlDialect, SqlReadOptions};
 use proptest::prelude::*;

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use gittables_core::{Pipeline, PipelineConfig, StoreRunOptions};
-use gittables_corpus::store::{
+use gittables_corpus::{
     load_store, save_store, CorpusStore, StoreError, StoreManifest, MANIFEST_FILE,
 };
 use gittables_corpus::{Corpus, StoreFormat};
@@ -336,7 +336,7 @@ fn injected_write_failures_in_colv1_stores_never_tear_the_manifest() {
 /// Runs the failpoint matrix on stores of `format`, in directories
 /// named after `tag`.
 fn failpoint_matrix(format: StoreFormat, tag: &str) {
-    use gittables_corpus::failpoint::{self, FailMode};
+    use gittables_corpus::{clear_failpoint, configure_failpoint, FailMode};
 
     let corpus = pipeline_corpus(61);
     assert!(corpus.len() >= 2);
@@ -353,11 +353,11 @@ fn failpoint_matrix(format: StoreFormat, tag: &str) {
     {
         let dir = tmp(&format!("{tag}_err_{i}"));
         let store = CorpusStore::create_with_format(&dir, "fp", format).expect("create");
-        failpoint::configure(site, FailMode::Err, 1, dir.to_str());
+        configure_failpoint(site, FailMode::Err, 1, dir.to_str());
 
         let err = commit_one(&store, &corpus, "s0", 0).expect_err(site);
         assert!(matches!(err, StoreError::Io(_)), "{site}: {err}");
-        failpoint::clear(site);
+        clear_failpoint(site);
 
         // Reopen as a fresh process would: the on-disk manifest is a
         // complete pre-commit or post-commit state, never torn. Only the
@@ -385,10 +385,10 @@ fn failpoint_matrix(format: StoreFormat, tag: &str) {
     let dir = tmp(&format!("{tag}_short"));
     let store = CorpusStore::create_with_format(&dir, "fp", format).expect("create");
     commit_one(&store, &corpus, "s0", 0).expect("first commit");
-    failpoint::configure("store::manifest_write", FailMode::Short, 1, dir.to_str());
+    configure_failpoint("store::manifest_write", FailMode::Short, 1, dir.to_str());
     let err = commit_one(&store, &corpus, "s1", 1).expect_err("torn write");
     assert!(matches!(err, StoreError::Io(_)), "got: {err}");
-    failpoint::clear("store::manifest_write");
+    clear_failpoint("store::manifest_write");
 
     let tmp_file = dir.join(format!("{MANIFEST_FILE}.tmp"));
     let torn = std::fs::read_to_string(&tmp_file).expect("torn temp file exists");
@@ -422,13 +422,10 @@ fn legacy_single_file_format_still_round_trips() {
     let dir = tmp("legacy");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.json");
-    gittables_corpus::persist::save_corpus(&corpus, &path).expect("save");
-    let loaded = gittables_corpus::persist::load_corpus(&path).expect("load");
+    gittables_corpus::save_corpus(&corpus, &path).expect("save");
+    let loaded = gittables_corpus::load_corpus(&path).expect("load");
     assert_eq!(corpus, loaded);
-    let err = gittables_corpus::persist::load_corpus(&dir.join("nope.json")).expect_err("missing");
-    assert!(matches!(
-        err,
-        gittables_corpus::persist::PersistError::Io(_)
-    ));
+    let err = gittables_corpus::load_corpus(&dir.join("nope.json")).expect_err("missing");
+    assert!(matches!(err, gittables_corpus::PersistError::Io(_)));
     std::fs::remove_dir_all(&dir).ok();
 }

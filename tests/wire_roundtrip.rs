@@ -7,10 +7,10 @@
 
 use gittables_annotate::{Annotation, Method};
 use gittables_core::apps::{SchemaCompletion, SearchHit};
-use gittables_corpus::store::{ShardEntry, StoreManifest};
 use gittables_corpus::TypePosting;
+use gittables_corpus::{ShardEntry, StoreManifest};
 use gittables_ontology::OntologyKind;
-use gittables_serve::engine::{AnnotationSet, TableSummary, TypeTablesResponse};
+use gittables_serve::{AnnotationSet, TableSummary, TypeTablesResponse};
 use gittables_table::Schema;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
