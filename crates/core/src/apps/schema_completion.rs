@@ -170,12 +170,6 @@ impl NearestCompletion {
         &self.schemas
     }
 
-    /// The cumulative row offsets (`schemas.len() + 1` entries).
-    #[must_use]
-    pub fn row_starts(&self) -> &[usize] {
-        &self.starts
-    }
-
     /// The flat per-attribute embedding matrix.
     #[must_use]
     pub fn matrix(&self) -> &F32Matrix {
@@ -457,7 +451,7 @@ mod tests {
         let rows = nc.matrix();
         NearestCompletion::from_raw_parts(
             nc.entry_schemas().to_vec(),
-            nc.row_starts().to_vec(),
+            nc.starts.clone(),
             rows.slice_rows(0, rows.rows()),
         )
     }

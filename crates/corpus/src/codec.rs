@@ -10,14 +10,15 @@
 //!
 //! * [`StoreFormat::Jsonl`] — one JSON document per line. Human-greppable
 //!   and append-friendly, but every load re-parses text through a value
-//!   tree (the manifest without a `format` field means `jsonl`: stores
-//!   written before the field existed keep loading unchanged).
+//!   tree (a manifest without a `format` field means `jsonl`).
 //! * [`StoreFormat::ColV1`] — the binary columnar segment of
 //!   [`crate::colv1`], decoded by slicing an `mmap`ed arena.
 //!
-//! Integrity checking is deliberately *outside* the codec: the store
-//! verifies table counts and content fingerprints on every load path, so
-//! both formats share one enforcement point.
+//! Content checks are *outside* the codec: the store verifies table
+//! counts and content fingerprints on every load path, so both formats
+//! share one enforcement point. Inside it, `colv1` checks each block's
+//! seal before decoding it, so a block's other bytes (names,
+//! provenance, atomic types, annotations) are covered too.
 
 use std::io::Write;
 use std::path::Path;
@@ -110,19 +111,28 @@ pub trait ShardCodec: Send + Sync {
     /// a panic or a partial list.
     fn block_spans(&self, bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, StoreError>;
 
-    /// Decodes exactly one table from a span produced by
-    /// [`Self::block_spans`]. The block must be consumed exactly:
-    /// trailing garbage is a typed error, never silently ignored.
+    /// Decodes exactly one table: the block at `span = (offset, len)` of
+    /// the shard arena `bytes`, a span produced by [`Self::block_spans`]
+    /// (or recorded in the sidecar directory). The block must be consumed
+    /// exactly: trailing garbage is a typed error, never silently
+    /// ignored. A `colv1` block is checked against its seal before any
+    /// field of it is read.
     ///
     /// # Errors
-    /// Typed decode errors, never a panic.
-    fn read_block(&self, block: &[u8], file: &str) -> Result<AnnotatedTable, StoreError>;
+    /// Typed decode errors, never a panic; a span outside `bytes` is
+    /// [`StoreError::Corrupt`].
+    fn read_block(
+        &self,
+        bytes: &[u8],
+        span: (u64, u64),
+        file: &str,
+    ) -> Result<AnnotatedTable, StoreError>;
 }
 
 /// The bytes of one block span of a shard arena, bounds-checked: a span
 /// that a corrupt footer or directory points outside the shard is a typed
 /// [`StoreError::Corrupt`].
-pub(crate) fn span_bytes<'a>(
+fn span_bytes<'a>(
     bytes: &'a [u8],
     offset: u64,
     len: u64,
@@ -216,7 +226,13 @@ impl ShardCodec for JsonlCodec {
         Ok(spans)
     }
 
-    fn read_block(&self, block: &[u8], _file: &str) -> Result<AnnotatedTable, StoreError> {
+    fn read_block(
+        &self,
+        bytes: &[u8],
+        (offset, len): (u64, u64),
+        file: &str,
+    ) -> Result<AnnotatedTable, StoreError> {
+        let block = span_bytes(bytes, offset, len, file)?;
         Ok(serde_json::from_slice(block)?)
     }
 }
@@ -259,8 +275,13 @@ impl ShardCodec for ColV1Codec {
         colv1::block_spans(bytes, file)
     }
 
-    fn read_block(&self, block: &[u8], file: &str) -> Result<AnnotatedTable, StoreError> {
-        colv1::decode_block(block, file)
+    fn read_block(
+        &self,
+        bytes: &[u8],
+        (offset, len): (u64, u64),
+        file: &str,
+    ) -> Result<AnnotatedTable, StoreError> {
+        colv1::decode_block(span_bytes(bytes, offset, len, file)?, offset, file)
     }
 }
 

@@ -11,15 +11,15 @@
 //! and never split into per-cell `String`s. No intermediate tree, no text
 //! parsing, no escape handling.
 //!
-//! ## Segment layout (all integers little-endian)
+//! ## Segment layout, version 2 (all integers little-endian)
 //!
 //! ```text
-//! "GTCOLV1\0"                      file magic (8 bytes)
+//! "GTCOLV2\0"                      file magic (8 bytes)
 //! table block × N                  see below
 //! u64 offset[N]                    byte offset of each table block
 //! u64 N                            table count
 //! u64 footer_start                 where offset[0] begins
-//! "GTCOLF1\0"                      footer magic (8 bytes)
+//! "GTCOLF2\0"                      footer magic (8 bytes)
 //! ```
 //!
 //! The footer is written last and read first: a truncated or partially
@@ -45,7 +45,24 @@
 //!   annotation × count: u64 column, u32 type_id, u8 ontology, u8 method,
 //!                       u32 similarity (f32 bits)
 //!   label arena: u32 end_offset[count], then the bytes
+//! u64 seal                         lane checksum of the block's bytes above
 //! ```
+//!
+//! ## The seal
+//!
+//! Each block ends in [`crate::checksum`]'s lane checksum of its own
+//! bytes, and [`decode_block`] compares the two before it reads any
+//! field. A single altered byte anywhere in a block — a name, a
+//! provenance field, an atomic type tag, an annotation, not only the
+//! cells the content fingerprint covers — is therefore a typed
+//! [`StoreError::Corrupt`] naming the shard and the block's offset,
+//! never a different table. The footer needs no seal of its own: an
+//! altered offset moves a block's boundary, and the block it then
+//! names fails its seal (or the footer's own consistency checks).
+//!
+//! Version 1 segments (magic `GTCOLV1\0`) had no seal. There is no
+//! reader for them: a store that holds them records manifest version 1,
+//! which [`crate::CorpusStore::open`] refuses with a typed error.
 //!
 //! Cell and label arenas store one shared byte blob plus cumulative end
 //! offsets, so decoding cell `i` is two offset reads and one slice.
@@ -70,15 +87,19 @@ use gittables_ontology::OntologyKind;
 use gittables_sys::Mmap;
 use gittables_table::{AtomicType, CellArena, Column, Provenance, Table};
 
+use crate::checksum::checksum;
 use crate::corpus::AnnotatedTable;
 use crate::store::StoreError;
 
 /// Magic bytes opening every `colv1` segment.
-pub const FILE_MAGIC: &[u8; 8] = b"GTCOLV1\0";
+pub const FILE_MAGIC: &[u8; 8] = b"GTCOLV2\0";
 
 /// Magic bytes closing every `colv1` segment (the commit mark: a segment
 /// without it was never fully written).
-pub const FOOTER_MAGIC: &[u8; 8] = b"GTCOLF1\0";
+pub const FOOTER_MAGIC: &[u8; 8] = b"GTCOLF2\0";
+
+/// Bytes of the seal closing every table block.
+const SEAL_LEN: usize = 8;
 
 pub(crate) fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
@@ -249,7 +270,7 @@ fn encode_annotations(
     put_arena(out, set.annotations.iter().map(|a| a.label.as_str()), file)
 }
 
-/// Encodes one table block into `out` (cleared first).
+/// Encodes one sealed table block into `out` (cleared first).
 pub(crate) fn encode_table(
     out: &mut Vec<u8>,
     at: &AnnotatedTable,
@@ -288,6 +309,8 @@ pub(crate) fn encode_table(
     for (method, ontology) in crate::corpus::Corpus::annotation_configs() {
         encode_annotations(out, at.annotations(method, ontology), file)?;
     }
+    let seal = checksum(out);
+    put_u64(out, seal);
     Ok(())
 }
 
@@ -462,6 +485,12 @@ pub(crate) fn block_spans(bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, S
             format!("segment of {} bytes is truncated", bytes.len()),
         ));
     }
+    if &bytes[..FILE_MAGIC.len()] == b"GTCOLV1\0" {
+        return Err(corrupt(
+            file,
+            "segment version 1 has unsealed blocks; this build reads version 2",
+        ));
+    }
     if &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
         return Err(corrupt(file, "bad file magic (not a colv1 segment)"));
     }
@@ -510,22 +539,48 @@ pub(crate) fn block_spans(bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, S
         .collect())
 }
 
-/// Decodes exactly one table block (a `(offset, len)` span produced by
-/// [`block_spans`]), requiring the block to consume its bytes exactly.
-/// Same typed-error discipline as [`block_spans`].
-pub(crate) fn decode_block(block: &[u8], file: &str) -> Result<AnnotatedTable, StoreError> {
+/// Decodes exactly one sealed table block, the one at byte `offset` of
+/// the segment (a span produced by [`block_spans`]): the seal is checked
+/// first, then the block must consume the bytes it seals exactly. Same
+/// typed-error discipline as [`block_spans`].
+pub(crate) fn decode_block(
+    block: &[u8],
+    offset: u64,
+    file: &str,
+) -> Result<AnnotatedTable, StoreError> {
+    let Some(body_len) = block.len().checked_sub(SEAL_LEN) else {
+        return Err(corrupt(
+            file,
+            format!(
+                "table block at byte {offset} of {} bytes has no seal",
+                block.len()
+            ),
+        ));
+    };
+    let (body, seal) = block.split_at(body_len);
+    let seal = u64::from_le_bytes(seal.try_into().expect("8"));
+    let actual = checksum(body);
+    if actual != seal {
+        return Err(corrupt(
+            file,
+            format!(
+                "table block at byte {offset}: checksum {actual:#018x} != seal {seal:#018x} \
+                 (block bytes were altered)"
+            ),
+        ));
+    }
     let mut cur = Cursor {
-        bytes: block,
+        bytes: body,
         pos: 0,
         file,
     };
     let at = decode_table(&mut cur)?;
-    if cur.pos != block.len() {
+    if cur.pos != body.len() {
         return Err(corrupt(
             file,
             format!(
-                "table block of {} bytes decoded only {}",
-                block.len(),
+                "table block at byte {offset} seals {} bytes, decoded only {}",
+                body.len(),
                 cur.pos
             ),
         ));
@@ -635,8 +690,43 @@ mod tests {
             file: "test",
         };
         let back = decode_table(&mut cur).unwrap();
-        assert_eq!(cur.pos, buf.len(), "block decodes exactly its bytes");
+        assert_eq!(
+            cur.pos + SEAL_LEN,
+            buf.len(),
+            "block decodes exactly its bytes"
+        );
         assert_eq!(at, back);
+        assert_eq!(decode_block(&buf, 0, "test").unwrap(), at);
+    }
+
+    /// `block` with its seal recomputed over whatever its body now holds.
+    fn resealed(mut block: Vec<u8>) -> Vec<u8> {
+        let body = block.len() - SEAL_LEN;
+        let seal = checksum(&block[..body]);
+        block[body..].copy_from_slice(&seal.to_le_bytes());
+        block
+    }
+
+    #[test]
+    fn every_altered_block_byte_fails_the_seal_naming_the_block() {
+        let mut block = Vec::new();
+        encode_table(&mut block, &sample(), "test").unwrap();
+        for pos in 0..block.len() {
+            let mut bytes = block.clone();
+            bytes[pos] ^= 0x01;
+            match decode_block(&bytes, 96, "seg.colv1") {
+                Err(StoreError::Corrupt { file, detail }) => {
+                    assert_eq!(file, "seg.colv1");
+                    assert!(detail.contains("block at byte 96"), "{pos}: {detail}");
+                    assert!(detail.contains("seal"), "{pos}: {detail}");
+                }
+                other => panic!("byte {pos}: {other:?}"),
+            }
+        }
+        for len in 0..SEAL_LEN {
+            let err = decode_block(&block[..len], 96, "seg.colv1").unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -698,16 +788,21 @@ mod tests {
         let whole = decode_whole(&bytes).unwrap();
         for (span, at) in spans.iter().zip(&whole) {
             let block = &bytes[span.0 as usize..(span.0 + span.1) as usize];
-            assert_eq!(&decode_block(block, "seg.colv1").unwrap(), at);
+            assert_eq!(&decode_block(block, span.0, "seg.colv1").unwrap(), at);
         }
         // A block with trailing garbage must be rejected, not silently
         // decoded short.
         let (off, len) = spans[0];
         let padded = &bytes[off as usize..(off + len) as usize + 1];
         assert!(matches!(
-            decode_block(padded, "seg.colv1").unwrap_err(),
+            decode_block(padded, off, "seg.colv1").unwrap_err(),
             StoreError::Corrupt { .. }
         ));
+        // So must one that seals more bytes than its fields take.
+        let mut long = bytes[off as usize..(off + len) as usize - SEAL_LEN].to_vec();
+        long.extend_from_slice(&[0; 1 + SEAL_LEN]);
+        let err = decode_block(&resealed(long), off, "seg.colv1").unwrap_err();
+        assert!(err.to_string().contains("decoded only"), "{err}");
         // Truncation of the trailer is typed for the span parse too.
         for cut in [0, 1, 8, bytes.len() - 1] {
             assert!(matches!(
@@ -747,10 +842,12 @@ mod tests {
         (block, ends)
     }
 
+    /// Damage the seal cannot see (the block is resealed after it) is
+    /// still typed: the decoder behind the seal trusts no field either.
     #[test]
     fn corrupt_arena_offsets_and_bytes_are_typed_never_partial() {
         let (block, ends) = block_and_first_arena();
-        assert!(decode_block(&block, "test").is_ok());
+        assert!(decode_block(&block, 0, "test").is_ok());
         let put = |at: usize, v: u32| {
             let mut b = block.clone();
             b[at..at + 4].copy_from_slice(&v.to_le_bytes());
@@ -777,8 +874,9 @@ mod tests {
             ("the blob is not UTF-8", not_utf8),
         ];
         for (what, bytes) in cases {
+            let bytes = resealed(bytes);
             for result in [
-                decode_block(&bytes, "test").map(|_| ()),
+                decode_block(&bytes, 0, "test").map(|_| ()),
                 decode_table(&mut Cursor {
                     bytes: &bytes,
                     pos: 0,

@@ -28,6 +28,7 @@
 
 mod annstats;
 mod bias;
+mod checksum;
 mod codec;
 mod colv1;
 #[allow(clippy::module_inception)]

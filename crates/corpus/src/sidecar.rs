@@ -42,8 +42,9 @@
 //! sidecar is *detected* ([`SidecarIssue::Stale`]), never silently
 //! served. On load the directory's per-table fingerprints are
 //! additionally folded per shard and compared against each manifest
-//! entry, and every decoded table is verified against its directory
-//! fingerprint before it leaves [`LazyCorpus::get`].
+//! entry, and every table is checked against its block's seal (colv1)
+//! and then its directory fingerprint before it leaves
+//! [`LazyCorpus::get`].
 //!
 //! ## Sections
 //!
@@ -66,20 +67,10 @@
 //!
 //! ## The checksum
 //!
-//! `checksum` reads the bytes as little-endian `u64` words, 32 bytes a
-//! round, each word folded into one of four independent lanes by
-//! `h = (h ^ word) * FNV_PRIME; h ^= h >> 32`. The lanes, then the
-//! tail bytes (fewer than 32, one at a time), then the total length are
-//! folded into one `u64` by the same step. Every step is a bijection of
-//! the state it updates — xor with the input, multiplication by an odd
-//! number, xor with the own high half — and a bijection of the input for
-//! a fixed state, so two buffers that differ in a **single byte** (or a
-//! single word) never share a digest; lanes are folded in order, so the
-//! digest is position- and order-sensitive. It is not cryptographic:
-//! it guards against rot and torn writes, not against an adversary. Its
-//! definition is part of this on-disk format (two digests are pinned in
-//! the tests) and is independent of `dedup`'s FNV, which store
-//! manifests persist.
+//! `checksum` is [`crate::checksum`]'s lane checksum, the one function
+//! that also seals every `colv1` table block and hashes table
+//! fingerprints. It changes when any single byte does, so one flip
+//! anywhere in the file fails the load.
 //!
 //! ## No reader for version 1
 //!
@@ -95,7 +86,8 @@ use std::sync::Arc;
 
 use gittables_table::Schema;
 
-use crate::codec::{codec_for, span_bytes, StoreFormat};
+use crate::checksum::checksum;
+use crate::codec::{codec_for, StoreFormat};
 use crate::colv1::{
     corrupt, method_from_tag, method_tag, ontology_from_tag, ontology_tag, put_str, put_u32,
     put_u64, put_u8, Arena, Cursor,
@@ -198,30 +190,6 @@ impl From<StoreError> for SidecarIssue {
     fn from(e: StoreError) -> Self {
         SidecarIssue::Corrupt(e)
     }
-}
-
-/// The whole-file checksum (module docs, *The checksum*): four word
-/// lanes, then lanes, tail bytes and length folded in that order.
-fn checksum(bytes: &[u8]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    fn step(h: u64, v: u64) -> u64 {
-        let h = (h ^ v).wrapping_mul(PRIME);
-        h ^ (h >> 32)
-    }
-    let mut lanes = [BASIS; 4];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            *lane = step(*lane, u64::from_le_bytes(word.try_into().expect("8")));
-        }
-    }
-    let folded = lanes.into_iter().fold(BASIS, step);
-    let tailed = stripes
-        .remainder()
-        .iter()
-        .fold(folded, |h, &b| step(h, u64::from(b)));
-    step(tailed, bytes.len() as u64)
 }
 
 // ---------------------------------------------------------------- encoding
@@ -587,10 +555,10 @@ impl F32Matrix {
 
 /// A corpus served straight off mapped shard segments: nothing is
 /// decoded until a table is asked for, and then only that table's block.
-/// Every decoded table is verified against the directory fingerprint
-/// recorded at index time, so block-level corruption (or a directory
-/// that drifted from the shards) surfaces as a typed error, never a
-/// wrong table.
+/// A colv1 block is checked against its seal before it is decoded, and
+/// every decoded table against the directory fingerprint recorded at
+/// index time, so block-level corruption (or a directory that drifted
+/// from the shards) surfaces as a typed error, never a wrong table.
 pub struct LazyCorpus {
     name: String,
     format: StoreFormat,
@@ -661,8 +629,8 @@ impl LazyCorpus {
             .shards
             .get(entry.shard as usize)
             .ok_or_else(|| corrupt(DIRECTORY, "shard ordinal out of range"))?;
-        let block = span_bytes(arena.bytes(), entry.offset, entry.len, file)?;
-        let at = codec_for(self.format).read_block(block, file)?;
+        let at =
+            codec_for(self.format).read_block(arena.bytes(), (entry.offset, entry.len), file)?;
         let actual = crate::dedup::table_fingerprint(&at.table);
         if actual != entry.fingerprint {
             return Err(corrupt(
@@ -1343,47 +1311,6 @@ mod tests {
             assert!(detail.contains("not sorted and distinct"), "{detail}");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn sample(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 37 + 11) as u8).collect()
-    }
-
-    #[test]
-    fn checksum_sees_every_bit_of_every_lane_the_tail_and_the_length() {
-        for len in 0..=80 {
-            let clean = sample(len);
-            let digest = checksum(&clean);
-            for bit in 0..len * 8 {
-                let mut flipped = clean.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                assert_ne!(checksum(&flipped), digest, "len {len} bit {bit}");
-            }
-            let mut longer = clean;
-            longer.push(0);
-            assert_ne!(checksum(&longer), digest, "len {len} plus a zero byte");
-        }
-    }
-
-    #[test]
-    fn checksum_is_order_sensitive_across_stripes() {
-        let clean = sample(96);
-        let mut swapped = clean.clone();
-        swapped[..32].copy_from_slice(&clean[32..64]);
-        swapped[32..64].copy_from_slice(&clean[..32]);
-        assert_ne!(checksum(&swapped), checksum(&clean));
-        // Two words trading lanes inside one stripe.
-        let mut traded = clean.clone();
-        traded[..8].copy_from_slice(&clean[8..16]);
-        traded[8..16].copy_from_slice(&clean[..8]);
-        assert_ne!(checksum(&traded), checksum(&clean));
-    }
-
-    /// The function is part of the on-disk format: it must not drift.
-    #[test]
-    fn checksum_golden_digests() {
-        assert_eq!(checksum(b""), 0x0f42_c414_7dbb_93f2);
-        assert_eq!(checksum(&sample(100)), 0x63fd_b84c_abe0_389e);
     }
 
     #[test]

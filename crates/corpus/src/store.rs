@@ -14,11 +14,14 @@
 //! ```
 //!
 //! Shard bytes are produced and consumed through a [`ShardCodec`]
-//! resolved once from the manifest's `format` field (absent ⇒ `jsonl`,
-//! so pre-field stores keep loading): `jsonl` is the greppable text
-//! format, `colv1` the mmap-decoded binary columnar format built for
-//! fast, low-RSS cold starts. [`migrate_store`] rewrites a store between
-//! formats in place, committing by atomic manifest rename.
+//! resolved once from the manifest's `format` field (absent ⇒ `jsonl`):
+//! `jsonl` is the greppable text format, `colv1` the mmap-decoded
+//! binary columnar format built for fast, low-RSS cold starts. [`migrate_store`] rewrites a store between
+//! formats in place, committing by atomic manifest rename. The manifest
+//! also records the store format version ([`FORMAT_VERSION`]); a store
+//! of any other version is refused when it is opened
+//! ([`StoreError::UnsupportedVersion`]), never read under rules it was
+//! not written by.
 //!
 //! Key properties:
 //!
@@ -36,7 +39,9 @@
 //!   [`crate::dedup::table_fingerprint`] via
 //!   [`crate::dedup::combine_fingerprints`]); both are verified on load —
 //!   identically for every codec — and mismatches surface as typed
-//!   [`StoreError`]s, never panics.
+//!   [`StoreError`]s, never panics. A `colv1` block is also checked
+//!   against its own seal before it is decoded ([`crate::colv1`]), so
+//!   the bytes the fingerprint does not cover are checked too.
 //! * **Stable ordering** — each table carries the *ordering key* its producer
 //!   gave it (`ShardEntry::indices`), so a corpus reassembled from shards is
 //!   identical to the corpus that was written, regardless of shard layout,
@@ -65,7 +70,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{codec_for, span_bytes, ShardCodec, ShardEncoder, StoreFormat};
+use crate::codec::{codec_for, ShardCodec, ShardEncoder, StoreFormat};
 use crate::colv1::Arena;
 use crate::corpus::{AnnotatedTable, Corpus, TableId};
 use crate::dedup::{combine_fingerprints, table_fingerprint};
@@ -75,8 +80,13 @@ use crate::persist::PersistError;
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
-/// Store format version written into new manifests.
-pub const FORMAT_VERSION: u32 = 1;
+/// Store format version written into new manifests, and the only one
+/// [`CorpusStore::open`] reads. Version 2 sealed every `colv1` table
+/// block and moved table fingerprints to the lane checksum.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The last commit of this project whose build reads version-1 stores.
+const LAST_VERSION_1_READER: &str = "e69bca6";
 
 /// Errors from the sharded store. Every failure mode is typed; corrupted
 /// inputs never panic.
@@ -149,6 +159,14 @@ pub enum StoreError {
         /// The unrecognized `format` value.
         format: String,
     },
+    /// The manifest records a store format version other than the one
+    /// this build writes (2). There is no reader for another version: a
+    /// store is rebuilt from its seed, or carried over through the
+    /// single-file corpus JSON of a build that reads it.
+    UnsupportedVersion {
+        /// The `version` the manifest records.
+        found: u32,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -195,6 +213,23 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::UnsupportedFormat { format } => {
                 write!(f, "unsupported store format `{format}`")
+            }
+            StoreError::UnsupportedVersion { found } => {
+                write!(
+                    f,
+                    "store format version {found} is not read by this build, which reads \
+                     version {FORMAT_VERSION}"
+                )?;
+                if *found == 1 {
+                    write!(
+                        f,
+                        "; commit {LAST_VERSION_1_READER} is the last that reads version 1: \
+                         `gittables load --store DIR --out corpus.json` there, then \
+                         `gittables save --corpus corpus.json` here, or rebuild the store \
+                         from its seed"
+                    )?;
+                }
+                Ok(())
             }
         }
     }
@@ -330,8 +365,7 @@ pub struct StoreManifest {
     pub version: u32,
     /// Corpus name / version tag.
     pub name: String,
-    /// Shard format name (see [`StoreFormat`]). Absent in manifests
-    /// written before the field existed, which means `"jsonl"`.
+    /// Shard format name (see [`StoreFormat`]); absent means `"jsonl"`.
     pub format: Option<String>,
     /// Committed shards, in commit order.
     pub shards: Vec<ShardEntry>,
@@ -502,12 +536,14 @@ impl CorpusStore {
     }
 
     /// Opens an existing store, auto-detecting its shard format from the
-    /// manifest (`format` absent ⇒ `jsonl`, so old stores keep loading).
+    /// manifest (`format` absent ⇒ `jsonl`).
     ///
     /// # Errors
     /// [`StoreError::MissingManifest`] when `dir` has no manifest,
-    /// [`StoreError::UnsupportedFormat`] for an unknown format name;
-    /// otherwise propagates I/O and deserialization failures.
+    /// [`StoreError::UnsupportedVersion`] when it records a version other
+    /// than the one this build writes, [`StoreError::UnsupportedFormat`]
+    /// for an unknown format name; otherwise propagates I/O and
+    /// deserialization failures.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         let path = dir.join(MANIFEST_FILE);
@@ -519,6 +555,11 @@ impl CorpusStore {
             Err(e) => return Err(e.into()),
         };
         let manifest: StoreManifest = serde_json::from_reader(BufReader::new(file))?;
+        if manifest.version != FORMAT_VERSION {
+            return Err(StoreError::UnsupportedVersion {
+                found: manifest.version,
+            });
+        }
         let format = manifest.store_format()?;
         Ok(CorpusStore {
             dir,
@@ -772,8 +813,8 @@ pub(crate) fn decode_shard(
     let spans = codec.block_spans(bytes, file)?;
     let mut tables = Vec::with_capacity(spans.len());
     let mut fingerprints = Vec::with_capacity(spans.len());
-    for (offset, len) in spans {
-        let at = codec.read_block(span_bytes(bytes, offset, len, file)?, file)?;
+    for span in spans {
+        let at = codec.read_block(bytes, span, file)?;
         fingerprints.push(table_fingerprint(&at.table));
         tables.push(at);
     }

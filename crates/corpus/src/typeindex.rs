@@ -131,12 +131,6 @@ impl TypeIndex {
         &self.labels
     }
 
-    /// Total number of postings across all labels.
-    #[must_use]
-    pub fn total_postings(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
-    }
-
     /// The posting list for `label`, if the label is indexed.
     #[must_use]
     pub fn postings(&self, label: &str) -> Option<&[TypePosting]> {
@@ -268,7 +262,7 @@ mod tests {
         let city = counts.iter().find(|c| c.label == "city").unwrap();
         assert_eq!(city.postings, 2);
         assert_eq!(city.tables, 1);
-        assert_eq!(idx.total_postings(), 6);
+        assert_eq!(idx.postings.iter().map(Vec::len).sum::<usize>(), 6);
     }
 
     #[test]

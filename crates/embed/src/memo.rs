@@ -42,18 +42,6 @@ pub struct MemoStats {
     pub entries: u64,
 }
 
-impl MemoStats {
-    /// Fraction of lookups answered with a stored value.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 impl std::ops::Add for MemoStats {
     type Output = MemoStats;
 

@@ -68,7 +68,7 @@ fn cache_hits_dominate_and_misses_count_distinct_names() {
     // The paper's observation: a few headers dominate — the hit rate on a
     // synth corpus must be overwhelming for the cache to be worth it.
     assert!(
-        stats.hit_rate() > 0.5,
+        stats.hits > stats.misses,
         "unexpectedly low hit rate: {:?}",
         stats
     );

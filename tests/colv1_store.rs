@@ -265,16 +265,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Cross-commit oracle. The literals were computed at the commit *before*
-/// `Column` moved from one `String` per cell to one arena per column;
-/// manifests persist the fingerprint and stores persist the bytes, so a
-/// change of in-memory representation must leave all three untouched.
+/// Cross-commit oracle: manifests persist the fingerprint and stores
+/// persist the bytes, so a change of in-memory representation must leave
+/// all of them untouched. `JSONL_LINE` dates from the commit *before*
+/// `Column` moved from one `String` per cell to one arena per column; the
+/// fingerprints, the segment length and its digest from store format
+/// version 2, which sealed every colv1 block (8 bytes each) and moved
+/// fingerprints to the lane checksum.
 #[test]
 fn golden_vectors_outlive_the_cell_representation() {
     const JSONL_LINE: &str = "{\"table\":{\"name\":\"golden\",\"columns\":[{\"name\":\"id\",\"values\":[\"1\",\"2\",\"3\",\"4\"],\"atomic\":\"Integer\"},{\"name\":\"city\",\"values\":[\"Zürich\",\"\",\"東京\",\"nan\"],\"atomic\":\"String\"},{\"name\":\"note\",\"values\":[\"plain\",\"has,comma\",\"say \\\"hi\\\"\",\"two\\nlines\"],\"atomic\":\"String\"}],\"provenance\":{\"repository\":\"owner/golden\",\"path\":\"data/golden.csv\",\"license\":\"mit\",\"topic\":\"city\",\"file_size\":0}},\"syntactic_dbpedia\":{\"annotations\":[{\"column\":0,\"type_id\":100,\"label\":\"label 0 é\",\"ontology\":\"DBpedia\",\"method\":\"Syntactic\",\"similarity\":0.5}],\"num_columns\":3},\"syntactic_schema\":{\"annotations\":[{\"column\":1,\"type_id\":101,\"label\":\"label 1 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Syntactic\",\"similarity\":0.625}],\"num_columns\":3},\"semantic_dbpedia\":{\"annotations\":[{\"column\":2,\"type_id\":102,\"label\":\"label 2 é\",\"ontology\":\"DBpedia\",\"method\":\"Semantic\",\"similarity\":0.75}],\"num_columns\":3},\"semantic_schema\":{\"annotations\":[{\"column\":0,\"type_id\":103,\"label\":\"label 3 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Semantic\",\"similarity\":0.875}],\"num_columns\":3}}\n";
 
     let at = golden_table();
-    assert_eq!(table_fingerprint(&at.table), 0x9b28_290c_1f30_9e82);
+    assert_eq!(table_fingerprint(&at.table), 0xa66e_27ba_a280_5ce9);
     let mut corpus = Corpus::new("golden");
     corpus.push(at);
     let base = tmp("golden");
@@ -282,13 +285,13 @@ fn golden_vectors_outlive_the_cell_representation() {
         let dir = base.join(format.name());
         save_store_as(&corpus, &dir, 8, format).unwrap();
         let entry = CorpusStore::open(&dir).unwrap().shard_entries()[0].clone();
-        assert_eq!(entry.fingerprint, 0x516e_cb9b_cac6_bb4e);
+        assert_eq!(entry.fingerprint, 0xeb2d_ccf7_7047_9c4d);
         assert_eq!(load_store(&dir).unwrap(), corpus);
         std::fs::read(dir.join(entry.file)).unwrap()
     };
     let segment = shard_bytes(StoreFormat::ColV1);
-    assert_eq!(segment.len(), 421);
-    assert_eq!(fnv1a(&segment), 0x44b5_8aff_49f7_4079);
+    assert_eq!(segment.len(), 429);
+    assert_eq!(fnv1a(&segment), 0x0f60_c007_83d1_d702);
     assert_eq!(
         String::from_utf8(shard_bytes(StoreFormat::Jsonl)).unwrap(),
         JSONL_LINE
@@ -381,30 +384,104 @@ fn block_underconsuming_its_span_is_corrupt_on_a_whole_shard_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every byte of a small colv1 shard, XOR 0x01 in turn, read back
+/// through a whole-store load and through the sidecar's lazy reads: each
+/// flip is a typed `Corrupt` or the identical corpus. A flip in a table
+/// block fails that block's seal, whatever field the byte belongs to
+/// (name, provenance, atomic type, annotation — not only the cells the
+/// content fingerprint covers); a flip in the footer fails the trailer
+/// checks or moves a block boundary onto a seal that no longer matches.
+/// The lazy reads never look at the footer, so there a footer flip
+/// serves the identical tables.
 #[test]
 fn corruption_is_never_silent() {
-    // Flipping any single block byte either fails typed (structure or
-    // content fingerprint) or decodes to an observably different corpus
-    // (a name/provenance/annotation byte — fields the content
-    // fingerprint deliberately ignores, exactly as in JSONL shards).
     let corpus = sample_corpus();
     let dir = tmp("bitrot_block");
     save_store_as(&corpus, &dir, usize::MAX, StoreFormat::ColV1).unwrap();
+    build_sidecars(&dir).unwrap();
     let path = first_segment(&dir);
     let original = std::fs::read(&path).unwrap();
-    for pos in (9..original.len().saturating_sub(40)).step_by(97) {
+    let mut typed = 0;
+    // `(read path, byte)` of every flip that read back a different
+    // corpus, and of every one refused with another error than `Corrupt`.
+    let mut silent = Vec::new();
+    let mut untyped = Vec::new();
+    for pos in 0..original.len() {
         let mut bytes = original.clone();
-        bytes[pos] ^= 0x20;
+        bytes[pos] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        match CorpusStore::open(&dir).unwrap().load_corpus() {
-            Err(
-                StoreError::Corrupt { .. }
-                | StoreError::FingerprintMismatch { .. }
-                | StoreError::TableCountMismatch { .. },
-            ) => {}
-            Err(other) => panic!("unexpected error kind at byte {pos}: {other}"),
-            Ok(loaded) => assert_ne!(loaded, corpus, "silent corruption at byte {pos}"),
+        let store = CorpusStore::open(&dir).unwrap();
+        match store.load_corpus() {
+            Err(StoreError::Corrupt { .. }) => typed += 1,
+            Err(_) => untyped.push(("load_corpus", pos)),
+            Ok(loaded) if loaded == corpus => {}
+            Ok(_) => silent.push(("load_corpus", pos)),
         }
+        let lazy = load_indexes(&store).unwrap().corpus;
+        for (id, want) in corpus.tables.iter().enumerate() {
+            match lazy.get(id) {
+                Err(StoreError::Corrupt { .. }) => {}
+                Err(_) => untyped.push(("LazyCorpus::get", pos)),
+                Ok(Some(at)) if at == *want => {}
+                Ok(_) => silent.push(("LazyCorpus::get", pos)),
+            }
+        }
+    }
+    assert!(
+        silent.is_empty() && untyped.is_empty(),
+        "of {} flipped bytes, {} reads returned a different corpus and {} failed \
+         with another error than Corrupt; first of each: {:?}, {:?}",
+        original.len(),
+        silent.len(),
+        untyped.len(),
+        silent.first(),
+        untyped.first()
+    );
+    // The seal is what refuses the flips: every byte of the segment
+    // fails the whole load, the two magics and the trailer included.
+    assert_eq!(typed, original.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store written before blocks were sealed records manifest version 1:
+/// opening it is a typed error naming the version and the last commit
+/// that reads it, and no old-format reader is tried. A version-1
+/// segment under a current manifest is refused as corrupt.
+#[test]
+fn a_version_1_store_is_refused_typed() {
+    let dir = tmp("version_1");
+    save_store_as(&sample_corpus(), &dir, 8, StoreFormat::ColV1).unwrap();
+    let manifest = dir.join("manifest.json");
+    let current = std::fs::read_to_string(&manifest).unwrap();
+    assert!(current.starts_with("{\"version\":2,"), "{current}");
+    std::fs::write(
+        &manifest,
+        current.replacen("\"version\":2", "\"version\":1", 1),
+    )
+    .unwrap();
+    match CorpusStore::open(&dir) {
+        Err(err @ StoreError::UnsupportedVersion { found: 1 }) => {
+            let message = err.to_string();
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("e69bca6"), "{message}");
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    assert!(matches!(
+        load_store(&dir),
+        Err(StoreError::UnsupportedVersion { found: 1 })
+    ));
+
+    std::fs::write(&manifest, &current).unwrap();
+    let path = first_segment(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..8].copy_from_slice(b"GTCOLV1\0");
+    std::fs::write(&path, &bytes).unwrap();
+    match load_store(&dir) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("version 1"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

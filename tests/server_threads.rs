@@ -62,13 +62,13 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
             },
         )
         .unwrap();
-        let expected = Some(before + threads + usize::from(reloadable));
+        let expected = before + threads + usize::from(reloadable);
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let (status, want) = client.get(search).unwrap();
         assert_eq!(status, 200, "{want}");
         assert_eq!(
-            process_threads(),
-            expected,
+            threads_settled_at(expected),
+            Some(expected),
             "threads: {threads}, shards: {shards}"
         );
         if reloadable {
@@ -85,8 +85,8 @@ fn a_server_runs_its_workers_and_the_reload_watcher_only() {
                 assert_eq!((status, body.as_str()), (200, want.as_str()));
             }
             assert_eq!(
-                process_threads(),
-                expected,
+                threads_settled_at(expected),
+                Some(expected),
                 "after 10 reloads, shards: {shards}"
             );
         }
