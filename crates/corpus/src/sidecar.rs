@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! "GTSIDE1\0"            file magic (8 bytes)
-//! u32 version            currently 2
+//! u32 version            currently 3
 //! u64 store_fingerprint  fold of the manifest's shard fingerprints
 //! u64 tables             total tables in the store
 //! str format             shard format name ("jsonl"/"colv1")
@@ -48,16 +48,29 @@
 //!
 //! ## Sections
 //!
-//! * **directory** — shard file list, then per global table id:
-//!   `u32 shard, u64 offset, u64 len, u64 fingerprint`.
-//! * **types** — sorted labels, then each label's posting list
+//! * **directory** — shard file list, then per global table id one
+//!   28-byte record: `u32 shard, u64 offset, u64 len, u64 fingerprint`.
+//! * **types** — sorted labels, each followed by its posting count and
+//!   that many 22-byte records
 //!   (`u64 table, u64 column, u8 method, u8 ontology, u32 sim bits`).
-//! * **search** — `u64 entries`, per-entry table ids, schemas,
-//!   zero-padding to 8 bytes, then the raw `f32` embedding matrix
-//!   (row-major, `entries × dim`).
-//! * **complete** — `u64 schemas`, the schemas, padding, then the
-//!   per-attribute embedding matrix (one row per schema attribute; row
-//!   ranges follow from schema lengths).
+//! * **search** — `u64 entries`, per-entry `u64` table ids, then the
+//!   **schema table** (`u64 count`, then each schema as `u32` attribute
+//!   count and that many strs): every distinct schema once, first seen
+//!   over the search entries and then the completion schemas. Then one
+//!   `u32` schema ref (an index into the table) per entry, zero-padding
+//!   to 8 bytes, and the raw `f32` embedding matrix (row-major,
+//!   `entries × dim`).
+//! * **complete** — `u64 schemas`, one `u32` ref into the search
+//!   section's schema table per schema, padding, then the per-attribute
+//!   embedding matrix (one row per schema attribute; row ranges follow
+//!   from schema lengths).
+//!
+//! No schema's bytes are written twice, and each is decoded once: a
+//! search entry and the completion schema that share a table slot share
+//! one [`Schema`] (one attribute list, one rendered JSON body). A ref
+//! past the table is `Corrupt`, named after its section. Fixed-width
+//! records (directory entries, postings, ids, refs) are bounds-checked
+//! as one slice per list before anything is allocated for them.
 //!
 //! Matrices are 8-byte aligned in the file so the mapped sidecar serves
 //! `&[f32]` rows zero-copy ([`F32Matrix`]) out of the one shared arena;
@@ -72,15 +85,19 @@
 //! fingerprints. It changes when any single byte does, so one flip
 //! anywhere in the file fails the load.
 //!
-//! ## No reader for version 1
+//! ## No reader for older versions
 //!
 //! Version 1 spread the same data over four files
-//! (`index-{directory,types,search,complete}.gtsc`). Sidecars are
-//! derived and disposable, so there is no compatibility path: those
-//! files are never opened, the boot reports the sidecar missing,
-//! rebuilds from the corpus, and serves the same bytes; `gittables
-//! index` restores the fast path.
+//! (`index-{directory,types,search,complete}.gtsc`); version 2 had this
+//! container but wrote every search entry's schema in full and every
+//! completion schema again. Sidecars are derived and disposable, so
+//! there is no compatibility path: the version-1 files are never opened
+//! (the boot reports the sidecar missing), a version-2 file is
+//! [`SidecarIssue::Stale`] ("sidecar version 2, this build reads 3"),
+//! and either way the boot rebuilds from the corpus and serves the same
+//! bytes; `gittables index` restores the fast path.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -107,7 +124,7 @@ pub const SIDECAR_MAGIC: &[u8; 8] = b"GTSIDE1\0";
 pub const SIDECAR_FOOTER_MAGIC: &[u8; 8] = b"GTSIDF1\0";
 
 /// Sidecar container version this build writes and reads.
-pub const SIDECAR_VERSION: u32 = 2;
+pub const SIDECAR_VERSION: u32 = 3;
 
 /// Section names as they appear in errors, in file order.
 const DIRECTORY: &str = "index.gtsc#directory";
@@ -202,6 +219,26 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema, file: &str) -> Result<(), Stor
         put_str(out, a, file)?;
     }
     Ok(())
+}
+
+/// Every distinct schema of `schemas` once, in first-seen order
+/// (compared by attribute list), and each input schema's index in that
+/// table.
+fn schema_table<'s>(
+    schemas: impl Iterator<Item = &'s Schema>,
+) -> Result<(Vec<&'s Schema>, Vec<u32>), StoreError> {
+    let mut table = Vec::new();
+    let mut slots = HashMap::new();
+    let mut refs = Vec::new();
+    for schema in schemas {
+        let next = table.len();
+        let slot = *slots.entry(schema.attributes()).or_insert_with(|| {
+            table.push(schema);
+            next
+        });
+        refs.push(u32::try_from(slot).map_err(|_| corrupt(SEARCH, "schema table overflows u32"))?);
+    }
+    Ok((table, refs))
 }
 
 /// Zero-pads `out` to the next 8-byte boundary and appends `rows`, so
@@ -309,7 +346,9 @@ fn directory_of(
 /// indexed) ordered by [`TableId`] ([`CorpusStore::table_ids`]);
 /// `search` is the search index's per-entry table ids and schemas with
 /// its row-major embedding matrix; `complete` the completion index's
-/// deduplicated schemas with its flat per-attribute matrix.
+/// deduplicated schemas with its flat per-attribute matrix. Each
+/// distinct schema of the two is written once, in the search section's
+/// schema table.
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when a segment's block count, or the number of
@@ -335,6 +374,9 @@ pub fn write_indexes(
     assert_eq!(search_rows.dim(), complete_rows.dim(), "one embedding dim");
     let binding = binding_of(store);
     let (shard_files, entries) = directory_of(store, fingerprints)?;
+    // One ref per search entry, then one per completion schema.
+    let (schemas, mut search_refs) = schema_table(search_schemas.iter().chain(complete_schemas))?;
+    let complete_refs = search_refs.split_off(search_schemas.len());
 
     let mut out = Vec::new();
     out.extend_from_slice(SIDECAR_MAGIC);
@@ -378,16 +420,20 @@ pub fn write_indexes(
         for &id in ids {
             put_u64(out, id as u64);
         }
-        for s in search_schemas {
+        put_u64(out, schemas.len() as u64);
+        for s in &schemas {
             put_schema(out, s, SEARCH)?;
+        }
+        for &r in &search_refs {
+            put_u32(out, r);
         }
         put_matrix(out, search_rows);
         Ok(())
     })?;
     put_section(&mut out, |out| {
-        put_u64(out, complete_schemas.len() as u64);
-        for s in complete_schemas {
-            put_schema(out, s, COMPLETE)?;
+        put_u64(out, complete_refs.len() as u64);
+        for &r in &complete_refs {
+            put_u32(out, r);
         }
         put_matrix(out, complete_rows);
         Ok(())
@@ -789,6 +835,48 @@ fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
     Ok(Schema::new(attrs))
 }
 
+/// The next `count` records of `N` bytes each, bounds-checked as one
+/// slice: a count that runs past the section fails here, before anything
+/// is allocated for the records.
+fn records<'a, const N: usize>(
+    cur: &mut Cursor<'a>,
+    count: usize,
+) -> Result<&'a [[u8; N]], StoreError> {
+    let len = count
+        .checked_mul(N)
+        .ok_or_else(|| corrupt(cur.file, "record count overflows"))?;
+    let (records, _) = cur.take(len)?.as_chunks::<N>();
+    Ok(records)
+}
+
+/// The `N` bytes at `at` of a fixed-width record.
+fn field<const N: usize>(record: &[u8], at: usize) -> [u8; N] {
+    record[at..at + N]
+        .try_into()
+        .expect("field inside its record")
+}
+
+/// One schema per `u32` ref into `table`, which every ref must index.
+fn read_refs(
+    cur: &mut Cursor<'_>,
+    count: usize,
+    table: &[Schema],
+) -> Result<Vec<Schema>, StoreError> {
+    let refs = records::<4>(cur, count)?;
+    let mut schemas = Vec::with_capacity(refs.len());
+    for &r in refs {
+        let r = u32::from_le_bytes(r);
+        let schema = table.get(r as usize).ok_or_else(|| {
+            corrupt(
+                cur.file,
+                format!("schema ref {r} past the table of {}", table.len()),
+            )
+        })?;
+        schemas.push(schema.clone());
+    }
+    Ok(schemas)
+}
+
 /// Skips the zero padding [`put_matrix`] wrote and views the `rows ×
 /// dim` matrix behind it in `arena` (whose bytes `cur` walks).
 fn read_matrix(
@@ -814,13 +902,14 @@ fn read_directory(
     for _ in 0..nshards {
         files.push(cur.str()?);
     }
-    let mut entries = Vec::with_capacity(cur.cap(tables));
-    for _ in 0..tables {
+    let records = records::<28>(cur, tables)?;
+    let mut entries = Vec::with_capacity(records.len());
+    for r in records {
         let entry = DirEntry {
-            shard: cur.u32()?,
-            offset: cur.u64()?,
-            len: cur.u64()?,
-            fingerprint: cur.u64()?,
+            shard: u32::from_le_bytes(field(r, 0)),
+            offset: u64::from_le_bytes(field(r, 4)),
+            len: u64::from_le_bytes(field(r, 12)),
+            fingerprint: u64::from_le_bytes(field(r, 20)),
         };
         if entry.shard as usize >= nshards {
             return Err(corrupt(
@@ -847,18 +936,17 @@ fn read_types(cur: &mut Cursor<'_>) -> Result<TypeIndex, StoreError> {
         }
         let count = cur.u64()?;
         let count = cur.len_of(count, "posting count")?;
-        let mut postings = Vec::with_capacity(cur.cap(count));
-        for _ in 0..count {
-            let table = cur.u64()?;
-            let column = cur.u64()?;
+        let records = records::<22>(cur, count)?;
+        let mut postings = Vec::with_capacity(records.len());
+        for r in records {
             postings.push(TypePosting {
-                table: cur.len_of(table, "posting table id")?,
-                column: cur.len_of(column, "posting column")?,
-                method: method_from_tag(cur.u8()?)
+                table: cur.len_of(u64::from_le_bytes(field(r, 0)), "posting table id")?,
+                column: cur.len_of(u64::from_le_bytes(field(r, 8)), "posting column")?,
+                method: method_from_tag(r[16])
                     .ok_or_else(|| corrupt(cur.file, "unknown method tag"))?,
-                ontology: ontology_from_tag(cur.u8()?)
+                ontology: ontology_from_tag(r[17])
                     .ok_or_else(|| corrupt(cur.file, "unknown ontology tag"))?,
-                similarity: f32::from_bits(cur.u32()?),
+                similarity: f32::from_bits(u32::from_le_bytes(field(r, 18))),
             });
         }
         labels.push(label);
@@ -867,44 +955,48 @@ fn read_types(cur: &mut Cursor<'_>) -> Result<TypeIndex, StoreError> {
     Ok(TypeIndex::from_raw_parts(labels, lists))
 }
 
+/// The search parts, and the schema table the completion section's
+/// refs point into.
 fn read_search(
     cur: &mut Cursor<'_>,
     arena: &Arc<Arena>,
     dim: usize,
-) -> Result<SearchParts, StoreError> {
+) -> Result<(SearchParts, Vec<Schema>), StoreError> {
     let entries = cur.u64()?;
     let entries = cur.len_of(entries, "search entries")?;
-    let mut ids = Vec::with_capacity(cur.cap(entries));
-    for _ in 0..entries {
-        let id = cur.u64()?;
-        ids.push(cur.len_of(id, "table id")?);
+    let id_records = records::<8>(cur, entries)?;
+    let mut ids = Vec::with_capacity(id_records.len());
+    for &id in id_records {
+        ids.push(cur.len_of(u64::from_le_bytes(id), "table id")?);
     }
-    let mut schemas = Vec::with_capacity(cur.cap(entries));
-    for _ in 0..entries {
-        schemas.push(read_schema(cur)?);
+    let nschemas = cur.u64()?;
+    let nschemas = cur.len_of(nschemas, "schema table length")?;
+    let mut table = Vec::with_capacity(cur.cap(nschemas));
+    for _ in 0..nschemas {
+        table.push(read_schema(cur)?);
     }
+    let schemas = read_refs(cur, entries, &table)?;
     let rows = read_matrix(cur, arena, entries, dim)?;
-    Ok(SearchParts { ids, schemas, rows })
+    Ok((SearchParts { ids, schemas, rows }, table))
 }
 
 fn read_complete(
     cur: &mut Cursor<'_>,
     arena: &Arc<Arena>,
     dim: usize,
+    table: &[Schema],
 ) -> Result<CompleteParts, StoreError> {
     let nschemas = cur.u64()?;
     let nschemas = cur.len_of(nschemas, "schema count")?;
-    let mut schemas = Vec::with_capacity(cur.cap(nschemas));
-    let mut starts = Vec::with_capacity(cur.cap(nschemas) + 1);
+    let schemas = read_refs(cur, nschemas, table)?;
+    let mut starts = Vec::with_capacity(schemas.len() + 1);
     let mut total = 0usize;
     starts.push(total);
-    for _ in 0..nschemas {
-        let s = read_schema(cur)?;
+    for s in &schemas {
         total = total
             .checked_add(s.len())
             .ok_or_else(|| corrupt(cur.file, "schema rows overflow"))?;
         starts.push(total);
-        schemas.push(s);
     }
     let rows = read_matrix(cur, arena, total, dim)?;
     Ok(CompleteParts {
@@ -1020,8 +1112,10 @@ pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue>
     let tables = cur.len_of(binding.tables, "table count")?;
     let (files, entries) = section(&mut cur, DIRECTORY, |cur| read_directory(cur, tables))?;
     let types = section(&mut cur, TYPES, read_types)?;
-    let search = section(&mut cur, SEARCH, |cur| read_search(cur, &arena, dim))?;
-    let complete = section(&mut cur, COMPLETE, |cur| read_complete(cur, &arena, dim))?;
+    let (search, schemas) = section(&mut cur, SEARCH, |cur| read_search(cur, &arena, dim))?;
+    let complete = section(&mut cur, COMPLETE, |cur| {
+        read_complete(cur, &arena, dim, &schemas)
+    })?;
     if cur.pos != cur.bytes.len() {
         return Err(corrupt(
             SIDECAR_FILE,
@@ -1260,10 +1354,15 @@ mod tests {
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
         write_minimal(&store, &types_of(&[]));
         let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-        let issue = load_edited(&store, &clean, |bytes| {
-            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        });
-        assert!(stale_detail(issue).contains("version 1"));
+        for version in [1u32, 2] {
+            let issue = load_edited(&store, &clean, |bytes| {
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            });
+            assert_eq!(
+                stale_detail(issue),
+                format!("sidecar version {version}, this build reads 3")
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1275,7 +1374,8 @@ mod tests {
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
         write_minimal(&store, &types_of(&["id"]));
         let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-        let [(dir_at, dir_end), (_, types_end), _, _] = sections(&clean);
+        let [(dir_at, dir_end), (_, types_end), (search_at, _), (complete_at, _)] =
+            sections(&clean);
 
         // Directory: first shard file name, then the last entry's
         // fingerprint, length and shard ordinal.
@@ -1303,6 +1403,33 @@ mod tests {
             (TYPES, "unknown ontology tag")
         );
 
+        // A posting count whose records run past the section: too many
+        // to fit, and so many that their byte length overflows. Either
+        // is refused before a list that size is allocated.
+        let count_at = types_end - 22 - 8;
+        for count in [2, 1 << 40, u64::MAX] {
+            let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+                b[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            }));
+            assert_eq!(file, TYPES, "count {count}: {detail}");
+        }
+
+        // Schema refs at and past the one-schema table: the search
+        // entry's (after the length, entry count, id, table length and
+        // the `[id, name]` schema) and the completion schema's.
+        let search_ref = search_at + 8 + 8 + 8 + 8 + (4 + 4 + 2 + 4 + 4);
+        let complete_ref = complete_at + 8 + 8;
+        for (at, name) in [(search_ref, SEARCH), (complete_ref, COMPLETE)] {
+            assert_eq!(clean[at..at + 4], 0u32.to_le_bytes(), "{name} ref at {at}");
+            for r in [1, u32::MAX] {
+                let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+                    b[at..at + 4].copy_from_slice(&r.to_le_bytes());
+                }));
+                assert_eq!(file, name);
+                assert_eq!(detail, format!("schema ref {r} past the table of 1"));
+            }
+        }
+
         // Labels out of order and repeated, as a writer would persist them.
         for labels in [["name", "id"], ["id", "id"]] {
             write_minimal(&store, &types_of(&labels));
@@ -1311,6 +1438,59 @@ mod tests {
             assert!(detail.contains("not sorted and distinct"), "{detail}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_schema_is_written_once_and_decoded_into_one_shared_list() {
+        let dim = 3;
+        let schema = Schema::new(["id", "name"]);
+        let mut search_len = Vec::new();
+        for k in 1..=4 {
+            let dir = tmp(&format!("share{k}"));
+            let store = save_store_as(&corpus(k), &dir, 2, StoreFormat::ColV1).unwrap();
+            let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+            let ids: Vec<usize> = (0..k).collect();
+            write_indexes(
+                &store,
+                &fingerprints,
+                &types_of(&[]),
+                (
+                    &ids,
+                    &vec![schema.clone(); k],
+                    &F32Matrix::from_vec(vec![0.5; k * dim], k, dim),
+                ),
+                (
+                    std::slice::from_ref(&schema),
+                    &F32Matrix::from_vec(vec![0.25; 2 * dim], 2, dim),
+                ),
+            )
+            .unwrap();
+            let bytes = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+            let name = [&4u32.to_le_bytes()[..], b"name"].concat();
+            let written = bytes.windows(name.len()).filter(|w| *w == name).count();
+            assert_eq!(written, 1, "{k} tables write the schema once");
+            // Length, entry count, ids, table length, the one schema,
+            // refs; then the padding up to the matrix.
+            let [_, _, (at, end), _] = sections(&bytes);
+            let refs_end = at + 8 + 8 + 8 * k + 8 + (4 + 4 + 2 + 4 + 4) + 4 * k;
+            let padding = end - k * dim * 4 - refs_end;
+            assert!(padding < 8 && bytes[refs_end..refs_end + padding].iter().all(|&b| b == 0));
+            search_len.push(end - at - padding);
+
+            let loaded = load_indexes(&store).unwrap();
+            let list = loaded.complete.schemas[0].attributes().as_ptr();
+            assert_eq!(loaded.search.schemas.len(), k);
+            for s in &loaded.search.schemas {
+                assert_eq!(s, &schema);
+                assert_eq!(s.attributes().as_ptr(), list, "one list, shared");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // Past the alignment padding, one more entry is an id, a ref
+        // and a row.
+        for k in 1..4 {
+            assert_eq!(search_len[k] - search_len[k - 1], 8 + 4 + 4 * dim);
+        }
     }
 
     #[test]

@@ -229,13 +229,6 @@ impl GitHost {
         Some(repo.files[file_idx as usize].content.clone())
     }
 
-    /// Repository metadata (license, fork flag) by name.
-    #[must_use]
-    pub fn repository(&self, full_name: &str) -> Option<Repository> {
-        let inner = unpoisoned(self.inner.read());
-        inner.find(full_name).map(|(repo, _)| repo.clone())
-    }
-
     /// A search API view over this host.
     #[must_use]
     pub fn search_api(&self) -> SearchApi<'_> {
@@ -309,9 +302,12 @@ mod tests {
     #[test]
     fn repository_lookup() {
         let h = sample_host();
-        let r = h.repository("b/two").unwrap();
-        assert!(r.fork);
-        assert!(h.repository("zz/zz").is_none());
+        // `b/two` is found by name, and as a fork no search lists it.
+        assert_eq!(h.fetch("b/two", "x.csv").as_deref(), Some("id,v\n2,3\n"));
+        let hits = h.search_api().search(&Query::csv("id"), 1).items;
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].repository, "a/one");
+        assert!(h.fetch("zz/zz", "x.csv").is_none());
     }
 
     #[test]
@@ -332,9 +328,17 @@ mod tests {
                 RepoFile::new("x.csv", "second,file\n"),
             ],
         });
-        let first = h.repository("a/one").unwrap();
-        assert_eq!(first.license.as_deref(), Some("mit"));
-        assert_eq!(first.files.len(), 2);
+        // The first `a/one` (licensed, with a readme) answers its name.
+        assert_eq!(
+            h.fetch("a/one", "readme.md").as_deref(),
+            Some("hello orders")
+        );
+        let hits = h.search_api().search(&Query::csv("orders"), 1).items;
+        assert_eq!(hits.len(), 1);
+        assert_eq!(
+            (hits[0].repository.as_str(), hits[0].license.as_deref()),
+            ("a/one", Some("mit"))
+        );
         assert!(h
             .fetch("a/one", "data/orders.csv")
             .unwrap()

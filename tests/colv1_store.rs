@@ -5,7 +5,7 @@
 //! load — on truncated segments, bad magic, and manifest/format
 //! mismatches.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gittables_annotate::Annotation;
 use gittables_corpus::{
@@ -15,6 +15,8 @@ use gittables_corpus::{
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -810,4 +812,259 @@ fn engine_reports_cold_start_breakdown_per_format() {
     assert_eq!(direct.build_stats().store_format, None);
     assert_eq!(direct.build_stats().store_load_ms, 0.0);
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// What one byte of a sidecar is to the boot that reads it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Role {
+    /// Any change is refused by a check other than the checksum: magic,
+    /// version, binding, dim, lengths, counts, shard names and
+    /// ordinals, directory fingerprints, the footer.
+    Guarded,
+    /// The zero padding before a matrix: skipped, never read.
+    Padding,
+    /// A value only the checksum vouches for: block spans, labels,
+    /// postings, ids, attribute names, in-range schema refs, matrix
+    /// values, and the checksum itself.
+    Payload,
+}
+
+/// Walks a sidecar's documented version-3 layout, recording each byte's
+/// [`Role`].
+struct Walk<'a> {
+    bytes: &'a [u8],
+    roles: Vec<Role>,
+}
+
+impl<'a> Walk<'a> {
+    fn take(&mut self, n: usize, role: Role) -> &'a [u8] {
+        let at = self.roles.len();
+        self.roles.resize(at + n, role);
+        &self.bytes[at..at + n]
+    }
+
+    fn u32(&mut self, role: Role) -> usize {
+        u32::from_le_bytes(self.take(4, role).try_into().unwrap()) as usize
+    }
+
+    fn u64(&mut self, role: Role) -> usize {
+        u64::from_le_bytes(self.take(8, role).try_into().unwrap()) as usize
+    }
+
+    /// A `u32` length (guarded) and the bytes it counts.
+    fn str(&mut self, role: Role) {
+        let n = self.u32(Role::Guarded);
+        self.take(n, role);
+    }
+
+    fn padding(&mut self) {
+        let n = (8 - self.roles.len() % 8) % 8;
+        self.take(n, Role::Padding);
+    }
+}
+
+fn sidecar_roles(bytes: &[u8]) -> Vec<Role> {
+    use Role::{Guarded, Payload};
+    let mut w = Walk {
+        bytes,
+        roles: Vec::with_capacity(bytes.len()),
+    };
+    w.take(8 + 4 + 8, Guarded);
+    let tables = w.u64(Guarded);
+    w.str(Guarded);
+    w.str(Guarded);
+    let dim = w.u64(Guarded);
+    // Directory: shard names, then per table `shard, offset, len,
+    // fingerprint`.
+    w.u64(Guarded);
+    for _ in 0..w.u64(Guarded) {
+        w.str(Guarded);
+    }
+    for _ in 0..tables {
+        w.take(4, Guarded);
+        w.take(16, Payload);
+        w.take(8, Guarded);
+    }
+    // Types: labels, each with its counted postings.
+    w.u64(Guarded);
+    for _ in 0..w.u64(Guarded) {
+        w.str(Payload);
+        let postings = w.u64(Guarded);
+        w.take(22 * postings, Payload);
+    }
+    // Search: ids, the schema table, refs, the matrix.
+    w.u64(Guarded);
+    let entries = w.u64(Guarded);
+    w.take(8 * entries, Payload);
+    let mut lens = Vec::new();
+    for _ in 0..w.u64(Guarded) {
+        let attributes = w.u32(Guarded);
+        for _ in 0..attributes {
+            w.str(Payload);
+        }
+        lens.push(attributes);
+    }
+    w.take(4 * entries, Payload);
+    w.padding();
+    w.take(4 * entries * dim, Payload);
+    // Complete: refs into the table, the per-attribute matrix.
+    w.u64(Guarded);
+    let mut rows = 0;
+    for _ in 0..w.u64(Guarded) {
+        rows += lens[w.u32(Payload)];
+    }
+    w.padding();
+    w.take(4 * rows * dim, Payload);
+    w.take(8, Payload);
+    w.take(8, Guarded);
+    assert_eq!(w.roles.len(), bytes.len(), "the walk covers the file");
+    w.roles
+}
+
+/// The sidecar's checksum as `crates/corpus/src/checksum.rs` defines
+/// it: four word lanes over 32-byte stripes, folded, then the tail bytes
+/// and the length.
+fn lane_checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, v: u64| {
+        let h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+        h ^ (h >> 32)
+    };
+    let basis = 0xcbf2_9ce4_8422_2325;
+    let mut lanes = [basis; 4];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    }
+    let folded = lanes.into_iter().fold(basis, step);
+    let tailed = stripes
+        .remainder()
+        .iter()
+        .fold(folded, |h, &b| step(h, u64::from(b)));
+    step(tailed, bytes.len() as u64)
+}
+
+/// `bytes` with its checksum recomputed, so a load reaches every check
+/// behind it.
+fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 16;
+    let sum = lane_checksum(&bytes[..body]);
+    bytes[body..body + 8].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+fn write_resealed(dir: &Path, bytes: Vec<u8>) {
+    std::fs::write(dir.join(SIDECAR_FILE), resealed(bytes)).unwrap();
+}
+
+/// [`sample_corpus`] plus a table sharing the first one's schema, as a
+/// colv1 store, indexed, with the bytes any boot of it must serve.
+fn indexed_shared_schema_store(tag: &str) -> (PathBuf, Vec<String>) {
+    let mut corpus = sample_corpus();
+    let schema = corpus.tables[0].table.schema();
+    let rows = vec![vec!["shared".to_string(); schema.len()]];
+    corpus.push(AnnotatedTable::new(
+        Table::from_string_rows("same_schema", schema.attributes(), rows).unwrap(),
+    ));
+    // A fifth distinct schema (an odd number of completion refs) and a
+    // longer corpus name put four bytes of padding before each matrix.
+    corpus.push(AnnotatedTable::new(
+        Table::from_string_rows("other", &["other"], vec![vec!["x".to_string()]]).unwrap(),
+    ));
+    corpus.name.push_str("-shared");
+    let dir = tmp(tag);
+    save_store_as(&corpus, &dir, 2, StoreFormat::ColV1).unwrap();
+    build_sidecars(&dir).unwrap();
+    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    (dir, want)
+}
+
+/// 1–8 bytes XOR a random non-zero value at positions drawn from
+/// `pool`, and the positions whose byte ended up different.
+fn mutate(rng: &mut StdRng, clean: &[u8], pool: &[usize]) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = clean.to_vec();
+    for _ in 0..rng.gen_range(1..=8usize) {
+        bytes[pool[rng.gen_range(0..pool.len())]] ^= rng.gen_range(1..=255u8);
+    }
+    let changed = (0..bytes.len()).filter(|&i| bytes[i] != clean[i]).collect();
+    (bytes, changed)
+}
+
+#[test]
+fn resealed_sidecar_mutations_are_refused_or_serve_the_same_bytes() {
+    // Mutations of the bytes a structural check guards, and of the
+    // padding, behind a valid checksum: a load refuses every guarded
+    // change as corrupt or stale, and a sidecar whose padding alone
+    // changed boots and serves the clean bytes. Nothing panics.
+    let (dir, want) = indexed_shared_schema_store("sidecar_mutate");
+    let store = CorpusStore::open(&dir).unwrap();
+    let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+    assert_eq!(
+        resealed(clean.clone()),
+        clean,
+        "the test's checksum is the file's"
+    );
+    let roles = sidecar_roles(&clean);
+    let positions = |keep: &dyn Fn(Role) -> bool| -> Vec<usize> {
+        (0..clean.len()).filter(|&i| keep(roles[i])).collect()
+    };
+    let padding = positions(&|r| r == Role::Padding);
+    let structural = positions(&|r| r != Role::Payload);
+    assert_eq!(padding.len(), 8, "four bytes of padding before each matrix");
+
+    let mut rng = StdRng::seed_from_u64(0x6774_7363);
+    let (mut refused, mut served) = (0, 0);
+    for round in 0..400 {
+        let pool = if round % 4 == 0 {
+            &padding
+        } else {
+            &structural
+        };
+        let (bytes, changed) = mutate(&mut rng, &clean, pool);
+        write_resealed(&dir, bytes);
+        let loaded = std::panic::catch_unwind(|| load_indexes(&store).map(|_| ()))
+            .unwrap_or_else(|_| panic!("round {round}: load panicked, changed {changed:?}"));
+        let guarded = changed.iter().any(|&i| roles[i] == Role::Guarded);
+        match loaded {
+            Err(
+                gittables_corpus::SidecarIssue::Corrupt(_)
+                | gittables_corpus::SidecarIssue::Stale { .. },
+            ) => {
+                assert!(guarded, "round {round}: padding {changed:?} refused");
+                refused += 1;
+            }
+            Err(other) => panic!("round {round}: {other}"),
+            Ok(()) => {
+                assert!(!guarded, "round {round}: guarded {changed:?} loaded");
+                let engine = QueryEngine::load(&dir).unwrap();
+                assert_eq!(engine.build_stats().boot_path, "sidecar");
+                assert_eq!(endpoint_sample(&engine), want, "round {round}: {changed:?}");
+                served += 1;
+            }
+        }
+    }
+    assert!(
+        refused > 250 && served >= 100,
+        "{refused} refused, {served} served"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resealed_sidecar_mutations_anywhere_never_panic() {
+    // The same mutations over every byte, values included: whatever a
+    // boot makes of them (a refusal and a rebuild, or indexes holding
+    // other values), loading and answering never panic.
+    let (dir, _) = indexed_shared_schema_store("sidecar_mutate_any");
+    let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+    let anywhere: Vec<usize> = (0..clean.len() - 16).collect();
+    let mut rng = StdRng::seed_from_u64(0x616e_7977);
+    for round in 0..400 {
+        let (bytes, changed) = mutate(&mut rng, &clean, &anywhere);
+        write_resealed(&dir, bytes);
+        std::panic::catch_unwind(|| endpoint_sample(&QueryEngine::load(&dir).unwrap()))
+            .unwrap_or_else(|_| panic!("round {round}: panicked, changed {changed:?}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
