@@ -1,18 +1,20 @@
-//! The [`ShardCodec`] abstraction: how shard bytes become tables.
+//! The [`ShardCodec`] abstraction: how shard bytes become tables. It is
+//! this crate's own business; nothing outside it names a codec.
 //!
 //! A [`crate::store::CorpusStore`] records its shard format in
 //! `manifest.json` (`"format"`) and resolves it to a codec once at
 //! open/create time; every shard write streams through its encoder, and
-//! every read — whole-shard load, export, migration, lazy single-table
-//! access — goes through the same two methods
-//! ([`ShardCodec::block_spans`] + [`ShardCodec::read_block`]). Two codecs
-//! exist:
+//! every read — whole-shard load, export, lazy single-table access —
+//! goes through the same two methods ([`ShardCodec::block_spans`] +
+//! [`ShardCodec::read_block`]). Two codecs exist:
 //!
-//! * [`StoreFormat::Jsonl`] — one JSON document per line. Human-greppable
-//!   and append-friendly, but every load re-parses text through a value
-//!   tree (a manifest without a `format` field means `jsonl`).
 //! * [`StoreFormat::ColV1`] — the binary columnar segment of
-//!   [`crate::colv1`], decoded by slicing an `mmap`ed arena.
+//!   [`crate::colv1`], decoded by slicing an `mmap`ed arena. Every store
+//!   the crate creates uses it.
+//! * [`StoreFormat::Jsonl`] — one JSON document per line. It is kept only
+//!   as the format the benchmark's `corpus.load_jsonl_s` comparison row
+//!   writes and reads through [`crate::save_store_as`]; no command writes
+//!   it and no default picks it.
 //!
 //! Content checks are *outside* the codec: the store verifies table
 //! counts and content fingerprints on every load path, so both formats
@@ -47,18 +49,15 @@ impl StoreFormat {
         }
     }
 
-    /// Parses a manifest/CLI format name.
+    /// Parses a manifest format name.
     #[must_use]
-    pub fn parse(s: &str) -> Option<StoreFormat> {
+    pub(crate) fn parse(s: &str) -> Option<StoreFormat> {
         match s {
             "jsonl" => Some(StoreFormat::Jsonl),
             "colv1" => Some(StoreFormat::ColV1),
             _ => None,
         }
     }
-
-    /// Every supported format, for help text and docs.
-    pub const ALL: [StoreFormat; 2] = [StoreFormat::Jsonl, StoreFormat::ColV1];
 }
 
 impl std::fmt::Display for StoreFormat {
@@ -70,7 +69,7 @@ impl std::fmt::Display for StoreFormat {
 /// A streaming single-shard encoder produced by [`ShardCodec::begin`].
 /// Push tables one at a time; [`ShardEncoder::finish`] makes the file
 /// durable (flush + fsync) but does *not* commit it to the manifest.
-pub trait ShardEncoder: Send {
+pub(crate) trait ShardEncoder: Send {
     /// Appends one table.
     ///
     /// # Errors
@@ -85,7 +84,7 @@ pub trait ShardEncoder: Send {
 }
 
 /// One shard format: naming, streaming encode, and block-wise decode.
-pub trait ShardCodec: Send + Sync {
+pub(crate) trait ShardCodec: Send + Sync {
     /// The format this codec implements.
     fn format(&self) -> StoreFormat;
 
@@ -150,7 +149,7 @@ fn span_bytes<'a>(
 
 /// The codec for `format` (codecs are stateless, so one static each).
 #[must_use]
-pub fn codec_for(format: StoreFormat) -> &'static dyn ShardCodec {
+pub(crate) fn codec_for(format: StoreFormat) -> &'static dyn ShardCodec {
     match format {
         StoreFormat::Jsonl => &JsonlCodec,
         StoreFormat::ColV1 => &ColV1Codec,
@@ -160,7 +159,7 @@ pub fn codec_for(format: StoreFormat) -> &'static dyn ShardCodec {
 // -------------------------------------------------------------------- jsonl
 
 /// One JSON document per line.
-pub struct JsonlCodec;
+struct JsonlCodec;
 
 struct JsonlEncoder {
     writer: std::io::BufWriter<std::fs::File>,
@@ -240,7 +239,7 @@ impl ShardCodec for JsonlCodec {
 // -------------------------------------------------------------------- colv1
 
 /// Binary columnar segments (see [`crate::colv1`] for the layout).
-pub struct ColV1Codec;
+pub(crate) struct ColV1Codec;
 
 struct ColV1Encoder {
     writer: colv1::SegmentWriter,
@@ -291,7 +290,7 @@ mod tests {
 
     #[test]
     fn format_names_roundtrip() {
-        for f in StoreFormat::ALL {
+        for f in [StoreFormat::Jsonl, StoreFormat::ColV1] {
             assert_eq!(StoreFormat::parse(f.name()), Some(f));
         }
         assert_eq!(StoreFormat::parse("nope"), None);

@@ -76,8 +76,9 @@
 //! into an owned arena.
 //! Caveat shared with every file-mapping reader: truncating a segment
 //! while another process has it mapped is undefined behavior at the OS
-//! level (`SIGBUS`); stores are private directories, and `migrate` swaps
-//! formats by atomic manifest rename, never by truncating segments.
+//! level (`SIGBUS`); stores are private directories, and a store changes
+//! only by writing new segments and an atomic manifest rename, never by
+//! truncating a segment.
 
 use std::io::Write;
 use std::path::Path;

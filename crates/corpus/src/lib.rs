@@ -12,13 +12,11 @@
 //! * [`bias_audit`] — the Table 6 bias audit over person/geography types;
 //! * [`save_corpus`] / [`load_corpus`] — monolithic single-file JSON
 //!   save/load;
-//! * [`CorpusStore`] — the sharded on-disk store (`manifest.json` + N shard
-//!   files) with streaming writes, parallel loads, integrity checks, and
-//!   in-place-atomic migration between shard formats;
-//! * [`ShardCodec`] — the shard format trait and its two implementations
-//!   (`jsonl` text lines, `colv1` binary columnar segments; [`StoreFormat`]
-//!   names them). `colv1` is the mmap-decoded binary columnar segment
-//!   format behind fast, low-RSS cold starts;
+//! * [`CorpusStore`] — the sharded on-disk store (`manifest.json` + N
+//!   `colv1` shard files, the mmap-decoded binary columnar segments behind
+//!   fast, low-RSS cold starts) with streaming writes, parallel loads and
+//!   integrity checks. How shard bytes are encoded is this crate's own
+//!   business; [`StoreFormat`] names the format a manifest records;
 //! * [`TypeIndex`] — the inverted semantic-type index (label → posting
 //!   list of `(table, column)` occurrences) behind the query-serving
 //!   subsystem's `/types` endpoints.
@@ -46,7 +44,7 @@ mod union;
 
 pub use annstats::{coverage_histogram, similarity_histogram, AnnotationStats, Histogram};
 pub use bias::{bias_audit, BiasRow};
-pub use codec::{ShardCodec, ShardEncoder, StoreFormat};
+pub use codec::StoreFormat;
 pub use corpus::{AnnotatedTable, Corpus, TableId};
 pub use dedup::{
     combine_fingerprints, dedup_indices, dedup_indices_with, exact_duplicates,
@@ -61,9 +59,8 @@ pub use sidecar::{
 };
 pub use stats::{col_dims, cumulative_counts, row_dims, CorpusStats};
 pub use store::{
-    load_store, migrate_store, save_store, save_store_as, shard_id_for, CorpusStore,
-    GroupDirectory, MigrateReport, ShardEntry, ShardGroup, ShardWriter, StoreError, StoreManifest,
-    MANIFEST_FILE,
+    load_store, save_store, save_store_as, shard_id_for, CorpusStore, GroupDirectory, ShardEntry,
+    ShardGroup, ShardWriter, StoreError, StoreManifest, MANIFEST_FILE,
 };
 pub use typeindex::{TypeCount, TypeIndex, TypePosting};
 pub use union::{union_groups, union_tables, UnionGroup};

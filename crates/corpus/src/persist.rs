@@ -1,11 +1,11 @@
 //! Monolithic single-file JSON persistence of corpora.
 //!
 //! This is the interop format (`corpus.json`): one self-describing JSON
-//! document, easy to ship to other tools. Production loading goes
-//! through the sharded [`crate::store`] instead, whose shard bytes are
-//! produced and consumed by a [`crate::codec::ShardCodec`] — `jsonl`
-//! text lines or the mmap-decoded binary [`crate::colv1`] segments —
-//! with per-shard integrity checks this single file does not have.
+//! document, easy to ship to other tools, and the way a store is carried
+//! into another build or format (`gittables load`, then `gittables
+//! save`). Production loading goes through the sharded [`crate::store`]
+//! instead, whose mmap-decoded binary [`crate::colv1`] segments carry
+//! per-shard integrity checks this single file does not have.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;

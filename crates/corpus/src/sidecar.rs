@@ -98,7 +98,6 @@
 //! bytes; `gittables index` restores the fast path.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
 use gittables_table::Schema;
@@ -265,13 +264,6 @@ fn put_section(
     let len = (out.len() - at - 8) as u64;
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
     Ok(())
-}
-
-/// Removes the sidecar under `dir`, best-effort. Used after store
-/// mutations (e.g. migration) so an unreadable-stale file doesn't
-/// linger; a leftover would be detected as stale anyway.
-pub fn remove_sidecars(dir: &Path) {
-    std::fs::remove_file(dir.join(SIDECAR_FILE)).ok();
 }
 
 /// One table's location inside the store: which shard, which block
@@ -1248,7 +1240,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_lazy_get_both_formats() {
-        for format in StoreFormat::ALL {
+        for format in [StoreFormat::Jsonl, StoreFormat::ColV1] {
             let dir = tmp(&format!("rt_{format}"));
             let c = corpus(7);
             let store = save_store_as(&c, &dir, 3, format).unwrap();

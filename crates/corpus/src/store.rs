@@ -8,18 +8,21 @@
 //! ```text
 //! store/
 //!   manifest.json          # StoreManifest: name, shard format, shard index
-//!   <shard-id>.colv1       # binary columnar segment (crate::colv1), or
-//!   <shard-id>.jsonl       # one AnnotatedTable as JSON per line
+//!   <shard-id>.colv1       # binary columnar segment (crate::colv1)
 //!   ...
 //! ```
 //!
-//! Shard bytes are produced and consumed through a [`ShardCodec`]
-//! resolved once from the manifest's `format` field (absent ⇒ `jsonl`):
-//! `jsonl` is the greppable text format, `colv1` the mmap-decoded
-//! binary columnar format built for fast, low-RSS cold starts. [`migrate_store`] rewrites a store between
-//! formats in place, committing by atomic manifest rename. The manifest
-//! also records the store format version ([`FORMAT_VERSION`]); a store
-//! of any other version is refused when it is opened
+//! Shard bytes are produced and consumed through the crate's shard codec,
+//! resolved once from the manifest's required `format` field. Every store
+//! [`CorpusStore::create`] and [`save_store`] make is `colv1`, the
+//! mmap-decoded binary columnar format built for fast, low-RSS cold
+//! starts; [`save_store_as`] and [`CorpusStore::create_with_format`] can
+//! still write `jsonl` text shards, which only the benchmark's
+//! `corpus.load_jsonl_s` comparison row does. A store is carried into
+//! another format through the single-file corpus JSON
+//! (`gittables load`, then `gittables save`). The manifest also records
+//! the store format version ([`FORMAT_VERSION`]); a store of any other
+//! version is refused when it is opened
 //! ([`StoreError::UnsupportedVersion`]), never read under rules it was
 //! not written by.
 //!
@@ -365,8 +368,9 @@ pub struct StoreManifest {
     pub version: u32,
     /// Corpus name / version tag.
     pub name: String,
-    /// Shard format name (see [`StoreFormat`]); absent means `"jsonl"`.
-    pub format: Option<String>,
+    /// Shard format name (see [`StoreFormat`]). A manifest without it
+    /// does not parse.
+    pub format: String,
     /// Committed shards, in commit order.
     pub shards: Vec<ShardEntry>,
 }
@@ -378,18 +382,15 @@ impl StoreManifest {
     /// [`StoreError::UnsupportedFormat`] when the recorded name is
     /// unknown to this build.
     pub fn store_format(&self) -> Result<StoreFormat, StoreError> {
-        match &self.format {
-            None => Ok(StoreFormat::Jsonl),
-            Some(name) => StoreFormat::parse(name).ok_or_else(|| StoreError::UnsupportedFormat {
-                format: name.clone(),
-            }),
-        }
+        StoreFormat::parse(&self.format).ok_or_else(|| StoreError::UnsupportedFormat {
+            format: self.format.clone(),
+        })
     }
 }
 
 /// A streaming writer for one shard: tables are appended as they are
 /// produced, so producing a shard needs memory for one table at a time.
-/// Encoding is delegated to the store's [`ShardCodec`]; fingerprints and
+/// Encoding is delegated to the store's shard codec; fingerprints and
 /// ordering keys are tracked here, identically for every format.
 ///
 /// Created by [`CorpusStore::begin_shard`]; call [`ShardWriter::finish`] and
@@ -495,15 +496,14 @@ impl Committed {
 }
 
 impl CorpusStore {
-    /// Creates a fresh store at `dir` (creating the directory if needed)
-    /// in the legacy-default `jsonl` format. Use
-    /// [`Self::create_with_format`] to pick the shard format.
+    /// Creates a fresh `colv1` store at `dir` (creating the directory if
+    /// needed).
     ///
     /// # Errors
     /// [`StoreError::AlreadyExists`] if `dir` already holds a manifest;
     /// otherwise propagates I/O failures.
     pub fn create(dir: impl Into<PathBuf>, name: impl Into<String>) -> Result<Self, StoreError> {
-        Self::create_with_format(dir, name, StoreFormat::Jsonl)
+        Self::create_with_format(dir, name, StoreFormat::ColV1)
     }
 
     /// Creates a fresh store at `dir` whose shards use `format`.
@@ -526,7 +526,7 @@ impl CorpusStore {
             manifest: Mutex::new(Committed::new(StoreManifest {
                 version: FORMAT_VERSION,
                 name: name.into(),
-                format: Some(format.name().to_string()),
+                format: format.name().to_string(),
                 shards: Vec::new(),
             })),
             format,
@@ -535,8 +535,7 @@ impl CorpusStore {
         Ok(store)
     }
 
-    /// Opens an existing store, auto-detecting its shard format from the
-    /// manifest (`format` absent ⇒ `jsonl`).
+    /// Opens an existing store in the shard format its manifest records.
     ///
     /// # Errors
     /// [`StoreError::MissingManifest`] when `dir` has no manifest,
@@ -568,26 +567,6 @@ impl CorpusStore {
         })
     }
 
-    /// Opens `dir` as a store, creating a fresh one with `format` when no
-    /// manifest exists. An existing store keeps its recorded format —
-    /// `format` only applies to creation (use [`migrate_store`] to change
-    /// an existing store).
-    ///
-    /// # Errors
-    /// Propagates [`Self::open`]/[`Self::create_with_format`] failures.
-    pub fn open_or_create_with_format(
-        dir: impl Into<PathBuf>,
-        name: impl Into<String>,
-        format: StoreFormat,
-    ) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        if dir.join(MANIFEST_FILE).exists() {
-            Self::open(dir)
-        } else {
-            Self::create_with_format(dir, name, format)
-        }
-    }
-
     /// The shard format this store reads and writes.
     #[must_use]
     pub fn format(&self) -> StoreFormat {
@@ -595,8 +574,7 @@ impl CorpusStore {
     }
 
     /// The codec implementing [`Self::format`].
-    #[must_use]
-    pub fn codec(&self) -> &'static dyn ShardCodec {
+    pub(crate) fn codec(&self) -> &'static dyn ShardCodec {
         codec_for(self.format)
     }
 
@@ -844,9 +822,8 @@ pub fn shard_id_for(name: &str) -> String {
     format!("{safe}-{h:016x}")
 }
 
-/// Saves a corpus into a fresh `jsonl` store at `dir`, splitting it into
-/// shards of at most `tables_per_shard` tables. See [`save_store_as`] to
-/// pick the shard format.
+/// Saves a corpus into a fresh `colv1` store at `dir`, splitting it into
+/// shards of at most `tables_per_shard` tables.
 ///
 /// # Errors
 /// Propagates [`CorpusStore::create`] and shard-write failures.
@@ -855,7 +832,7 @@ pub fn save_store(
     dir: impl Into<PathBuf>,
     tables_per_shard: usize,
 ) -> Result<CorpusStore, StoreError> {
-    save_store_as(corpus, dir, tables_per_shard, StoreFormat::Jsonl)
+    save_store_as(corpus, dir, tables_per_shard, StoreFormat::ColV1)
 }
 
 /// Saves a corpus into a fresh store at `dir` in `format`, splitting it
@@ -881,113 +858,6 @@ pub fn save_store_as(
         store.commit_shard(writer.finish()?)?;
     }
     Ok(store)
-}
-
-/// The outcome of a [`migrate_store`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Format the store held before.
-    pub from: StoreFormat,
-    /// Format the store holds now.
-    pub to: StoreFormat,
-    /// Shards rewritten (0 when the store was already in `to`).
-    pub shards: usize,
-    /// Tables rewritten.
-    pub tables: usize,
-}
-
-/// Rewrites the store at `dir` into shard format `to`, in place and
-/// atomically: new-format segments are written alongside the old files
-/// (with full integrity checks on both read and re-read), then the
-/// manifest is swapped by atomic rename — the commit point — and only
-/// then are the old files removed. A crash before the rename leaves the
-/// original store untouched; a crash after it leaves a fully migrated
-/// store plus some stale files that a re-run cleans up. Shard ids,
-/// table counts, fingerprints, ordering keys, and resume metadata are
-/// all preserved, so a migrated store loads a bit-identical corpus and
-/// still resumes.
-///
-/// # Errors
-/// Propagates open/decode/encode failures; verification failures of the
-/// rewritten segments abort before the manifest is touched.
-pub fn migrate_store(
-    dir: impl Into<PathBuf>,
-    to: StoreFormat,
-) -> Result<MigrateReport, StoreError> {
-    let dir = dir.into();
-    let store = CorpusStore::open(&dir)?;
-    let from = store.format();
-    if from == to {
-        // Already in the target format — but a previous migration that
-        // crashed after its manifest commit may have left old-format
-        // files behind; this re-run is where they get cleaned up.
-        for entry in store.shard_entries() {
-            for stale in StoreFormat::ALL.into_iter().filter(|f| *f != to) {
-                std::fs::remove_file(dir.join(codec_for(stale).file_name(&entry.id))).ok();
-            }
-        }
-        return Ok(MigrateReport {
-            from,
-            to,
-            shards: 0,
-            tables: 0,
-        });
-    }
-    let entries = store.shard_entries();
-    let codec = codec_for(to);
-    let rewritten = par_map(&entries, |entry| {
-        // Decode through the old codec with the usual integrity
-        // checks, re-encode, then re-read the new segment and verify
-        // its fingerprint before it can ever be committed.
-        let tables = store.load_shard(entry)?;
-        let file = codec.file_name(&entry.id);
-        let path = dir.join(&file);
-        let mut encoder = codec.begin(&path)?;
-        for at in &tables {
-            encoder.push(at)?;
-        }
-        encoder.finish()?;
-        let (reread, reread_fps) = decode_shard(codec, Arena::load(&path)?.bytes(), &file)?;
-        let fingerprint = combine_fingerprints(reread_fps);
-        if reread.len() != entry.tables || fingerprint != entry.fingerprint {
-            return Err(StoreError::Corrupt {
-                file,
-                detail: "rewritten segment failed verification".to_string(),
-            });
-        }
-        Ok(ShardEntry {
-            file,
-            ..entry.clone()
-        })
-    });
-    let mut new_entries = Vec::with_capacity(entries.len());
-    for r in rewritten {
-        new_entries.push(r?);
-    }
-    let tables = new_entries.iter().map(|e| e.tables).sum();
-    {
-        // A migration rewrites every entry's `file`, never its `id` or
-        // its position, so the id index stays exact.
-        let mut committed = store.committed();
-        committed.manifest.format = Some(to.name().to_string());
-        committed.manifest.shards = new_entries;
-        store.persist_manifest(&committed.manifest)?;
-    }
-    // The manifest rename committed the migration; the old files are now
-    // unreferenced. Removal is best-effort — a leftover file is inert.
-    for entry in &entries {
-        std::fs::remove_file(dir.join(&entry.file)).ok();
-    }
-    // Index sidecars recorded the old format and shard file names, so
-    // they are stale now; drop them rather than leave unreadable files
-    // around (a leftover would be *detected* as stale, never served).
-    crate::sidecar::remove_sidecars(&dir);
-    Ok(MigrateReport {
-        from,
-        to,
-        shards: entries.len(),
-        tables,
-    })
 }
 
 /// Loads the corpus stored at `dir` (parallel, with integrity checks).
@@ -1176,56 +1046,13 @@ mod tests {
     }
 
     #[test]
-    fn migrate_roundtrip_preserves_corpus_and_metadata() {
-        let dir = tmp("migrate");
-        let c = corpus(7);
-        save_store_as(&c, &dir, 3, StoreFormat::Jsonl).unwrap();
-        let before = CorpusStore::open(&dir).unwrap().shard_entries();
-
-        let report = migrate_store(&dir, StoreFormat::ColV1).unwrap();
-        assert_eq!(
-            (report.from, report.to),
-            (StoreFormat::Jsonl, StoreFormat::ColV1)
-        );
-        assert_eq!(report.shards, 3);
-        assert_eq!(report.tables, 7);
-        let store = CorpusStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::ColV1);
-        assert_eq!(store.load_corpus().unwrap(), c);
-        // Ids, counts, fingerprints, and indices survive; only file
-        // names change extension. No stale .jsonl files remain.
-        let after = store.shard_entries();
-        for (b, a) in before.iter().zip(&after) {
-            assert_eq!(b.id, a.id);
-            assert_eq!(b.tables, a.tables);
-            assert_eq!(b.fingerprint, a.fingerprint);
-            assert_eq!(b.indices, a.indices);
-            assert_eq!(a.file, format!("{}.colv1", a.id));
-            assert!(!dir.join(&b.file).exists(), "stale {}", b.file);
-        }
-
-        // Migrating back restores the original corpus too.
-        migrate_store(&dir, StoreFormat::Jsonl).unwrap();
-        assert_eq!(load_store(&dir).unwrap(), c);
-
-        // A same-format migration is a no-op — except it sweeps up
-        // other-format files a crashed post-commit migration left behind.
-        let stale = dir.join(format!("{}.colv1", after[0].id));
-        std::fs::write(&stale, b"leftover").unwrap();
-        let noop = migrate_store(&dir, StoreFormat::Jsonl).unwrap();
-        assert_eq!(noop.shards, 0);
-        assert!(!stale.exists(), "stale file must be swept on re-run");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn unknown_manifest_format_is_typed() {
         let dir = tmp("badfmt");
         save_store(&corpus(2), &dir, 8).unwrap();
         let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
         std::fs::write(
             dir.join(MANIFEST_FILE),
-            manifest.replace("\"jsonl\"", "\"tar.zst\""),
+            manifest.replace("\"colv1\"", "\"tar.zst\""),
         )
         .unwrap();
         let err = CorpusStore::open(&dir).unwrap_err();
@@ -1234,18 +1061,40 @@ mod tests {
     }
 
     #[test]
-    fn manifest_without_format_field_means_jsonl() {
-        let dir = tmp("legacy");
+    fn manifest_without_a_format_name_is_refused() {
+        let dir = tmp("noformat");
         save_store(&corpus(3), &dir, 2).unwrap();
-        // Simulate a pre-`format` manifest by dropping the field.
         let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let stripped = manifest.replace("\"format\":\"jsonl\",", "");
-        assert_ne!(manifest, stripped, "fixture must actually strip the field");
-        std::fs::write(dir.join(MANIFEST_FILE), stripped).unwrap();
-        let store = CorpusStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::Jsonl);
-        assert_eq!(store.load_corpus().unwrap(), corpus(3));
+        let stripped = manifest.replace("\"format\":\"colv1\",", "");
+        let null = manifest.replace("\"format\":\"colv1\"", "\"format\":null");
+        for edited in [stripped, null] {
+            assert_ne!(manifest, edited, "fixture must actually edit the field");
+            std::fs::write(dir.join(MANIFEST_FILE), &edited).unwrap();
+            let err = CorpusStore::open(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Json(_)), "{edited}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_and_save_store_write_colv1() {
+        let base = tmp("default");
+        let created = CorpusStore::create(base.join("created"), "c").unwrap();
+        let mut w = created.begin_shard("s").unwrap();
+        w.push(0, &table("a", "x")).unwrap();
+        created.commit_shard(w.finish().unwrap()).unwrap();
+        let saved = save_store(&corpus(5), base.join("saved"), 2).unwrap();
+        for store in [&created, &saved] {
+            assert_eq!(store.format(), StoreFormat::ColV1);
+            let manifest = std::fs::read_to_string(store.path().join(MANIFEST_FILE)).unwrap();
+            assert!(manifest.contains("\"format\":\"colv1\""), "{manifest}");
+            for entry in store.shard_entries() {
+                assert_eq!(entry.file, format!("{}.colv1", entry.id));
+                assert!(store.path().join(&entry.file).is_file(), "{}", entry.file);
+            }
+        }
+        assert_eq!(saved.num_shards(), 3);
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

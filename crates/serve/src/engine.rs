@@ -290,8 +290,7 @@ impl QueryEngine {
     /// the pre-sidecar boot path, kept as the reference the lazy path is
     /// pinned against. Extraction is never re-run: this reads the shards
     /// exactly as [`CorpusStore::load_corpus`] does, integrity checks
-    /// included, through whatever [`gittables_corpus::StoreFormat`] the
-    /// manifest records.
+    /// included, in whatever shard format the manifest records.
     ///
     /// # Errors
     /// Propagates store open/load failures.

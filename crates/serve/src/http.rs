@@ -47,7 +47,7 @@
 //! `POST /reload` (or `SIGHUP`, when the server was started from a
 //! store directory) loads a fresh [`ShardSet`] from the store — same
 //! validation as a cold boot, reading whatever manifest the last
-//! atomic `migrate`/save rename committed — and swaps it in under the
+//! atomic commit rename left — and swaps it in under the
 //! snapshot lock. In-flight requests keep the old snapshot alive via
 //! their `Arc` clones; the handler waits for them to drain (bounded)
 //! before letting the old mappings drop. The snapshot carries its

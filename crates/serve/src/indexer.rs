@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn index_then_boot_serves_identical_answers() {
-        for format in StoreFormat::ALL {
+        for format in [StoreFormat::Jsonl, StoreFormat::ColV1] {
             let dir = std::env::temp_dir().join(format!(
                 "gt_indexer_{format}_{}_{:?}",
                 std::process::id(),

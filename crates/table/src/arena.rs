@@ -217,8 +217,7 @@ impl<'a> Iterator for Cells<'a> {
 impl ExactSizeIterator for Cells<'_> {}
 
 /// Serializes as the JSON array of cell strings a `Vec<String>` would — the
-/// persisted shape of a column's `values` in jsonl shards and
-/// `corpus.json`.
+/// persisted shape of a column's `values` in `corpus.json`.
 impl Serialize for CellArena {
     fn write_json(&self, out: &mut String) {
         serde::write_seq(self, out);

@@ -40,7 +40,7 @@ fn main() {
     println!(
         "interrupted   : {} shards committed, {} tables durable",
         partial.shards_written,
-        partial.corpus.len()
+        store.len()
     );
 
     // Resume: already-committed shards are skipped, the rest is processed,
@@ -50,9 +50,10 @@ fn main() {
         "resumed       : {} new shards, {} skipped, {} tables",
         resumed.shards_written,
         resumed.shards_skipped,
-        resumed.corpus.len()
+        store.len()
     );
-    assert_eq!(resumed.corpus, reference, "resumed corpus must match");
+    let loaded = store.load_corpus().expect("load resumed store");
+    assert_eq!(loaded, reference, "resumed corpus must match");
     assert_eq!(resumed.report, reference_report, "merged report must match");
     println!("resume output is bit-identical to the uninterrupted run ✓");
 

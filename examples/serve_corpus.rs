@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{CorpusStore, StoreFormat};
+use gittables_corpus::CorpusStore;
 use gittables_githost::GitHost;
 use gittables_serve::{build_sidecars, get, QueryEngine, Server, ServerConfig};
 
@@ -23,8 +23,7 @@ fn main() {
     pipeline.populate_host(&host);
     let dir = std::env::temp_dir().join(format!("gt_serve_example_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store = CorpusStore::create_with_format(&dir, pipeline.corpus_name(), StoreFormat::ColV1)
-        .expect("create store");
+    let store = CorpusStore::create(&dir, pipeline.corpus_name()).expect("create store");
     pipeline.run_to_store(&host, &store).expect("build store");
     build_sidecars(&dir).expect("index store");
     let engine = QueryEngine::load(&dir).expect("load store");

@@ -10,18 +10,17 @@
 //! gittables export  --corpus corpus.json --out dir/
 //! gittables union   --corpus corpus.json [--min 3]
 //! gittables dedup   --corpus corpus.json
-//! gittables save    --corpus corpus.json --out store_dir/ [--shard 256] [--format colv1|jsonl]
+//! gittables save    --corpus corpus.json --out store_dir/ [--shard 256]
 //! gittables load    --store store_dir/ --out corpus.json
-//! gittables crawl   <store_dir/ | --store store_dir/> [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--format colv1|jsonl] [--passes N] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]
-//! gittables migrate store_dir/ --to <colv1|jsonl>
-//! gittables index   store_dir/
-//! gittables serve   store_dir/ [--addr 127.0.0.1:7878] [--threads 4] [--cache 1024] [--shards 1]
+//! gittables crawl   <store_dir/ | --store store_dir/> [--seed 42] [--topics 10] [--repos 40] [--sql 0.0] [--passes N] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]
+//! gittables index   <store_dir/ | --store store_dir/>
+//! gittables serve   <store_dir/ | --store store_dir/> [--addr 127.0.0.1:7878] [--threads 4] [--cache 1024] [--shards 1]
 //! ```
 //!
+//! Every command refuses a flag it does not read (exit 2 with the usage).
 //! `save`/`load` convert between the monolithic JSON file and the sharded
-//! on-disk store (shard format defaults to the binary columnar `colv1`;
-//! reads auto-detect from the manifest); `migrate` rewrites a store
-//! between shard formats in place, atomically; `index` builds the
+//! on-disk store, whose shards are the binary columnar `colv1`; a `load`
+//! then `save` carries a store into this build's format. `index` builds the
 //! persisted index sidecar that lets `serve` boot straight off the mapped
 //! files; `serve` boots a query engine over a store (sidecar path when a
 //! fresh sidecar exists, materialized rebuild otherwise) and answers HTTP
@@ -46,7 +45,9 @@ use std::process::ExitCode;
 
 use gittables_core::apps::{DataSearch, NearestCompletion};
 use gittables_core::{Pipeline, PipelineConfig};
-use gittables_corpus::{load_corpus, save_corpus, AnnotationStats, Corpus, CorpusStats};
+use gittables_corpus::{
+    load_corpus, save_corpus, AnnotationStats, Corpus, CorpusStats, CorpusStore, StoreError,
+};
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{Server, ServerConfig};
 
@@ -289,45 +290,18 @@ fn cmd_dedup(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses `--format` (default: the fast binary `colv1`).
-fn store_format(args: &[String]) -> Result<gittables_corpus::StoreFormat, CliError> {
-    match opt(args, "--format")? {
-        None => Ok(gittables_corpus::StoreFormat::ColV1),
-        Some(v) => Ok(gittables_corpus::StoreFormat::parse(&v)
-            .ok_or_else(|| format!("unknown store format `{v}` (use colv1 or jsonl)"))?),
-    }
-}
-
 fn cmd_save(args: &[String]) -> Result<(), CliError> {
     let out = opt(args, "--out")?.ok_or("missing --out <dir>")?;
     let shard = num(args, "--shard", TABLES_PER_SHARD)?;
-    let format = store_format(args)?;
     let corpus = load(args)?;
-    let store = gittables_corpus::save_store_as(&corpus, PathBuf::from(&out), shard, format)
+    let store = gittables_corpus::save_store(&corpus, PathBuf::from(&out), shard)
         .map_err(|e| e.to_string())?;
     eprintln!(
-        "wrote {} tables across {} {format} shards under {out}",
+        "wrote {} tables across {} {} shards under {out}",
         store.len(),
-        store.num_shards()
+        store.num_shards(),
+        store.format()
     );
-    Ok(())
-}
-
-fn cmd_migrate(args: &[String]) -> Result<(), CliError> {
-    let dir = store_dir(args, "migrate <store-dir> --to <format>")?;
-    let to_arg = opt(args, "--to")?.ok_or("missing --to <colv1|jsonl>")?;
-    let to = gittables_corpus::StoreFormat::parse(&to_arg)
-        .ok_or_else(|| format!("unknown store format `{to_arg}` (use colv1 or jsonl)"))?;
-    let report =
-        gittables_corpus::migrate_store(PathBuf::from(&dir), to).map_err(|e| e.to_string())?;
-    if report.shards == 0 && report.from == report.to {
-        eprintln!("{dir} is already {to}; nothing to do");
-    } else {
-        eprintln!(
-            "migrated {dir} from {} to {}: {} shards, {} tables rewritten",
-            report.from, report.to, report.shards, report.tables
-        );
-    }
     Ok(())
 }
 
@@ -360,11 +334,10 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
     let config = sized_config(args)?;
     let (seed, topics, repos) = (config.seed, config.topics.len(), config.repos_per_topic);
     let pipeline = Pipeline::new(config);
-    let store = gittables_corpus::CorpusStore::open_or_create_with_format(
-        PathBuf::from(&dir),
-        pipeline.corpus_name(),
-        store_format(args)?,
-    )
+    let store = match CorpusStore::open(&dir) {
+        Err(StoreError::MissingManifest(_)) => CorpusStore::create(&dir, pipeline.corpus_name()),
+        opened => opened,
+    }
     .map_err(|e| e.to_string())?;
 
     // Replica mirrors of one upstream: views of one populated host, so
@@ -417,7 +390,7 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
             p.run.shards_written,
             p.run.shards_skipped,
             p.run.shards_deferred,
-            p.run.corpus.len(),
+            store.len(),
             p.quarantined
         );
         if !p.drained.is_empty() {
@@ -506,46 +479,67 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A subcommand: its name, what it runs, and its synopsis. The flags
+/// the synopsis names are the only ones the command accepts.
+type Command = (
+    &'static str,
+    fn(&[String]) -> Result<(), CliError>,
+    &'static str,
+);
+
+const COMMANDS: [Command; 13] = [
+    ("build", cmd_build, "--out corpus.json [--seed N] [--topics N] [--repos N] [--sql P]"),
+    ("stats", cmd_stats, "--corpus corpus.json"),
+    ("search", cmd_search, "--corpus corpus.json --query \"...\" [--k N]"),
+    ("complete", cmd_complete, "--corpus corpus.json --prefix a,b,c [--k N]"),
+    ("annotate", cmd_annotate, "--csv file.csv"),
+    ("export", cmd_export, "--corpus corpus.json --out dir/"),
+    ("union", cmd_union, "--corpus corpus.json [--min N]"),
+    ("dedup", cmd_dedup, "--corpus corpus.json"),
+    ("save", cmd_save, "--corpus corpus.json --out store_dir/ [--shard N]"),
+    ("load", cmd_load, "--store store_dir/ --out corpus.json"),
+    ("crawl", cmd_crawl, "<store_dir/ | --store store_dir/> [--seed N] [--topics N] [--repos N] [--sql P] [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]"),
+    ("index", cmd_index, "<store_dir/ | --store store_dir/>   (build the index sidecar for fast `serve` boots)"),
+    ("serve", cmd_serve, "<store_dir/ | --store store_dir/> [--addr HOST:PORT] [--threads N] [--cache N] [--shards N]"),
+];
+
+/// The first flag in `args` that `synopsis` does not name. Values never
+/// start with `--` (see [`opt`]), so every such argument is a flag.
+fn unread_flag<'a>(args: &'a [String], synopsis: &str) -> Option<&'a String> {
+    let named: Vec<&str> = synopsis
+        .split_whitespace()
+        .map(|word| {
+            word.trim_start_matches(['[', '<'])
+                .trim_end_matches([']', '>'])
+        })
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    args.iter()
+        .find(|a| a.starts_with("--") && !named.contains(&a.as_str()))
+}
+
 /// Prints the usage and returns the exit code of a wrong command line.
 fn usage() -> ExitCode {
-    eprintln!("usage: gittables <build|stats|search|complete|annotate|export|union|dedup|save|load|crawl|migrate|index|serve> [options]");
-    eprintln!("  build    --out corpus.json [--seed N] [--topics N] [--repos N] [--sql P]");
-    eprintln!("  stats    --corpus corpus.json");
-    eprintln!("  search   --corpus corpus.json --query \"...\" [--k N]");
-    eprintln!("  complete --corpus corpus.json --prefix a,b,c [--k N]");
-    eprintln!("  annotate --csv file.csv");
-    eprintln!("  export   --corpus corpus.json --out dir/");
-    eprintln!("  union    --corpus corpus.json [--min N]");
-    eprintln!("  dedup    --corpus corpus.json");
-    eprintln!(
-        "  save     --corpus corpus.json --out store_dir/ [--shard N] [--format colv1|jsonl]"
-    );
-    eprintln!("  load     --store store_dir/ --out corpus.json");
-    eprintln!("  crawl    <store_dir/ | --store store_dir/> [--seed N] [--topics N] [--repos N] [--sql P] [--format colv1|jsonl] [--passes N (0 = until SIGTERM)] [--interval-ms N] [--max-shards N] [--drain-every N] [--cooldown-base N] [--replicas N] [--fault-rate P] [--corrupt-rate P] [--fault-seed N]");
-    eprintln!("  migrate  store_dir/ --to <colv1|jsonl>");
-    eprintln!("  index    store_dir/   (build the index sidecar for fast `serve` boots)");
-    eprintln!("  serve    store_dir/ [--addr HOST:PORT] [--threads N] [--cache N] [--shards N]");
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+    eprintln!("usage: gittables <{}> [options]", names.join("|"));
+    for (name, _, synopsis) in COMMANDS {
+        eprintln!("  {name:<8} {synopsis}");
+    }
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("build") => cmd_build(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("search") => cmd_search(&args[1..]),
-        Some("complete") => cmd_complete(&args[1..]),
-        Some("annotate") => cmd_annotate(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("union") => cmd_union(&args[1..]),
-        Some("dedup") => cmd_dedup(&args[1..]),
-        Some("save") => cmd_save(&args[1..]),
-        Some("load") => cmd_load(&args[1..]),
-        Some("crawl") => cmd_crawl(&args[1..]),
-        Some("migrate") => cmd_migrate(&args[1..]),
-        Some("index") => cmd_index(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        _ => return usage(),
+    let Some((name, run, synopsis)) = args
+        .first()
+        .and_then(|first| COMMANDS.iter().find(|(name, ..)| name == first))
+    else {
+        return usage();
+    };
+    let args = &args[1..];
+    let result = match unread_flag(args, synopsis) {
+        Some(flag) => Err(CliError::Usage(format!("{name} does not read {flag}"))),
+        None => run(args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -139,39 +139,54 @@ fn mixed_csv_and_sql_corpus_saves_and_loads_identically() {
 
 #[test]
 fn store_format_round_trip_loads_identically() {
-    // save (colv1) → load, migrate to jsonl → load, migrate back →
-    // load: the three loads are one file, byte for byte.
+    // The carry-over of a store into this build's format: save → load →
+    // save that JSON into a second store → load. Both loads are one
+    // file, byte for byte, and both stores are colv1.
     let corpus = temp_path("format_corpus.json");
-    let store = temp_path("format_store");
-    std::fs::remove_dir_all(&store).ok();
-    let (corpus_arg, store_arg) = (corpus.to_str().unwrap(), store.to_str().unwrap());
+    let stores = [temp_path("format_store"), temp_path("format_store_again")];
+    let loads = [
+        temp_path("format_load.json"),
+        temp_path("format_load_again.json"),
+    ];
     let run = |cmd: &mut Command| {
         let out = cmd.output().expect("run");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{cmd:?}: {stderr}");
     };
-    let load = |tag: &str| {
-        let out = temp_path(&format!("format_load_{tag}.json"));
-        run(bin()
-            .args(["load", "--store", store_arg, "--out"])
-            .arg(&out));
-        let bytes = std::fs::read(&out).expect("read load");
-        std::fs::remove_file(&out).ok();
-        bytes
-    };
     run(bin()
-        .args(["build", "--out", corpus_arg])
+        .args(["build", "--out", corpus.to_str().unwrap()])
         .args(["--topics", "3", "--repos", "8", "--seed", "5"]));
-    run(bin()
-        .args(["save", "--corpus", corpus_arg])
-        .args(["--out", store_arg, "--shard", "64"]));
-    let colv1 = load("colv1");
-    run(bin().args(["migrate", store_arg, "--to", "jsonl"]));
-    assert!(load("jsonl") == colv1, "the jsonl store loads differently");
-    run(bin().args(["migrate", store_arg, "--to", "colv1"]));
-    assert!(load("back") == colv1, "the colv1 store loads differently");
+    let mut input = corpus.clone();
+    for (store, load) in stores.iter().zip(&loads) {
+        std::fs::remove_dir_all(store).ok();
+        run(bin()
+            .args(["save", "--corpus"])
+            .arg(&input)
+            .arg("--out")
+            .arg(store)
+            .args(["--shard", "64"]));
+        run(bin()
+            .args(["load", "--store"])
+            .arg(store)
+            .arg("--out")
+            .arg(load));
+        let manifest = std::fs::read_to_string(store.join("manifest.json")).expect("manifest");
+        assert!(manifest.contains("\"format\":\"colv1\""), "{manifest}");
+        input = load.clone();
+    }
+    let [first, again] = loads
+        .each_ref()
+        .map(|l| std::fs::read(l).expect("read load"));
+    assert!(first == again, "the carried-over store loads differently");
+    assert!(
+        first == std::fs::read(&corpus).expect("built"),
+        "the store loads differently from `build`"
+    );
     std::fs::remove_file(&corpus).ok();
-    std::fs::remove_dir_all(&store).ok();
+    for (store, load) in stores.iter().zip(&loads) {
+        std::fs::remove_dir_all(store).ok();
+        std::fs::remove_file(load).ok();
+    }
 }
 
 #[test]
@@ -446,12 +461,13 @@ fn sharded_serve_reloads_under_load_and_on_sighup() {
 
 #[test]
 fn unparsable_numbers_exit_2_and_write_nothing() {
-    // A numeric flag that is present must hold a number: the command
-    // never runs on a default in place of what was typed.
+    // A numeric flag that is present must hold a number, and every flag
+    // must be one the command reads: the command never runs on a default
+    // in place of what was typed.
     let store = temp_path("badnum_store");
     let corpus = temp_path("badnum_corpus.json");
     let (store_arg, corpus_arg) = (store.to_str().unwrap(), corpus.to_str().unwrap());
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["serve", store_arg, "--shards", "two"],
             "invalid --shards value: two",
@@ -473,6 +489,20 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
             &["save", "--corpus", corpus_arg, "--out", "--shard", "4"],
             "--out needs a value",
         ),
+        // A flag the command does not read is refused before it runs: a
+        // script passing `--format jsonl` never silently gets a colv1
+        // store, and a misspelt flag never runs on the default.
+        (
+            &[
+                "save", "--corpus", corpus_arg, "--out", store_arg, "--format", "jsonl",
+            ],
+            "save does not read --format",
+        ),
+        (
+            &["crawl", store_arg, "--pases", "1", "--replicas", "1"],
+            "crawl does not read --pases",
+        ),
+        (&["migrate", store_arg, "--to", "jsonl"], "usage: gittables"),
     ];
     for (args, message) in cases {
         let out = bin().args(args).output().expect("run");

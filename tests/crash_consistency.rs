@@ -19,12 +19,11 @@
 //! `GT_TORTURE_ROUNDS=20` to sweep more (site, N) combinations.
 
 use gittables_core::{FaultPolicy, Pipeline, PipelineConfig};
-use gittables_corpus::CorpusStore;
-use gittables_corpus::StoreFormat;
+use gittables_corpus::{CorpusStore, StoreError, StoreFormat};
 use gittables_githost::GitHost;
 
 const DIR_VAR: &str = "GT_TORTURE_DIR";
-/// The shard format the child creates its store in (`jsonl` when unset).
+/// The shard format the child creates its store in: `colv1`, or `jsonl`.
 const FORMAT_VAR: &str = "GT_TORTURE_FORMAT";
 const SEED: u64 = 90;
 
@@ -65,13 +64,13 @@ fn child_build() {
     let Ok(dir) = std::env::var(DIR_VAR) else {
         return;
     };
-    let format = std::env::var(FORMAT_VAR)
-        .ok()
-        .and_then(|f| StoreFormat::parse(&f))
-        .unwrap_or(StoreFormat::Jsonl);
+    let format = match std::env::var(FORMAT_VAR).as_deref() {
+        Ok("colv1") => StoreFormat::ColV1,
+        Ok("jsonl") => StoreFormat::Jsonl,
+        other => panic!("{FORMAT_VAR} names no shard format: {other:?}"),
+    };
     let pipeline = pipeline();
-    let store =
-        CorpusStore::open_or_create_with_format(&dir, pipeline.corpus_name(), format).unwrap();
+    let store = CorpusStore::create_with_format(&dir, pipeline.corpus_name(), format).unwrap();
     pipeline
         .run_to_store(&populated(&pipeline), &store)
         .unwrap();
@@ -147,8 +146,14 @@ fn torture(format: StoreFormat, tag: &str) {
         // Resume over the wreckage: whatever state the SIGKILL left —
         // torn manifest temp, fsynced-but-uncommitted shard, missing
         // directory entry — the resumed run must converge exactly.
-        let store = CorpusStore::open_or_create_with_format(&dir, pipeline.corpus_name(), format)
-            .unwrap_or_else(|e| panic!("round {round} ({site}@{nth}): store unopenable: {e}"));
+        // A kill inside the creation leaves no manifest: create it then.
+        let store = match CorpusStore::open(&dir) {
+            Err(StoreError::MissingManifest(_)) => {
+                CorpusStore::create_with_format(&dir, pipeline.corpus_name(), format)
+            }
+            opened => opened,
+        }
+        .unwrap_or_else(|e| panic!("round {round} ({site}@{nth}): store unopenable: {e}"));
         assert_eq!(store.format(), format, "round {round} ({site}@{nth})");
         let resumed = pipeline
             .run_to_store(&populated(&pipeline), &store)

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use gittables_core::{Pipeline, PipelineConfig, StoreRunOptions};
 use gittables_corpus::{
-    load_store, save_store, CorpusStore, StoreError, StoreManifest, MANIFEST_FILE,
+    load_store, save_store, save_store_as, CorpusStore, StoreError, StoreManifest, MANIFEST_FILE,
 };
 use gittables_corpus::{Corpus, StoreFormat};
 use gittables_githost::GitHost;
@@ -71,7 +71,7 @@ fn round_trip_is_bit_identical_including_annotations() {
 #[test]
 fn truncated_shard_mid_line_is_typed_json_error() {
     let dir = tmp("trunc_midline");
-    save_store(&pipeline_corpus(33), &dir, 4).expect("save");
+    save_store_as(&pipeline_corpus(33), &dir, 4, StoreFormat::Jsonl).expect("save");
     let store = CorpusStore::open(&dir).expect("open");
     let entry = &store.shard_entries()[0];
     let path = dir.join(&entry.file);
@@ -89,7 +89,7 @@ fn truncated_shard_mid_line_is_typed_json_error() {
 #[test]
 fn truncated_shard_at_line_boundary_is_count_mismatch() {
     let dir = tmp("trunc_line");
-    save_store(&pipeline_corpus(33), &dir, 4).expect("save");
+    save_store_as(&pipeline_corpus(33), &dir, 4, StoreFormat::Jsonl).expect("save");
     let store = CorpusStore::open(&dir).expect("open");
     let entry = store
         .shard_entries()
@@ -177,7 +177,7 @@ fn manifest_fingerprint_mismatch_is_typed() {
 #[test]
 fn edited_shard_content_fails_fingerprint_check() {
     let dir = tmp("edited");
-    save_store(&pipeline_corpus(41), &dir, 6).expect("save");
+    save_store_as(&pipeline_corpus(41), &dir, 6, StoreFormat::Jsonl).expect("save");
     let store = CorpusStore::open(&dir).expect("open");
     // Reorder the lines of a shard whose first and last tables differ; the
     // order-sensitive fingerprint must notice.

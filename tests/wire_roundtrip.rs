@@ -169,13 +169,13 @@ proptest! {
 
     #[test]
     fn store_manifests_round_trip(
-        head in (any::<u32>(), text(), any::<bool>(), text()),
+        head in (any::<u32>(), text(), text()),
         shards in collection::vec(
             (text(), text(), any::<u64>(), collection::vec(any::<usize>(), 0..5), any::<bool>(), text()),
             0..4,
         ),
     ) {
-        let (version, name, has_format, format) = head;
+        let (version, name, format) = head;
         let shards = shards
             .into_iter()
             .map(|(id, file, fingerprint, indices, has_meta, meta)| ShardEntry {
@@ -190,7 +190,7 @@ proptest! {
         assert_round_trips(&StoreManifest {
             version,
             name,
-            format: has_format.then_some(format),
+            format,
             shards,
         })?;
     }
