@@ -5,14 +5,14 @@
 //! also needs three derived structures (the inverted semantic-type
 //! index, the schema-embedding search matrix, and the schema-completion
 //! matrix) plus a *directory* locating each table's block inside its
-//! shard. Rebuilding those on every boot costs a full corpus
-//! materialization — cold start and RSS scale with corpus size.
-//! [`write_indexes`] persists them once, at index time, as
+//! shard. Building those reads every table of the store — cold start
+//! would scale with corpus size. [`write_indexes`] persists them once,
+//! at index time, as
 //! [`SIDECAR_FILE`], so an engine boots by mapping that one file
 //! ([`load_indexes`]) and decodes individual tables on demand through
 //! [`LazyCorpus`]. One file means one commit: a re-index replaces the
 //! whole set with one atomic rename, so a boot sees the old indexes
-//! (stale, rebuilt from the corpus) or the new ones, never a mix.
+//! (stale, rewritten by the boot) or the new ones, never a mix.
 //!
 //! ## Container layout (all integers little-endian)
 //!
@@ -35,7 +35,7 @@
 //! The footer magic is the commit mark (torn writes fail before any
 //! field is trusted, exactly like `colv1` segments), and the checksum
 //! makes *every* altered byte a typed [`StoreError::Corrupt`] — a
-//! corrupted sidecar can trigger a rebuild, never a wrong answer. The
+//! corrupted sidecar can cost a rewrite, never a wrong answer. The
 //! `store_fingerprint`/`tables`/`format`/`name` quadruple binds the
 //! sidecar to the exact store contents it was built from: re-saving,
 //! resuming, or migrating the store changes the binding, so a stale
@@ -94,8 +94,8 @@
 //! there is no compatibility path: the version-1 files are never opened
 //! (the boot reports the sidecar missing), a version-2 file is
 //! [`SidecarIssue::Stale`] ("sidecar version 2, this build reads 3"),
-//! and either way the boot rebuilds from the corpus and serves the same
-//! bytes; `gittables index` restores the fast path.
+//! and either way the boot writes a version-3 file from the store and
+//! serves the same bytes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,7 +155,7 @@ fn binding_of(store: &CorpusStore) -> SidecarBinding {
 }
 
 /// Why the sidecar could not be served. Every variant is a *safe*
-/// outcome: the caller falls back to rebuilding from the corpus.
+/// outcome: the caller rewrites the sidecar from the store.
 #[derive(Debug)]
 pub enum SidecarIssue {
     /// [`SIDECAR_FILE`] does not exist (the store was never indexed, or
@@ -1092,7 +1092,7 @@ fn bind_directory(
 ///
 /// # Errors
 /// [`SidecarIssue`] describing exactly why the sidecar cannot be served
-/// (missing / stale / corrupt); callers fall back to a rebuild.
+/// (missing / stale / corrupt); the engine's boot then rewrites it.
 pub fn load_indexes(store: &CorpusStore) -> Result<SidecarIndexes, SidecarIssue> {
     let binding = binding_of(store);
     let arena = match Arena::load(&store.path().join(SIDECAR_FILE)) {

@@ -727,7 +727,9 @@ impl CorpusStore {
     }
 
     /// Loads one shard through the store's codec, verifying its table
-    /// count and content fingerprint. Returns the tables in shard order.
+    /// count and content fingerprint. Returns the tables in shard order
+    /// and their [`table_fingerprint`]s, whose combination is the one
+    /// checked against the manifest.
     ///
     /// # Errors
     /// [`StoreError::MissingShard`] when the file is gone,
@@ -735,7 +737,10 @@ impl CorpusStore {
     /// corrupt content (per format), and
     /// [`StoreError::TableCountMismatch`]/[`StoreError::FingerprintMismatch`]
     /// when the content disagrees with the manifest.
-    pub fn load_shard(&self, entry: &ShardEntry) -> Result<Vec<AnnotatedTable>, StoreError> {
+    pub fn load_shard(
+        &self,
+        entry: &ShardEntry,
+    ) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
         let arena = self.map_shard(entry)?;
         let (decoded, fingerprints) = decode_shard(self.codec(), arena.bytes(), &entry.file)?;
         if decoded.len() != entry.tables || entry.indices.len() != entry.tables {
@@ -745,7 +750,7 @@ impl CorpusStore {
                 actual: decoded.len(),
             });
         }
-        let actual = combine_fingerprints(fingerprints);
+        let actual = combine_fingerprints(fingerprints.iter().copied());
         if actual != entry.fingerprint {
             return Err(StoreError::FingerprintMismatch {
                 id: entry.id.clone(),
@@ -753,7 +758,7 @@ impl CorpusStore {
                 actual,
             });
         }
-        Ok(decoded)
+        Ok((decoded, fingerprints))
     }
 
     /// Loads the whole corpus with a thread fan-out over shards, verifying
@@ -767,7 +772,7 @@ impl CorpusStore {
         let loaded = par_map(&shards, |(entry, _)| self.load_shard(entry));
         let mut tables: Vec<(TableId, AnnotatedTable)> = Vec::new();
         for ((_, ids), shard) in shards.iter().zip(loaded) {
-            tables.extend(ids.iter().copied().zip(shard?));
+            tables.extend(ids.iter().copied().zip(shard?.0));
         }
         tables.sort_unstable_by_key(|(id, _)| *id);
         let mut corpus = Corpus::new(self.name());

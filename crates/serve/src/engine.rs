@@ -1,22 +1,23 @@
 //! The [`QueryEngine`]: a corpus plus its read-only query indexes.
 //!
-//! Two boot paths produce observably identical engines:
+//! An engine is built one of two ways, and both hold bit-identical
+//! indexes:
 //!
-//! * **materialized** — load every table into memory and build the three
-//!   indexes from scratch ([`QueryEngine::from_corpus`] /
-//!   [`QueryEngine::load_materialized`]); cold start and RSS scale with
-//!   corpus size.
-//! * **sidecar** — map the persisted index sidecars
-//!   ([`gittables_corpus::load_indexes`]) and serve tables lazily off the
-//!   mapped shard segments ([`gittables_corpus::LazyCorpus`]); cold
-//!   start is O(index size) and `/tables/{id}` touches only that
-//!   table's pages.
+//! * **memory** — over an in-process corpus ([`QueryEngine::from_corpus`]):
+//!   the three indexes are built from its tables. Tests take their
+//!   reference engine this way, from `load_store(dir)`.
+//! * **sidecar** — over a store ([`QueryEngine::load`]): map the persisted
+//!   index sidecar ([`gittables_corpus::load_indexes`]) and serve tables
+//!   lazily off the mapped shard segments
+//!   ([`gittables_corpus::LazyCorpus`]); cold start is O(index size) and
+//!   `/tables/{id}` touches only that table's pages.
 //!
-//! [`QueryEngine::load`] prefers the sidecar path and falls back to a
-//! materialized rebuild when the sidecars are missing, stale, or
-//! corrupt — recording which path ran (and why a fallback happened) in
-//! [`EngineBuildStats`], served under `/metrics`. That decision lives in
-//! one place (`QueryEngine::boot`); a sharded deployment boots the same
+//! A store has one serving path. When its sidecar is missing, stale or
+//! corrupt, the boot writes it from the store ([`crate::build_sidecars`]'s
+//! builder, one shard at a time) and boots the new file, recording why in
+//! [`EngineBuildStats::fallback_reason`], served under `/metrics`; the
+//! next boot finds it fresh. That decision lives in one place
+//! (`QueryEngine::boot`); a sharded deployment boots the same
 //! whole-corpus engine and then splits it into shard-local views
 //! (`QueryEngine::split`).
 
@@ -27,7 +28,7 @@ use gittables_annotate::{Annotation, Method};
 use gittables_core::apps::{DataSearch, NearestCompletion, SchemaCompletion, SearchHit};
 use gittables_corpus::{
     load_indexes, AnnotatedTable, Corpus, CorpusStore, GroupDirectory, LazyCorpus, SidecarIssue,
-    StoreError, TableId, TypeCount, TypeIndex,
+    StoreError, TableId, TypeCount, TypeIndex, SIDECAR_FILE,
 };
 use gittables_embed::MemoStats;
 use gittables_ontology::OntologyKind;
@@ -97,32 +98,33 @@ pub struct TableSummary {
     pub sample_rows: Vec<Vec<String>>,
 }
 
-/// How an engine's cold start was spent: the store→memory load versus
-/// the in-memory index builds — plus which boot path ran. Served under
+/// How an engine's cold start was spent: getting tables servable versus
+/// getting the indexes ready — plus which boot path ran. Served under
 /// `/metrics` (`engine`) so a cold-start regression — a slow store
-/// format, a bloated index build, a silently-skipped sidecar — is
+/// format, a bloated index build, a sidecar rewritten at every boot — is
 /// observable in production, per component.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct EngineBuildStats {
-    /// Wall time spent opening the store and getting tables servable:
-    /// materializing the corpus on the rebuild path, or mapping and
-    /// verifying the sidecar set on the sidecar path (0 when the engine
-    /// was built from an in-memory corpus).
+    /// Wall time spent opening the store, then mapping and verifying its
+    /// sidecar (0 when the engine was built from an in-memory corpus).
     pub store_load_ms: f64,
-    /// Wall time spent building the search/completion/type indexes
-    /// (≈ 0 on the sidecar path: the indexes are reassembled from
-    /// already-decoded parts, not rebuilt).
+    /// Wall time spent getting the search/completion/type indexes ready:
+    /// building them over an in-memory corpus, or reassembling them from
+    /// the mapped sidecar (≈ 0). When the boot rewrote the sidecar, this
+    /// includes all it did before mapping the new file: the store's open,
+    /// the look at the unusable file and the rewrite.
     pub index_build_ms: f64,
     /// Shard format of the store the corpus came from (`None` for
     /// in-memory engines).
     pub store_format: Option<String>,
     /// Which boot path produced the engine: `"memory"` (built over an
-    /// in-process corpus), `"sidecar"` (mapped persisted indexes +
-    /// lazy tables), or `"rebuild"` (store load + index build).
+    /// in-process corpus) or `"sidecar"` (mapped persisted indexes + lazy
+    /// tables).
     pub boot_path: String,
-    /// When [`Self::boot_path`] is `"rebuild"` because the sidecar path
-    /// was tried and refused: the machine-readable reason —
-    /// `"no_sidecar"`, `"stale"`, or `"corrupt"`.
+    /// When the boot found the store's sidecar unusable and rewrote it
+    /// before booting from it: the machine-readable reason —
+    /// `"no_sidecar"`, `"stale"`, or `"corrupt"`. `None` when the sidecar
+    /// was served as found.
     pub fallback_reason: Option<String>,
 }
 
@@ -168,11 +170,10 @@ pub struct QueryEngine {
 }
 
 /// Builds the three query indexes over every table of `corpus`, ids =
-/// corpus positions — the one builder behind the in-memory engine, the
-/// rebuild boot path and the sidecar writer, so all three hold
-/// bit-identical indexes. The builds are independent reads of the same
-/// corpus, so they run on separate threads: the cost is the slowest
-/// build, not the sum.
+/// corpus positions — the one builder behind the in-memory engine and the
+/// sidecar writer, so both hold bit-identical indexes. The builds are
+/// independent reads of the same corpus, so they run on separate threads:
+/// the cost is the slowest build, not the sum.
 pub(crate) fn build_indexes(corpus: &Corpus) -> (DataSearch, NearestCompletion, TypeIndex) {
     std::thread::scope(|s| {
         let search = s.spawn(|| DataSearch::build(corpus));
@@ -246,71 +247,51 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Boots the engine for the store at `dir`, preferring the sidecar
-    /// path: map the persisted indexes ([`gittables_corpus::load_indexes`])
-    /// and serve tables lazily off the mapped shard segments — cold
-    /// start is O(index size), not O(corpus). When the sidecar set is
-    /// missing, stale, or corrupt, falls back to the materialized
-    /// rebuild ([`Self::load_materialized`]) and records why in
+    /// Boots the engine for the store at `dir` off its index sidecar: map
+    /// the persisted indexes ([`gittables_corpus::load_indexes`]) and
+    /// serve tables lazily off the mapped shard segments — cold start is
+    /// O(index size), not O(corpus). When the sidecar is missing, stale,
+    /// or corrupt, the boot first writes it from the store, as
+    /// [`crate::build_sidecars`] does, and records why in
     /// [`EngineBuildStats::fallback_reason`]; a bad sidecar can cost a
-    /// rebuild, never a wrong answer.
+    /// rewrite, never a wrong answer.
     ///
     /// # Errors
-    /// Propagates store open/load failures. A sidecar problem alone is
-    /// never an error — it downgrades to the rebuild path.
+    /// Propagates store open/load failures, and the failure to write the
+    /// sidecar a boot needed ([`StoreError::Io`] for a read-only store or
+    /// a full disk) or to boot from the file it wrote (refused when a
+    /// concurrent writer or commit changed it). A sidecar problem alone
+    /// is never an error.
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let started = std::time::Instant::now();
         Self::boot(&CorpusStore::open(dir.as_ref())?, started)
     }
 
-    /// The sidecar-or-rebuild decision over an already-open store —
-    /// shared by [`Self::load`] and every shard count of
-    /// [`crate::ShardSet::load`].
+    /// The one boot of a store, shared by [`Self::load`] and every shard
+    /// count of [`crate::ShardSet::load`]: the sidecar as found, or else
+    /// rewritten and then booted.
     pub(crate) fn boot(
         store: &CorpusStore,
         started: std::time::Instant,
     ) -> Result<Self, StoreError> {
-        match Self::try_from_sidecars(store, started) {
-            Ok(engine) => Ok(engine),
-            Err(issue) => {
-                eprintln!(
-                    "sidecar boot unavailable for {}: {issue}; rebuilding indexes from the corpus",
-                    store.path().display()
-                );
-                let reason = issue.reason().to_string();
-                let mut engine = Self::rebuild_from_store(store, started)?;
-                engine.build.fallback_reason = Some(reason);
-                Ok(engine)
-            }
-        }
-    }
-
-    /// Loads the corpus persisted at `dir` (a [`CorpusStore`] directory)
-    /// and builds the indexes from scratch, never consulting sidecars —
-    /// the pre-sidecar boot path, kept as the reference the lazy path is
-    /// pinned against. Extraction is never re-run: this reads the shards
-    /// exactly as [`CorpusStore::load_corpus`] does, integrity checks
-    /// included, in whatever shard format the manifest records.
-    ///
-    /// # Errors
-    /// Propagates store open/load failures.
-    pub fn load_materialized(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let started = std::time::Instant::now();
-        let store = CorpusStore::open(dir.as_ref())?;
-        Self::rebuild_from_store(&store, started)
-    }
-
-    /// The build-from-corpus path over an already-open store.
-    fn rebuild_from_store(
-        store: &CorpusStore,
-        started: std::time::Instant,
-    ) -> Result<Self, StoreError> {
-        let corpus = store.load_corpus()?;
-        let store_load_ms = started.elapsed().as_secs_f64() * 1e3;
-        let mut engine = Self::from_corpus(corpus);
-        engine.build.store_load_ms = store_load_ms;
-        engine.build.store_format = Some(store.format().name().to_string());
-        engine.build.boot_path = "rebuild".to_string();
+        let issue = match Self::try_from_sidecars(store, started) {
+            Ok(engine) => return Ok(engine),
+            Err(issue) => issue,
+        };
+        eprintln!(
+            "sidecar boot unavailable for {}: {issue}; writing {SIDECAR_FILE} from the store",
+            store.path().display()
+        );
+        crate::indexer::write_sidecar(store)?;
+        let rewritten = std::time::Instant::now();
+        let mut engine =
+            Self::try_from_sidecars(store, rewritten).map_err(|refused| StoreError::Corrupt {
+                file: SIDECAR_FILE.to_string(),
+                detail: format!("the sidecar this boot wrote was refused: {refused}"),
+            })?;
+        // Everything before the new file was mapped went into indexing.
+        engine.build.index_build_ms += (rewritten - started).as_secs_f64() * 1e3;
+        engine.build.fallback_reason = Some(issue.reason().to_string());
         Ok(engine)
     }
 
@@ -364,17 +345,6 @@ impl QueryEngine {
     #[must_use]
     pub fn build_stats(&self) -> &EngineBuildStats {
         &self.build
-    }
-
-    /// The materialized corpus being served — the whole corpus, also for
-    /// a shard-local engine — or `None` for a sidecar-booted engine
-    /// (tables are decoded on demand and never all held in memory).
-    #[must_use]
-    pub fn corpus(&self) -> Option<&Corpus> {
-        match &self.tables {
-            TableSource::Materialized(c) => Some(c.as_ref()),
-            TableSource::Lazy(_) => None,
-        }
     }
 
     /// The schema-embedding search index.
@@ -630,7 +600,9 @@ mod tests {
         gittables_corpus::save_store(&c, &dir, 1).unwrap();
         let loaded = QueryEngine::load(&dir).unwrap();
         let direct = QueryEngine::from_corpus(c);
-        assert_eq!(loaded.corpus(), direct.corpus());
+        for id in 0..3 {
+            assert_eq!(loaded.table_summary(id), direct.table_summary(id));
+        }
         assert_eq!(loaded.search("order", 2), direct.search("order", 2));
         assert_eq!(loaded.type_counts(), direct.type_counts());
         std::fs::remove_dir_all(&dir).ok();
@@ -647,23 +619,29 @@ mod tests {
         dir
     }
 
-    /// Booting and rebuilding must serve identical answers regardless of
-    /// which path ran; asserts that plus the recorded reason.
+    /// A boot that rewrote the sidecar must serve what the in-memory
+    /// engine over the store's corpus serves, and so must the next boot,
+    /// which finds the rewritten file fresh; asserts that plus the
+    /// recorded reason.
     fn assert_fallback(dir: &std::path::Path, reason: &str) {
         let engine = QueryEngine::load(dir).unwrap();
-        assert_eq!(engine.build_stats().boot_path, "rebuild");
+        assert_eq!(engine.build_stats().boot_path, "sidecar");
         assert_eq!(
             engine.build_stats().fallback_reason.as_deref(),
             Some(reason)
         );
-        let reference = QueryEngine::load_materialized(dir).unwrap();
-        assert_eq!(reference.build_stats().fallback_reason, None);
-        assert_eq!(
-            engine.search("order status", 2),
-            reference.search("order status", 2)
-        );
-        assert_eq!(engine.type_counts(), reference.type_counts());
-        assert_eq!(engine.table_summary(0), reference.table_summary(0));
+        let again = QueryEngine::load(dir).unwrap();
+        assert_eq!(again.build_stats().boot_path, "sidecar");
+        assert_eq!(again.build_stats().fallback_reason, None);
+        let reference = QueryEngine::from_corpus(gittables_corpus::load_store(dir).unwrap());
+        for engine in [&engine, &again] {
+            assert_eq!(
+                engine.search("order status", 2),
+                reference.search("order status", 2)
+            );
+            assert_eq!(engine.type_counts(), reference.type_counts());
+            assert_eq!(engine.table_summary(0), reference.table_summary(0));
+        }
     }
 
     #[test]
@@ -732,7 +710,7 @@ mod tests {
         // Healthy sidecars boot the sidecar path...
         let healthy = QueryEngine::load(&dir).unwrap();
         assert_eq!(healthy.build_stats().boot_path, "sidecar");
-        // ...then one flipped payload byte downgrades to a rebuild.
+        // ...then one flipped payload byte costs a rewrite.
         let path = dir.join(gittables_corpus::SIDECAR_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

@@ -47,7 +47,9 @@
 //! `POST /reload` (or `SIGHUP`, when the server was started from a
 //! store directory) loads a fresh [`ShardSet`] from the store — same
 //! validation as a cold boot, reading whatever manifest the last
-//! atomic commit rename left — and swaps it in under the
+//! atomic commit rename left, and rewriting a sidecar that commit made
+//! stale (a failed rewrite fails the reload, and the current snapshot
+//! keeps serving) — and swaps it in under the
 //! snapshot lock. In-flight requests keep the old snapshot alive via
 //! their `Arc` clones; the handler waits for them to drain (bounded)
 //! before letting the old mappings drop. The snapshot carries its

@@ -1,21 +1,23 @@
-//! Builds the index sidecar of a store — the write side of the sidecar
-//! boot path.
+//! Writes the index sidecar of a store — the one way a store gets its
+//! `index.gtsc`, whether `gittables index` asks for it or a boot finds the
+//! file missing, stale or corrupt.
 //!
-//! [`build_sidecars`] materializes the corpus **once** (exactly what the
-//! rebuild boot path does on every start), builds the three query
-//! indexes with the same builder [`QueryEngine::from_corpus`](crate::QueryEngine::from_corpus) uses, and
-//! persists them plus the table-block directory next to the shards as
-//! one file ([`gittables_corpus::write_indexes`]). From then on
-//! [`QueryEngine::load`](crate::QueryEngine::load) boots in O(index mmap) until the store's
-//! contents change — at which point the binding fingerprints mark the
-//! sidecar stale and the engine falls back to a rebuild.
-//!
-//! Run it via `gittables index <store-dir>`, or call
-//! [`write_sidecars`] directly after building a store in-process.
+//! [`build_sidecars`] walks the store one shard at a time
+//! ([`CorpusStore::load_shard`], count and fingerprint checks included),
+//! keeps of each table only what the indexes read (the table without its
+//! cells: schema and annotations) and its fingerprint, builds the three
+//! query indexes in id order with the builder
+//! [`QueryEngine::from_corpus`](crate::QueryEngine::from_corpus) uses, and
+//! persists them plus the table-block directory next to the
+//! shards as one file ([`gittables_corpus::write_indexes`]). The decoded
+//! corpus is never held whole. From then on
+//! [`QueryEngine::load`](crate::QueryEngine::load) boots in O(index mmap)
+//! until the store's contents change — at which point the binding
+//! fingerprints mark the sidecar stale and the next boot rewrites it.
 
 use std::path::Path;
 
-use gittables_corpus::{table_fingerprints, write_indexes, Corpus, CorpusStore, StoreError};
+use gittables_corpus::{write_indexes, Corpus, CorpusStore, StoreError};
 
 use crate::engine::build_indexes;
 #[cfg(test)]
@@ -24,43 +26,59 @@ use crate::engine::QueryEngine;
 /// What `gittables index` reports after writing the sidecar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexReport {
-    /// Tables in the indexed store.
+    /// Tables in the indexed store (one search entry each).
     pub tables: usize,
     /// Distinct semantic types in the types section.
     pub types: usize,
-    /// Entries in the search section (one per table).
-    pub search_entries: usize,
     /// Distinct schemas in the completion section.
     pub schemas: usize,
     /// Bytes of the sidecar file.
     pub bytes: u64,
 }
 
-/// Builds and persists the sidecar for the store at `dir`: loads the
-/// corpus once, builds the indexes, replaces `index.gtsc` atomically.
+/// Builds and persists the sidecar for the store at `dir`, reading it one
+/// shard at a time, and replaces `index.gtsc` atomically.
+///
+/// Two writers of one store (two boots, or a boot and `gittables index`)
+/// share the temp file `index.gtsc.tmp`, so a race can tear the file one
+/// of them renames into place. That costs a refusal, never a wrong
+/// answer: the file's checksum refuses torn bytes as corrupt, and its
+/// binding to the store's manifest refuses a file written for another
+/// state of the store as stale. A boot that is refused the file it wrote
+/// returns an error instead of serving it.
 ///
 /// # Errors
 /// Propagates store open/load and sidecar write failures. A failure
 /// leaves the previous sidecar, if any, as it was.
 pub fn build_sidecars(dir: impl AsRef<Path>) -> Result<IndexReport, StoreError> {
-    let store = CorpusStore::open(dir.as_ref())?;
-    let corpus = store.load_corpus()?;
-    write_sidecars(&store, &corpus)
+    write_sidecar(&CorpusStore::open(dir.as_ref())?)
 }
 
-/// [`build_sidecars`] over an already-loaded corpus (which must be the
-/// exact contents of `store` — the binding fingerprints enforce this at
-/// boot, not here).
-///
-/// # Errors
-/// Propagates sidecar write failures.
-pub fn write_sidecars(store: &CorpusStore, corpus: &Corpus) -> Result<IndexReport, StoreError> {
-    // The builder `QueryEngine::from_corpus` uses, so a sidecar-booted
-    // engine reassembles bit-identical indexes.
-    let (search, completion, types) = build_indexes(corpus);
+/// [`build_sidecars`] over an already-open store.
+pub(crate) fn write_sidecar(store: &CorpusStore) -> Result<IndexReport, StoreError> {
+    let mut tables = Vec::with_capacity(store.len());
+    for (entry, ids) in store.table_ids() {
+        let (decoded, fingerprints) = store.load_shard(&entry)?;
+        for ((id, mut at), fingerprint) in ids.into_iter().zip(decoded).zip(fingerprints) {
+            // The indexes read a table's schema and annotations, never
+            // its cells: only one shard's cells are held at a time.
+            for column in at.table.columns_mut() {
+                column.replace_values(Vec::new());
+            }
+            tables.push((id, at, fingerprint));
+        }
+    }
+    tables.sort_unstable_by_key(|&(id, ..)| id);
+    let mut corpus = Corpus::new(store.name());
+    let mut fingerprints = Vec::with_capacity(tables.len());
+    for (_, at, fingerprint) in tables {
+        corpus.push(at);
+        fingerprints.push(fingerprint);
+    }
+    let (search, completion, types) = build_indexes(&corpus);
     let bytes = write_indexes(
         store,
-        &table_fingerprints(corpus),
+        &fingerprints,
         &types,
         (search.entry_ids(), search.entry_schemas(), search.matrix()),
         (completion.entry_schemas(), completion.matrix()),
@@ -68,7 +86,6 @@ pub fn write_sidecars(store: &CorpusStore, corpus: &Corpus) -> Result<IndexRepor
     Ok(IndexReport {
         tables: corpus.len(),
         types: types.len(),
-        search_entries: search.len(),
         schemas: completion.len(),
         bytes,
     })
@@ -77,7 +94,7 @@ pub fn write_sidecars(store: &CorpusStore, corpus: &Corpus) -> Result<IndexRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gittables_corpus::{save_store_as, AnnotatedTable, StoreFormat};
+    use gittables_corpus::{load_store, save_store_as, AnnotatedTable, StoreFormat};
     use gittables_table::Table;
 
     fn corpus(n: usize) -> Corpus {
@@ -106,15 +123,14 @@ mod tests {
             save_store_as(&c, &dir, 2, format).unwrap();
             let report = build_sidecars(&dir).unwrap();
             assert_eq!(report.tables, 6);
-            assert_eq!(report.search_entries, 6);
             assert_eq!(report.schemas, 1, "one distinct schema");
             assert!(report.bytes > 0);
 
             let lazy = QueryEngine::load(&dir).unwrap();
             assert_eq!(lazy.build_stats().boot_path, "sidecar", "{format}");
             assert_eq!(lazy.build_stats().fallback_reason, None);
-            let reference = QueryEngine::load_materialized(&dir).unwrap();
-            assert_eq!(reference.build_stats().boot_path, "rebuild");
+            let reference = QueryEngine::from_corpus(load_store(&dir).unwrap());
+            assert_eq!(reference.build_stats().boot_path, "memory");
             assert_eq!(
                 serde_json::to_string(&lazy.search("alice names", 5)).unwrap(),
                 serde_json::to_string(&reference.search("alice names", 5)).unwrap()

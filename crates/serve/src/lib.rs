@@ -5,12 +5,18 @@
 //! that re-run the whole pipeline per invocation. This crate turns the
 //! persisted [`gittables_corpus::CorpusStore`] into a long-lived service:
 //!
-//! * [`QueryEngine`] loads a corpus from a store directory — never
-//!   re-running extraction — assigns stable table ids, and builds the
-//!   read-only shared indexes: the schema-embedding search index
-//!   ([`gittables_core::apps::DataSearch`]), the completion engine
-//!   ([`gittables_core::apps::NearestCompletion`]), and the inverted
-//!   semantic-type index ([`gittables_corpus::TypeIndex`]).
+//! * [`QueryEngine`] boots a store directory — never re-running
+//!   extraction — off its index sidecar `index.gtsc`: the read-only
+//!   shared indexes, mapped (the schema-embedding search index
+//!   [`gittables_core::apps::DataSearch`], the completion engine
+//!   [`gittables_core::apps::NearestCompletion`], and the inverted
+//!   semantic-type index [`gittables_corpus::TypeIndex`]), and tables
+//!   decoded on demand by their stable ids. That is the one way a store
+//!   is served: a boot that finds the sidecar missing, stale or corrupt
+//!   first writes it from the store with [`build_sidecars`]' builder, one
+//!   shard at a time, so nothing between crawl and serve holds the
+//!   decoded corpus. [`QueryEngine::from_corpus`] builds the same indexes
+//!   over an in-process corpus.
 //! * [`Server`] is a hand-rolled HTTP/1.1 server on
 //!   [`std::net::TcpListener`] with a fixed worker thread pool — no
 //!   external dependencies — serving JSON endpoints:
@@ -34,7 +40,7 @@
 //! ## Scale-out
 //!
 //! The corpus can be served by N *shard-local* engines instead of one:
-//! [`ShardSet`] boots one whole-corpus engine (sidecar-first, exactly as
+//! [`ShardSet`] boots one whole-corpus engine (exactly as
 //! [`QueryEngine::load`] does) and splits it by table count into
 //! contiguous id ranges — per-range views of the search and
 //! type indexes, one shared table source, one shared corpus-global

@@ -2,8 +2,9 @@
 //! [`QueryEngine`]s, each owning a contiguous global table-id range.
 //!
 //! Every set starts as one whole-corpus engine — booted from the store
-//! (`QueryEngine::boot`: sidecar-first, rebuild fallback) or built
-//! over an in-memory corpus — which is then split into near-even id
+//! (`QueryEngine::boot`: off its sidecar, written first when missing,
+//! stale or corrupt) or built over an in-memory corpus — which is then
+//! split into near-even id
 //! ranges by table count ([`GroupDirectory::split_even`]; every engine
 //! reads tables from the one shared source, so the store's own shard
 //! boundaries do not matter): each engine gets a
@@ -58,14 +59,14 @@ impl ShardSet {
     }
 
     /// Boots a sharded set for the store at `dir`: one whole-corpus
-    /// engine boots exactly as [`QueryEngine::load`] does — sidecar path
-    /// preferred, a missing/stale/corrupt sidecar set downgrading to a
-    /// materialized rebuild recorded in
-    /// [`EngineBuildStats::fallback_reason`] — and is split into `shards`
-    /// near-even id ranges (at most one per table).
+    /// engine boots exactly as [`QueryEngine::load`] does — off the
+    /// store's sidecar, a missing/stale/corrupt one rewritten first and
+    /// the reason recorded in [`EngineBuildStats::fallback_reason`] — and
+    /// is split into `shards` near-even id ranges (at most one per table).
     ///
     /// # Errors
-    /// Propagates store open/load failures.
+    /// Propagates store open/load failures and a failed sidecar rewrite,
+    /// as [`QueryEngine::load`] does.
     pub fn load(dir: impl AsRef<Path>, shards: usize) -> Result<Self, StoreError> {
         let started = std::time::Instant::now();
         let store = CorpusStore::open(dir.as_ref())?;
@@ -241,19 +242,16 @@ mod tests {
             store.commit_shard(w.finish().unwrap()).unwrap();
         }
         assert_eq!(store.load_corpus().unwrap(), c);
-        let one = answers(ShardSet::load(&dir, 1).unwrap());
-        assert_eq!(one, answers(ShardSet::from_corpus(&c, 1)));
-        for with_sidecars in [false, true] {
-            if with_sidecars {
-                crate::build_sidecars(&dir).unwrap();
-            }
-            for n in 2..=6 {
-                let set = ShardSet::load(&dir, n).unwrap();
-                assert_eq!(set.num_shards(), n.min(5));
-                let path = if with_sidecars { "sidecar" } else { "rebuild" };
-                assert_eq!(set.build_stats().boot_path, path);
-                assert_eq!(answers(set), one, "{n} shards, {path}");
-            }
+        let one = answers(ShardSet::from_corpus(&c, 1));
+        for n in 1..=6 {
+            // The first boot writes the missing sidecar, every later one
+            // finds it fresh.
+            let set = ShardSet::load(&dir, n).unwrap();
+            assert_eq!(set.num_shards(), n.min(5));
+            assert_eq!(set.build_stats().boot_path, "sidecar");
+            let reason = (n == 1).then(|| "no_sidecar".to_string());
+            assert_eq!(set.build_stats().fallback_reason, reason, "{n} shards");
+            assert_eq!(answers(set), one, "{n} shards");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -18,7 +18,7 @@ fn main() {
     let host = GitHost::new();
     pipeline.populate_host(&host);
     let (corpus, _) = pipeline.run(&host);
-    let engine = QueryEngine::from_corpus(corpus);
+    let engine = QueryEngine::from_corpus(corpus.clone());
     println!("indexed {} tables\n", engine.search_index().len());
 
     let queries = [
@@ -30,7 +30,6 @@ fn main() {
     for q in queries {
         println!("query: {q:?}");
         for hit in engine.search(q, 3) {
-            let corpus = engine.corpus().expect("in-memory engine");
             let table = &corpus.tables[hit.table_index].table;
             println!(
                 "  {:.2}  {:<28} {}",
@@ -44,7 +43,6 @@ fn main() {
 
     // Show the top table's contents for the paper's query, Fig. 6b style.
     if let Some(hit) = engine.search(queries[0], 1).first() {
-        let corpus = engine.corpus().expect("in-memory engine");
         let table = &corpus.tables[hit.table_index].table;
         println!("top table for {:?}:", queries[0]);
         let header = table.schema();

@@ -1,8 +1,8 @@
 //! End-to-end serving demo: build a corpus straight into a sharded
-//! store, index that directory, boot a [`QueryEngine`] from it, serve it
+//! store, boot a [`QueryEngine`] from it (the first boot writes the
+//! store's missing `index.gtsc`, as `gittables index` would), serve it
 //! over HTTP, and query it with the bundled client — the full
-//! `gittables crawl` → `index` → `serve` loop in one process, on one
-//! directory.
+//! `gittables crawl` → `serve` loop in one process, on one directory.
 //!
 //! ```sh
 //! cargo run --release --example serve_corpus
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_corpus::CorpusStore;
 use gittables_githost::GitHost;
-use gittables_serve::{build_sidecars, get, QueryEngine, Server, ServerConfig};
+use gittables_serve::{get, QueryEngine, Server, ServerConfig};
 
 fn main() {
     // Build once, straight into the store; the server boots from the
@@ -25,9 +25,10 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
     let store = CorpusStore::create(&dir, pipeline.corpus_name()).expect("create store");
     pipeline.run_to_store(&host, &store).expect("build store");
-    build_sidecars(&dir).expect("index store");
     let engine = QueryEngine::load(&dir).expect("load store");
     assert_eq!(engine.build_stats().boot_path, "sidecar");
+    let reason = engine.build_stats().fallback_reason.as_deref();
+    assert_eq!(reason, Some("no_sidecar"), "the boot indexed the store");
     println!(
         "serving {} tables, {} semantic types",
         engine.num_tables(),

@@ -22,9 +22,10 @@
 //! on-disk store, whose shards are the binary columnar `colv1`; a `load`
 //! then `save` carries a store into this build's format. `index` builds the
 //! persisted index sidecar that lets `serve` boot straight off the mapped
-//! files; `serve` boots a query engine over a store (sidecar path when a
-//! fresh sidecar exists, materialized rebuild otherwise) and answers HTTP
-//! queries against it until `/shutdown`; `crawl` builds a store
+//! files; `serve` boots a query engine over a store off that sidecar
+//! (writing it first when it is missing or stale, so a store it cannot
+//! write must be indexed beforehand) and answers HTTP queries against it
+//! until `/shutdown`; `crawl` builds a store
 //! incrementally, skipping repositories whose shards are already
 //! committed: repeated passes over a replica [`HostPool`] (with optional
 //! injected faults for chaos drills), scheduled quarantine drains with
@@ -47,6 +48,7 @@ use gittables_core::apps::{DataSearch, NearestCompletion};
 use gittables_core::{Pipeline, PipelineConfig};
 use gittables_corpus::{
     load_corpus, save_corpus, AnnotationStats, Corpus, CorpusStats, CorpusStore, StoreError,
+    SIDECAR_FILE,
 };
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{Server, ServerConfig};
@@ -430,8 +432,8 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let report =
         gittables_serve::build_sidecars(&dir).map_err(|e| format!("indexing {dir}: {e}"))?;
     eprintln!(
-        "indexed {dir}: {} tables, {} semantic types, {} search entries, {} distinct schemas; {} sidecar bytes",
-        report.tables, report.types, report.search_entries, report.schemas, report.bytes
+        "indexed {dir}: {} tables, {} semantic types, {} distinct schemas; {} sidecar bytes",
+        report.tables, report.types, report.schemas, report.bytes
     );
     Ok(())
 }
@@ -443,8 +445,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let cache = num(args, "--cache", 1024usize)?;
     let shards = num(args, "--shards", 1usize)?;
     eprintln!("loading corpus from {dir} ...");
-    let set = gittables_serve::ShardSet::load(&dir, shards)
-        .map_err(|e| format!("loading store {dir}: {e}"))?;
+    let set = gittables_serve::ShardSet::load(&dir, shards).map_err(|e| match e {
+        StoreError::Io(_) => format!(
+            "loading store {dir}: {e} (a boot writes a missing or stale {SIDECAR_FILE}: \
+             make the store writable, or run `gittables index {dir}` where it is)"
+        ),
+        e => format!("loading store {dir}: {e}"),
+    })?;
     let stats = set.build_stats().clone();
     eprintln!(
         "loaded {} tables across {} shard engine(s) (boot path: {}{}; store {:.1} ms, indexes {:.1} ms)",

@@ -319,13 +319,17 @@ fn serve_subcommand_roundtrip() {
 #[test]
 fn sidecar_boot_then_fallback_serves_identical_bytes() {
     // index → serve boots off the sidecar; delete it → the next boot
-    // rebuilds from the corpus and serves byte-identical answers.
+    // writes the same file from the store and serves byte-identical
+    // answers, and the boot after that finds it fresh. A store the boot
+    // cannot write is refused, naming `gittables index`.
     let store = built_store("sidecar", "5");
     let out = bin()
         .args(["index", store.to_str().unwrap()])
         .output()
         .expect("run index");
     assert!(out.status.success());
+    let sidecar = store.join("index.gtsc");
+    let indexed = std::fs::read(&sidecar).expect("the one sidecar file");
     let targets = [
         "/search?q=status+and+sales+amount&k=3",
         "/tables/0",
@@ -339,18 +343,28 @@ fn sidecar_boot_then_fallback_serves_identical_bytes() {
     let from_sidecar = targets.map(|t| get_ok(addr, t));
     shut_down(child, addr);
 
-    std::fs::remove_file(store.join("index.gtsc")).expect("the one sidecar file");
-    let (child, addr) = serve(&store, 1);
-    let metrics = get_ok(addr, "/metrics");
-    assert!(metrics.contains("\"boot_path\":\"rebuild\""), "{metrics}");
-    assert!(
-        metrics.contains("\"fallback_reason\":\"no_sidecar\""),
-        "{metrics}"
-    );
-    let from_rebuild = targets.map(|t| get_ok(addr, t));
-    shut_down(child, addr);
+    std::fs::remove_file(&sidecar).expect("the one sidecar file");
+    let out = bin()
+        .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .env("GITTABLES_FAILPOINTS", "store::manifest_write=err")
+        .output()
+        .expect("run serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("`gittables index "), "{stderr}");
+    assert!(!sidecar.exists(), "a failed write leaves no sidecar");
 
-    assert_eq!(from_sidecar, from_rebuild);
+    for reason in ["\"no_sidecar\"", "null"] {
+        let (child, addr) = serve(&store, 1);
+        let metrics = get_ok(addr, "/metrics");
+        assert!(metrics.contains("\"boot_path\":\"sidecar\""), "{metrics}");
+        let want = format!("\"fallback_reason\":{reason}");
+        assert!(metrics.contains(&want), "{metrics}");
+        let from_rewritten = targets.map(|t| get_ok(addr, t));
+        shut_down(child, addr);
+        assert_eq!(from_sidecar, from_rewritten);
+        assert!(std::fs::read(&sidecar).unwrap() == indexed, "{reason}");
+    }
     std::fs::remove_dir_all(&store).ok();
 }
 

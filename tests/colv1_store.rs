@@ -197,9 +197,11 @@ proptest! {
                 prop_assert_eq!(at, *want);
             }
             for (entry, ids) in &shards {
-                let tables = store.load_shard(entry).unwrap();
-                for (at, &id) in tables.iter().zip(ids) {
+                let (tables, fingerprints) = store.load_shard(entry).unwrap();
+                prop_assert_eq!(fingerprints.len(), tables.len());
+                for ((at, &id), &fingerprint) in tables.iter().zip(ids).zip(&fingerprints) {
                     prop_assert_eq!(at, &loaded.tables[id]);
+                    prop_assert_eq!(fingerprint, table_fingerprint(&at.table));
                 }
             }
             build_sidecars(&dir).unwrap();
@@ -577,15 +579,26 @@ fn endpoint_sample(engine: &QueryEngine) -> Vec<String> {
     out
 }
 
-/// Loads the engine expecting a fallback rebuild for `reason`, and
-/// asserts its answers equal the reference bytes.
+/// Loads the engine expecting it to rewrite the sidecar for `reason`,
+/// and asserts its answers equal the reference bytes; the next boot must
+/// find the rewritten sidecar fresh and serve the same bytes.
 fn assert_falls_back_identically(dir: &PathBuf, want: &[String], reasons: &[&str], what: &str) {
     let engine = QueryEngine::load(dir).unwrap();
     let stats = engine.build_stats();
-    assert_eq!(stats.boot_path, "rebuild", "{what}");
+    assert_eq!(stats.boot_path, "sidecar", "{what}");
     let reason = stats.fallback_reason.as_deref().unwrap_or("none");
     assert!(reasons.contains(&reason), "{what}: got reason `{reason}`");
     assert_eq!(endpoint_sample(&engine), want, "{what}");
+    let again = QueryEngine::load(dir).unwrap();
+    assert_eq!(again.build_stats().boot_path, "sidecar", "{what}");
+    assert_eq!(again.build_stats().fallback_reason, None, "{what}");
+    assert_eq!(endpoint_sample(&again), want, "{what}");
+}
+
+/// What any boot of the store at `dir` must serve: the in-memory engine
+/// over its corpus.
+fn reference_sample(dir: &PathBuf) -> Vec<String> {
+    endpoint_sample(&QueryEngine::from_corpus(load_store(dir).unwrap()))
 }
 
 /// A colv1 store of [`sample_corpus`], indexed, with the bytes any boot
@@ -594,7 +607,7 @@ fn indexed_store(tag: &str) -> (PathBuf, Vec<String>) {
     let dir = tmp(tag);
     save_store_as(&sample_corpus(), &dir, 2, StoreFormat::ColV1).unwrap();
     build_sidecars(&dir).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    let want = reference_sample(&dir);
     (dir, want)
 }
 
@@ -616,9 +629,9 @@ fn section_bounds(bytes: &[u8], store: &CorpusStore) -> Vec<usize> {
 #[test]
 fn sidecar_byte_flips_never_serve_wrong_bytes() {
     // Flipping any sidecar byte must yield a typed refusal and a correct
-    // fallback rebuild — byte-identical answers, never a wrong one. The
-    // checksum is verified before any field is trusted and covers
-    // everything before it, so every flip lands as `corrupt`.
+    // rewrite — the same file back and byte-identical answers, never a
+    // wrong one. The checksum is verified before any field is trusted
+    // and covers everything before it, so every flip lands as `corrupt`.
     let (dir, want) = indexed_store("sidecar_flip");
     assert_eq!(
         endpoint_sample(&QueryEngine::load(&dir).unwrap()),
@@ -632,6 +645,7 @@ fn sidecar_byte_flips_never_serve_wrong_bytes() {
         bytes[pos] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         assert_falls_back_identically(&dir, &want, &["corrupt"], &format!("byte {pos}"));
+        assert!(std::fs::read(&path).unwrap() == original, "byte {pos}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -678,7 +692,7 @@ fn sidecars_from_an_older_corpus_are_stale_never_served() {
     let dir = tmp("sidecar_stale_new");
     save_store_as(&newer, &dir, 2, StoreFormat::ColV1).unwrap();
     std::fs::copy(old_dir.join(SIDECAR_FILE), dir.join(SIDECAR_FILE)).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    let want = reference_sample(&dir);
     assert_falls_back_identically(&dir, &want, &["stale"], "older-corpus sidecar");
     std::fs::remove_dir_all(&old_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
@@ -687,8 +701,9 @@ fn sidecars_from_an_older_corpus_are_stale_never_served() {
 #[test]
 fn version_1_leftovers_are_never_opened_and_index_restores_the_fast_path() {
     // A store last indexed by a build that wrote four files: whatever
-    // they hold, the boot reports no sidecar, rebuilds, and serves the
-    // reference bytes; indexing again writes the one file beside them.
+    // they hold, the boot reports no sidecar, writes the one file beside
+    // them, and serves the reference bytes; indexing again writes the
+    // same file.
     let (dir, want) = indexed_store("sidecar_v1");
     let bytes = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
     std::fs::remove_file(dir.join(SIDECAR_FILE)).unwrap();
@@ -697,7 +712,9 @@ fn version_1_leftovers_are_never_opened_and_index_restores_the_fast_path() {
         std::fs::write(dir.join(name), &bytes).unwrap();
     }
     assert_falls_back_identically(&dir, &want, &["no_sidecar"], "four version-1 files");
+    assert!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap() == bytes);
     build_sidecars(&dir).unwrap();
+    assert!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap() == bytes);
     let engine = QueryEngine::load(&dir).unwrap();
     assert_eq!(engine.build_stats().boot_path, "sidecar");
     assert_eq!(endpoint_sample(&engine), want);
@@ -722,7 +739,7 @@ fn a_leftover_tmp_file_changes_nothing() {
 #[test]
 fn a_failed_reindex_of_a_grown_store_leaves_the_old_sidecar_whole() {
     // Re-indexing commits with one rename: the file is the old one
-    // (stale ⇒ rebuild) or the new one, never a mix of the two.
+    // (stale ⇒ rewritten at boot) or the new one, never a mix of the two.
     let (dir, _) = indexed_store("sidecar_atomic");
     let old = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
     let store = CorpusStore::open(&dir).unwrap();
@@ -733,20 +750,22 @@ fn a_failed_reindex_of_a_grown_store_leaves_the_old_sidecar_whole() {
     let mut writer = store.begin_shard("grown").unwrap();
     writer.push(store.len(), &added).unwrap();
     store.commit_shard(writer.finish().unwrap()).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    let want = reference_sample(&dir);
 
-    // The write fails: its temp path is taken by a directory.
+    // The write fails: its temp path is taken by a directory. Neither
+    // `index` nor a boot, which has to rewrite the stale file, serves.
     let blocker = dir.join(format!("{SIDECAR_FILE}.tmp"));
     std::fs::create_dir(&blocker).unwrap();
     assert!(matches!(build_sidecars(&dir), Err(StoreError::Io(_))));
     assert_eq!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap(), old);
-    assert_falls_back_identically(&dir, &want, &["stale"], "old sidecar, grown store");
+    assert!(matches!(QueryEngine::load(&dir), Err(StoreError::Io(_))));
+    assert_eq!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap(), old);
 
     std::fs::remove_dir(&blocker).unwrap();
+    assert_falls_back_identically(&dir, &want, &["stale"], "old sidecar, grown store");
+    let rewritten = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
     build_sidecars(&dir).unwrap();
-    let engine = QueryEngine::load(&dir).unwrap();
-    assert_eq!(engine.build_stats().boot_path, "sidecar");
-    assert_eq!(endpoint_sample(&engine), want);
+    assert!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap() == rewritten);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -941,7 +960,7 @@ fn indexed_shared_schema_store(tag: &str) -> (PathBuf, Vec<String>) {
     let dir = tmp(tag);
     save_store_as(&corpus, &dir, 2, StoreFormat::ColV1).unwrap();
     build_sidecars(&dir).unwrap();
-    let want = endpoint_sample(&QueryEngine::load_materialized(&dir).unwrap());
+    let want = reference_sample(&dir);
     (dir, want)
 }
 
@@ -1019,7 +1038,7 @@ fn resealed_sidecar_mutations_are_refused_or_serve_the_same_bytes() {
 #[test]
 fn resealed_sidecar_mutations_anywhere_never_panic() {
     // The same mutations over every byte, values included: whatever a
-    // boot makes of them (a refusal and a rebuild, or indexes holding
+    // boot makes of them (a refusal and a rewrite, or indexes holding
     // other values), loading and answering never panic.
     let (dir, _) = indexed_shared_schema_store("sidecar_mutate_any");
     let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();

@@ -20,8 +20,7 @@ use gittables_core::{
     crawl, CrawlOptions, CrawlState, FaultPolicy, Pipeline, PipelineConfig, QuarantineLog,
     StoreRunOptions, CRAWL_STATE_FILE,
 };
-use gittables_corpus::CorpusStore;
-use gittables_corpus::StoreFormat;
+use gittables_corpus::{CorpusStore, StoreFormat, SIDECAR_FILE};
 use gittables_githost::{FaultSpec, FlakyHost, GitHost, HostPool, PoolPolicy};
 use gittables_serve::{
     build_sidecars, get, HttpClient, MetricsSnapshot, QueryEngine, ReloadSpec, Router, Server,
@@ -404,8 +403,8 @@ fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
         assert_eq!(endpoint_cases(&Router::new(set)), want, "{n} shards");
     }
 
-    // A further pass over a grown host commits new shards: the sidecars
-    // are stale, and the rebuild answers for the store as it is now.
+    // A further pass over a grown host commits new shards: the sidecar
+    // is stale, so the boot re-indexes the store as it is now, once.
     let grown = Pipeline::new(sized(6));
     let summary = crawl(&grown, &pool_over(&grown), &store, &options, &stop, |_| {}).unwrap();
     assert_eq!(summary.quarantined, 0);
@@ -413,7 +412,7 @@ fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
     assert!(now.len() > reference.len(), "new repositories must appear");
     let want = endpoint_cases(&Router::new(ShardSet::from_corpus(&now, 1)));
     let set = ShardSet::load(&dir, 2).unwrap();
-    assert_eq!(set.build_stats().boot_path, "rebuild");
+    assert_eq!(set.build_stats().boot_path, "sidecar");
     assert_eq!(set.build_stats().fallback_reason.as_deref(), Some("stale"));
     let server = Server::start_set(
         set,
@@ -438,16 +437,30 @@ fn crawled_store_indexes_and_serves_sharded_with_no_rewrite() {
         let metrics: MetricsSnapshot = serde_json::from_str(&metrics).expect("metrics JSON");
         metrics.engine
     };
-    assert_eq!(served("stale sidecars").boot_path, "rebuild");
+    let engine = served("re-indexed at boot");
+    assert_eq!(engine.boot_path, "sidecar");
+    assert_eq!(engine.fallback_reason.as_deref(), Some("stale"));
 
-    // Re-index, reload: the same bytes off the sidecar path.
-    build_sidecars(&dir).unwrap();
+    // Reload: the rewritten sidecar is fresh, the same bytes off it.
     let mut admin = HttpClient::connect(server.addr()).expect("admin connect");
     let (status, body) = admin.post("/reload").expect("reload");
     assert_eq!(status, 200, "{body}");
-    let engine = served("re-indexed");
+    let engine = served("reloaded");
     assert_eq!(engine.boot_path, "sidecar");
     assert_eq!(engine.fallback_reason, None);
+
+    // The boot wrote what `index` writes for the same store.
+    let copy = std::env::temp_dir().join(format!("gt_crawl_loop_copy_{}", std::process::id()));
+    std::fs::remove_dir_all(&copy).ok();
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in std::fs::read_dir(&dir).unwrap() {
+        let file = file.unwrap().path();
+        std::fs::copy(&file, copy.join(file.file_name().unwrap())).unwrap();
+    }
+    build_sidecars(&copy).unwrap();
+    let indexed = std::fs::read(copy.join(SIDECAR_FILE)).unwrap();
+    assert!(std::fs::read(dir.join(SIDECAR_FILE)).unwrap() == indexed);
+    std::fs::remove_dir_all(&copy).ok();
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

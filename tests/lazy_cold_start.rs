@@ -1,8 +1,11 @@
 //! Cold-start regression pin for the sidecar boot path: booting the
 //! engine off mapped sidecars must keep peak RSS near-flat as the corpus
-//! doubles (the materialized rebuild grows linearly — that gap is the
-//! point of the lazy path), report `boot_path: "sidecar"` under
-//! `/metrics`, and spend ≈ 0 ms in index builds.
+//! doubles (an engine over the materialized corpus grows linearly — that
+//! gap is the point of the lazy path), report `boot_path: "sidecar"`
+//! under `/metrics`, and spend ≈ 0 ms in index builds. Writing the
+//! sidecar — `build_sidecars`, or a boot that finds none — reads the
+//! store one shard at a time, so its peak grows with the sidecar, not
+//! with the corpus.
 //!
 //! Peak RSS (`VmHWM`) is a per-process high-water mark, so each boot is
 //! measured in a **child process**: the test re-execs its own binary
@@ -11,7 +14,9 @@
 
 use std::path::PathBuf;
 
-use gittables_corpus::{save_store_as, AnnotatedTable, Corpus, StoreFormat};
+use gittables_corpus::{
+    load_store, save_store_as, AnnotatedTable, Corpus, StoreFormat, SIDECAR_FILE,
+};
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
 
@@ -32,21 +37,25 @@ fn peak_rss_kb() -> u64 {
         .expect("kB")
 }
 
-/// Child half: boots the engine over `$GT_COLD_START_DIR` (sidecar-first
-/// via [`QueryEngine::load`], or the rebuild path when
+/// Child half: boots the engine over `$GT_COLD_START_DIR` (off the
+/// sidecar via [`QueryEngine::load`], or over the loaded corpus when
 /// `$GT_COLD_START_MODE=materialized`), exercises each endpoint family,
-/// and prints its boot stats plus this process's peak RSS. Runs as an
-/// inert no-op in a normal suite invocation (the env vars are unset).
+/// and prints its boot stats plus this process's peak RSS; with
+/// `$GT_COLD_START_MODE=index` it only runs [`build_sidecars`]. Runs as
+/// an inert no-op in a normal suite invocation (the env vars are unset).
 #[test]
 fn child_probe() {
     let Ok(dir) = std::env::var(DIR_VAR) else {
         return;
     };
-    let materialized = std::env::var(MODE_VAR).as_deref() == Ok("materialized");
-    let engine = if materialized {
-        QueryEngine::load_materialized(&dir).unwrap()
-    } else {
-        QueryEngine::load(&dir).unwrap()
+    let engine = match std::env::var(MODE_VAR).as_deref() {
+        Ok("index") => {
+            let report = build_sidecars(&dir).unwrap();
+            println!("COLDSTART 0 0 {} {}", report.tables, peak_rss_kb());
+            return;
+        }
+        Ok("materialized") => QueryEngine::from_corpus(load_store(&dir).unwrap()),
+        _ => QueryEngine::load(&dir).unwrap(),
     };
     // Touch every index (search scores the full matrix) and one table
     // block, so the measured high-water mark covers real serving.
@@ -194,6 +203,55 @@ fn sidecar_boot_rss_stays_near_flat_as_corpus_doubles() {
         "sidecar index assembly took {:.2} ms",
         lazy_big.index_build_ms
     );
+}
+
+#[test]
+fn writing_the_sidecar_grows_with_the_sidecar_not_the_corpus() {
+    // What a 4x store may add to the peak of `build_sidecars`, and of a
+    // boot that has to write the sidecar, beyond the growth of the
+    // sidecar and one shard file (mapped, then decoded): allocator and
+    // page-cache noise.
+    const SLACK_KB: u64 = 3 * 1024;
+    let small = store_with_sidecars("write_1x", 64);
+    let big = store_with_sidecars("write_4x", 256);
+    let size = |dir: &PathBuf, file: &str| dir.join(file).metadata().unwrap().len() / 1024;
+    let largest_shard_kb = std::fs::read_dir(&big)
+        .unwrap()
+        .map(|f| f.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "colv1"))
+        .map(|p| p.metadata().unwrap().len() / 1024)
+        .max()
+        .unwrap();
+    let bound = size(&big, SIDECAR_FILE).saturating_sub(size(&small, SIDECAR_FILE))
+        + largest_shard_kb
+        + SLACK_KB;
+
+    let mut peaks = Vec::new();
+    for dir in [&small, &big] {
+        let index = spawn_probe(dir, "index");
+        std::fs::remove_file(dir.join(SIDECAR_FILE)).unwrap();
+        let rewrite = spawn_probe(dir, "lazy");
+        assert!(rewrite.boot_sidecar && dir.join(SIDECAR_FILE).exists());
+        assert_eq!(index.tables, rewrite.tables);
+        peaks.push((index.peak_rss_kb, rewrite.peak_rss_kb));
+    }
+    std::fs::remove_dir_all(&small).ok();
+    std::fs::remove_dir_all(&big).ok();
+
+    let [(index_1x, boot_1x), (index_4x, boot_4x)] = peaks[..] else {
+        unreachable!("two stores")
+    };
+    for (what, at_1x, at_4x) in [
+        ("build_sidecars", index_1x, index_4x),
+        ("a boot writing the sidecar", boot_1x, boot_4x),
+    ] {
+        let growth = at_4x.saturating_sub(at_1x);
+        assert!(
+            growth <= bound,
+            "{what}: peak RSS grew {growth} KB from 1x to 4x ({at_1x} -> {at_4x} KB), \
+             more than the {bound} KB of sidecar growth, one shard and slack"
+        );
+    }
 }
 
 #[test]

@@ -9,7 +9,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gittables_annotate::Annotation;
-use gittables_corpus::{save_store_as, AnnotatedTable, Corpus, StoreFormat};
+use gittables_corpus::{
+    load_store, save_store_as, AnnotatedTable, Corpus, StoreFormat, SIDECAR_FILE,
+};
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
 use proptest::prelude::*;
@@ -139,7 +141,9 @@ proptest! {
 
     /// For random corpora, shard sizes, and both formats: a
     /// sidecar-booted engine answers every endpoint byte-identically to
-    /// the materialized rebuild.
+    /// the in-memory engine over the store's corpus, whether its boot
+    /// wrote the sidecar (into the bytes `build_sidecars` writes) or found
+    /// it fresh.
     #[test]
     fn sidecar_boot_equals_materialized(
         spec in spec_strategy(),
@@ -149,20 +153,28 @@ proptest! {
         for format in [StoreFormat::Jsonl, StoreFormat::ColV1] {
             let dir = tmp(&format!("prop_{format}"));
             save_store_as(&corpus, &dir, per_shard, format).unwrap();
+            let reference = QueryEngine::from_corpus(load_store(&dir).unwrap());
+            let want = endpoint_bytes(&reference);
+
+            let rewritten = QueryEngine::load(&dir).unwrap();
+            prop_assert_eq!(&rewritten.build_stats().boot_path, "sidecar");
+            let reason = rewritten.build_stats().fallback_reason.as_deref();
+            prop_assert_eq!(reason, Some("no_sidecar"));
+            let written = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
             let report = build_sidecars(&dir).unwrap();
             prop_assert_eq!(report.tables, corpus.len());
+            prop_assert!(written == std::fs::read(dir.join(SIDECAR_FILE)).unwrap());
 
             let lazy = QueryEngine::load(&dir).unwrap();
             prop_assert_eq!(&lazy.build_stats().boot_path, "sidecar");
             prop_assert_eq!(&lazy.build_stats().fallback_reason, &None);
-            let reference = QueryEngine::load_materialized(&dir).unwrap();
-            prop_assert_eq!(&reference.build_stats().boot_path, "rebuild");
 
-            let got = endpoint_bytes(&lazy);
-            let want = endpoint_bytes(&reference);
-            prop_assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(g, w, "endpoint {} differs ({})", i, format);
+            for engine in [&rewritten, &lazy] {
+                let got = endpoint_bytes(engine);
+                prop_assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g, w, "endpoint {} differs ({})", i, format);
+                }
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -183,9 +195,9 @@ fn concurrent_readers_see_identical_bytes() {
         build_sidecars(&dir).unwrap();
         let lazy = Arc::new(QueryEngine::load(&dir).unwrap());
         assert_eq!(lazy.build_stats().boot_path, "sidecar");
-        let want = Arc::new(endpoint_bytes(
-            &QueryEngine::load_materialized(&dir).unwrap(),
-        ));
+        let want = Arc::new(endpoint_bytes(&QueryEngine::from_corpus(
+            load_store(&dir).unwrap(),
+        )));
 
         // Serially first...
         assert_eq!(endpoint_bytes(&lazy), *want);

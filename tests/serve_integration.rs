@@ -45,10 +45,13 @@ fn served_engine(
     let c = corpus(seed);
     let dir = tmp(tag);
     gittables_corpus::save_store(&c, &dir, 32).expect("save store");
-    let engine = Arc::new(QueryEngine::load(&dir).expect("load store"));
-    // Loading must reproduce the corpus bit-identically (no sidecars
-    // were written, so this boots via the materialized rebuild path).
-    assert_eq!(engine.corpus(), Some(&c));
+    // The store must hold the corpus bit-identically; it has no sidecar
+    // yet, so the boot writes one and serves off it.
+    assert_eq!(gittables_corpus::load_store(&dir).expect("load store"), c);
+    let engine = Arc::new(QueryEngine::load(&dir).expect("boot store"));
+    let stats = engine.build_stats();
+    assert_eq!(stats.boot_path, "sidecar");
+    assert_eq!(stats.fallback_reason.as_deref(), Some("no_sidecar"));
     let handle = Server::start(engine.clone(), "127.0.0.1:0", config).expect("bind");
     (engine, handle, dir)
 }
