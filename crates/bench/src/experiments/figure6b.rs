@@ -34,7 +34,10 @@ pub fn run(ctx: &Ctx) {
     if let Some(top) = hits.first() {
         let table = &corpus.tables[top.table_index].table;
         println!("\ntop table preview (paper shows id/quantity/total_price/status/...):");
-        println!("  {}", table.schema().attributes().join(" | "));
+        println!(
+            "  {}",
+            table.schema().iter().collect::<Vec<_>>().join(" | ")
+        );
         for r in 0..table.num_rows().min(4) {
             println!("  {}", table.row(r).expect("row").join(" | "));
         }

@@ -97,10 +97,9 @@ pub fn evaluate_completion(
         }
         // +1 so we can drop the held-out schema itself if returned.
         let completions = nc.complete(prefix, k + 1);
-        let own: Vec<String> = schema.attributes().to_vec();
         let others: Vec<_> = completions
             .into_iter()
-            .filter(|c| c.schema.attributes() != own.as_slice())
+            .filter(|c| c.schema != schema)
             .take(k)
             .collect();
         if others.is_empty() {

@@ -248,7 +248,7 @@ impl NearestCompletion {
                 SchemaCompletion {
                     schema: s.clone(),
                     prefix_distance: -neg,
-                    completion: s.suffix(n).to_vec(),
+                    completion: s.suffix(n).map(str::to_string).collect(),
                 }
             })
             .collect()
@@ -309,7 +309,10 @@ mod tests {
         let out = nc.complete(&["order number", "order date"], 2);
         assert!(!out.is_empty());
         // The order schema should rank first.
-        assert!(out[0].schema.attributes()[0].contains("order"), "{out:?}");
+        assert!(
+            out[0].schema.iter().next().unwrap().contains("order"),
+            "{out:?}"
+        );
         assert!(!out[0].completion.is_empty());
     }
 
@@ -411,7 +414,7 @@ mod tests {
                 SchemaCompletion {
                     schema: s.clone(),
                     prefix_distance: d,
-                    completion: s.suffix(n).to_vec(),
+                    completion: s.suffix(n).map(str::to_string).collect(),
                 }
             })
             .collect()

@@ -234,7 +234,7 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str, file: &str) -> Result<(), Stor
 
 /// Shared byte arena: cumulative end offsets then the blob. Decoding item
 /// `i` is `blob[end[i-1]..end[i]]`.
-fn put_arena<'a>(
+pub(crate) fn put_arena<'a>(
     out: &mut Vec<u8>,
     items: impl Iterator<Item = &'a str> + Clone,
     file: &str,
@@ -378,7 +378,7 @@ impl<'a> Cursor<'a> {
     /// checks every offset (non-decreasing, on a char boundary, the last
     /// one the blob length) — there is no per-cell allocation on the load
     /// path.
-    fn arena(&mut self, count: usize) -> Result<CellArena, StoreError> {
+    pub(crate) fn arena(&mut self, count: usize) -> Result<CellArena, StoreError> {
         let index_bytes = count
             .checked_mul(4)
             .ok_or_else(|| corrupt(self.file, "arena count overflows"))?;

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! "GTSIDE1\0"            file magic (8 bytes)
-//! u32 version            currently 3
+//! u32 version            currently 4
 //! u64 store_fingerprint  fold of the manifest's shard fingerprints
 //! u64 tables             total tables in the store
 //! str format             shard format name ("jsonl"/"colv1")
@@ -50,13 +50,15 @@
 //!
 //! * **directory** — shard file list, then per global table id one
 //!   28-byte record: `u32 shard, u64 offset, u64 len, u64 fingerprint`.
-//! * **types** — sorted labels, each followed by its posting count and
-//!   that many 22-byte records
+//! * **types** — `u64 labels`, the sorted, distinct labels as one
+//!   arena, one `u64` posting count per label, then every posting in
+//!   label order as one run of 22-byte records
 //!   (`u64 table, u64 column, u8 method, u8 ontology, u32 sim bits`).
 //! * **search** — `u64 entries`, per-entry `u64` table ids, then the
-//!   **schema table** (`u64 count`, then each schema as `u32` attribute
-//!   count and that many strs): every distinct schema once, first seen
-//!   over the search entries and then the completion schemas. Then one
+//!   **schema table** (`u64 count`, then each schema as its `u32`
+//!   attribute count and its names as one arena): every distinct schema
+//!   once, first seen over the search entries and then the completion
+//!   schemas. Then one
 //!   `u32` schema ref (an index into the table) per entry, zero-padding
 //!   to 8 bytes, and the raw `f32` embedding matrix (row-major,
 //!   `entries × dim`).
@@ -65,12 +67,22 @@
 //!   embedding matrix (one row per schema attribute; row ranges follow
 //!   from schema lengths).
 //!
+//! An **arena** is the `colv1` cell layout (`crate::colv1`): one `u32`
+//! cumulative end offset per string, then the strings' UTF-8 bytes
+//! back to back. It decodes as two copies out of the mapping, checked
+//! once as a whole (valid UTF-8; ends non-decreasing, on character
+//! boundaries, the last one the byte count), into the
+//! [`gittables_table::CellArena`] a [`Schema`] or the [`TypeIndex`]
+//! keeps as it is. So a boot allocates a fixed number of times per
+//! schema and for the whole label list, however many names they hold.
+//!
 //! No schema's bytes are written twice, and each is decoded once: a
 //! search entry and the completion schema that share a table slot share
 //! one [`Schema`] (one attribute list, one rendered JSON body). A ref
 //! past the table is `Corrupt`, named after its section. Fixed-width
-//! records (directory entries, postings, ids, refs) are bounds-checked
-//! as one slice per list before anything is allocated for them.
+//! records (directory entries, posting counts, postings, ids, refs) are
+//! bounds-checked as one slice per list before anything is allocated for
+//! them; the posting counts are summed with overflow checks first.
 //!
 //! Matrices are 8-byte aligned in the file so the mapped sidecar serves
 //! `&[f32]` rows zero-copy ([`F32Matrix`]) out of the one shared arena;
@@ -90,12 +102,16 @@
 //! Version 1 spread the same data over four files
 //! (`index-{directory,types,search,complete}.gtsc`); version 2 had this
 //! container but wrote every search entry's schema in full and every
-//! completion schema again. Sidecars are derived and disposable, so
-//! there is no compatibility path: the version-1 files are never opened
-//! (the boot reports the sidecar missing), a version-2 file is
-//! [`SidecarIssue::Stale`] ("sidecar version 2, this build reads 3"),
-//! and either way the boot writes a version-3 file from the store and
-//! serves the same bytes.
+//! completion schema again; version 3 wrote each name and each label as
+//! its own length-prefixed string, each label followed by its postings.
+//! Sidecars are derived and disposable, so there is no compatibility
+//! path: the version-1 files are never opened (the boot reports the
+//! sidecar missing), a version-2 or version-3 file is
+//! [`SidecarIssue::Stale`] ("sidecar version 3, this build reads 4"),
+//! and either way the boot writes a version-4 file from the store and
+//! serves the same bytes. A version-4 file is exactly as long as the
+//! version-3 file of the same store: each `u32` end takes the place of a
+//! `u32` length.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -105,8 +121,8 @@ use gittables_table::Schema;
 use crate::checksum::checksum;
 use crate::codec::{codec_for, StoreFormat};
 use crate::colv1::{
-    corrupt, method_from_tag, method_tag, ontology_from_tag, ontology_tag, put_str, put_u32,
-    put_u64, put_u8, Arena, Cursor,
+    corrupt, method_from_tag, method_tag, ontology_from_tag, ontology_tag, put_arena, put_str,
+    put_u32, put_u64, put_u8, Arena, Cursor,
 };
 use crate::corpus::{AnnotatedTable, TableId};
 use crate::dedup::combine_fingerprints;
@@ -123,7 +139,7 @@ pub const SIDECAR_MAGIC: &[u8; 8] = b"GTSIDE1\0";
 pub const SIDECAR_FOOTER_MAGIC: &[u8; 8] = b"GTSIDF1\0";
 
 /// Sidecar container version this build writes and reads.
-pub const SIDECAR_VERSION: u32 = 3;
+pub const SIDECAR_VERSION: u32 = 4;
 
 /// Section names as they appear in errors, in file order.
 const DIRECTORY: &str = "index.gtsc#directory";
@@ -210,14 +226,12 @@ impl From<StoreError> for SidecarIssue {
 
 // ---------------------------------------------------------------- encoding
 
+/// A schema: its `u32` attribute count, then its names as one arena.
 fn put_schema(out: &mut Vec<u8>, schema: &Schema, file: &str) -> Result<(), StoreError> {
     let n = u32::try_from(schema.len())
         .map_err(|_| corrupt(file, "schema attribute count overflows u32"))?;
     put_u32(out, n);
-    for a in schema.iter() {
-        put_str(out, a, file)?;
-    }
-    Ok(())
+    put_arena(out, schema.iter(), file)
 }
 
 /// Every distinct schema of `schemas` once, in first-seen order
@@ -227,11 +241,13 @@ fn schema_table<'s>(
     schemas: impl Iterator<Item = &'s Schema>,
 ) -> Result<(Vec<&'s Schema>, Vec<u32>), StoreError> {
     let mut table = Vec::new();
-    let mut slots = HashMap::new();
+    // Keyed by the names, not the `Schema`: its rendered-body cache is
+    // interior mutability, which a hash key must not have.
+    let mut slots: HashMap<Vec<&str>, usize> = HashMap::new();
     let mut refs = Vec::new();
     for schema in schemas {
         let next = table.len();
-        let slot = *slots.entry(schema.attributes()).or_insert_with(|| {
+        let slot = *slots.entry(schema.iter().collect()).or_insert_with(|| {
             table.push(schema);
             next
         });
@@ -392,18 +408,17 @@ pub fn write_indexes(
         Ok(())
     })?;
     put_section(&mut out, |out| {
-        let labels = types.labels();
-        put_u64(out, labels.len() as u64);
-        for (label, postings) in labels.iter().zip(types.posting_lists()) {
-            put_str(out, label, TYPES)?;
+        put_u64(out, types.len() as u64);
+        put_arena(out, types.labels().iter(), TYPES)?;
+        for postings in types.posting_lists() {
             put_u64(out, postings.len() as u64);
-            for p in postings {
-                put_u64(out, p.table as u64);
-                put_u64(out, p.column as u64);
-                put_u8(out, method_tag(p.method));
-                put_u8(out, ontology_tag(p.ontology));
-                put_u32(out, p.similarity.to_bits());
-            }
+        }
+        for p in types.posting_lists().flatten() {
+            put_u64(out, p.table as u64);
+            put_u64(out, p.column as u64);
+            put_u8(out, method_tag(p.method));
+            put_u8(out, ontology_tag(p.ontology));
+            put_u32(out, p.similarity.to_bits());
         }
         Ok(())
     })?;
@@ -816,15 +831,12 @@ fn section<'a, T>(
     Ok(value)
 }
 
+/// A schema as [`put_schema`] wrote it: the arena's two buffers are
+/// copied out of the mapping in one piece each and checked once, and
+/// become the schema's list as they are.
 fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema, StoreError> {
     let n = cur.u32()? as usize;
-    let mut attrs = Vec::with_capacity(cur.cap(n));
-    for _ in 0..n {
-        attrs.push(cur.str()?);
-    }
-    // The `Vec`'s buffer becomes the schema's list; sharing it is one
-    // allocation more, with no second copy of the names.
-    Ok(Schema::new(attrs))
+    Ok(Schema::from_arena(cur.arena(n)?))
 }
 
 /// The next `count` records of `N` bytes each, bounds-checked as one
@@ -914,37 +926,52 @@ fn read_directory(
     Ok((files, entries))
 }
 
+/// The label arena, one posting count per label, then every posting in
+/// label order. The counts are summed (checked) and the postings'
+/// bytes bounds-checked as one slice before either list is allocated.
 fn read_types(cur: &mut Cursor<'_>) -> Result<TypeIndex, StoreError> {
     let nlabels = cur.u64()?;
     let nlabels = cur.len_of(nlabels, "label count")?;
-    let mut labels: Vec<String> = Vec::with_capacity(cur.cap(nlabels));
-    let mut lists: Vec<Vec<TypePosting>> = Vec::with_capacity(cur.cap(nlabels));
-    for _ in 0..nlabels {
-        let label = cur.str()?;
-        if labels.last().is_some_and(|prev| *prev >= label) {
-            // Sorted-unique labels are what makes lookup's binary
-            // search correct; anything else is structural damage.
-            return Err(corrupt(cur.file, "labels are not sorted and distinct"));
-        }
-        let count = cur.u64()?;
-        let count = cur.len_of(count, "posting count")?;
-        let records = records::<22>(cur, count)?;
-        let mut postings = Vec::with_capacity(records.len());
-        for r in records {
-            postings.push(TypePosting {
-                table: cur.len_of(u64::from_le_bytes(field(r, 0)), "posting table id")?,
-                column: cur.len_of(u64::from_le_bytes(field(r, 8)), "posting column")?,
-                method: method_from_tag(r[16])
-                    .ok_or_else(|| corrupt(cur.file, "unknown method tag"))?,
-                ontology: ontology_from_tag(r[17])
-                    .ok_or_else(|| corrupt(cur.file, "unknown ontology tag"))?,
-                similarity: f32::from_bits(u32::from_le_bytes(field(r, 18))),
-            });
-        }
-        labels.push(label);
-        lists.push(postings);
+    let labels = cur.arena(nlabels)?;
+    if labels
+        .iter()
+        .zip(labels.iter().skip(1))
+        .any(|(a, b)| a >= b)
+    {
+        // Sorted-unique labels are what makes lookup's binary search
+        // correct; anything else is structural damage.
+        return Err(corrupt(cur.file, "labels are not sorted and distinct"));
     }
-    Ok(TypeIndex::from_raw_parts(labels, lists))
+    let counts = records::<8>(cur, nlabels)?;
+    let mut total = 0usize;
+    for &count in counts {
+        let count = cur.len_of(u64::from_le_bytes(count), "posting count")?;
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| corrupt(cur.file, "posting counts overflow"))?;
+    }
+    let records = records::<22>(cur, total)?;
+    let mut starts = Vec::with_capacity(nlabels + 1);
+    let mut end = 0;
+    starts.push(end);
+    for &count in counts {
+        // Each count fit a `usize`, and so did their sum.
+        end += u64::from_le_bytes(count) as usize;
+        starts.push(end);
+    }
+    let mut postings = Vec::with_capacity(records.len());
+    for r in records {
+        postings.push(TypePosting {
+            table: cur.len_of(u64::from_le_bytes(field(r, 0)), "posting table id")?,
+            column: cur.len_of(u64::from_le_bytes(field(r, 8)), "posting column")?,
+            method: method_from_tag(r[16])
+                .ok_or_else(|| corrupt(cur.file, "unknown method tag"))?,
+            ontology: ontology_from_tag(r[17])
+                .ok_or_else(|| corrupt(cur.file, "unknown ontology tag"))?,
+            similarity: f32::from_bits(u32::from_le_bytes(field(r, 18))),
+        });
+    }
+    Ok(TypeIndex::from_raw_parts(labels, postings, starts))
 }
 
 /// The search parts, and the schema table the completion section's
@@ -1130,7 +1157,7 @@ mod tests {
     use crate::store::save_store_as;
     use gittables_annotate::Method;
     use gittables_ontology::OntologyKind;
-    use gittables_table::Table;
+    use gittables_table::{CellArena, Table};
 
     fn corpus(n: usize) -> Corpus {
         let mut c = Corpus::new("sc-test");
@@ -1164,8 +1191,9 @@ mod tests {
             similarity: 0.5,
         };
         TypeIndex::from_raw_parts(
-            labels.iter().map(|l| (*l).to_string()).collect(),
-            labels.iter().map(|_| vec![posting.clone()]).collect(),
+            CellArena::from_values(labels).unwrap(),
+            vec![posting; labels.len()],
+            (0..=labels.len()).collect(),
         )
     }
 
@@ -1173,8 +1201,15 @@ mod tests {
     /// one-entry indexes of dim 3. The full builder lives in
     /// `gittables_serve`.
     fn write_minimal(store: &CorpusStore, types: &TypeIndex) -> u64 {
+        write_with_schema(store, types, Schema::new(["id", "name"]))
+    }
+
+    /// [`write_minimal`] with `schema` as the one search entry's and the
+    /// one completion schema, whatever its length.
+    fn write_with_schema(store: &CorpusStore, types: &TypeIndex, schema: Schema) -> u64 {
         let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
-        let schema = [Schema::new(["id", "name"])];
+        let rows = schema.len();
+        let schema = [schema];
         write_indexes(
             store,
             &fingerprints,
@@ -1184,7 +1219,7 @@ mod tests {
                 &schema,
                 &F32Matrix::from_vec(vec![1.0, 2.0, 3.0], 1, 3),
             ),
-            (&schema, &F32Matrix::from_vec(vec![1.0; 6], 2, 3)),
+            (&schema, &F32Matrix::from_vec(vec![1.0; rows * 3], rows, 3)),
         )
         .unwrap()
     }
@@ -1261,11 +1296,7 @@ mod tests {
             assert_eq!(loaded.search.rows.row(0), &[1.0, 2.0, 3.0]);
             assert_eq!(loaded.complete.starts, vec![0, 2]);
             assert_eq!(loaded.complete.rows.as_slice(), &[1.0; 6]);
-            assert_eq!(loaded.types.labels(), ["id", "name"]);
-            assert_eq!(
-                loaded.types.posting_lists(),
-                types_of(&["id", "name"]).posting_lists()
-            );
+            assert_eq!(loaded.types, types_of(&["id", "name"]));
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1346,13 +1377,13 @@ mod tests {
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
         write_minimal(&store, &types_of(&[]));
         let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let issue = load_edited(&store, &clean, |bytes| {
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
             });
             assert_eq!(
                 stale_detail(issue),
-                format!("sidecar version {version}, this build reads 3")
+                format!("sidecar version {version}, this build reads 4")
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1366,7 +1397,7 @@ mod tests {
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
         write_minimal(&store, &types_of(&["id"]));
         let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-        let [(dir_at, dir_end), (_, types_end), (search_at, _), (complete_at, _)] =
+        let [(dir_at, dir_end), (types_at, types_end), (search_at, _), (complete_at, _)] =
             sections(&clean);
 
         // Directory: first shard file name, then the last entry's
@@ -1406,10 +1437,46 @@ mod tests {
             assert_eq!(file, TYPES, "count {count}: {detail}");
         }
 
+        // The label arena's one end (after the length and the label
+        // count) short of and past "id": the counts behind it are read
+        // a byte early or late, and the section no longer adds up.
+        let label_end = types_at + 8 + 8;
+        assert_eq!(clean[label_end..label_end + 4], 2u32.to_le_bytes());
+        for end in [1u32, 3] {
+            let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+                b[label_end..label_end + 4].copy_from_slice(&end.to_le_bytes());
+            }));
+            assert_eq!(file, TYPES, "label end {end}: {detail}");
+        }
+
+        // The `[id, name]` schema's arena (after the length, entry
+        // count, id, table length and attribute count): ends 2 and 6.
+        let ends_at = search_at + 8 + 8 + 8 + 8 + 4;
+        assert_eq!(clean[ends_at + 4..ends_at + 8], 6u32.to_le_bytes());
+        // An end that decreases.
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+            b[ends_at + 4..ends_at + 8].copy_from_slice(&1u32.to_le_bytes());
+        }));
+        assert_eq!(file, SEARCH);
+        assert!(detail.contains("bad arena offsets"), "{detail}");
+        // A last end short of the names: the ref behind them is read
+        // from the name bytes.
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+            b[ends_at + 4..ends_at + 8].copy_from_slice(&5u32.to_le_bytes());
+        }));
+        assert_eq!(file, SEARCH);
+        assert!(detail.contains("past the table"), "{detail}");
+        // A first end past the last.
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+            b[ends_at..ends_at + 4].copy_from_slice(&7u32.to_le_bytes());
+        }));
+        assert_eq!(file, SEARCH);
+        assert!(detail.contains("bad arena offsets"), "{detail}");
+
         // Schema refs at and past the one-schema table: the search
         // entry's (after the length, entry count, id, table length and
         // the `[id, name]` schema) and the completion schema's.
-        let search_ref = search_at + 8 + 8 + 8 + 8 + (4 + 4 + 2 + 4 + 4);
+        let search_ref = search_at + 8 + 8 + 8 + 8 + (4 + 2 * 4 + 6);
         let complete_ref = complete_at + 8 + 8;
         for (at, name) in [(search_ref, SEARCH), (complete_ref, COMPLETE)] {
             assert_eq!(clean[at..at + 4], 0u32.to_le_bytes(), "{name} ref at {at}");
@@ -1421,6 +1488,43 @@ mod tests {
                 assert_eq!(detail, format!("schema ref {r} past the table of 1"));
             }
         }
+
+        // Two labels: the label count, the arena's ends and "idname",
+        // then their two posting counts.
+        write_minimal(&store, &types_of(&["id", "name"]));
+        let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+        let [_, (types_at, _), _, _] = sections(&clean);
+        let blob_at = types_at + 8 + 8 + 2 * 4;
+        assert_eq!(&clean[blob_at..blob_at + 6], b"idname");
+        // Resealed out of order: "zd" after "name".
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| b[blob_at] = b'z'));
+        assert_eq!(file, TYPES);
+        assert!(detail.contains("not sorted and distinct"), "{detail}");
+        // Counts of `u64::MAX` each, and counts whose sum overflows:
+        // refused while summing, before any posting is read.
+        let counts_at = blob_at + 6;
+        for (first, second) in [(u64::MAX, u64::MAX), (u64::MAX, 1), (1 << 63, 1 << 63)] {
+            let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+                b[counts_at..counts_at + 8].copy_from_slice(&first.to_le_bytes());
+                b[counts_at + 8..counts_at + 16].copy_from_slice(&second.to_le_bytes());
+            }));
+            assert_eq!(
+                (file.as_str(), detail.as_str()),
+                (TYPES, "posting counts overflow")
+            );
+        }
+
+        // An end inside a multi-byte name: `["é", "x"]` has ends 2 and 3.
+        write_with_schema(&store, &types_of(&["id"]), Schema::new(["é", "x"]));
+        let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
+        let [_, _, (search_at, _), _] = sections(&clean);
+        let ends_at = search_at + 8 + 8 + 8 + 8 + 4;
+        assert_eq!(clean[ends_at..ends_at + 4], 2u32.to_le_bytes());
+        let (file, detail) = corrupt_parts(load_edited(&store, &clean, |b| {
+            b[ends_at..ends_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        }));
+        assert_eq!(file, SEARCH);
+        assert!(detail.contains("bad arena offsets"), "{detail}");
 
         // Labels out of order and repeated, as a writer would persist them.
         for labels in [["name", "id"], ["id", "id"]] {
@@ -1458,23 +1562,25 @@ mod tests {
             )
             .unwrap();
             let bytes = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-            let name = [&4u32.to_le_bytes()[..], b"name"].concat();
-            let written = bytes.windows(name.len()).filter(|w| *w == name).count();
+            let names = b"idname";
+            let written = bytes.windows(names.len()).filter(|w| w == names).count();
             assert_eq!(written, 1, "{k} tables write the schema once");
-            // Length, entry count, ids, table length, the one schema,
-            // refs; then the padding up to the matrix.
+            // Length, entry count, ids, table length, the one schema
+            // (count, two ends, names), refs; then the padding up to the
+            // matrix.
             let [_, _, (at, end), _] = sections(&bytes);
-            let refs_end = at + 8 + 8 + 8 * k + 8 + (4 + 4 + 2 + 4 + 4) + 4 * k;
+            let refs_end = at + 8 + 8 + 8 * k + 8 + (4 + 2 * 4 + 6) + 4 * k;
             let padding = end - k * dim * 4 - refs_end;
             assert!(padding < 8 && bytes[refs_end..refs_end + padding].iter().all(|&b| b == 0));
             search_len.push(end - at - padding);
 
             let loaded = load_indexes(&store).unwrap();
-            let list = loaded.complete.schemas[0].attributes().as_ptr();
+            let first = |s: &Schema| s.iter().next().map(str::as_ptr);
+            let list = first(&loaded.complete.schemas[0]);
             assert_eq!(loaded.search.schemas.len(), k);
             for s in &loaded.search.schemas {
                 assert_eq!(s, &schema);
-                assert_eq!(s.attributes().as_ptr(), list, "one list, shared");
+                assert_eq!(first(s), list, "one list, shared");
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -1483,6 +1589,53 @@ mod tests {
         for k in 1..4 {
             assert_eq!(search_len[k] - search_len[k - 1], 8 + 4 + 4 * dim);
         }
+    }
+
+    /// The schemas `gittables_table`'s schema tests pin the rendered
+    /// bodies of (no names, one empty name, every kind of escape and
+    /// non-ASCII) come back from a sidecar equal, rendering the same
+    /// bytes.
+    #[test]
+    fn odd_schemas_round_trip_through_a_sidecar() {
+        let odd = [
+            Schema::default(),
+            Schema::new([""]),
+            Schema::new([
+                "say \"hi\"",
+                "C:\\dir\\",
+                "line\nbreak",
+                "\u{1}bell\u{1f}",
+                "größe 東京 🦀",
+                "",
+                "tab\there\r",
+            ]),
+        ];
+        let dir = tmp("odd");
+        let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
+        let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+        let attributes = odd.iter().map(Schema::len).sum();
+        write_indexes(
+            &store,
+            &fingerprints,
+            &types_of(&[]),
+            (&[0, 1, 2], &odd, &F32Matrix::from_vec(vec![0.5; 9], 3, 3)),
+            (
+                &odd,
+                &F32Matrix::from_vec(vec![0.25; attributes * 3], attributes, 3),
+            ),
+        )
+        .unwrap();
+        let loaded = load_indexes(&store).unwrap();
+        for schemas in [&loaded.search.schemas, &loaded.complete.schemas] {
+            assert_eq!(schemas, &odd);
+            for (got, want) in schemas.iter().zip(&odd) {
+                assert_eq!(
+                    serde_json::to_string(got).unwrap(),
+                    serde_json::to_string(want).unwrap()
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

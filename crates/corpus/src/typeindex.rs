@@ -13,9 +13,17 @@
 //! annotation configurations in [`Corpus::annotation_configs`] order,
 //! annotations in column order — the same traversal a brute-force scan
 //! performs, so the index is bit-reproducible from the corpus.
+//!
+//! The index is three flat buffers: the sorted labels as one
+//! [`CellArena`] (one text blob, one end offset per label), every
+//! posting in label order in one `Vec`, and `starts`, where label `i`'s
+//! list is `postings[starts[i]..starts[i + 1]]`. The index sidecar
+//! (`crate::sidecar`) stores the same layout, so a boot reads it back
+//! with a fixed number of allocations, whatever the number of labels.
 
 use gittables_annotate::Method;
 use gittables_ontology::OntologyKind;
+use gittables_table::CellArena;
 use serde::{Deserialize, Serialize};
 
 use crate::corpus::{Corpus, TableId};
@@ -46,18 +54,23 @@ pub struct TypeCount {
     pub tables: usize,
 }
 
-/// The inverted index: sorted labels with parallel posting lists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The inverted index: sorted labels with their posting lists.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeIndex {
     /// Sorted, distinct labels.
-    labels: Vec<String>,
-    /// Posting lists, parallel to `labels`.
-    postings: Vec<Vec<TypePosting>>,
+    labels: CellArena,
+    /// Every posting list, in label order.
+    postings: Vec<TypePosting>,
+    /// Label `i`'s list is `postings[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
 }
 
 impl TypeIndex {
     /// Builds the index over every annotation of every table, with table
     /// ids equal to corpus positions.
+    ///
+    /// # Panics
+    /// When the distinct labels together exceed `u32::MAX` bytes.
     #[must_use]
     pub fn build(corpus: &Corpus) -> Self {
         // Collect (label, posting) pairs in deterministic scan order, then
@@ -81,36 +94,61 @@ impl TypeIndex {
             }
         }
         pairs.sort_by(|a, b| a.0.cmp(b.0));
-        let mut labels: Vec<String> = Vec::new();
-        let mut postings: Vec<Vec<TypePosting>> = Vec::new();
+        let mut labels = CellArena::new();
+        let mut postings = Vec::with_capacity(pairs.len());
+        let mut starts = Vec::new();
+        let mut prev = None;
         for (label, posting) in pairs {
-            if labels.last().map(String::as_str) != Some(label) {
-                labels.push(label.to_string());
-                postings.push(Vec::new());
+            if prev != Some(label) {
+                labels
+                    .push(label)
+                    .expect("type labels fit in a u32-offset arena");
+                starts.push(postings.len());
+                prev = Some(label);
             }
-            postings.last_mut().expect("pushed above").push(posting);
+            postings.push(posting);
         }
-        TypeIndex { labels, postings }
+        starts.push(postings.len());
+        TypeIndex::from_raw_parts(labels, postings, starts)
     }
 
     /// Reassembles an index from its raw parts — the deserialization
     /// path of the sidecar format (`crate::sidecar`), which persists
-    /// labels and posting lists verbatim.
+    /// labels, list lengths and postings verbatim.
     ///
     /// # Panics
-    /// When `labels` and `postings` are not parallel. Callers (the
+    /// When `starts` does not hold one more entry than `labels`, running
+    /// from 0 up to `postings.len()` without decreasing. Callers (the
     /// sidecar decoder) validate label ordering before constructing.
     #[must_use]
-    pub fn from_raw_parts(labels: Vec<String>, postings: Vec<Vec<TypePosting>>) -> Self {
-        assert_eq!(labels.len(), postings.len(), "posting list per label");
-        TypeIndex { labels, postings }
+    pub fn from_raw_parts(
+        labels: CellArena,
+        postings: Vec<TypePosting>,
+        starts: Vec<usize>,
+    ) -> Self {
+        assert_eq!(
+            starts.len(),
+            labels.len() + 1,
+            "one start per label, and the end"
+        );
+        assert_eq!(starts.first(), Some(&0), "the first list starts at 0");
+        assert_eq!(
+            starts.last(),
+            Some(&postings.len()),
+            "the last list ends the postings"
+        );
+        assert!(starts.is_sorted(), "lists do not overlap");
+        TypeIndex {
+            labels,
+            postings,
+            starts,
+        }
     }
 
-    /// Every posting list, parallel to [`Self::labels`] — the
+    /// Every posting list, in the order of [`Self::labels`] — the
     /// serialization path of the sidecar format.
-    #[must_use]
-    pub fn posting_lists(&self) -> &[Vec<TypePosting>] {
-        &self.postings
+    pub fn posting_lists(&self) -> impl ExactSizeIterator<Item = &[TypePosting]> {
+        self.starts.windows(2).map(|w| &self.postings[w[0]..w[1]])
     }
 
     /// Number of distinct labels.
@@ -127,18 +165,38 @@ impl TypeIndex {
 
     /// All labels, sorted.
     #[must_use]
-    pub fn labels(&self) -> &[String] {
+    pub fn labels(&self) -> &CellArena {
         &self.labels
     }
 
     /// The posting list for `label`, if the label is indexed.
     #[must_use]
     pub fn postings(&self, label: &str) -> Option<&[TypePosting]> {
-        let i = self
-            .labels
-            .binary_search_by(|l| l.as_str().cmp(label))
-            .ok()?;
-        Some(&self.postings[i])
+        let i = self.labels.binary_search(label).ok()?;
+        Some(&self.postings[self.starts[i]..self.starts[i + 1]])
+    }
+
+    /// The index of the postings whose table lies in `range`, dropping
+    /// labels left empty: what a shard-local engine serving those
+    /// tables answers from. Postings within a label ascend by table id,
+    /// so each label's restriction is a contiguous run.
+    #[must_use]
+    pub fn restrict(&self, range: &std::ops::Range<TableId>) -> TypeIndex {
+        let mut labels = CellArena::new();
+        let mut postings = Vec::new();
+        let mut starts = vec![0];
+        for (label, list) in self.labels.iter().zip(self.posting_lists()) {
+            let lo = list.partition_point(|p| p.table < range.start);
+            let hi = list.partition_point(|p| p.table < range.end);
+            if lo < hi {
+                labels
+                    .push(label)
+                    .expect("a subset of the labels fits where they all did");
+                postings.extend_from_slice(&list[lo..hi]);
+                starts.push(postings.len());
+            }
+        }
+        TypeIndex::from_raw_parts(labels, postings, starts)
     }
 
     /// Distinct ids of tables with at least one `label`-typed column,
@@ -162,13 +220,13 @@ impl TypeIndex {
     pub fn counts(&self) -> Vec<TypeCount> {
         self.labels
             .iter()
-            .zip(&self.postings)
+            .zip(self.posting_lists())
             .map(|(label, postings)| {
                 let mut tables: Vec<TableId> = postings.iter().map(|p| p.table).collect();
                 tables.sort_unstable();
                 tables.dedup();
                 TypeCount {
-                    label: label.clone(),
+                    label: label.to_string(),
                     postings: postings.len(),
                     tables: tables.len(),
                 }
@@ -229,7 +287,11 @@ mod tests {
     #[test]
     fn postings_grouped_and_sorted() {
         let idx = TypeIndex::build(&corpus());
-        assert_eq!(idx.labels(), &["address", "city", "year"]);
+        assert_eq!(
+            idx.labels().iter().collect::<Vec<_>>(),
+            ["address", "city", "year"]
+        );
+        assert_eq!(idx.starts, [0, 3, 4, 5]);
         let addr = idx.postings("address").unwrap();
         assert_eq!(addr.len(), 3);
         assert_eq!(addr[0].table, 0);
@@ -262,7 +324,27 @@ mod tests {
         let city = counts.iter().find(|c| c.label == "city").unwrap();
         assert_eq!(city.postings, 2);
         assert_eq!(city.tables, 1);
-        assert_eq!(idx.postings.iter().map(Vec::len).sum::<usize>(), 6);
+        assert_eq!(idx.postings.len(), 6);
+        assert_eq!(idx.posting_lists().map(<[_]>::len).sum::<usize>(), 6);
+    }
+
+    #[test]
+    fn a_restriction_keeps_the_range_and_drops_empty_labels() {
+        let idx = TypeIndex::build(&corpus());
+        assert_eq!(idx.restrict(&(0..3)), idx);
+        let middle = idx.restrict(&(1..2));
+        assert_eq!(middle.labels().iter().collect::<Vec<_>>(), ["address"]);
+        assert_eq!(
+            middle.postings("address"),
+            Some(&idx.postings("address").unwrap()[1..2])
+        );
+        let last = idx.restrict(&(2..9));
+        assert_eq!(
+            last.labels().iter().collect::<Vec<_>>(),
+            ["address", "year"]
+        );
+        assert_eq!(last.starts, [0, 1, 2]);
+        assert!(idx.restrict(&(3..9)).is_empty());
     }
 
     #[test]
@@ -271,5 +353,7 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert!(idx.counts().is_empty());
+        assert_eq!(idx.starts, [0]);
+        assert_eq!(idx.posting_lists().len(), 0);
     }
 }

@@ -239,7 +239,7 @@ impl QueryEngine {
                     tables: self.tables.clone(),
                     search: self.search.slice(lo..hi),
                     completion: Arc::clone(&self.completion),
-                    types: restrict_types(&self.types, range),
+                    types: self.types.restrict(range),
                     build: self.build.clone(),
                     id_range: range.clone(),
                 }
@@ -463,23 +463,6 @@ impl QueryEngine {
             types: self.types.len(),
         }
     }
-}
-
-/// Restricts a type index to the postings of one id range, dropping
-/// labels left empty. Postings within a label ascend by table id, so
-/// each restriction is a contiguous run.
-fn restrict_types(types: &TypeIndex, range: &std::ops::Range<usize>) -> TypeIndex {
-    let mut labels = Vec::new();
-    let mut postings = Vec::new();
-    for (label, list) in types.labels().iter().zip(types.posting_lists()) {
-        let lo = list.partition_point(|p| p.table < range.start);
-        let hi = list.partition_point(|p| p.table < range.end);
-        if lo < hi {
-            labels.push(label.clone());
-            postings.push(list[lo..hi].to_vec());
-        }
-    }
-    TypeIndex::from_raw_parts(labels, postings)
 }
 
 /// Flattens one table into the `/tables/{id}` response shape.

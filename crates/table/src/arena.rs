@@ -151,6 +151,22 @@ impl CellArena {
         }
     }
 
+    /// Binary-searches an arena whose cells are sorted for `cell`, with
+    /// the contract of [`slice::binary_search`]: `Ok` of a matching
+    /// index, or `Err` of where `cell` would be inserted.
+    pub fn binary_search(&self, cell: &str) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self[mid].cmp(cell) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
     /// All cell bytes, concatenated.
     #[must_use]
     pub fn blob(&self) -> &str {
@@ -264,6 +280,20 @@ mod tests {
         assert_eq!(a.get(5), None);
         assert_eq!(a.blob(), "ahéllo東京");
         assert_eq!(a.ends(), &[1, 1, 7, 13, 13]);
+    }
+
+    #[test]
+    fn binary_search_is_the_slice_search() {
+        let cells = ["", "a", "ab", "b", "é", "東京"];
+        let a = arena(&cells);
+        for probe in ["", "a", "aa", "ab", "b", "c", "é", "ê", "東京", "東"] {
+            assert_eq!(
+                a.binary_search(probe),
+                cells.binary_search(&probe),
+                "{probe:?}"
+            );
+        }
+        assert_eq!(CellArena::new().binary_search("x"), Err(0));
     }
 
     #[test]

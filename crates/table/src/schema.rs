@@ -3,10 +3,17 @@
 //! Schemas are the unit of comparison for the schema-completion application
 //! (paper §5.2, Algorithm 1): a *prefix* of length `N` is matched against the
 //! prefixes of corpus schemas.
+//!
+//! A schema's names live in one [`CellArena`] — one UTF-8 blob and one
+//! `u32` end per name, the layout the `colv1` store and the index sidecar
+//! write — so building, decoding or dropping a schema costs the same few
+//! allocations however many names it has.
 
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
+
+use crate::CellArena;
 
 /// An ordered list of attribute names.
 ///
@@ -14,8 +21,9 @@ use serde::{Deserialize, Serialize};
 /// a reference count and every clone reads the same allocation (a search
 /// hit and the index it came from, a shard-local index and the
 /// snapshot's). Equality, hashing, `Debug` and the serialized form are
-/// the attribute slice's, as they were when the list was a
-/// `Vec<String>`.
+/// those of the `[String]` slice the list once was: `==` compares name by
+/// name, and the hash feeds the length and then each name, as the
+/// slice's hash does.
 ///
 /// **Rendered once.** The serialized body (`{"attributes":[...]}`) is
 /// kept beside the list the first time a schema is written, and every
@@ -30,58 +38,68 @@ pub struct Schema(Arc<Inner>);
 
 #[derive(Default)]
 struct Inner {
-    attributes: Box<[String]>,
+    attributes: CellArena,
     /// The serialized body, filled on the first write.
     json: OnceLock<Box<str>>,
 }
 
 impl Schema {
     /// Creates a schema from attribute names.
+    ///
+    /// # Panics
+    /// When the names together exceed `u32::MAX` bytes.
     #[must_use]
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(attrs: I) -> Self {
-        Schema(Arc::new(Inner {
-            attributes: attrs.into_iter().map(Into::into).collect(),
-            json: OnceLock::new(),
-        }))
+    pub fn new<S: AsRef<str>, I: IntoIterator<Item = S>>(attrs: I) -> Self {
+        let mut attributes = CellArena::new();
+        for a in attrs {
+            attributes
+                .push(a.as_ref())
+                .expect("schema names fit in a u32-offset arena");
+        }
+        Schema::from_arena(attributes)
     }
 
-    /// The attribute names in order.
+    /// Adopts an arena of attribute names as a schema, without copying
+    /// it: how a decoder that checked the arena once turns it into one.
     #[must_use]
-    pub fn attributes(&self) -> &[String] {
-        &self.0.attributes
+    pub fn from_arena(attributes: CellArena) -> Self {
+        Schema(Arc::new(Inner {
+            attributes,
+            json: OnceLock::new(),
+        }))
     }
 
     /// Number of attributes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.attributes().len()
+        self.0.attributes.len()
     }
 
     /// Whether the schema has no attributes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.attributes().is_empty()
+        self.0.attributes.is_empty()
     }
 
     /// The first `n` attributes as a new schema (all of them if `n > len`).
     #[must_use]
     pub fn prefix(&self, n: usize) -> Schema {
-        self.attributes().iter().take(n).cloned().collect()
+        Schema::new(self.iter().take(n))
     }
 
-    /// The attributes after the first `n` (the "completion" of a prefix).
-    #[must_use]
-    pub fn suffix(&self, n: usize) -> &[String] {
-        self.attributes().get(n..).unwrap_or_default()
+    /// The attributes after the first `n` (the "completion" of a prefix);
+    /// none if `n >= len`.
+    pub fn suffix(&self, n: usize) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.iter().skip(n)
     }
 
     /// Iterator over attribute names.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.attributes().iter().map(String::as_str)
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.0.attributes.iter()
     }
 }
 
-impl<S: Into<String>> FromIterator<S> for Schema {
+impl<S: AsRef<str>> FromIterator<S> for Schema {
     fn from_iter<T: IntoIterator<Item = S>>(iter: T) -> Self {
         Schema::new(iter)
     }
@@ -89,28 +107,33 @@ impl<S: Into<String>> FromIterator<S> for Schema {
 
 impl std::fmt::Display for Schema {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}]", self.attributes().join(", "))
+        write!(f, "[{}]", self.iter().collect::<Vec<_>>().join(", "))
     }
 }
 
 impl PartialEq for Schema {
     fn eq(&self, other: &Self) -> bool {
-        self.attributes() == other.attributes()
+        // The arena's `==` is name-by-name equality (see its docs).
+        self.0.attributes == other.0.attributes
     }
 }
 
 impl Eq for Schema {}
 
 impl std::hash::Hash for Schema {
+    /// The `[String]` slice's hash: its length, then each name.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.attributes().hash(state);
+        state.write_usize(self.len());
+        for a in self.iter() {
+            std::hash::Hash::hash(a, state);
+        }
     }
 }
 
 impl std::fmt::Debug for Schema {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Schema")
-            .field("attributes", &self.attributes())
+            .field("attributes", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -119,7 +142,7 @@ impl Serialize for Schema {
     fn write_json(&self, out: &mut String) {
         out.push_str(self.0.json.get_or_init(|| {
             let mut body = String::from("{\"attributes\":");
-            serde::write_seq(self.attributes(), &mut body);
+            serde::write_seq(&self.0.attributes, &mut body);
             body.push('}');
             body.into_boxed_str()
         }));
@@ -131,8 +154,8 @@ impl Deserialize for Schema {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::expected("map", "Schema"))?;
-        let attributes: Vec<String> = serde::de_field(m, "attributes", "Schema")?;
-        Ok(Schema::new(attributes))
+        let attributes: CellArena = serde::de_field(m, "attributes", "Schema")?;
+        Ok(Schema::from_arena(attributes))
     }
 }
 
@@ -144,13 +167,10 @@ mod tests {
     #[test]
     fn prefix_and_suffix() {
         let s = Schema::new(["a", "b", "c", "d"]);
-        assert_eq!(
-            s.prefix(2).attributes(),
-            &["a".to_string(), "b".to_string()]
-        );
-        assert_eq!(s.suffix(2), &["c".to_string(), "d".to_string()]);
+        assert_eq!(s.prefix(2), Schema::new(["a", "b"]));
+        assert_eq!(s.suffix(2).collect::<Vec<_>>(), ["c", "d"]);
         assert_eq!(s.prefix(10).len(), 4);
-        assert!(s.suffix(10).is_empty());
+        assert_eq!(s.suffix(10).len(), 0);
     }
 
     #[test]
@@ -170,8 +190,11 @@ mod tests {
     fn a_clone_shares_the_attribute_list() {
         let s = Schema::new(["id", "name"]);
         let c = s.clone();
-        assert_eq!(c.attributes().as_ptr(), s.attributes().as_ptr());
+        let first = |s: &Schema| s.iter().next().map(str::as_ptr);
+        assert_eq!(first(&c), first(&s));
         assert_eq!(c, s);
+        // An equal schema built apart has a list of its own.
+        assert_ne!(first(&Schema::new(["id", "name"])), first(&s));
     }
 
     /// `Hash`, `Eq` and `Debug` are the `Vec<String>` field's, which were
@@ -246,5 +269,40 @@ mod tests {
         }
         let err = serde_json::from_str::<Schema>("[]").unwrap_err();
         assert!(err.to_string().contains("Schema"), "{err}");
+    }
+
+    /// Names with escapes, non-ASCII and empty names, in lists of any
+    /// length down to none.
+    fn names() -> impl proptest::strategy::Strategy<Value = Vec<String>> {
+        proptest::collection::vec("[ab\"\\\\\n\t\u{1}\u{1f}é東🦀]{0,3}", 0..6)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Every observable of a schema is the `[String]` slice's it was
+        /// built from: `==`, the hash, `Debug`, the JSON body, and the
+        /// prefix and suffix at every cut.
+        #[test]
+        fn a_schema_behaves_as_its_name_slice(attrs in names(), other in names(), n in 0usize..8) {
+            let s = Schema::new(&attrs);
+            let state = RandomState::new();
+            proptest::prop_assert_eq!(state.hash_one(&s), state.hash_one(&attrs));
+            proptest::prop_assert_eq!(format!("{s:?}"), format!("Schema {{ attributes: {attrs:?} }}"));
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&s).unwrap(),
+                format!("{{\"attributes\":{}}}", serde_json::to_string(&attrs).unwrap())
+            );
+            proptest::prop_assert_eq!(s.iter().collect::<Vec<_>>(), attrs.iter().map(String::as_str).collect::<Vec<_>>());
+            let cut = n.min(attrs.len());
+            proptest::prop_assert_eq!(s.prefix(n), Schema::new(&attrs[..cut]));
+            proptest::prop_assert_eq!(s.suffix(n).collect::<Vec<_>>(), attrs[cut..].iter().map(String::as_str).collect::<Vec<_>>());
+            proptest::prop_assert_eq!(s.suffix(n).len(), attrs.len() - cut);
+            let t = Schema::new(&other);
+            proptest::prop_assert_eq!(s == t, attrs == other);
+            if s == t {
+                proptest::prop_assert_eq!(state.hash_one(&s), state.hash_one(&t));
+            }
+        }
     }
 }

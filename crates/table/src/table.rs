@@ -149,7 +149,7 @@ impl Table {
     /// The table's schema (header names in order).
     #[must_use]
     pub fn schema(&self) -> Schema {
-        self.columns.iter().map(|c| c.name().to_string()).collect()
+        Schema::new(self.columns.iter().map(Column::name))
     }
 
     /// Source provenance.
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn schema_and_lookup() {
         let t = sample();
-        assert_eq!(t.schema().attributes(), &["id", "name", "price"]);
+        assert_eq!(t.schema(), Schema::new(["id", "name", "price"]));
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
         let table = &corpus.tables[hit.table_index].table;
         println!("top table for {:?}:", queries[0]);
         let header = table.schema();
-        println!("  {}", header.attributes().join(" | "));
+        println!("  {}", header.iter().collect::<Vec<_>>().join(" | "));
         for r in 0..table.num_rows().min(4) {
             let row = table.row(r).expect("row in range");
             println!("  {}", row.join(" | "));

@@ -802,18 +802,21 @@ fn engine_reports_cold_start_breakdown_per_format() {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Role {
     /// Any change is refused by a check other than the checksum: magic,
-    /// version, binding, dim, lengths, counts, shard names and
-    /// ordinals, directory fingerprints, the footer.
+    /// version, binding, dim, lengths, counts, the last end of each
+    /// arena (the byte count of its strings), shard names and ordinals,
+    /// directory fingerprints, the footer.
     Guarded,
     /// The zero padding before a matrix: skipped, never read.
     Padding,
     /// A value only the checksum vouches for: block spans, labels,
-    /// postings, ids, attribute names, in-range schema refs, matrix
-    /// values, and the checksum itself.
+    /// postings, ids, attribute names, an arena's ends before its last
+    /// (a boundary between two strings, which may move to another
+    /// character boundary), in-range schema refs, matrix values, and
+    /// the checksum itself.
     Payload,
 }
 
-/// Walks a sidecar's documented version-3 layout, recording each byte's
+/// Walks a sidecar's documented version-4 layout, recording each byte's
 /// [`Role`].
 struct Walk<'a> {
     bytes: &'a [u8],
@@ -839,6 +842,17 @@ impl<'a> Walk<'a> {
     fn str(&mut self, role: Role) {
         let n = self.u32(Role::Guarded);
         self.take(n, role);
+    }
+
+    /// An arena of `n` strings: `u32` ends, then the bytes the last end
+    /// counts.
+    fn arena(&mut self, n: usize) {
+        let mut total = 0;
+        for i in 0..n {
+            let last = i + 1 == n;
+            total = self.u32(if last { Role::Guarded } else { Role::Payload });
+        }
+        self.take(total, Role::Payload);
     }
 
     fn padding(&mut self) {
@@ -869,13 +883,12 @@ fn sidecar_roles(bytes: &[u8]) -> Vec<Role> {
         w.take(16, Payload);
         w.take(8, Guarded);
     }
-    // Types: labels, each with its counted postings.
+    // Types: the label arena, a posting count per label, the postings.
     w.u64(Guarded);
-    for _ in 0..w.u64(Guarded) {
-        w.str(Payload);
-        let postings = w.u64(Guarded);
-        w.take(22 * postings, Payload);
-    }
+    let labels = w.u64(Guarded);
+    w.arena(labels);
+    let postings: usize = (0..labels).map(|_| w.u64(Guarded)).sum();
+    w.take(22 * postings, Payload);
     // Search: ids, the schema table, refs, the matrix.
     w.u64(Guarded);
     let entries = w.u64(Guarded);
@@ -883,9 +896,7 @@ fn sidecar_roles(bytes: &[u8]) -> Vec<Role> {
     let mut lens = Vec::new();
     for _ in 0..w.u64(Guarded) {
         let attributes = w.u32(Guarded);
-        for _ in 0..attributes {
-            w.str(Payload);
-        }
+        w.arena(attributes);
         lens.push(attributes);
     }
     w.take(4 * entries, Payload);
@@ -949,7 +960,7 @@ fn indexed_shared_schema_store(tag: &str) -> (PathBuf, Vec<String>) {
     let schema = corpus.tables[0].table.schema();
     let rows = vec![vec!["shared".to_string(); schema.len()]];
     corpus.push(AnnotatedTable::new(
-        Table::from_string_rows("same_schema", schema.attributes(), rows).unwrap(),
+        Table::from_string_rows("same_schema", &schema.iter().collect::<Vec<_>>(), rows).unwrap(),
     ));
     // A fifth distinct schema (an odd number of completion refs) and a
     // longer corpus name put four bytes of padding before each matrix.

@@ -117,8 +117,8 @@ proptest! {
         n in 0usize..12,
     ) {
         let s = Schema::new(attrs.clone());
-        let mut rebuilt: Vec<String> = s.prefix(n).attributes().to_vec();
-        rebuilt.extend(s.suffix(n).iter().cloned());
+        let mut rebuilt: Vec<String> = s.prefix(n).iter().map(String::from).collect();
+        rebuilt.extend(s.suffix(n).map(String::from));
         prop_assert_eq!(rebuilt, attrs);
     }
 

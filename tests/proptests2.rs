@@ -45,7 +45,7 @@ proptest! {
         }
         let group = UnionGroup {
             repository: "r/x".into(),
-            schema: base.schema().attributes().to_vec(),
+            schema: base.schema().iter().map(String::from).collect(),
             members: (0..copies).collect(),
         };
         let unioned = union_tables(&corpus, &group).expect("compatible");

@@ -65,8 +65,9 @@ fn every_endpoint_equals_in_process_answer() {
     let label = engine
         .type_index()
         .labels()
-        .first()
-        .cloned()
+        .iter()
+        .next()
+        .map(str::to_string)
         .expect("annotated corpus");
     let last_id = engine.num_tables() - 1;
 

@@ -70,10 +70,7 @@ fn posting_lists_match_brute_force_scan() {
             "tables diverge for `{label}`"
         );
     }
-    assert_eq!(
-        idx.posting_lists().iter().map(Vec::len).sum::<usize>(),
-        total
-    );
+    assert_eq!(idx.posting_lists().map(<[_]>::len).sum::<usize>(), total);
 
     // counts() agrees with the brute-force cardinalities.
     for count in idx.counts() {
