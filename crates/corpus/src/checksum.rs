@@ -2,8 +2,17 @@
 //! this crate. It seals each `colv1` table block ([`crate::colv1`]),
 //! checks the whole index sidecar ([`crate::sidecar`]), and hashes a
 //! table's content into its fingerprint
-//! ([`crate::dedup::table_fingerprint`]); [`step`] folds those
-//! fingerprints per shard ([`crate::dedup::combine_fingerprints`]).
+//! ([`crate::dedup::table_fingerprint`]) for dedup and for the `jsonl`
+//! codec, which has no seal. [`step`] folds a shard's per-table check
+//! values — `colv1` block seals, `jsonl` fingerprints — into its
+//! manifest entry ([`crate::dedup::combine_fingerprints`]).
+//!
+//! A store load hashes each stored byte once: a `colv1` block's seal is
+//! both the proof that its bytes are intact and the value the manifest
+//! and the sidecar directory bind, so nothing re-hashes a decoded
+//! table. Under `cfg(test)` a thread-local counter records every byte
+//! [`checksum`] and [`checksum_u32s`] read, so tests assert that as a
+//! count (`take_hashed`).
 //!
 //! [`checksum`] reads the bytes as little-endian `u64` words, 32 bytes a
 //! round, each word folded into one of four independent lanes by
@@ -41,8 +50,28 @@ fn finish(lanes: [u64; 4], tail: &[u8], len: usize) -> u64 {
     step(tailed, len as u64)
 }
 
+#[cfg(test)]
+thread_local! {
+    static HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `n` to this thread's count of hashed bytes (tests only).
+#[cfg(test)]
+fn count_hashed(n: usize) {
+    HASHED.with(|c| c.set(c.get() + n as u64));
+}
+
+/// The bytes this thread has hashed since the last call, resetting the
+/// count (tests only).
+#[cfg(test)]
+pub(crate) fn take_hashed() -> u64 {
+    HASHED.with(|c| c.replace(0))
+}
+
 /// The lane checksum of `bytes` (module docs).
 pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    count_hashed(bytes.len());
     let mut lanes = [BASIS; 4];
     let mut stripes = bytes.chunks_exact(32);
     for stripe in &mut stripes {
@@ -57,6 +86,8 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
 /// cell arena's end offsets have on disk — without copying them into a
 /// byte buffer first.
 pub(crate) fn checksum_u32s(values: &[u32]) -> u64 {
+    #[cfg(test)]
+    count_hashed(values.len() * 4);
     let mut lanes = [BASIS; 4];
     let mut stripes = values.chunks_exact(8);
     for stripe in &mut stripes {
@@ -115,6 +146,15 @@ mod tests {
     fn checksum_golden_digests() {
         assert_eq!(checksum(b""), 0x0f42_c414_7dbb_93f2);
         assert_eq!(checksum(&sample(100)), 0x63fd_b84c_abe0_389e);
+    }
+
+    #[test]
+    fn the_counter_sees_every_hashed_byte_once() {
+        take_hashed();
+        checksum(&sample(100));
+        checksum_u32s(&[1, 2, 3]);
+        assert_eq!(take_hashed(), 112);
+        assert_eq!(take_hashed(), 0, "taking resets");
     }
 
     #[test]

@@ -16,17 +16,25 @@
 //!   writes and reads through [`crate::save_store_as`]; no command writes
 //!   it and no default picks it.
 //!
-//! Content checks are *outside* the codec: the store verifies table
-//! counts and content fingerprints on every load path, so both formats
-//! share one enforcement point. Inside it, `colv1` checks each block's
-//! seal before decoding it, so a block's other bytes (names,
-//! provenance, atomic types, annotations) are covered too.
+//! Each codec also owns its tables' **check values**: the `u64`
+//! [`ShardEncoder::push`] returns for a table it wrote and
+//! [`ShardCodec::read_block`] returns for a table it read back. For
+//! `colv1` that is the block's seal — the lane checksum of every byte of
+//! the block, computed once as it is written and verified once, before
+//! any field is decoded, as it is read. `jsonl` has no seal, so its check
+//! value is the table's content fingerprint
+//! ([`crate::dedup::table_fingerprint`]). What binds the values is
+//! *outside* the codec: the store compares a shard's table count and the
+//! fold of its check values with the manifest on every load path, and
+//! the sidecar directory records each table's value, so both formats
+//! share one enforcement point and no byte is hashed twice.
 
 use std::io::Write;
 use std::path::Path;
 
 use crate::colv1;
 use crate::corpus::AnnotatedTable;
+use crate::dedup::table_fingerprint;
 use crate::store::StoreError;
 
 /// On-disk shard format of a store.
@@ -70,11 +78,11 @@ impl std::fmt::Display for StoreFormat {
 /// Push tables one at a time; [`ShardEncoder::finish`] makes the file
 /// durable (flush + fsync) but does *not* commit it to the manifest.
 pub(crate) trait ShardEncoder: Send {
-    /// Appends one table.
+    /// Appends one table and returns its check value (module docs).
     ///
     /// # Errors
     /// Propagates I/O and encoding failures.
-    fn push(&mut self, table: &AnnotatedTable) -> Result<(), StoreError>;
+    fn push(&mut self, table: &AnnotatedTable) -> Result<u64, StoreError>;
 
     /// Flushes and fsyncs the shard file.
     ///
@@ -115,7 +123,9 @@ pub(crate) trait ShardCodec: Send + Sync {
     /// (or recorded in the sidecar directory). The block must be consumed
     /// exactly: trailing garbage is a typed error, never silently
     /// ignored. A `colv1` block is checked against its seal before any
-    /// field of it is read.
+    /// field of it is read. Returns the table and its check value (module
+    /// docs), for the caller to compare with what the manifest or the
+    /// sidecar directory recorded.
     ///
     /// # Errors
     /// Typed decode errors, never a panic; a span outside `bytes` is
@@ -125,7 +135,7 @@ pub(crate) trait ShardCodec: Send + Sync {
         bytes: &[u8],
         span: (u64, u64),
         file: &str,
-    ) -> Result<AnnotatedTable, StoreError>;
+    ) -> Result<(AnnotatedTable, u64), StoreError>;
 }
 
 /// The bytes of one block span of a shard arena, bounds-checked: a span
@@ -168,13 +178,13 @@ struct JsonlEncoder {
 }
 
 impl ShardEncoder for JsonlEncoder {
-    fn push(&mut self, table: &AnnotatedTable) -> Result<(), StoreError> {
+    fn push(&mut self, table: &AnnotatedTable) -> Result<u64, StoreError> {
         // The JSON printer escapes raw newlines inside strings, so
         // lines == tables.
         let line = serde_json::to_string(table)?;
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        Ok(())
+        Ok(table_fingerprint(&table.table))
     }
 
     fn finish(mut self: Box<Self>) -> Result<(), StoreError> {
@@ -230,9 +240,11 @@ impl ShardCodec for JsonlCodec {
         bytes: &[u8],
         (offset, len): (u64, u64),
         file: &str,
-    ) -> Result<AnnotatedTable, StoreError> {
+    ) -> Result<(AnnotatedTable, u64), StoreError> {
         let block = span_bytes(bytes, offset, len, file)?;
-        Ok(serde_json::from_slice(block)?)
+        let at: AnnotatedTable = serde_json::from_slice(block)?;
+        let check = table_fingerprint(&at.table);
+        Ok((at, check))
     }
 }
 
@@ -246,7 +258,7 @@ struct ColV1Encoder {
 }
 
 impl ShardEncoder for ColV1Encoder {
-    fn push(&mut self, table: &AnnotatedTable) -> Result<(), StoreError> {
+    fn push(&mut self, table: &AnnotatedTable) -> Result<u64, StoreError> {
         self.writer.push(table)
     }
 
@@ -279,7 +291,7 @@ impl ShardCodec for ColV1Codec {
         bytes: &[u8],
         (offset, len): (u64, u64),
         file: &str,
-    ) -> Result<AnnotatedTable, StoreError> {
+    ) -> Result<(AnnotatedTable, u64), StoreError> {
         colv1::decode_block(span_bytes(bytes, offset, len, file)?, offset, file)
     }
 }

@@ -13,6 +13,10 @@
 //!
 //! ## Segment layout, version 2 (all integers little-endian)
 //!
+//! The segment version is the one in the magic bytes. It is not the
+//! manifest's store format version ([`crate::store::FORMAT_VERSION`]),
+//! which also counts what the manifest binds.
+//!
 //! ```text
 //! "GTCOLV2\0"                      file magic (8 bytes)
 //! table block × N                  see below
@@ -53,12 +57,22 @@
 //! Each block ends in [`crate::checksum`]'s lane checksum of its own
 //! bytes, and [`decode_block`] compares the two before it reads any
 //! field. A single altered byte anywhere in a block — a name, a
-//! provenance field, an atomic type tag, an annotation, not only the
-//! cells the content fingerprint covers — is therefore a typed
-//! [`StoreError::Corrupt`] naming the shard and the block's offset,
-//! never a different table. The footer needs no seal of its own: an
-//! altered offset moves a block's boundary, and the block it then
-//! names fails its seal (or the footer's own consistency checks).
+//! provenance field, an atomic type tag, an annotation or a cell — is
+//! therefore a typed [`StoreError::Corrupt`] naming the shard and the
+//! block's offset, never a different table. The footer needs no seal of
+//! its own: an altered offset moves a block's boundary, and the block it
+//! then names fails its seal (or the footer's own consistency checks).
+//!
+//! The seal is also the block's **check value**: [`encode_table`]
+//! returns the seal it wrote and [`decode_block`] the seal it verified,
+//! and the store binds exactly those values — a shard's manifest
+//! `fingerprint` is the fold of its blocks' seals, and each sidecar
+//! directory entry records its block's seal. So a valid block from
+//! another shard or another store, even one holding the same cells, is
+//! refused by the manifest or the directory, and no byte of a block is
+//! hashed a second time to prove it (manifest version 3; version 2
+//! bound content fingerprints of the decoded tables instead, over the
+//! same segment bytes).
 //!
 //! Version 1 segments (magic `GTCOLV1\0`) had no seal. There is no
 //! reader for them: a store that holds them records manifest version 1,
@@ -100,7 +114,7 @@ pub const FILE_MAGIC: &[u8; 8] = b"GTCOLV2\0";
 pub const FOOTER_MAGIC: &[u8; 8] = b"GTCOLF2\0";
 
 /// Bytes of the seal closing every table block.
-const SEAL_LEN: usize = 8;
+pub(crate) const SEAL_LEN: usize = 8;
 
 pub(crate) fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
@@ -271,12 +285,13 @@ fn encode_annotations(
     put_arena(out, set.annotations.iter().map(|a| a.label.as_str()), file)
 }
 
-/// Encodes one sealed table block into `out` (cleared first).
+/// Encodes one sealed table block into `out` (cleared first) and returns
+/// its seal, the block's check value.
 pub(crate) fn encode_table(
     out: &mut Vec<u8>,
     at: &AnnotatedTable,
     file: &str,
-) -> Result<(), StoreError> {
+) -> Result<u64, StoreError> {
     out.clear();
     let t = &at.table;
     put_str(out, t.name(), file)?;
@@ -312,7 +327,7 @@ pub(crate) fn encode_table(
     }
     let seal = checksum(out);
     put_u64(out, seal);
-    Ok(())
+    Ok(seal)
 }
 
 // ----------------------------------------------------------------- decoding
@@ -542,13 +557,14 @@ pub(crate) fn block_spans(bytes: &[u8], file: &str) -> Result<Vec<(u64, u64)>, S
 
 /// Decodes exactly one sealed table block, the one at byte `offset` of
 /// the segment (a span produced by [`block_spans`]): the seal is checked
-/// first, then the block must consume the bytes it seals exactly. Same
+/// first, then the block must consume the bytes it seals exactly.
+/// Returns the table and the verified seal, its check value. Same
 /// typed-error discipline as [`block_spans`].
 pub(crate) fn decode_block(
     block: &[u8],
     offset: u64,
     file: &str,
-) -> Result<AnnotatedTable, StoreError> {
+) -> Result<(AnnotatedTable, u64), StoreError> {
     let Some(body_len) = block.len().checked_sub(SEAL_LEN) else {
         return Err(corrupt(
             file,
@@ -586,7 +602,7 @@ pub(crate) fn decode_block(
             ),
         ));
     }
-    Ok(at)
+    Ok((at, seal))
 }
 
 /// Streaming segment writer: tables are encoded and appended one at a
@@ -616,14 +632,15 @@ impl SegmentWriter {
         })
     }
 
-    pub(crate) fn push(&mut self, at: &AnnotatedTable) -> Result<(), StoreError> {
+    /// Appends one sealed block and returns its seal.
+    pub(crate) fn push(&mut self, at: &AnnotatedTable) -> Result<u64, StoreError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        encode_table(&mut scratch, at, &self.file)?;
+        let seal = encode_table(&mut scratch, at, &self.file)?;
         self.writer.write_all(&scratch)?;
         self.offsets.push(self.pos);
         self.pos += scratch.len() as u64;
         self.scratch = scratch;
-        Ok(())
+        Ok(seal)
     }
 
     /// Writes the footer and makes the segment durable (flush + fsync).
@@ -676,7 +693,7 @@ mod tests {
 
     /// The whole-shard read every store load goes through.
     fn decode_whole(bytes: &[u8]) -> Result<Vec<AnnotatedTable>, StoreError> {
-        crate::store::decode_shard(&crate::codec::ColV1Codec, bytes, "seg.colv1")
+        crate::store::decode_shard(&crate::codec::ColV1Codec, bytes, "seg.colv1", |at| at)
             .map(|(tables, _)| tables)
     }
 
@@ -684,7 +701,8 @@ mod tests {
     fn block_roundtrip() {
         let at = sample();
         let mut buf = Vec::new();
-        encode_table(&mut buf, &at, "test").unwrap();
+        let written = encode_table(&mut buf, &at, "test").unwrap();
+        assert_eq!(written, checksum(&buf[..buf.len() - SEAL_LEN]));
         let mut cur = Cursor {
             bytes: &buf,
             pos: 0,
@@ -697,7 +715,8 @@ mod tests {
             "block decodes exactly its bytes"
         );
         assert_eq!(at, back);
-        assert_eq!(decode_block(&buf, 0, "test").unwrap(), at);
+        let seal = u64::from_le_bytes(buf[buf.len() - SEAL_LEN..].try_into().unwrap());
+        assert_eq!(decode_block(&buf, 0, "test").unwrap(), (at, seal));
     }
 
     /// `block` with its seal recomputed over whatever its body now holds.
@@ -789,7 +808,7 @@ mod tests {
         let whole = decode_whole(&bytes).unwrap();
         for (span, at) in spans.iter().zip(&whole) {
             let block = &bytes[span.0 as usize..(span.0 + span.1) as usize];
-            assert_eq!(&decode_block(block, span.0, "seg.colv1").unwrap(), at);
+            assert_eq!(&decode_block(block, span.0, "seg.colv1").unwrap().0, at);
         }
         // A block with trailing garbage must be rejected, not silently
         // decoded short.

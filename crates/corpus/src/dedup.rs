@@ -5,16 +5,21 @@
 //! the corpus-level tool: content fingerprints that detect exact and
 //! near-duplicate tables (same schema + highly overlapping cell content).
 //!
-//! The same fingerprint is the store's content check: manifests record a
-//! per-shard fold of it ([`combine_fingerprints`]) and every load
-//! verifies it, as the sidecar directory does per table. It covers the
-//! column names and every cell with its cell and column boundaries, and
-//! nothing else — not the table name, provenance, atomic types or
-//! annotations (a `colv1` block's seal covers those bytes on disk). It
-//! is hashed with the lane checksum of [`crate::checksum`] over each
-//! column's name, cell blob and cell end offsets, so it costs about
-//! 0.2 ns a byte instead of byte-serial FNV-1a's 1.5; see
-//! [`table_fingerprint`].
+//! The fingerprint is content identity: it covers the column names and
+//! every cell with its cell and column boundaries, and nothing else — not
+//! the table name, provenance, atomic types or annotations — so it is
+//! what build-time dedup needs ([`dedup_indices`], [`exact_duplicates`],
+//! `gittables dedup`). It is *not* how a `colv1` store checks what it
+//! reads: there a block's seal, which covers every byte of the block, is
+//! the table's check value, and a load or a lazy get never re-hashes a
+//! decoded table ([`crate::store`]). Only the `jsonl` codec, which has
+//! no seal, uses this fingerprint as its check value. It is hashed with
+//! the lane checksum of [`crate::checksum`] over each column's name, cell
+//! blob and cell end offsets, so it costs about 0.2 ns a byte instead of
+//! byte-serial FNV-1a's 1.5; see [`table_fingerprint`].
+//!
+//! [`combine_fingerprints`] is the store's per-shard fold of check values
+//! of either kind.
 
 use std::collections::HashMap;
 
@@ -58,10 +63,11 @@ pub fn table_fingerprint(table: &gittables_table::Table) -> u64 {
     step(h, table.num_columns() as u64)
 }
 
-/// Folds a sequence of per-table fingerprints into one order-sensitive
-/// digest with the lane step, then folds in their count. Used by the
-/// sharded store to fingerprint a whole shard — reordering, dropping, or
-/// editing any member changes the digest.
+/// Folds a sequence of per-table fingerprints or check values into one
+/// order-sensitive digest with the lane step, then folds in their count.
+/// Used by the sharded store to bind a whole shard (a manifest entry's
+/// `fingerprint`) and by the sidecar to bind a whole store — reordering,
+/// dropping, or editing any member changes the digest.
 #[must_use]
 pub fn combine_fingerprints<I: IntoIterator<Item = u64>>(fingerprints: I) -> u64 {
     let (h, n) = fingerprints

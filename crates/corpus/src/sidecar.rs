@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! "GTSIDE1\0"            file magic (8 bytes)
-//! u32 version            currently 4
+//! u32 version            currently 5
 //! u64 store_fingerprint  fold of the manifest's shard fingerprints
 //! u64 tables             total tables in the store
 //! str format             shard format name ("jsonl"/"colv1")
@@ -40,16 +40,19 @@
 //! sidecar to the exact store contents it was built from: re-saving,
 //! resuming, or migrating the store changes the binding, so a stale
 //! sidecar is *detected* ([`SidecarIssue::Stale`]), never silently
-//! served. On load the directory's per-table fingerprints are
+//! served. On load the directory's per-table check values are
 //! additionally folded per shard and compared against each manifest
-//! entry, and every table is checked against its block's seal (colv1)
-//! and then its directory fingerprint before it leaves
-//! [`LazyCorpus::get`].
+//! entry, and every table's check value — for `colv1` its block's seal,
+//! verified against the block's bytes before any field is decoded — is
+//! compared with its directory entry before it leaves
+//! [`LazyCorpus::get`]. A `get` hashes exactly one block body, once.
 //!
 //! ## Sections
 //!
 //! * **directory** — shard file list, then per global table id one
-//!   28-byte record: `u32 shard, u64 offset, u64 len, u64 fingerprint`.
+//!   28-byte record: `u32 shard, u64 offset, u64 len, u64 check`, where
+//!   `check` is the table's check value (`crate::codec`): its `colv1`
+//!   block seal, or its `jsonl` content fingerprint.
 //! * **types** — `u64 labels`, the sorted, distinct labels as one
 //!   arena, one `u64` posting count per label, then every posting in
 //!   label order as one run of 22-byte records
@@ -103,15 +106,15 @@
 //! (`index-{directory,types,search,complete}.gtsc`); version 2 had this
 //! container but wrote every search entry's schema in full and every
 //! completion schema again; version 3 wrote each name and each label as
-//! its own length-prefixed string, each label followed by its postings.
+//! its own length-prefixed string, each label followed by its postings;
+//! version 4 had this layout but recorded each table's content
+//! fingerprint in the directory where version 5 records its check value.
 //! Sidecars are derived and disposable, so there is no compatibility
 //! path: the version-1 files are never opened (the boot reports the
-//! sidecar missing), a version-2 or version-3 file is
-//! [`SidecarIssue::Stale`] ("sidecar version 3, this build reads 4"),
-//! and either way the boot writes a version-4 file from the store and
-//! serves the same bytes. A version-4 file is exactly as long as the
-//! version-3 file of the same store: each `u32` end takes the place of a
-//! `u32` length.
+//! sidecar missing), a version-2, -3 or -4 file is
+//! [`SidecarIssue::Stale`] ("sidecar version 4, this build reads 5"),
+//! and either way the boot writes a version-5 file from the store and
+//! serves the same bytes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,7 +142,7 @@ pub const SIDECAR_MAGIC: &[u8; 8] = b"GTSIDE1\0";
 pub const SIDECAR_FOOTER_MAGIC: &[u8; 8] = b"GTSIDF1\0";
 
 /// Sidecar container version this build writes and reads.
-pub const SIDECAR_VERSION: u32 = 4;
+pub const SIDECAR_VERSION: u32 = 5;
 
 /// Section names as they appear in errors, in file order.
 const DIRECTORY: &str = "index.gtsc#directory";
@@ -283,34 +286,35 @@ fn put_section(
 }
 
 /// One table's location inside the store: which shard, which block
-/// span, and the content fingerprint the decoded table must match.
+/// span, and the check value its read must return.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
-    /// Ordinal of the shard in manifest commit order.
+    /// Ordinal of the shard in manifest (id) order.
     shard: u32,
     /// Byte offset of the table's block inside the shard file.
     offset: u64,
     /// Byte length of the block.
     len: u64,
-    /// [`crate::dedup::table_fingerprint`] of the table.
-    fingerprint: u64,
+    /// The table's check value (`colv1` block seal, `jsonl` content
+    /// fingerprint).
+    check: u64,
 }
 
-/// The directory of `store` — shard files in manifest commit order and
-/// one [`DirEntry`] per [`TableId`] — straight from its shard segments'
+/// The directory of `store` — shard files in manifest order and one
+/// [`DirEntry`] per [`TableId`] — straight from its shard segments'
 /// block spans: no table block is decoded.
 fn directory_of(
     store: &CorpusStore,
-    fingerprints: &[u64],
+    checks: &[u64],
 ) -> Result<(Vec<String>, Vec<DirEntry>), StoreError> {
     let shards = store.table_ids();
     let total: usize = shards.iter().map(|(_, ids)| ids.len()).sum();
-    if total != fingerprints.len() {
+    if total != checks.len() {
         return Err(corrupt(
             "manifest.json",
             format!(
-                "store holds {total} tables, {} fingerprints were given",
-                fingerprints.len()
+                "store holds {total} tables, {} check values were given",
+                checks.len()
             ),
         ));
     }
@@ -336,7 +340,7 @@ fn directory_of(
                 shard: s as u32,
                 offset,
                 len,
-                fingerprint: fingerprints[id],
+                check: checks[id],
             };
         }
         files.push(entry.file.clone());
@@ -349,9 +353,9 @@ fn directory_of(
 /// failure the previous file, if any, is untouched. Returns the file's
 /// length in bytes.
 ///
-/// `fingerprints` are the per-table content fingerprints (one
-/// [`crate::dedup::table_fingerprints`] pass over the corpus being
-/// indexed) ordered by [`TableId`] ([`CorpusStore::table_ids`]);
+/// `checks` are the per-table check values that
+/// [`CorpusStore::load_shard`] returns (or [`CorpusStore::check_values`]
+/// collects), ordered by [`TableId`] ([`CorpusStore::table_ids`]);
 /// `search` is the search index's per-entry table ids and schemas with
 /// its row-major embedding matrix; `complete` the completion index's
 /// deduplicated schemas with its flat per-attribute matrix. Each
@@ -360,7 +364,7 @@ fn directory_of(
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when a segment's block count, or the number of
-/// fingerprints, disagrees with the manifest, plus I/O and encoding
+/// check values, disagrees with the manifest, plus I/O and encoding
 /// failures.
 ///
 /// # Panics
@@ -368,7 +372,7 @@ fn directory_of(
 /// row per search entry; a row per completion attribute; one `dim`).
 pub fn write_indexes(
     store: &CorpusStore,
-    fingerprints: &[u64],
+    checks: &[u64],
     types: &TypeIndex,
     search: (&[usize], &[Schema], &F32Matrix),
     complete: (&[Schema], &F32Matrix),
@@ -381,7 +385,7 @@ pub fn write_indexes(
     assert_eq!(attributes, complete_rows.rows(), "row per schema attribute");
     assert_eq!(search_rows.dim(), complete_rows.dim(), "one embedding dim");
     let binding = binding_of(store);
-    let (shard_files, entries) = directory_of(store, fingerprints)?;
+    let (shard_files, entries) = directory_of(store, checks)?;
     // One ref per search entry, then one per completion schema.
     let (schemas, mut search_refs) = schema_table(search_schemas.iter().chain(complete_schemas))?;
     let complete_refs = search_refs.split_off(search_schemas.len());
@@ -403,7 +407,7 @@ pub fn write_indexes(
             put_u32(out, e.shard);
             put_u64(out, e.offset);
             put_u64(out, e.len);
-            put_u64(out, e.fingerprint);
+            put_u64(out, e.check);
         }
         Ok(())
     })?;
@@ -609,13 +613,13 @@ impl F32Matrix {
 /// A corpus served straight off mapped shard segments: nothing is
 /// decoded until a table is asked for, and then only that table's block.
 /// A colv1 block is checked against its seal before it is decoded, and
-/// every decoded table against the directory fingerprint recorded at
-/// index time, so block-level corruption (or a directory that drifted
-/// from the shards) surfaces as a typed error, never a wrong table.
+/// the seal against the check value the directory recorded at index
+/// time, so block-level corruption (or a shard file swapped for another
+/// valid one) surfaces as a typed error, never a wrong table.
 pub struct LazyCorpus {
     name: String,
     format: StoreFormat,
-    /// `(file name, bytes)` per shard, manifest commit order.
+    /// `(file name, bytes)` per shard, manifest (id) order.
     shards: Vec<(String, Arc<Arena>)>,
     /// Per global table id.
     entries: Vec<DirEntry>,
@@ -668,12 +672,12 @@ impl LazyCorpus {
 
     /// Decodes the single table with global id `id`, touching only that
     /// table's block (and, on the mmap path, only its pages). `Ok(None)`
-    /// when `id` is out of range; corruption and fingerprint mismatches
+    /// when `id` is out of range; corruption and check-value mismatches
     /// are typed errors.
     ///
     /// # Errors
-    /// [`StoreError::Corrupt`] when the block fails to decode or the
-    /// decoded table does not match its recorded fingerprint.
+    /// [`StoreError::Corrupt`] when the block fails to decode or its check
+    /// value is not the one the directory recorded.
     pub fn get(&self, id: TableId) -> Result<Option<AnnotatedTable>, StoreError> {
         let Some(entry) = self.entries.get(id) else {
             return Ok(None);
@@ -682,15 +686,14 @@ impl LazyCorpus {
             .shards
             .get(entry.shard as usize)
             .ok_or_else(|| corrupt(DIRECTORY, "shard ordinal out of range"))?;
-        let at =
+        let (at, check) =
             codec_for(self.format).read_block(arena.bytes(), (entry.offset, entry.len), file)?;
-        let actual = crate::dedup::table_fingerprint(&at.table);
-        if actual != entry.fingerprint {
+        if check != entry.check {
             return Err(corrupt(
                 file,
                 format!(
-                    "table {id} fingerprint {actual:#018x} != directory {:#018x}",
-                    entry.fingerprint
+                    "table {id} check value {check:#018x} != directory {:#018x}",
+                    entry.check
                 ),
             ));
         }
@@ -913,7 +916,7 @@ fn read_directory(
             shard: u32::from_le_bytes(field(r, 0)),
             offset: u64::from_le_bytes(field(r, 4)),
             len: u64::from_le_bytes(field(r, 12)),
-            fingerprint: u64::from_le_bytes(field(r, 20)),
+            check: u64::from_le_bytes(field(r, 20)),
         };
         if entry.shard as usize >= nshards {
             return Err(corrupt(
@@ -1027,7 +1030,7 @@ fn read_complete(
 
 /// Binds a parsed directory to `store` as it is now and maps its shard
 /// segments: the shard file list against the manifest, a per-shard fold
-/// of the directory's table fingerprints against each manifest entry,
+/// of the directory's table check values against each manifest entry,
 /// and every span against its mapped segment.
 fn bind_directory(
     store: &CorpusStore,
@@ -1050,11 +1053,11 @@ fn bind_directory(
                 entry.file
             )));
         }
-        // Fold the directory's per-table fingerprints in the shard's
+        // Fold the directory's per-table check values in the shard's
         // write order and compare with the manifest entry. This is what
         // makes a sidecar from an older (same-name, same-shape) corpus
         // detectable without touching a single corpus page.
-        let mut fps = Vec::with_capacity(ids.len());
+        let mut checks = Vec::with_capacity(ids.len());
         for &gid in ids {
             let Some(de) = entries.get(gid) else {
                 return Err(stale(format!(
@@ -1067,9 +1070,9 @@ fn bind_directory(
                     de.shard
                 )));
             }
-            fps.push(de.fingerprint);
+            checks.push(de.check);
         }
-        let folded = combine_fingerprints(fps);
+        let folded = combine_fingerprints(checks);
         if folded != entry.fingerprint {
             return Err(stale(format!(
                 "shard `{}` fingerprint fold {folded:#018x} != manifest {:#018x}",
@@ -1114,7 +1117,7 @@ fn bind_directory(
 /// covers container structure (magic, footer, whole-file checksum,
 /// every section consumed exactly), the binding to the store's current
 /// fingerprint/format/size, the directory's shard file list against the
-/// manifest, and a per-shard fold of the directory's table fingerprints
+/// manifest, and a per-shard fold of the directory's table check values
 /// against each manifest entry.
 ///
 /// # Errors
@@ -1207,12 +1210,12 @@ mod tests {
     /// [`write_minimal`] with `schema` as the one search entry's and the
     /// one completion schema, whatever its length.
     fn write_with_schema(store: &CorpusStore, types: &TypeIndex, schema: Schema) -> u64 {
-        let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+        let checks = store.check_values().unwrap();
         let rows = schema.len();
         let schema = [schema];
         write_indexes(
             store,
-            &fingerprints,
+            &checks,
             types,
             (
                 &[0],
@@ -1301,6 +1304,23 @@ mod tests {
         }
     }
 
+    /// Counted, not clocked: a lazy get hashes its one block body once
+    /// (the seal check) and nothing else.
+    #[test]
+    fn a_lazy_get_hashes_its_one_block_body_once() {
+        let dir = tmp("hashed_get");
+        let store = save_store_as(&corpus(5), &dir, 2, StoreFormat::ColV1).unwrap();
+        write_minimal(&store, &types_of(&[]));
+        let lazy = load_indexes(&store).unwrap().corpus;
+        for id in 0..lazy.len() {
+            let body = lazy.entries[id].len - crate::colv1::SEAL_LEN as u64;
+            crate::checksum::take_hashed();
+            assert!(lazy.get(id).unwrap().is_some());
+            assert_eq!(crate::checksum::take_hashed(), body, "table {id}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn missing_stale_and_corrupt_are_distinguished() {
         let dir = tmp("issues");
@@ -1377,13 +1397,13 @@ mod tests {
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
         write_minimal(&store, &types_of(&[]));
         let clean = std::fs::read(dir.join(SIDECAR_FILE)).unwrap();
-        for version in [1u32, 2, 3] {
+        for version in [1u32, 2, 3, 4] {
             let issue = load_edited(&store, &clean, |bytes| {
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
             });
             assert_eq!(
                 stale_detail(issue),
-                format!("sidecar version {version}, this build reads 4")
+                format!("sidecar version {version}, this build reads 5")
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1401,7 +1421,7 @@ mod tests {
             sections(&clean);
 
         // Directory: first shard file name, then the last entry's
-        // fingerprint, length and shard ordinal.
+        // check value, length and shard ordinal.
         let name_at = dir_at + 8 + 8 + 4;
         let detail = stale_detail(load_edited(&store, &clean, |b| b[name_at] ^= 1));
         assert!(detail.contains("references shard"), "{detail}");
@@ -1544,11 +1564,11 @@ mod tests {
         for k in 1..=4 {
             let dir = tmp(&format!("share{k}"));
             let store = save_store_as(&corpus(k), &dir, 2, StoreFormat::ColV1).unwrap();
-            let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+            let checks = store.check_values().unwrap();
             let ids: Vec<usize> = (0..k).collect();
             write_indexes(
                 &store,
-                &fingerprints,
+                &checks,
                 &types_of(&[]),
                 (
                     &ids,
@@ -1612,11 +1632,11 @@ mod tests {
         ];
         let dir = tmp("odd");
         let store = save_store_as(&corpus(3), &dir, 2, StoreFormat::ColV1).unwrap();
-        let fingerprints = crate::dedup::table_fingerprints(&store.load_corpus().unwrap());
+        let checks = store.check_values().unwrap();
         let attributes = odd.iter().map(Schema::len).sum();
         write_indexes(
             &store,
-            &fingerprints,
+            &checks,
             &types_of(&[]),
             (&[0, 1, 2], &odd, &F32Matrix::from_vec(vec![0.5; 9], 3, 3)),
             (

@@ -37,24 +37,35 @@
 //! * **Parallel loads** — [`CorpusStore::load_corpus`] reads shards with a
 //!   thread fan-out, so peak memory per worker is one shard, not the whole
 //!   corpus.
-//! * **Integrity checks** — every shard entry records its table count and a
-//!   content fingerprint (an order-sensitive fold of
-//!   [`crate::dedup::table_fingerprint`] via
-//!   [`crate::dedup::combine_fingerprints`]); both are verified on load —
-//!   identically for every codec — and mismatches surface as typed
-//!   [`StoreError`]s, never panics. A `colv1` block is also checked
-//!   against its own seal before it is decoded ([`crate::colv1`]), so
-//!   the bytes the fingerprint does not cover are checked too.
+//! * **Integrity checks** — every shard entry records its table count and
+//!   a `fingerprint`: the order-sensitive fold
+//!   ([`crate::dedup::combine_fingerprints`]) of its tables' **check
+//!   values**, the value the codec computes as it writes a table and
+//!   verifies as it reads one back. For `colv1` that is the block's seal
+//!   ([`crate::colv1`]), the lane checksum of every byte of the block;
+//!   for `jsonl`, which has no seal, the content fingerprint
+//!   [`crate::dedup::table_fingerprint`]. Both are verified on every load
+//!   path in one place ([`CorpusStore::load_shard`]), and mismatches
+//!   surface as typed [`StoreError`]s, never panics. A `colv1` load hashes
+//!   each stored byte once: the seal check is the whole proof, so a valid
+//!   block copied in from another shard or store — even one holding the
+//!   same cells under another license or annotation — is a
+//!   [`StoreError::FingerprintMismatch`], never a different table.
 //! * **Stable ordering** — each table carries the *ordering key* its producer
 //!   gave it (`ShardEntry::indices`), so a corpus reassembled from shards is
 //!   identical to the corpus that was written, regardless of shard layout,
 //!   format, or load scheduling.
+//! * **Deterministic manifests** — `manifest.shards` is kept sorted by shard
+//!   id, whatever order shards commit in, so a store's `manifest.json` is a
+//!   function of what it holds: two builds of one seed write identical
+//!   bytes even when their workers finish repositories in another order.
 //!
 //! ## The id rule
 //!
 //! A table's [`TableId`] is its position in [`CorpusStore::load_corpus`]
 //! order: the rank of its ordering key among every committed table's, ties
-//! broken by (manifest commit order, slot inside the shard). Keys need be
+//! broken by (shard id, slot inside the shard) — manifest order, which is
+//! shard id order, so commit order never decides an id. Keys need be
 //! neither dense nor distinct — the pipeline spaces them one stride per
 //! source file, and shards committed by different extractions may repeat
 //! them — and the rank of a dense key is the key itself.
@@ -66,7 +77,6 @@
 //! stashes its per-shard stage report in [`ShardEntry::meta`]; the store
 //! itself treats `meta` as an opaque string.
 
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -76,7 +86,7 @@ use serde::{Deserialize, Serialize};
 use crate::codec::{codec_for, ShardCodec, ShardEncoder, StoreFormat};
 use crate::colv1::Arena;
 use crate::corpus::{AnnotatedTable, Corpus, TableId};
-use crate::dedup::{combine_fingerprints, table_fingerprint};
+use crate::dedup::combine_fingerprints;
 use crate::par::par_map;
 use crate::persist::PersistError;
 
@@ -85,11 +95,15 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 
 /// Store format version written into new manifests, and the only one
 /// [`CorpusStore::open`] reads. Version 2 sealed every `colv1` table
-/// block and moved table fingerprints to the lane checksum.
-pub const FORMAT_VERSION: u32 = 2;
+/// block and moved table fingerprints to the lane checksum; version 3
+/// made a shard's manifest `fingerprint` the fold of its blocks' seals
+/// (its tables' check values) instead of their content fingerprints,
+/// with the segment bytes unchanged.
+pub const FORMAT_VERSION: u32 = 3;
 
-/// The last commit of this project whose build reads version-1 stores.
-const LAST_VERSION_1_READER: &str = "e69bca6";
+/// `(version, commit)`: the last commit of this project whose build
+/// reads stores of each older format version.
+const LAST_READERS: [(u32, &str); 2] = [(1, "e69bca6"), (2, "374f810")];
 
 /// Errors from the sharded store. Every failure mode is typed; corrupted
 /// inputs never panic.
@@ -124,13 +138,15 @@ pub enum StoreError {
         /// Count found in the shard file.
         actual: usize,
     },
-    /// A shard's content fingerprint does not match its manifest entry.
+    /// The fold of a shard's per-table check values (its `colv1` block
+    /// seals, or its `jsonl` content fingerprints) does not match its
+    /// manifest entry: the file holds other tables than were committed.
     FingerprintMismatch {
         /// Shard id.
         id: String,
-        /// Fingerprint recorded in the manifest.
+        /// Fold recorded in the manifest.
         expected: u64,
-        /// Fingerprint of the tables actually read.
+        /// Fold of the check values of the tables actually read.
         actual: u64,
     },
     /// A resume run found a shard without the metadata it needs to
@@ -163,7 +179,7 @@ pub enum StoreError {
         format: String,
     },
     /// The manifest records a store format version other than the one
-    /// this build writes (2). There is no reader for another version: a
+    /// this build writes (3). There is no reader for another version: a
     /// store is rebuilt from its seed, or carried over through the
     /// single-file corpus JSON of a build that reads it.
     UnsupportedVersion {
@@ -223,10 +239,10 @@ impl std::fmt::Display for StoreError {
                     "store format version {found} is not read by this build, which reads \
                      version {FORMAT_VERSION}"
                 )?;
-                if *found == 1 {
+                if let Some((_, commit)) = LAST_READERS.iter().find(|(v, _)| v == found) {
                     write!(
                         f,
-                        "; commit {LAST_VERSION_1_READER} is the last that reads version 1: \
+                        "; commit {commit} is the last that reads version {found}: \
                          `gittables load --store DIR --out corpus.json` there, then \
                          `gittables save --corpus corpus.json` here, or rebuild the store \
                          from its seed"
@@ -270,7 +286,8 @@ pub struct ShardEntry {
     pub file: String,
     /// Number of tables in the shard.
     pub tables: usize,
-    /// Order-sensitive fold of the per-table content fingerprints.
+    /// Order-sensitive fold of the per-table check values: the `colv1`
+    /// block seals, or the `jsonl` content fingerprints (module docs).
     pub fingerprint: u64,
     /// Ordering key of each table, aligned with the shard's blocks — *not*
     /// its [`TableId`]: keys may be sparse and may repeat across shards.
@@ -371,7 +388,7 @@ pub struct StoreManifest {
     /// Shard format name (see [`StoreFormat`]). A manifest without it
     /// does not parse.
     pub format: String,
-    /// Committed shards, in commit order.
+    /// Committed shards, sorted by id.
     pub shards: Vec<ShardEntry>,
 }
 
@@ -390,8 +407,9 @@ impl StoreManifest {
 
 /// A streaming writer for one shard: tables are appended as they are
 /// produced, so producing a shard needs memory for one table at a time.
-/// Encoding is delegated to the store's shard codec; fingerprints and
-/// ordering keys are tracked here, identically for every format.
+/// Encoding is delegated to the store's shard codec, which returns each
+/// table's check value; those and the ordering keys are tracked here,
+/// identically for every format.
 ///
 /// Created by [`CorpusStore::begin_shard`]; call [`ShardWriter::finish`] and
 /// commit the returned entry with [`CorpusStore::commit_shard`] to make the
@@ -400,7 +418,7 @@ pub struct ShardWriter {
     encoder: Box<dyn ShardEncoder>,
     id: String,
     file: String,
-    fingerprints: Vec<u64>,
+    checks: Vec<u64>,
     indices: Vec<usize>,
 }
 
@@ -421,8 +439,7 @@ impl ShardWriter {
     /// # Errors
     /// Propagates I/O and encoding failures.
     pub fn push(&mut self, index: usize, table: &AnnotatedTable) -> Result<(), StoreError> {
-        self.encoder.push(table)?;
-        self.fingerprints.push(table_fingerprint(&table.table));
+        self.checks.push(self.encoder.push(table)?);
         self.indices.push(index);
         Ok(())
     }
@@ -450,7 +467,7 @@ impl ShardWriter {
         // fsyncs in every codec.
         self.encoder.finish()?;
         Ok(ShardEntry {
-            fingerprint: combine_fingerprints(self.fingerprints.iter().copied()),
+            fingerprint: combine_fingerprints(self.checks),
             tables: self.indices.len(),
             id: self.id,
             file: self.file,
@@ -466,33 +483,16 @@ impl ShardWriter {
 #[derive(Debug)]
 pub struct CorpusStore {
     dir: PathBuf,
-    manifest: Mutex<Committed>,
+    /// The manifest, its shards sorted by id: "is this shard committed?"
+    /// (asked once per repository by a resume and once per commit) and a
+    /// resume's read-back of each skipped entry are binary searches.
+    manifest: Mutex<StoreManifest>,
     format: StoreFormat,
 }
 
-/// The manifest with an index of its shard ids beside it, under one
-/// lock: "is this shard committed?" is asked once per repository by a
-/// resume and once per commit, and a resume reads back every skipped
-/// shard's entry; a scan of `manifest.shards` for each made those
-/// quadratic in the number of repositories.
-#[derive(Debug)]
-struct Committed {
-    manifest: StoreManifest,
-    /// `manifest.shards[i].id → i`, exactly: filled when the manifest is
-    /// read or created, extended by every commit.
-    ids: HashMap<String, usize>,
-}
-
-impl Committed {
-    fn new(manifest: StoreManifest) -> Self {
-        let ids = manifest
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.clone(), i))
-            .collect();
-        Committed { manifest, ids }
-    }
+/// Where shard `id` is, or would be inserted, in id-sorted `shards`.
+fn position(shards: &[ShardEntry], id: &str) -> Result<usize, usize> {
+    shards.binary_search_by(|s| s.id.as_str().cmp(id))
 }
 
 impl CorpusStore {
@@ -523,15 +523,15 @@ impl CorpusStore {
         }
         let store = CorpusStore {
             dir,
-            manifest: Mutex::new(Committed::new(StoreManifest {
+            manifest: Mutex::new(StoreManifest {
                 version: FORMAT_VERSION,
                 name: name.into(),
                 format: format.name().to_string(),
                 shards: Vec::new(),
-            })),
+            }),
             format,
         };
-        store.persist_manifest(&store.committed().manifest)?;
+        store.persist_manifest(&store.committed())?;
         Ok(store)
     }
 
@@ -553,16 +553,19 @@ impl CorpusStore {
             }
             Err(e) => return Err(e.into()),
         };
-        let manifest: StoreManifest = serde_json::from_reader(BufReader::new(file))?;
+        let mut manifest: StoreManifest = serde_json::from_reader(BufReader::new(file))?;
         if manifest.version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: manifest.version,
             });
         }
         let format = manifest.store_format()?;
+        // Every manifest this build writes is sorted already; one edited
+        // by hand is read in the order the id rule and the searches need.
+        manifest.shards.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(CorpusStore {
             dir,
-            manifest: Mutex::new(Committed::new(manifest)),
+            manifest: Mutex::new(manifest),
             format,
         })
     }
@@ -589,27 +592,26 @@ impl CorpusStore {
     /// into a panic, so a poisoned lock is entered all the same — every
     /// update under it leaves a well-formed manifest in memory, and the
     /// one on disk is replaced atomically whatever happened here.
-    fn committed(&self) -> MutexGuard<'_, Committed> {
+    fn committed(&self) -> MutexGuard<'_, StoreManifest> {
         self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The corpus name recorded in the manifest.
     #[must_use]
     pub fn name(&self) -> String {
-        self.committed().manifest.name.clone()
+        self.committed().name.clone()
     }
 
     /// Number of committed shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.committed().manifest.shards.len()
+        self.committed().shards.len()
     }
 
     /// Total number of tables across committed shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        let committed = self.committed();
-        committed.manifest.shards.iter().map(|s| s.tables).sum()
+        self.committed().shards.iter().map(|s| s.tables).sum()
     }
 
     /// Whether the store holds no tables.
@@ -621,21 +623,21 @@ impl CorpusStore {
     /// Whether a shard with `id` has been committed.
     #[must_use]
     pub fn has_shard(&self, id: &str) -> bool {
-        self.committed().ids.contains_key(id)
+        position(&self.committed().shards, id).is_ok()
     }
 
     /// The committed entry for `id`, if any.
     #[must_use]
     pub fn shard_entry(&self, id: &str) -> Option<ShardEntry> {
         let committed = self.committed();
-        let &i = committed.ids.get(id)?;
-        Some(committed.manifest.shards[i].clone())
+        let i = position(&committed.shards, id).ok()?;
+        Some(committed.shards[i].clone())
     }
 
-    /// Snapshot of all committed entries, in commit order.
+    /// Snapshot of all committed entries, sorted by id.
     #[must_use]
     pub fn shard_entries(&self) -> Vec<ShardEntry> {
-        self.committed().manifest.shards.clone()
+        self.committed().shards.clone()
     }
 
     /// Starts a new shard. The shard stays invisible until its entry is
@@ -654,26 +656,28 @@ impl CorpusStore {
             encoder: codec.begin(&self.dir.join(&file))?,
             id: id.to_string(),
             file,
-            fingerprints: Vec::new(),
+            checks: Vec::new(),
             indices: Vec::new(),
         })
     }
 
-    /// Commits a finished shard: appends its entry and atomically rewrites
-    /// the manifest. After this returns, the shard survives crashes.
+    /// Commits a finished shard: inserts its entry at its id's place in
+    /// the sorted shard list and atomically rewrites the manifest. After
+    /// this returns, the shard survives crashes. The manifest's bytes do
+    /// not depend on the order shards commit in.
     ///
     /// # Errors
     /// [`StoreError::DuplicateShard`] on id collision; otherwise propagates
     /// I/O and serialization failures.
     pub fn commit_shard(&self, entry: ShardEntry) -> Result<(), StoreError> {
         let mut committed = self.committed();
-        if committed.ids.contains_key(&entry.id) {
-            return Err(StoreError::DuplicateShard { id: entry.id });
+        match position(&committed.shards, &entry.id) {
+            Ok(_) => Err(StoreError::DuplicateShard { id: entry.id }),
+            Err(at) => {
+                committed.shards.insert(at, entry);
+                self.persist_manifest(&committed)
+            }
         }
-        let i = committed.manifest.shards.len();
-        committed.ids.insert(entry.id.clone(), i);
-        committed.manifest.shards.push(entry);
-        self.persist_manifest(&committed.manifest)
     }
 
     /// Replaces the manifest through [`crate::persist::write_durably`]
@@ -686,9 +690,9 @@ impl CorpusStore {
             .map_err(StoreError::Io)
     }
 
-    /// The id rule (module docs): every committed shard, in commit order,
-    /// paired with the dense [`TableId`] of each of its tables, in slot
-    /// order. The ids are a permutation of `0..total`, taken from one
+    /// The id rule (module docs): every committed shard, in manifest (id)
+    /// order, paired with the dense [`TableId`] of each of its tables, in
+    /// slot order. The ids are a permutation of `0..total`, taken from one
     /// snapshot of the manifest.
     #[must_use]
     pub fn table_ids(&self) -> Vec<(ShardEntry, Vec<TableId>)> {
@@ -726,10 +730,14 @@ impl CorpusStore {
         })
     }
 
-    /// Loads one shard through the store's codec, verifying its table
-    /// count and content fingerprint. Returns the tables in shard order
-    /// and their [`table_fingerprint`]s, whose combination is the one
-    /// checked against the manifest.
+    /// The one verifying walk over a shard: decodes it block by block
+    /// through the store's codec, hands each table to `map` as soon as its
+    /// block is read (so a caller that keeps less than the table, such as
+    /// the indexer, never holds more than one table's cells), and checks
+    /// the table count and the fold of the tables' check values against
+    /// the manifest entry. Returns what `map` made of each table, in shard
+    /// order, and the tables' check values (`colv1` block seals, `jsonl`
+    /// content fingerprints), or an error and nothing.
     ///
     /// # Errors
     /// [`StoreError::MissingShard`] when the file is gone,
@@ -737,12 +745,13 @@ impl CorpusStore {
     /// corrupt content (per format), and
     /// [`StoreError::TableCountMismatch`]/[`StoreError::FingerprintMismatch`]
     /// when the content disagrees with the manifest.
-    pub fn load_shard(
+    pub fn load_shard<T>(
         &self,
         entry: &ShardEntry,
-    ) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
+        map: impl FnMut(AnnotatedTable) -> T,
+    ) -> Result<(Vec<T>, Vec<u64>), StoreError> {
         let arena = self.map_shard(entry)?;
-        let (decoded, fingerprints) = decode_shard(self.codec(), arena.bytes(), &entry.file)?;
+        let (decoded, checks) = decode_shard(self.codec(), arena.bytes(), &entry.file, map)?;
         if decoded.len() != entry.tables || entry.indices.len() != entry.tables {
             return Err(StoreError::TableCountMismatch {
                 id: entry.id.clone(),
@@ -750,7 +759,7 @@ impl CorpusStore {
                 actual: decoded.len(),
             });
         }
-        let actual = combine_fingerprints(fingerprints.iter().copied());
+        let actual = combine_fingerprints(checks.iter().copied());
         if actual != entry.fingerprint {
             return Err(StoreError::FingerprintMismatch {
                 id: entry.id.clone(),
@@ -758,7 +767,7 @@ impl CorpusStore {
                 actual,
             });
         }
-        Ok((decoded, fingerprints))
+        Ok((decoded, checks))
     }
 
     /// Loads the whole corpus with a thread fan-out over shards, verifying
@@ -769,7 +778,7 @@ impl CorpusStore {
     /// Propagates the first shard failure (see [`Self::load_shard`]).
     pub fn load_corpus(&self) -> Result<Corpus, StoreError> {
         let shards = self.table_ids();
-        let loaded = par_map(&shards, |(entry, _)| self.load_shard(entry));
+        let loaded = par_map(&shards, |(entry, _)| self.load_shard(entry, |at| at));
         let mut tables: Vec<(TableId, AnnotatedTable)> = Vec::new();
         for ((_, ids), shard) in shards.iter().zip(loaded) {
             tables.extend(ids.iter().copied().zip(shard?.0));
@@ -781,27 +790,47 @@ impl CorpusStore {
         }
         Ok(corpus)
     }
+
+    /// Every table's check value, indexed by [`TableId`]: what the sidecar
+    /// directory records ([`crate::write_indexes`]). Reads the whole store
+    /// through [`Self::load_shard`], one shard at a time.
+    ///
+    /// # Errors
+    /// Propagates the first shard failure.
+    pub fn check_values(&self) -> Result<Vec<u64>, StoreError> {
+        let shards = self.table_ids();
+        let mut values = vec![0; shards.iter().map(|(_, ids)| ids.len()).sum()];
+        for (entry, ids) in &shards {
+            let (_, checks) = self.load_shard(entry, drop)?;
+            for (&id, check) in ids.iter().zip(checks) {
+                values[id] = check;
+            }
+        }
+        Ok(values)
+    }
 }
 
 /// The one whole-shard read: walks `codec`'s block spans over `bytes`,
 /// decoding each block — which must consume its span exactly — and
-/// fingerprinting the table while its cells are still cache-hot. Returns
-/// the tables in write order with their [`table_fingerprint`]s, never a
-/// partial list.
-pub(crate) fn decode_shard(
+/// mapping the table through `map` at once. Returns the mapped tables in
+/// write order with the check values the codec verified, never a partial
+/// list. No byte is hashed here: the codec's read already proved each
+/// block (module docs).
+pub(crate) fn decode_shard<T>(
     codec: &dyn ShardCodec,
     bytes: &[u8],
     file: &str,
-) -> Result<(Vec<AnnotatedTable>, Vec<u64>), StoreError> {
+    mut map: impl FnMut(AnnotatedTable) -> T,
+) -> Result<(Vec<T>, Vec<u64>), StoreError> {
     let spans = codec.block_spans(bytes, file)?;
     let mut tables = Vec::with_capacity(spans.len());
-    let mut fingerprints = Vec::with_capacity(spans.len());
+    let mut checks = Vec::with_capacity(spans.len());
     for span in spans {
-        let at = codec.read_block(bytes, span, file)?;
-        fingerprints.push(table_fingerprint(&at.table));
-        tables.push(at);
+        let (at, check) = codec.read_block(bytes, span, file)?;
+        checks.push(check);
+        tables.push(map(at));
     }
-    Ok((tables, fingerprints))
+    Ok((tables, checks))
 }
 
 /// A filesystem-safe, collision-resistant shard id for an arbitrary name
@@ -1007,7 +1036,7 @@ mod tests {
         assert_eq!(reopened.shard_entry("owner__late"), Some(late));
         assert_eq!(
             std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(),
-            serde_json::to_string(&reopened.committed().manifest).unwrap(),
+            serde_json::to_string(&*reopened.committed()).unwrap(),
             "the id set never reaches the manifest file"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1136,6 +1165,69 @@ mod tests {
         assert_eq!(empty.len(), 1);
         assert_eq!(empty.groups()[0].range, 0..0);
         assert_eq!(empty.owner_of(0), None);
+    }
+
+    /// Counted, not clocked: a colv1 shard load hashes every block body
+    /// exactly once (its seal check) and nothing else — no second pass
+    /// over a decoded table's names, cells or offsets.
+    #[test]
+    fn a_colv1_shard_load_hashes_each_block_body_once() {
+        let dir = tmp("hashed");
+        let store = save_store(&corpus(7), &dir, 3).unwrap();
+        for entry in store.shard_entries() {
+            let bytes = std::fs::read(dir.join(&entry.file)).unwrap();
+            let spans = crate::colv1::block_spans(&bytes, &entry.file).unwrap();
+            let bodies: usize = spans
+                .iter()
+                .map(|&(_, len)| len as usize - crate::colv1::SEAL_LEN)
+                .sum();
+            crate::checksum::take_hashed();
+            let (tables, _) = store.load_shard(&entry, |at| at).unwrap();
+            assert_eq!(tables.len(), entry.tables);
+            assert_eq!(
+                crate::checksum::take_hashed(),
+                bodies as u64,
+                "{}",
+                entry.id
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The same entries committed in two orders write the same manifest
+    /// bytes and load the same corpus, a key repeated across two shards
+    /// included (the tie goes to the smaller shard id).
+    #[test]
+    fn commit_order_never_reaches_the_manifest() {
+        let base = tmp("order");
+        let shards: [(&str, &[usize]); 4] = [("b", &[1]), ("a", &[0, 2]), ("d", &[2]), ("c", &[3])];
+        let build = |dir: PathBuf, order: [usize; 4]| {
+            let store = CorpusStore::create(&dir, "c").unwrap();
+            let entries: Vec<ShardEntry> = shards
+                .iter()
+                .map(|&(id, keys)| {
+                    let mut w = store.begin_shard(id).unwrap();
+                    for &key in keys {
+                        w.push(key, &table(&format!("{id}{key}"), "x")).unwrap();
+                    }
+                    w.finish().unwrap()
+                })
+                .collect();
+            for i in order {
+                store.commit_shard(entries[i].clone()).unwrap();
+            }
+            (std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), store)
+        };
+        let (first, a) = build(base.join("first"), [0, 1, 2, 3]);
+        let (second, b) = build(base.join("second"), [3, 2, 0, 1]);
+        assert!(first == second, "manifest bytes depend on commit order");
+        let ids: Vec<String> = a.shard_entries().into_iter().map(|e| e.id).collect();
+        assert_eq!(ids, ["a", "b", "c", "d"]);
+        let loaded = a.load_corpus().unwrap();
+        assert_eq!(loaded, b.load_corpus().unwrap());
+        let names: Vec<&str> = loaded.tables.iter().map(|at| at.table.name()).collect();
+        assert_eq!(names, ["a0", "b1", "a2", "d2", "c3"]);
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -427,7 +427,7 @@ impl QueryEngine {
     /// `/tables/{id}`: schema + annotations + sample rows. `Ok(None)`
     /// when `id` is out of range. On the lazy path only that table's
     /// block is decoded (and its pages touched); a corrupt block or a
-    /// fingerprint mismatch is a typed error — never a wrong summary,
+    /// check-value mismatch is a typed error — never a wrong summary,
     /// never a false 404.
     ///
     /// # Errors
@@ -668,7 +668,7 @@ mod tests {
         let schema = [gittables_table::Schema::new(["order_id"])];
         gittables_corpus::write_indexes(
             &store,
-            &gittables_corpus::table_fingerprints(&c),
+            &store.check_values().unwrap(),
             &TypeIndex::build(&c),
             (
                 &[0],

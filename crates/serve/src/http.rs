@@ -797,7 +797,7 @@ fn route(shared: &Shared, router: &Router, req: &Request, endpoint: Endpoint) ->
                     format!("table id must be a number, got `{id}`"),
                 ),
                 // The `try_` form keeps a lazy-path corrupt block (typed
-                // decode/fingerprint failure) distinct from "no such
+                // decode/check-value failure) distinct from "no such
                 // table": corruption is a 500, never a silent 404.
                 Ok(id) => match router.try_table_summary(id) {
                     Ok(Some(t)) => ok_body(endpoint, &t),

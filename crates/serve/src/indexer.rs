@@ -2,15 +2,17 @@
 //! `index.gtsc`, whether `gittables index` asks for it or a boot finds the
 //! file missing, stale or corrupt.
 //!
-//! [`build_sidecars`] walks the store one shard at a time
-//! ([`CorpusStore::load_shard`], count and fingerprint checks included),
-//! keeps of each table only what the indexes read (the table without its
-//! cells: schema and annotations) and its fingerprint, builds the three
-//! query indexes in id order with the builder
+//! [`build_sidecars`] walks the store one shard at a time through the
+//! store's one verifying walk ([`CorpusStore::load_shard`]: block seals,
+//! table count and the manifest's fold of check values), strips each
+//! table's cells as its block decodes — keeping only what the indexes
+//! read (schema and annotations) and the table's check value — builds
+//! the three query indexes in id order with the builder
 //! [`QueryEngine::from_corpus`](crate::QueryEngine::from_corpus) uses, and
 //! persists them plus the table-block directory next to the
-//! shards as one file ([`gittables_corpus::write_indexes`]). The decoded
-//! corpus is never held whole. From then on
+//! shards as one file ([`gittables_corpus::write_indexes`]). So the
+//! indexer holds one table's cells at a time, never one shard's, and a
+//! `colv1` byte is hashed only by its block's seal check. From then on
 //! [`QueryEngine::load`](crate::QueryEngine::load) boots in O(index mmap)
 //! until the store's contents change — at which point the binding
 //! fingerprints mark the sidecar stale and the next boot rewrites it.
@@ -58,27 +60,29 @@ pub fn build_sidecars(dir: impl AsRef<Path>) -> Result<IndexReport, StoreError> 
 pub(crate) fn write_sidecar(store: &CorpusStore) -> Result<IndexReport, StoreError> {
     let mut tables = Vec::with_capacity(store.len());
     for (entry, ids) in store.table_ids() {
-        let (decoded, fingerprints) = store.load_shard(&entry)?;
-        for ((id, mut at), fingerprint) in ids.into_iter().zip(decoded).zip(fingerprints) {
-            // The indexes read a table's schema and annotations, never
-            // its cells: only one shard's cells are held at a time.
+        // The indexes read a table's schema and annotations, never its
+        // cells: each table's are dropped as soon as its block decodes.
+        let (stripped, checks) = store.load_shard(&entry, |mut at| {
             for column in at.table.columns_mut() {
                 column.replace_values(Vec::new());
             }
-            tables.push((id, at, fingerprint));
+            at
+        })?;
+        for ((id, at), check) in ids.into_iter().zip(stripped).zip(checks) {
+            tables.push((id, at, check));
         }
     }
     tables.sort_unstable_by_key(|&(id, ..)| id);
     let mut corpus = Corpus::new(store.name());
-    let mut fingerprints = Vec::with_capacity(tables.len());
-    for (_, at, fingerprint) in tables {
+    let mut checks = Vec::with_capacity(tables.len());
+    for (_, at, check) in tables {
         corpus.push(at);
-        fingerprints.push(fingerprint);
+        checks.push(check);
     }
     let (search, completion, types) = build_indexes(&corpus);
     let bytes = write_indexes(
         store,
-        &fingerprints,
+        &checks,
         &types,
         (search.entry_ids(), search.entry_schemas(), search.matrix()),
         (completion.entry_schemas(), completion.matrix()),

@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 
 use gittables_annotate::Annotation;
 use gittables_corpus::{
-    export_csv, load_indexes, load_store, save_store_as, table_fingerprint, AnnotatedTable, Corpus,
-    CorpusStore, StoreError, StoreFormat, SIDECAR_FILE,
+    combine_fingerprints, export_csv, load_indexes, load_store, save_store_as, table_fingerprint,
+    table_fingerprints, AnnotatedTable, Corpus, CorpusStore, StoreError, StoreFormat, SIDECAR_FILE,
 };
 use gittables_serve::{build_sidecars, QueryEngine};
 use gittables_table::{Provenance, Table};
@@ -136,24 +136,27 @@ proptest! {
         prop_assert_eq!(&from_jsonl, &corpus);
         prop_assert_eq!(&from_colv1, &corpus);
         prop_assert_eq!(&from_colv1, &from_jsonl);
-        // Shard boundaries and fingerprints agree entry by entry.
+        // Shard boundaries agree entry by entry, and the two loads hold
+        // the same content. (The entries' check-value folds differ by
+        // design: colv1 binds block seals, jsonl content fingerprints.)
         let je = CorpusStore::open(&jd).unwrap().shard_entries();
         let ce = CorpusStore::open(&cd).unwrap().shard_entries();
         prop_assert_eq!(je.len(), ce.len());
         for (j, c) in je.iter().zip(&ce) {
             prop_assert_eq!(&j.id, &c.id);
             prop_assert_eq!(j.tables, c.tables);
-            prop_assert_eq!(j.fingerprint, c.fingerprint);
             prop_assert_eq!(&j.indices, &c.indices);
         }
+        prop_assert_eq!(table_fingerprints(&from_jsonl), table_fingerprints(&from_colv1));
         std::fs::remove_dir_all(&base).ok();
     }
 
     /// The id rule, for any ordering keys a producer may write — gapped,
     /// repeated across shards, against commit order, shards left empty:
     /// the ids are a permutation of `0..len`, a table's id is its position
-    /// in `load_corpus` (keys stable-ranked, ties by commit order then
-    /// slot), and the sidecar path serves the same table under that id.
+    /// in `load_corpus` (keys stable-ranked, ties by shard id then slot,
+    /// whatever the commit order), and the sidecar path serves the same
+    /// table under that id.
     #[test]
     fn table_ids_are_load_corpus_positions_for_any_keys(
         spec in spec_strategy(),
@@ -172,18 +175,24 @@ proptest! {
         for format in [StoreFormat::Jsonl, StoreFormat::ColV1] {
             let dir = tmp(&format!("prop_ids_{format}"));
             let store = CorpusStore::create_with_format(&dir, &corpus.name, format).unwrap();
-            // (key, table) in commit order then slot: a stable sort by key
-            // is the order `load_corpus` must produce.
-            let mut expected: Vec<(usize, &AnnotatedTable)> = Vec::new();
             for &shard in &commit_order {
                 let mut writer = store.begin_shard(&format!("s{shard}")).unwrap();
                 for (at, &(home, k)) in corpus.tables.iter().zip(&placements) {
                     if home == shard {
                         writer.push(KEYS[k], at).unwrap();
-                        expected.push((KEYS[k], at));
                     }
                 }
                 store.commit_shard(writer.finish().unwrap()).unwrap();
+            }
+            // (key, table) in shard id order then slot: a stable sort by
+            // key is the order `load_corpus` must produce.
+            let mut expected: Vec<(usize, &AnnotatedTable)> = Vec::new();
+            for shard in 0..4 {
+                for (at, &(home, k)) in corpus.tables.iter().zip(&placements) {
+                    if home == shard {
+                        expected.push((KEYS[k], at));
+                    }
+                }
             }
             expected.sort_by_key(|(key, _)| *key);
 
@@ -197,11 +206,14 @@ proptest! {
                 prop_assert_eq!(at, *want);
             }
             for (entry, ids) in &shards {
-                let (tables, fingerprints) = store.load_shard(entry).unwrap();
-                prop_assert_eq!(fingerprints.len(), tables.len());
-                for ((at, &id), &fingerprint) in tables.iter().zip(ids).zip(&fingerprints) {
+                let (tables, checks) = store.load_shard(entry, |at| at).unwrap();
+                prop_assert_eq!(checks.len(), tables.len());
+                prop_assert_eq!(combine_fingerprints(checks.iter().copied()), entry.fingerprint);
+                for ((at, &id), &check) in tables.iter().zip(ids).zip(&checks) {
                     prop_assert_eq!(at, &loaded.tables[id]);
-                    prop_assert_eq!(fingerprint, table_fingerprint(&at.table));
+                    if format == StoreFormat::Jsonl {
+                        prop_assert_eq!(check, table_fingerprint(&at.table));
+                    }
                 }
             }
             build_sidecars(&dir).unwrap();
@@ -260,9 +272,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// persist the bytes, so a change of in-memory representation must leave
 /// all of them untouched. `JSONL_LINE` dates from the commit *before*
 /// `Column` moved from one `String` per cell to one arena per column; the
-/// fingerprints, the segment length and its digest from store format
-/// version 2, which sealed every colv1 block (8 bytes each) and moved
-/// fingerprints to the lane checksum.
+/// table fingerprint, the jsonl entry, the segment length and its digest
+/// from store format version 2, which sealed every colv1 block (8 bytes
+/// each) and moved fingerprints to the lane checksum; the colv1 entry
+/// from version 3, which made it the fold of the block seals.
 #[test]
 fn golden_vectors_outlive_the_cell_representation() {
     const JSONL_LINE: &str = "{\"table\":{\"name\":\"golden\",\"columns\":[{\"name\":\"id\",\"values\":[\"1\",\"2\",\"3\",\"4\"],\"atomic\":\"Integer\"},{\"name\":\"city\",\"values\":[\"Zürich\",\"\",\"東京\",\"nan\"],\"atomic\":\"String\"},{\"name\":\"note\",\"values\":[\"plain\",\"has,comma\",\"say \\\"hi\\\"\",\"two\\nlines\"],\"atomic\":\"String\"}],\"provenance\":{\"repository\":\"owner/golden\",\"path\":\"data/golden.csv\",\"license\":\"mit\",\"topic\":\"city\",\"file_size\":0}},\"syntactic_dbpedia\":{\"annotations\":[{\"column\":0,\"type_id\":100,\"label\":\"label 0 é\",\"ontology\":\"DBpedia\",\"method\":\"Syntactic\",\"similarity\":0.5}],\"num_columns\":3},\"syntactic_schema\":{\"annotations\":[{\"column\":1,\"type_id\":101,\"label\":\"label 1 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Syntactic\",\"similarity\":0.625}],\"num_columns\":3},\"semantic_dbpedia\":{\"annotations\":[{\"column\":2,\"type_id\":102,\"label\":\"label 2 é\",\"ontology\":\"DBpedia\",\"method\":\"Semantic\",\"similarity\":0.75}],\"num_columns\":3},\"semantic_schema\":{\"annotations\":[{\"column\":0,\"type_id\":103,\"label\":\"label 3 é\",\"ontology\":\"SchemaOrg\",\"method\":\"Semantic\",\"similarity\":0.875}],\"num_columns\":3}}\n";
@@ -272,19 +285,27 @@ fn golden_vectors_outlive_the_cell_representation() {
     let mut corpus = Corpus::new("golden");
     corpus.push(at);
     let base = tmp("golden");
-    let shard_bytes = |format: StoreFormat| {
+    let shard_bytes = |format: StoreFormat, entry_pin: u64| {
         let dir = base.join(format.name());
         save_store_as(&corpus, &dir, 8, format).unwrap();
         let entry = CorpusStore::open(&dir).unwrap().shard_entries()[0].clone();
-        assert_eq!(entry.fingerprint, 0xeb2d_ccf7_7047_9c4d);
+        assert_eq!(
+            entry.fingerprint, entry_pin,
+            "{format}: {:#018x}",
+            entry.fingerprint
+        );
         assert_eq!(load_store(&dir).unwrap(), corpus);
         std::fs::read(dir.join(entry.file)).unwrap()
     };
-    let segment = shard_bytes(StoreFormat::ColV1);
+    let segment = shard_bytes(StoreFormat::ColV1, 0x3b71_07c8_a700_cdaa);
     assert_eq!(segment.len(), 429);
     assert_eq!(fnv1a(&segment), 0x0f60_c007_83d1_d702);
+    // The colv1 entry is the fold of the one block's seal, the 8 bytes
+    // before the 32-byte footer (one offset, count, start, magic).
+    let seal = u64::from_le_bytes(segment[429 - 40..429 - 32].try_into().unwrap());
+    assert_eq!(combine_fingerprints([seal]), 0x3b71_07c8_a700_cdaa);
     assert_eq!(
-        String::from_utf8(shard_bytes(StoreFormat::Jsonl)).unwrap(),
+        String::from_utf8(shard_bytes(StoreFormat::Jsonl, 0xeb2d_ccf7_7047_9c4d)).unwrap(),
         JSONL_LINE
     );
     std::fs::remove_dir_all(&base).ok();
@@ -434,34 +455,37 @@ fn corruption_is_never_silent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A store written before blocks were sealed records manifest version 1:
-/// opening it is a typed error naming the version and the last commit
-/// that reads it, and no old-format reader is tried. A version-1
-/// segment under a current manifest is refused as corrupt.
+/// A store written before blocks were sealed records manifest version 1,
+/// one whose entries bound content fingerprints version 2: opening
+/// either is a typed error naming the version and the last commit that
+/// reads it, and no old-format reader is tried. A version-1 segment
+/// under a current manifest is refused as corrupt.
 #[test]
 fn a_version_1_store_is_refused_typed() {
     let dir = tmp("version_1");
     save_store_as(&sample_corpus(), &dir, 8, StoreFormat::ColV1).unwrap();
     let manifest = dir.join("manifest.json");
     let current = std::fs::read_to_string(&manifest).unwrap();
-    assert!(current.starts_with("{\"version\":2,"), "{current}");
-    std::fs::write(
-        &manifest,
-        current.replacen("\"version\":2", "\"version\":1", 1),
-    )
-    .unwrap();
-    match CorpusStore::open(&dir) {
-        Err(err @ StoreError::UnsupportedVersion { found: 1 }) => {
-            let message = err.to_string();
-            assert!(message.contains("version 1"), "{message}");
-            assert!(message.contains("e69bca6"), "{message}");
+    assert!(current.starts_with("{\"version\":3,"), "{current}");
+    for (version, commit) in [(1, "e69bca6"), (2, "374f810")] {
+        std::fs::write(
+            &manifest,
+            current.replacen("\"version\":3", &format!("\"version\":{version}"), 1),
+        )
+        .unwrap();
+        match CorpusStore::open(&dir) {
+            Err(err @ StoreError::UnsupportedVersion { found }) if found == version => {
+                let message = err.to_string();
+                assert!(message.contains(&format!("version {version}")), "{message}");
+                assert!(message.contains(commit), "{message}");
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+        assert!(matches!(
+            load_store(&dir),
+            Err(StoreError::UnsupportedVersion { found }) if found == version
+        ));
     }
-    assert!(matches!(
-        load_store(&dir),
-        Err(StoreError::UnsupportedVersion { found: 1 })
-    ));
 
     std::fs::write(&manifest, &current).unwrap();
     let path = first_segment(&dir);
@@ -804,7 +828,7 @@ enum Role {
     /// Any change is refused by a check other than the checksum: magic,
     /// version, binding, dim, lengths, counts, the last end of each
     /// arena (the byte count of its strings), shard names and ordinals,
-    /// directory fingerprints, the footer.
+    /// directory check values, the footer.
     Guarded,
     /// The zero padding before a matrix: skipped, never read.
     Padding,
@@ -816,7 +840,7 @@ enum Role {
     Payload,
 }
 
-/// Walks a sidecar's documented version-4 layout, recording each byte's
+/// Walks a sidecar's documented version-5 layout, recording each byte's
 /// [`Role`].
 struct Walk<'a> {
     bytes: &'a [u8],
@@ -873,7 +897,7 @@ fn sidecar_roles(bytes: &[u8]) -> Vec<Role> {
     w.str(Guarded);
     let dim = w.u64(Guarded);
     // Directory: shard names, then per table `shard, offset, len,
-    // fingerprint`.
+    // check`.
     w.u64(Guarded);
     for _ in 0..w.u64(Guarded) {
         w.str(Guarded);

@@ -17,8 +17,8 @@ use std::path::PathBuf;
 
 use gittables_annotate::{Annotation, Method};
 use gittables_corpus::{
-    load_indexes, save_store, table_fingerprints, write_indexes, AnnotatedTable, Corpus,
-    CorpusStore, F32Matrix, TypeIndex,
+    load_indexes, save_store, write_indexes, AnnotatedTable, Corpus, CorpusStore, F32Matrix,
+    TypeIndex,
 };
 use gittables_ontology::OntologyKind;
 use gittables_table::{Schema, Table};
@@ -109,7 +109,7 @@ fn indexed_store(corpus: &Corpus, dir: &PathBuf) -> CorpusStore {
     let ids: Vec<usize> = (0..TABLES).collect();
     write_indexes(
         &store,
-        &table_fingerprints(&stored),
+        &store.check_values().unwrap(),
         &TypeIndex::build(&stored),
         (
             &ids,

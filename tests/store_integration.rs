@@ -202,6 +202,102 @@ fn edited_shard_content_fails_fingerprint_check() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Four small tables, the second with a license and an annotation.
+fn swap_corpus(license: &str, label: &str, cell: &str) -> Corpus {
+    use gittables_annotate::{Annotation, Method};
+    use gittables_corpus::AnnotatedTable;
+    use gittables_ontology::OntologyKind;
+    use gittables_table::{Provenance, Table};
+
+    let mut corpus = Corpus::new("swap");
+    for i in 0..4 {
+        let rows = vec![
+            vec![format!("{i}"), if i == 1 { cell } else { "x" }.to_string()],
+            vec![format!("{}", i + 1), "y".to_string()],
+        ];
+        let mut provenance = Provenance::new("owner/repo", format!("data/t{i}.csv"));
+        if i == 1 {
+            provenance = provenance.with_license(license);
+        }
+        let table = Table::from_string_rows(format!("t{i}"), &["id", "v"], rows)
+            .unwrap()
+            .with_provenance(provenance);
+        let mut at = AnnotatedTable::new(table);
+        if i == 1 {
+            at.semantic_schema.num_columns = 2;
+            at.semantic_schema.annotations.push(Annotation {
+                column: 1,
+                type_id: 7,
+                label: label.to_string(),
+                ontology: OntologyKind::SchemaOrg,
+                method: Method::Semantic,
+                similarity: 0.75,
+            });
+        }
+        corpus.push(at);
+    }
+    corpus
+}
+
+/// A shard file replaced by another store's valid shard of the same id,
+/// table count, names and cells — only a license or an annotation
+/// differs — is refused typed by a load and by a sidecar boot's
+/// `/tables/{id}`: the manifest and the sidecar directory bind every
+/// byte of each block, not only its content. A swapped shard whose cells
+/// differ is refused alike. No read returns the other store's table.
+#[test]
+fn a_shard_swapped_for_another_valid_shard_is_refused_typed() {
+    use gittables_serve::{build_sidecars, QueryEngine};
+
+    let original = swap_corpus("mit", "note", "x");
+    for (what, other) in [
+        ("license", swap_corpus("apache-2.0", "note", "x")),
+        ("annotation", swap_corpus("mit", "text", "x")),
+        ("cells", swap_corpus("mit", "note", "z")),
+    ] {
+        assert_ne!(original.tables[1], other.tables[1], "{what}");
+        let dir = tmp(&format!("swap_{what}"));
+        let donor = tmp(&format!("swap_{what}_donor"));
+        save_store(&original, &dir, 2).expect("save");
+        save_store(&other, &donor, 2).expect("save donor");
+        build_sidecars(&dir).expect("index");
+        let entry = CorpusStore::open(&dir).expect("open").shard_entries()[0].clone();
+        assert_eq!(entry.tables, 2);
+        std::fs::copy(donor.join(&entry.file), dir.join(&entry.file)).expect("swap");
+
+        match load_store(&dir) {
+            Err(StoreError::FingerprintMismatch { id, .. }) => assert_eq!(id, entry.id, "{what}"),
+            Ok(loaded) => panic!(
+                "{what}: the swapped shard loaded{}",
+                if loaded == other {
+                    " the donor's tables"
+                } else {
+                    ""
+                }
+            ),
+            Err(err) => panic!("{what}: expected FingerprintMismatch, got {err}"),
+        }
+
+        let engine = QueryEngine::load(&dir).expect("boot");
+        assert_eq!(engine.build_stats().boot_path, "sidecar", "{what}");
+        let reference = QueryEngine::from_corpus(original.clone());
+        for id in 0..original.len() {
+            match engine.try_table_summary(id) {
+                Err(StoreError::Corrupt { .. }) => assert_eq!(id, 1, "{what}: table {id}"),
+                Ok(summary) => assert_eq!(
+                    summary,
+                    reference.table_summary(id),
+                    "{what}: table {id} served another table"
+                ),
+                Err(err) => panic!("{what}: table {id}: expected Corrupt, got {err}"),
+            }
+        }
+        assert!(engine.try_table_summary(1).is_err(), "{what}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&donor).ok();
+    }
+}
+
 #[test]
 fn interrupted_then_resumed_equals_uninterrupted() {
     let pipeline = Pipeline::new(PipelineConfig::sized(43, 3, 7));
