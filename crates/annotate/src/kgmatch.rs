@@ -19,10 +19,9 @@
 use std::collections::HashMap;
 
 use gittables_table::{Column, Table};
-use serde::{Deserialize, Serialize};
 
 /// A column-type prediction by a matcher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KgPrediction {
     /// Column index.
     pub column: usize,

@@ -13,10 +13,9 @@ use gittables_annotate::{score_predictions, KgMatcher};
 use gittables_corpus::Corpus;
 use gittables_ontology::OntologyKind;
 use gittables_table::Table;
-use serde::{Deserialize, Serialize};
 
 /// One benchmark table with its gold column types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CtaTable {
     /// The table.
     pub table: Table,
@@ -25,7 +24,7 @@ pub struct CtaTable {
 }
 
 /// A CTA benchmark for one ontology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CtaBenchmark {
     /// Ontology providing the gold labels.
     pub ontology: OntologyKind,
@@ -81,7 +80,7 @@ pub fn build_cta_benchmark(
 
 /// One row of the Fig. 6a result: a system's precision/recall on one
 /// ontology's benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KgBenchmarkRow {
     /// Matching system name.
     pub system: String,

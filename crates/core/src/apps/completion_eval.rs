@@ -10,12 +10,11 @@
 
 use gittables_corpus::Corpus;
 use gittables_ontology::normalize_label;
-use serde::{Deserialize, Serialize};
 
 use crate::apps::schema_completion::NearestCompletion;
 
 /// Aggregate results of the leave-one-out evaluation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompletionEval {
     /// Schemas evaluated.
     pub evaluated: usize,

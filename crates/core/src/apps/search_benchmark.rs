@@ -9,12 +9,11 @@
 use gittables_corpus::Corpus;
 use gittables_synth::schema::Domain;
 use gittables_synth::wordnet;
-use serde::{Deserialize, Serialize};
 
 use crate::apps::search::DataSearch;
 
 /// A benchmark query with its relevant domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchmarkQuery {
     /// Natural-language query text.
     pub text: String,
@@ -56,7 +55,7 @@ pub fn default_queries() -> Vec<BenchmarkQuery> {
 }
 
 /// Result of one query's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryScore {
     /// The query text.
     pub query: String,

@@ -18,13 +18,12 @@ use gittables_ml::{
 };
 use gittables_ontology::OntologyKind;
 use gittables_synth::GeneratedTable;
-use serde::{Deserialize, Serialize};
 
 /// The five semantic types of the paper's Table 7 experiment.
 pub const PAPER_TYPES: [&str; 5] = ["address", "class", "status", "name", "description"];
 
 /// Configuration of the type-detection experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeDetectionConfig {
     /// The target semantic types (class names of the dataset).
     pub types: Vec<String>,

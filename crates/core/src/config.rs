@@ -4,12 +4,11 @@ use gittables_curate::CurationConfig;
 use gittables_synth::wordnet::{topic_subset, Topic};
 use gittables_tablecsv::ReadOptions;
 use gittables_tablesql::SqlReadOptions;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full pipeline. Scale knobs (`topics`,
 /// `repos_per_topic`) control corpus size; everything else defaults to the
 /// paper's settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Master seed; every random decision derives from it.
     pub seed: u64,
@@ -43,7 +42,7 @@ pub struct PipelineConfig {
 /// 100 ms), bounded per operation and per repository; quarantine the
 /// repository (and keep going) when a bound is hit or a fault is
 /// permanent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPolicy {
     /// Attempts per host operation before giving up on it (1 ⇒ never
     /// retry).

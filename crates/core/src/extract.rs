@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use gittables_githost::{
     CodeHost, FileKind, HostError, Query, SearchResult, MAX_FILE_SIZE, MAX_RESULTS_PER_QUERY,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::config::FaultPolicy;
 use crate::pipeline::Quarantined;
@@ -30,7 +29,7 @@ const BACKOFF_BASE_MS: u64 = 5;
 const BACKOFF_MAX_MS: u64 = 100;
 
 /// A fetched raw tabular file (CSV or SQL dump) with its provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawCsvFile {
     /// Repository `owner/name`.
     pub repository: String,
@@ -48,7 +47,7 @@ pub struct RawCsvFile {
 }
 
 /// Statistics of one topic's extraction.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Initial response size of the unsegmented query.
     pub initial_count: usize,

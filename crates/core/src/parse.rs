@@ -11,12 +11,11 @@ use gittables_githost::FileKind;
 use gittables_table::{Column, Provenance, Table};
 use gittables_tablecsv::{read_csv_columns, CsvError, ReadOptions};
 use gittables_tablesql::{read_sql_tables, SqlError, SqlReadOptions};
-use serde::{Deserialize, Serialize};
 
 use crate::extract::RawCsvFile;
 
 /// Why a raw file failed to become a table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseFailure {
     /// The CSV reader rejected the file.
     Csv(String),

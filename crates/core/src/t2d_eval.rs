@@ -12,10 +12,9 @@
 
 use gittables_annotate::{Annotation, SemanticAnnotator, SyntacticAnnotator};
 use gittables_synth::{GoldKind, GoldTable};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate agreement statistics of one annotator on the benchmark.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct T2dReport {
     /// Columns where both gold and the annotator produced a label.
     pub evaluated: usize,

@@ -4,12 +4,11 @@ use std::collections::HashMap;
 
 use gittables_annotate::Method;
 use gittables_ontology::OntologyKind;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::Corpus;
 
 /// A fixed-bin histogram over `[lo, hi]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Lower bound of the first bin.
     pub lo: f64,
@@ -59,7 +58,7 @@ impl Histogram {
 
 /// Annotation statistics for one `(method, ontology)` configuration — one
 /// column of the paper's Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotationStats {
     /// Method.
     pub method: Method,

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use gittables_annotate::Method;
 use gittables_ontology::OntologyKind;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::Corpus;
 
@@ -19,7 +18,7 @@ pub const AUDITED_TYPES: &[&str] = &[
 ];
 
 /// One row of the Table 6 audit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasRow {
     /// Semantic type.
     pub semantic_type: String,

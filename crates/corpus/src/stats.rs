@@ -2,12 +2,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::corpus::Corpus;
 
 /// Structural statistics of a corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStats {
     /// Number of tables.
     pub tables: usize,

@@ -44,7 +44,7 @@ pub struct TypePosting {
 }
 
 /// Per-type summary: how often a label occurs and in how many tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TypeCount {
     /// Normalized type label.
     pub label: String,

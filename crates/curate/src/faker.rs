@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 const FAKE_FIRST: &[&str] = &[
     "Alex", "Sam", "Jordan", "Taylor", "Casey", "Riley", "Morgan", "Avery", "Quinn", "Rowan",
@@ -61,7 +60,7 @@ const FAKE_STREETS: &[&str] = &[
 ];
 
 /// Which Faker class replaces a PII semantic type (paper Table 3's mapping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FakerClass {
     /// `faker.name`
     Name,

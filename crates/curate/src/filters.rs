@@ -1,11 +1,10 @@
 //! The table-level curation filters of §3.3.
 
 use gittables_table::{AtomicType, Table};
-use serde::{Deserialize, Serialize};
 
 /// Why a table was filtered out. Variants are ordered by the pipeline's
 /// evaluation order; the first failing rule is reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterReason {
     /// Repository has no license permitting redistribution.
     NoPermissiveLicense,
@@ -43,7 +42,7 @@ pub const SOCIAL_KEYWORDS: &[&str] = &["twitter", "tweet", "reddit", "facebook"]
 const MAX_UNNAMED_FRACTION: f64 = 0.5;
 
 /// Configuration of the curation filters. Defaults match the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CurationConfig {
     /// Whether to require a permissive license (the published corpus does;
     /// the analysis corpus keeps unlicensed tables).

@@ -8,12 +8,11 @@
 use gittables_annotate::TableAnnotations;
 use gittables_ontology::Ontology;
 use gittables_table::Table;
-use serde::{Deserialize, Serialize};
 
 use crate::faker::{Faker, FakerClass};
 
 /// A detected PII column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PiiColumn {
     /// Column index.
     pub column: usize,
@@ -24,7 +23,7 @@ pub struct PiiColumn {
 }
 
 /// Outcome of anonymizing one table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PiiReport {
     /// The columns that were anonymized.
     pub anonymized: Vec<PiiColumn>,

@@ -1,10 +1,8 @@
 //! Repository and file models stored by the host.
 
-use serde::{Deserialize, Serialize};
-
 /// The ingestable file kinds the pipeline distinguishes. Extraction
 /// queries by extension, and the parse stage dispatches on the kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// Delimiter-separated text, parsed by `gittables_tablecsv`.
     Csv,
@@ -40,7 +38,7 @@ impl FileKind {
 }
 
 /// A file inside a repository.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepoFile {
     /// Path within the repository, e.g. `data/orders.csv`.
     pub path: String,
@@ -78,7 +76,7 @@ impl RepoFile {
 }
 
 /// A hosted repository.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repository {
     /// `owner/name` identifier.
     pub full_name: String,

@@ -36,8 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::PoolClock;
 use crate::fault::mix;
 use crate::host::{CodeHost, HostError};
@@ -95,7 +93,7 @@ pub struct PoolPolicy {
 }
 
 /// The three circuit-breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: traffic flows, consecutive failures are counted.
     Closed,
@@ -289,7 +287,7 @@ impl TokenBucket {
 }
 
 /// Per-replica scheduling statistics, part of [`PoolStats`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Replica name (`replica-0`, `replica-1`, …).
     pub name: String,
@@ -309,7 +307,7 @@ pub struct ReplicaStats {
 
 /// A snapshot of pool scheduling counters; see
 /// [`HostPool::stats`]. Monotonic except the per-replica breaker states.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Operations entering the pool (each may fan out into several
     /// replica attempts).

@@ -1,7 +1,5 @@
 //! The GitHub-like code-search API: query language, caps, pagination.
 
-use serde::{Deserialize, Serialize};
-
 use crate::host::GitHost;
 use crate::model::FileKind;
 use crate::unpoisoned;
@@ -18,7 +16,7 @@ pub const PAGE_SIZE: usize = 100;
 pub const MAX_FILE_SIZE: usize = 438 * 1024;
 
 /// A parsed search query: `<term> extension:<ext> size:<a>..<b>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// The search term (matched against content & path tokens, lowercase).
     pub term: String,
@@ -120,7 +118,7 @@ impl std::fmt::Display for Query {
 }
 
 /// One search hit: a URL-like locator for a file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchResult {
     /// Repository `owner/name`.
     pub repository: String,
@@ -133,7 +131,7 @@ pub struct SearchResult {
 }
 
 /// A page of search results.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchResponse {
     /// Total number of matching files on the host — *not* capped; this is
     /// what the paper calls the "initial response size" used to plan

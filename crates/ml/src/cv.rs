@@ -1,13 +1,11 @@
 //! Stratified k-fold cross-validation (the paper's 5-fold / 10-fold setups).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::metrics::Metrics;
 use crate::Classifier;
 
 /// Per-fold and aggregate cross-validation results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvReport {
     /// Metrics of each fold.
     pub folds: Vec<Metrics>,

@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A labeled dataset of dense feature vectors.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Feature vectors, all the same length.
     pub features: Vec<Vec<f32>>,

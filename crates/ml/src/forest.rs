@@ -6,14 +6,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::Classifier;
 
 /// Forest hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -37,7 +36,7 @@ impl Default for ForestConfig {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     /// Hyperparameters.
     pub config: ForestConfig,

@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::Classifier;
 
 /// Hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticConfig {
     /// SGD epochs.
     pub epochs: usize,
@@ -37,7 +36,7 @@ impl Default for LogisticConfig {
 
 /// A fitted softmax classifier. Inputs are standardized internally using the
 /// training statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// Hyperparameters.
     pub config: LogisticConfig,

@@ -1,9 +1,7 @@
 //! Classification metrics: accuracy, per-class precision/recall/F1, macro F1.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary metrics over a prediction run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Overall accuracy.
     pub accuracy: f64,

@@ -4,13 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::Classifier;
 
 /// Hyperparameters of the MLP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Hidden layer width.
     pub hidden: usize,
@@ -41,7 +40,7 @@ impl Default for MlpConfig {
 
 /// A fitted one-hidden-layer MLP. Inputs are standardized with training
 /// statistics, as in Sherlock's preprocessing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     /// Hyperparameters.
     pub config: MlpConfig,

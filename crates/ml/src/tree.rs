@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::Classifier;
 
 /// Tree hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Maximum depth.
     pub max_depth: usize,
@@ -35,7 +34,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         class: usize,
@@ -49,7 +48,7 @@ enum Node {
 }
 
 /// A fitted decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     /// Hyperparameters.
     pub config: TreeConfig,

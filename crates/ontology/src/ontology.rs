@@ -34,7 +34,7 @@ impl std::fmt::Display for OntologyKind {
 }
 
 /// An immutable, indexed registry of [`SemanticType`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ontology {
     kind: OntologyKind,
     types: Vec<SemanticType>,

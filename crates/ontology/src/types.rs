@@ -1,13 +1,11 @@
 //! Semantic type definitions and their metadata.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a semantic type inside its [`crate::Ontology`].
 pub type TypeId = u32;
 
 /// The atomic data type an ontology expects for values of a semantic type —
 /// item (2) of the paper's per-type metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomicKind {
     /// Free text.
     Text,
@@ -46,7 +44,7 @@ impl std::fmt::Display for AtomicKind {
 
 /// A semantic type (an ontology property or class) with the metadata items
 /// (1)–(5) of paper §3.4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SemanticType {
     /// Stable id within the owning ontology.
     pub id: TypeId,

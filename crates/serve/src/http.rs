@@ -125,7 +125,7 @@ pub struct ErrorResponse {
 }
 
 /// `/shutdown` acknowledgement body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShutdownResponse {
     /// Always `"draining"`.
     pub status: String,

@@ -8,12 +8,11 @@
 //! parseable, etc.).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::tablegen::GeneratedTable;
 
 /// Defect-injection configuration for CSV rendering.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MessModel {
     /// Weights for delimiter choice: comma, semicolon, tab, pipe.
     pub delimiter_weights: [u32; 4],

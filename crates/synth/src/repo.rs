@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::csvrender::{render_csv, MessModel};
 use crate::schema::SchemaSampler;
@@ -41,7 +40,7 @@ pub const RESTRICTIVE_LICENSES: &[&str] = &["proprietary", "cc-by-nc-4.0"];
 pub const MAX_FILE_SIZE: usize = 438 * 1024;
 
 /// A generated CSV file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthFile {
     /// Path within the repository.
     pub path: String,
@@ -52,7 +51,7 @@ pub struct SynthFile {
 }
 
 /// A generated repository.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepoSpec {
     /// `owner/name` identifier.
     pub full_name: String,
@@ -65,7 +64,7 @@ pub struct RepoSpec {
 }
 
 /// Configuration for repository generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepoConfig {
     /// Probability a repository carries a permissive license (§3.3: ≈16 %).
     pub permissive_prob: f64,

@@ -9,12 +9,11 @@
 //! numeric header names, and social-media columns (§3.3).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::values::ValueKind;
 
 /// Content domain of a topic / table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Orders, products, invoices, companies.
     Business,
@@ -52,7 +51,7 @@ impl Domain {
 }
 
 /// One planned column: header, value kind, and a missing-value probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSpec {
     /// Header as it will appear in the CSV (possibly styled or defective).
     pub name: String,
@@ -63,7 +62,7 @@ pub struct ColumnSpec {
 }
 
 /// A planned table: topic, dimensions, and column specs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaPlan {
     /// The topic that retrieved this table.
     pub topic: String,
@@ -394,7 +393,7 @@ fn pool(domain: Domain) -> &'static [(&'static str, ValueKind)] {
 
 /// Configuration knobs of the sampler; defaults reproduce the paper's
 /// corpus-level statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SamplerConfig {
     /// Log-normal μ for rows (default gives mean ≈ 142).
     pub rows_mu: f64,

@@ -14,12 +14,11 @@
 
 use gittables_tablesql::SqlDialect;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::tablegen::GeneratedTable;
 
 /// Dump-style configuration for SQL rendering.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SqlRenderOptions {
     /// Weights for dialect choice: MySQL, Postgres, SQLite, ANSI.
     pub dialect_weights: [u32; 4],

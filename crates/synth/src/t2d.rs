@@ -16,12 +16,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::values::ValueKind;
 
 /// How the human label relates to the column header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GoldKind {
     /// Human label equals the (normalized) header.
     Exact,
@@ -32,7 +31,7 @@ pub enum GoldKind {
 }
 
 /// One gold-labeled column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GoldColumn {
     /// Header as it appears in the table.
     pub header: String,
@@ -45,7 +44,7 @@ pub struct GoldColumn {
 }
 
 /// A gold-labeled benchmark table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GoldTable {
     /// Table identifier.
     pub name: String,

@@ -7,7 +7,6 @@
 //! published frequent-value lists.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// First names used for person-name generation.
 pub const FIRST_NAMES: &[&str] = &[
@@ -514,7 +513,7 @@ fn push_fixed(out: &mut String, x: f64, prec: usize) {
 
 /// The kind of values a synthetic column holds; mirrors the ontology's
 /// semantic-type domains so generated headers and contents agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueKind {
     /// Sequential integer id starting at 1.
     SequentialId,

@@ -7,12 +7,10 @@
 //! role: driving query diversity and linking retrieved tables to a topical
 //! domain.
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::Domain;
 
 /// A query topic: a noun and the content domain its tables come from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topic {
     /// The noun used as search term.
     pub noun: String,

@@ -1,7 +1,5 @@
 //! CSV dialects: the delimiter/quote configuration of a file.
 
-use serde::{Deserialize, Serialize};
-
 /// The candidate delimiters considered by the sniffer, in priority order
 /// (priority breaks ties when consistency scores are equal). Comma first as
 /// the most common, then semicolon, tab, pipe, colon — the set observed in
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 pub const CANDIDATE_DELIMITERS: &[u8] = b",;\t|:";
 
 /// A CSV dialect: how fields are separated and quoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dialect {
     /// Field separator byte.
     pub delimiter: u8,

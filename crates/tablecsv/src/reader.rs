@@ -23,13 +23,12 @@
 //! buffers per column, not one allocation per cell.
 
 use gittables_table::CellArena;
-use serde::{Deserialize, Serialize};
 
 use crate::parser::bytes_blank;
 use crate::{sniff, CsvError, Dialect, Parser};
 
 /// Options controlling [`read_csv`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadOptions {
     /// Force a dialect instead of sniffing.
     pub dialect: Option<Dialect>,
@@ -50,7 +49,7 @@ impl Default for ReadOptions {
 }
 
 /// The result of reading a CSV file, row-major (the historical shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedCsv {
     /// Detected (or forced) dialect.
     pub dialect: Dialect,
@@ -72,7 +71,7 @@ pub struct ParsedCsv {
 /// `(row i, column j)`. This is the zero-copy fast path — downstream table
 /// construction is column-oriented, so each column's arena becomes the
 /// table column's storage as is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedColumns {
     /// Detected (or forced) dialect.
     pub dialect: Dialect,

@@ -1,12 +1,10 @@
 //! SQL dump dialects and their lexical properties.
 
-use serde::{Deserialize, Serialize};
-
 /// The SQL dialect a dump was written in. Only the properties that change
 /// how a dump is *lexed and decoded* matter here — identifier quoting,
 /// string-escape semantics, and whether `COPY ... FROM stdin` blocks
 /// appear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SqlDialect {
     /// `mysqldump` style: backtick identifiers, backslash escapes in
     /// string literals, `ENGINE=` / `AUTO_INCREMENT` table options.

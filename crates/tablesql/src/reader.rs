@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 
 use gittables_table::CellArena;
-use serde::{Deserialize, Serialize};
 
 use crate::dialect::SqlDialect;
 use crate::error::SqlError;
@@ -22,7 +21,7 @@ use crate::sniffer::sniff_dialect;
 use crate::splitter::{Statement, StatementSplitter};
 
 /// Options for reading a SQL dump.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SqlReadOptions {
     /// Force a dialect instead of sniffing.
     pub dialect: Option<SqlDialect>,

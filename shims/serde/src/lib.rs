@@ -4,7 +4,11 @@
 //! crate supplies the minimal serde surface the codebase uses: the
 //! `Serialize` / `Deserialize` traits, derive macros re-exported from the
 //! sibling `serde_derive` shim, and impls for the primitives and
-//! containers that appear in derived types.
+//! containers that appear in derived types. An impl with no caller in the
+//! workspace (its tests included) is not kept: `Deserialize` covers
+//! `bool`, the integers, the floats, `String`, `Option`, `Vec`, tuples
+//! and maps; `Serialize` also covers `str`, `char`, `&T`, slices, arrays,
+//! `Box` and `Arc`. Map keys ([`MapKey`]) are `String`, `u32` and `i64`.
 //!
 //! The two directions are not symmetric. [`Serialize`] *streams*: its one
 //! method appends the value's JSON text to a `String`, so no write path
@@ -56,11 +60,6 @@ impl Value {
             Value::Str(s) => Some(s),
             _ => None,
         }
-    }
-
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -304,15 +303,6 @@ impl Serialize for char {
     }
 }
 
-impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => Err(Error::expected("single-char string", "char")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -349,20 +339,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(xs) if xs.len() == N => {
-                let items: Vec<T> = xs.iter().map(T::deserialize).collect::<Result<_, _>>()?;
-                items
-                    .try_into()
-                    .map_err(|_| Error::expected("fixed-size array", "array"))
-            }
-            _ => Err(Error::expected(&format!("sequence of length {N}"), "array")),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for [T] {
     fn write_json(&self, out: &mut String) {
         write_seq(self, out);
@@ -390,21 +366,9 @@ impl<T: Serialize> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Box::new)
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Arc::new)
     }
 }
 
@@ -471,7 +435,7 @@ macro_rules! impl_mapkey_int {
     )*};
 }
 
-impl_mapkey_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_mapkey_int!(u32, i64);
 
 impl<K: MapKey + Eq + Hash, V: Serialize> Serialize for HashMap<K, V> {
     fn write_json(&self, out: &mut String) {

@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -62,6 +63,17 @@ enum CliError {
     Usage(String),
     /// The command ran and failed: exit 1.
     Failed(String),
+    /// Writing to stdout failed: exit 0 silently when the reader went
+    /// away (`gittables stats ... | head -1`), exit 1 otherwise.
+    Stdout(std::io::Error),
+}
+
+/// Commands write to stdout with `writeln!(out, ..)?` and turn every
+/// other I/O error into a message, so a bare `io::Error` is a stdout one.
+impl From<std::io::Error> for CliError {
+    fn from(error: std::io::Error) -> Self {
+        CliError::Stdout(error)
+    }
 }
 
 impl From<String> for CliError {
@@ -106,6 +118,19 @@ fn num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T
     Ok(opt_num(args, key)?.unwrap_or(default))
 }
 
+/// The probability given for `key`, 0 when the flag is absent. Anything
+/// but a number in [0, 1] is refused like an unparsable number: clamping
+/// would run a NaN as it is, and `1.5` as `1`.
+fn prob(args: &[String], key: &str) -> Result<f64, CliError> {
+    let Some(value) = opt(args, key)? else {
+        return Ok(0.0);
+    };
+    match value.parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+        _ => Err(CliError::Usage(format!("invalid {key} value: {value}"))),
+    }
+}
+
 fn load(args: &[String]) -> Result<Corpus, CliError> {
     let path = opt(args, "--corpus")?.ok_or("missing --corpus <file>")?;
     Ok(load_corpus(&PathBuf::from(&path)).map_err(|e| format!("loading {path}: {e}"))?)
@@ -129,7 +154,7 @@ fn sized_config(args: &[String]) -> Result<PipelineConfig, CliError> {
     let topics = num(args, "--topics", 10usize)?;
     let repos = num(args, "--repos", 40usize)?;
     Ok(PipelineConfig {
-        sql_file_prob: num(args, "--sql", 0.0f64)?.clamp(0.0, 1.0),
+        sql_file_prob: prob(args, "--sql")?,
         ..PipelineConfig::sized(seed, topics, repos)
     })
 }
@@ -162,21 +187,24 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let corpus = load(args)?;
     let s = CorpusStats::of(&corpus);
-    println!("corpus    : {} ({} tables)", corpus.name, s.tables);
-    println!("avg rows  : {:.1}", s.avg_rows);
-    println!("avg cols  : {:.1}", s.avg_columns);
+    writeln!(out, "corpus    : {} ({} tables)", corpus.name, s.tables)?;
+    writeln!(out, "avg rows  : {:.1}", s.avg_rows)?;
+    writeln!(out, "avg cols  : {:.1}", s.avg_columns)?;
     let (n, st, o) = s.atomic_fractions;
-    println!(
+    writeln!(
+        out,
         "atomic    : {:.1}% numeric / {:.1}% string / {:.1}% other",
         100.0 * n,
         100.0 * st,
         100.0 * o
-    );
+    )?;
     for (method, ont) in Corpus::annotation_configs() {
         let a = AnnotationStats::of(&corpus, method, ont, corpus.len().max(10) / 10, 5);
-        println!(
+        writeln!(
+            out,
             "{:<9} {:<10}: {} tables, {} columns, {} types, coverage {:.0}%",
             method.name(),
             ont.name(),
@@ -184,45 +212,50 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             a.annotated_columns,
             a.unique_types,
             100.0 * a.mean_coverage
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_search(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let query = opt(args, "--query")?.ok_or("missing --query <text>")?;
     let k = num(args, "--k", 5usize)?;
     let corpus = load(args)?;
     let ds = DataSearch::build(&corpus);
     for hit in ds.search(&query, k) {
         let t = &corpus.tables[hit.table_index].table;
-        println!(
+        writeln!(
+            out,
             "{:.3}  {:<40} {}",
             hit.score,
             t.provenance().url(),
             hit.schema
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_complete(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let prefix_arg = opt(args, "--prefix")?.ok_or("missing --prefix a,b,c")?;
     let prefix: Vec<&str> = prefix_arg.split(',').map(str::trim).collect();
     let k = num(args, "--k", 5usize)?;
     let corpus = load(args)?;
     let nc = NearestCompletion::build(&corpus);
     for c in nc.complete(&prefix, k) {
-        println!(
+        writeln!(
+            out,
             "distance {:.3}  completion: {}",
             c.prefix_distance,
             c.completion.join(", ")
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_annotate(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let path = opt(args, "--csv")?.ok_or("missing --csv <file>")?;
     let content = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let parsed = gittables_tablecsv::read_csv(&content, &Default::default())
@@ -232,12 +265,13 @@ fn cmd_annotate(args: &[String]) -> Result<(), CliError> {
     let ont = std::sync::Arc::new(gittables_ontology::dbpedia());
     let sem = gittables_annotate::SemanticAnnotator::new(ont);
     for a in sem.annotate(&table).annotations {
-        println!(
+        writeln!(
+            out,
             "{:<24} -> {:<24} (confidence {:.2})",
             table.column(a.column).map_or("?", |c| c.name()),
             a.label,
             a.similarity
-        );
+        )?;
     }
     Ok(())
 }
@@ -252,42 +286,46 @@ fn cmd_export(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_union(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let min = num(args, "--min", 3usize)?;
     let corpus = load(args)?;
     let groups = gittables_corpus::union_groups(&corpus, min);
-    println!("{} union groups with >= {min} members", groups.len());
+    writeln!(out, "{} union groups with >= {min} members", groups.len())?;
     for g in groups.iter().take(20) {
         let unioned = gittables_corpus::union_tables(&corpus, g).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "{:<32} {} members -> {} x {}",
             g.repository,
             g.members.len(),
             unioned.num_rows(),
             unioned.num_columns()
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_dedup(args: &[String]) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     let corpus = load(args)?;
     // One shared fingerprint pass feeds both analyses.
     let fingerprints = gittables_corpus::table_fingerprints(&corpus);
     let groups = gittables_corpus::exact_duplicates_with(&fingerprints);
     let survivors = gittables_corpus::dedup_indices_with(&fingerprints);
-    println!(
+    writeln!(
+        out,
         "{} tables, {} exact-duplicate groups, {} survive deduplication",
         corpus.len(),
         groups.len(),
         survivors.len()
-    );
+    )?;
     for g in groups.iter().take(20) {
         let urls: Vec<String> = g
             .members
             .iter()
             .map(|&i| corpus.tables[i].table.provenance().url())
             .collect();
-        println!("  {}", urls.join("  ==  "));
+        writeln!(out, "  {}", urls.join("  ==  "))?;
     }
     Ok(())
 }
@@ -325,8 +363,8 @@ fn cmd_crawl(args: &[String]) -> Result<(), CliError> {
     let drain_every = num(args, "--drain-every", 2u64)?;
     let cooldown_base = num(args, "--cooldown-base", 1u64)?;
     let replicas = num(args, "--replicas", 2usize)?.max(1);
-    let fault_rate = num(args, "--fault-rate", 0.0f64)?.clamp(0.0, 1.0);
-    let corrupt_rate = num(args, "--corrupt-rate", 0.0f64)?.clamp(0.0, 1.0);
+    let fault_rate = prob(args, "--fault-rate")?;
+    let corrupt_rate = prob(args, "--corrupt-rate")?;
     let fault_seed = num(args, "--fault-seed", 1u64)?;
 
     // Handlers go in before the (slow) replica population so an early
@@ -477,7 +515,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let handle = Server::start_set(set, addr.as_str(), config)
         .map_err(|e| format!("binding {addr}: {e}"))?;
     // Printed on stdout so scripts can discover an ephemeral port.
-    println!("serving on http://{}", handle.addr());
+    writeln!(std::io::stdout(), "serving on http://{}", handle.addr())?;
     eprintln!(
         "{threads} worker threads; POST /reload or SIGHUP to swap in a fresh snapshot; GET /shutdown for a graceful drain"
     );
@@ -557,6 +595,12 @@ fn main() -> ExitCode {
         Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");
             usage()
+        }
+        // The reader of stdout went away: there is no one left to tell.
+        Err(CliError::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
         }
     }
 }

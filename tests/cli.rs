@@ -481,7 +481,7 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
     let store = temp_path("badnum_store");
     let corpus = temp_path("badnum_corpus.json");
     let (store_arg, corpus_arg) = (store.to_str().unwrap(), corpus.to_str().unwrap());
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (
             &["serve", store_arg, "--shards", "two"],
             "invalid --shards value: two",
@@ -517,6 +517,19 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
             "crawl does not read --pases",
         ),
         (&["migrate", store_arg, "--to", "jsonl"], "usage: gittables"),
+        // A probability is a number in [0, 1]: a NaN once ran as it was.
+        (
+            &["build", "--out", corpus_arg, "--sql", "nan"],
+            "invalid --sql value: nan",
+        ),
+        (
+            &["crawl", store_arg, "--fault-rate", "1.5"],
+            "invalid --fault-rate value: 1.5",
+        ),
+        (
+            &["crawl", store_arg, "--corrupt-rate", "-0.1"],
+            "invalid --corrupt-rate value: -0.1",
+        ),
     ];
     for (args, message) in cases {
         let out = bin().args(args).output().expect("run");
@@ -530,6 +543,59 @@ fn unparsable_numbers_exit_2_and_write_nothing() {
             "{args:?} wrote something"
         );
     }
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let corpus = temp_path("closed_stdout.json");
+    let corpus_arg = corpus.to_str().unwrap();
+    let build = bin()
+        .args([
+            "build", "--out", corpus_arg, "--topics", "1", "--repos", "3",
+        ])
+        .output()
+        .expect("run build");
+    assert!(
+        build.status.success(),
+        "{}",
+        String::from_utf8_lossy(&build.stderr)
+    );
+    for args in [
+        &["stats", "--corpus", corpus_arg][..],
+        &["union", "--corpus", corpus_arg, "--min", "0"],
+    ] {
+        // The read end is gone before the child starts, so its first write
+        // meets a broken pipe, as `gittables stats ... | head -1` can.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = bin()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run with a closed stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+
+        // Any other failed write is an error, not a silent success.
+        let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+            continue;
+        };
+        let out = bin()
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("run with a full stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: writing to stdout"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&corpus).ok();
 }
 
 #[test]
